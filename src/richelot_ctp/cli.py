@@ -25,7 +25,7 @@ from .cohomology import (
     lift_phihat_to_two,
     quintuple_quotient,
 )
-from .ctp import PairingMatrix, ctp_local, rank_report
+from .ctp import InconsistentDimensions, PairingMatrix, ctp_local, rank_report
 from .curve import INF, CurveError, RichelotPair, build_pair, poly, poly_str
 from .localfield import places_of
 from .localpoints import (
@@ -39,6 +39,13 @@ from .selmer import selmer_group
 from .verify import run_verification
 
 __all__ = ["main"]
+
+# errors that end `ctp` with a partial report and exit 3: class -> failed stage
+_FAILED_AT = {
+    SearchExhausted: "local point search",
+    NotInImageError: "pairing pipeline self-check",
+    InconsistentDimensions: "descent bookkeeping",
+}
 
 
 def _parse_curve_file(path: str):
@@ -364,14 +371,9 @@ def main(argv=None) -> int:
     except CurveError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except SearchExhausted as e:
-        partial = {"curve": _curve_echo(curve, label),
-                   "failed_at": "local point search", "error": str(e)}
-        print(json.dumps(partial, sort_keys=True, indent=2))
-        return 3
-    except NotInImageError as e:
-        partial = {"curve": _curve_echo(curve, label),
-                   "failed_at": "pairing pipeline self-check", "error": str(e)}
+    except tuple(_FAILED_AT) as e:
+        stage = next(s for cls, s in _FAILED_AT.items() if isinstance(e, cls))
+        partial = {"curve": _curve_echo(curve, label), "failed_at": stage, "error": str(e)}
         print(json.dumps(partial, sort_keys=True, indent=2))
         return 3
     _emit(report, args.json)

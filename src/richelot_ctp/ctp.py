@@ -37,6 +37,7 @@ __all__ = [
     "ctp_local",
     "ctp_global",
     "ctp_matrix",
+    "greenberg_wiles_terms",
     "rank_report",
 ]
 
@@ -196,10 +197,25 @@ class DescentReport:
                 self.inferred_dim_sel2, self.dim_radical)
 
     def alternating_sum(self) -> int:
+        """Alternating sum of sequence_dims; 0 by construction of inferred_dim_sel2."""
         s = 0
         for i, d in enumerate(self.sequence_dims):
             s += d if i % 2 == 0 else -d
         return s
+
+
+def greenberg_wiles_terms(selmer_phihat: SelmerGroup) -> tuple[int, ...]:
+    """The local terms dim im_phihat,v - 2 of the Greenberg-Wiles formula.
+
+    For the two kernels, both rational of dimension 2, the formula (Darmon-
+    Diamond-Taylor, "Fermat's Last Theorem", Thm 2.19) reads
+
+        dim Sel^phihat - dim Sel^phi = sum over v in S u {oo} of (dim im_phihat,v - 2):
+
+    the global H^0 terms cancel, every local H^0 has dimension 2, and places
+    outside S contribute 0.
+    """
+    return tuple(d - 2 for _, d in selmer_phihat.local_image_dims)
 
 
 def rank_report(curve: RichelotPair, selmer_phi: SelmerGroup,
@@ -207,11 +223,21 @@ def rank_report(curve: RichelotPair, selmer_phi: SelmerGroup,
     """Assemble the rank bounds and the inferred 2-Selmer dimension.
 
     Under the standing rationality assumption the kernels contribute
-    dimensions 2, 4, 2.  Raises InconsistentDimensions when the six-term
-    alternating sum fails to vanish.
+    dimensions 2, 4, 2.  Raises InconsistentDimensions when both Selmer
+    groups are certified and the Greenberg-Wiles formula fails; it ties the
+    local images and kernels of the two sides together, so a wrong image or
+    a wrong kernel on either side shows.  The six-term alternating sum is
+    also checked, but it is bookkeeping: the inferred 2-Selmer dimension is
+    defined to close it, so it is identically 0 by construction.
     """
     d_phi = selmer_phi.dim
     d_phihat = selmer_phihat.dim
+    if selmer_phi.status == selmer_phihat.status == "certified":
+        terms = greenberg_wiles_terms(selmer_phihat)
+        if d_phihat - d_phi != sum(terms):
+            raise InconsistentDimensions(
+                f"Greenberg-Wiles: dim Sel^phihat - dim Sel^phi = {d_phihat - d_phi}, "
+                f"but the local terms {list(terms)} sum to {sum(terms)}")
     k = matrix.radical_dim
     before = d_phi + d_phihat - 2 - 2
     after = d_phi + k - 2 - 2

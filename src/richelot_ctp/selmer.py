@@ -1,10 +1,17 @@
 """Global descent: the two kernel Selmer groups as subgroups of (Q*/(Q*)^2)^3.
 
-A candidate class lies in the Selmer group iff its restriction at every bad
-place lands in the local descent image there; away from the bad set both the
-candidates (supported on S) and the images (unramified classes) make the
-condition automatic, so only places of S are consulted.  Candidates run over
-pairs (a1, a2) in Q(S,2)^2 with a3 = a1 a2 forced by the norm condition.
+A class lies in the Selmer group iff its restriction at every bad place lands
+in the local descent image there; away from the bad set both the classes
+(supported on S) and the images (unramified classes) make the condition
+automatic, so only places of S are consulted.  The classes are pairs
+(a1, a2) in Q(S,2)^2 with a3 = a1 a2 forced by the norm condition, and the
+condition is F2-linear in them: restriction is a homomorphism, so the local
+class of any element is the XOR of the local classes of the generators
+(-1, p1, p2, ...), and reduction modulo im_v is linear.  The Selmer group is
+therefore the kernel of one F2 matrix from Q(S,2)^2 to the sum of the local
+quotients H^1(Q_v)/im_v (Stoll, "Implementing 2-descent for Jacobians of
+hyperelliptic curves", Acta Arith. 98, 2001), and its cost is polynomial in
+|S| instead of 4^(|S|+1).
 """
 
 from __future__ import annotations
@@ -13,10 +20,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import gf2
-from .arith import PlaceSet, SquareClass, bad_places, enumerate_Q_S2
+from .arith import PlaceSet, SquareClass, bad_places
 from .cohomology import KummerTriple
 from .curve import RichelotPair
-from .localfield import local_square_class, places_of
+from .localfield import LocalPlace, local_square_class, local_square_dim, places_of
 from .localpoints import (
     CODOMAIN,
     DOMAIN,
@@ -27,10 +34,16 @@ from .localpoints import (
     local_images,
 )
 
-__all__ = ["SelmerGroup", "torsion_images", "selmer_group", "encode_triple", "triple_span"]
+__all__ = ["SelmerGroup", "KernelCheckError", "torsion_images", "selmer_group",
+           "encode_triple", "triple_span"]
 
 PHI = "phi"
 PHIHAT = "phihat"
+
+
+class KernelCheckError(RuntimeError):
+    """The kernel of the Selmer matrix fails a local condition or misses a
+    two-torsion image: the matrix does not describe the local conditions."""
 
 
 def _encoding_primes(S: PlaceSet) -> tuple[int, ...]:
@@ -43,6 +56,12 @@ def _encode_class(c: SquareClass, primes) -> int:
         if p in c.primes:
             m |= 1 << (i + 1)
     return m
+
+
+def _decode_class(m: int, primes) -> SquareClass:
+    """Inverse of _encode_class: bit 0 is -1, bit i + 1 is primes[i]."""
+    return SquareClass(-1 if m & 1 else 1,
+                       tuple(p for i, p in enumerate(primes) if m >> (i + 1) & 1))
 
 
 def encode_triple(t: KummerTriple, primes) -> int:
@@ -65,11 +84,14 @@ class SelmerGroup:
     """A kernel Selmer group with a torsion-first basis.
 
     basis spans the group; known_point_basis is the prefix coming from images
-    of rational two-torsion.  status is certified iff every consulted local
-    image carried a duality certificate.  Listed members are genuine either
-    way (their local conditions were witnessed by actual divisor images);
-    a heuristic status means the enumeration may be missing elements, not
-    that any listed one is wrong.
+    of rational two-torsion.  elements lists all 2^dim members, ordered by
+    the Q(S,2) indices of (a1, a2).  local_image_dims holds (place, dim of the
+    local image of this side) for every place of S.  status is certified iff
+    every consulted local image carried a duality certificate.  The group is
+    exactly the set of classes whose restrictions lie in the images that were
+    found, and found images are spanned by genuine divisor images, so every
+    member is genuine either way; a heuristic status means an image may be too
+    small and the group may be missing elements, not that any member is wrong.
     """
 
     side: str
@@ -78,6 +100,7 @@ class SelmerGroup:
     elements: tuple[KummerTriple, ...]
     places: PlaceSet
     status: str
+    local_image_dims: tuple[tuple[LocalPlace, int], ...]
 
     @property
     def dim(self) -> int:
@@ -112,6 +135,27 @@ def torsion_images(curve: RichelotPair, side: str) -> list[KummerTriple]:
     return basis
 
 
+def _local_rows(gen_masks: list[int], d: int, image: gf2.Span) -> list[int]:
+    """Rows of the map (a1, a2) -> restriction of (a1, a2, a1 a2) modulo im_v.
+
+    With n = len(gen_masks), column j < n puts generator j into a1 and column
+    n + j puts it into a2; either way a1 a2 picks it up too.  Reduction
+    against the image's echelon rows zeroes every pivot bit, which leaves the
+    unique such representative of the coset, so it is linear and the reduced
+    columns transpose into rows.
+    """
+    cols = [image.reduce(g | g << 2 * d) for g in gen_masks]
+    cols += [image.reduce(g << d | g << 2 * d) for g in gen_masks]
+    rows = []
+    for bit in range(3 * d):
+        r = 0
+        for j, c in enumerate(cols):
+            r |= (c >> bit & 1) << j
+        if r:
+            rows.append(r)
+    return rows
+
+
 def selmer_group(curve: RichelotPair, side: str, cfg: SearchConfig = SearchConfig(),
                  cache: Optional[LocalDataCache] = None) -> SelmerGroup:
     """Compute the kernel Selmer group of `side` ("phihat" or "phi")."""
@@ -123,46 +167,41 @@ def selmer_group(curve: RichelotPair, side: str, cfg: SearchConfig = SearchConfi
     S = bad_places(curve)
     primes = _encoding_primes(S)
     places = places_of(S)
+    n = len(primes) + 1
+    gens = (-1,) + primes
 
     imgs = {}
+    dims = []
     status = "certified"
+    rows = []
     for v in places:
         pair = local_images(curve, v, cfg, cache)
         img = pair[0] if side == PHIHAT else pair[1]
         if img.status != "certified":
             status = "heuristic"
         imgs[v] = img.span()
+        dims.append((v, img.dim))
+        gen_masks = [local_square_class(g, v).mask() for g in gens]
+        rows += _local_rows(gen_masks, local_square_dim(v), imgs[v])
+    kernel = gf2.nullspace(rows, 2 * n)
 
-    # restriction masks of each Q(S,2) element at each place
-    group = enumerate_Q_S2(S)
-    index = {c.value: i for i, c in enumerate(group)}
-    local_masks = {}
-    for v in places:
-        dims = []
-        masks = []
-        for c in group:
-            lc = local_square_class(c.value, v)
-            masks.append(lc.mask())
-            dims.append(len(lc.bits))
-        local_masks[v] = (masks, dims[0])
+    low = (1 << n) - 1
 
-    # consult the most restrictive places first
-    ordered = sorted(places, key=lambda v: imgs[v].dim)
+    def triple(x: int) -> KummerTriple:
+        a1 = _decode_class(x & low, primes)
+        a2 = _decode_class(x >> n, primes)
+        return KummerTriple((a1, a2, a1 * a2))
 
-    members = []
-    for i1, a1 in enumerate(group):
-        for i2, a2 in enumerate(group):
-            a3 = a1 * a2
-            i3 = index[a3.value]
-            ok = True
-            for v in ordered:
-                masks, d = local_masks[v]
-                m = masks[i1] | masks[i2] << d | masks[i3] << (2 * d)
-                if m not in imgs[v]:
-                    ok = False
-                    break
-            if ok:
-                members.append(KummerTriple((a1, a2, a3)))
+    # restrict each kernel generator afresh, independently of the linearisation
+    for x in kernel:
+        t = triple(x)
+        for v in places:
+            if t.restrict(v).mask() not in imgs[v]:
+                raise KernelCheckError(f"kernel vector {t} is not in the local image at {v}")
+
+    # all members, in the order of the Q(S,2)^2 enumeration by (index a1, index a2)
+    vectors = sorted(gf2.Span(kernel).elements(), key=lambda x: (x & low, x >> n))
+    members = [triple(x) for x in vectors]
 
     # torsion-first basis
     span = gf2.Span()
@@ -175,5 +214,7 @@ def selmer_group(curve: RichelotPair, side: str, cfg: SearchConfig = SearchConfi
     for t in members:
         if span.add(encode_triple(t, primes)):
             basis.append(t)
-    assert len(members) == 1 << len(basis), "membership set is not a subgroup"
-    return SelmerGroup(side, tuple(basis), tuple(known), tuple(members), S, status)
+    if len(basis) != len(kernel):
+        raise KernelCheckError("a two-torsion image is not in the kernel")
+    return SelmerGroup(side, tuple(basis), tuple(known), tuple(members), S, status,
+                       tuple(dims))

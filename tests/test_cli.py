@@ -81,6 +81,21 @@ def test_ctp_report_deterministic_and_roundtrips(curve_file, capsys):
     assert report["status"] == "certified"
 
 
+def test_ctp_inconsistent_dimensions_exits_3(curve_file, capsys, monkeypatch):
+    import richelot_ctp.cli as cli
+    from richelot_ctp.ctp import InconsistentDimensions
+
+    def broken(*args):
+        raise InconsistentDimensions("Greenberg-Wiles: mismatch")
+
+    monkeypatch.setattr(cli, "rank_report", broken)
+    assert main(["ctp", curve_file(CURVE113), "--json"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["failed_at"] == "descent bookkeeping"
+    assert out["error"] == "Greenberg-Wiles: mismatch"
+    assert out["curve"]["label"] == "k=113"
+
+
 def test_ctp_places_filter_marks_partial(curve_file, capsys):
     rc = main(["ctp", curve_file(CURVE113), "--places", "3,113", "--json"])
     assert rc == 0

@@ -1,0 +1,208 @@
+"""The Selmer groups as F2 kernels, against the brute-force enumeration.
+
+`enumerate_selmer` is the original membership search over all 4^(|S|+1)
+pairs (a1, a2) in Q(S,2)^2.  It shares nothing with the kernel computation
+but the local images (read from the same cache) and the torsion-first basis
+rule, so it is an independent oracle for the linear algebra.
+"""
+
+import dataclasses
+
+import pytest
+
+import richelot_ctp.selmer as selmer_mod
+from richelot_ctp import gf2
+from richelot_ctp.arith import bad_places, enumerate_Q_S2
+from richelot_ctp.cohomology import KummerTriple
+from richelot_ctp.ctp import (
+    InconsistentDimensions,
+    PairingMatrix,
+    greenberg_wiles_terms,
+    rank_report,
+)
+from richelot_ctp.curve import UnsupportedModelError, build_pair
+from richelot_ctp.localfield import LocalPlace, local_square_class, places_of
+from richelot_ctp.localpoints import LocalDataCache, SearchConfig, local_images
+from richelot_ctp.selmer import (
+    KernelCheckError,
+    SelmerGroup,
+    encode_triple,
+    selmer_group,
+    torsion_images,
+)
+
+
+def enumerate_selmer(curve, side, cfg=SearchConfig(), cache=None) -> SelmerGroup:
+    """Selmer group of `side` by testing every candidate pair in Q(S,2)^2."""
+    curve.require_five_roots()
+    S = bad_places(curve)
+    primes = S.finite_primes
+    places = places_of(S)
+    imgs = {}
+    dims = []
+    status = "certified"
+    for v in places:
+        img = local_images(curve, v, cfg, cache)[0 if side == "phihat" else 1]
+        if img.status != "certified":
+            status = "heuristic"
+        imgs[v] = img.span()
+        dims.append((v, img.dim))
+
+    group = enumerate_Q_S2(S)
+    index = {c.value: i for i, c in enumerate(group)}
+    local_masks = {}
+    for v in places:
+        classes = [local_square_class(c.value, v) for c in group]
+        local_masks[v] = ([lc.mask() for lc in classes], len(classes[0].bits))
+
+    members = []
+    for i1, a1 in enumerate(group):
+        for i2, a2 in enumerate(group):
+            a3 = a1 * a2
+            i3 = index[a3.value]
+            ok = True
+            for v in places:
+                masks, d = local_masks[v]
+                m = masks[i1] | masks[i2] << d | masks[i3] << (2 * d)
+                if m not in imgs[v]:
+                    ok = False
+                    break
+            if ok:
+                members.append(KummerTriple((a1, a2, a3)))
+
+    span = gf2.Span()
+    basis = []
+    known = []
+    for t in torsion_images(curve, side):
+        if span.add(encode_triple(t, primes)):
+            basis.append(t)
+            known.append(t)
+    for t in members:
+        if span.add(encode_triple(t, primes)):
+            basis.append(t)
+    assert len(members) == 1 << len(basis), "membership set is not a subgroup"
+    return SelmerGroup(side, tuple(basis), tuple(known), tuple(members), S, status,
+                       tuple(dims))
+
+
+def k_family(k):
+    return build_pair(1, [2 * k, 1], [0, -6 * k, 1], [-7 * k * k, -6 * k, 1])
+
+
+# the k-family members of the benchmark with 4 to 6 finite bad primes, and
+# the six curves of test_more_curves.py
+ORACLE_CURVES = {
+    "k113": lambda: k_family(113),
+    "k143": lambda: k_family(143),
+    "k2431": lambda: k_family(2431),
+    "k17": lambda: k_family(17),
+    "six-root": lambda: build_pair(2, [-1, 1], [30, -21, 3], [-11, -10, 1]),
+    "irrational": lambda: build_pair(1, [0, 1], [-1, 0, 1], [6, -5, 1]),
+    "fractional": lambda: build_pair(4, ["-1/2", 1], [-1, 0, 1], [-12, 1, 1]),
+    "negative-lc": lambda: build_pair(-1, [0, 1], [-1, 0, 1], [-9, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
+def test_kernel_matches_enumeration(name):
+    curve = ORACLE_CURVES[name]()
+    cache = LocalDataCache()
+    for side in ("phihat", "phi"):
+        got = selmer_group(curve, side, cache=cache)
+        want = enumerate_selmer(curve, side, cache=cache)
+        assert got.basis == want.basis
+        assert got.known_point_basis == want.known_point_basis
+        assert got.elements == want.elements
+        assert got.status == want.status
+        assert got.local_image_dims == want.local_image_dims
+
+
+def test_six_root_domain_rejected_by_both():
+    curve = build_pair(1, [-9, 0, 1], [-1, 0, 1], [-20, 1, 1])
+    for fn in (selmer_group, enumerate_selmer):
+        with pytest.raises(UnsupportedModelError):
+            fn(curve, "phihat")
+
+
+def test_heuristic_images_match_enumeration(curve113):
+    # starved search: some images come back heuristic and too small
+    cfg = SearchConfig(residue_exponent=1, val_bound=0, escalations=0)
+    cache = LocalDataCache()
+    for side in ("phihat", "phi"):
+        got = selmer_group(curve113, side, cfg, cache)
+        want = enumerate_selmer(curve113, side, cfg, cache)
+        assert got.status == want.status == "heuristic"
+        assert got.elements == want.elements
+        assert got.basis == want.basis
+
+
+def test_local_image_dims_recorded(curve113):
+    sel = selmer_group(curve113, "phihat")
+    assert [str(v) for v, _ in sel.local_image_dims] == ["oo", "2", "3", "7", "113"]
+    # k = 113: 5 - 3 = -1 + 2 + 1 + 0 + 0
+    assert greenberg_wiles_terms(sel) == (-1, 2, 1, 0, 0)
+
+
+def test_twelve_prime_member_scales():
+    # k = 11*13*17*19*23*29*31*37*41: 12 finite bad primes, where the
+    # enumeration would test 4^13 candidates per side
+    k = 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41
+    assert k == 1448810778701
+    curve = k_family(k)
+    assert len(bad_places(curve).finite_primes) == 12
+    cache = LocalDataCache()
+    sh = selmer_group(curve, "phihat", cache=cache)
+    sp = selmer_group(curve, "phi", cache=cache)
+    assert sh.status == sp.status == "certified"
+    assert (sh.dim, sp.dim) == (4, 2)
+    assert sh.dim - sp.dim == sum(greenberg_wiles_terms(sh))
+    for side, grp in (("phihat", sh), ("phi", sp)):
+        for t in torsion_images(curve, side):
+            assert grp.contains(t)
+
+
+def _drop_image_vector(monkeypatch, place, index):
+    """Make the phihat image at `place` lose its basis vector `index`."""
+    def shrunk(curve, v, cfg=SearchConfig(), cache=None):
+        img_hat, img_phi = local_images(curve, v, cfg, cache)
+        if v == place:
+            keep = [i for i in range(img_hat.dim) if i != index]
+            img_hat = dataclasses.replace(
+                img_hat, basis=tuple(img_hat.basis[i] for i in keep),
+                witnesses=tuple(img_hat.witnesses[i] for i in keep))
+        return img_hat, img_phi
+    monkeypatch.setattr(selmer_mod, "local_images", shrunk)
+
+
+def test_greenberg_wiles_catches_a_lost_image_vector(curve113, monkeypatch):
+    cache = LocalDataCache()
+    sp = selmer_group(curve113, "phi", cache=cache)
+    empty = PairingMatrix((), (), {}, (), True)
+    rank_report(curve113, sp, selmer_group(curve113, "phihat", cache=cache), empty)
+    # at 3 the phihat image loses a vector that no global class needed: the
+    # kernel stays the same, so only the cross-check can notice
+    _drop_image_vector(monkeypatch, LocalPlace.finite(3), 2)
+    sh = selmer_group(curve113, "phihat", cache=cache)
+    assert sh.status == "certified" and sh.dim == 5
+    with pytest.raises(InconsistentDimensions, match="Greenberg-Wiles"):
+        rank_report(curve113, sp, sh, empty)
+    # a heuristic side skips the check
+    rank_report(curve113, sp, dataclasses.replace(sh, status="heuristic"), empty)
+
+
+def test_lost_torsion_image_vector_fails_kernel_check(curve113, monkeypatch):
+    _drop_image_vector(monkeypatch, LocalPlace.infinite(), 0)
+    with pytest.raises(KernelCheckError, match="two-torsion"):
+        selmer_group(curve113, "phihat")
+
+
+def test_wrong_linearisation_fails_kernel_check(curve113, monkeypatch):
+    # a matrix that drops the conditions at 2 has too large a kernel
+    real = selmer_mod._local_rows
+
+    def without_two(gen_masks, d, image):
+        return [] if d == 3 else real(gen_masks, d, image)
+
+    monkeypatch.setattr(selmer_mod, "_local_rows", without_two)
+    with pytest.raises(KernelCheckError, match="local image at 2"):
+        selmer_group(curve113, "phihat")
