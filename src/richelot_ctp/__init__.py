@@ -11,7 +11,6 @@ from .localpoints import (
     MumfordDivisor,
     SearchConfig,
     find_local_point,
-    local_image,
     mu_phi,
     mu_phihat,
     mu_two,

@@ -6,7 +6,10 @@ Curve files are JSON with rational coefficients as strings, low degree first:
     {"label": "k=113", "lambda": "1",
      "G1": ["226", "1"], "G2": ["0", "-678", "1"], "G3": ["-89383", "-678", "1"]}
 
-Exit codes: 0 ok; 1 verification failure; 2 invalid input; 3 heuristic or
+Exit codes: 0 ok; 1 verification failure; 2 invalid input (an unreadable or
+malformed curve file, an unsupported model, or a --places name that is not a
+bad place); 3 a `ctp` run stopped by a failed search, self-check or dimension
+check (partial JSON naming the stage in "failed_at"), or a heuristic or
 unproven result under --strict.
 """
 
@@ -17,24 +20,12 @@ import json
 import sys
 from fractions import Fraction
 
-from . import gf2
 from .arith import bad_places
-from .cohomology import (
-    NotInImageError,
-    descend_to_phi,
-    lift_phihat_to_two,
-    quintuple_quotient,
-)
-from .ctp import InconsistentDimensions, PairingMatrix, ctp_local, rank_report
+from .cohomology import NotInImageError
+from .ctp import InconsistentDimensions, LocalRow, ctp_matrix, rank_report
 from .curve import INF, CurveError, RichelotPair, build_pair, poly, poly_str
 from .localfield import places_of
-from .localpoints import (
-    LocalDataCache,
-    SearchConfig,
-    SearchExhausted,
-    find_local_point,
-    mu_two,
-)
+from .localpoints import LocalDataCache, SearchConfig, SearchExhausted
 from .selmer import selmer_group
 from .verify import run_verification
 
@@ -50,15 +41,18 @@ _FAILED_AT = {
 
 def _parse_curve_file(path: str):
     try:
-        data = json.loads(open(path).read())
+        with open(path) as fh:
+            data = json.load(fh)
     except OSError as e:
         raise CurveError(f"cannot read curve file: {e}")
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # invalid JSON or undecodable bytes
         raise CurveError(f"curve file is not valid JSON: {e}")
+    if not isinstance(data, dict):
+        raise CurveError("malformed curve file: the top level is not a JSON object")
     try:
         lam = Fraction(data.get("lambda", "1"))
         gs = [[Fraction(c) for c in data[k]] for k in ("G1", "G2", "G3")]
-    except (KeyError, ValueError, ZeroDivisionError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise CurveError(f"malformed curve file: {e}")
     label = data.get("label", "")
     return label, lam, gs
@@ -117,73 +111,38 @@ def _selmer_dict(sel) -> dict:
     }
 
 
-def _local_rows(a, curve, places, cfg, cache) -> dict:
-    lift = lift_phihat_to_two(a)
-    rows = {}
-    for v in places:
-        P_v = find_local_point(a, curve, v, cfg, cache)
-        delta2 = mu_two(P_v, curve, v)
-        lift_v = lift.restrict(v)
-        diff = quintuple_quotient(delta2, lift_v)
-        rho = descend_to_phi(diff)
-        rows[str(v)] = {
-            "P_v": str(P_v),
-            "delta2": [c.representative() for c in delta2.classes],
-            "lift": [c.representative() for c in lift_v.classes],
-            "difference": [c.representative() for c in diff.classes],
-            "rho": [c.representative() for c in rho.classes],
-        }
-    return rows
+def _row_dict(row: LocalRow) -> dict:
+    return {
+        "P_v": str(row.P_v),
+        "delta2": [c.representative() for c in row.delta2.classes],
+        "lift": [c.representative() for c in row.lift.classes],
+        "difference": [c.representative() for c in row.difference.classes],
+        "rho": [c.representative() for c in row.rho.classes],
+    }
 
 
-def _ctp_report(curve, label, cfg, cache, only_places=None) -> dict:
-    S = bad_places(curve)
-    places = places_of(S)
-    partial = False
-    if only_places:
-        keep = set(only_places)
-        places = [v for v in places if str(v) in keep]
-        partial = True
+def _ctp_report(curve, label, cfg, cache, places=None) -> dict:
+    """The full report; `places`, a subset of the bad places, makes it partial."""
+    partial = places is not None
     sel_hat = selmer_group(curve, "phihat", cfg, cache)
     sel_phi = selmer_group(curve, "phi", cfg, cache)
-
-    basis = sel_hat.basis
-    n = len(basis)
-    entries = []
-    breakdown = {}
-    for i in range(n):
-        row = []
-        for j in range(n):
-            bd = {}
-            total = 0
-            for v in places:
-                val = ctp_local(basis[i], basis[j], curve, v, cache, cfg)
-                bd[str(v)] = val
-                total ^= val
-            row.append(total)
-            breakdown[f"{i},{j}"] = bd
-        entries.append(row)
-
-    # radical over the (possibly partial) entries; flag partial prominently
-    rows = [sum(e << j for j, e in enumerate(r)) for r in entries]
-    radical = gf2.echelon(gf2.nullspace(rows, n))
-    symmetric = all(entries[i][j] == entries[j][i] for i in range(n) for j in range(n))
+    M = ctp_matrix(sel_hat, curve, cache, cfg, places=places)
 
     report = {
         "curve": _curve_echo(curve, label),
         "isogeny": _isogeny_dict(curve, label),
-        "bad_places": [str(v) for v in places_of(S)],
+        "bad_places": [str(v) for v in places_of(bad_places(curve))],
         "selmer": {"phihat": _selmer_dict(sel_hat), "phi": _selmer_dict(sel_phi)},
         "local_tables": {
-            str(tuple(a.values)): _local_rows(a, curve, places, cfg, cache)
-            for a in basis},
+            str(a.values): {str(r.place): _row_dict(r) for r in rows}
+            for a, rows in zip(M.basis, M.rows)},
         "matrix": {
-            "basis": [list(t.values) for t in basis],
-            "entries": entries,
-            "entries_qz": [["1/2" if e else "0" for e in r] for r in entries],
-            "per_place": breakdown,
-            "radical_dim": len(radical),
-            "symmetric": symmetric,
+            "basis": [list(t.values) for t in M.basis],
+            "entries": M.entries,
+            "entries_qz": M.qz_entries(),
+            "per_place": {f"{i},{j}": bd for (i, j), bd in M.breakdown.items()},
+            "radical_dim": M.radical_dim,
+            "symmetric": M.symmetric,
         },
         "partial_places_only": partial,
         "config": {"precision": cfg.residue_exponent, "val_bound": cfg.val_bound,
@@ -191,12 +150,10 @@ def _ctp_report(curve, label, cfg, cache, only_places=None) -> dict:
         "status": "certified" if sel_hat.status == sel_phi.status == "certified"
                   else "heuristic",
     }
-    if not symmetric:
+    if not M.symmetric:
         report["warnings"] = ["pairing matrix is not symmetric on this basis"]
     if not partial:
         # rank bookkeeping only makes sense for the full place set
-        M = PairingMatrix(tuple(basis), tuple(tuple(r) for r in entries),
-                          breakdown, tuple(radical), symmetric)
         rep = rank_report(curve, sel_phi, sel_hat, M)
         report["descent"] = {
             "rank_bound_before": rep.rank_bound_before,
@@ -365,9 +322,18 @@ def main(argv=None) -> int:
         return 0
 
     # full pipeline
-    only = [s.strip() for s in args.places.split(",")] if args.places else None
+    places = None
+    if args.places:
+        bad = places_of(bad_places(curve))
+        chosen = {s.strip() for s in args.places.split(",")}
+        unknown = sorted(chosen.difference(str(v) for v in bad))
+        if unknown:
+            print(f"error: --places: not a bad place: {', '.join(unknown)}; "
+                  f"the bad places are {', '.join(str(v) for v in bad)}", file=sys.stderr)
+            return 2
+        places = [v for v in bad if str(v) in chosen]
     try:
-        report = _ctp_report(curve, label, cfg, cache, only_places=only)
+        report = _ctp_report(curve, label, cfg, cache, places)
     except CurveError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -32,7 +32,6 @@ __all__ = [
     "psi_phi_to_two",
     "psi_two_to_phihat",
     "lift_phihat_to_two",
-    "triple_quotient",
     "quintuple_quotient",
     "descend_to_phi",
     "cup_invariant",
@@ -240,12 +239,8 @@ def lift_phihat_to_two(t):
     return LocalKummerQuintuple.of((a, 1, b, 1, c), t.place)
 
 
-def triple_quotient(x, y):
-    """Componentwise difference; the groups are 2-torsion, so x / y = x * y."""
-    return x * y
-
-
 def quintuple_quotient(x, y):
+    """Componentwise difference; the groups are 2-torsion, so x / y = x * y."""
     return x * y
 
 

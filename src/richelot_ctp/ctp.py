@@ -1,12 +1,15 @@
 """The pairing on the dual-kernel Selmer group, its Gram matrix, and rank reports.
 
-A local value at v is computed by the lift-and-descend pipeline: lift the
-class to a quintuple (a1, 1, a2, 1, a3), find a local point below it, take
-the quintuple image of that point, divide out the lift, descend the result
-to a kernel triple rho_v, and cup rho_v against the second argument through
-Hilbert symbols.  Every intermediate is validated, so a wrong witness or a
-wrong lift raises instead of producing a silently wrong sign.  The global
-value is the sum over the bad places; all other places contribute zero.
+`local_row` is the one lift-and-descend pipeline: for a class `a` and a bad
+place v it lifts `a` to a quintuple (a1, 1, a2, 1, a3), finds a local point
+below it, takes the quintuple image of that point, divides out the lift, and
+descends the result to a kernel triple rho_v.  rho_v depends on `a` and v
+only, so the local value against any second argument a' is the cup of rho_v
+with a' through Hilbert symbols, and `ctp_matrix` builds one row per
+(basis element, place).  Every intermediate is validated, so a wrong witness
+or a wrong lift raises instead of producing a silently wrong sign.  The
+global value is the sum over the bad places; all other places contribute
+zero.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from .arith import bad_places, prime_support
 from .cohomology import (
     KummerQuintuple,
     KummerTriple,
+    LocalKummerQuintuple,
+    LocalKummerTriple,
     cup_invariant,
     descend_to_phi,
     lift_phihat_to_two,
@@ -27,13 +32,21 @@ from .cohomology import (
 )
 from .curve import RichelotPair
 from .localfield import LocalPlace, places_of
-from .localpoints import LocalDataCache, SearchConfig, find_local_point, mu_two
+from .localpoints import (
+    LocalDataCache,
+    MumfordDivisor,
+    SearchConfig,
+    find_local_point,
+    mu_two,
+)
 from .selmer import SelmerGroup, encode_triple
 
 __all__ = [
+    "LocalRow",
     "PairingMatrix",
     "DescentReport",
     "InconsistentDimensions",
+    "local_row",
     "ctp_local",
     "ctp_global",
     "ctp_matrix",
@@ -46,21 +59,48 @@ class InconsistentDimensions(RuntimeError):
     """The descent bookkeeping violates exactness of the dimension count."""
 
 
-def ctp_local(a: KummerTriple, a2: KummerTriple, curve: RichelotPair, v: LocalPlace,
-              cache: Optional[LocalDataCache] = None, cfg: SearchConfig = SearchConfig(),
-              lift: Optional[KummerQuintuple] = None) -> int:
-    """Local pairing contribution at v, in F2, for a fixed global lift of `a`.
+@dataclass(frozen=True)
+class LocalRow:
+    """One column of the local tables: the pipeline for one class at one place.
 
-    Individual local values depend on the choice of lift and local point; only
-    their sum over all places is canonical.
+    lift is the global lift restricted to the place, difference is
+    delta2 / lift, and rho is the descended kernel triple rho_v.
+    """
+
+    P_v: MumfordDivisor
+    delta2: LocalKummerQuintuple
+    lift: LocalKummerQuintuple
+    difference: LocalKummerQuintuple
+    rho: LocalKummerTriple
+
+    @property
+    def place(self) -> LocalPlace:
+        return self.rho.place
+
+
+def local_row(a: KummerTriple, curve: RichelotPair, v: LocalPlace,
+              cfg: SearchConfig = SearchConfig(), cache: Optional[LocalDataCache] = None,
+              lift: Optional[KummerQuintuple] = None) -> LocalRow:
+    """Run lift, local point, quintuple image, quotient and descent for `a` at v.
+
+    `lift` defaults to the section (a1, 1, a2, 1, a3).  Individual rows depend
+    on the choice of lift and local point; only the pairing summed over all
+    places is canonical.
     """
     if lift is None:
         lift = lift_phihat_to_two(a)
     P_v = find_local_point(a, curve, v, cfg, cache)
     delta2 = mu_two(P_v, curve, v)
-    diff = quintuple_quotient(delta2, lift.restrict(v))
-    rho_v = descend_to_phi(diff)
-    return cup_invariant(rho_v, a2, v)
+    lift_v = lift.restrict(v)
+    diff = quintuple_quotient(delta2, lift_v)
+    return LocalRow(P_v, delta2, lift_v, diff, descend_to_phi(diff))
+
+
+def ctp_local(a: KummerTriple, a2: KummerTriple, curve: RichelotPair, v: LocalPlace,
+              cache: Optional[LocalDataCache] = None, cfg: SearchConfig = SearchConfig(),
+              lift: Optional[KummerQuintuple] = None) -> int:
+    """Local pairing contribution at v, in F2, for a fixed global lift of `a`."""
+    return cup_invariant(local_row(a, curve, v, cfg, cache, lift).rho, a2, v)
 
 
 def _pairing_places(curve: RichelotPair, a, a2, lift) -> list[LocalPlace]:
@@ -108,7 +148,8 @@ class PairingMatrix:
     """F2 Gram matrix of the pairing on a chosen basis, with per-place data.
 
     entries[i][j] is the pairing of basis[i] against basis[j]; breakdown maps
-    (i, j) to the per-place contributions for the default lift.  symmetric is
+    (i, j) to the per-place contributions for the default lift; rows[i] holds
+    the LocalRow of basis[i] at each place summed over.  symmetric is
     recorded, not assumed; an asymmetric matrix is reported as a warning.
     """
 
@@ -117,6 +158,7 @@ class PairingMatrix:
     breakdown: dict
     radical_basis: tuple[int, ...]  # masks w.r.t. the basis
     symmetric: bool
+    rows: tuple[tuple[LocalRow, ...], ...] = ()
 
     @property
     def radical_dim(self) -> int:
@@ -143,8 +185,13 @@ class PairingMatrix:
 
 def ctp_matrix(selmer: SelmerGroup, curve: RichelotPair,
                cache: Optional[LocalDataCache] = None, cfg: SearchConfig = SearchConfig(),
-               basis: Optional[Sequence[KummerTriple]] = None) -> PairingMatrix:
-    """Gram matrix of the pairing on `basis` (default: the Selmer basis)."""
+               basis: Optional[Sequence[KummerTriple]] = None,
+               places: Optional[Sequence[LocalPlace]] = None) -> PairingMatrix:
+    """Gram matrix of the pairing on `basis` (default: the Selmer basis).
+
+    Sums over `places` (default: every bad place).  A proper subset of the
+    bad places gives a partial matrix whose radical is not the pairing's.
+    """
     if selmer.side != "phihat":
         raise ValueError("the pairing is computed on the dual-kernel Selmer group")
     if cache is None:
@@ -153,21 +200,24 @@ def ctp_matrix(selmer: SelmerGroup, curve: RichelotPair,
     for t in bas:
         if not selmer.contains(t):
             raise ValueError(f"{t} is not in the Selmer group")
+    if places is None:
+        places = places_of(bad_places(curve))
     n = len(bas)
+    rows = tuple(tuple(local_row(a, curve, v, cfg, cache) for v in places) for a in bas)
     entries = []
     breakdown = {}
     for i in range(n):
         row = []
         for j in range(n):
-            bd = {}
-            row.append(ctp_global(bas[i], bas[j], curve, cache, cfg, breakdown=bd))
+            bd = {str(r.place): cup_invariant(r.rho, bas[j], r.place) for r in rows[i]}
             breakdown[(i, j)] = bd
+            row.append(sum(bd.values()) % 2)
         entries.append(tuple(row))
     entries = tuple(entries)
-    rows = [sum(e << j for j, e in enumerate(row)) for row in entries]
-    radical = gf2.echelon(gf2.nullspace(rows, n))
+    masks = [sum(e << j for j, e in enumerate(row)) for row in entries]
+    radical = gf2.echelon(gf2.nullspace(masks, n))
     symmetric = all(entries[i][j] == entries[j][i] for i in range(n) for j in range(n))
-    return PairingMatrix(bas, entries, breakdown, tuple(radical), symmetric)
+    return PairingMatrix(bas, entries, breakdown, tuple(radical), symmetric, rows)
 
 
 @dataclass(frozen=True)

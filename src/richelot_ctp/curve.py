@@ -214,7 +214,8 @@ def poly_str(f: Poly, var: str = "x") -> str:
     return " ".join(parts)
 
 
-def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
+def rational_sqrt(q: Fraction) -> Optional[Fraction]:
+    """The nonnegative rational square root of q, or None if there is none."""
     if q < 0:
         return None
     ns = math.isqrt(q.numerator)
@@ -227,7 +228,7 @@ def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
 def rational_roots_quadratic(g: Poly) -> Optional[tuple[Fraction, Fraction]]:
     """Both roots of a rational quadratic, ascending, or None if irrational."""
     c0, c1, c2 = (g + (Fraction(0),) * 3)[:3]
-    s = _rational_sqrt(c1 * c1 - 4 * c0 * c2)
+    s = rational_sqrt(c1 * c1 - 4 * c0 * c2)
     if s is None:
         return None
     r1 = (-c1 - s) / (2 * c2)
@@ -344,6 +345,11 @@ class RichelotPair:
             else:
                 out.append(rational_roots_quadratic(Li))
         return tuple(out)
+
+    @property
+    def codomain_roots(self) -> tuple[Fraction, ...]:
+        """The rational roots of the L_i, flattened in factor order."""
+        return tuple(r for grp in self.codomain_roots_by_factor if grp for r in grp)
 
     @property
     def codomain_degree(self) -> int:

@@ -47,6 +47,7 @@ from .curve import (
     TwoTorsionPoint,
     poly_derivative,
     poly_eval,
+    rational_sqrt,
     real_region_samples,
     two_torsion_points,
 )
@@ -70,7 +71,6 @@ __all__ = [
     "mu_phihat",
     "mu_phi",
     "find_local_point",
-    "local_image",
     "local_images",
 ]
 
@@ -414,16 +414,6 @@ def _poly_mod_quadratic(f, A) -> tuple[Fraction, Fraction]:
     return u, w
 
 
-def _rational_square_root(q: Fraction) -> Optional[Fraction]:
-    if q < 0:
-        return None
-    import math
-    ns, ds = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    if ns * ns == q.numerator and ds * ds == q.denominator:
-        return Fraction(ns, ds)
-    return None
-
-
 def quadratic_mumford_certificate(curve_f, A, v: LocalPlace, prec: int = 24) -> bool:
     """Is f a square in Q_v[x]/(A) for monic irreducible A = x^2 + a x + b?
 
@@ -450,7 +440,7 @@ def quadratic_mumford_certificate(curve_f, A, v: LocalPlace, prec: int = 24) -> 
     if not is_local_square(norm, v):
         return False
     tr = 2 * w - a * u
-    n = _rational_square_root(norm)
+    n = rational_sqrt(norm)
     if n is not None:
         for nu in (n, -n):
             t = tr + 2 * nu
@@ -464,12 +454,8 @@ def quadratic_mumford_certificate(curve_f, A, v: LocalPlace, prec: int = 24) -> 
     tr_pad = PadicApprox.from_rational(tr, p, prec)
     two = PadicApprox.from_rational(2, p, prec)
     for nu in (n_pad, -n_pad):
-        try:
-            t = tr_pad + two * nu
-            if t.is_square():
-                return True
-        except InsufficientPrecision:
-            raise
+        if (tr_pad + two * nu).is_square():
+            return True
     return False
 
 
@@ -537,9 +523,7 @@ def _root_centers(f, p: int, depth: int) -> list[Fraction]:
 
 def _x_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfig) -> list[Fraction]:
     f = curve.f if side == DOMAIN else curve.fhat
-    rational_roots = (curve.roots if side == DOMAIN
-                      else tuple(x for grp in curve.codomain_roots_by_factor
-                                 if grp for x in grp))
+    rational_roots = curve.roots if side == DOMAIN else curve.codomain_roots
     if v.p is None:
         # one sample inside every region where f has constant sign; the
         # positive ones are kept by the caller
@@ -637,8 +621,7 @@ def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace,
     # p-adically near a torsion pair live here, and on models whose reduction
     # degenerates they can be the only points there are
     polys = curve.G if side == DOMAIN else curve.L
-    roots = (curve.roots if side == DOMAIN
-             else tuple(x for grp in curve.codomain_roots_by_factor if grp for x in grp))
+    roots = curve.roots if side == DOMAIN else curve.codomain_roots
     bases = []
     for g in polys:
         if len(g) == 3:
@@ -669,8 +652,7 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace,
     rng = random.Random(cfg.shuffle_seed) if cfg.shuffle_seed is not None else None
     f = curve.f if side == DOMAIN else curve.fhat
     polys = curve.G if side == DOMAIN else curve.L
-    weier = (curve.roots if side == DOMAIN
-             else tuple(x for grp in curve.codomain_roots_by_factor if grp for x in grp))
+    weier = curve.roots if side == DOMAIN else curve.codomain_roots
     good_xs: list[Fraction] = []
     seen_classes: set = set()
 
@@ -717,12 +699,6 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace,
 
     return [torsion_tier(), singles_tier(), pairs_tier(),
             _quadratic_candidates(curve, side, v, cfg)]
-
-
-def _candidate_divisors(curve: RichelotPair, side: str, v: LocalPlace,
-                        cfg: SearchConfig) -> Iterator[MumfordDivisor]:
-    for tier in _point_tiers(curve, side, v, cfg):
-        yield from tier
 
 
 # ---------------------------------------------------------------------------
@@ -823,14 +799,6 @@ def local_images(curve: RichelotPair, v: LocalPlace, cfg: SearchConfig = SearchC
     return images
 
 
-def local_image(curve: RichelotPair, side: str, v: LocalPlace,
-                cfg: SearchConfig = SearchConfig(),
-                cache: Optional["LocalDataCache"] = None) -> LocalImage:
-    """The local image subgroup for one side; `side` is "phihat" or "phi"."""
-    imgs = local_images(curve, v, cfg, cache)
-    return imgs[0] if side == "phihat" else imgs[1]
-
-
 def find_local_point(target, curve: RichelotPair, v: LocalPlace,
                      cfg: SearchConfig = SearchConfig(),
                      cache: Optional["LocalDataCache"] = None) -> MumfordDivisor:
@@ -849,7 +817,7 @@ def find_local_point(target, curve: RichelotPair, v: LocalPlace,
             return hit
     config = cfg
     for _ in range(cfg.escalations + 1):
-        for D in _candidate_divisors(curve, DOMAIN, v, config):
+        for D in itertools.chain.from_iterable(_point_tiers(curve, DOMAIN, v, config)):
             img = mu_phihat(D, curve, v)
             if img.same_class(t_local):
                 if cache is not None and cfg.shuffle_seed is None:

@@ -16,16 +16,14 @@ from .arith import bad_places
 from .cohomology import (
     KummerQuintuple,
     KummerTriple,
-    descend_to_phi,
     lift_phihat_to_two,
     psi_phi_to_two,
     psi_two_to_phihat,
-    quintuple_quotient,
 )
-from .ctp import ctp_global, ctp_matrix, rank_report
+from .ctp import ctp_global, ctp_matrix, local_row, rank_report
 from .curve import RichelotPair, build_pair, poly, weil_ephi
 from .localfield import LocalPlace, local_square_class, places_of
-from .localpoints import LocalDataCache, SearchConfig, find_local_point, mu_two
+from .localpoints import LocalDataCache, SearchConfig
 from .selmer import selmer_group, torsion_images
 
 __all__ = ["example_curve", "run_verification", "CheckResult"]
@@ -150,26 +148,21 @@ def run_verification(cfg: SearchConfig = SearchConfig(),
     # local tables
     for a_vals, cols in _TABLES.items():
         a = KummerTriple.of(*a_vals)
-        lift = lift_phihat_to_two(a)
         ok, why = True, ""
         for v in places_of(S):
             expected = cols[str(v)]
-            P_v = find_local_point(a, curve, v, cfg, cache)
-            delta2 = mu_two(P_v, curve, v)
-            lift_v = lift.restrict(v)
-            diff = quintuple_quotient(delta2, lift_v)
-            rho = descend_to_phi(diff)
+            row = local_row(a, curve, v, cfg, cache)
             if expected is None:
-                rows = (delta2.is_trivial(), diff.is_trivial(), rho.is_trivial())
-                if not all(rows):
+                if not (row.delta2.is_trivial() and row.difference.is_trivial()
+                        and row.rho.is_trivial()):
                     ok, why = False, f"expected identity column at v={v}"
                     break
             else:
                 _, d2row, liftrow, diffrow, rhorow = expected
-                if not (_same_local_classes(delta2.witnesses, d2row, v)
-                        and _same_local_classes(lift_v.witnesses, liftrow, v)
-                        and _same_local_classes(diff.witnesses, diffrow, v)
-                        and _same_local_classes(rho.witnesses, rhorow, v)):
+                if not (_same_local_classes(row.delta2.witnesses, d2row, v)
+                        and _same_local_classes(row.lift.witnesses, liftrow, v)
+                        and _same_local_classes(row.difference.witnesses, diffrow, v)
+                        and _same_local_classes(row.rho.witnesses, rhorow, v)):
                     ok, why = False, f"row mismatch at v={v}"
                     break
         check(f"local table for {a}", ok, why)

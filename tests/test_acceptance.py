@@ -34,7 +34,7 @@ from richelot_ctp.localpoints import (
     DOMAIN,
     LocalDataCache,
     SearchConfig,
-    _candidate_divisors,
+    _point_tiers,
     find_local_point,
     mu_phihat,
     mu_two,
@@ -221,7 +221,8 @@ def test_criterion_8_structural_invariants(curve, sel_phihat, matrix, cache):
     places = places_of(bad_places(curve))
     checked = 0
     for v in places:
-        for D in _candidate_divisors(curve, DOMAIN, v, SearchConfig(val_bound=2)):
+        for D in itertools.chain.from_iterable(
+                _point_tiers(curve, DOMAIN, v, SearchConfig(val_bound=2))):
             q = mu_two(D, curve, v)          # constructor enforces norm condition
             t = mu_phihat(D, curve, v)
             assert psi_two_to_phihat(q).same_class(t)

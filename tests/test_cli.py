@@ -45,6 +45,11 @@ def test_invalid_curve_exits_2(curve_file, capsys):
     assert "product of elliptic" in capsys.readouterr().err.lower()
     bad = curve_file({"lambda": "1", "G1": ["1"]}, "bad.json")
     assert main(["isogeny", bad]) == 2
+    capsys.readouterr()
+    for name, data in (("list.json", [1, 2]),
+                       ("null.json", dict(CURVE113, G2=["0", None, "1"]))):
+        assert main(["isogeny", curve_file(data, name)]) == 2
+        assert "malformed curve file" in capsys.readouterr().err
 
 
 def test_unreadable_file_exits_2(capsys):
@@ -104,6 +109,46 @@ def test_ctp_places_filter_marks_partial(curve_file, capsys):
     assert "descent" not in report
     for bd in report["matrix"]["per_place"].values():
         assert set(bd) <= {"3", "113"}
+    # the partial report is a view of the matrix over the chosen places
+    from richelot_ctp.ctp import ctp_matrix
+    from richelot_ctp.localfield import LocalPlace
+    from richelot_ctp.selmer import selmer_group
+    from richelot_ctp.verify import example_curve
+    curve = example_curve()
+    M = ctp_matrix(selmer_group(curve, "phihat"), curve,
+                   places=[LocalPlace.finite(3), LocalPlace.finite(113)])
+    assert report["matrix"]["entries"] == [list(r) for r in M.entries]
+    assert report["matrix"]["per_place"] == {
+        f"{i},{j}": bd for (i, j), bd in M.breakdown.items()}
+    assert report["matrix"]["radical_dim"] == M.radical_dim
+
+
+def test_ctp_unknown_place_exits_2(curve_file, capsys):
+    assert main(["ctp", curve_file(CURVE113), "--places", "5,xyz", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "5, xyz" in captured.err
+    assert "oo, 2, 3, 7, 113" in captured.err
+    assert main(["ctp", curve_file(CURVE113), "--places", "3,5"]) == 2
+
+
+def test_ctp_runs_the_local_pipeline_once_per_generator_and_place(
+        curve_file, capsys, monkeypatch):
+    # n = 5 generators and 5 bad places: 25 descents, not one per (i, j, v)
+    import richelot_ctp.ctp as ctp
+    calls = []
+    real = ctp.descend_to_phi
+
+    def counting(c):
+        calls.append(c.place)
+        return real(c)
+
+    monkeypatch.setattr(ctp, "descend_to_phi", counting)
+    assert main(["ctp", curve_file(CURVE113), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    n = len(report["matrix"]["basis"])
+    assert (n, len(report["bad_places"])) == (5, 5)
+    assert len(calls) == 25
 
 
 def test_ctp_text_tables(curve_file, capsys):
