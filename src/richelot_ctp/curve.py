@@ -5,6 +5,9 @@ points rational, pairwise distinct) and computes the isogenous codomain
 Delta y^2 = L1 L2 L3 with L_i = G_j' G_k - G_j G_k' for [i,j,k] cyclic and
 Delta = det(g_ji).  The Delta factor is kept separate from the L_i so the
 root special cases downstream can use it literally.
+
+Polynomials are dense tuples of Fractions; `poly_eval` is the hot path of
+the local search and evaluates on integer numerators and denominators.
 """
 
 from __future__ import annotations
@@ -71,10 +74,28 @@ def poly(coeffs) -> Poly:
 
 
 def poly_eval(f: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
+    """f(x), exactly, for a rational x = n/d.
+
+    With the coefficient denominators cleared to C_i = den c_i, this is the
+    homogenized integer form sum C_i n^i d^(k-i) over den d^k (k = deg f),
+    evaluated by Horner's rule on ints: one gcd for the whole evaluation
+    instead of two per coefficient.
+    """
+    if not f:
+        return Fraction(0)
+    n, d = x.numerator, x.denominator
+    den = 1
+    for c in f:
+        cd = c.denominator
+        if cd != 1:
+            den = den * cd // math.gcd(den, cd)
+    acc = f[-1].numerator * (den // f[-1].denominator)
+    dpow = 1
+    for i in range(len(f) - 2, -1, -1):
+        c = f[i]
+        dpow *= d
+        acc = acc * n + c.numerator * (den // c.denominator) * dpow
+    return Fraction(acc, den * dpow)
 
 
 def poly_mul(f: Poly, g: Poly) -> Poly:

@@ -5,7 +5,9 @@ brute-force solvability oracle, and a bounded-precision p-adic type used only
 by the Mumford-divisor search.  All symbol evaluations take exact rationals;
 squareness of a rational at a finite place is decided from the valuation
 parity and unit residues (mod p for odd p, mod 8 for p = 2), never from
-truncated expansions.
+truncated expansions.  `square_class_bits` reads both in one pass from the
+integer numerator and denominator, without building a Fraction; square
+classes and Hilbert symbols are computed from it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "PadicApprox",
     "InsufficientPrecision",
     "places_of",
+    "square_class_bits",
     "valuation",
 ]
 
@@ -175,22 +178,35 @@ def local_square_dim(v: LocalPlace) -> int:
     return 3 if v.p == 2 else 2
 
 
+def square_class_bits(n: int, d: int, p: Optional[int]) -> tuple[int, ...]:
+    """The `LocalSquareClass.bits` of n/d (nonzero ints) at p, None being oo.
+
+    One pass over the integers: strip p from n and d for the valuation
+    parity, then read the unit part's residue from n d, which lies in the
+    same square class as n / d (d and 1/d differ by the square d^2).
+    """
+    if not n or not d:
+        raise ValueError("zero has no square class")
+    if p is None:
+        return (1 if (n < 0) != (d < 0) else 0,)
+    val = 0
+    while n % p == 0:
+        n //= p
+        val += 1
+    while d % p == 0:
+        d //= p
+        val -= 1
+    if p == 2:
+        u8 = (n % 8) * (d % 8) % 8  # the unit part is 3^b1 5^b2 mod 8
+        return (val & 1, (u8 >> 1) & 1, (u8 >> 2) & 1)
+    return (val & 1, 0 if pow((n % p) * (d % p), (p - 1) // 2, p) == 1 else 1)
+
+
 def local_square_class(x, v: LocalPlace) -> LocalSquareClass:
     """The class of a nonzero rational in Q_v*/(Q_v*)^2."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("zero has no square class")
-    p = v.p
-    if p is None:
-        return LocalSquareClass(v, (1 if x < 0 else 0,))
-    val = valuation(x, p)
-    if p == 2:
-        u8 = _unit_residue(x, 2, 8)
-        b1 = 1 if u8 in (3, 7) else 0
-        b2 = 1 if u8 in (5, 7) else 0
-        return LocalSquareClass(v, (val & 1, b1, b2))
-    u = _unit_residue(x, p, p)
-    return LocalSquareClass(v, (val & 1, 0 if _legendre(u, p) == 1 else 1))
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return LocalSquareClass(v, square_class_bits(x.numerator, x.denominator, v.p))
 
 
 def is_local_square(x, v: LocalPlace) -> bool:
@@ -209,29 +225,30 @@ def hilbert_symbol(a, b, v: LocalPlace) -> int:
     (-1)^(alpha beta eps(p)) (u|p)^beta (w|p)^alpha for a = p^alpha u,
     b = p^beta w; at p = 2 the exponent eps(u)eps(w) + alpha eta(w) + beta
     eta(u) with eps(u) = (u-1)/2 and eta(u) = (u^2-1)/8 read off mod 8.
+    Only the parities of alpha, beta enter, so both arguments are read
+    through `square_class_bits`: for u = 3^b1 5^b2 mod 8, eps(u) = b1 and
+    eta(u) = b1 + b2 mod 2.
     """
-    a, b = Fraction(a), Fraction(b)
+    if not isinstance(a, (int, Fraction)):
+        a = Fraction(a)
+    if not isinstance(b, (int, Fraction)):
+        b = Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("hilbert symbol needs nonzero arguments")
     p = v.p
     if p is None:
         return -1 if (a < 0 and b < 0) else 1
-    alpha, beta = valuation(a, p), valuation(b, p)
+    bits_a = square_class_bits(a.numerator, a.denominator, p)
+    bits_b = square_class_bits(b.numerator, b.denominator, p)
     if p == 2:
-        u8, w8 = _unit_residue(a, 2, 8), _unit_residue(b, 2, 8)
-        eps_u, eps_w = (u8 - 1) // 2 % 2, (w8 - 1) // 2 % 2
-        eta_u, eta_w = (u8 * u8 - 1) // 8 % 2, (w8 * w8 - 1) // 8 % 2
-        e = eps_u * eps_w + alpha * eta_w + beta * eta_u
-        return -1 if e % 2 else 1
-    u, w = _unit_residue(a, p, p), _unit_residue(b, p, p)
-    s = 1
-    if alpha % 2 and beta % 2 and p % 4 == 3:
-        s = -s
-    if beta % 2 and _legendre(u, p) == -1:
-        s = -s
-    if alpha % 2 and _legendre(w, p) == -1:
-        s = -s
-    return s
+        alpha, eps_u, b2_u = bits_a
+        beta, eps_w, b2_w = bits_b
+        e = (eps_u & eps_w) ^ (alpha & (eps_w ^ b2_w)) ^ (beta & (eps_u ^ b2_u))
+    else:
+        alpha, res_u = bits_a
+        beta, res_w = bits_b
+        e = (alpha & beta & (p % 4 == 3)) ^ (beta & res_u) ^ (alpha & res_w)
+    return -1 if e else 1
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -56,8 +57,8 @@ from .localfield import (
     LocalPlace,
     PadicApprox,
     is_local_square,
-    local_square_class,
     local_square_dim,
+    square_class_bits,
     valuation,
 )
 
@@ -226,9 +227,11 @@ def _codomain_root_slots(curve: RichelotPair) -> dict:
 
 
 def _factor_index_of_root(curve: RichelotPair, x: Fraction, side: str) -> Optional[int]:
-    polys = curve.G if side == DOMAIN else curve.L
-    for i, g in enumerate(polys):
-        if poly_eval(g, x) == 0:
+    """The factor vanishing at x, read from the rational roots of each factor
+    (an irrational group, None, never holds a rational x)."""
+    groups = curve.roots_by_factor if side == DOMAIN else curve.codomain_roots_by_factor
+    for i, grp in enumerate(groups):
+        if grp is not None and x in grp:
             return i
     return None
 
@@ -319,17 +322,18 @@ def _triple_slot_values(D: MumfordDivisor, curve: RichelotPair) -> tuple[Fractio
             continue
         x = marker[1]
         j = _factor_index_of_root(curve, x, side)
-        for i, g in enumerate(polys):
+        evals = [Fraction(0) if i == j else poly_eval(g, x) for i, g in enumerate(polys)]
+        for i in range(3):
             if i == j:
                 prod = Fraction(1)
-                for l, gl in enumerate(polys):
+                for l in range(3):
                     if l != i:
-                        prod *= poly_eval(gl, x)
+                        prod *= evals[l]
                 if side == CODOMAIN:
                     prod *= curve.delta
                 vals[i] *= prod
             else:
-                vals[i] *= poly_eval(g, x)
+                vals[i] *= evals[i]
     return tuple(vals)
 
 
@@ -404,14 +408,33 @@ def divisor_image(D: MumfordDivisor, curve: RichelotPair, v: Optional[LocalPlace
 # ---------------------------------------------------------------------------
 
 
+def _common_denominator(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """(a q, b q, q) for the least common denominator q of a and b."""
+    q = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
+    return a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q
+
+
+def _mod_quadratic_ints(f, an: int, bn: int, q: int) -> tuple[int, int, int]:
+    """f mod (x^2 + (an/q) x + bn/q) as integers (U, W, s): remainder (U x + W)/s.
+
+    Horner's rule on the remainder u x + w (multiply by x, add c), kept over
+    the scale den q^j after j coefficients, where den clears f's denominators.
+    """
+    den = 1
+    for c in f:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    U = W = 0
+    qpow = 1
+    for c in reversed(f):
+        qpow *= q
+        U, W = q * W - an * U, c.numerator * (den // c.denominator) * qpow - bn * U
+    return U, W, den * qpow
+
+
 def _poly_mod_quadratic(f, A) -> tuple[Fraction, Fraction]:
     """f mod (x^2 + a x + b) as (u, w) with remainder u x + w."""
-    a, b = A
-    u, w = Fraction(0), Fraction(0)
-    for c in reversed(f):
-        # multiply current remainder by x, then add c
-        u, w = w - a * u, c - b * u
-    return u, w
+    U, W, s = _mod_quadratic_ints(f, *_common_denominator(*A))
+    return Fraction(U, s), Fraction(W, s)
 
 
 def quadratic_mumford_certificate(curve_f, A, v: LocalPlace, prec: int = 24) -> bool:
@@ -423,23 +446,35 @@ def quadratic_mumford_certificate(curve_f, A, v: LocalPlace, prec: int = 24) -> 
     Rational data is tested exactly; the irrational-sqrt branch uses bounded
     p-adic digits and raises InsufficientPrecision rather than guessing.
     """
-    a, b = A
-    u, w = _poly_mod_quadratic(curve_f, A)
-    disc = a * a - 4 * b
-    if v.p is None:
+    a, b = Fraction(A[0]), Fraction(A[1])
+    return _quadratic_certificate(curve_f, *_common_denominator(a, b), v, prec)
+
+
+def _quadratic_certificate(f, an: int, bn: int, q: int, v: LocalPlace, prec: int = 24) -> bool:
+    """`quadratic_mumford_certificate` for A = x^2 + (an/q) x + bn/q.
+
+    With xi = (U x + W)/s, the discriminant, norm and trace are
+    (an^2 - 4 bn q)/q^2, (q W^2 - an U W + bn U^2)/(q s^2) and
+    (2 q W - an U)/(q s); their square classes are read from the integers.
+    """
+    U, W, s = _mod_quadratic_ints(f, an, bn, q)
+    p = v.p
+    if p is None:
         # irreducible over R means conjugate complex points; C is quadratically
         # closed, so the certificate always exists (f mod A != 0 here)
-        return not (u == 0 and w == 0)
-    if u == 0:
-        if w == 0:
+        return not (U == 0 and W == 0)
+    if U == 0:
+        if W == 0:
             return True  # A divides f: the two-torsion divisor, B = 0
-        return is_local_square(w, v) or is_local_square(w * disc, v)
-    norm = w * w - a * u * w + b * u * u
-    if norm == 0:
+        return (not any(square_class_bits(W, s, p))
+                or not any(square_class_bits(W * (an * an - 4 * bn * q), s, p)))
+    norm_n = q * W * W - an * U * W + bn * U * U
+    if norm_n == 0:
         return False
-    if not is_local_square(norm, v):
+    if any(square_class_bits(norm_n, q, p)):
         return False
-    tr = 2 * w - a * u
+    norm = Fraction(norm_n, q * s * s)
+    tr = Fraction(2 * q * W - an * U, q * s)
     n = rational_sqrt(norm)
     if n is not None:
         for nu in (n, -n):
@@ -449,7 +484,6 @@ def quadratic_mumford_certificate(curve_f, A, v: LocalPlace, prec: int = 24) -> 
             if is_local_square(t, v):
                 return True
         return False
-    p = v.p
     n_pad = PadicApprox.from_rational(norm, p, prec).sqrt()
     tr_pad = PadicApprox.from_rational(tr, p, prec)
     two = PadicApprox.from_rational(2, p, prec)
@@ -484,7 +518,6 @@ def _root_centers(f, p: int, depth: int) -> list[Fraction]:
     """
     if p > 1000:
         return []
-    import math
     den = 1
     for c in f:
         den = den * c.denominator // math.gcd(den, c.denominator)
@@ -593,16 +626,18 @@ def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace,
         units = units[:20] + units[-20:]
 
     def attempt(a: Fraction, b: Fraction):
-        disc = a * a - 4 * b
-        if disc == 0 or is_local_square(disc, v):
+        an, bn, q = _common_denominator(a, b)
+        disc_n = an * an - 4 * bn * q  # disc = a^2 - 4 b = disc_n / q^2
+        if disc_n == 0 or not any(square_class_bits(disc_n, 1, p)):
             return None  # split or degenerate over Q_v: covered by point pairs
         try:
-            if quadratic_mumford_certificate(f, (a, b), v):
+            if _quadratic_certificate(f, an, bn, q, v):
                 return MumfordDivisor.quadratic(a, b, side)
         except InsufficientPrecision:
             pass
         return None
 
+    # pairs are keyed by their integer parts, which hash faster than Fractions
     seen = set()
     coeffs = [Fraction(0)]
     for e in range(-2, 3):
@@ -612,7 +647,7 @@ def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace,
         for b in coeffs:
             if b == 0:
                 continue
-            seen.add((a, b))
+            seen.add((a.numerator, a.denominator, b.numerator, b.denominator))
             D = attempt(a, b)
             if D:
                 yield D
@@ -637,9 +672,10 @@ def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace,
                     if r1 == r2 == 0:
                         continue
                     a, b = a0 + r1 * pj, b0 + r2 * pj
-                    if b == 0 or (a, b) in seen:
+                    key = (a.numerator, a.denominator, b.numerator, b.denominator)
+                    if b == 0 or key in seen:
                         continue
-                    seen.add((a, b))
+                    seen.add(key)
                     D = attempt(a, b)
                     if D:
                         yield D
@@ -650,7 +686,6 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace,
     """Candidate divisors in tiers: torsion; single points (with the infinite
     point); pairs of found points; quadratic Mumford pairs."""
     rng = random.Random(cfg.shuffle_seed) if cfg.shuffle_seed is not None else None
-    f = curve.f if side == DOMAIN else curve.fhat
     polys = curve.G if side == DOMAIN else curve.L
     weier = curve.roots if side == DOMAIN else curve.codomain_roots
     good_xs: list[Fraction] = []
@@ -669,16 +704,22 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace,
         xs = _x_candidates(curve, side, v, cfg)
         if rng:
             rng.shuffle(xs)
+        # f = G1 G2 G3 on the domain (build_pair folds lambda into G1) and
+        # fhat = L1 L2 L3 / Delta on the codomain, so f(x) is a square in Q_v
+        # iff the factor classes XOR to the class of 1 or of Delta
+        p = v.p
+        delta = curve.delta
+        f_class = ((0,) * local_square_dim(v) if side == DOMAIN
+                   else square_class_bits(delta.numerator, delta.denominator, p))
         for x in xs:
-            fx = poly_eval(f, x)
-            if fx == 0:
-                continue
-            is_pt = (fx > 0) if v.p is None else is_local_square(fx, v)
-            if not is_pt:
-                continue
+            gxs = [poly_eval(g, x) for g in polys]
+            if not all(gxs):
+                continue  # a Weierstrass point
             # a pair {P, Q} maps to the product of the points' slot classes,
             # so the pool wants one representative per distinct class
-            ckey = tuple(local_square_class(poly_eval(g, x), v).bits for g in polys)
+            ckey = tuple(square_class_bits(gx.numerator, gx.denominator, p) for gx in gxs)
+            if any(c ^ c1 ^ c2 ^ c3 for c, c1, c2, c3 in zip(f_class, *ckey)):
+                continue  # f(x) is not a square in Q_v
             if ckey not in seen_classes or len(good_xs) < cfg.point_pool:
                 seen_classes.add(ckey)
                 if len(good_xs) < 3 * cfg.point_pool:
