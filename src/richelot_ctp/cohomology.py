@@ -16,6 +16,7 @@ downstream is evaluated on rationals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -130,16 +131,16 @@ class KummerQuintuple:
 
 
 def _local_parts(witnesses, v: LocalPlace, n: int):
-    ws = tuple(Fraction(w) for w in witnesses)
+    ws = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in witnesses)
     if len(ws) != n:
         raise ValueError(f"expected {n} witnesses")
     if any(w == 0 for w in ws):
         raise ValueError("witnesses must be nonzero")
     classes = tuple(local_square_class(w, v) for w in ws)
-    prod = Fraction(1)
-    for w in ws:
-        prod *= w
-    if not local_square_class(prod, v).is_trivial():
+    # the class map is a homomorphism: the product is a square iff the
+    # classes' bits sum to zero in every coordinate
+    if any(sum(col) & 1 for col in zip(*(c.bits for c in classes))):
+        prod = math.prod(ws)
         raise NormConditionError(f"witness product {prod} is not a square in Q_{v}")
     return ws, classes
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -29,7 +30,9 @@ __all__ = [
     "weil_e2",
     "weil_ephi",
     "two_torsion_points",
+    "homogenized_eval",
     "poly_eval",
+    "poly_integer_form",
     "poly_mul",
     "poly_str",
 ]
@@ -73,29 +76,41 @@ def poly(coeffs) -> Poly:
     return _trim([Fraction(x) for x in coeffs])
 
 
+def poly_integer_form(f: Poly) -> tuple[tuple[int, ...], int]:
+    """(C, den) with f = sum C_i x^i / den, den the lcm of the coefficient denominators."""
+    den = 1
+    for c in f:
+        if c.denominator != 1:
+            den = den * c.denominator // math.gcd(den, c.denominator)
+    if den == 1:
+        return tuple([c.numerator for c in f]), 1
+    return tuple([c.numerator * (den // c.denominator) for c in f]), den
+
+
+def homogenized_eval(C: Sequence[int], n: int, d: int) -> tuple[int, int]:
+    """(sum C_i n^i d^(k-i), d^k) for the integer coefficients C of degree k.
+
+    Their quotient is sum C_i x^i at x = n/d; Horner's rule on ints.
+    """
+    acc = C[-1]
+    dpow = 1
+    for i in range(len(C) - 2, -1, -1):
+        dpow *= d
+        acc = acc * n + C[i] * dpow
+    return acc, dpow
+
+
 def poly_eval(f: Poly, x: Fraction) -> Fraction:
     """f(x), exactly, for a rational x = n/d.
 
-    With the coefficient denominators cleared to C_i = den c_i, this is the
-    homogenized integer form sum C_i n^i d^(k-i) over den d^k (k = deg f),
-    evaluated by Horner's rule on ints: one gcd for the whole evaluation
-    instead of two per coefficient.
+    The homogenized integer form of f over its cleared denominators, one
+    gcd for the whole evaluation instead of two per coefficient.
     """
     if not f:
         return Fraction(0)
-    n, d = x.numerator, x.denominator
-    den = 1
-    for c in f:
-        cd = c.denominator
-        if cd != 1:
-            den = den * cd // math.gcd(den, cd)
-    acc = f[-1].numerator * (den // f[-1].denominator)
-    dpow = 1
-    for i in range(len(f) - 2, -1, -1):
-        c = f[i]
-        dpow *= d
-        acc = acc * n + c.numerator * (den // c.denominator) * dpow
-    return Fraction(acc, den * dpow)
+    C, den = poly_integer_form(f)
+    acc, dk = homogenized_eval(C, x.numerator, x.denominator)
+    return Fraction(acc, den * dk)
 
 
 def poly_mul(f: Poly, g: Poly) -> Poly:
@@ -356,9 +371,10 @@ class RichelotPair:
 
     # -- codomain root data ---------------------------------------------
 
-    @property
+    @cached_property
     def codomain_roots_by_factor(self) -> tuple[Optional[tuple[Fraction, ...]], ...]:
-        """Rational roots of each L_i, or None where irrational."""
+        """Rational roots of each L_i, or None where irrational (computed once:
+        the local search looks them up for every codomain candidate)."""
         out = []
         for Li in self.L:
             if len(Li) == 2:

@@ -46,8 +46,10 @@ from .curve import (
     INF,
     RichelotPair,
     TwoTorsionPoint,
+    homogenized_eval,
     poly_derivative,
     poly_eval,
+    poly_integer_form,
     rational_sqrt,
     real_region_samples,
     two_torsion_points,
@@ -182,14 +184,24 @@ class MumfordDivisor:
 # ---------------------------------------------------------------------------
 
 
+def _common_denominator(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """(a q, b q, q) for the least common denominator q of a and b."""
+    q = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
+    return a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q
+
+
 def _res2(A: tuple[Fraction, Fraction], L) -> Fraction:
-    """prod over roots x_j of monic x^2 + a x + b of L(x_j), via symmetric functions."""
-    a, b = A
-    e1, e2 = -a, b
-    c = list(L) + [Fraction(0)] * (3 - len(L))
-    c0, c1, c2 = c[0], c[1], c[2]
-    return (c2 * c2 * e2 * e2 + c2 * c1 * e1 * e2 + c2 * c0 * (e1 * e1 - 2 * e2)
-            + c1 * c1 * e2 + c1 * c0 * e1 + c0 * c0)
+    """prod over roots x_j of monic x^2 + a x + b of L(x_j), via symmetric functions.
+
+    With e1 = -a = -an/q, e2 = b = bn/q and L = C/den (degree <= 2), the
+    product times (q den)^2 is an integer, evaluated on ints.
+    """
+    an, bn, q = _common_denominator(*A)
+    C, den = poly_integer_form(L)
+    c0, c1, c2 = (C + (0, 0, 0))[:3]
+    n = (c2 * c2 * bn * bn - c2 * c1 * an * bn + c2 * c0 * (an * an - 2 * bn * q)
+         + c1 * c1 * bn * q - c1 * c0 * an * q + c0 * c0 * q * q)
+    return Fraction(n, den * den * q * q)
 
 
 def _point_markers(D: MumfordDivisor, curve: RichelotPair) -> list:
@@ -309,32 +321,40 @@ def _triple_slot_values(D: MumfordDivisor, curve: RichelotPair) -> tuple[Fractio
             vals.append(prod)
         return tuple(vals)
 
+    markers = _point_markers(D, curve)
     inf_vals = None
-    if side == CODOMAIN and any(m[0] == "inf" for m in _point_markers(D, curve)):
+    if side == CODOMAIN and any(m[0] == "inf" for m in markers):
         inf_vals = _codomain_inf_values(curve)
-    vals = [Fraction(1)] * 3
-    for marker in _point_markers(D, curve):
+    # each slot accumulates as an integer numerator and denominator, with
+    # the factor values in their homogenized integer form
+    forms = [poly_integer_form(g) for g in polys]
+    nums, dens = [1, 1, 1], [1, 1, 1]
+    for marker in markers:
         if marker[0] == "inf":
             if side == DOMAIN:
                 continue  # G_i at infinity counts as 1
-            for i in range(3):
-                vals[i] *= inf_vals[i]
-            continue
-        x = marker[1]
-        j = _factor_index_of_root(curve, x, side)
-        evals = [Fraction(0) if i == j else poly_eval(g, x) for i, g in enumerate(polys)]
-        for i in range(3):
-            if i == j:
-                prod = Fraction(1)
-                for l in range(3):
+            factors = [(c.numerator, c.denominator) for c in inf_vals]
+        else:
+            x = marker[1]
+            j = _factor_index_of_root(curve, x, side)
+            evals = [None if i == j else homogenized_eval(C, x.numerator, x.denominator)
+                     for i, (C, _) in enumerate(forms)]
+            factors = []
+            for i, (_, den) in enumerate(forms):
+                if i != j:
+                    factors.append((evals[i][0], den * evals[i][1]))
+                    continue
+                n, d = ((curve.delta.numerator, curve.delta.denominator)
+                        if side == CODOMAIN else (1, 1))
+                for l, (_, den_l) in enumerate(forms):
                     if l != i:
-                        prod *= evals[l]
-                if side == CODOMAIN:
-                    prod *= curve.delta
-                vals[i] *= prod
-            else:
-                vals[i] *= evals[i]
-    return tuple(vals)
+                        n *= evals[l][0]
+                        d *= den_l * evals[l][1]
+                factors.append((n, d))
+        for i, (n, d) in enumerate(factors):
+            nums[i] *= n
+            dens[i] *= d
+    return tuple(Fraction(n, d) for n, d in zip(nums, dens))
 
 
 def _quintuple_slot_values(D: MumfordDivisor, curve: RichelotPair) -> tuple[Fraction, ...]:
@@ -408,26 +428,18 @@ def divisor_image(D: MumfordDivisor, curve: RichelotPair, v: Optional[LocalPlace
 # ---------------------------------------------------------------------------
 
 
-def _common_denominator(a: Fraction, b: Fraction) -> tuple[int, int, int]:
-    """(a q, b q, q) for the least common denominator q of a and b."""
-    q = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
-    return a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q
-
-
 def _mod_quadratic_ints(f, an: int, bn: int, q: int) -> tuple[int, int, int]:
     """f mod (x^2 + (an/q) x + bn/q) as integers (U, W, s): remainder (U x + W)/s.
 
     Horner's rule on the remainder u x + w (multiply by x, add c), kept over
     the scale den q^j after j coefficients, where den clears f's denominators.
     """
-    den = 1
-    for c in f:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    C, den = poly_integer_form(f)
     U = W = 0
     qpow = 1
-    for c in reversed(f):
+    for c in reversed(C):
         qpow *= q
-        U, W = q * W - an * U, c.numerator * (den // c.denominator) * qpow - bn * U
+        U, W = q * W - an * U, c * qpow - bn * U
     return U, W, den * qpow
 
 
@@ -518,10 +530,7 @@ def _root_centers(f, p: int, depth: int) -> list[Fraction]:
     """
     if p > 1000:
         return []
-    den = 1
-    for c in f:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    fi = [int(c * den) for c in f]
+    fi, _ = poly_integer_form(f)
     g = 0
     for c in fi:
         g = math.gcd(g, c)
@@ -554,19 +563,25 @@ def _root_centers(f, p: int, depth: int) -> list[Fraction]:
     return centers
 
 
-def _x_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfig) -> list[Fraction]:
+def _x_candidates(curve: RichelotPair, side: str, v: LocalPlace,
+                  cfg: SearchConfig) -> list[tuple[int, int]]:
+    """Candidate x-coordinates as (numerator, denominator) in lowest terms."""
     f = curve.f if side == DOMAIN else curve.fhat
     rational_roots = curve.roots if side == DOMAIN else curve.codomain_roots
     if v.p is None:
         # one sample inside every region where f has constant sign; the
         # positive ones are kept by the caller
-        return [x for x in real_region_samples(f) if poly_eval(f, x) > 0]
+        return [(x.numerator, x.denominator) for x in real_region_samples(f)
+                if poly_eval(f, x) > 0]
     p = v.p
     units = _unit_residues(p, cfg.residue_exponent)
-    xs: list[Fraction] = []
+    xs: list[tuple[int, int]] = []
     seen = set()
 
-    def push(x: Fraction):
+    def push(n: int, d: int):
+        # every candidate arrives in lowest terms (gcd(rn + k rd, rd) = 1 for
+        # a root rn/rd, and a unit r is prime to p), so (n, d) identifies it
+        x = (n, d)
         if x not in seen:
             seen.add(x)
             xs.append(x)
@@ -578,14 +593,15 @@ def _x_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConf
         if not any(valuation(c - r, p) >= cfg.val_bound for r in rational_roots if c != r):
             centers.append(c)
     for root in centers:
+        rn, rd = root.numerator, root.denominator
         for j in range(1, cfg.val_bound + 1):
-            pj = Fraction(p) ** j
+            step = p ** j * rd
             for r in units:
-                push(root + r * pj)
+                push(rn + r * step, rd)  # root + r p^j
     for e in range(-cfg.val_bound, cfg.val_bound + 1):
-        pe = Fraction(p) ** e
+        pe, de = (p ** e, 1) if e >= 0 else (1, p ** -e)
         for r in units:
-            push(r * pe)
+            push(r * pe, de)  # r p^e
     return xs
 
 
@@ -711,15 +727,27 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace,
         delta = curve.delta
         f_class = ((0,) * local_square_dim(v) if side == DOMAIN
                    else square_class_bits(delta.numerator, delta.denominator, p))
-        for x in xs:
-            gxs = [poly_eval(g, x) for g in polys]
-            if not all(gxs):
-                continue  # a Weierstrass point
+        forms = [poly_integer_form(g) for g in polys]
+
+        def factor_classes(n: int, d: int) -> Optional[tuple]:
+            """Classes of G_i(n/d) (or L_i(n/d)) read from their integer forms."""
+            out = []
+            for C, den in forms:
+                acc, dk = homogenized_eval(C, n, d)
+                if not acc:
+                    return None  # x is a Weierstrass point
+                out.append(square_class_bits(acc, den * dk, p))
+            return tuple(out)
+
+        for n, d in xs:
             # a pair {P, Q} maps to the product of the points' slot classes,
             # so the pool wants one representative per distinct class
-            ckey = tuple(square_class_bits(gx.numerator, gx.denominator, p) for gx in gxs)
+            ckey = factor_classes(n, d)
+            if ckey is None:
+                continue
             if any(c ^ c1 ^ c2 ^ c3 for c, c1, c2, c3 in zip(f_class, *ckey)):
                 continue  # f(x) is not a square in Q_v
+            x = Fraction(n, d)
             if ckey not in seen_classes or len(good_xs) < cfg.point_pool:
                 seen_classes.add(ckey)
                 if len(good_xs) < 3 * cfg.point_pool:
