@@ -199,11 +199,10 @@ def _print_tables(report):
         s = report["selmer"][side]
         gens = ", ".join("(%s)" % ", ".join(map(str, b)) for b in s["basis"])
         print(f"Sel[{side}]: dim {s['dim']} ({s['status']}); basis {gens}")
-    places = report["bad_places"] if not report["partial_places_only"] else \
-        sorted({v for t in report["local_tables"].values() for v in t})
     for key, rows in report["local_tables"].items():
         print(f"\nlocal data for a = {key}")
-        cols = [v for v in places if v in rows]
+        # bad-place order, also when --places keeps only some of them
+        cols = [v for v in report["bad_places"] if v in rows]
         head = ["row \\ v"] + cols
         lines = [head]
         for rowname, field in (("P_v", "P_v"), ("delta2(P_v)", "delta2"),

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -605,6 +606,34 @@ def _x_candidates(curve: RichelotPair, side: str, v: LocalPlace,
     return xs
 
 
+def _points_among(curve: RichelotPair, side: str, v: LocalPlace,
+                  xs: list[tuple[int, int]]) -> Iterator[tuple[Fraction, tuple]]:
+    """The candidates x = n/d with f(x) a nonzero square in Q_v, in order,
+    each with the square-class bits of its three factor values.
+
+    f = G1 G2 G3 on the domain (build_pair folds lambda into G1) and
+    fhat = L1 L2 L3 / Delta on the codomain, so f(x) is a square iff the
+    factor classes XOR to the class of 1, or of Delta.  The factor values
+    are read from their homogenized integer forms, without a Fraction.
+    """
+    p = v.p
+    polys = curve.G if side == DOMAIN else curve.L
+    forms = [poly_integer_form(g) for g in polys]
+    delta = curve.delta
+    f_class = ((0,) * local_square_dim(v) if side == DOMAIN
+               else square_class_bits(delta.numerator, delta.denominator, p))
+    for n, d in xs:
+        classes = []
+        for C, den in forms:
+            acc, dk = homogenized_eval(C, n, d)
+            if not acc:
+                break  # x is a Weierstrass point
+            classes.append(square_class_bits(acc, den * dk, p))
+        else:
+            if not any(c ^ c1 ^ c2 ^ c3 for c, c1, c2, c3 in zip(f_class, *classes)):
+                yield Fraction(n, d), tuple(classes)
+
+
 def _torsion_divisors(curve: RichelotPair, side: str) -> list[MumfordDivisor]:
     """All rational two-torsion divisors on the requested side.
 
@@ -720,34 +749,9 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace,
         xs = _x_candidates(curve, side, v, cfg)
         if rng:
             rng.shuffle(xs)
-        # f = G1 G2 G3 on the domain (build_pair folds lambda into G1) and
-        # fhat = L1 L2 L3 / Delta on the codomain, so f(x) is a square in Q_v
-        # iff the factor classes XOR to the class of 1 or of Delta
-        p = v.p
-        delta = curve.delta
-        f_class = ((0,) * local_square_dim(v) if side == DOMAIN
-                   else square_class_bits(delta.numerator, delta.denominator, p))
-        forms = [poly_integer_form(g) for g in polys]
-
-        def factor_classes(n: int, d: int) -> Optional[tuple]:
-            """Classes of G_i(n/d) (or L_i(n/d)) read from their integer forms."""
-            out = []
-            for C, den in forms:
-                acc, dk = homogenized_eval(C, n, d)
-                if not acc:
-                    return None  # x is a Weierstrass point
-                out.append(square_class_bits(acc, den * dk, p))
-            return tuple(out)
-
-        for n, d in xs:
+        for x, ckey in _points_among(curve, side, v, xs):
             # a pair {P, Q} maps to the product of the points' slot classes,
             # so the pool wants one representative per distinct class
-            ckey = factor_classes(n, d)
-            if ckey is None:
-                continue
-            if any(c ^ c1 ^ c2 ^ c3 for c, c1, c2, c3 in zip(f_class, *ckey)):
-                continue  # f(x) is not a square in Q_v
-            x = Fraction(n, d)
             if ckey not in seen_classes or len(good_xs) < cfg.point_pool:
                 seen_classes.add(ckey)
                 if len(good_xs) < 3 * cfg.point_pool:
@@ -925,7 +929,6 @@ class LocalDataCache:
 
     def put_images(self, curve, v, images):
         self._images[(self._curve_key(curve), str(v))] = images
-        self._persist()
 
     def get_witness(self, curve, v, key):
         return self._witnesses.get((self._curve_key(curve), str(v), key))
@@ -937,13 +940,21 @@ class LocalDataCache:
     # persistence keeps witnesses only; images are cheap to rebuild and their
     # triples do not serialize compactly
     def _persist(self):
+        """Rewrite witnesses.json atomically: write a temporary file in the
+        same directory, then os.replace it, so no reader sees a partial file."""
         if not self.directory:
             return
         data = []
         for (ck, vs, key), D in self._witnesses.items():
             data.append({"curve": ck, "place": vs,
                          "target": [list(b) for b in key], "witness": D.to_json()})
-        (self.directory / "witnesses.json").write_text(json.dumps(data, indent=1))
+        path = self.directory / "witnesses.json"
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(json.dumps(data, indent=1))
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     def _load(self):
         path = self.directory / "witnesses.json"

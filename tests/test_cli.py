@@ -190,3 +190,41 @@ def test_cache_dir_persists(curve_file, tmp_path, capsys):
     assert (cdir / "witnesses.json").exists()
     rc = main(["ctp", curve_file(CURVE113), "--json", "--cache-dir", str(cdir)])
     assert rc == 0
+
+
+def test_cache_dir_writes_once_per_witness_insert(curve_file, tmp_path, capsys,
+                                                  monkeypatch):
+    # images are never persisted, so only witness inserts rewrite the file,
+    # each through a temporary file that is renamed over witnesses.json
+    import os
+
+    from richelot_ctp.localpoints import LocalDataCache
+    inserts, writes = [], []
+    real_put, real_replace = LocalDataCache.put_witness, os.replace
+
+    def put_witness(self, *args):
+        inserts.append(args)
+        return real_put(self, *args)
+
+    def replace(src, dst):
+        writes.append(dst)
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(LocalDataCache, "put_witness", put_witness)
+    monkeypatch.setattr(os, "replace", replace)
+    cdir = tmp_path / "cache"
+    assert main(["ctp", curve_file(CURVE113), "--json", "--cache-dir", str(cdir)]) == 0
+    capsys.readouterr()
+    assert inserts
+    assert len(writes) == len(inserts)
+    assert {str(w) for w in writes} == {str(cdir / "witnesses.json")}
+    assert sorted(p.name for p in cdir.iterdir()) == ["witnesses.json"]
+    assert len(json.loads((cdir / "witnesses.json").read_text())) == len(inserts)
+
+
+def test_ctp_partial_text_columns_follow_bad_place_order(curve_file, capsys):
+    assert main(["ctp", curve_file(CURVE113), "--places", "3,113,oo"]) == 0
+    heads = [line.split()[3:] for line in capsys.readouterr().out.splitlines()
+             if line.startswith("row \\ v")]
+    assert heads
+    assert all(h == ["oo", "3", "113"] for h in heads)

@@ -1,0 +1,37 @@
+"""`ctp --json` bytes pinned by hash.
+
+The JSON report is a fixed point of every optimisation of the local search:
+the same candidates in the same order give the same witnesses, so a change
+to the arithmetic kernel must leave these bytes exactly as they are.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from richelot_ctp.cli import main
+
+CURVES = {
+    "k=113": {"label": "k=113", "lambda": "1", "G1": ["226", "1"],
+              "G2": ["0", "-678", "1"], "G3": ["-89383", "-678", "1"]},
+    "fractional": {"label": "fractional", "lambda": "4", "G1": ["-1/2", "1"],
+                   "G2": ["-1", "0", "1"], "G3": ["-12", "1", "1"]},
+    "irrational": {"label": "irrational", "lambda": "1", "G1": ["0", "1"],
+                   "G2": ["-1", "0", "1"], "G3": ["6", "-5", "1"]},
+}
+
+SHA256 = {
+    "k=113": "af4587259fc0e0de94af4b827077e91ef7f91dd6571b9940cce2667eaa6647a3",
+    "fractional": "c678f51ce4a20c7e4eef1e779c963c876f8dab743c4a71458326a18508bbb4fc",
+    "irrational": "a31fd44d60b7bf5ff5cfea52f6cd627f4bb84231914828da8c6e28f1c6da9659",
+}
+
+
+@pytest.mark.parametrize("label", sorted(CURVES))
+def test_ctp_json_bytes_are_pinned(label, tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(CURVES[label]))
+    assert main(["ctp", str(path), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SHA256[label]
