@@ -338,20 +338,20 @@ def _triple_slot_values(D: MumfordDivisor, curve: RichelotPair) -> tuple[Fractio
         else:
             x = marker[1]
             j = _factor_index_of_root(curve, x, side)
-            evals = [None if i == j else homogenized_eval(C, x.numerator, x.denominator)
-                     for i, (C, _) in enumerate(forms)]
             factors = []
-            for i, (_, den) in enumerate(forms):
-                if i != j:
-                    factors.append((evals[i][0], den * evals[i][1]))
-                    continue
+            for i, (C, den) in enumerate(forms):
+                acc, dk = (0, 1) if i == j else homogenized_eval(C, x.numerator, x.denominator)
+                factors.append((acc, den * dk))
+            if j is not None:
+                # a Weierstrass point: its own slot takes the product of the
+                # other factors (times Delta on the codomain)
                 n, d = ((curve.delta.numerator, curve.delta.denominator)
                         if side == CODOMAIN else (1, 1))
-                for l, (_, den_l) in enumerate(forms):
-                    if l != i:
-                        n *= evals[l][0]
-                        d *= den_l * evals[l][1]
-                factors.append((n, d))
+                for i, (fn, fd) in enumerate(factors):
+                    if i != j:
+                        n *= fn
+                        d *= fd
+                factors[j] = (n, d)
         for i, (n, d) in enumerate(factors):
             nums[i] *= n
             dens[i] *= d
