@@ -444,12 +444,6 @@ def _mod_quadratic_ints(f, an: int, bn: int, q: int) -> tuple[int, int, int]:
     return U, W, den * qpow
 
 
-def _poly_mod_quadratic(f, A) -> tuple[Fraction, Fraction]:
-    """f mod (x^2 + a x + b) as (u, w) with remainder u x + w."""
-    U, W, s = _mod_quadratic_ints(f, *_common_denominator(*A))
-    return Fraction(U, s), Fraction(W, s)
-
-
 def quadratic_mumford_certificate(curve_f, A, v: LocalPlace, prec: int = 24) -> bool:
     """Is f a square in Q_v[x]/(A) for monic irreducible A = x^2 + a x + b?
 

@@ -31,8 +31,9 @@ from richelot_ctp.localpoints import (
     CODOMAIN,
     DOMAIN,
     SearchConfig,
+    _common_denominator,
+    _mod_quadratic_ints,
     _points_among,
-    _poly_mod_quadratic,
     _res2,
     _x_candidates,
     quadratic_mumford_certificate,
@@ -218,7 +219,8 @@ def test_quadratic_kernel_matches_fraction_references(p):
         for _ in range(25):
             a = random_rational(rng, p, zero_ok=True)
             b = random_rational(rng, p)
-            assert _poly_mod_quadratic(f, (a, b)) == reference_mod_quadratic(f, a, b)
+            U, W, s = _mod_quadratic_ints(f, *_common_denominator(a, b))
+            assert (Fraction(U, s), Fraction(W, s)) == reference_mod_quadratic(f, a, b)
             for L in ((Fraction(-3), Fraction(1)), f[:3]):
                 assert _res2((a, b), L) == reference_res2(a, b, L)
             try:
