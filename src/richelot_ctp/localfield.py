@@ -396,6 +396,25 @@ class PadicApprox:
         v = valuation(q, p)
         return PadicApprox(p, v, _unit_residue(q, p, p ** prec), prec)
 
+    @staticmethod
+    def from_ints(n: int, d: int, p: int, prec: int = DEFAULT_PADIC_DIGITS) -> "PadicApprox":
+        """`from_rational(n/d)` read from the integers (d nonzero) in one pass:
+        strip p from n and d for the valuation, and take the unit as n d^-1
+        mod p^prec, which common factors prime to p do not change."""
+        if not d:
+            raise ZeroDivisionError("denominator is zero")
+        if not n:
+            return PadicApprox(p, None, 0, prec)
+        val = 0
+        while n % p == 0:
+            n //= p
+            val += 1
+        while d % p == 0:
+            d //= p
+            val -= 1
+        m = p ** prec
+        return PadicApprox(p, val, n * pow(d, -1, m) % m, prec)
+
     def is_zero(self) -> bool:
         return self.val is None
 

@@ -20,6 +20,14 @@ residue grids, pairs, then quadratic Mumford polynomials) and local images
 are certified complete through local duality: the two kernels' images must
 annihilate each other under the cup product and their dimensions must fill
 dim H^1 (2 over R, 4 at odd p, 6 at p = 2).
+
+The singles and pairs tiers hand each candidate over with its image as a
+mask of integer class bits: a point's factor classes, XOR-ed with those of
+the codomain's infinity values, and a pair's as the XOR of its points'.
+Candidates are compared by mask, and the exact witnessed image is built only
+for a vector the search keeps (and must match its mask).  An escalation
+walks only the tiers whose bounds it changes: never the torsion tier, and
+the quadratic tier only while its capped bounds still grow.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import os
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -48,7 +57,6 @@ from .curve import (
     RichelotPair,
     TwoTorsionPoint,
     homogenized_eval,
-    poly_derivative,
     poly_eval,
     poly_integer_form,
     rational_sqrt,
@@ -69,6 +77,7 @@ __all__ = [
     "MumfordDivisor",
     "SearchConfig",
     "SearchExhausted",
+    "ClassBitsMismatch",
     "LocalImage",
     "LocalDataCache",
     "mu_two",
@@ -84,6 +93,10 @@ CODOMAIN = "codomain"
 
 class SearchExhausted(RuntimeError):
     """No witness divisor found within the escalated search bounds."""
+
+
+class ClassBitsMismatch(RuntimeError):
+    """A candidate's image read from class bits differs from its witnessed image."""
 
 
 @dataclass(frozen=True)
@@ -297,6 +310,30 @@ def _codomain_infinity_rational(curve: RichelotPair, v: LocalPlace) -> bool:
     return is_local_square(lc, v)
 
 
+def _point_factors(curve: RichelotPair, side: str, forms: list,
+                   x: Fraction) -> list[tuple[int, int]]:
+    """The three factor values at a finite point x, each as an integer
+    (numerator, denominator), with the factors in their `poly_integer_form`s.
+
+    At a Weierstrass point its own slot takes the product of the other
+    factors (times Delta on the codomain).
+    """
+    j = _factor_index_of_root(curve, x, side)
+    factors = []
+    for i, (C, den) in enumerate(forms):
+        acc, dk = (0, 1) if i == j else homogenized_eval(C, x.numerator, x.denominator)
+        factors.append((acc, den * dk))
+    if j is not None:
+        n, d = ((curve.delta.numerator, curve.delta.denominator)
+                if side == CODOMAIN else (1, 1))
+        for i, (fn, fd) in enumerate(factors):
+            if i != j:
+                n *= fn
+                d *= fd
+        factors[j] = (n, d)
+    return factors
+
+
 def _triple_slot_values(D: MumfordDivisor, curve: RichelotPair) -> tuple[Fraction, ...]:
     """Exact rational slot values of the kernel descent map on D's side."""
     side = D.side
@@ -336,22 +373,7 @@ def _triple_slot_values(D: MumfordDivisor, curve: RichelotPair) -> tuple[Fractio
                 continue  # G_i at infinity counts as 1
             factors = [(c.numerator, c.denominator) for c in inf_vals]
         else:
-            x = marker[1]
-            j = _factor_index_of_root(curve, x, side)
-            factors = []
-            for i, (C, den) in enumerate(forms):
-                acc, dk = (0, 1) if i == j else homogenized_eval(C, x.numerator, x.denominator)
-                factors.append((acc, den * dk))
-            if j is not None:
-                # a Weierstrass point: its own slot takes the product of the
-                # other factors (times Delta on the codomain)
-                n, d = ((curve.delta.numerator, curve.delta.denominator)
-                        if side == CODOMAIN else (1, 1))
-                for i, (fn, fd) in enumerate(factors):
-                    if i != j:
-                        n *= fn
-                        d *= fd
-                factors[j] = (n, d)
+            factors = _point_factors(curve, side, forms, marker[1])
         for i, (n, d) in enumerate(factors):
             nums[i] *= n
             dens[i] *= d
@@ -424,6 +446,27 @@ def divisor_image(D: MumfordDivisor, curve: RichelotPair, v: Optional[LocalPlace
     return (mu_phihat if D.side == DOMAIN else mu_phi)(D, curve, v)
 
 
+def _class_mask(classes) -> int:
+    """`LocalKummerTriple.mask` of the triple whose slots have these class bits."""
+    m, shift = 0, 0
+    for bits in classes:
+        for i, b in enumerate(bits):
+            m |= b << (shift + i)
+        shift += len(bits)
+    return m
+
+
+def _checked_image(D: MumfordDivisor, mask: int, curve: RichelotPair,
+                   v: LocalPlace) -> LocalKummerTriple:
+    """The witnessed image of a candidate whose mask the search read from
+    class bits; the two must agree."""
+    t = divisor_image(D, curve, v)
+    if t.mask() != mask:
+        raise ClassBitsMismatch(
+            f"class bits give mask {mask:#x} for {D} at {v}, its image {t} has {t.mask():#x}")
+    return t
+
+
 # ---------------------------------------------------------------------------
 # squareness of f modulo a quadratic (the y-data certificate)
 # ---------------------------------------------------------------------------
@@ -480,10 +523,10 @@ def _quadratic_certificate(f, an: int, bn: int, q: int, v: LocalPlace, prec: int
         return False
     if any(square_class_bits(norm_n, q, p)):
         return False
-    norm = Fraction(norm_n, q * s * s)
-    tr = Fraction(2 * q * W - an * U, q * s)
-    n = rational_sqrt(norm)
+    tr_n, tr_d = 2 * q * W - an * U, q * s
+    n = rational_sqrt(Fraction(norm_n, q * s * s))
     if n is not None:
+        tr = Fraction(tr_n, tr_d)
         for nu in (n, -n):
             t = tr + 2 * nu
             if t == 0:
@@ -491,13 +534,20 @@ def _quadratic_certificate(f, an: int, bn: int, q: int, v: LocalPlace, prec: int
             if is_local_square(t, v):
                 return True
         return False
-    n_pad = PadicApprox.from_rational(norm, p, prec).sqrt()
-    tr_pad = PadicApprox.from_rational(tr, p, prec)
-    two = PadicApprox.from_rational(2, p, prec)
+    n_pad = PadicApprox.from_ints(norm_n, q * s * s, p, prec).sqrt()
+    tr_pad = PadicApprox.from_ints(tr_n, tr_d, p, prec)
+    two = _padic_two(p, prec)
     for nu in (n_pad, -n_pad):
         if (tr_pad + two * nu).is_square():
             return True
     return False
+
+
+@lru_cache(maxsize=None)
+def _padic_two(p: int, prec: int) -> PadicApprox:
+    """The constant 2 of the certificate's p-adic branch, built once per
+    (p, prec); PadicApprox arithmetic never mutates its operands."""
+    return PadicApprox.from_ints(2, 1, p, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -654,13 +704,22 @@ def _torsion_divisors(curve: RichelotPair, side: str) -> list[MumfordDivisor]:
     return out
 
 
+def _quadratic_bounds(p: int, cfg: SearchConfig) -> tuple[int, int]:
+    """(residue exponent, valuation depth) that size the quadratic tier at p.
+
+    Escalating past exponent 1 (3 at p = 2) or depth 4 changes neither.
+    """
+    return min(cfg.residue_exponent, 3 if p == 2 else 1), min(cfg.val_bound, 4)
+
+
 def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace,
                           cfg: SearchConfig) -> Iterator[MumfordDivisor]:
     if v.p is None:
         return  # conjugate pairs have trivial image over R
     p = v.p
     f = curve.f if side == DOMAIN else curve.fhat
-    units = _unit_residues(p, min(cfg.residue_exponent, 3 if p == 2 else 1))
+    exponent, depth = _quadratic_bounds(p, cfg)
+    units = _unit_residues(p, exponent)
     if len(units) > 40:
         units = units[:20] + units[-20:]
 
@@ -704,7 +763,7 @@ def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace,
         bases.append((-(r + s), r * s))
     small = units[:12] + [Fraction(0)]
     for a0, b0 in bases:
-        for j in range(1, min(cfg.val_bound, 4) + 1):
+        for j in range(1, depth + 1):
             pj = Fraction(p) ** j
             for r1 in small:
                 for r2 in small:
@@ -721,51 +780,85 @@ def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace,
 
 
 def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace,
-                 cfg: SearchConfig) -> list[Iterator[MumfordDivisor]]:
+                 cfg: SearchConfig) -> list[Iterator[tuple[MumfordDivisor, Optional[int]]]]:
     """Candidate divisors in tiers: torsion; single points (with the infinite
-    point); pairs of found points; quadratic Mumford pairs."""
+    point); pairs of found points; quadratic Mumford pairs.
+
+    Each candidate comes with its image's `LocalKummerTriple.mask` where the
+    integer class bits give it (singles and pairs), else with None.
+    """
     rng = random.Random(cfg.shuffle_seed) if cfg.shuffle_seed is not None else None
+    p = v.p
     polys = curve.G if side == DOMAIN else curve.L
     weier = curve.roots if side == DOMAIN else curve.codomain_roots
-    good_xs: list[Fraction] = []
+    pool: list[tuple[Fraction, int]] = []  # found points with their masks
     seen_classes: set = set()
-
-    def torsion_tier():
-        torsion = _torsion_divisors(curve, side)
-        if rng:
-            rng.shuffle(torsion)
-        yield from torsion
+    # the torsion shuffle is the first draw from rng in every walk, so it can
+    # run now: a walk that skips the tier still leaves rng where the next
+    # tier expects it
+    torsion = _torsion_divisors(curve, side)
+    if rng:
+        rng.shuffle(torsion)
 
     def singles_tier():
         # a divisor {P, inf} needs the infinite point rational over Q_v; when
         # it is not, the tier still collects points for the pairs tier
         inf_ok = side == DOMAIN or _codomain_infinity_rational(curve, v)
+        inf_mask = 0  # the domain's infinity counts as 1 in every slot
+        if side == CODOMAIN and inf_ok:
+            inf_mask = _class_mask([square_class_bits(c.numerator, c.denominator, p)
+                                    for c in _codomain_inf_values(curve)])
         xs = _x_candidates(curve, side, v, cfg)
         if rng:
             rng.shuffle(xs)
         for x, ckey in _points_among(curve, side, v, xs):
+            mask = _class_mask(ckey)
             # a pair {P, Q} maps to the product of the points' slot classes,
             # so the pool wants one representative per distinct class
-            if ckey not in seen_classes or len(good_xs) < cfg.point_pool:
+            if ckey not in seen_classes or len(pool) < cfg.point_pool:
                 seen_classes.add(ckey)
-                if len(good_xs) < 3 * cfg.point_pool:
-                    good_xs.append(x)
+                if len(pool) < 3 * cfg.point_pool:
+                    pool.append((x, mask))
             if inf_ok:
-                yield MumfordDivisor.point_plus_infinity(x, side)
+                yield MumfordDivisor.point_plus_infinity(x, side), mask ^ inf_mask
 
     def pairs_tier():
-        pool = list(weier) + good_xs
-        pairs = list(itertools.combinations(range(len(pool)), 2))
+        forms = [poly_integer_form(g) for g in polys]
+        points = [(w, _class_mask([square_class_bits(n, d, p)
+                                   for n, d in _point_factors(curve, side, forms, w)]))
+                  for w in weier] + pool
+        pairs = list(itertools.combinations(range(len(points)), 2))
         if rng:
             rng.shuffle(pairs)
         n_weier = len(weier)
         for i, j in pairs:
             if i < n_weier and j < n_weier:
                 continue  # both Weierstrass: already in the torsion tier
-            yield MumfordDivisor.rational_pair(pool[i], pool[j], side)
+            (x1, m1), (x2, m2) = points[i], points[j]
+            yield MumfordDivisor.rational_pair(x1, x2, side), m1 ^ m2
 
-    return [torsion_tier(), singles_tier(), pairs_tier(),
-            _quadratic_candidates(curve, side, v, cfg)]
+    return [((D, None) for D in torsion), singles_tier(), pairs_tier(),
+            ((D, None) for D in _quadratic_candidates(curve, side, v, cfg))]
+
+
+def _changed_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfig,
+                   walked: Optional[tuple]) -> tuple[list, tuple]:
+    """The tiers of `_point_tiers` and the bounds that size each, with an
+    empty tier for each whose bounds equal those of the previous walk.
+
+    The torsion tier has none; the singles grid of `_x_candidates` sizes the
+    singles and pairs tiers (with the pool), `_quadratic_bounds` the
+    quadratic tier.  Escalation always raises val_bound, so only the torsion
+    and quadratic tiers can repeat.  A caller walks every tier it is given
+    in full or stops searching, so a tier left out would repeat its last walk.
+    """
+    grid = (cfg.residue_exponent, cfg.val_bound)
+    bounds = ((), grid, grid + (cfg.point_pool,),
+              _quadratic_bounds(v.p, cfg) if v.p is not None else ())
+    tiers = _point_tiers(curve, side, v, cfg)
+    if walked is not None:
+        tiers = [() if b == w else tier for tier, b, w in zip(tiers, bounds, walked)]
+    return tiers, bounds
 
 
 # ---------------------------------------------------------------------------
@@ -830,20 +923,26 @@ def local_images(curve: RichelotPair, v: LocalPlace, cfg: SearchConfig = SearchC
         return spans["phihat"].dim + spans["phi"].dim >= target
 
     def drain(side_name: str, tier) -> bool:
-        for D in tier:
-            t = divisor_image(D, curve, v)
-            if spans[side_name].add(t.mask()):
-                found[side_name].append((t, D))
+        for D, mask in tier:
+            t = None
+            if mask is None:
+                t = divisor_image(D, curve, v)
+                mask = t.mask()
+            if spans[side_name].add(mask):
+                found[side_name].append(
+                    (t if t is not None else _checked_image(D, mask, curve, v), D))
                 if filled():
                     return True
         return False
 
     # walk the tiers in lockstep across both sides so the cheap tiers of one
-    # side are never starved behind the expensive tiers of the other
-    config = cfg
+    # side are never starved behind the expensive tiers of the other; an
+    # escalation walks only the tiers whose bounds it changes
+    config, walked = cfg, {"phihat": None, "phi": None}
     for _ in range(cfg.escalations + 1):
-        tiers = {"phihat": _point_tiers(curve, DOMAIN, v, config),
-                 "phi": _point_tiers(curve, CODOMAIN, v, config)}
+        tiers = {}
+        for name, side in (("phihat", DOMAIN), ("phi", CODOMAIN)):
+            tiers[name], walked[name] = _changed_tiers(curve, side, v, config, walked[name])
         for level in range(len(tiers["phihat"])):
             for name in ("phihat", "phi"):
                 if drain(name, tiers[name][level]):
@@ -874,22 +973,31 @@ def find_local_point(target, curve: RichelotPair, v: LocalPlace,
     `target` may be a global KummerTriple or a LocalKummerTriple.  Search
     order: the 16 two-torsion divisors, single points over residue grids,
     pairs of found points, quadratic Mumford polynomials; the bounds escalate
-    cfg.escalations times before SearchExhausted.
+    cfg.escalations times before SearchExhausted, each escalation walking
+    only the tiers whose bounds it changes.  Candidates whose class bits give
+    their image are compared by mask, and only a match has its image built.
     """
     t_local = target.restrict(v) if isinstance(target, KummerTriple) else target
+    if t_local.place != v:
+        raise ValueError(f"target {t_local} does not live at {v}")
     key = tuple(c.bits for c in t_local.classes)
     if cache is not None and cfg.shuffle_seed is None:
         hit = cache.get_witness(curve, v, key)
         if hit is not None:
             return hit
-    config = cfg
+    want, config, walked = t_local.mask(), cfg, None
     for _ in range(cfg.escalations + 1):
-        for D in itertools.chain.from_iterable(_point_tiers(curve, DOMAIN, v, config)):
-            img = mu_phihat(D, curve, v)
-            if img.same_class(t_local):
-                if cache is not None and cfg.shuffle_seed is None:
-                    cache.put_witness(curve, v, key, D)
-                return D
+        tiers, walked = _changed_tiers(curve, DOMAIN, v, config, walked)
+        for D, mask in itertools.chain.from_iterable(tiers):
+            if mask is None:
+                mask = divisor_image(D, curve, v).mask()
+            elif mask == want:
+                _checked_image(D, mask, curve, v)  # a match read from class bits
+            if mask != want:
+                continue
+            if cache is not None and cfg.shuffle_seed is None:
+                cache.put_witness(curve, v, key, D)
+            return D
         config = config.escalate()
     raise SearchExhausted(f"no divisor found with image {t_local} at {v}")
 

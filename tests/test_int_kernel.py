@@ -234,6 +234,52 @@ def test_quadratic_kernel_matches_fraction_references(p):
     assert agree  # some certificates hold, so both outcomes are exercised
 
 
+@pytest.mark.parametrize("p", (2, 3, 17))
+def test_quadratic_certificate_runs_out_of_digits_like_the_reference(p):
+    # at a few p-adic digits the irrational-norm branch raises
+    # InsufficientPrecision; the integer branch must raise in the same cases
+    rng = random.Random(f"low precision {p}")
+    v = LocalPlace.finite(p)
+    outcomes = set()
+    for f in CURVE_POLYS:
+        for _ in range(40):
+            a, b = random_rational(rng, p, zero_ok=True), random_rational(rng, p)
+            prec = rng.choice((1, 2, 3, 4))
+            try:
+                want = reference_certificate(f, a, b, v, prec)
+            except InsufficientPrecision:
+                want = InsufficientPrecision
+            try:
+                got = quadratic_mumford_certificate(f, (a, b), v, prec)
+            except InsufficientPrecision:
+                got = InsufficientPrecision
+            assert got == want
+            outcomes.add(want)
+    assert outcomes == {True, False, InsufficientPrecision}
+
+
+def padic_state(x):
+    return x.p, x.val, x.unit, x.prec
+
+
+@pytest.mark.parametrize("p", (2, 3, 23, 1009))
+def test_padic_from_ints_matches_from_rational(p):
+    rng = random.Random(f"padic {p}")
+    for _ in range(600):
+        x = random_rational(rng, p, zero_ok=True)
+        prec = rng.choice((1, 2, 3, 8, 24))
+        want = padic_state(PadicApprox.from_rational(x, p, prec))
+        assert padic_state(PadicApprox.from_ints(x.numerator, x.denominator, p, prec)) == want
+        # the certificate passes unreduced pairs with either sign
+        k = rng.choice((-1, 1)) * rng.randint(1, 10 ** 6) * p ** rng.randint(0, 3)
+        assert padic_state(PadicApprox.from_ints(x.numerator * k, x.denominator * k,
+                                                 p, prec)) == want
+    assert padic_state(PadicApprox.from_ints(2, 1, p)) == padic_state(
+        PadicApprox.from_rational(2, p))
+    with pytest.raises(ZeroDivisionError):
+        PadicApprox.from_ints(1, 0, p)
+
+
 @pytest.mark.parametrize("curve, p", [(A257, 257), (IRRATIONAL, 7), (IRRATIONAL, 3)],
                          ids=["A257@257", "irrational@7", "irrational@3"])
 @pytest.mark.parametrize("side", [DOMAIN, CODOMAIN])

@@ -91,7 +91,7 @@ def test_mu_maps_norm_condition_random_divisors(curve113):
     rng = random.Random(79)
     count = 0
     for v in (V2, V3, V7, V113, OO):
-        for D in itertools.chain.from_iterable(
+        for D, _ in itertools.chain.from_iterable(
                 _point_tiers(curve113, DOMAIN, v, SearchConfig(val_bound=2))):
             mu_two(D, curve113, v)
             mu_phihat(D, curve113, v)
@@ -109,7 +109,7 @@ def test_commutativity_psi_of_mu_two_is_mu_phihat(curve113):
     places = [V2, V3, V7, V113, OO]
     checked = 0
     for v in places:
-        for D in itertools.chain.from_iterable(
+        for D, _ in itertools.chain.from_iterable(
                 _point_tiers(curve113, DOMAIN, v, SearchConfig(val_bound=3))):
             got = psi_two_to_phihat(mu_two(D, curve113, v))
             want = mu_phihat(D, curve113, v)
@@ -211,6 +211,12 @@ def test_find_local_point_exhausts_on_non_image(curve113):
     with pytest.raises(SearchExhausted):
         find_local_point(bad, curve113, V113,
                          SearchConfig(val_bound=2, escalations=0))
+
+
+def test_find_local_point_rejects_a_target_from_another_place(curve113):
+    # the search compares masks, which do not record the place
+    with pytest.raises(ValueError):
+        find_local_point(KummerTriple.of(1, 3, 3).restrict(V3), curve113, V113)
 
 
 def test_local_images_certified_at_all_bad_places(curve113):

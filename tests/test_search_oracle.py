@@ -1,0 +1,299 @@
+"""The local search against the search it replaced.
+
+The oracle below is the earlier search, kept verbatim in behaviour: every
+escalation walks every tier again from the top, and every candidate's image
+is built with `divisor_image` and compared as a `LocalKummerTriple`.  It
+shares with the library only the candidate generators (torsion divisors,
+residue grids, the singles filter and quadratic candidates).  The library's
+search skips the tiers an escalation does not change and compares the
+singles and pairs tiers by class bits, building images only for the
+candidates it keeps, so it must return the same bases, witnesses, statuses
+and divisors.  The module also counts the work the new search must not
+repeat, and corrupts a class bit to trip the bits-against-witness check.
+"""
+
+import collections
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+import richelot_ctp.localpoints as lp
+from richelot_ctp import gf2
+from richelot_ctp.arith import bad_places
+from richelot_ctp.curve import build_pair
+from richelot_ctp.localfield import LocalPlace, places_of
+from richelot_ctp.localpoints import (
+    CERTIFIED,
+    CODOMAIN,
+    DOMAIN,
+    HEURISTIC,
+    ClassBitsMismatch,
+    LocalDataCache,
+    LocalImage,
+    MumfordDivisor,
+    SearchConfig,
+    SearchExhausted,
+    _annihilate,
+    _codomain_infinity_rational,
+    _h1_dim,
+    _points_among,
+    _quadratic_candidates,
+    _torsion_divisors,
+    _x_candidates,
+    divisor_image,
+    find_local_point,
+    local_images,
+)
+from richelot_ctp.selmer import selmer_group
+
+
+def exhausting(P):
+    return build_pair(1, [0, 1], [2, -3, 1], [5 * P, -(5 + P), 1])
+
+
+B97 = exhausting(97)
+CURVES = {
+    # the benchmark's `curves` corpus
+    "k113": build_pair(1, [226, 1], [0, -678, 1], [-7 * 113 * 113, -678, 1]),
+    "k17": build_pair(1, [34, 1], [0, -102, 1], [-7 * 17 * 17, -102, 1]),
+    "six-root": build_pair(2, [-1, 1], [30, -21, 3], [-11, -10, 1]),
+    "irrational": build_pair(1, [0, 1], [-1, 0, 1], [6, -5, 1]),
+    "fractional": build_pair(4, [Fraction(-1, 2), 1], [-1, 0, 1], [-12, 1, 1]),
+    "negative-lc": build_pair(-1, [0, 1], [-1, 0, 1], [-9, 0, 1]),
+    # the `exhausting` corpus, which spends every escalation at 17 and 23
+    "B31": exhausting(31),
+    "B97": B97,
+}
+CONFIGS = {
+    "default": SearchConfig(),
+    "val_bound=2": SearchConfig(val_bound=2),  # the quadratic bounds grow once
+    "residue_exponent=1": SearchConfig(residue_exponent=1),
+    "seed=5": SearchConfig(shuffle_seed=5),
+    "seed=11": SearchConfig(shuffle_seed=11),
+}
+
+
+# ---------------------------------------------------------------------------
+# the oracle: the search before tier skipping and class-bit masks
+# ---------------------------------------------------------------------------
+
+
+def oracle_point_tiers(curve, side, v, cfg):
+    rng = random.Random(cfg.shuffle_seed) if cfg.shuffle_seed is not None else None
+    weier = curve.roots if side == DOMAIN else curve.codomain_roots
+    good_xs = []
+    seen_classes = set()
+
+    def torsion_tier():
+        torsion = _torsion_divisors(curve, side)
+        if rng:
+            rng.shuffle(torsion)
+        yield from torsion
+
+    def singles_tier():
+        inf_ok = side == DOMAIN or _codomain_infinity_rational(curve, v)
+        xs = _x_candidates(curve, side, v, cfg)
+        if rng:
+            rng.shuffle(xs)
+        for x, ckey in _points_among(curve, side, v, xs):
+            if ckey not in seen_classes or len(good_xs) < cfg.point_pool:
+                seen_classes.add(ckey)
+                if len(good_xs) < 3 * cfg.point_pool:
+                    good_xs.append(x)
+            if inf_ok:
+                yield MumfordDivisor.point_plus_infinity(x, side)
+
+    def pairs_tier():
+        pool = list(weier) + good_xs
+        pairs = list(itertools.combinations(range(len(pool)), 2))
+        if rng:
+            rng.shuffle(pairs)
+        n_weier = len(weier)
+        for i, j in pairs:
+            if i < n_weier and j < n_weier:
+                continue
+            yield MumfordDivisor.rational_pair(pool[i], pool[j], side)
+
+    return [torsion_tier(), singles_tier(), pairs_tier(),
+            _quadratic_candidates(curve, side, v, cfg)]
+
+
+def oracle_local_images(curve, v, cfg):
+    target = _h1_dim(v)
+    found = {"phihat": [], "phi": []}
+    spans = {"phihat": gf2.Span(), "phi": gf2.Span()}
+
+    def filled():
+        return spans["phihat"].dim + spans["phi"].dim >= target
+
+    def drain(name, tier):
+        for D in tier:
+            t = divisor_image(D, curve, v)
+            if spans[name].add(t.mask()):
+                found[name].append((t, D))
+                if filled():
+                    return True
+        return False
+
+    config = cfg
+    for _ in range(cfg.escalations + 1):
+        tiers = {"phihat": oracle_point_tiers(curve, DOMAIN, v, config),
+                 "phi": oracle_point_tiers(curve, CODOMAIN, v, config)}
+        for level in range(4):
+            for name in ("phihat", "phi"):
+                if drain(name, tiers[name][level]):
+                    break
+            if filled():
+                break
+        if filled():
+            break
+        config = config.escalate()
+    certified = (spans["phihat"].dim + spans["phi"].dim == target
+                 and _annihilate(found["phihat"], found["phi"]))
+    status = CERTIFIED if certified else HEURISTIC
+    return tuple(LocalImage(v, name, tuple(t for t, _ in found[name]),
+                            tuple(D for _, D in found[name]), status)
+                 for name in ("phihat", "phi"))
+
+
+def oracle_find_local_point(target, curve, v, cfg):
+    t_local = target.restrict(v)
+    config = cfg
+    for _ in range(cfg.escalations + 1):
+        for D in itertools.chain.from_iterable(oracle_point_tiers(curve, DOMAIN, v, config)):
+            if divisor_image(D, curve, v).same_class(t_local):
+                return D
+        config = config.escalate()
+    return SearchExhausted
+
+
+def point_or_exhausted(target, curve, v, cfg):
+    try:
+        return find_local_point(target, curve, v, cfg)
+    except SearchExhausted:
+        return SearchExhausted
+
+
+# ---------------------------------------------------------------------------
+# the library against the oracle
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=str)
+@pytest.mark.parametrize("label", CURVES, ids=str)
+def test_search_matches_the_rewalking_oracle(label, config):
+    curve, cfg = CURVES[label], CONFIGS[config]
+    places = places_of(bad_places(curve))
+    cache = LocalDataCache()
+    for v in places:
+        assert local_images(curve, v, cfg, cache) == oracle_local_images(curve, v, cfg), str(v)
+    # every Selmer basis target at every place, as the pairing's local
+    # tables ask for them
+    targets = selmer_group(curve, "phihat", cfg, cache).basis
+    assert targets
+    for t in targets:
+        for v in places:
+            want = oracle_find_local_point(t, curve, v, cfg)
+            assert point_or_exhausted(t, curve, v, cfg) == want, (str(t), str(v))
+
+
+# ---------------------------------------------------------------------------
+# work the search must not repeat
+# ---------------------------------------------------------------------------
+
+
+def count_certificates(monkeypatch, curve):
+    """Count `_quadratic_certificate` calls per (side, A) into the returned Counter."""
+    calls = collections.Counter()
+    certificate = lp._quadratic_certificate
+
+    def counted(f, an, bn, q, v, prec=24):
+        calls[(DOMAIN if f == curve.f else CODOMAIN, an, bn, q)] += 1
+        return certificate(f, an, bn, q, v, prec)
+
+    monkeypatch.setattr(lp, "_quadratic_certificate", counted)
+    return calls
+
+
+def test_local_images_tries_each_quadratic_once(monkeypatch):
+    # B97 spends both escalations at 23; with the default bounds an
+    # escalation leaves the quadratic tier as it was, so it is walked once
+    calls = count_certificates(monkeypatch, B97)
+    images = local_images(B97, LocalPlace.finite(23))
+    assert images[0].status == HEURISTIC  # the search did escalate
+    assert {side for side, *_ in calls} == {DOMAIN, CODOMAIN}
+    assert max(calls.values()) == 1
+
+
+# escalations that grow the quadratic tier's depth (val_bound 1 -> 3 -> 5,
+# depth 1 -> 3 -> 4 at 23) or its residue exponent (1 -> 2 -> 3 at 2) must
+# walk it again: at these places the later walks reach 87 and 163 more
+# quadratics than the first
+@pytest.mark.parametrize("label, p, cfg", [
+    ("B97", 23, SearchConfig(val_bound=1)),
+    ("B31", 2, SearchConfig(residue_exponent=1)),
+], ids=["B97@23-val_bound=1", "B31@2-residue_exponent=1"])
+def test_escalations_try_every_quadratic_the_oracle_tries(monkeypatch, label, p, cfg):
+    curve, v = CURVES[label], LocalPlace.finite(p)
+    calls = count_certificates(monkeypatch, curve)
+    local_images(curve, v, cfg)
+    tried = set(calls)
+    calls.clear()
+    oracle_local_images(curve, v, cfg)
+    assert tried == set(calls)
+
+
+# places where the earlier search built images of singles or pairs
+# candidates that it then discarded, on both sides and both codomain models
+@pytest.mark.parametrize("label, p", [("k113", 2), ("k17", 7), ("six-root", 3),
+                                      ("irrational", None), ("fractional", 7),
+                                      ("negative-lc", 3), ("B97", 23)],
+                         ids=lambda x: "oo" if x is None else str(x))
+def test_no_image_is_built_for_a_discarded_point_candidate(monkeypatch, label, p):
+    curve = CURVES[label]
+    v = LocalPlace.infinite() if p is None else LocalPlace.finite(p)
+    built = []
+
+    def recorded(mu):
+        def build(D, c, place=None):
+            built.append(D)
+            return mu(D, c, place)
+        return build
+
+    image = lp.divisor_image
+    # divisor_image dispatches to these two, and the search calls no other
+    # builder of a candidate's image
+    monkeypatch.setattr(lp, "mu_phihat", recorded(lp.mu_phihat))
+    monkeypatch.setattr(lp, "mu_phi", recorded(lp.mu_phi))
+    kept = set(itertools.chain.from_iterable(img.witnesses for img in local_images(curve, v)))
+    points = [D for D in built if D.tag in ("point_plus_infinity", "rational_pair")]
+    assert set(points) <= kept
+    assert len(points) == len(set(points))
+    # find_local_point builds the image of the point it returns, and no other
+    for D in kept:
+        if D.side != DOMAIN:
+            continue
+        target = image(D, curve, v)
+        built.clear()
+        assert find_local_point(target, curve, v) is not None
+        assert len([E for E in built if E.tag in ("point_plus_infinity", "rational_pair")]) <= 1
+
+
+# ---------------------------------------------------------------------------
+# the bits-against-witness check
+# ---------------------------------------------------------------------------
+
+
+def test_a_corrupt_class_bit_raises(monkeypatch):
+    points_among = lp._points_among
+
+    def corrupted(*args):
+        for x, classes in points_among(*args):
+            first = classes[0]
+            yield x, ((first[0], first[1] ^ 1),) + classes[1:]
+
+    monkeypatch.setattr(lp, "_points_among", corrupted)
+    with pytest.raises(ClassBitsMismatch):
+        local_images(CURVES["k113"], LocalPlace.finite(3))
