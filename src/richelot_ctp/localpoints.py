@@ -21,13 +21,13 @@ are certified complete through local duality: the two kernels' images must
 annihilate each other under the cup product and their dimensions must fill
 dim H^1 (2 over R, 4 at odd p, 6 at p = 2).
 
-The singles and pairs tiers hand each candidate over with its image as a
-mask of integer class bits: a point's factor classes, XOR-ed with those of
-the codomain's infinity values, and a pair's as the XOR of its points'.
-Candidates are compared by mask, and the exact witnessed image is built only
-for a vector the search keeps (and must match its mask).  An escalation
-walks only the tiers whose bounds it changes: never the torsion tier, and
-the quadratic tier only while its capped bounds still grow.
+Every tier hands each candidate over with its image as a mask of integer
+class bits, so candidates are compared by mask and the exact image is built
+only for a vector the search keeps or a point it returns (and must match its
+mask).  A quadratic is certified only for a mask its walk has not yet
+yielded.  Each place has one domain walk, shared by `local_images` and every
+`find_local_point` target there; an escalation walks only the tiers whose
+bounds it changes.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import gf2
 from .arith import squarefree_reduce
@@ -204,18 +204,17 @@ def _common_denominator(a: Fraction, b: Fraction) -> tuple[int, int, int]:
     return a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q
 
 
-def _res2(A: tuple[Fraction, Fraction], L) -> Fraction:
-    """prod over roots x_j of monic x^2 + a x + b of L(x_j), via symmetric functions.
+def _res2(an: int, bn: int, q: int, L) -> tuple[int, int]:
+    """prod over roots x_j of monic x^2 + (an/q) x + bn/q of L(x_j), as an
+    integer numerator and denominator, via symmetric functions.
 
-    With e1 = -a = -an/q, e2 = b = bn/q and L = C/den (degree <= 2), the
-    product times (q den)^2 is an integer, evaluated on ints.
+    With e1 = -an/q, e2 = bn/q and L = C/den (degree <= 2), the product
+    times (q den)^2 is an integer; that square is the denominator.
     """
-    an, bn, q = _common_denominator(*A)
     C, den = poly_integer_form(L)
     c0, c1, c2 = (C + (0, 0, 0))[:3]
-    n = (c2 * c2 * bn * bn - c2 * c1 * an * bn + c2 * c0 * (an * an - 2 * bn * q)
-         + c1 * c1 * bn * q - c1 * c0 * an * q + c0 * c0 * q * q)
-    return Fraction(n, den * den * q * q)
+    return (c2 * c2 * bn * bn - c2 * c1 * an * bn + c2 * c0 * (an * an - 2 * bn * q)
+            + c1 * c1 * bn * q - c1 * c0 * an * q + c0 * c0 * q * q), (den * q) ** 2
 
 
 def _point_markers(D: MumfordDivisor, curve: RichelotPair) -> list:
@@ -240,16 +239,8 @@ def _point_markers(D: MumfordDivisor, curve: RichelotPair) -> list:
 def _codomain_root_slots(curve: RichelotPair) -> dict:
     """Flat root index -> x value for the codomain, matching the domain layout
     (one linear root first only in the sense of per-factor grouping)."""
-    slots = {}
-    idx = 0
-    for grp in curve.codomain_roots_by_factor:
-        if grp is None:
-            idx += 2
-            continue
-        for r in grp:
-            slots[idx] = r
-            idx += 1
-    return slots
+    flat = [r for grp in curve.codomain_roots_by_factor for r in (grp or (None, None))]
+    return {i: r for i, r in enumerate(flat) if r is not None}
 
 
 def _factor_index_of_root(curve: RichelotPair, x: Fraction, side: str) -> Optional[int]:
@@ -283,16 +274,8 @@ def _codomain_inf_values(curve: RichelotPair) -> tuple[Fraction, Fraction, Fract
     if lin is None:
         return tuple(Li[-1] for Li in curve.L)
     z = curve.codomain_roots_by_factor[lin][0]
-    vals = []
-    for i, Li in enumerate(curve.L):
-        if i == lin:
-            prod = curve.delta
-            for l, Ll in enumerate(curve.L):
-                if l != lin:
-                    prod *= poly_eval(Ll, z)
-            vals.append(prod)
-        else:
-            vals.append(poly_eval(Li, z))
+    vals = [poly_eval(Li, z) for Li in curve.L]
+    vals[lin] = curve.delta * vals[lin - 1] * vals[lin - 2]
     return tuple(vals)
 
 
@@ -341,22 +324,13 @@ def _triple_slot_values(D: MumfordDivisor, curve: RichelotPair) -> tuple[Fractio
     if D.tag == "identity":
         return (Fraction(1),) * 3
     if D.tag == "quadratic":
-        A = D.quad
-        vals = []
-        for i, g in enumerate(polys):
-            r = _res2(A, g)
-            if r != 0:
-                vals.append(r)
-                continue
+        an, bn, q = _common_denominator(*D.quad)
+        vals = [Fraction(*_res2(an, bn, q, g)) for g in polys]
+        if 0 in vals:
             # A is this factor up to scaling: the kernel divisor; both points
             # take the Weierstrass special value
-            prod = Fraction(1)
-            for l, gl in enumerate(polys):
-                if l != i:
-                    prod *= _res2(A, gl)
-            if side == CODOMAIN:
-                prod *= curve.delta ** 2
-            vals.append(prod)
+            i = vals.index(0)
+            vals[i] = vals[i - 1] * vals[i - 2] * (curve.delta ** 2 if side == CODOMAIN else 1)
         return tuple(vals)
 
     markers = _point_markers(D, curve)
@@ -390,7 +364,8 @@ def _quintuple_slot_values(D: MumfordDivisor, curve: RichelotPair) -> tuple[Frac
     if D.tag == "identity":
         return (Fraction(1),) * 5
     if D.tag == "quadratic":
-        return tuple(_res2(D.quad, (-w, Fraction(1))) for w in roots)
+        an, bn, q = _common_denominator(*D.quad)
+        return tuple(Fraction(*_res2(an, bn, q, (-w, 1))) for w in roots)
     vals = [Fraction(1)] * 5
     for marker in _point_markers(D, curve):
         if marker[0] == "inf":
@@ -609,49 +584,40 @@ def _root_centers(f, p: int, depth: int) -> list[Fraction]:
 
 
 def _x_candidates(curve: RichelotPair, side: str, v: LocalPlace,
-                  cfg: SearchConfig) -> list[tuple[int, int]]:
-    """Candidate x-coordinates as (numerator, denominator) in lowest terms."""
+                  cfg: SearchConfig) -> Iterator[tuple[int, int]]:
+    """Candidate x-coordinates as (numerator, denominator) in lowest terms,
+    each once, made as the search asks for them."""
     f = curve.f if side == DOMAIN else curve.fhat
     rational_roots = curve.roots if side == DOMAIN else curve.codomain_roots
     if v.p is None:
         # one sample inside every region where f has constant sign; the
         # positive ones are kept by the caller
-        return [(x.numerator, x.denominator) for x in real_region_samples(f)
-                if poly_eval(f, x) > 0]
+        yield from ((x.numerator, x.denominator) for x in real_region_samples(f)
+                    if poly_eval(f, x) > 0)
+        return
     p = v.p
     units = _unit_residues(p, cfg.residue_exponent)
-    xs: list[tuple[int, int]] = []
-    seen = set()
-
-    def push(n: int, d: int):
-        # every candidate arrives in lowest terms (gcd(rn + k rd, rd) = 1 for
-        # a root rn/rd, and a unit r is prime to p), so (n, d) identifies it
-        x = (n, d)
-        if x not in seen:
-            seen.add(x)
-            xs.append(x)
-
-    # near-root refinements first: they carry the interesting classes, and
-    # the pairs tier feeds on the earliest points found
+    # near-root refinements root + r p^j first: they carry the interesting
+    # classes, and the pairs tier feeds on the earliest points found; then r p^e
     centers = list(rational_roots)
     for c in _root_centers(f, p, cfg.val_bound):
         if not any(valuation(c - r, p) >= cfg.val_bound for r in rational_roots if c != r):
             centers.append(c)
-    for root in centers:
-        rn, rd = root.numerator, root.denominator
-        for j in range(1, cfg.val_bound + 1):
-            step = p ** j * rd
-            for r in units:
-                push(rn + r * step, rd)  # root + r p^j
-    for e in range(-cfg.val_bound, cfg.val_bound + 1):
-        pe, de = (p ** e, 1) if e >= 0 else (1, p ** -e)
-        for r in units:
-            push(r * pe, de)  # r p^e
-    return xs
+    near = ((c.numerator + r * p ** j * c.denominator, c.denominator)
+            for c in centers for j in range(1, cfg.val_bound + 1) for r in units)
+    grid = ((r * p ** e, 1) if e >= 0 else (r, p ** -e)
+            for e in range(-cfg.val_bound, cfg.val_bound + 1) for r in units)
+    # every candidate arrives in lowest terms (gcd(rn + k rd, rd) = 1 for a
+    # root rn/rd, and a unit r is prime to p), so (n, d) identifies it
+    seen = set()
+    for x in itertools.chain(near, grid):
+        if x not in seen:
+            seen.add(x)
+            yield x
 
 
 def _points_among(curve: RichelotPair, side: str, v: LocalPlace,
-                  xs: list[tuple[int, int]]) -> Iterator[tuple[Fraction, tuple]]:
+                  xs: Iterable[tuple[int, int]]) -> Iterator[tuple[Fraction, tuple]]:
     """The candidates x = n/d with f(x) a nonzero square in Q_v, in order,
     each with the square-class bits of its three factor values.
 
@@ -712,80 +678,82 @@ def _quadratic_bounds(p: int, cfg: SearchConfig) -> tuple[int, int]:
     return min(cfg.residue_exponent, 3 if p == 2 else 1), min(cfg.val_bound, 4)
 
 
-def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace,
-                          cfg: SearchConfig) -> Iterator[MumfordDivisor]:
+def _quadratic_mask(an: int, bn: int, q: int, polys, p: int) -> int:
+    """The image mask of the quadratic divisor A = x^2 + (an/q) x + bn/q,
+    read from the class bits of the integer resultant numerators of `_res2`
+    (the denominators are squares).  The kernel divisor's zero slot takes
+    the product of the other two, so its bits are their XOR."""
+    res = [_res2(an, bn, q, g)[0] for g in polys]
+    if 0 in res:
+        i = res.index(0)
+        res[i] = res[i - 1] * res[i - 2]
+    return _class_mask([square_class_bits(r, 1, p) for r in res])
+
+
+def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfig,
+                          known=()) -> Iterator[tuple[MumfordDivisor, int]]:
+    """Certified quadratic divisors x^2 + a x + b with their masks.
+
+    The coefficients are integer (numerator, denominator) pairs in lowest
+    terms.  A candidate whose mask is in `known` is skipped before its
+    certificate: the walk has already yielded a divisor with that mask.
+    """
     if v.p is None:
         return  # conjugate pairs have trivial image over R
     p = v.p
     f = curve.f if side == DOMAIN else curve.fhat
+    polys = curve.G if side == DOMAIN else curve.L
     exponent, depth = _quadratic_bounds(p, cfg)
     units = _unit_residues(p, exponent)
     if len(units) > 40:
         units = units[:20] + units[-20:]
+    coeffs = [(0, 1)]
+    for e in range(-2, 3):
+        coeffs.extend((r * p ** e, 1) if e >= 0 else (r, p ** -e) for r in units)
+    grid = set(coeffs)
+    roots = curve.roots if side == DOMAIN else curve.codomain_roots
+    bases = [(g[1] / g[2], g[0] / g[2]) for g in polys if len(g) == 3]
+    bases += [(-(r + s), r * s) for r, s in itertools.combinations(roots, 2)]
+    small = units[:12] + [0]
 
-    def attempt(a: Fraction, b: Fraction):
-        an, bn, q = _common_denominator(a, b)
+    def near():
+        # perturbations n/d + r p^j = (n + r p^j d)/d, still in lowest terms, of
+        # quadratics vanishing on two-torsion x-pairs: divisors p-adically near
+        # a torsion pair live here, and on degenerate models they may be all
+        tried = set()
+        for (a0, b0), j, r1, r2 in itertools.product(bases, range(1, depth + 1), small, small):
+            a = (a0.numerator + r1 * p ** j * a0.denominator, a0.denominator)
+            b = (b0.numerator + r2 * p ** j * b0.denominator, b0.denominator)
+            if (r1 or r2) and (a, b) not in tried and not (a in grid and b in grid):
+                tried.add((a, b))
+                yield a, b
+
+    for a, b in itertools.chain(itertools.product(coeffs, coeffs), near()):
+        if b[0] == 0:
+            continue
+        (na, da), (nb, db) = a, b
+        q = da * db // math.gcd(da, db)
+        an, bn = na * (q // da), nb * (q // db)
         disc_n = an * an - 4 * bn * q  # disc = a^2 - 4 b = disc_n / q^2
         if disc_n == 0 or not any(square_class_bits(disc_n, 1, p)):
-            return None  # split or degenerate over Q_v: covered by point pairs
+            continue  # split or degenerate over Q_v: covered by point pairs
+        mask = _quadratic_mask(an, bn, q, polys, p)
+        if mask in known:
+            continue
         try:
             if _quadratic_certificate(f, an, bn, q, v):
-                return MumfordDivisor.quadratic(a, b, side)
+                yield MumfordDivisor.quadratic(Fraction(na, da), Fraction(nb, db), side), mask
         except InsufficientPrecision:
             pass
-        return None
-
-    # pairs are keyed by their integer parts, which hash faster than Fractions
-    seen = set()
-    coeffs = [Fraction(0)]
-    for e in range(-2, 3):
-        pe = Fraction(p) ** e
-        coeffs.extend(r * pe for r in units)
-    for a in coeffs:
-        for b in coeffs:
-            if b == 0:
-                continue
-            seen.add((a.numerator, a.denominator, b.numerator, b.denominator))
-            D = attempt(a, b)
-            if D:
-                yield D
-
-    # perturbations of quadratics vanishing on two-torsion x-pairs: divisors
-    # p-adically near a torsion pair live here, and on models whose reduction
-    # degenerates they can be the only points there are
-    polys = curve.G if side == DOMAIN else curve.L
-    roots = curve.roots if side == DOMAIN else curve.codomain_roots
-    bases = []
-    for g in polys:
-        if len(g) == 3:
-            bases.append((g[1] / g[2], g[0] / g[2]))
-    for r, s in itertools.combinations(roots, 2):
-        bases.append((-(r + s), r * s))
-    small = units[:12] + [Fraction(0)]
-    for a0, b0 in bases:
-        for j in range(1, depth + 1):
-            pj = Fraction(p) ** j
-            for r1 in small:
-                for r2 in small:
-                    if r1 == r2 == 0:
-                        continue
-                    a, b = a0 + r1 * pj, b0 + r2 * pj
-                    key = (a.numerator, a.denominator, b.numerator, b.denominator)
-                    if b == 0 or key in seen:
-                        continue
-                    seen.add(key)
-                    D = attempt(a, b)
-                    if D:
-                        yield D
 
 
-def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace,
-                 cfg: SearchConfig) -> list[Iterator[tuple[MumfordDivisor, Optional[int]]]]:
+def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfig,
+                 known=()) -> list[Iterator[tuple[MumfordDivisor, int]]]:
     """Candidate divisors in tiers: torsion; single points (with the infinite
     point); pairs of found points; quadratic Mumford pairs.
 
-    Each candidate comes with its image's `LocalKummerTriple.mask` where the
-    integer class bits give it (singles and pairs), else with None.
+    Each candidate comes with its image's `LocalKummerTriple.mask`, read
+    from class bits; the quadratic tier skips the masks in `known`.
     """
     rng = random.Random(cfg.shuffle_seed) if cfg.shuffle_seed is not None else None
     p = v.p
@@ -810,6 +778,7 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace,
                                     for c in _codomain_inf_values(curve)])
         xs = _x_candidates(curve, side, v, cfg)
         if rng:
+            xs = list(xs)
             rng.shuffle(xs)
         for x, ckey in _points_among(curve, side, v, xs):
             mask = _class_mask(ckey)
@@ -827,8 +796,9 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace,
         points = [(w, _class_mask([square_class_bits(n, d, p)
                                    for n, d in _point_factors(curve, side, forms, w)]))
                   for w in weier] + pool
-        pairs = list(itertools.combinations(range(len(points)), 2))
+        pairs = itertools.combinations(range(len(points)), 2)
         if rng:
+            pairs = list(pairs)
             rng.shuffle(pairs)
         n_weier = len(weier)
         for i, j in pairs:
@@ -837,28 +807,77 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace,
             (x1, m1), (x2, m2) = points[i], points[j]
             yield MumfordDivisor.rational_pair(x1, x2, side), m1 ^ m2
 
-    return [((D, None) for D in torsion), singles_tier(), pairs_tier(),
-            ((D, None) for D in _quadratic_candidates(curve, side, v, cfg))]
+    return [((D, _class_mask([square_class_bits(x.numerator, x.denominator, p)
+                              for x in _triple_slot_values(D, curve)])) for D in torsion),
+            singles_tier(), pairs_tier(), _quadratic_candidates(curve, side, v, cfg, known)]
 
 
-def _changed_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfig,
-                   walked: Optional[tuple]) -> tuple[list, tuple]:
-    """The tiers of `_point_tiers` and the bounds that size each, with an
-    empty tier for each whose bounds equal those of the previous walk.
+def _escalated(cfg: SearchConfig) -> Iterator[SearchConfig]:
+    """The configs of the search's rounds: cfg, then cfg.escalations
+    escalations of it, each made only when its round is asked for."""
+    for k in range(cfg.escalations + 1):
+        if k:
+            cfg = cfg.escalate()
+        yield cfg
 
-    The torsion tier has none; the singles grid of `_x_candidates` sizes the
-    singles and pairs tiers (with the pool), `_quadratic_bounds` the
-    quadratic tier.  Escalation always raises val_bound, so only the torsion
-    and quadratic tiers can repeat.  A caller walks every tier it is given
-    in full or stops searching, so a tier left out would repeat its last walk.
+
+class _Walk:
+    """One side's search at one place: the tiers of `_point_tiers`, round
+    after round over `configs`, walked once and resumable.  It records the
+    first divisor it yields for each mask, and that divisor's checked image.
+    A round walks only the tiers whose bounds changed: the torsion tier has
+    none; the singles grid sizes the singles and pairs tiers (with the pool),
+    `_quadratic_bounds` the quadratic tier.
     """
-    grid = (cfg.residue_exponent, cfg.val_bound)
-    bounds = ((), grid, grid + (cfg.point_pool,),
-              _quadratic_bounds(v.p, cfg) if v.p is not None else ())
-    tiers = _point_tiers(curve, side, v, cfg)
-    if walked is not None:
-        tiers = [() if b == w else tier for tier, b, w in zip(tiers, bounds, walked)]
-    return tiers, bounds
+
+    def __init__(self, curve: RichelotPair, side: str, v: LocalPlace, configs):
+        self.curve, self.v = curve, v
+        self.first: dict = {}  # mask -> first divisor yielded with it
+        self.images: dict = {}  # mask -> checked image of first[mask]
+        self.tier: Iterator = iter(())  # the current tier, partly walked
+        self._tiers = self._rounds(curve, side, v, configs, self.first)
+
+    # the generators below hold `first`, not the walk, so that a walk is
+    # freed as soon as its cache is, without waiting for the cycle collector
+    @staticmethod
+    def _rounds(curve, side, v, configs, first):
+        walked = None
+        for config in configs:
+            grid = (config.residue_exponent, config.val_bound)
+            bounds = ((), grid, grid + (config.point_pool,),
+                      _quadratic_bounds(v.p, config) if v.p is not None else ())
+            tiers = _point_tiers(curve, side, v, config, first)
+            for tier, b, w in zip(tiers, bounds, walked or (None,) * 4):
+                yield _Walk._recorded(() if b == w else tier, first)
+            walked = bounds
+
+    @staticmethod
+    def _recorded(tier, first):
+        for D, mask in tier:
+            first.setdefault(mask, D)
+            yield D, mask
+
+    def tiers(self) -> Iterator[Iterator[tuple[MumfordDivisor, int]]]:
+        """The rest of the current tier, then each later tier; a later call
+        resumes where a caller stopped (a for loop, unlike `yield from`,
+        leaves the round generator open when this one is dropped)."""
+        yield self.tier
+        for self.tier in self._tiers:
+            yield self.tier
+
+    def image(self, D: MumfordDivisor, mask: int) -> LocalKummerTriple:
+        """The checked image of first[mask] = D, built once."""
+        if mask not in self.images:
+            self.images[mask] = _checked_image(D, mask, self.curve, self.v)
+        return self.images[mask]
+
+    def find(self, mask: int) -> Optional[MumfordDivisor]:
+        """The first divisor with this mask, walking on as far as needed."""
+        if mask not in self.first:
+            if not any(m == mask for _, m in itertools.chain.from_iterable(self.tiers())):
+                return None
+        self.image(self.first[mask], mask)
+        return self.first[mask]
 
 
 # ---------------------------------------------------------------------------
@@ -908,50 +927,35 @@ def local_images(curve: RichelotPair, v: LocalPlace, cfg: SearchConfig = SearchC
 
     Returns (phihat image, phi image).  Certification: the dimensions sum to
     dim H^1 and every cross pair cups to zero.  Failing that within the
-    escalation budget, both come back flagged heuristic.
+    escalation budget, both come back flagged heuristic.  With a cache, the
+    domain walk is kept there for `find_local_point` to resume.
     """
     if cache is not None:
-        hit = cache.get_images(curve, v)
+        hit = cache.get_images(curve, v, cfg)
         if hit is not None:
             return hit
     curve.require_five_roots()
     target = _h1_dim(v)
+    # the two sides' walks share one escalation per round
+    hat_configs, phi_configs = itertools.tee(_escalated(cfg))
+    walks = {"phihat": _Walk(curve, DOMAIN, v, hat_configs),
+             "phi": _Walk(curve, CODOMAIN, v, phi_configs)}
     found = {"phihat": [], "phi": []}  # side -> list of (triple, witness)
     spans = {"phihat": gf2.Span(), "phi": gf2.Span()}
 
-    def filled() -> bool:
-        return spans["phihat"].dim + spans["phi"].dim >= target
-
-    def drain(side_name: str, tier) -> bool:
+    def drain(name: str, tier) -> bool:
         for D, mask in tier:
-            t = None
-            if mask is None:
-                t = divisor_image(D, curve, v)
-                mask = t.mask()
-            if spans[side_name].add(mask):
-                found[side_name].append(
-                    (t if t is not None else _checked_image(D, mask, curve, v), D))
-                if filled():
+            if spans[name].add(mask):
+                found[name].append((walks[name].image(D, mask), D))
+                if spans["phihat"].dim + spans["phi"].dim >= target:
                     return True
         return False
 
     # walk the tiers in lockstep across both sides so the cheap tiers of one
-    # side are never starved behind the expensive tiers of the other; an
-    # escalation walks only the tiers whose bounds it changes
-    config, walked = cfg, {"phihat": None, "phi": None}
-    for _ in range(cfg.escalations + 1):
-        tiers = {}
-        for name, side in (("phihat", DOMAIN), ("phi", CODOMAIN)):
-            tiers[name], walked[name] = _changed_tiers(curve, side, v, config, walked[name])
-        for level in range(len(tiers["phihat"])):
-            for name in ("phihat", "phi"):
-                if drain(name, tiers[name][level]):
-                    break
-            if filled():
-                break
-        if filled():
+    # side are never starved behind the expensive tiers of the other
+    for hat, phi in zip(walks["phihat"].tiers(), walks["phi"].tiers()):
+        if drain("phihat", hat) or drain("phi", phi):
             break
-        config = config.escalate()
 
     certified = (spans["phihat"].dim + spans["phi"].dim == target
                  and _annihilate(found["phihat"], found["phi"]))
@@ -961,7 +965,7 @@ def local_images(curve: RichelotPair, v: LocalPlace, cfg: SearchConfig = SearchC
                    tuple(D for _, D in found[name]), status)
         for name in ("phihat", "phi"))
     if cache is not None:
-        cache.put_images(curve, v, images)
+        cache.put_images(curve, v, cfg, images, walks["phihat"])
     return images
 
 
@@ -970,36 +974,29 @@ def find_local_point(target, curve: RichelotPair, v: LocalPlace,
                      cache: Optional["LocalDataCache"] = None) -> MumfordDivisor:
     """A domain divisor whose dual-kernel image equals `target` at v.
 
-    `target` may be a global KummerTriple or a LocalKummerTriple.  Search
-    order: the 16 two-torsion divisors, single points over residue grids,
-    pairs of found points, quadratic Mumford polynomials; the bounds escalate
-    cfg.escalations times before SearchExhausted, each escalation walking
-    only the tiers whose bounds it changes.  Candidates whose class bits give
-    their image are compared by mask, and only a match has its image built.
+    `target` may be a global KummerTriple or a LocalKummerTriple.  The
+    divisor is the first with the target's mask in the domain walk: the 16
+    two-torsion divisors, single points over residue grids, pairs of found
+    points, quadratic Mumford polynomials, over cfg.escalations escalations
+    before SearchExhausted.  The walk `local_images` left in the cache is
+    shared by every target at v: a target it holds is read off, and otherwise
+    the walk resumes where it stopped.  Without one, a private walk runs.
     """
     t_local = target.restrict(v) if isinstance(target, KummerTriple) else target
     if t_local.place != v:
         raise ValueError(f"target {t_local} does not live at {v}")
     key = tuple(c.bits for c in t_local.classes)
-    if cache is not None and cfg.shuffle_seed is None:
-        hit = cache.get_witness(curve, v, key)
-        if hit is not None:
-            return hit
-    want, config, walked = t_local.mask(), cfg, None
-    for _ in range(cfg.escalations + 1):
-        tiers, walked = _changed_tiers(curve, DOMAIN, v, config, walked)
-        for D, mask in itertools.chain.from_iterable(tiers):
-            if mask is None:
-                mask = divisor_image(D, curve, v).mask()
-            elif mask == want:
-                _checked_image(D, mask, curve, v)  # a match read from class bits
-            if mask != want:
-                continue
-            if cache is not None and cfg.shuffle_seed is None:
-                cache.put_witness(curve, v, key, D)
-            return D
-        config = config.escalate()
-    raise SearchExhausted(f"no divisor found with image {t_local} at {v}")
+    store = cache is not None and cfg.shuffle_seed is None
+    hit = cache.get_witness(curve, v, cfg, key) if store else None
+    if hit is not None:
+        return hit
+    walk = cache.get_walk(curve, v, cfg) if cache is not None else None
+    D = (walk or _Walk(curve, DOMAIN, v, _escalated(cfg))).find(t_local.mask())
+    if D is None:
+        raise SearchExhausted(f"no divisor found with image {t_local} at {v}")
+    if store:
+        cache.put_witness(curve, v, cfg, key, D)
+    return D
 
 
 # ---------------------------------------------------------------------------
@@ -1007,15 +1004,22 @@ def find_local_point(target, curve: RichelotPair, v: LocalPlace,
 # ---------------------------------------------------------------------------
 
 
-class LocalDataCache:
-    """Shared store for local images and witness divisors.
+# the SearchConfig fields a persisted witness is kept under (witnesses are
+# cached only without a shuffle seed)
+_BOUNDS = ("residue_exponent", "val_bound", "escalations", "point_pool")
 
-    Reads are unsynchronized; inserts are idempotent, so concurrent use is
-    safe as long as writes are not interleaved with directory persistence.
+
+class LocalDataCache:
+    """Shared store for local images, witness divisors and domain walks,
+    each kept under the curve, the place and the search config.
+
+    Walks live in memory only and are resumed in place, so a cache serves
+    one thread.  Witnesses persist with the config's bounds; a persisted
+    row without them is ignored.
     """
 
     def __init__(self, directory: Optional[str] = None):
-        self._images: dict = {}
+        self._places: dict = {}  # key -> (images, domain walk) of local_images
         self._witnesses: dict = {}
         self.directory = Path(directory) if directory else None
         if self.directory:
@@ -1023,20 +1027,23 @@ class LocalDataCache:
             self._load()
 
     @staticmethod
-    def _curve_key(curve: RichelotPair) -> str:
-        return json.dumps([[str(c) for c in g] for g in curve.G])
+    def _key(curve: RichelotPair, v, cfg: SearchConfig) -> tuple:
+        return json.dumps([[str(c) for c in g] for g in curve.G]), str(v), cfg
 
-    def get_images(self, curve, v):
-        return self._images.get((self._curve_key(curve), str(v)))
+    def get_images(self, curve, v, cfg):
+        return self._places.get(self._key(curve, v, cfg), (None, None))[0]
 
-    def put_images(self, curve, v, images):
-        self._images[(self._curve_key(curve), str(v))] = images
+    def get_walk(self, curve, v, cfg):
+        return self._places.get(self._key(curve, v, cfg), (None, None))[1]
 
-    def get_witness(self, curve, v, key):
-        return self._witnesses.get((self._curve_key(curve), str(v), key))
+    def put_images(self, curve, v, cfg, images, walk):
+        self._places[self._key(curve, v, cfg)] = images, walk
 
-    def put_witness(self, curve, v, key, D):
-        self._witnesses[(self._curve_key(curve), str(v), key)] = D
+    def get_witness(self, curve, v, cfg, key):
+        return self._witnesses.get(self._key(curve, v, cfg) + (key,))
+
+    def put_witness(self, curve, v, cfg, key, D):
+        self._witnesses[self._key(curve, v, cfg) + (key,)] = D
         self._persist()
 
     # persistence keeps witnesses only; images are cheap to rebuild and their
@@ -1046,10 +1053,9 @@ class LocalDataCache:
         same directory, then os.replace it, so no reader sees a partial file."""
         if not self.directory:
             return
-        data = []
-        for (ck, vs, key), D in self._witnesses.items():
-            data.append({"curve": ck, "place": vs,
-                         "target": [list(b) for b in key], "witness": D.to_json()})
+        data = [{"curve": ck, "place": vs, "bounds": {b: getattr(cfg, b) for b in _BOUNDS},
+                 "target": [list(b) for b in key], "witness": D.to_json()}
+                for (ck, vs, cfg, key), D in self._witnesses.items()]
         path = self.directory / "witnesses.json"
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
@@ -1063,6 +1069,8 @@ class LocalDataCache:
         if not path.exists():
             return
         for row in json.loads(path.read_text()):
+            if set(row.get("bounds", ())) != set(_BOUNDS):
+                continue  # written without the search bounds: not trusted
             key = tuple(tuple(b) for b in row["target"])
-            self._witnesses[(row["curve"], row["place"], key)] = (
+            self._witnesses[(row["curve"], row["place"], SearchConfig(**row["bounds"]), key)] = (
                 MumfordDivisor.from_json(row["witness"]))

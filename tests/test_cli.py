@@ -9,6 +9,8 @@ CURVE113 = {"label": "k=113", "lambda": "1",
             "G3": ["-89383", "-678", "1"]}
 TOY = {"label": "toy", "lambda": "1",
        "G1": ["0", "1"], "G2": ["-1", "0", "1"], "G3": ["-4", "0", "1"]}
+FRACTIONAL = {"label": "fractional", "lambda": "4", "G1": ["-1/2", "1"],
+              "G2": ["-1", "0", "1"], "G3": ["-12", "1", "1"]}
 DEGENERATE = {"lambda": "1", "G1": ["0", "1"], "G2": ["-1", "0", "1"],
               "G3": ["-1", "3/2", "1"]}
 
@@ -220,6 +222,25 @@ def test_cache_dir_writes_once_per_witness_insert(curve_file, tmp_path, capsys,
     assert {str(w) for w in writes} == {str(cdir / "witnesses.json")}
     assert sorted(p.name for p in cdir.iterdir()) == ["witnesses.json"]
     assert len(json.loads((cdir / "witnesses.json").read_text())) == len(inserts)
+
+
+def test_cache_dir_filled_under_other_bounds_leaves_a_default_run_unchanged(
+        curve_file, tmp_path, capsys):
+    path, cdir = curve_file(FRACTIONAL), str(tmp_path / "cache")
+    assert main(["ctp", path, "--json"]) == 0
+    fresh = capsys.readouterr()
+    assert main(["ctp", path, "--json", "--val-bound", "1", "--precision", "1",
+                 "--cache-dir", cdir]) == 0
+    assert capsys.readouterr() != fresh
+    assert main(["ctp", path, "--json", "--cache-dir", cdir]) == 0
+    assert capsys.readouterr() == fresh
+    # rows persisted without their search bounds are ignored
+    witnesses = tmp_path / "cache" / "witnesses.json"
+    rows = json.loads(witnesses.read_text())
+    witnesses.write_text(json.dumps([{k: v for k, v in row.items() if k != "bounds"}
+                                     for row in rows if row["bounds"]["val_bound"] == 1]))
+    assert main(["ctp", path, "--json", "--cache-dir", cdir]) == 0
+    assert capsys.readouterr() == fresh
 
 
 def test_ctp_partial_text_columns_follow_bad_place_order(curve_file, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from richelot_ctp.cohomology import KummerTriple, psi_two_to_phihat
-from richelot_ctp.curve import INF, TwoTorsionPoint, poly_eval
+from richelot_ctp.curve import INF, TwoTorsionPoint, build_pair, poly_eval
 from richelot_ctp.localfield import LocalPlace, is_local_square
 from richelot_ctp.localpoints import (
     CODOMAIN,
@@ -124,7 +124,7 @@ def test_commutativity_on_quadratic_divisors(curve113):
     from richelot_ctp.localpoints import _quadratic_candidates, SearchConfig
     checked = 0
     for v in (V2, V3, V7):
-        for D in _quadratic_candidates(curve113, DOMAIN, v, SearchConfig()):
+        for D, _ in _quadratic_candidates(curve113, DOMAIN, v, SearchConfig()):
             got = psi_two_to_phihat(mu_two(D, curve113, v))
             assert got.same_class(mu_phihat(D, curve113, v)), (str(D), str(v))
             checked += 1
@@ -255,7 +255,35 @@ def test_witness_cache_roundtrip(tmp_path, curve113):
     D = find_local_point(t, curve113, V3, cache=cache)
     cache2 = LocalDataCache(str(tmp_path))
     key = tuple(c.bits for c in t.restrict(V3).classes)
-    assert cache2.get_witness(curve113, V3, key) == D
+    assert cache2.get_witness(curve113, V3, SearchConfig(), key) == D
+
+
+def test_quadratic_masks_read_from_resultants_match_images(curve113):
+    # a quadratic equal to a factor has a zero resultant slot, whose bits are
+    # the XOR of the other two: on the domain it is the pair of that factor's
+    # roots, whose image the point evaluation gives independently
+    from richelot_ctp.localpoints import (
+        _common_denominator,
+        _quadratic_candidates,
+        _quadratic_mask,
+    )
+    irrational = build_pair(1, [0, 1], [-1, 0, 1], [6, -5, 1])
+    checked = 0
+    for curve, places in ((irrational, (V2, V3, V7)), (curve113, (V2, V3, V7, V113))):
+        for v in places:
+            tried = itertools.islice(_quadratic_candidates(curve, DOMAIN, v, SearchConfig()), 10)
+            cases = [(D, D) for D, _ in tried]
+            cases += [(D, D) for D in _torsion_divisors(curve, CODOMAIN) if D.tag == "quadratic"]
+            for g, roots in zip(curve.G, curve.roots_by_factor):
+                if len(g) == 3:
+                    cases.append((MumfordDivisor.quadratic(g[1] / g[2], g[0] / g[2]),
+                                  MumfordDivisor.rational_pair(*roots)))
+            for D, same in cases:
+                polys = curve.G if D.side == DOMAIN else curve.L
+                mask = _quadratic_mask(*_common_denominator(*D.quad), polys, v.p)
+                assert mask == divisor_image(same, curve, v).mask(), (str(D), str(v))
+                checked += 1
+    assert checked >= 40
 
 
 def test_toy_curve_codomain_torsion_includes_conjugate_pairs(toy_curve):

@@ -1,15 +1,18 @@
 """The local search against the search it replaced.
 
 The oracle below is the earlier search, kept verbatim in behaviour: every
-escalation walks every tier again from the top, and every candidate's image
-is built with `divisor_image` and compared as a `LocalKummerTriple`.  It
-shares with the library only the candidate generators (torsion divisors,
-residue grids, the singles filter and quadratic candidates).  The library's
-search skips the tiers an escalation does not change and compares the
-singles and pairs tiers by class bits, building images only for the
-candidates it keeps, so it must return the same bases, witnesses, statuses
-and divisors.  The module also counts the work the new search must not
-repeat, and corrupts a class bit to trip the bits-against-witness check.
+escalation walks every tier again from the top, every target walks the tiers
+again on its own, every quadratic candidate is certified, and every
+candidate's image is built with `divisor_image` and compared as a
+`LocalKummerTriple`.  It keeps its own copy of the earlier quadratic
+generator and shares with the library only the other candidate generators
+(torsion divisors, residue grids and the singles filter).  The library's
+search walks each place once, skips the tiers an escalation does not change,
+compares every tier by class bits, certifies a quadratic only for a mask its
+walk has not yet yielded, and builds images only for the candidates it keeps,
+so it must return the same bases, witnesses, statuses and divisors.  The
+module also counts the work the new search must not repeat, and corrupts
+class bits to trip the bits-against-witness check.
 """
 
 import collections
@@ -22,8 +25,14 @@ import pytest
 import richelot_ctp.localpoints as lp
 from richelot_ctp import gf2
 from richelot_ctp.arith import bad_places
+from richelot_ctp.ctp import ctp_matrix
 from richelot_ctp.curve import build_pair
-from richelot_ctp.localfield import LocalPlace, places_of
+from richelot_ctp.localfield import (
+    InsufficientPrecision,
+    LocalPlace,
+    places_of,
+    square_class_bits,
+)
 from richelot_ctp.localpoints import (
     CERTIFIED,
     CODOMAIN,
@@ -37,10 +46,12 @@ from richelot_ctp.localpoints import (
     SearchExhausted,
     _annihilate,
     _codomain_infinity_rational,
+    _common_denominator,
     _h1_dim,
     _points_among,
-    _quadratic_candidates,
+    _quadratic_bounds,
     _torsion_divisors,
+    _unit_residues,
     _x_candidates,
     divisor_image,
     find_local_point,
@@ -80,6 +91,75 @@ CONFIGS = {
 # ---------------------------------------------------------------------------
 
 
+def oracle_quadratic_candidates(curve, side, v, cfg):
+    # the earlier library generator verbatim, on Fraction coefficients with a
+    # certificate for every candidate; it calls the certificate through the
+    # module so that tests can count the calls
+    if v.p is None:
+        return  # conjugate pairs have trivial image over R
+    p = v.p
+    f = curve.f if side == DOMAIN else curve.fhat
+    exponent, depth = _quadratic_bounds(p, cfg)
+    units = _unit_residues(p, exponent)
+    if len(units) > 40:
+        units = units[:20] + units[-20:]
+
+    def attempt(a: Fraction, b: Fraction):
+        an, bn, q = _common_denominator(a, b)
+        disc_n = an * an - 4 * bn * q  # disc = a^2 - 4 b = disc_n / q^2
+        if disc_n == 0 or not any(square_class_bits(disc_n, 1, p)):
+            return None  # split or degenerate over Q_v: covered by point pairs
+        try:
+            if lp._quadratic_certificate(f, an, bn, q, v):
+                return MumfordDivisor.quadratic(a, b, side)
+        except InsufficientPrecision:
+            pass
+        return None
+
+    # pairs are keyed by their integer parts, which hash faster than Fractions
+    seen = set()
+    coeffs = [Fraction(0)]
+    for e in range(-2, 3):
+        pe = Fraction(p) ** e
+        coeffs.extend(r * pe for r in units)
+    for a in coeffs:
+        for b in coeffs:
+            if b == 0:
+                continue
+            seen.add((a.numerator, a.denominator, b.numerator, b.denominator))
+            D = attempt(a, b)
+            if D:
+                yield D
+
+    # perturbations of quadratics vanishing on two-torsion x-pairs: divisors
+    # p-adically near a torsion pair live here, and on models whose reduction
+    # degenerates they can be the only points there are
+    polys = curve.G if side == DOMAIN else curve.L
+    roots = curve.roots if side == DOMAIN else curve.codomain_roots
+    bases = []
+    for g in polys:
+        if len(g) == 3:
+            bases.append((g[1] / g[2], g[0] / g[2]))
+    for r, s in itertools.combinations(roots, 2):
+        bases.append((-(r + s), r * s))
+    small = units[:12] + [Fraction(0)]
+    for a0, b0 in bases:
+        for j in range(1, depth + 1):
+            pj = Fraction(p) ** j
+            for r1 in small:
+                for r2 in small:
+                    if r1 == r2 == 0:
+                        continue
+                    a, b = a0 + r1 * pj, b0 + r2 * pj
+                    key = (a.numerator, a.denominator, b.numerator, b.denominator)
+                    if b == 0 or key in seen:
+                        continue
+                    seen.add(key)
+                    D = attempt(a, b)
+                    if D:
+                        yield D
+
+
 def oracle_point_tiers(curve, side, v, cfg):
     rng = random.Random(cfg.shuffle_seed) if cfg.shuffle_seed is not None else None
     weier = curve.roots if side == DOMAIN else curve.codomain_roots
@@ -94,7 +174,7 @@ def oracle_point_tiers(curve, side, v, cfg):
 
     def singles_tier():
         inf_ok = side == DOMAIN or _codomain_infinity_rational(curve, v)
-        xs = _x_candidates(curve, side, v, cfg)
+        xs = list(_x_candidates(curve, side, v, cfg))
         if rng:
             rng.shuffle(xs)
         for x, ckey in _points_among(curve, side, v, xs):
@@ -117,7 +197,7 @@ def oracle_point_tiers(curve, side, v, cfg):
             yield MumfordDivisor.rational_pair(pool[i], pool[j], side)
 
     return [torsion_tier(), singles_tier(), pairs_tier(),
-            _quadratic_candidates(curve, side, v, cfg)]
+            oracle_quadratic_candidates(curve, side, v, cfg)]
 
 
 def oracle_local_images(curve, v, cfg):
@@ -169,9 +249,9 @@ def oracle_find_local_point(target, curve, v, cfg):
     return SearchExhausted
 
 
-def point_or_exhausted(target, curve, v, cfg):
+def point_or_exhausted(target, curve, v, cfg, cache=None):
     try:
-        return find_local_point(target, curve, v, cfg)
+        return find_local_point(target, curve, v, cfg, cache)
     except SearchExhausted:
         return SearchExhausted
 
@@ -197,6 +277,8 @@ def test_search_matches_the_rewalking_oracle(label, config):
         for v in places:
             want = oracle_find_local_point(t, curve, v, cfg)
             assert point_or_exhausted(t, curve, v, cfg) == want, (str(t), str(v))
+            # resuming the walk local_images left in the cache, target by target
+            assert point_or_exhausted(t, curve, v, cfg, cache) == want, (str(t), str(v))
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +309,45 @@ def test_local_images_tries_each_quadratic_once(monkeypatch):
     assert max(calls.values()) == 1
 
 
+def record_quadratic_work(monkeypatch, curve):
+    """Log, in order, each quadratic whose mask the library computes, as
+    ("mask", side, A, whether its side's walk had already yielded that mask),
+    and each certificate, as ("certificate", side, A).  The yielded masks
+    are read off the tiers' output, not off the walk's own record."""
+    log, yielded = [], {DOMAIN: set(), CODOMAIN: set()}
+    point_tiers, quadratic_mask = lp._point_tiers, lp._quadratic_mask
+    certificate = lp._quadratic_certificate
+
+    def watched(tier, side):
+        for D, mask in tier:
+            yielded[side].add(mask)
+            yield D, mask
+
+    def tiers(curve_, side, *args):
+        return [watched(tier, side) for tier in point_tiers(curve_, side, *args)]
+
+    def mask(an, bn, q, polys, p):
+        side = DOMAIN if polys == curve.G else CODOMAIN
+        m = quadratic_mask(an, bn, q, polys, p)
+        log.append(("mask", side, (an, bn, q), m in yielded[side]))
+        return m
+
+    def certified(f, an, bn, q, v, prec=24):
+        log.append(("certificate", DOMAIN if f == curve.f else CODOMAIN, (an, bn, q)))
+        return certificate(f, an, bn, q, v, prec)
+
+    monkeypatch.setattr(lp, "_point_tiers", tiers)
+    monkeypatch.setattr(lp, "_quadratic_mask", mask)
+    monkeypatch.setattr(lp, "_quadratic_certificate", certified)
+    return log
+
+
 # escalations that grow the quadratic tier's depth (val_bound 1 -> 3 -> 5,
 # depth 1 -> 3 -> 4 at 23) or its residue exponent (1 -> 2 -> 3 at 2) must
 # walk it again: at these places the later walks reach 87 and 163 more
-# quadratics than the first
+# quadratics than the first.  The library reads the mask of every quadratic
+# the oracle certifies, and certifies one exactly when its walk has not yet
+# yielded that mask.
 @pytest.mark.parametrize("label, p, cfg", [
     ("B97", 23, SearchConfig(val_bound=1)),
     ("B31", 2, SearchConfig(residue_exponent=1)),
@@ -238,15 +355,27 @@ def test_local_images_tries_each_quadratic_once(monkeypatch):
 def test_escalations_try_every_quadratic_the_oracle_tries(monkeypatch, label, p, cfg):
     curve, v = CURVES[label], LocalPlace.finite(p)
     calls = count_certificates(monkeypatch, curve)
-    local_images(curve, v, cfg)
-    tried = set(calls)
-    calls.clear()
     oracle_local_images(curve, v, cfg)
-    assert tried == set(calls)
+    oracle_certified = set(calls)
+    log = record_quadratic_work(monkeypatch, curve)
+    local_images(curve, v, cfg)
+    masked = [event for event in log if event[0] == "mask"]
+    assert {(side, *A) for _, side, A, _ in masked} == oracle_certified
+    skipped = 0
+    for event, after in zip(log, log[1:] + [None]):
+        if event[0] == "mask":
+            _, side, A, known = event
+            assert known == (after != ("certificate", side, A)), event
+            skipped += known
+    assert skipped  # the rule does skip certificates here
 
 
-# places where the earlier search built images of singles or pairs
-# candidates that it then discarded, on both sides and both codomain models
+# places where the earlier search built images of singles, pairs or
+# quadratic candidates that it then discarded, on both sides and both
+# codomain models
+CANDIDATE_TAGS = ("point_plus_infinity", "rational_pair", "quadratic")
+
+
 @pytest.mark.parametrize("label, p", [("k113", 2), ("k17", 7), ("six-root", 3),
                                       ("irrational", None), ("fractional", 7),
                                       ("negative-lc", 3), ("B97", 23)],
@@ -268,7 +397,7 @@ def test_no_image_is_built_for_a_discarded_point_candidate(monkeypatch, label, p
     monkeypatch.setattr(lp, "mu_phihat", recorded(lp.mu_phihat))
     monkeypatch.setattr(lp, "mu_phi", recorded(lp.mu_phi))
     kept = set(itertools.chain.from_iterable(img.witnesses for img in local_images(curve, v)))
-    points = [D for D in built if D.tag in ("point_plus_infinity", "rational_pair")]
+    points = [D for D in built if D.tag in CANDIDATE_TAGS]
     assert set(points) <= kept
     assert len(points) == len(set(points))
     # find_local_point builds the image of the point it returns, and no other
@@ -278,7 +407,7 @@ def test_no_image_is_built_for_a_discarded_point_candidate(monkeypatch, label, p
         target = image(D, curve, v)
         built.clear()
         assert find_local_point(target, curve, v) is not None
-        assert len([E for E in built if E.tag in ("point_plus_infinity", "rational_pair")]) <= 1
+        assert len([E for E in built if E.tag in CANDIDATE_TAGS]) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -297,3 +426,49 @@ def test_a_corrupt_class_bit_raises(monkeypatch):
     monkeypatch.setattr(lp, "_points_among", corrupted)
     with pytest.raises(ClassBitsMismatch):
         local_images(CURVES["k113"], LocalPlace.finite(3))
+
+
+def test_a_corrupt_quadratic_class_bit_raises(monkeypatch):
+    # B97 walks the quadratic tier at 23, where a flipped bit makes a
+    # candidate look new, so the search keeps it and checks its image
+    quadratic_mask = lp._quadratic_mask
+    monkeypatch.setattr(lp, "_quadratic_mask", lambda *args: quadratic_mask(*args) ^ 1)
+    with pytest.raises(ClassBitsMismatch):
+        local_images(B97, LocalPlace.finite(23))
+
+
+# ---------------------------------------------------------------------------
+# one walk per place
+# ---------------------------------------------------------------------------
+
+
+def test_a_ctp_matrix_builds_no_divisor_image_twice(monkeypatch):
+    built = collections.Counter()
+
+    def recorded(mu):
+        def build(D, c, place=None):
+            if place is not None:
+                built[(D, str(place))] += 1
+            return mu(D, c, place)
+        return build
+
+    monkeypatch.setattr(lp, "mu_phihat", recorded(lp.mu_phihat))
+    monkeypatch.setattr(lp, "mu_phi", recorded(lp.mu_phi))
+    cache = LocalDataCache()
+    ctp_matrix(selmer_group(B97, "phihat", SearchConfig(), cache), B97, cache)
+    assert built
+    assert max(built.values()) == 1
+
+
+def test_a_target_the_walk_holds_costs_no_certificate(monkeypatch):
+    # at B31@2 the earlier per-target search certified up to 143 quadratics
+    # to reach divisors that the image walk had already yielded
+    curve, v, cfg = CURVES["B31"], LocalPlace.finite(2), SearchConfig(residue_exponent=1)
+    cache = LocalDataCache()
+    local_images(curve, v, cfg, cache)
+    held = dict(cache.get_walk(curve, v, cfg).first)
+    assert any(D.tag == "quadratic" for D in held.values())
+    calls = count_certificates(monkeypatch, curve)
+    for D in held.values():
+        assert find_local_point(divisor_image(D, curve, v), curve, v, cfg, cache) == D
+    assert not calls
