@@ -13,7 +13,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .curve import CurveError
+
 __all__ = [
+    "FactorizationBudgetExceeded",
     "SquareClass",
     "PlaceSet",
     "squarefree_reduce",
@@ -32,6 +35,15 @@ _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 # deterministic Miller-Rabin witnesses for n < 3.3 * 10^24
 _MR_BASES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+
+# squarings the rho stage may spend on one composite: a 12-digit prime factor
+# takes about 10^6 and rarely over 3.5 * 10^6; spending all of them takes
+# about 7 s on a 2-vCPU Xeon virtual machine
+_RHO_BUDGET = 1 << 23
+
+
+class FactorizationBudgetExceeded(CurveError):
+    """The rho stage found no factor of a composite within its budget."""
 
 
 def _is_prime(n: int) -> bool:
@@ -60,7 +72,8 @@ def _is_prime(n: int) -> bool:
 
 
 def _pollard_brent(n: int, rng: random.Random) -> int:
-    """One nontrivial factor of composite odd n."""
+    """One nontrivial factor of composite odd n, within `_RHO_BUDGET` squarings."""
+    spent = 0
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -79,6 +92,10 @@ def _pollard_brent(n: int, rng: random.Random) -> int:
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
                 k += m
+            spent += r + min(k, r)
+            if g == 1 and spent >= _RHO_BUDGET:
+                raise FactorizationBudgetExceeded(
+                    f"cannot factor the composite {n} within {_RHO_BUDGET} rho steps")
             r *= 2
         if g == n:
             g = 1
@@ -90,7 +107,8 @@ def _pollard_brent(n: int, rng: random.Random) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Factor a positive integer; inputs are desk-scale by contract."""
+    """Factor a positive integer; a composite cofactor that the rho stage
+    cannot split within its budget raises FactorizationBudgetExceeded."""
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}

@@ -7,8 +7,9 @@ Curve files are JSON with rational coefficients as strings, low degree first:
      "G1": ["226", "1"], "G2": ["0", "-678", "1"], "G3": ["-89383", "-678", "1"]}
 
 Exit codes: 0 ok; 1 verification failure; 2 invalid input (an unreadable or
-malformed curve file, an unsupported model, or a --places name that is not a
-bad place); 3 a `ctp` run stopped by a failed search, self-check or dimension
+malformed curve file, an unsupported model, curve data with a composite factor
+the factorization budget cannot split, or a --places name that is not a bad
+place); 3 a `ctp` run stopped by a failed search, self-check or dimension
 check (partial JSON naming the stage in "failed_at"), or a heuristic or
 unproven result under --strict.
 """
@@ -321,17 +322,17 @@ def main(argv=None) -> int:
         return 0
 
     # full pipeline
-    places = None
-    if args.places:
-        bad = places_of(bad_places(curve))
-        chosen = {s.strip() for s in args.places.split(",")}
-        unknown = sorted(chosen.difference(str(v) for v in bad))
-        if unknown:
-            print(f"error: --places: not a bad place: {', '.join(unknown)}; "
-                  f"the bad places are {', '.join(str(v) for v in bad)}", file=sys.stderr)
-            return 2
-        places = [v for v in bad if str(v) in chosen]
     try:
+        places = None
+        if args.places:
+            bad = places_of(bad_places(curve))
+            chosen = {s.strip() for s in args.places.split(",")}
+            unknown = sorted(chosen.difference(str(v) for v in bad))
+            if unknown:
+                print(f"error: --places: not a bad place: {', '.join(unknown)}; "
+                      f"the bad places are {', '.join(str(v) for v in bad)}", file=sys.stderr)
+                return 2
+            places = [v for v in bad if str(v) in chosen]
         report = _ctp_report(curve, label, cfg, cache, places)
     except CurveError as e:
         print(f"error: {e}", file=sys.stderr)

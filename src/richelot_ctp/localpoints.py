@@ -27,7 +27,9 @@ only for a vector the search keeps or a point it returns (and must match its
 mask).  A quadratic is certified only for a mask its walk has not yet
 yielded.  Each place has one domain walk, shared by `local_images` and every
 `find_local_point` target there; an escalation walks only the tiers whose
-bounds it changes.
+bounds it changes.  Single points come in blocks x = c + r p^j over the unit
+residues r; once the pairs tier's pool is full, a block whose dominant
+Taylor terms fix every factor's square class is read once per unit class.
 """
 
 from __future__ import annotations
@@ -204,14 +206,15 @@ def _common_denominator(a: Fraction, b: Fraction) -> tuple[int, int, int]:
     return a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q
 
 
-def _res2(an: int, bn: int, q: int, L) -> tuple[int, int]:
+def _res2(an: int, bn: int, q: int, form) -> tuple[int, int]:
     """prod over roots x_j of monic x^2 + (an/q) x + bn/q of L(x_j), as an
     integer numerator and denominator, via symmetric functions.
 
-    With e1 = -an/q, e2 = bn/q and L = C/den (degree <= 2), the product
-    times (q den)^2 is an integer; that square is the denominator.
+    With e1 = -an/q, e2 = bn/q and L = C/den (degree <= 2) given by its
+    `poly_integer_form` (C, den), the product times (q den)^2 is an
+    integer; that square is the denominator.
     """
-    C, den = poly_integer_form(L)
+    C, den = form
     c0, c1, c2 = (C + (0, 0, 0))[:3]
     return (c2 * c2 * bn * bn - c2 * c1 * an * bn + c2 * c0 * (an * an - 2 * bn * q)
             + c1 * c1 * bn * q - c1 * c0 * an * q + c0 * c0 * q * q), (den * q) ** 2
@@ -227,10 +230,8 @@ def _point_markers(D: MumfordDivisor, curve: RichelotPair) -> list:
         return []
     if D.tag == "weierstrass_pair":
         roots = curve.roots if D.side == DOMAIN else _codomain_root_slots(curve)
-        out = []
-        for m in sorted(D.torsion.support, key=lambda m: (1, 0) if m == INF else (0, m)):
-            out.append(("inf",) if m == INF else ("x", roots[m]))
-        return out
+        return [("inf",) if m == INF else ("x", roots[m])
+                for m in sorted(D.torsion.support, key=lambda m: (1, 0) if m == INF else (0, m))]
     if D.tag == "point_plus_infinity":
         return [("x", D.xs[0]), ("inf",)]
     return [("x", x) for x in D.xs]
@@ -320,12 +321,13 @@ def _point_factors(curve: RichelotPair, side: str, forms: list,
 def _triple_slot_values(D: MumfordDivisor, curve: RichelotPair) -> tuple[Fraction, ...]:
     """Exact rational slot values of the kernel descent map on D's side."""
     side = D.side
-    polys = curve.G if side == DOMAIN else curve.L
     if D.tag == "identity":
         return (Fraction(1),) * 3
+    # the factor values in their homogenized integer form
+    forms = [poly_integer_form(g) for g in (curve.G if side == DOMAIN else curve.L)]
     if D.tag == "quadratic":
         an, bn, q = _common_denominator(*D.quad)
-        vals = [Fraction(*_res2(an, bn, q, g)) for g in polys]
+        vals = [Fraction(*_res2(an, bn, q, form)) for form in forms]
         if 0 in vals:
             # A is this factor up to scaling: the kernel divisor; both points
             # take the Weierstrass special value
@@ -337,9 +339,7 @@ def _triple_slot_values(D: MumfordDivisor, curve: RichelotPair) -> tuple[Fractio
     inf_vals = None
     if side == CODOMAIN and any(m[0] == "inf" for m in markers):
         inf_vals = _codomain_inf_values(curve)
-    # each slot accumulates as an integer numerator and denominator, with
-    # the factor values in their homogenized integer form
-    forms = [poly_integer_form(g) for g in polys]
+    # each slot accumulates as an integer numerator and denominator
     nums, dens = [1, 1, 1], [1, 1, 1]
     for marker in markers:
         if marker[0] == "inf":
@@ -365,23 +365,17 @@ def _quintuple_slot_values(D: MumfordDivisor, curve: RichelotPair) -> tuple[Frac
         return (Fraction(1),) * 5
     if D.tag == "quadratic":
         an, bn, q = _common_denominator(*D.quad)
-        return tuple(Fraction(*_res2(an, bn, q, (-w, 1))) for w in roots)
+        return tuple(Fraction(*_res2(an, bn, q, poly_integer_form((-w, 1)))) for w in roots)
     vals = [Fraction(1)] * 5
     for marker in _point_markers(D, curve):
         if marker[0] == "inf":
-            for i in range(5):
-                vals[i] *= lam
+            vals = [y * lam for y in vals]
             continue
+        # a Weierstrass point w_i contributes lam prod_{l != i} (w_i - w_l)
+        # to its own slot
         x = marker[1]
-        for i, w in enumerate(roots):
-            if x == w:
-                prod = lam
-                for l, wl in enumerate(roots):
-                    if l != i:
-                        prod *= w - wl
-                vals[i] *= prod
-            else:
-                vals[i] *= x - w
+        vals = [y * (x - w if x != w else lam * math.prod(w - wl for wl in roots if wl != w))
+                for y, w in zip(vals, roots)]
     return tuple(vals)
 
 
@@ -447,13 +441,14 @@ def _checked_image(D: MumfordDivisor, mask: int, curve: RichelotPair,
 # ---------------------------------------------------------------------------
 
 
-def _mod_quadratic_ints(f, an: int, bn: int, q: int) -> tuple[int, int, int]:
-    """f mod (x^2 + (an/q) x + bn/q) as integers (U, W, s): remainder (U x + W)/s.
+def _mod_quadratic_ints(f_form, an: int, bn: int, q: int) -> tuple[int, int, int]:
+    """f mod (x^2 + (an/q) x + bn/q) as integers (U, W, s): remainder (U x + W)/s,
+    for f given by its `poly_integer_form` (C, den).
 
     Horner's rule on the remainder u x + w (multiply by x, add c), kept over
-    the scale den q^j after j coefficients, where den clears f's denominators.
+    the scale den q^j after j coefficients.
     """
-    C, den = poly_integer_form(f)
+    C, den = f_form
     U = W = 0
     qpow = 1
     for c in reversed(C):
@@ -472,17 +467,20 @@ def quadratic_mumford_certificate(curve_f, A, v: LocalPlace, prec: int = 24) -> 
     p-adic digits and raises InsufficientPrecision rather than guessing.
     """
     a, b = Fraction(A[0]), Fraction(A[1])
-    return _quadratic_certificate(curve_f, *_common_denominator(a, b), v, prec)
+    return _quadratic_certificate(poly_integer_form(curve_f), *_common_denominator(a, b),
+                                  v, prec)
 
 
-def _quadratic_certificate(f, an: int, bn: int, q: int, v: LocalPlace, prec: int = 24) -> bool:
-    """`quadratic_mumford_certificate` for A = x^2 + (an/q) x + bn/q.
+def _quadratic_certificate(f_form, an: int, bn: int, q: int, v: LocalPlace,
+                           prec: int = 24) -> bool:
+    """`quadratic_mumford_certificate` for A = x^2 + (an/q) x + bn/q and f
+    given by its `poly_integer_form`.
 
     With xi = (U x + W)/s, the discriminant, norm and trace are
     (an^2 - 4 bn q)/q^2, (q W^2 - an U W + bn U^2)/(q s^2) and
     (2 q W - an U)/(q s); their square classes are read from the integers.
     """
-    U, W, s = _mod_quadratic_ints(f, an, bn, q)
+    U, W, s = _mod_quadratic_ints(f_form, an, bn, q)
     p = v.p
     if p is None:
         # irreducible over R means conjugate complex points; C is quadratically
@@ -551,69 +549,93 @@ def _root_centers(f, p: int, depth: int) -> list[Fraction]:
     if p > 1000:
         return []
     fi, _ = poly_integer_form(f)
-    g = 0
-    for c in fi:
-        g = math.gcd(g, c)
+    g = math.gcd(*fi)
     fi = [c // g for c in fi]
     fprime = [i * c for i, c in enumerate(fi)][1:]
     centers = []
     for t in range(p):
-        val = 0
-        for c in reversed(fi):
-            val = (val * t + c) % p
-        if val:
-            continue
-        der = 0
-        for c in reversed(fprime):
-            der = (der * t + c) % p
-        if der == 0:
-            continue  # multiple root mod p; grid sampling has to cover it
+        if homogenized_eval(fi, t, 1)[0] % p or not homogenized_eval(fprime, t, 1)[0] % p:
+            continue  # no root, or a multiple root mod p; grid sampling has to cover it
         x, mod = t, p
         for _ in range(depth):
             mod *= p
-            fx = dx = 0
-            for c in reversed(fi):
-                fx = (fx * x + c) % mod
-            for c in reversed(fprime):
-                dx = (dx * x + c) % mod
+            dx = homogenized_eval(fprime, x, 1)[0]
             if dx % p == 0:
                 break
-            x = (x - fx * pow(dx, -1, mod)) % mod
+            x = (x - homogenized_eval(fi, x, 1)[0] * pow(dx, -1, mod)) % mod
         centers.append(Fraction(x))
     return centers
 
 
-def _x_candidates(curve: RichelotPair, side: str, v: LocalPlace,
-                  cfg: SearchConfig) -> Iterator[tuple[int, int]]:
-    """Candidate x-coordinates as (numerator, denominator) in lowest terms,
-    each once, made as the search asks for them."""
-    f = curve.f if side == DOMAIN else curve.fhat
+def _x_blocks(curve: RichelotPair, side: str, p: int, cfg: SearchConfig) -> Iterator:
+    """The blocks (c, j, generic) of candidates x = c + r p^j, r over the
+    unit residues: near-root refinements of every root centre c for
+    j = 1..val_bound first (they carry the interesting classes, and the
+    pairs tier feeds on the earliest points found), then the grid r p^e,
+    which is c = 0 and j = e for |e| <= val_bound.
+
+    A block is generic when each factor has one Taylor term a_k t^k at c
+    (t = r p^j) with v(a_k) + k j below every other term's by at least 1,
+    or 3 at p = 2.  Every factor value is then a_k t^k times a square, so
+    the factor classes, and whether f(x) is a square, depend on r only
+    through its square class.
+    """
+    vb = cfg.val_bound
     rational_roots = curve.roots if side == DOMAIN else curve.codomain_roots
+    centers = list(rational_roots) + [
+        c for c in _root_centers(curve.f if side == DOMAIN else curve.fhat, p, vb)
+        if not any(valuation(c - r, p) >= vb for r in rational_roots if c != r)]
+    margin = 3 if p == 2 else 1
+    for c, js in [(c, range(1, vb + 1)) for c in centers] + [(Fraction(0), range(-vb, vb + 1))]:
+        # per factor, (k, v(a_k)) for the nonzero Taylor coefficients of
+        # g(c + t) = sum a_k t^k, a_k = sum_i binom(i, k) g_i c^(i-k)
+        terms = [[(k, valuation(a, p)) for k, a in enumerate(
+            [sum(math.comb(i, k) * g[i] * c ** (i - k) for i in range(k, len(g)))
+             for k in range(len(g))]) if a] for g in (curve.G if side == DOMAIN else curve.L)]
+        for j in js:
+            yield c, j, all(len(o) < 2 or o[0] + margin <= o[1] for o in (
+                sorted(v + k * j for k, v in factor) for factor in terms))
+
+
+def _block_xs(c: Fraction, j: int, p: int, rs) -> Iterator:
+    """The candidates c + r p^j of a block, r in rs, as (n, d) in lowest
+    terms (gcd(cn + k cd, cd) = 1, and a unit r is prime to p)."""
+    step, d = (p ** j * c.denominator, c.denominator) if j >= 0 else (1, p ** -j)  # c = 0
+    return ((c.numerator + r * step, d) for r in rs)
+
+
+def _x_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfig,
+                  fast=None) -> Iterator[tuple[int, int]]:
+    """Candidate x-coordinates as (numerator, denominator) in lowest terms,
+    made as the search asks for them: the blocks of `_x_blocks` in turn,
+    each candidate once.
+
+    While `fast()` holds, a generic block gives only the first r of each
+    unit class, and is not recorded against repeats: the singles tier asks
+    for this once a repeat of a class it has handled can change nothing.
+    """
     if v.p is None:
         # one sample inside every region where f has constant sign; the
         # positive ones are kept by the caller
+        f = curve.f if side == DOMAIN else curve.fhat
         yield from ((x.numerator, x.denominator) for x in real_region_samples(f)
                     if poly_eval(f, x) > 0)
         return
     p = v.p
     units = _unit_residues(p, cfg.residue_exponent)
-    # near-root refinements root + r p^j first: they carry the interesting
-    # classes, and the pairs tier feeds on the earliest points found; then r p^e
-    centers = list(rational_roots)
-    for c in _root_centers(f, p, cfg.val_bound):
-        if not any(valuation(c - r, p) >= cfg.val_bound for r in rational_roots if c != r):
-            centers.append(c)
-    near = ((c.numerator + r * p ** j * c.denominator, c.denominator)
-            for c in centers for j in range(1, cfg.val_bound + 1) for r in units)
-    grid = ((r * p ** e, 1) if e >= 0 else (r, p ** -e)
-            for e in range(-cfg.val_bound, cfg.val_bound + 1) for r in units)
-    # every candidate arrives in lowest terms (gcd(rn + k rd, rd) = 1 for a
-    # root rn/rd, and a unit r is prime to p), so (n, d) identifies it
+    # the first residue of each unit class: r mod 8 is the class of a unit
+    # at p = 2, its Legendre symbol at odd p
+    reps = ([r for r in units if r < 8] if p == 2
+            else [1, next(r for r in units if pow(r, (p - 1) // 2, p) != 1)])
     seen = set()
-    for x in itertools.chain(near, grid):
-        if x not in seen:
-            seen.add(x)
-            yield x
+    for c, j, generic in _x_blocks(curve, side, p, cfg):
+        if generic and fast and fast():
+            yield from _block_xs(c, j, p, reps)
+            continue
+        for x in _block_xs(c, j, p, units):
+            if x not in seen:
+                seen.add(x)
+                yield x
 
 
 def _points_among(curve: RichelotPair, side: str, v: LocalPlace,
@@ -678,12 +700,13 @@ def _quadratic_bounds(p: int, cfg: SearchConfig) -> tuple[int, int]:
     return min(cfg.residue_exponent, 3 if p == 2 else 1), min(cfg.val_bound, 4)
 
 
-def _quadratic_mask(an: int, bn: int, q: int, polys, p: int) -> int:
+def _quadratic_mask(an: int, bn: int, q: int, forms, p: int) -> int:
     """The image mask of the quadratic divisor A = x^2 + (an/q) x + bn/q,
     read from the class bits of the integer resultant numerators of `_res2`
-    (the denominators are squares).  The kernel divisor's zero slot takes
-    the product of the other two, so its bits are their XOR."""
-    res = [_res2(an, bn, q, g)[0] for g in polys]
+    on the factors' integer forms (the denominators are squares).  The
+    kernel divisor's zero slot takes the product of the other two, so its
+    bits are their XOR."""
+    res = [_res2(an, bn, q, form)[0] for form in forms]
     if 0 in res:
         i = res.index(0)
         res[i] = res[i - 1] * res[i - 2]
@@ -701,15 +724,17 @@ def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: Se
     if v.p is None:
         return  # conjugate pairs have trivial image over R
     p = v.p
-    f = curve.f if side == DOMAIN else curve.fhat
+    # the integer forms of f and of its factors, derived once per tier
+    f_form = poly_integer_form(curve.f if side == DOMAIN else curve.fhat)
     polys = curve.G if side == DOMAIN else curve.L
+    forms = [poly_integer_form(g) for g in polys]
     exponent, depth = _quadratic_bounds(p, cfg)
     units = _unit_residues(p, exponent)
     if len(units) > 40:
         units = units[:20] + units[-20:]
     coeffs = [(0, 1)]
     for e in range(-2, 3):
-        coeffs.extend((r * p ** e, 1) if e >= 0 else (r, p ** -e) for r in units)
+        coeffs.extend(_block_xs(Fraction(0), e, p, units))
     grid = set(coeffs)
     roots = curve.roots if side == DOMAIN else curve.codomain_roots
     bases = [(g[1] / g[2], g[0] / g[2]) for g in polys if len(g) == 3]
@@ -737,11 +762,11 @@ def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: Se
         disc_n = an * an - 4 * bn * q  # disc = a^2 - 4 b = disc_n / q^2
         if disc_n == 0 or not any(square_class_bits(disc_n, 1, p)):
             continue  # split or degenerate over Q_v: covered by point pairs
-        mask = _quadratic_mask(an, bn, q, polys, p)
+        mask = _quadratic_mask(an, bn, q, forms, p)
         if mask in known:
             continue
         try:
-            if _quadratic_certificate(f, an, bn, q, v):
+            if _quadratic_certificate(f_form, an, bn, q, v):
                 yield MumfordDivisor.quadratic(Fraction(na, da), Fraction(nb, db), side), mask
         except InsufficientPrecision:
             pass
@@ -776,18 +801,24 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
         if side == CODOMAIN and inf_ok:
             inf_mask = _class_mask([square_class_bits(c.numerator, c.denominator, p)
                                     for c in _codomain_inf_values(curve)])
-        xs = _x_candidates(curve, side, v, cfg)
+        # a pair {P, Q} maps to the product of the points' slot classes, so
+        # once the pool is full it wants one representative per new class; a
+        # point of a class seen before then changes nothing, since its mask
+        # was yielded already: the feed may skip such candidates
+        def full():
+            return len(pool) >= cfg.point_pool
+
+        xs = _x_candidates(curve, side, v, cfg, None if rng else full)
         if rng:
             xs = list(xs)
             rng.shuffle(xs)
         for x, ckey in _points_among(curve, side, v, xs):
+            if full() and ckey in seen_classes:
+                continue
+            seen_classes.add(ckey)
             mask = _class_mask(ckey)
-            # a pair {P, Q} maps to the product of the points' slot classes,
-            # so the pool wants one representative per distinct class
-            if ckey not in seen_classes or len(pool) < cfg.point_pool:
-                seen_classes.add(ckey)
-                if len(pool) < 3 * cfg.point_pool:
-                    pool.append((x, mask))
+            if len(pool) < 3 * cfg.point_pool:
+                pool.append((x, mask))
             if inf_ok:
                 yield MumfordDivisor.point_plus_infinity(x, side), mask ^ inf_mask
 

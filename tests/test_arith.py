@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from richelot_ctp import arith
 from richelot_ctp.arith import (
+    FactorizationBudgetExceeded,
     PlaceSet,
     enumerate_Q_S2,
     factorize,
@@ -59,6 +61,21 @@ def test_factorize_roundtrip():
 def test_factorize_large_semiprime():
     p, q = 1000003, 1000033
     assert factorize(p * q) == {p: 1, q: 1}
+
+
+def test_factorize_splits_two_12_digit_primes_within_the_budget():
+    p, q = 999999999989, 999999999959  # the two largest 12-digit primes
+    assert factorize(p * q) == {p: 1, q: 1}
+
+
+def test_factorize_names_the_cofactor_it_cannot_split(monkeypatch):
+    # a smaller budget reaches the same raise in a fraction of the time
+    monkeypatch.setattr(arith, "_RHO_BUDGET", 1 << 12)
+    p, q = 10 ** 19 + 51, 10 ** 19 + 87
+    with pytest.raises(FactorizationBudgetExceeded, match=f"composite {p * q} "):
+        factorize(8 * 1000003 * p * q)
+    with pytest.raises(FactorizationBudgetExceeded):
+        prime_support(Fraction(3, p * q))
 
 
 def test_enumerate_Q_S2_sizes_and_closure():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from richelot_ctp import arith
 from richelot_ctp.cli import main
 
 CURVE113 = {"label": "k=113", "lambda": "1",
@@ -52,6 +53,28 @@ def test_invalid_curve_exits_2(curve_file, capsys):
                        ("null.json", dict(CURVE113, G2=["0", None, "1"]))):
         assert main(["isogeny", curve_file(data, name)]) == 2
         assert "malformed curve file" in capsys.readouterr().err
+
+
+# lambda is the product of two 20-digit primes, which the rho stage of the
+# factorization cannot split within its budget
+SEMIPRIME = (10 ** 19 + 51) * (10 ** 19 + 87)
+UNFACTORABLE = dict(TOY, label="semiprime", **{"lambda": str(SEMIPRIME)})
+
+
+def test_an_unfactorable_curve_exits_2(curve_file, capsys):
+    assert main(["ctp", curve_file(UNFACTORABLE), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert f"cannot factor the composite {SEMIPRIME} " in captured.err
+
+
+def test_every_command_that_factors_exits_2_on_an_unfactorable_curve(
+        curve_file, capsys, monkeypatch):
+    # a smaller budget reaches the same raise in a fraction of the time
+    monkeypatch.setattr(arith, "_RHO_BUDGET", 1 << 12)
+    for args in (["selmer"], ["ctp", "--places", "2"], ["ctp"]):
+        assert main([args[0], curve_file(UNFACTORABLE)] + args[1:]) == 2, args
+        assert f"cannot factor the composite {SEMIPRIME} " in capsys.readouterr().err
 
 
 def test_unreadable_file_exits_2(capsys):

@@ -19,12 +19,20 @@ CURVES = {
                    "G2": ["-1", "0", "1"], "G3": ["-12", "1", "1"]},
     "irrational": {"label": "irrational", "lambda": "1", "G1": ["0", "1"],
                    "G2": ["-1", "0", "1"], "G3": ["6", "-5", "1"]},
+    # the `large_p` curves, whose singles tier reads generic blocks once per
+    # unit class
+    "A257": {"label": "A257", "lambda": "1", "G1": ["0", "1"],
+             "G2": ["-1", "0", "1"], "G3": ["-66049", "0", "1"]},
+    "A1009": {"label": "A1009", "lambda": "1", "G1": ["0", "1"],
+              "G2": ["-1", "0", "1"], "G3": ["-1018081", "0", "1"]},
 }
 
 SHA256 = {
     "k=113": "af4587259fc0e0de94af4b827077e91ef7f91dd6571b9940cce2667eaa6647a3",
     "fractional": "c678f51ce4a20c7e4eef1e779c963c876f8dab743c4a71458326a18508bbb4fc",
     "irrational": "a31fd44d60b7bf5ff5cfea52f6cd627f4bb84231914828da8c6e28f1c6da9659",
+    "A257": "091e714ea6a999fe5d285bde4f7afe022a210b2802d99453a1e1d3a5a63e8556",
+    "A1009": "5bd436d639b6cca4055562d320c8323932339e1e3d93d55f7e5fc74cb182f4eb",
 }
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from richelot_ctp.curve import build_pair, poly_eval, rational_sqrt
+from richelot_ctp.curve import build_pair, poly_eval, poly_integer_form, rational_sqrt
 from richelot_ctp.localfield import (
     InsufficientPrecision,
     LocalPlace,
@@ -27,14 +27,18 @@ from richelot_ctp.localfield import (
     square_class_bits,
     valuation,
 )
+from richelot_ctp.arith import bad_places
 from richelot_ctp.localpoints import (
     CODOMAIN,
     DOMAIN,
     SearchConfig,
+    _block_xs,
     _common_denominator,
     _mod_quadratic_ints,
     _points_among,
     _res2,
+    _unit_residues,
+    _x_blocks,
     _x_candidates,
     quadratic_mumford_certificate,
 )
@@ -46,6 +50,8 @@ OTHER = (1, 3, 5, 7, 11, 13, 1009, 10007)
 FRACTIONAL = build_pair(4, [Fraction(-1, 2), 1], [-1, 0, 1], [-12, 1, 1])
 IRRATIONAL = build_pair(1, [0, 1], [-1, 0, 1], [6, -5, 1])
 A257 = build_pair(1, [0, 1], [-1, 0, 1], [-257 * 257, 0, 1])
+K113 = build_pair(1, [226, 1], [0, -678, 1], [-7 * 113 * 113, -678, 1])
+B97 = build_pair(1, [0, 1], [2, -3, 1], [5 * 97, -(5 + 97), 1])
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +225,11 @@ def test_quadratic_kernel_matches_fraction_references(p):
         for _ in range(25):
             a = random_rational(rng, p, zero_ok=True)
             b = random_rational(rng, p)
-            U, W, s = _mod_quadratic_ints(f, *_common_denominator(a, b))
+            U, W, s = _mod_quadratic_ints(poly_integer_form(f), *_common_denominator(a, b))
             assert (Fraction(U, s), Fraction(W, s)) == reference_mod_quadratic(f, a, b)
             for L in ((Fraction(-3), Fraction(1)), f[:3]):
-                assert Fraction(*_res2(*_common_denominator(a, b), L)) == reference_res2(a, b, L)
+                got = _res2(*_common_denominator(a, b), poly_integer_form(L))
+                assert Fraction(*got) == reference_res2(a, b, L)
             try:
                 want = reference_certificate(f, a, b, v)
             except InsufficientPrecision:
@@ -302,3 +309,35 @@ def test_singles_factor_xor_decides_like_evaluating_f(curve, p, side):
     # fhat(x) is a square in Q_7 at none of the irrational codomain's
     # candidates (its image at 7 comes from torsion and quadratic divisors)
     assert got or (curve is IRRATIONAL and side == CODOMAIN and p == 7)
+
+
+# a generic block is read once per unit class; every candidate of the class
+# must then have the classes its first one has, on both sides, at every bad
+# prime, under the default grid, a small one and a large one
+@pytest.mark.parametrize("cfg", [SearchConfig(), SearchConfig(residue_exponent=1, val_bound=2),
+                                 SearchConfig(residue_exponent=6, val_bound=8)],
+                         ids=["default", "residue_exponent=1-val_bound=2",
+                              "residue_exponent=6-val_bound=8"])
+@pytest.mark.parametrize("curve", [K113, FRACTIONAL, IRRATIONAL, A257, B97],
+                         ids=["k113", "fractional", "irrational", "A257", "B97"])
+def test_a_generic_block_has_one_class_tuple_per_unit_class(curve, cfg):
+    generic = other = 0
+    for p in bad_places(curve).finite_primes:
+        v = LocalPlace.finite(p)
+        units = _unit_residues(p, cfg.residue_exponent)
+        for side in (DOMAIN, CODOMAIN):
+            polys = curve.G if side == DOMAIN else curve.L
+            for c, j, is_generic in _x_blocks(curve, side, p, cfg):
+                if not is_generic:
+                    other += 1
+                    continue
+                generic += 1
+                by_class = {}
+                for r, (n, d) in zip(units, _block_xs(c, j, p, units)):
+                    assert Fraction(n, d) == c + r * Fraction(p) ** j
+                    values = [fraction_horner(g, Fraction(n, d)) for g in polys]
+                    assert 0 not in values, (str(c), j, r)
+                    unit_class = r % 8 if p == 2 else _legendre(r % p, p)
+                    classes = tuple(reference_class(y, v) for y in values)
+                    assert by_class.setdefault(unit_class, classes) == classes, (p, side, str(c), j, r)
+    assert generic and other  # both kinds of block occur

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from richelot_ctp.cohomology import KummerTriple, psi_two_to_phihat
-from richelot_ctp.curve import INF, TwoTorsionPoint, build_pair, poly_eval
+from richelot_ctp.curve import INF, TwoTorsionPoint, build_pair, poly_eval, poly_integer_form
 from richelot_ctp.localfield import LocalPlace, is_local_square
 from richelot_ctp.localpoints import (
     CODOMAIN,
@@ -279,8 +279,8 @@ def test_quadratic_masks_read_from_resultants_match_images(curve113):
                     cases.append((MumfordDivisor.quadratic(g[1] / g[2], g[0] / g[2]),
                                   MumfordDivisor.rational_pair(*roots)))
             for D, same in cases:
-                polys = curve.G if D.side == DOMAIN else curve.L
-                mask = _quadratic_mask(*_common_denominator(*D.quad), polys, v.p)
+                forms = [poly_integer_form(g) for g in (curve.G if D.side == DOMAIN else curve.L)]
+                mask = _quadratic_mask(*_common_denominator(*D.quad), forms, v.p)
                 assert mask == divisor_image(same, curve, v).mask(), (str(D), str(v))
                 checked += 1
     assert checked >= 40

@@ -26,7 +26,7 @@ import richelot_ctp.localpoints as lp
 from richelot_ctp import gf2
 from richelot_ctp.arith import bad_places
 from richelot_ctp.ctp import ctp_matrix
-from richelot_ctp.curve import build_pair
+from richelot_ctp.curve import build_pair, poly_integer_form
 from richelot_ctp.localfield import (
     InsufficientPrecision,
     LocalPlace,
@@ -48,6 +48,7 @@ from richelot_ctp.localpoints import (
     _codomain_infinity_rational,
     _common_denominator,
     _h1_dim,
+    _point_tiers,
     _points_among,
     _quadratic_bounds,
     _torsion_divisors,
@@ -64,7 +65,12 @@ def exhausting(P):
     return build_pair(1, [0, 1], [2, -3, 1], [5 * P, -(5 + P), 1])
 
 
+def large_prime(P):
+    return build_pair(1, [0, 1], [-1, 0, 1], [-P * P, 0, 1])
+
+
 B97 = exhausting(97)
+A1009 = large_prime(1009)
 CURVES = {
     # the benchmark's `curves` corpus
     "k113": build_pair(1, [226, 1], [0, -678, 1], [-7 * 113 * 113, -678, 1]),
@@ -76,7 +82,12 @@ CURVES = {
     # the `exhausting` corpus, which spends every escalation at 17 and 23
     "B31": exhausting(31),
     "B97": B97,
+    # a `large_p` curve, where the singles tier reads generic blocks once
+    # per unit class
+    "A257": large_prime(257),
 }
+# A1009 runs under the default config only: its walks are the longest
+WITH_A1009 = {**CURVES, "A1009": A1009}
 CONFIGS = {
     "default": SearchConfig(),
     "val_bound=2": SearchConfig(val_bound=2),  # the quadratic bounds grow once
@@ -98,7 +109,7 @@ def oracle_quadratic_candidates(curve, side, v, cfg):
     if v.p is None:
         return  # conjugate pairs have trivial image over R
     p = v.p
-    f = curve.f if side == DOMAIN else curve.fhat
+    f = poly_integer_form(curve.f if side == DOMAIN else curve.fhat)
     exponent, depth = _quadratic_bounds(p, cfg)
     units = _unit_residues(p, exponent)
     if len(units) > 40:
@@ -261,10 +272,11 @@ def point_or_exhausted(target, curve, v, cfg, cache=None):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=str)
-@pytest.mark.parametrize("label", CURVES, ids=str)
+@pytest.mark.parametrize("label, config", [
+    pytest.param(label, config, id=f"{label}-{config}")
+    for label in CURVES for config in CONFIGS] + [pytest.param("A1009", "default")])
 def test_search_matches_the_rewalking_oracle(label, config):
-    curve, cfg = CURVES[label], CONFIGS[config]
+    curve, cfg = WITH_A1009[label], CONFIGS[config]
     places = places_of(bad_places(curve))
     cache = LocalDataCache()
     for v in places:
@@ -282,6 +294,41 @@ def test_search_matches_the_rewalking_oracle(label, config):
 
 
 # ---------------------------------------------------------------------------
+# the singles feed against the flat one
+# ---------------------------------------------------------------------------
+
+
+def kept_by_the_flat_feed(curve, side, v, cfg):
+    """The points of every candidate, in order, less those that repeat a
+    class once the pool is full (they change nothing the search keeps)."""
+    kept, seen = [], set()
+    for x, ckey in _points_among(curve, side, v, list(_x_candidates(curve, side, v, cfg))):
+        if len(kept) < cfg.point_pool or ckey not in seen:
+            seen.add(ckey)
+            kept.append(x)
+    return kept
+
+
+# at every bad place, both sides, under the default grid and a large one:
+# the singles tier yields exactly the points the flat feed keeps, and the
+# pairs tier, which draws on the pool, yields the oracle's pairs
+@pytest.mark.parametrize("cfg", [SearchConfig(), SearchConfig(residue_exponent=6, val_bound=8)],
+                         ids=["default", "residue_exponent=6-val_bound=8"])
+@pytest.mark.parametrize("label", ["k113", "six-root", "fractional", "irrational", "B97",
+                                   "A257", "A1009"])
+def test_the_singles_feed_keeps_what_the_flat_feed_keeps(label, cfg):
+    curve = WITH_A1009[label]
+    for v in places_of(bad_places(curve)):
+        for side in (DOMAIN, CODOMAIN):
+            tiers, oracle = _point_tiers(curve, side, v, cfg), oracle_point_tiers(curve, side, v, cfg)
+            singles = [D.xs[0] for D, _ in tiers[1]]
+            inf_ok = side == DOMAIN or _codomain_infinity_rational(curve, v)
+            assert singles == (kept_by_the_flat_feed(curve, side, v, cfg) if inf_ok else [])
+            list(oracle[1])  # the oracle's pool fills as its singles tier runs
+            assert [D for D, _ in tiers[2]] == list(oracle[2]), (str(v), side)
+
+
+# ---------------------------------------------------------------------------
 # work the search must not repeat
 # ---------------------------------------------------------------------------
 
@@ -290,9 +337,10 @@ def count_certificates(monkeypatch, curve):
     """Count `_quadratic_certificate` calls per (side, A) into the returned Counter."""
     calls = collections.Counter()
     certificate = lp._quadratic_certificate
+    f_form = poly_integer_form(curve.f)
 
     def counted(f, an, bn, q, v, prec=24):
-        calls[(DOMAIN if f == curve.f else CODOMAIN, an, bn, q)] += 1
+        calls[(DOMAIN if f == f_form else CODOMAIN, an, bn, q)] += 1
         return certificate(f, an, bn, q, v, prec)
 
     monkeypatch.setattr(lp, "_quadratic_certificate", counted)
@@ -317,6 +365,7 @@ def record_quadratic_work(monkeypatch, curve):
     log, yielded = [], {DOMAIN: set(), CODOMAIN: set()}
     point_tiers, quadratic_mask = lp._point_tiers, lp._quadratic_mask
     certificate = lp._quadratic_certificate
+    f_form, g_forms = poly_integer_form(curve.f), [poly_integer_form(g) for g in curve.G]
 
     def watched(tier, side):
         for D, mask in tier:
@@ -326,14 +375,14 @@ def record_quadratic_work(monkeypatch, curve):
     def tiers(curve_, side, *args):
         return [watched(tier, side) for tier in point_tiers(curve_, side, *args)]
 
-    def mask(an, bn, q, polys, p):
-        side = DOMAIN if polys == curve.G else CODOMAIN
-        m = quadratic_mask(an, bn, q, polys, p)
+    def mask(an, bn, q, forms, p):
+        side = DOMAIN if forms == g_forms else CODOMAIN
+        m = quadratic_mask(an, bn, q, forms, p)
         log.append(("mask", side, (an, bn, q), m in yielded[side]))
         return m
 
     def certified(f, an, bn, q, v, prec=24):
-        log.append(("certificate", DOMAIN if f == curve.f else CODOMAIN, (an, bn, q)))
+        log.append(("certificate", DOMAIN if f == f_form else CODOMAIN, (an, bn, q)))
         return certificate(f, an, bn, q, v, prec)
 
     monkeypatch.setattr(lp, "_point_tiers", tiers)
@@ -410,6 +459,22 @@ def test_no_image_is_built_for_a_discarded_point_candidate(monkeypatch, label, p
         assert len([E for E in built if E.tag in CANDIDATE_TAGS]) <= 1
 
 
+def test_large_p_singles_tier_reads_generic_blocks_once_per_unit_class(monkeypatch):
+    # the earlier singles tier evaluated the three factors at every residue
+    # of every block: 142220 evaluations for local_images(A1009) at 1009
+    calls = collections.Counter()
+    evaluate = lp.homogenized_eval
+
+    def counted(*args):
+        calls["factor"] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(lp, "homogenized_eval", counted)
+    images = local_images(A1009, LocalPlace.finite(1009))
+    assert images[0].status == CERTIFIED
+    assert calls["factor"] < 142220 / 4
+
+
 # ---------------------------------------------------------------------------
 # the bits-against-witness check
 # ---------------------------------------------------------------------------
@@ -426,6 +491,35 @@ def test_a_corrupt_class_bit_raises(monkeypatch):
     monkeypatch.setattr(lp, "_points_among", corrupted)
     with pytest.raises(ClassBitsMismatch):
         local_images(CURVES["k113"], LocalPlace.finite(3))
+
+
+def test_a_corrupt_class_bit_in_a_generic_block_representative_raises(monkeypatch):
+    # once the pool is full the singles tier reads a generic block through
+    # the first residue of each unit class; flipping a bit of such a point
+    # makes its class look new, so the search keeps it and checks its image
+    block_xs, points_among = lp._block_xs, lp._points_among
+    fast = set()
+
+    def recorded_xs(c, j, p, rs):
+        # a block read once per unit class gets the two classes' first
+        # residues at an odd prime; every other block gets all 1008 units
+        for x in block_xs(c, j, p, rs):
+            if len(rs) == 2:
+                fast.add(x)
+            yield x
+
+    def corrupted(*args):
+        for x, classes in points_among(*args):
+            if (x.numerator, x.denominator) in fast:
+                first = classes[0]
+                classes = ((first[0], first[1] ^ 1),) + classes[1:]
+            yield x, classes
+
+    monkeypatch.setattr(lp, "_block_xs", recorded_xs)
+    monkeypatch.setattr(lp, "_points_among", corrupted)
+    with pytest.raises(ClassBitsMismatch):
+        local_images(A1009, LocalPlace.finite(1009))
+    assert fast
 
 
 def test_a_corrupt_quadratic_class_bit_raises(monkeypatch):
