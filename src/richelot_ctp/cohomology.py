@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .arith import SquareClass, squarefree_reduce
 from .localfield import LocalPlace, LocalSquareClass, hilbert_symbol, local_square_class
@@ -56,57 +57,30 @@ class NotInImageError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _as_classes(components, n) -> tuple[SquareClass, ...]:
-    cs = tuple(c if isinstance(c, SquareClass) else squarefree_reduce(c)
-               for c in components)
-    if len(cs) != n:
-        raise ValueError(f"expected {n} components")
-    prod = SquareClass.one()
-    for c in cs:
-        prod = prod * c
-    if not prod.is_one():
-        raise NormConditionError(f"component product {prod} is not a square")
-    return cs
-
-
 @dataclass(frozen=True)
-class KummerTriple:
-    """Element of the norm-one part of (Q*/(Q*)^2)^3."""
-
-    classes: tuple[SquareClass, SquareClass, SquareClass]
-
-    @staticmethod
-    def of(a, b, c) -> "KummerTriple":
-        return KummerTriple(_as_classes((a, b, c), 3))
-
-    @property
-    def values(self) -> tuple[int, int, int]:
-        return tuple(c.value for c in self.classes)
-
-    def is_trivial(self) -> bool:
-        return all(c.is_one() for c in self.classes)
-
-    def __mul__(self, other: "KummerTriple") -> "KummerTriple":
-        return KummerTriple(tuple(a * b for a, b in zip(self.classes, other.classes)))
-
-    def restrict(self, v: LocalPlace) -> "LocalKummerTriple":
-        return LocalKummerTriple.of(self.values, v)
-
-    def __str__(self) -> str:
-        return "(%d, %d, %d)" % self.values
-
-
-@dataclass(frozen=True)
-class KummerQuintuple:
-    """Element of the norm-one part of (Q*/(Q*)^2)^5."""
+class _KummerTuple:
+    """The body shared by the global tuples; a subclass sets `n`, `local`
+    (its local tuple kind) and its own `of`."""
 
     classes: tuple[SquareClass, ...]
 
-    @staticmethod
-    def of(*cs) -> "KummerQuintuple":
-        if len(cs) == 1 and isinstance(cs[0], (tuple, list)):
-            cs = tuple(cs[0])
-        return KummerQuintuple(_as_classes(cs, 5))
+    @classmethod
+    def at(cls, values, v: Optional[LocalPlace] = None):
+        """The tuple of these slot values: global when v is None (each slot
+        factored once to its signed squarefree class; a SquareClass is kept),
+        else local at v with the raw values as witnesses (class data needs
+        no factorization)."""
+        if v is not None:
+            return cls.local.of(values, v)
+        cs = tuple(c if isinstance(c, SquareClass) else squarefree_reduce(c) for c in values)
+        if len(cs) != cls.n:
+            raise ValueError(f"expected {cls.n} components")
+        prod = SquareClass.one()
+        for c in cs:
+            prod = prod * c
+        if not prod.is_one():
+            raise NormConditionError(f"component product {prod} is not a square")
+        return cls(cs)
 
     @property
     def values(self) -> tuple[int, ...]:
@@ -115,11 +89,11 @@ class KummerQuintuple:
     def is_trivial(self) -> bool:
         return all(c.is_one() for c in self.classes)
 
-    def __mul__(self, other: "KummerQuintuple") -> "KummerQuintuple":
-        return KummerQuintuple(tuple(a * b for a, b in zip(self.classes, other.classes)))
+    def __mul__(self, other):
+        return type(self)(tuple(a * b for a, b in zip(self.classes, other.classes)))
 
-    def restrict(self, v: LocalPlace) -> "LocalKummerQuintuple":
-        return LocalKummerQuintuple.of(self.values, v)
+    def restrict(self, v: LocalPlace):
+        return self.local.of(self.values, v)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(v) for v in self.values) + ")"
@@ -130,36 +104,33 @@ class KummerQuintuple:
 # ---------------------------------------------------------------------------
 
 
-def _local_parts(witnesses, v: LocalPlace, n: int):
-    ws = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in witnesses)
-    if len(ws) != n:
-        raise ValueError(f"expected {n} witnesses")
-    if any(w == 0 for w in ws):
-        raise ValueError("witnesses must be nonzero")
-    classes = tuple(local_square_class(w, v) for w in ws)
-    # the class map is a homomorphism: the product is a square iff the
-    # classes' bits sum to zero in every coordinate
-    if any(sum(col) & 1 for col in zip(*(c.bits for c in classes))):
-        prod = math.prod(ws)
-        raise NormConditionError(f"witness product {prod} is not a square in Q_{v}")
-    return ws, classes
-
-
 @dataclass(frozen=True)
-class LocalKummerTriple:
+class _LocalKummerTuple:
+    """The body shared by the local tuples; a subclass sets `n`."""
+
     place: LocalPlace
-    witnesses: tuple[Fraction, Fraction, Fraction]
+    witnesses: tuple[Fraction, ...]
     classes: tuple[LocalSquareClass, ...]
 
-    @staticmethod
-    def of(witnesses, v: LocalPlace) -> "LocalKummerTriple":
-        ws, cls = _local_parts(witnesses, v, 3)
-        return LocalKummerTriple(v, ws, cls)
+    @classmethod
+    def of(cls, witnesses, v: LocalPlace):
+        ws = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in witnesses)
+        if len(ws) != cls.n:
+            raise ValueError(f"expected {cls.n} witnesses")
+        if any(w == 0 for w in ws):
+            raise ValueError("witnesses must be nonzero")
+        classes = tuple(local_square_class(w, v) for w in ws)
+        # the class map is a homomorphism: the product is a square iff the
+        # classes' bits sum to zero in every coordinate
+        if any(sum(col) & 1 for col in zip(*(c.bits for c in classes))):
+            prod = math.prod(ws)
+            raise NormConditionError(f"witness product {prod} is not a square in Q_{v}")
+        return cls(v, ws, classes)
 
     def is_trivial(self) -> bool:
         return all(c.is_trivial() for c in self.classes)
 
-    def same_class(self, other: "LocalKummerTriple") -> bool:
+    def same_class(self, other) -> bool:
         return self.place == other.place and self.classes == other.classes
 
     def mask(self) -> int:
@@ -169,42 +140,49 @@ class LocalKummerTriple:
             shift += len(c.bits)
         return m
 
-    def __mul__(self, other: "LocalKummerTriple") -> "LocalKummerTriple":
+    def __mul__(self, other):
         if other.place != self.place:
             raise ValueError("mismatched places")
         # raw witness products: local class data never needs factorization
-        return LocalKummerTriple.of(
-            tuple(a * b for a, b in zip(self.witnesses, other.witnesses)), self.place)
+        return self.of(tuple(a * b for a, b in zip(self.witnesses, other.witnesses)), self.place)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c.representative()) for c in self.classes) + ")@" + str(self.place)
 
 
-@dataclass(frozen=True)
-class LocalKummerQuintuple:
-    place: LocalPlace
-    witnesses: tuple[Fraction, ...]
-    classes: tuple[LocalSquareClass, ...]
+# ---------------------------------------------------------------------------
+# the tuple kinds
+# ---------------------------------------------------------------------------
 
-    @staticmethod
-    def of(witnesses, v: LocalPlace) -> "LocalKummerQuintuple":
-        ws, cls = _local_parts(witnesses, v, 5)
-        return LocalKummerQuintuple(v, ws, cls)
 
-    def is_trivial(self) -> bool:
-        return all(c.is_trivial() for c in self.classes)
+class LocalKummerTriple(_LocalKummerTuple):
+    n = 3
 
-    def same_class(self, other: "LocalKummerQuintuple") -> bool:
-        return self.place == other.place and self.classes == other.classes
 
-    def __mul__(self, other: "LocalKummerQuintuple") -> "LocalKummerQuintuple":
-        if other.place != self.place:
-            raise ValueError("mismatched places")
-        return LocalKummerQuintuple.of(
-            tuple(a * b for a, b in zip(self.witnesses, other.witnesses)), self.place)
+class LocalKummerQuintuple(_LocalKummerTuple):
+    n = 5
 
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(c.representative()) for c in self.classes) + ")@" + str(self.place)
+
+class KummerTriple(_KummerTuple):
+    """Element of the norm-one part of (Q*/(Q*)^2)^3."""
+
+    n, local = 3, LocalKummerTriple
+
+    @classmethod
+    def of(cls, a, b, c) -> "KummerTriple":
+        return cls.at((a, b, c))
+
+
+class KummerQuintuple(_KummerTuple):
+    """Element of the norm-one part of (Q*/(Q*)^2)^5."""
+
+    n, local = 5, LocalKummerQuintuple
+
+    @classmethod
+    def of(cls, *cs) -> "KummerQuintuple":
+        if len(cs) == 1 and isinstance(cs[0], (tuple, list)):
+            cs = tuple(cs[0])
+        return cls.at(cs)
 
 
 # ---------------------------------------------------------------------------

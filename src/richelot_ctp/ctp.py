@@ -15,6 +15,8 @@ zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 from typing import Optional, Sequence
 
 from . import gf2
@@ -120,27 +122,19 @@ def _pairing_places(curve: RichelotPair, a, a2, lift) -> list[LocalPlace]:
 
 def ctp_global(a: KummerTriple, a2: KummerTriple, curve: RichelotPair,
                cache: Optional[LocalDataCache] = None, cfg: SearchConfig = SearchConfig(),
-               lift: Optional[KummerQuintuple] = None,
-               breakdown: Optional[dict] = None) -> int:
+               lift: Optional[KummerQuintuple] = None) -> int:
     """The pairing of a and a2, in F2 (0 or 1, i.e. 0 or 1/2 in Q/Z).
 
     Sums local contributions over the bad places; when a custom lift with
     support outside the bad set is supplied, the affected places are included
     so the product formula still closes the sum.
     """
-    if lift is not None and not psi_kills(lift, a):
+    if lift is not None and psi_two_to_phihat(lift).values != a.values:
         raise ValueError("lift does not map to a under the quintuple-to-triple map")
     total = 0
     for v in _pairing_places(curve, a, a2, lift):
-        val = ctp_local(a, a2, curve, v, cache, cfg, lift)
-        if breakdown is not None:
-            breakdown[str(v)] = val
-        total ^= val
+        total ^= ctp_local(a, a2, curve, v, cache, cfg, lift)
     return total
-
-
-def psi_kills(lift: KummerQuintuple, a: KummerTriple) -> bool:
-    return psi_two_to_phihat(lift).values == a.values
 
 
 @dataclass(frozen=True)
@@ -164,18 +158,12 @@ class PairingMatrix:
     def radical_dim(self) -> int:
         return len(self.radical_basis)
 
-    def radical_elements(self) -> list[KummerTriple]:
-        out = []
-        for mask in gf2.Span(self.radical_basis).elements():
-            t = KummerTriple.of(1, 1, 1)
-            for i, b in enumerate(self.basis):
-                if mask >> i & 1:
-                    t = t * b
-            out.append(t)
-        return out
-
     def in_radical(self, t: KummerTriple, primes) -> bool:
-        span = gf2.Span(encode_triple(x, primes) for x in self.radical_elements())
+        """Is t in the radical?  Each radical mask selects basis rows, and the
+        XOR of their F2 coordinates over `primes` is the element's."""
+        rows = [encode_triple(b, primes) for b in self.basis]
+        span = gf2.Span(reduce(xor, (r for i, r in enumerate(rows) if m >> i & 1), 0)
+                        for m in self.radical_basis)
         return encode_triple(t, primes) in span
 
     def qz_entries(self) -> tuple[tuple[str, ...], ...]:

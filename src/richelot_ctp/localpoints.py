@@ -28,8 +28,9 @@ mask).  A quadratic is certified only for a mask its walk has not yet
 yielded.  Each place has one domain walk, shared by `local_images` and every
 `find_local_point` target there; an escalation walks only the tiers whose
 bounds it changes.  Single points come in blocks x = c + r p^j over the unit
-residues r; once the pairs tier's pool is full, a block whose dominant
-Taylor terms fix every factor's square class is read once per unit class.
+residues r; once the pairs tier's pool is full, a block where each factor
+has one Taylor term strictly below the others in valuation, at every p, is
+read once per unit class, since that term fixes the factor's square class.
 """
 
 from __future__ import annotations
@@ -46,11 +47,9 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from . import gf2
-from .arith import squarefree_reduce
 from .cohomology import (
     KummerQuintuple,
     KummerTriple,
-    LocalKummerQuintuple,
     LocalKummerTriple,
     cup_invariant,
 )
@@ -109,7 +108,6 @@ class SearchConfig:
     val_bound: int = 6
     escalations: int = 2
     shuffle_seed: Optional[int] = None
-    point_pool: int = 24
 
     def escalate(self) -> "SearchConfig":
         return replace(self, residue_exponent=self.residue_exponent + 1,
@@ -385,30 +383,21 @@ def mu_two(D: MumfordDivisor, curve: RichelotPair, v: Optional[LocalPlace] = Non
     Global images are canonicalized to signed squarefree witnesses; local
     images keep the raw evaluations (class data needs no factorization).
     """
-    vals = _quintuple_slot_values(D, curve)
-    if v is None:
-        return KummerQuintuple.of(tuple(squarefree_reduce(x).value for x in vals))
-    return LocalKummerQuintuple.of(vals, v)
+    return KummerQuintuple.at(_quintuple_slot_values(D, curve), v)
 
 
 def mu_phihat(D: MumfordDivisor, curve: RichelotPair, v: Optional[LocalPlace] = None):
     """Image of a domain divisor under the dual-kernel descent map (G-evaluations)."""
     if D.side != DOMAIN:
         raise ValueError("mu_phihat consumes domain divisors")
-    vals = _triple_slot_values(D, curve)
-    if v is None:
-        return KummerTriple.of(*(squarefree_reduce(x).value for x in vals))
-    return LocalKummerTriple.of(vals, v)
+    return KummerTriple.at(_triple_slot_values(D, curve), v)
 
 
 def mu_phi(D: MumfordDivisor, curve: RichelotPair, v: Optional[LocalPlace] = None):
     """Image of a codomain divisor under the kernel descent map (L-evaluations)."""
     if D.side != CODOMAIN:
         raise ValueError("mu_phi consumes codomain divisors")
-    vals = _triple_slot_values(D, curve)
-    if v is None:
-        return KummerTriple.of(*(squarefree_reduce(x).value for x in vals))
-    return LocalKummerTriple.of(vals, v)
+    return KummerTriple.at(_triple_slot_values(D, curve), v)
 
 
 def divisor_image(D: MumfordDivisor, curve: RichelotPair, v: Optional[LocalPlace] = None):
@@ -528,6 +517,9 @@ def _padic_two(p: int, prec: int) -> PadicApprox:
 # ---------------------------------------------------------------------------
 
 _RESIDUE_CAP = 128  # enumerate unit residues modulo p^m only while p^m stays small
+# single points the pairs tier pairs up before the singles tier keeps only
+# points of new classes
+_POINT_POOL = 24
 
 
 def _unit_residues(p: int, exponent: int) -> list[int]:
@@ -572,28 +564,35 @@ def _x_blocks(curve: RichelotPair, side: str, p: int, cfg: SearchConfig) -> Iter
     unit residues: near-root refinements of every root centre c for
     j = 1..val_bound first (they carry the interesting classes, and the
     pairs tier feeds on the earliest points found), then the grid r p^e,
-    which is c = 0 and j = e for |e| <= val_bound.
+    which is c = 0 and j = e for |e| <= val_bound.  Each (c, j) comes once.
 
     A block is generic when each factor has one Taylor term a_k t^k at c
-    (t = r p^j) with v(a_k) + k j below every other term's by at least 1,
-    or 3 at p = 2.  Every factor value is then a_k t^k times a square, so
-    the factor classes, and whether f(x) is a square, depend on r only
-    through its square class.
+    (t = r p^j) with v(a_k) + k j below every other term's.  Every factor
+    value is then a_k t^k (1 + u) with v(u) >= 1, and u mod p (mod 8 at
+    p = 2) depends on r only through r mod p (r mod 8), so the factor
+    classes, and whether f(x) is a square, depend on r only through its
+    unit class.
+
+    The domain's roots are all rational (the standing assumption), so they
+    are its centres; the codomain adds the lifted roots of fhat mod p that
+    no rational root stands for.
     """
     vb = cfg.val_bound
     rational_roots = curve.roots if side == DOMAIN else curve.codomain_roots
-    centers = list(rational_roots) + [
-        c for c in _root_centers(curve.f if side == DOMAIN else curve.fhat, p, vb)
-        if not any(valuation(c - r, p) >= vb for r in rational_roots if c != r)]
-    margin = 3 if p == 2 else 1
-    for c, js in [(c, range(1, vb + 1)) for c in centers] + [(Fraction(0), range(-vb, vb + 1))]:
+    centers = list(rational_roots)
+    if side == CODOMAIN:
+        centers += [c for c in _root_centers(curve.fhat, p, vb) if not any(
+            c == r or valuation(c - r, p) >= vb for r in rational_roots)]
+    # a root at 0 has already given the grid's blocks with e >= 1
+    for c, js in [(c, range(1, vb + 1)) for c in centers] + [
+            (Fraction(0), range(-vb, 1 if 0 in centers else vb + 1))]:
         # per factor, (k, v(a_k)) for the nonzero Taylor coefficients of
         # g(c + t) = sum a_k t^k, a_k = sum_i binom(i, k) g_i c^(i-k)
         terms = [[(k, valuation(a, p)) for k, a in enumerate(
             [sum(math.comb(i, k) * g[i] * c ** (i - k) for i in range(k, len(g)))
              for k in range(len(g))]) if a] for g in (curve.G if side == DOMAIN else curve.L)]
         for j in js:
-            yield c, j, all(len(o) < 2 or o[0] + margin <= o[1] for o in (
+            yield c, j, all(len(o) < 2 or o[0] < o[1] for o in (
                 sorted(v + k * j for k, v in factor) for factor in terms))
 
 
@@ -806,7 +805,7 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
         # point of a class seen before then changes nothing, since its mask
         # was yielded already: the feed may skip such candidates
         def full():
-            return len(pool) >= cfg.point_pool
+            return len(pool) >= _POINT_POOL
 
         xs = _x_candidates(curve, side, v, cfg, None if rng else full)
         if rng:
@@ -817,7 +816,7 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
                 continue
             seen_classes.add(ckey)
             mask = _class_mask(ckey)
-            if len(pool) < 3 * cfg.point_pool:
+            if len(pool) < 3 * _POINT_POOL:
                 pool.append((x, mask))
             if inf_ok:
                 yield MumfordDivisor.point_plus_infinity(x, side), mask ^ inf_mask
@@ -857,7 +856,7 @@ class _Walk:
     after round over `configs`, walked once and resumable.  It records the
     first divisor it yields for each mask, and that divisor's checked image.
     A round walks only the tiers whose bounds changed: the torsion tier has
-    none; the singles grid sizes the singles and pairs tiers (with the pool),
+    none; the singles grid sizes the singles and pairs tiers,
     `_quadratic_bounds` the quadratic tier.
     """
 
@@ -875,7 +874,7 @@ class _Walk:
         walked = None
         for config in configs:
             grid = (config.residue_exponent, config.val_bound)
-            bounds = ((), grid, grid + (config.point_pool,),
+            bounds = ((), grid, grid,
                       _quadratic_bounds(v.p, config) if v.p is not None else ())
             tiers = _point_tiers(curve, side, v, config, first)
             for tier, b, w in zip(tiers, bounds, walked or (None,) * 4):
@@ -1037,7 +1036,7 @@ def find_local_point(target, curve: RichelotPair, v: LocalPlace,
 
 # the SearchConfig fields a persisted witness is kept under (witnesses are
 # cached only without a shuffle seed)
-_BOUNDS = ("residue_exponent", "val_bound", "escalations", "point_pool")
+_BOUNDS = ("residue_exponent", "val_bound", "escalations")
 
 
 class LocalDataCache:
@@ -1046,7 +1045,7 @@ class LocalDataCache:
 
     Walks live in memory only and are resumed in place, so a cache serves
     one thread.  Witnesses persist with the config's bounds; a persisted
-    row without them is ignored.
+    row with other bounds fields, or none, is ignored.
     """
 
     def __init__(self, directory: Optional[str] = None):
@@ -1101,7 +1100,7 @@ class LocalDataCache:
             return
         for row in json.loads(path.read_text()):
             if set(row.get("bounds", ())) != set(_BOUNDS):
-                continue  # written without the search bounds: not trusted
+                continue  # written under other search bounds: not trusted
             key = tuple(tuple(b) for b in row["target"])
             self._witnesses[(row["curve"], row["place"], SearchConfig(**row["bounds"]), key)] = (
                 MumfordDivisor.from_json(row["witness"]))

@@ -46,10 +46,6 @@ class KernelCheckError(RuntimeError):
     two-torsion image: the matrix does not describe the local conditions."""
 
 
-def _encoding_primes(S: PlaceSet) -> tuple[int, ...]:
-    return S.finite_primes
-
-
 def _encode_class(c: SquareClass, primes) -> int:
     m = 1 if c.sign < 0 else 0
     for i, p in enumerate(primes):
@@ -107,14 +103,14 @@ class SelmerGroup:
         return len(self.basis)
 
     def span(self) -> gf2.Span:
-        return triple_span(self.basis, _encoding_primes(self.places))
+        return triple_span(self.basis, self.places.finite_primes)
 
     def contains(self, t: KummerTriple) -> bool:
-        return encode_triple(t, _encoding_primes(self.places)) in self.span()
+        return encode_triple(t, self.places.finite_primes) in self.span()
 
     def same_group(self, generators) -> bool:
         """Subgroup equality against another generator list, basis-free."""
-        primes = _encoding_primes(self.places)
+        primes = self.places.finite_primes
         return gf2.same_span((encode_triple(t, primes) for t in generators),
                              (encode_triple(t, primes) for t in self.basis))
 
@@ -124,7 +120,7 @@ def torsion_images(curve: RichelotPair, side: str) -> list[KummerTriple]:
     map of `side`, deduplicated to an F2 subgroup basis."""
     curve.require_five_roots()
     S = bad_places(curve)
-    primes = _encoding_primes(S)
+    primes = S.finite_primes
     divisors = _torsion_divisors(curve, DOMAIN if side == PHIHAT else CODOMAIN)
     span = gf2.Span()
     basis = []
@@ -165,7 +161,7 @@ def selmer_group(curve: RichelotPair, side: str, cfg: SearchConfig = SearchConfi
     if cache is None:
         cache = LocalDataCache()
     S = bad_places(curve)
-    primes = _encoding_primes(S)
+    primes = S.finite_primes
     places = places_of(S)
     n = len(primes) + 1
     gens = (-1,) + primes

@@ -119,8 +119,8 @@ def run_verification(cfg: SearchConfig = SearchConfig(),
           psi_phi_to_two(KummerTriple.of(K, -7 * K, -7)).values
           == (1, -7, -7, -7 * K, -7 * K))
     check("quintuple-to-triple map",
-          psi_two_to_phihat_vals((K, 1, K, 1, 1)) == (K, K, 1)
-          and psi_two_to_phihat_vals((2, 6, 3, -1, -1)) == (2, 2, 1))
+          psi_two_to_phihat(KummerQuintuple.of(K, 1, K, 1, 1)).values == (K, K, 1)
+          and psi_two_to_phihat(KummerQuintuple.of(2, 6, 3, -1, -1)).values == (2, 2, 1))
     check("lift section",
           all(lift_phihat_to_two(KummerTriple.of(*t)).values == e for t, e in
               (((K, K, 1), (K, 1, K, 1, 1)),
@@ -189,7 +189,3 @@ def run_verification(cfg: SearchConfig = SearchConfig(),
     check("six-term dimensions", rep.sequence_dims == (2, 4, 2, 3, 6, 3)
           and rep.alternating_sum() == 0, f"got {rep.sequence_dims}")
     return results
-
-
-def psi_two_to_phihat_vals(vals):
-    return psi_two_to_phihat(KummerQuintuple.of(*vals)).values

@@ -117,6 +117,14 @@ def test_kernel_contains_torsion_images(curve113, sel_phihat, matrix, cache):
             assert ctp_global(t, x, curve113, cache) == 0
 
 
+def test_a_class_that_pairs_nontrivially_is_not_in_the_radical(curve113, matrix, cache):
+    S = bad_places(curve113)
+    assert ctp_global(T1, T2, curve113, cache) == 1
+    assert not matrix.in_radical(T1, S.finite_primes)
+    assert not matrix.in_radical(T1 * T2 * G1, S.finite_primes)
+    assert matrix.in_radical(G1 * G2 * T3, S.finite_primes)
+
+
 def test_bilinearity_on_full_group(curve113, sel_phihat, cache):
     elems = sel_phihat.elements
     table = {}

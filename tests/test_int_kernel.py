@@ -51,6 +51,7 @@ FRACTIONAL = build_pair(4, [Fraction(-1, 2), 1], [-1, 0, 1], [-12, 1, 1])
 IRRATIONAL = build_pair(1, [0, 1], [-1, 0, 1], [6, -5, 1])
 A257 = build_pair(1, [0, 1], [-1, 0, 1], [-257 * 257, 0, 1])
 K113 = build_pair(1, [226, 1], [0, -678, 1], [-7 * 113 * 113, -678, 1])
+B31 = build_pair(1, [0, 1], [2, -3, 1], [5 * 31, -(5 + 31), 1])
 B97 = build_pair(1, [0, 1], [2, -3, 1], [5 * 97, -(5 + 97), 1])
 
 
@@ -341,3 +342,28 @@ def test_a_generic_block_has_one_class_tuple_per_unit_class(curve, cfg):
                     classes = tuple(reference_class(y, v) for y in values)
                     assert by_class.setdefault(unit_class, classes) == classes, (p, side, str(c), j, r)
     assert generic and other  # both kinds of block occur
+
+
+# no block is walked twice: a rational root is not found again by the root
+# scan, and a root at 0 is not walked again by the grid; the domain's roots
+# are all rational, so its centres are exactly its roots
+@pytest.mark.parametrize("curve", [K113, FRACTIONAL, IRRATIONAL, A257, B31, B97],
+                         ids=["k113", "fractional", "irrational", "A257", "B31", "B97"])
+def test_each_block_comes_once_and_the_domain_centres_are_its_roots(curve):
+    for p in bad_places(curve).finite_primes:
+        for side in (DOMAIN, CODOMAIN):
+            blocks = [(c, j) for c, j, _ in _x_blocks(curve, side, p, SearchConfig())]
+            assert len(blocks) == len(set(blocks)), (p, side)
+            if side == DOMAIN:
+                # the grid is the blocks at c = 0
+                assert {c for c, _ in blocks} == set(curve.roots) | {0}, p
+
+
+# margin 1 at p = 2 as at odd p: candidates at 2 are grouped by r mod 8, so
+# one dominant Taylor term fixes the factor classes (the generic-block test
+# above checks every block this marks generic); a margin of 3 at 2 makes only
+# 12 of these 37 blocks generic
+def test_most_domain_blocks_at_2_are_generic():
+    blocks = list(_x_blocks(K113, DOMAIN, 2, SearchConfig()))
+    assert len(blocks) == 37
+    assert sum(generic for _, _, generic in blocks) >= 29

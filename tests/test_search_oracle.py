@@ -189,9 +189,9 @@ def oracle_point_tiers(curve, side, v, cfg):
         if rng:
             rng.shuffle(xs)
         for x, ckey in _points_among(curve, side, v, xs):
-            if ckey not in seen_classes or len(good_xs) < cfg.point_pool:
+            if ckey not in seen_classes or len(good_xs) < lp._POINT_POOL:
                 seen_classes.add(ckey)
-                if len(good_xs) < 3 * cfg.point_pool:
+                if len(good_xs) < 3 * lp._POINT_POOL:
                     good_xs.append(x)
             if inf_ok:
                 yield MumfordDivisor.point_plus_infinity(x, side)
@@ -303,7 +303,7 @@ def kept_by_the_flat_feed(curve, side, v, cfg):
     class once the pool is full (they change nothing the search keeps)."""
     kept, seen = [], set()
     for x, ckey in _points_among(curve, side, v, list(_x_candidates(curve, side, v, cfg))):
-        if len(kept) < cfg.point_pool or ckey not in seen:
+        if len(kept) < lp._POINT_POOL or ckey not in seen:
             seen.add(ckey)
             kept.append(x)
     return kept
