@@ -8,10 +8,14 @@ Curve files are JSON with rational coefficients as strings, low degree first:
 
 Exit codes: 0 ok; 1 verification failure; 2 invalid input (an unreadable or
 malformed curve file, an unsupported model, curve data with a composite factor
-the factorization budget cannot split, or a --places name that is not a bad
-place); 3 a `ctp` run stopped by a failed search, self-check or dimension
-check (partial JSON naming the stage in "failed_at"), or a heuristic or
-unproven result under --strict.
+the factorization budget cannot split, a --places name that is not a bad
+place, or a search flag below its minimum: 1 for --precision, 0 for
+--val-bound and --escalations); 3 a `ctp` run stopped by a failed search,
+self-check or dimension check (partial JSON naming the stage in "failed_at"),
+or a heuristic or unproven result under --strict.
+
+With --cache-dir, `selmer` and `ctp` write the witnesses they found once, when
+the command ends with exit 0 or 3.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import json
 import sys
 from fractions import Fraction
 
-from .arith import bad_places
 from .cohomology import NotInImageError
 from .ctp import InconsistentDimensions, LocalRow, ctp_matrix, rank_report
 from .curve import INF, CurveError, RichelotPair, build_pair, poly, poly_str
@@ -132,7 +135,7 @@ def _ctp_report(curve, label, cfg, cache, places=None) -> dict:
     report = {
         "curve": _curve_echo(curve, label),
         "isogeny": _isogeny_dict(curve, label),
-        "bad_places": [str(v) for v in places_of(bad_places(curve))],
+        "bad_places": [str(v) for v in places_of(curve.bad_places)],
         "selmer": {"phihat": _selmer_dict(sel_hat), "phi": _selmer_dict(sel_phi)},
         "local_tables": {
             str(a.values): {str(r.place): _row_dict(r) for r in rows}
@@ -238,13 +241,25 @@ def _emit(report, as_json: bool, renderer=None):
         (renderer or _print_tables)(report)
 
 
+def _at_least(low: int):
+    """An argparse type: an integer of at least `low`, as `SearchConfig`
+    requires of its bounds."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type when int() fails
+    return parse
+
+
 def _add_search_flags(p: argparse.ArgumentParser):
-    p.add_argument("--precision", type=int, default=4,
-                   help="residue modulus exponent for the local point search")
-    p.add_argument("--val-bound", type=int, default=6,
-                   help="valuation window for the local point search")
-    p.add_argument("--escalations", type=int, default=2,
-                   help="number of times search bounds may escalate")
+    p.add_argument("--precision", type=_at_least(1), default=4,
+                   help="residue modulus exponent for the local point search (>= 1)")
+    p.add_argument("--val-bound", type=_at_least(0), default=6,
+                   help="valuation window for the local point search (>= 0)")
+    p.add_argument("--escalations", type=_at_least(0), default=2,
+                   help="number of times search bounds may escalate (>= 0)")
     p.add_argument("--cache-dir", default=None,
                    help="directory for persisting local search witnesses")
     p.add_argument("--strict", action="store_true",
@@ -302,30 +317,38 @@ def main(argv=None) -> int:
         _emit(_isogeny_dict(curve, label), args.json, _print_isogeny)
         return 0
 
-    cfg = _cfg_of(args)
     cache = LocalDataCache(args.cache_dir)
+    run = _selmer_command if args.command == "selmer" else _ctp_command
+    code = run(args, curve, label, _cfg_of(args), cache)
+    if code != 2:
+        cache.save()  # the witnesses found, written once per run
+    return code
 
-    if args.command == "selmer":
-        try:
-            sel = selmer_group(curve, args.side, cfg, cache)
-        except CurveError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        report = {"curve": _curve_echo(curve, label),
-                  "selmer": _selmer_dict(sel),
-                  "config": {"precision": cfg.residue_exponent,
-                             "val_bound": cfg.val_bound,
-                             "escalations": cfg.escalations}}
-        _emit(report, args.json, _print_selmer)
-        if args.strict and sel.status != "certified":
-            return 3
-        return 0
 
-    # full pipeline
+def _selmer_command(args, curve: RichelotPair, label: str, cfg: SearchConfig,
+                    cache: LocalDataCache) -> int:
+    try:
+        sel = selmer_group(curve, args.side, cfg, cache)
+    except CurveError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    report = {"curve": _curve_echo(curve, label),
+              "selmer": _selmer_dict(sel),
+              "config": {"precision": cfg.residue_exponent,
+                         "val_bound": cfg.val_bound,
+                         "escalations": cfg.escalations}}
+    _emit(report, args.json, _print_selmer)
+    if args.strict and sel.status != "certified":
+        return 3
+    return 0
+
+
+def _ctp_command(args, curve: RichelotPair, label: str, cfg: SearchConfig,
+                 cache: LocalDataCache) -> int:
     try:
         places = None
         if args.places:
-            bad = places_of(bad_places(curve))
+            bad = places_of(curve.bad_places)
             chosen = {s.strip() for s in args.places.split(",")}
             unknown = sorted(chosen.difference(str(v) for v in bad))
             if unknown:

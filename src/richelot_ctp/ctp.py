@@ -20,7 +20,7 @@ from operator import xor
 from typing import Optional, Sequence
 
 from . import gf2
-from .arith import bad_places, prime_support
+from .arith import prime_support
 from .cohomology import (
     KummerQuintuple,
     KummerTriple,
@@ -106,7 +106,7 @@ def ctp_local(a: KummerTriple, a2: KummerTriple, curve: RichelotPair, v: LocalPl
 
 
 def _pairing_places(curve: RichelotPair, a, a2, lift) -> list[LocalPlace]:
-    S = bad_places(curve)
+    S = curve.bad_places
     extra = set()
     for t in (a, a2):
         for val in t.values:
@@ -189,7 +189,7 @@ def ctp_matrix(selmer: SelmerGroup, curve: RichelotPair,
         if not selmer.contains(t):
             raise ValueError(f"{t} is not in the Selmer group")
     if places is None:
-        places = places_of(bad_places(curve))
+        places = places_of(curve.bad_places)
     n = len(bas)
     rows = tuple(tuple(local_row(a, curve, v, cfg, cache) for v in places) for a in bas)
     entries = []

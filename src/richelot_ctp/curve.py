@@ -8,10 +8,20 @@ root special cases downstream can use it literally.
 
 Polynomials are dense tuples of Fractions; `poly_eval` is the hot path of
 the local search and evaluates on integer numerators and denominators.
+
+A `RichelotPair` computes the data that depend on the curve alone once, on
+first use, and holds them: the sextic models f and fhat, the leading
+coefficient, the rational roots, the bad places, the key caches file the
+curve under, and one `SideData` per side with what the local search reads at
+every place (integer forms, Weierstrass and infinite factor values, kernel
+quadratics, real sample points, Taylor coefficients).  Nothing is shared
+between instances, so two equal curves built separately compute it twice.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +35,7 @@ __all__ = [
     "ProductOfEllipticError",
     "UnsupportedModelError",
     "RichelotPair",
+    "SideData",
     "TwoTorsionPoint",
     "build_pair",
     "weil_e2",
@@ -111,6 +122,26 @@ def poly_eval(f: Poly, x: Fraction) -> Fraction:
     C, den = poly_integer_form(f)
     acc, dk = homogenized_eval(C, x.numerator, x.denominator)
     return Fraction(acc, den * dk)
+
+
+def _common_denominator(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """(a q, b q, q) for the least common denominator q of a and b."""
+    q = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
+    return a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q
+
+
+def _res2(an: int, bn: int, q: int, form) -> tuple[int, int]:
+    """prod over roots x_j of monic x^2 + (an/q) x + bn/q of L(x_j), as an
+    integer numerator and denominator, via symmetric functions.
+
+    With e1 = -an/q, e2 = bn/q and L = C/den (degree <= 2) given by its
+    `poly_integer_form` (C, den), the product times (q den)^2 is an
+    integer; that square is the denominator.
+    """
+    C, den = form
+    c0, c1, c2 = (C + (0, 0, 0))[:3]
+    return (c2 * c2 * bn * bn - c2 * c1 * an * bn + c2 * c0 * (an * an - 2 * bn * q)
+            + c1 * c1 * bn * q - c1 * c0 * an * q + c0 * c0 * q * q), (den * q) ** 2
 
 
 def poly_mul(f: Poly, g: Poly) -> Poly:
@@ -277,6 +308,8 @@ def rational_roots_quadratic(g: Poly) -> Optional[tuple[Fraction, Fraction]]:
 # ---------------------------------------------------------------------------
 
 INF = "inf"  # marker for the Weierstrass point at infinity of a 5-root model
+DOMAIN = "domain"
+CODOMAIN = "codomain"
 
 
 @dataclass(frozen=True)
@@ -335,6 +368,11 @@ class RichelotPair:
     untouched).  roots_by_factor groups the Weierstrass x-coordinates per
     factor, each quadratic's pair sorted ascending; `roots` flattens them in
     the slot order the descent maps use.
+
+    Everything derived from these fields is computed on first use and kept
+    on the instance: f, fhat, the leading coefficient, the flat and the
+    codomain roots, `bad_places`, the cache `key`, and the `SideData` of
+    each side (`side_data`), so each place of a run does only its own work.
     """
 
     G: tuple[Poly, Poly, Poly]
@@ -346,23 +384,46 @@ class RichelotPair:
     def degree(self) -> int:
         return 5 if len(self.G[0]) == 2 else 6
 
-    @property
+    @cached_property
     def roots(self) -> tuple[Fraction, ...]:
         return tuple(r for grp in self.roots_by_factor for r in grp)
 
-    @property
+    @cached_property
     def f(self) -> Poly:
         return poly_mul(poly_mul(self.G[0], self.G[1]), self.G[2])
 
-    @property
+    @cached_property
     def leading_coefficient(self) -> Fraction:
         return self.f[-1]
 
-    @property
+    @cached_property
     def fhat(self) -> Poly:
         """The codomain model as y^2 = fhat(x) = L1 L2 L3 / Delta."""
         return poly_scale(poly_mul(poly_mul(self.L[0], self.L[1]), self.L[2]),
                           1 / self.delta)
+
+    @cached_property
+    def bad_places(self):
+        """`arith.bad_places` of this curve, as a `PlaceSet`."""
+        from .arith import bad_places  # arith imports this module
+        return bad_places(self)
+
+    @cached_property
+    def key(self) -> str:
+        """The factors as a JSON string, the key caches keep this curve under."""
+        return json.dumps([[str(c) for c in g] for g in self.G])
+
+    @cached_property
+    def domain_data(self) -> "SideData":
+        return SideData(self, DOMAIN)
+
+    @cached_property
+    def codomain_data(self) -> "SideData":
+        return SideData(self, CODOMAIN)
+
+    def side_data(self, side: str) -> "SideData":
+        """The search data of `side`, DOMAIN or CODOMAIN."""
+        return self.domain_data if side == DOMAIN else self.codomain_data
 
     def require_five_roots(self):
         if self.degree != 5:
@@ -383,7 +444,7 @@ class RichelotPair:
                 out.append(rational_roots_quadratic(Li))
         return tuple(out)
 
-    @property
+    @cached_property
     def codomain_roots(self) -> tuple[Fraction, ...]:
         """The rational roots of the L_i, flattened in factor order."""
         return tuple(r for grp in self.codomain_roots_by_factor if grp for r in grp)
@@ -413,6 +474,113 @@ class RichelotPair:
 
     def label(self) -> str:
         return "y^2 = (%s)(%s)(%s)" % tuple(poly_str(g) for g in self.G)
+
+
+class SideData:
+    """What the local search reads of one side at every place, computed once
+    per curve: the factors (G_i on the domain, L_i on the codomain) and f
+    (f or fhat) with their integer forms, the rational Weierstrass points
+    with their factor values, the factor values at infinity, the kernel
+    divisor of each factor without rational roots, the real sample points
+    and the Taylor coefficients at each centre.  A place adds only its class
+    bits and valuations.  Factor values are integer (numerator, denominator)
+    pairs per factor, in the conventions of the kernel descent map.
+    """
+
+    def __init__(self, curve: RichelotPair, side: str):
+        domain = side == DOMAIN
+        self.factors = curve.G if domain else curve.L
+        self.f = curve.f if domain else curve.fhat
+        self.forms = [poly_integer_form(g) for g in self.factors]
+        self.f_form = poly_integer_form(self.f)
+        # per factor its rational roots, or None where they are irrational
+        self.groups = curve.roots_by_factor if domain else curve.codomain_roots_by_factor
+        self.roots = curve.roots if domain else curve.codomain_roots
+        flat = [r for grp in self.groups for r in (grp or (None, None))]
+        self.slots = {i: r for i, r in enumerate(flat) if r is not None}  # torsion marker -> x
+        # a Weierstrass point's own slot takes the product of the other
+        # factors, times Delta on the codomain
+        self.delta = Fraction(1) if domain else curve.delta
+        self.root_values = {w: self.point_values(w) for w in self.roots}
+        # A point at infinity counts as 1 on the domain.  On a 5-root codomain
+        # (one linear L) infinity is a Weierstrass point, and its values are
+        # pinned by kernel triviality: the divisor {(z,0), inf} cut out by the
+        # linear factor is the image of rational two-torsion under the
+        # isogeny, so it must map to the trivial class; that forces infinity
+        # to take the values of (z, 0), L_j(z) and Delta times the other two
+        # in the linear slot, and makes the norm condition hold for every
+        # divisor containing infinity.  On a 6-root codomain the two infinite
+        # points are ordinary and contribute the leading coefficients of the
+        # L_i; they are Q_v-rational exactly when fhat's leading coefficient
+        # is a local square, which callers must check.
+        lin = curve.codomain_linear_index
+        if domain:
+            self.inf_values = [(1, 1)] * 3
+        elif lin is None:
+            self.inf_values = [(g[-1].numerator, g[-1].denominator) for g in self.factors]
+        else:
+            self.inf_values = self.root_values[self.groups[lin][0]]
+        # (a, b) of the monic x^2 + a x + b for each factor without rational
+        # roots (its conjugate Weierstrass points), with its values
+        self.kernels = {}
+        for g, grp in zip(self.factors, self.groups):
+            if grp is None:
+                a, b = g[1] / g[2], g[0] / g[2]
+                self.kernels[a, b] = self.quadratic_values(a, b)
+        self._taylor: dict = {}
+
+    def point_values(self, x: Fraction) -> list[tuple[int, int]]:
+        """The factor values at a finite point x; at a Weierstrass point its
+        own slot takes the special value."""
+        j = next((i for i, grp in enumerate(self.groups) if grp and x in grp), None)
+        values = []
+        for i, (C, den) in enumerate(self.forms):
+            acc, dk = (0, 1) if i == j else homogenized_eval(C, x.numerator, x.denominator)
+            values.append((acc, den * dk))
+        if j is not None:
+            n, d = self.delta.numerator, self.delta.denominator
+            for i, (fn, fd) in enumerate(values):
+                if i != j:
+                    n *= fn
+                    d *= fd
+            values[j] = (n, d)
+        return values
+
+    def quadratic_values(self, a: Fraction, b: Fraction) -> list[tuple[int, int]]:
+        """The factor values at the quadratic divisor x^2 + a x + b: each
+        factor's product over its two roots.  When it is a factor up to
+        scaling, the kernel divisor, both points take the special value."""
+        an, bn, q = _common_denominator(a, b)
+        values = [_res2(an, bn, q, form) for form in self.forms]
+        for i, (n, d) in enumerate(values):
+            if n == 0:
+                (n1, d1), (n2, d2) = values[i - 1], values[i - 2]
+                values[i] = (n1 * n2 * self.delta.numerator ** 2,
+                             d1 * d2 * self.delta.denominator ** 2)
+        return values
+
+    @cached_property
+    def real_samples(self) -> list[tuple[int, int]]:
+        """(n, d) of one point x = n/d in every real region where f is
+        positive (one sample per region of constant sign, then f(x) > 0)."""
+        return [(x.numerator, x.denominator) for x in real_region_samples(self.f)
+                if poly_eval(self.f, x) > 0]
+
+    @cached_property
+    def quadratic_bases(self) -> list[tuple[Fraction, Fraction]]:
+        """(a, b) of the monic quadratics vanishing on two-torsion x-pairs:
+        each quadratic factor's and each pair of rational roots'."""
+        return ([(g[1] / g[2], g[0] / g[2]) for g in self.factors if len(g) == 3]
+                + [(-(r + s), r * s) for r, s in itertools.combinations(self.roots, 2)])
+
+    def taylor(self, c: Fraction) -> list[list[tuple[int, Fraction]]]:
+        """Per factor g, (k, a_k) for the nonzero Taylor coefficients of
+        g(c + t) = sum a_k t^k, a_k = sum_i binom(i, k) g_i c^(i-k)."""
+        if c not in self._taylor:
+            self._taylor[c] = [[(k, a) for k, a in enumerate(
+                [sum(math.comb(i, k) * g[i] * c ** (i - k) for i in range(k, len(g)))
+                 for k in range(len(g))]) if a] for g in self.factors]
+        return self._taylor[c]
 
 
 def build_pair(lam, G1, G2, G3) -> RichelotPair:

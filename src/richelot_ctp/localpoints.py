@@ -31,6 +31,11 @@ bounds it changes.  Single points come in blocks x = c + r p^j over the unit
 residues r; once the pairs tier's pool is full, a block where each factor
 has one Taylor term strictly below the others in valuation, at every p, is
 read once per unit class, since that term fixes the factor's square class.
+
+The search reads what depends on the curve alone from the curve's
+`SideData` (integer forms, Weierstrass and infinite factor values, kernel
+quadratics, real samples, Taylor coefficients), computed once per curve;
+a place computes only class bits and valuations at p.
 """
 
 from __future__ import annotations
@@ -54,14 +59,16 @@ from .cohomology import (
     cup_invariant,
 )
 from .curve import (
+    CODOMAIN,
+    DOMAIN,
     INF,
     RichelotPair,
     TwoTorsionPoint,
+    _common_denominator,
+    _res2,
     homogenized_eval,
-    poly_eval,
     poly_integer_form,
     rational_sqrt,
-    real_region_samples,
     two_torsion_points,
 )
 from .localfield import (
@@ -88,10 +95,6 @@ __all__ = [
     "local_images",
 ]
 
-DOMAIN = "domain"
-CODOMAIN = "codomain"
-
-
 class SearchExhausted(RuntimeError):
     """No witness divisor found within the escalated search bounds."""
 
@@ -102,12 +105,19 @@ class ClassBitsMismatch(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Bounds for the Mumford-divisor search, surfaced as CLI flags."""
+    """Bounds for the Mumford-divisor search, surfaced as CLI flags; a
+    residue exponent below 1, or a negative valuation bound or escalation
+    count, raises ValueError."""
 
     residue_exponent: int = 4
     val_bound: int = 6
     escalations: int = 2
     shuffle_seed: Optional[int] = None
+
+    def __post_init__(self):
+        for name, low in (("residue_exponent", 1), ("val_bound", 0), ("escalations", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, not {getattr(self, name)}")
 
     def escalate(self) -> "SearchConfig":
         return replace(self, residue_exponent=self.residue_exponent + 1,
@@ -198,26 +208,6 @@ class MumfordDivisor:
 # ---------------------------------------------------------------------------
 
 
-def _common_denominator(a: Fraction, b: Fraction) -> tuple[int, int, int]:
-    """(a q, b q, q) for the least common denominator q of a and b."""
-    q = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
-    return a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q
-
-
-def _res2(an: int, bn: int, q: int, form) -> tuple[int, int]:
-    """prod over roots x_j of monic x^2 + (an/q) x + bn/q of L(x_j), as an
-    integer numerator and denominator, via symmetric functions.
-
-    With e1 = -an/q, e2 = bn/q and L = C/den (degree <= 2) given by its
-    `poly_integer_form` (C, den), the product times (q den)^2 is an
-    integer; that square is the denominator.
-    """
-    C, den = form
-    c0, c1, c2 = (C + (0, 0, 0))[:3]
-    return (c2 * c2 * bn * bn - c2 * c1 * an * bn + c2 * c0 * (an * an - 2 * bn * q)
-            + c1 * c1 * bn * q - c1 * c0 * an * q + c0 * c0 * q * q), (den * q) ** 2
-
-
 def _point_markers(D: MumfordDivisor, curve: RichelotPair) -> list:
     """Finite/infinite point specs of a non-quadratic divisor.
 
@@ -227,55 +217,12 @@ def _point_markers(D: MumfordDivisor, curve: RichelotPair) -> list:
     if D.tag == "identity":
         return []
     if D.tag == "weierstrass_pair":
-        roots = curve.roots if D.side == DOMAIN else _codomain_root_slots(curve)
-        return [("inf",) if m == INF else ("x", roots[m])
+        slots = curve.side_data(D.side).slots
+        return [("inf",) if m == INF else ("x", slots[m])
                 for m in sorted(D.torsion.support, key=lambda m: (1, 0) if m == INF else (0, m))]
     if D.tag == "point_plus_infinity":
         return [("x", D.xs[0]), ("inf",)]
     return [("x", x) for x in D.xs]
-
-
-def _codomain_root_slots(curve: RichelotPair) -> dict:
-    """Flat root index -> x value for the codomain, matching the domain layout
-    (one linear root first only in the sense of per-factor grouping)."""
-    flat = [r for grp in curve.codomain_roots_by_factor for r in (grp or (None, None))]
-    return {i: r for i, r in enumerate(flat) if r is not None}
-
-
-def _factor_index_of_root(curve: RichelotPair, x: Fraction, side: str) -> Optional[int]:
-    """The factor vanishing at x, read from the rational roots of each factor
-    (an irrational group, None, never holds a rational x)."""
-    groups = curve.roots_by_factor if side == DOMAIN else curve.codomain_roots_by_factor
-    for i, grp in enumerate(groups):
-        if grp is not None and x in grp:
-            return i
-    return None
-
-
-def _codomain_inf_values(curve: RichelotPair) -> tuple[Fraction, Fraction, Fraction]:
-    """Slotwise contribution of a point at infinity of the codomain.
-
-    5-root codomain (one linear L): infinity is a Weierstrass point, and the
-    values are pinned by kernel triviality: the divisor {(z,0), inf} cut out
-    by the linear factor is the image of rational two-torsion under the
-    isogeny, so it must map to the trivial class; that forces
-    c_lin = Delta * prod of the other factors at z and c_j = L_j(z)
-    otherwise (and makes the norm condition hold for every divisor
-    containing infinity).
-
-    6-root codomain: the two infinite points are ordinary; each contributes
-    the leading coefficient of L_i per slot.  They are Q_v-rational exactly
-    when the model's leading coefficient is a local square, which is also
-    what makes the norm condition close (prod of lc(L_i) = Delta * lc of the
-    sextic); callers must gate on that.
-    """
-    lin = curve.codomain_linear_index
-    if lin is None:
-        return tuple(Li[-1] for Li in curve.L)
-    z = curve.codomain_roots_by_factor[lin][0]
-    vals = [poly_eval(Li, z) for Li in curve.L]
-    vals[lin] = curve.delta * vals[lin - 1] * vals[lin - 2]
-    return tuple(vals)
 
 
 def _codomain_infinity_rational(curve: RichelotPair, v: LocalPlace) -> bool:
@@ -292,61 +239,19 @@ def _codomain_infinity_rational(curve: RichelotPair, v: LocalPlace) -> bool:
     return is_local_square(lc, v)
 
 
-def _point_factors(curve: RichelotPair, side: str, forms: list,
-                   x: Fraction) -> list[tuple[int, int]]:
-    """The three factor values at a finite point x, each as an integer
-    (numerator, denominator), with the factors in their `poly_integer_form`s.
-
-    At a Weierstrass point its own slot takes the product of the other
-    factors (times Delta on the codomain).
-    """
-    j = _factor_index_of_root(curve, x, side)
-    factors = []
-    for i, (C, den) in enumerate(forms):
-        acc, dk = (0, 1) if i == j else homogenized_eval(C, x.numerator, x.denominator)
-        factors.append((acc, den * dk))
-    if j is not None:
-        n, d = ((curve.delta.numerator, curve.delta.denominator)
-                if side == CODOMAIN else (1, 1))
-        for i, (fn, fd) in enumerate(factors):
-            if i != j:
-                n *= fn
-                d *= fd
-        factors[j] = (n, d)
-    return factors
-
-
 def _triple_slot_values(D: MumfordDivisor, curve: RichelotPair) -> tuple[Fraction, ...]:
     """Exact rational slot values of the kernel descent map on D's side."""
-    side = D.side
     if D.tag == "identity":
         return (Fraction(1),) * 3
-    # the factor values in their homogenized integer form
-    forms = [poly_integer_form(g) for g in (curve.G if side == DOMAIN else curve.L)]
+    data = curve.side_data(D.side)
     if D.tag == "quadratic":
-        an, bn, q = _common_denominator(*D.quad)
-        vals = [Fraction(*_res2(an, bn, q, form)) for form in forms]
-        if 0 in vals:
-            # A is this factor up to scaling: the kernel divisor; both points
-            # take the Weierstrass special value
-            i = vals.index(0)
-            vals[i] = vals[i - 1] * vals[i - 2] * (curve.delta ** 2 if side == CODOMAIN else 1)
-        return tuple(vals)
-
-    markers = _point_markers(D, curve)
-    inf_vals = None
-    if side == CODOMAIN and any(m[0] == "inf" for m in markers):
-        inf_vals = _codomain_inf_values(curve)
+        return tuple(Fraction(n, d) for n, d in data.quadratic_values(*D.quad))
     # each slot accumulates as an integer numerator and denominator
     nums, dens = [1, 1, 1], [1, 1, 1]
-    for marker in markers:
-        if marker[0] == "inf":
-            if side == DOMAIN:
-                continue  # G_i at infinity counts as 1
-            factors = [(c.numerator, c.denominator) for c in inf_vals]
-        else:
-            factors = _point_factors(curve, side, forms, marker[1])
-        for i, (n, d) in enumerate(factors):
+    for marker in _point_markers(D, curve):
+        x = marker[-1]
+        for i, (n, d) in enumerate(data.inf_values if marker[0] == "inf" else
+                                   data.root_values.get(x) or data.point_values(x)):
             nums[i] *= n
             dens[i] *= d
     return tuple(Fraction(n, d) for n, d in zip(nums, dens))
@@ -363,7 +268,9 @@ def _quintuple_slot_values(D: MumfordDivisor, curve: RichelotPair) -> tuple[Frac
         return (Fraction(1),) * 5
     if D.tag == "quadratic":
         an, bn, q = _common_denominator(*D.quad)
-        return tuple(Fraction(*_res2(an, bn, q, poly_integer_form((-w, 1)))) for w in roots)
+        # ((-wn, wd), wd) is the integer form of x - w
+        return tuple(Fraction(*_res2(an, bn, q, ((-w.numerator, w.denominator), w.denominator)))
+                     for w in roots)
     vals = [Fraction(1)] * 5
     for marker in _point_markers(D, curve):
         if marker[0] == "inf":
@@ -530,8 +437,9 @@ def _unit_residues(p: int, exponent: int) -> list[int]:
     return [r for r in range(1, mod) if r % p]
 
 
-def _root_centers(f, p: int, depth: int) -> list[Fraction]:
-    """Hensel-lifted approximations of the simple roots of f mod p.
+def _root_centers(fi, p: int, depth: int) -> list[Fraction]:
+    """Hensel-lifted approximations of the simple roots mod p of the
+    polynomial f with integer coefficients fi (a `poly_integer_form`).
 
     Near-root refinement needs centers p-adically close to every root of f,
     including irrational ones; simple roots mod p lift uniquely to mod
@@ -540,7 +448,6 @@ def _root_centers(f, p: int, depth: int) -> list[Fraction]:
     """
     if p > 1000:
         return []
-    fi, _ = poly_integer_form(f)
     g = math.gcd(*fi)
     fi = [c // g for c in fi]
     fprime = [i * c for i, c in enumerate(fi)][1:]
@@ -578,19 +485,16 @@ def _x_blocks(curve: RichelotPair, side: str, p: int, cfg: SearchConfig) -> Iter
     no rational root stands for.
     """
     vb = cfg.val_bound
-    rational_roots = curve.roots if side == DOMAIN else curve.codomain_roots
-    centers = list(rational_roots)
+    data = curve.side_data(side)
+    centers = list(data.roots)
     if side == CODOMAIN:
-        centers += [c for c in _root_centers(curve.fhat, p, vb) if not any(
-            c == r or valuation(c - r, p) >= vb for r in rational_roots)]
+        centers += [c for c in _root_centers(data.f_form[0], p, vb) if not any(
+            c == r or valuation(c - r, p) >= vb for r in data.roots)]
     # a root at 0 has already given the grid's blocks with e >= 1
     for c, js in [(c, range(1, vb + 1)) for c in centers] + [
             (Fraction(0), range(-vb, 1 if 0 in centers else vb + 1))]:
-        # per factor, (k, v(a_k)) for the nonzero Taylor coefficients of
-        # g(c + t) = sum a_k t^k, a_k = sum_i binom(i, k) g_i c^(i-k)
-        terms = [[(k, valuation(a, p)) for k, a in enumerate(
-            [sum(math.comb(i, k) * g[i] * c ** (i - k) for i in range(k, len(g)))
-             for k in range(len(g))]) if a] for g in (curve.G if side == DOMAIN else curve.L)]
+        # per factor, (k, v(a_k)) for the nonzero Taylor coefficients at c
+        terms = [[(k, valuation(a, p)) for k, a in factor] for factor in data.taylor(c)]
         for j in js:
             yield c, j, all(len(o) < 2 or o[0] < o[1] for o in (
                 sorted(v + k * j for k, v in factor) for factor in terms))
@@ -614,11 +518,7 @@ def _x_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConf
     for this once a repeat of a class it has handled can change nothing.
     """
     if v.p is None:
-        # one sample inside every region where f has constant sign; the
-        # positive ones are kept by the caller
-        f = curve.f if side == DOMAIN else curve.fhat
-        yield from ((x.numerator, x.denominator) for x in real_region_samples(f)
-                    if poly_eval(f, x) > 0)
+        yield from curve.side_data(side).real_samples
         return
     p = v.p
     units = _unit_residues(p, cfg.residue_exponent)
@@ -648,14 +548,11 @@ def _points_among(curve: RichelotPair, side: str, v: LocalPlace,
     are read from their homogenized integer forms, without a Fraction.
     """
     p = v.p
-    polys = curve.G if side == DOMAIN else curve.L
-    forms = [poly_integer_form(g) for g in polys]
-    delta = curve.delta
-    f_class = ((0,) * local_square_dim(v) if side == DOMAIN
-               else square_class_bits(delta.numerator, delta.denominator, p))
+    data = curve.side_data(side)
+    f_class = square_class_bits(data.delta.numerator, data.delta.denominator, p)
     for n, d in xs:
         classes = []
-        for C, den in forms:
+        for C, den in data.forms:
             acc, dk = homogenized_eval(C, n, d)
             if not acc:
                 break  # x is a Weierstrass point
@@ -676,19 +573,14 @@ def _torsion_divisors(curve: RichelotPair, side: str) -> list[MumfordDivisor]:
     if side == DOMAIN:
         return [MumfordDivisor.from_torsion(T, DOMAIN) for T in two_torsion_points(curve)]
     curve.require_five_roots()
-    slots = _codomain_root_slots(curve)
-    markers = sorted(slots)
+    data = curve.codomain_data
+    markers = sorted(data.slots)
     if curve.codomain_degree == 5:
         markers.append(INF)
     out = [MumfordDivisor.identity(CODOMAIN)]
     for m1, m2 in itertools.combinations(markers, 2):
         out.append(MumfordDivisor.from_torsion(TwoTorsionPoint.pair(m1, m2), CODOMAIN))
-    for i, grp in enumerate(curve.codomain_roots_by_factor):
-        if grp is None:
-            Li = curve.L[i]
-            lc = Li[-1]
-            out.append(MumfordDivisor.quadratic(Li[1] / lc, Li[0] / lc, CODOMAIN))
-    return out
+    return out + [MumfordDivisor.quadratic(a, b, CODOMAIN) for a, b in data.kernels]
 
 
 def _quadratic_bounds(p: int, cfg: SearchConfig) -> tuple[int, int]:
@@ -723,10 +615,7 @@ def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: Se
     if v.p is None:
         return  # conjugate pairs have trivial image over R
     p = v.p
-    # the integer forms of f and of its factors, derived once per tier
-    f_form = poly_integer_form(curve.f if side == DOMAIN else curve.fhat)
-    polys = curve.G if side == DOMAIN else curve.L
-    forms = [poly_integer_form(g) for g in polys]
+    data = curve.side_data(side)
     exponent, depth = _quadratic_bounds(p, cfg)
     units = _unit_residues(p, exponent)
     if len(units) > 40:
@@ -735,9 +624,6 @@ def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: Se
     for e in range(-2, 3):
         coeffs.extend(_block_xs(Fraction(0), e, p, units))
     grid = set(coeffs)
-    roots = curve.roots if side == DOMAIN else curve.codomain_roots
-    bases = [(g[1] / g[2], g[0] / g[2]) for g in polys if len(g) == 3]
-    bases += [(-(r + s), r * s) for r, s in itertools.combinations(roots, 2)]
     small = units[:12] + [0]
 
     def near():
@@ -745,7 +631,8 @@ def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: Se
         # quadratics vanishing on two-torsion x-pairs: divisors p-adically near
         # a torsion pair live here, and on degenerate models they may be all
         tried = set()
-        for (a0, b0), j, r1, r2 in itertools.product(bases, range(1, depth + 1), small, small):
+        for (a0, b0), j, r1, r2 in itertools.product(data.quadratic_bases,
+                                                      range(1, depth + 1), small, small):
             a = (a0.numerator + r1 * p ** j * a0.denominator, a0.denominator)
             b = (b0.numerator + r2 * p ** j * b0.denominator, b0.denominator)
             if (r1 or r2) and (a, b) not in tried and not (a in grid and b in grid):
@@ -761,11 +648,11 @@ def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: Se
         disc_n = an * an - 4 * bn * q  # disc = a^2 - 4 b = disc_n / q^2
         if disc_n == 0 or not any(square_class_bits(disc_n, 1, p)):
             continue  # split or degenerate over Q_v: covered by point pairs
-        mask = _quadratic_mask(an, bn, q, forms, p)
+        mask = _quadratic_mask(an, bn, q, data.forms, p)
         if mask in known:
             continue
         try:
-            if _quadratic_certificate(f_form, an, bn, q, v):
+            if _quadratic_certificate(data.f_form, an, bn, q, v):
                 yield MumfordDivisor.quadratic(Fraction(na, da), Fraction(nb, db), side), mask
         except InsufficientPrecision:
             pass
@@ -777,12 +664,29 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
     point); pairs of found points; quadratic Mumford pairs.
 
     Each candidate comes with its image's `LocalKummerTriple.mask`, read
-    from class bits; the quadratic tier skips the masks in `known`.
+    from class bits; the quadratic tier skips the masks in `known`.  A
+    torsion divisor's mask is the XOR of its points', or read from its
+    values for a kernel quadratic, all kept in the side's `SideData`.
     """
     rng = random.Random(cfg.shuffle_seed) if cfg.shuffle_seed is not None else None
     p = v.p
-    polys = curve.G if side == DOMAIN else curve.L
-    weier = curve.roots if side == DOMAIN else curve.codomain_roots
+    data = curve.side_data(side)
+
+    def bits(values) -> int:
+        return _class_mask([square_class_bits(n, d, p) for n, d in values])
+
+    # the masks of the Weierstrass points, and of infinity under "inf"
+    masks = {x: bits(values) for x, values in data.root_values.items()}
+    masks["inf"] = bits(data.inf_values)
+
+    def torsion_mask(D: MumfordDivisor) -> int:
+        if D.quad:
+            return bits(data.kernels[D.quad])
+        m = 0
+        for marker in _point_markers(D, curve):
+            m ^= masks[marker[-1]]  # ("x", x) or ("inf",)
+        return m
+
     pool: list[tuple[Fraction, int]] = []  # found points with their masks
     seen_classes: set = set()
     # the torsion shuffle is the first draw from rng in every walk, so it can
@@ -796,10 +700,6 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
         # a divisor {P, inf} needs the infinite point rational over Q_v; when
         # it is not, the tier still collects points for the pairs tier
         inf_ok = side == DOMAIN or _codomain_infinity_rational(curve, v)
-        inf_mask = 0  # the domain's infinity counts as 1 in every slot
-        if side == CODOMAIN and inf_ok:
-            inf_mask = _class_mask([square_class_bits(c.numerator, c.denominator, p)
-                                    for c in _codomain_inf_values(curve)])
         # a pair {P, Q} maps to the product of the points' slot classes, so
         # once the pool is full it wants one representative per new class; a
         # point of a class seen before then changes nothing, since its mask
@@ -819,27 +719,23 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
             if len(pool) < 3 * _POINT_POOL:
                 pool.append((x, mask))
             if inf_ok:
-                yield MumfordDivisor.point_plus_infinity(x, side), mask ^ inf_mask
+                yield MumfordDivisor.point_plus_infinity(x, side), mask ^ masks["inf"]
 
     def pairs_tier():
-        forms = [poly_integer_form(g) for g in polys]
-        points = [(w, _class_mask([square_class_bits(n, d, p)
-                                   for n, d in _point_factors(curve, side, forms, w)]))
-                  for w in weier] + pool
+        points = [(w, masks[w]) for w in data.roots] + pool
         pairs = itertools.combinations(range(len(points)), 2)
         if rng:
             pairs = list(pairs)
             rng.shuffle(pairs)
-        n_weier = len(weier)
+        n_weier = len(data.roots)
         for i, j in pairs:
             if i < n_weier and j < n_weier:
                 continue  # both Weierstrass: already in the torsion tier
             (x1, m1), (x2, m2) = points[i], points[j]
             yield MumfordDivisor.rational_pair(x1, x2, side), m1 ^ m2
 
-    return [((D, _class_mask([square_class_bits(x.numerator, x.denominator, p)
-                              for x in _triple_slot_values(D, curve)])) for D in torsion),
-            singles_tier(), pairs_tier(), _quadratic_candidates(curve, side, v, cfg, known)]
+    return [((D, torsion_mask(D)) for D in torsion), singles_tier(), pairs_tier(),
+            _quadratic_candidates(curve, side, v, cfg, known)]
 
 
 def _escalated(cfg: SearchConfig) -> Iterator[SearchConfig]:
@@ -1044,13 +940,14 @@ class LocalDataCache:
     each kept under the curve, the place and the search config.
 
     Walks live in memory only and are resumed in place, so a cache serves
-    one thread.  Witnesses persist with the config's bounds; a persisted
-    row with other bounds fields, or none, is ignored.
+    one thread.  Witnesses persist with the config's bounds, when `save` is
+    called; a persisted row with other bounds fields, or none, is ignored.
     """
 
     def __init__(self, directory: Optional[str] = None):
         self._places: dict = {}  # key -> (images, domain walk) of local_images
         self._witnesses: dict = {}
+        self._unsaved = False  # a witness was put since the last save
         self.directory = Path(directory) if directory else None
         if self.directory:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -1058,7 +955,7 @@ class LocalDataCache:
 
     @staticmethod
     def _key(curve: RichelotPair, v, cfg: SearchConfig) -> tuple:
-        return json.dumps([[str(c) for c in g] for g in curve.G]), str(v), cfg
+        return curve.key, str(v), cfg
 
     def get_images(self, curve, v, cfg):
         return self._places.get(self._key(curve, v, cfg), (None, None))[0]
@@ -1074,14 +971,15 @@ class LocalDataCache:
 
     def put_witness(self, curve, v, cfg, key, D):
         self._witnesses[self._key(curve, v, cfg) + (key,)] = D
-        self._persist()
+        self._unsaved = True
 
     # persistence keeps witnesses only; images are cheap to rebuild and their
     # triples do not serialize compactly
-    def _persist(self):
-        """Rewrite witnesses.json atomically: write a temporary file in the
-        same directory, then os.replace it, so no reader sees a partial file."""
-        if not self.directory:
+    def save(self):
+        """Rewrite witnesses.json atomically, if a witness was put since the
+        last save: write a temporary file in the same directory, then
+        os.replace it, so no reader sees a partial file."""
+        if not (self.directory and self._unsaved):
             return
         data = [{"curve": ck, "place": vs, "bounds": {b: getattr(cfg, b) for b in _BOUNDS},
                  "target": [list(b) for b in key], "witness": D.to_json()}
@@ -1093,6 +991,7 @@ class LocalDataCache:
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
+        self._unsaved = False
 
     def _load(self):
         path = self.directory / "witnesses.json"

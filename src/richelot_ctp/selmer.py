@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import gf2
-from .arith import PlaceSet, SquareClass, bad_places
+from .arith import PlaceSet, SquareClass
 from .cohomology import KummerTriple
 from .curve import RichelotPair
 from .localfield import LocalPlace, local_square_class, local_square_dim, places_of
@@ -119,8 +119,7 @@ def torsion_images(curve: RichelotPair, side: str) -> list[KummerTriple]:
     """Images of the rational two-torsion divisors under the global descent
     map of `side`, deduplicated to an F2 subgroup basis."""
     curve.require_five_roots()
-    S = bad_places(curve)
-    primes = S.finite_primes
+    primes = curve.bad_places.finite_primes
     divisors = _torsion_divisors(curve, DOMAIN if side == PHIHAT else CODOMAIN)
     span = gf2.Span()
     basis = []
@@ -160,7 +159,7 @@ def selmer_group(curve: RichelotPair, side: str, cfg: SearchConfig = SearchConfi
     curve.require_five_roots()
     if cache is None:
         cache = LocalDataCache()
-    S = bad_places(curve)
+    S = curve.bad_places
     primes = S.finite_primes
     places = places_of(S)
     n = len(primes) + 1

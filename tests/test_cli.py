@@ -217,10 +217,9 @@ def test_cache_dir_persists(curve_file, tmp_path, capsys):
     assert rc == 0
 
 
-def test_cache_dir_writes_once_per_witness_insert(curve_file, tmp_path, capsys,
-                                                  monkeypatch):
-    # images are never persisted, so only witness inserts rewrite the file,
-    # each through a temporary file that is renamed over witnesses.json
+def test_cache_dir_writes_witnesses_once_per_run(curve_file, tmp_path, capsys, monkeypatch):
+    # images are never persisted; the witnesses are written when the command
+    # ends, through one temporary file renamed over witnesses.json
     import os
 
     from richelot_ctp.localpoints import LocalDataCache
@@ -232,19 +231,26 @@ def test_cache_dir_writes_once_per_witness_insert(curve_file, tmp_path, capsys,
         return real_put(self, *args)
 
     def replace(src, dst):
-        writes.append(dst)
+        writes.append(str(dst))
         return real_replace(src, dst)
 
     monkeypatch.setattr(LocalDataCache, "put_witness", put_witness)
     monkeypatch.setattr(os, "replace", replace)
     cdir = tmp_path / "cache"
-    assert main(["ctp", curve_file(CURVE113), "--json", "--cache-dir", str(cdir)]) == 0
-    capsys.readouterr()
-    assert inserts
-    assert len(writes) == len(inserts)
-    assert {str(w) for w in writes} == {str(cdir / "witnesses.json")}
+    argv = ["ctp", curve_file(CURVE113), "--json", "--cache-dir", str(cdir)]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert len(inserts) > 1
+    assert writes == [str(cdir / "witnesses.json")]
     assert sorted(p.name for p in cdir.iterdir()) == ["witnesses.json"]
     assert len(json.loads((cdir / "witnesses.json").read_text())) == len(inserts)
+    # a second run reads every witness back: it puts none, so writes nothing
+    inserts.clear()
+    writes.clear()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert not inserts
+    assert not writes
 
 
 def test_cache_dir_filled_under_other_bounds_leaves_a_default_run_unchanged(
@@ -272,3 +278,57 @@ def test_ctp_partial_text_columns_follow_bad_place_order(curve_file, capsys):
              if line.startswith("row \\ v")]
     assert heads
     assert all(h == ["oo", "3", "113"] for h in heads)
+
+
+# k = 2431: five finite bad primes
+K2431 = {"label": "k2431", "lambda": "1", "G1": ["4862", "1"], "G2": ["0", "-14586", "1"],
+         "G3": ["-41368327", "-14586", "1"]}
+
+
+def test_a_ctp_run_derives_each_factor_form_and_the_bad_places_once(
+        curve_file, capsys, count_calls):
+    from richelot_ctp import curve as curve_module
+    from richelot_ctp.curve import build_pair
+    curve = build_pair(1, *(K2431[g] for g in ("G1", "G2", "G3")))
+    forms = count_calls(curve_module, "poly_integer_form", lambda args: args[0])
+    places = count_calls(arith, "bad_places", lambda args: "S")
+    assert main(["ctp", curve_file(K2431), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "certified"
+    # the earlier run derived each G_i's form 134 times and each L_i's 96
+    assert set(curve.G).isdisjoint(curve.L)
+    assert [forms[g] for g in curve.G + curve.L] == [1] * 6
+    # and computed the bad places five times
+    assert places == {"S": 1}
+
+
+def test_a_ctp_run_samples_the_real_place_at_most_once_per_side(
+        curve_file, capsys, count_calls):
+    from richelot_ctp import curve as curve_module
+    samples = count_calls(curve_module, "real_region_samples", lambda args: args[0])
+    for data in (K2431, dict(TOY, label="irrational", G3=["6", "-5", "1"])):
+        samples.clear()
+        assert main(["ctp", curve_file(data), "--json"]) == 0
+        capsys.readouterr()
+        assert max(samples.values(), default=0) <= 1
+
+
+@pytest.mark.parametrize("command", ["ctp", "selmer"])
+@pytest.mark.parametrize("flag, low", [("--precision", 1), ("--val-bound", 0),
+                                       ("--escalations", 0)])
+def test_a_search_flag_below_its_minimum_exits_2(curve_file, capsys, command, flag, low):
+    # --escalations -1 used to end in a KernelCheckError traceback, and the
+    # other two were taken silently
+    with pytest.raises(SystemExit) as stop:
+        main([command, curve_file(CURVE113), "--json", flag, str(low - 1)])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert f"argument {flag}: must be at least {low}, not {low - 1}" in captured.err
+
+
+@pytest.mark.parametrize("command", ["ctp", "selmer"])
+def test_the_smallest_search_flags_still_run(curve_file, capsys, command):
+    assert main([command, curve_file(CURVE113), "--json", "--precision", "1",
+                 "--val-bound", "0", "--escalations", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"] == {
+        "precision": 1, "val_bound": 0, "escalations": 0}

@@ -137,3 +137,19 @@ def test_weil_ephi_table():
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             assert weil_ephi(i, j) == (1 if i == j else -1)
+
+
+def test_equal_curves_built_separately_hold_distinct_cached_data():
+    coeffs = (1, [226, 1], [0, -678, 1], [-7 * 113 ** 2, -678, 1])
+    a, b = build_pair(*coeffs), build_pair(*coeffs)
+    assert a == b
+    for name in ("f", "fhat", "roots", "bad_places"):
+        assert getattr(a, name) == getattr(b, name)
+    for name in ("f", "fhat", "roots", "bad_places", "domain_data", "codomain_data"):
+        assert getattr(a, name) is getattr(a, name), name
+        assert getattr(a, name) is not getattr(b, name), name
+    for side in ("domain", "codomain"):
+        da, db = a.side_data(side), b.side_data(side)
+        assert da.forms == db.forms and da.forms is not db.forms
+        assert da.real_samples == db.real_samples and da.real_samples is not db.real_samples
+        assert da.taylor(Fraction(0)) is not db.taylor(Fraction(0))

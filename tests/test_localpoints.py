@@ -75,8 +75,7 @@ def test_mu_phi_kernel_divisors_trivial(curve113):
 
 
 def _codomain_slot_map(curve):
-    from richelot_ctp.localpoints import _codomain_root_slots
-    return _codomain_root_slots(curve)
+    return curve.codomain_data.slots
 
 
 def test_mu_phi_weierstrass_totality(curve113):
@@ -253,6 +252,8 @@ def test_witness_cache_roundtrip(tmp_path, curve113):
     cache = LocalDataCache(str(tmp_path))
     t = KummerTriple.of(113, 113, 1)
     D = find_local_point(t, curve113, V3, cache=cache)
+    assert not (tmp_path / "witnesses.json").exists()  # written by save alone
+    cache.save()
     cache2 = LocalDataCache(str(tmp_path))
     key = tuple(c.bits for c in t.restrict(V3).classes)
     assert cache2.get_witness(curve113, V3, SearchConfig(), key) == D
@@ -294,3 +295,54 @@ def test_toy_curve_codomain_torsion_includes_conjugate_pairs(toy_curve):
     assert len(quads) == 2
     for D in quads:
         assert mu_phi(D, toy_curve).values == (1, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the data a curve computes once
+# ---------------------------------------------------------------------------
+
+# the benchmark's `curves` corpus
+CORPUS = {
+    "k113": build_pair(1, [226, 1], [0, -678, 1], [-7 * 113 * 113, -678, 1]),
+    "k17": build_pair(1, [34, 1], [0, -102, 1], [-7 * 17 * 17, -102, 1]),
+    "six-root": build_pair(2, [-1, 1], [30, -21, 3], [-11, -10, 1]),
+    "irrational": build_pair(1, [0, 1], [-1, 0, 1], [6, -5, 1]),
+    "fractional": build_pair(4, [Fraction(-1, 2), 1], [-1, 0, 1], [-12, 1, 1]),
+    "negative-lc": build_pair(-1, [0, 1], [-1, 0, 1], [-9, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("label", sorted(CORPUS))
+def test_torsion_masks_read_from_the_curve_data_match_the_images(monkeypatch, label):
+    from richelot_ctp import localpoints
+    from richelot_ctp.localfield import places_of
+    curve = CORPUS[label]
+    for v in places_of(curve.bad_places):
+        for side in (DOMAIN, CODOMAIN):
+            with monkeypatch.context() as m:
+                # the tier reads the curve's values; it builds no slot value
+                m.setattr(localpoints, "_triple_slot_values", None)
+                torsion = list(_point_tiers(curve, side, v, SearchConfig())[0])
+            assert [D for D, _ in torsion] == _torsion_divisors(curve, side)
+            for D, mask in torsion:
+                assert mask == divisor_image(D, curve, v).mask(), (D, v)
+
+
+def test_uncached_walks_at_the_real_place_isolate_roots_once_per_side(count_calls):
+    # the earlier walks ran Sturm isolation once per walk and side
+    from richelot_ctp import curve as curve_module
+    curve = build_pair(1, [0, 1], [-1, 0, 1], [6, -5, 1])
+    samples = count_calls(curve_module, "real_region_samples", lambda args: args[0])
+    images = local_images(curve, OO)
+    assert local_images(curve, OO) == images
+    for t in images[0].basis:
+        find_local_point(t, curve, OO)
+    assert samples == {curve.f: 1, curve.fhat: 1}
+
+
+@pytest.mark.parametrize("field, low", [("residue_exponent", 1), ("val_bound", 0),
+                                        ("escalations", 0)])
+def test_search_config_rejects_a_bound_below_its_minimum(field, low):
+    with pytest.raises(ValueError, match=f"{field} must be at least {low}"):
+        SearchConfig(**{field: low - 1})
+    assert getattr(SearchConfig(**{field: low}), field) == low
