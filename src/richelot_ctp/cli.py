@@ -6,13 +6,19 @@ Curve files are JSON with rational coefficients as strings, low degree first:
     {"label": "k=113", "lambda": "1",
      "G1": ["226", "1"], "G2": ["0", "-678", "1"], "G3": ["-89383", "-678", "1"]}
 
-Exit codes: 0 ok; 1 verification failure; 2 invalid input (an unreadable or
-malformed curve file, an unsupported model, curve data with a composite factor
-the factorization budget cannot split, a --places name that is not a bad
-place, or a search flag below its minimum: 1 for --precision, 0 for
---val-bound and --escalations); 3 a `ctp` run stopped by a failed search,
-self-check or dimension check (partial JSON naming the stage in "failed_at"),
-or a heuristic or unproven result under --strict.
+Exit codes:
+  0 ok;
+  1 verification failure;
+  2 invalid input: an unreadable or malformed curve file, an unsupported
+    model, curve data with a composite factor the factorization budget
+    cannot split, a --places name that is not a bad place, a search flag
+    below its minimum (1 for --precision, 0 for --val-bound and
+    --escalations), or a --cache-dir that cannot be made or whose
+    witnesses.json is not valid JSON, not of version 1 or has a malformed
+    row;
+  3 a `ctp` run stopped by a failed search, self-check or dimension check
+    (partial JSON naming the stage in "failed_at"), or a heuristic or
+    unproven result under --strict.
 
 With --cache-dir, `selmer` and `ctp` write the witnesses they found once, when
 the command ends with exit 0 or 3.
@@ -29,7 +35,7 @@ from .cohomology import NotInImageError
 from .ctp import InconsistentDimensions, LocalRow, ctp_matrix, rank_report
 from .curve import INF, CurveError, RichelotPair, build_pair, poly, poly_str
 from .localfield import places_of
-from .localpoints import LocalDataCache, SearchConfig, SearchExhausted
+from .localpoints import CacheFormatError, LocalDataCache, SearchConfig, SearchExhausted
 from .selmer import selmer_group
 from .verify import run_verification
 
@@ -317,7 +323,11 @@ def main(argv=None) -> int:
         _emit(_isogeny_dict(curve, label), args.json, _print_isogeny)
         return 0
 
-    cache = LocalDataCache(args.cache_dir)
+    try:
+        cache = LocalDataCache(args.cache_dir)
+    except (CacheFormatError, OSError) as e:  # OSError: the directory cannot be made
+        print(f"error: --cache-dir: {e}", file=sys.stderr)
+        return 2
     run = _selmer_command if args.command == "selmer" else _ctp_command
     code = run(args, curve, label, _cfg_of(args), cache)
     if code != 2:

@@ -6,8 +6,9 @@ Delta y^2 = L1 L2 L3 with L_i = G_j' G_k - G_j G_k' for [i,j,k] cyclic and
 Delta = det(g_ji).  The Delta factor is kept separate from the L_i so the
 root special cases downstream can use it literally.
 
-Polynomials are dense tuples of Fractions; `poly_eval` is the hot path of
-the local search and evaluates on integer numerators and denominators.
+Polynomials are dense tuples of Fractions.  The local search evaluates the
+factors through `poly_integer_form` and `homogenized_eval`, on integer
+numerators and denominators; `poly_eval` wraps the two for a `Fraction`.
 
 A `RichelotPair` computes the data that depend on the curve alone once, on
 first use, and holds them: the sextic models f and fhat, the leading
@@ -167,96 +168,42 @@ def poly_sub(f: Poly, g: Poly) -> Poly:
     return _trim([(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)])
 
 
-def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(f)
-    quo = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
-    while len(rem) >= len(g) and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(g):
+def real_root_samples(factors: Sequence[Poly], groups) -> list[Fraction]:
+    """One rational point left of the real roots of the factors (degree at
+    most 2 each), one between each two neighbouring roots and one right of
+    them, ascending; [0] when there are none.  So every region where the
+    product has constant nonzero sign gets one sample.
+
+    `groups` holds each factor's rational roots, or None for a quadratic
+    without any; with c2 x^2 + c1 x + c0 and D = (c1^2 - 4 c0 c2)/(4 c2^2)
+    > 0, its roots are m +- sqrt(D), m = -c1/(2 c2).  For D = n/d, sqrt(D)
+    lies in [s, s + 1]/(d 2^k) with s = isqrt(n d 4^k), and k grows until
+    every root has its own closed interval.  The roots must be pairwise
+    distinct, as they are on both sides of a `RichelotPair`.
+    """
+    exact = {r for grp in groups if grp for r in grp}
+    surds = []  # (m, +-1, D) of each irrational real root m +- sqrt(D)
+    for g, grp in zip(factors, groups):
+        if grp is None:
+            m, D = -g[1] / (2 * g[2]), (g[1] * g[1] - 4 * g[0] * g[2]) / (4 * g[2] * g[2])
+            if D > 0:
+                surds += [(m, -1, D), (m, 1, D)]
+    k = 0
+    while True:
+        brackets = [(r, r) for r in exact]
+        for m, e, D in surds:
+            s, scale = math.isqrt(D.numerator * D.denominator << 2 * k), D.denominator << k
+            lo, hi = m + e * Fraction(s, scale), m + e * Fraction(s + 1, scale)
+            brackets.append((lo, hi) if lo < hi else (hi, lo))
+        brackets.sort()
+        if all(hi < lo for (_, hi), (lo, _) in zip(brackets, brackets[1:])):
             break
-        k = len(rem) - len(g)
-        c = rem[-1] / g[-1]
-        quo[k] = c
-        for i, gc in enumerate(g):
-            rem[k + i] -= c * gc
-        rem.pop()
-    return _trim(quo), _trim(rem)
-
-
-def poly_gcd(f: Poly, g: Poly) -> Poly:
-    while g:
-        f, g = g, poly_divmod(f, g)[1]
-    if f:
-        f = poly_scale(f, 1 / f[-1])
-    return f
-
-
-def squarefree_part(f: Poly) -> Poly:
-    return poly_divmod(f, poly_gcd(f, poly_derivative(f)))[0]
-
-
-def _sturm_chain(f: Poly) -> list[Poly]:
-    chain = [f, poly_derivative(f)]
-    while chain[-1]:
-        r = poly_divmod(chain[-2], chain[-1])[1]
-        if not r:
-            break
-        chain.append(poly_scale(r, -1))
-    return chain
-
-
-def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        val = poly_eval(p, x)
-        if val:
-            signs.append(1 if val > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def real_region_samples(f: Poly) -> list[Fraction]:
-    """One rational sample point inside every maximal interval where f has
-    constant nonzero sign (Sturm isolation; handles irrational roots)."""
-    f = squarefree_part(f)
-    if len(f) <= 1:
-        return [Fraction(0)] if f and f[0] != 0 else []
-    bound = 1 + max(abs(c) for c in f[:-1]) / abs(f[-1])
-    chain = _sturm_chain(f)
-
-    def roots_in(a, b):  # number of real roots in (a, b]
-        return _sign_variations(chain, a) - _sign_variations(chain, b)
-
-    # Cauchy bound: all real roots lie strictly inside (-bound, bound), so
-    # interval endpoints are never roots as long as split points are nudged
-    # off roots below
-    intervals = [(-bound, bound)]
-    isolated = []
-    while intervals:
-        a, b = intervals.pop()
-        n = roots_in(a, b)
-        if n == 0:
-            continue
-        if n == 1:
-            isolated.append((a, b))
-            continue
-        m = (a + b) / 2
-        k = 3
-        while poly_eval(f, m) == 0:
-            m = (a + (k - 1) * b) / k
-            k += 1
-        intervals.append((a, m))
-        intervals.append((m, b))
-    isolated.sort()
-    samples = [isolated[0][0] - 1 if isolated else Fraction(0)]
-    for (a1, b1), (a2, b2) in zip(isolated, isolated[1:]):
-        gap = (b1 + a2) / 2 if b1 < a2 else b1
-        samples.append(gap)
-    if isolated:
-        samples.append(isolated[-1][1] + 1)
-    return [s for s in samples if poly_eval(f, s) != 0]
+        k += 1
+    if not brackets:
+        return [Fraction(0)]
+    return ([brackets[0][0] - 1]
+            + [(hi + lo) / 2 for (_, hi), (lo, _) in zip(brackets, brackets[1:])]
+            + [brackets[-1][1] + 1])
 
 
 def poly_str(f: Poly, var: str = "x") -> str:
@@ -403,10 +350,21 @@ class RichelotPair:
                           1 / self.delta)
 
     @cached_property
+    def _bad_places(self):
+        from .arith import FactorizationBudgetExceeded, bad_places  # arith imports this module
+        try:
+            return bad_places(self)
+        except FactorizationBudgetExceeded as e:
+            return e
+
+    @property
     def bad_places(self):
-        """`arith.bad_places` of this curve, as a `PlaceSet`."""
-        from .arith import bad_places  # arith imports this module
-        return bad_places(self)
+        """`arith.bad_places` of this curve, as a `PlaceSet`.  A factorization
+        that overruns its budget is not run again: every read raises its
+        FactorizationBudgetExceeded."""
+        if isinstance(self._bad_places, Exception):
+            raise self._bad_places
+        return self._bad_places
 
     @cached_property
     def key(self) -> str:
@@ -482,9 +440,10 @@ class SideData:
     (f or fhat) with their integer forms, the rational Weierstrass points
     with their factor values, the factor values at infinity, the kernel
     divisor of each factor without rational roots, the real sample points
-    and the Taylor coefficients at each centre.  A place adds only its class
-    bits and valuations.  Factor values are integer (numerator, denominator)
-    pairs per factor, in the conventions of the kernel descent map.
+    (taken between the factors' real roots, see `real_root_samples`) and the
+    Taylor coefficients at each centre.  A place adds only its class bits and
+    valuations.  Factor values are integer (numerator, denominator) pairs per
+    factor, in the conventions of the kernel descent map.
     """
 
     def __init__(self, curve: RichelotPair, side: str):
@@ -562,8 +521,9 @@ class SideData:
     @cached_property
     def real_samples(self) -> list[tuple[int, int]]:
         """(n, d) of one point x = n/d in every real region where f is
-        positive (one sample per region of constant sign, then f(x) > 0)."""
-        return [(x.numerator, x.denominator) for x in real_region_samples(self.f)
+        positive: `real_root_samples` of the factors, then f(x) > 0."""
+        return [(x.numerator, x.denominator)
+                for x in real_root_samples(self.factors, self.groups)
                 if poly_eval(self.f, x) > 0]
 
     @cached_property

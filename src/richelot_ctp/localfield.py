@@ -57,13 +57,6 @@ class LocalPlace:
     def infinite() -> "LocalPlace":
         return LocalPlace(None)
 
-    @property
-    def is_finite(self) -> bool:
-        return self.p is not None
-
-    def sort_key(self):
-        return (0, 0) if self.p is None else (1, self.p)
-
     def __str__(self) -> str:
         return "oo" if self.p is None else str(self.p)
 
@@ -453,9 +446,6 @@ class PadicApprox:
         if self.is_zero():
             return self
         return PadicApprox(self.p, self.val, -self.unit % self._modulus(), self.prec)
-
-    def __sub__(self, other: "PadicApprox") -> "PadicApprox":
-        return self + (-other)
 
     def is_square(self) -> bool:
         """Squareness in Q_p; needs 1 spare digit for odd p, 3 for p = 2."""

@@ -24,8 +24,9 @@ dim H^1 (2 over R, 4 at odd p, 6 at p = 2).
 Every tier hands each candidate over with its image as a mask of integer
 class bits, so candidates are compared by mask and the exact image is built
 only for a vector the search keeps or a point it returns (and must match its
-mask).  A quadratic is certified only for a mask its walk has not yet
-yielded.  Each place has one domain walk, shared by `local_images` and every
+mask).  Every tier skips a mask its walk has already yielded before it
+builds the divisor, or certifies a quadratic, so a walk yields each mask
+once.  Each place has one domain walk, shared by `local_images` and every
 `find_local_point` target there; an escalation walks only the tiers whose
 bounds it changes.  Single points come in blocks x = c + r p^j over the unit
 residues r; once the pairs tier's pool is full, a block where each factor
@@ -35,7 +36,9 @@ read once per unit class, since that term fixes the factor's square class.
 The search reads what depends on the curve alone from the curve's
 `SideData` (integer forms, Weierstrass and infinite factor values, kernel
 quadratics, real samples, Taylor coefficients), computed once per curve;
-a place computes only class bits and valuations at p.
+a place computes only class bits and valuations at p.  The real place's
+single points are one sample per sign region of f, taken between the
+factors' real roots.
 """
 
 from __future__ import annotations
@@ -86,6 +89,7 @@ __all__ = [
     "SearchConfig",
     "SearchExhausted",
     "ClassBitsMismatch",
+    "CacheFormatError",
     "LocalImage",
     "LocalDataCache",
     "mu_two",
@@ -101,6 +105,10 @@ class SearchExhausted(RuntimeError):
 
 class ClassBitsMismatch(RuntimeError):
     """A candidate's image read from class bits differs from its witnessed image."""
+
+
+class CacheFormatError(ValueError):
+    """A persisted witnesses file is not one this version reads."""
 
 
 @dataclass(frozen=True)
@@ -610,7 +618,7 @@ def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: Se
 
     The coefficients are integer (numerator, denominator) pairs in lowest
     terms.  A candidate whose mask is in `known` is skipped before its
-    certificate: the walk has already yielded a divisor with that mask.
+    certificate, the rule of every tier in `_point_tiers`.
     """
     if v.p is None:
         return  # conjugate pairs have trivial image over R
@@ -664,8 +672,10 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
     point); pairs of found points; quadratic Mumford pairs.
 
     Each candidate comes with its image's `LocalKummerTriple.mask`, read
-    from class bits; the quadratic tier skips the masks in `known`.  A
-    torsion divisor's mask is the XOR of its points', or read from its
+    from class bits.  Every tier skips a candidate whose mask is in `known`
+    (the walk's record of the masks it has yielded) before it builds the
+    divisor; the singles tier still adds the point to the pairs tier's pool.
+    A torsion divisor's mask is the XOR of its points', or read from its
     values for a kernel quadratic, all kept in the side's `SideData`.
     """
     rng = random.Random(cfg.shuffle_seed) if cfg.shuffle_seed is not None else None
@@ -679,13 +689,16 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
     masks = {x: bits(values) for x, values in data.root_values.items()}
     masks["inf"] = bits(data.inf_values)
 
-    def torsion_mask(D: MumfordDivisor) -> int:
-        if D.quad:
-            return bits(data.kernels[D.quad])
-        m = 0
-        for marker in _point_markers(D, curve):
-            m ^= masks[marker[-1]]  # ("x", x) or ("inf",)
-        return m
+    def torsion_tier():
+        for D in torsion:
+            if D.quad:
+                m = bits(data.kernels[D.quad])
+            else:
+                m = 0
+                for marker in _point_markers(D, curve):
+                    m ^= masks[marker[-1]]  # ("x", x) or ("inf",)
+            if m not in known:
+                yield D, m
 
     pool: list[tuple[Fraction, int]] = []  # found points with their masks
     seen_classes: set = set()
@@ -718,7 +731,7 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
             mask = _class_mask(ckey)
             if len(pool) < 3 * _POINT_POOL:
                 pool.append((x, mask))
-            if inf_ok:
+            if inf_ok and mask ^ masks["inf"] not in known:
                 yield MumfordDivisor.point_plus_infinity(x, side), mask ^ masks["inf"]
 
     def pairs_tier():
@@ -732,9 +745,10 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
             if i < n_weier and j < n_weier:
                 continue  # both Weierstrass: already in the torsion tier
             (x1, m1), (x2, m2) = points[i], points[j]
-            yield MumfordDivisor.rational_pair(x1, x2, side), m1 ^ m2
+            if m1 ^ m2 not in known:
+                yield MumfordDivisor.rational_pair(x1, x2, side), m1 ^ m2
 
-    return [((D, torsion_mask(D)) for D in torsion), singles_tier(), pairs_tier(),
+    return [torsion_tier(), singles_tier(), pairs_tier(),
             _quadratic_candidates(curve, side, v, cfg, known)]
 
 
@@ -750,7 +764,8 @@ def _escalated(cfg: SearchConfig) -> Iterator[SearchConfig]:
 class _Walk:
     """One side's search at one place: the tiers of `_point_tiers`, round
     after round over `configs`, walked once and resumable.  It records the
-    first divisor it yields for each mask, and that divisor's checked image.
+    divisor it yields for each mask, and that divisor's checked image; the
+    tiers skip the masks it holds, so it yields each mask once.
     A round walks only the tiers whose bounds changed: the torsion tier has
     none; the singles grid sizes the singles and pairs tiers,
     `_quadratic_bounds` the quadratic tier.
@@ -758,7 +773,7 @@ class _Walk:
 
     def __init__(self, curve: RichelotPair, side: str, v: LocalPlace, configs):
         self.curve, self.v = curve, v
-        self.first: dict = {}  # mask -> first divisor yielded with it
+        self.first: dict = {}  # mask -> the divisor yielded with it
         self.images: dict = {}  # mask -> checked image of first[mask]
         self.tier: Iterator = iter(())  # the current tier, partly walked
         self._tiers = self._rounds(curve, side, v, configs, self.first)
@@ -780,7 +795,7 @@ class _Walk:
     @staticmethod
     def _recorded(tier, first):
         for D, mask in tier:
-            first.setdefault(mask, D)
+            first[mask] = D
             yield D, mask
 
     def tiers(self) -> Iterator[Iterator[tuple[MumfordDivisor, int]]]:
@@ -933,6 +948,7 @@ def find_local_point(target, curve: RichelotPair, v: LocalPlace,
 # the SearchConfig fields a persisted witness is kept under (witnesses are
 # cached only without a shuffle seed)
 _BOUNDS = ("residue_exponent", "val_bound", "escalations")
+_FORMAT = 1  # the version of the witnesses.json layout
 
 
 class LocalDataCache:
@@ -941,7 +957,9 @@ class LocalDataCache:
 
     Walks live in memory only and are resumed in place, so a cache serves
     one thread.  Witnesses persist with the config's bounds, when `save` is
-    called; a persisted row with other bounds fields, or none, is ignored.
+    called, as {"version": 1, "witnesses": [rows]}; a row with other bounds
+    fields, or none, is ignored, and a file of another version, or one that
+    does not parse, or a malformed row, raises CacheFormatError.
     """
 
     def __init__(self, directory: Optional[str] = None):
@@ -981,9 +999,10 @@ class LocalDataCache:
         os.replace it, so no reader sees a partial file."""
         if not (self.directory and self._unsaved):
             return
-        data = [{"curve": ck, "place": vs, "bounds": {b: getattr(cfg, b) for b in _BOUNDS},
-                 "target": [list(b) for b in key], "witness": D.to_json()}
-                for (ck, vs, cfg, key), D in self._witnesses.items()]
+        data = {"version": _FORMAT, "witnesses": [
+            {"curve": ck, "place": vs, "bounds": {b: getattr(cfg, b) for b in _BOUNDS},
+             "target": [list(b) for b in key], "witness": D.to_json()}
+            for (ck, vs, cfg, key), D in self._witnesses.items()]}
         path = self.directory / "witnesses.json"
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
@@ -997,9 +1016,18 @@ class LocalDataCache:
         path = self.directory / "witnesses.json"
         if not path.exists():
             return
-        for row in json.loads(path.read_text()):
-            if set(row.get("bounds", ())) != set(_BOUNDS):
-                continue  # written under other search bounds: not trusted
-            key = tuple(tuple(b) for b in row["target"])
-            self._witnesses[(row["curve"], row["place"], SearchConfig(**row["bounds"]), key)] = (
-                MumfordDivisor.from_json(row["witness"]))
+        try:
+            data = json.loads(path.read_text())
+        except ValueError as e:  # invalid JSON or undecodable bytes
+            raise CacheFormatError(f"{path}: not valid JSON: {e}") from e
+        if not isinstance(data, dict) or data.get("version") != _FORMAT:
+            raise CacheFormatError(f"{path}: not a version {_FORMAT} witnesses file")
+        try:
+            for row in data["witnesses"]:
+                if set(row.get("bounds", ())) != set(_BOUNDS):
+                    continue  # written under other search bounds: not trusted
+                key = tuple(tuple(b) for b in row["target"])
+                self._witnesses[(row["curve"], row["place"], SearchConfig(**row["bounds"]),
+                                 key)] = MumfordDivisor.from_json(row["witness"])
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise CacheFormatError(f"{path}: malformed witness row: {e!r}") from e

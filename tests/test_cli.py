@@ -243,7 +243,9 @@ def test_cache_dir_writes_witnesses_once_per_run(curve_file, tmp_path, capsys, m
     assert len(inserts) > 1
     assert writes == [str(cdir / "witnesses.json")]
     assert sorted(p.name for p in cdir.iterdir()) == ["witnesses.json"]
-    assert len(json.loads((cdir / "witnesses.json").read_text())) == len(inserts)
+    saved = json.loads((cdir / "witnesses.json").read_text())
+    assert saved["version"] == 1
+    assert len(saved["witnesses"]) == len(inserts)
     # a second run reads every witness back: it puts none, so writes nothing
     inserts.clear()
     writes.clear()
@@ -265,11 +267,42 @@ def test_cache_dir_filled_under_other_bounds_leaves_a_default_run_unchanged(
     assert capsys.readouterr() == fresh
     # rows persisted without their search bounds are ignored
     witnesses = tmp_path / "cache" / "witnesses.json"
-    rows = json.loads(witnesses.read_text())
-    witnesses.write_text(json.dumps([{k: v for k, v in row.items() if k != "bounds"}
-                                     for row in rows if row["bounds"]["val_bound"] == 1]))
+    rows = json.loads(witnesses.read_text())["witnesses"]
+    witnesses.write_text(json.dumps({"version": 1, "witnesses": [
+        {k: v for k, v in row.items() if k != "bounds"}
+        for row in rows if row["bounds"]["val_bound"] == 1]}))
     assert main(["ctp", path, "--json", "--cache-dir", cdir]) == 0
     assert capsys.readouterr() == fresh
+
+
+@pytest.mark.parametrize("command", ["ctp", "selmer"])
+@pytest.mark.parametrize("content", [
+    json.dumps({"version": 2, "witnesses": []}),
+    json.dumps([]),  # the unversioned layout of earlier releases
+    '{"version": 1, "witnesses": [',
+    json.dumps({"version": 1, "witnesses": [
+        {"bounds": {"residue_exponent": 4, "val_bound": 6, "escalations": 2}}]}),
+], ids=["version-2", "bare-list", "invalid-json", "row-without-target"])
+def test_a_cache_file_this_version_cannot_read_exits_2(
+        curve_file, tmp_path, capsys, command, content):
+    witnesses = tmp_path / "cache" / "witnesses.json"
+    witnesses.parent.mkdir()
+    witnesses.write_text(content)
+    assert main([command, curve_file(TOY), "--json", "--cache-dir", str(witnesses.parent)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error: ") and str(witnesses) in captured.err
+    assert witnesses.read_text() == content
+
+
+@pytest.mark.parametrize("command", ["ctp", "selmer"])
+def test_a_cache_dir_that_is_a_file_exits_2(curve_file, tmp_path, capsys, command):
+    path = tmp_path / "not-a-directory"
+    path.write_text("")
+    assert main([command, curve_file(TOY), "--json", "--cache-dir", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error: --cache-dir: ") and str(path) in captured.err
 
 
 def test_ctp_partial_text_columns_follow_bad_place_order(curve_file, capsys):
@@ -304,7 +337,8 @@ def test_a_ctp_run_derives_each_factor_form_and_the_bad_places_once(
 def test_a_ctp_run_samples_the_real_place_at_most_once_per_side(
         curve_file, capsys, count_calls):
     from richelot_ctp import curve as curve_module
-    samples = count_calls(curve_module, "real_region_samples", lambda args: args[0])
+    # keyed by the side's factors
+    samples = count_calls(curve_module, "real_root_samples", lambda args: args[0])
     for data in (K2431, dict(TOY, label="irrational", G3=["6", "-5", "1"])):
         samples.clear()
         assert main(["ctp", curve_file(data), "--json"]) == 0

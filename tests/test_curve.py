@@ -153,3 +153,17 @@ def test_equal_curves_built_separately_hold_distinct_cached_data():
         assert da.forms == db.forms and da.forms is not db.forms
         assert da.real_samples == db.real_samples and da.real_samples is not db.real_samples
         assert da.taylor(Fraction(0)) is not db.taylor(Fraction(0))
+
+
+def test_a_factorization_over_budget_runs_once_per_curve(monkeypatch, count_calls):
+    # the earlier cached property kept no exception, so every read of
+    # bad_places spent the whole rho budget again
+    from richelot_ctp import arith
+    monkeypatch.setattr(arith, "_RHO_BUDGET", 1 << 12)
+    rho = count_calls(arith, "_pollard_brent", lambda args: "rho")
+    semiprime = (10 ** 19 + 51) * (10 ** 19 + 87)
+    curve = build_pair(semiprime, [0, 1], [-1, 0, 1], [-4, 0, 1])
+    for _ in range(2):
+        with pytest.raises(arith.FactorizationBudgetExceeded, match=f"composite {semiprime} "):
+            curve.bad_places
+    assert rho == {"rho": 1}

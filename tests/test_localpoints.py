@@ -329,15 +329,15 @@ def test_torsion_masks_read_from_the_curve_data_match_the_images(monkeypatch, la
 
 
 def test_uncached_walks_at_the_real_place_isolate_roots_once_per_side(count_calls):
-    # the earlier walks ran Sturm isolation once per walk and side
+    # the earlier walks isolated the real roots once per walk and side
     from richelot_ctp import curve as curve_module
     curve = build_pair(1, [0, 1], [-1, 0, 1], [6, -5, 1])
-    samples = count_calls(curve_module, "real_region_samples", lambda args: args[0])
+    samples = count_calls(curve_module, "real_root_samples", lambda args: args[0])
     images = local_images(curve, OO)
     assert local_images(curve, OO) == images
     for t in images[0].basis:
         find_local_point(t, curve, OO)
-    assert samples == {curve.f: 1, curve.fhat: 1}
+    assert samples == {curve.G: 1, curve.L: 1}
 
 
 @pytest.mark.parametrize("field, low", [("residue_exponent", 1), ("val_bound", 0),
