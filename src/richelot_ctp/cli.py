@@ -1,7 +1,8 @@
 """Command-line front end: isogeny data, Selmer groups, the pairing report,
 and the built-in example verification.
 
-Curve files are JSON with rational coefficients as strings, low degree first:
+Curve files are JSON with each factor a list of rational coefficients, low
+degree first, each a string or an integer; so is "lambda":
 
     {"label": "k=113", "lambda": "1",
      "G1": ["226", "1"], "G2": ["0", "-678", "1"], "G3": ["-89383", "-678", "1"]}
@@ -21,7 +22,9 @@ Exit codes:
     unproven result under --strict.
 
 With --cache-dir, `selmer` and `ctp` write the witnesses they found once, when
-the command ends with exit 0 or 3.
+the command ends with exit 0 or 3.  A witness read back is used only if it is
+a point over Q_v with the image it is filed under; otherwise it is dropped
+and the search runs.
 """
 
 from __future__ import annotations
@@ -49,6 +52,13 @@ _FAILED_AT = {
 }
 
 
+def _coefficient(c) -> Fraction:
+    """A string such as "-1/2" or an integer; JSON makes a float of 1e400."""
+    if isinstance(c, bool) or not isinstance(c, (str, int)):
+        raise TypeError(f"{c!r} is not a string or an integer")
+    return Fraction(c)
+
+
 def _parse_curve_file(path: str):
     try:
         with open(path) as fh:
@@ -60,8 +70,10 @@ def _parse_curve_file(path: str):
     if not isinstance(data, dict):
         raise CurveError("malformed curve file: the top level is not a JSON object")
     try:
-        lam = Fraction(data.get("lambda", "1"))
-        gs = [[Fraction(c) for c in data[k]] for k in ("G1", "G2", "G3")]
+        lam = _coefficient(data.get("lambda", "1"))
+        if not all(isinstance(data.get(k), list) for k in ("G1", "G2", "G3")):
+            raise TypeError("G1, G2 and G3 must be lists")
+        gs = [[_coefficient(c) for c in data[k]] for k in ("G1", "G2", "G3")]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise CurveError(f"malformed curve file: {e}")
     label = data.get("label", "")

@@ -10,19 +10,21 @@ for both isogeny kernels, quintuples (x1..x5) with square product for full
     section              : (a, b, c) -> (a, 1, b, 1, c)
 
 and the descent back onto the first kernel inverts the first map slotwise.
-Local tuples keep an exact rational witness per slot so every Hilbert symbol
-downstream is evaluated on rationals.
+A global tuple holds the signed squarefree class of each slot; a local tuple
+holds its place and the `LocalSquareClass` of each slot, nothing else: the
+Hilbert symbols downstream depend only on square classes, so `cup_invariant`
+evaluates them on class bits.  The maps multiply classes, so each works on
+global and local tuples alike.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .arith import SquareClass, squarefree_reduce
-from .localfield import LocalPlace, LocalSquareClass, hilbert_symbol, local_square_class
+from .localfield import (LocalPlace, LocalSquareClass, class_mask, hilbert_bits,
+                         local_square_class, local_square_dim)
 
 __all__ = [
     "KummerTriple",
@@ -68,8 +70,7 @@ class _KummerTuple:
     def at(cls, values, v: Optional[LocalPlace] = None):
         """The tuple of these slot values: global when v is None (each slot
         factored once to its signed squarefree class; a SquareClass is kept),
-        else local at v with the raw values as witnesses (class data needs
-        no factorization)."""
+        else local at v (class data needs no factorization)."""
         if v is not None:
             return cls.local.of(values, v)
         cs = tuple(c if isinstance(c, SquareClass) else squarefree_reduce(c) for c in values)
@@ -89,8 +90,15 @@ class _KummerTuple:
     def is_trivial(self) -> bool:
         return all(c.is_one() for c in self.classes)
 
+    def _one(self) -> SquareClass:
+        return SquareClass.one()
+
+    def _like(self, classes):
+        """The global triple or quintuple of these classes."""
+        return (KummerTriple, KummerQuintuple)[len(classes) == 5](tuple(classes))
+
     def __mul__(self, other):
-        return type(self)(tuple(a * b for a, b in zip(self.classes, other.classes)))
+        return self._like([a * b for a, b in zip(self.classes, other.classes)])
 
     def restrict(self, v: LocalPlace):
         return self.local.of(self.values, v)
@@ -100,7 +108,7 @@ class _KummerTuple:
 
 
 # ---------------------------------------------------------------------------
-# local tuples: class data plus exact rational witnesses
+# local tuples: a place and a square class of Q_v per slot
 # ---------------------------------------------------------------------------
 
 
@@ -109,42 +117,38 @@ class _LocalKummerTuple:
     """The body shared by the local tuples; a subclass sets `n`."""
 
     place: LocalPlace
-    witnesses: tuple[Fraction, ...]
     classes: tuple[LocalSquareClass, ...]
 
     @classmethod
-    def of(cls, witnesses, v: LocalPlace):
-        ws = tuple(w if isinstance(w, Fraction) else Fraction(w) for w in witnesses)
-        if len(ws) != cls.n:
-            raise ValueError(f"expected {cls.n} witnesses")
-        if any(w == 0 for w in ws):
-            raise ValueError("witnesses must be nonzero")
-        classes = tuple(local_square_class(w, v) for w in ws)
+    def of(cls, values, v: LocalPlace):
+        """The tuple of the classes at v of these nonzero rational slot values."""
+        values = tuple(values)
+        if len(values) != cls.n:
+            raise ValueError(f"expected {cls.n} values")
+        classes = tuple(local_square_class(x, v) for x in values)
         # the class map is a homomorphism: the product is a square iff the
         # classes' bits sum to zero in every coordinate
         if any(sum(col) & 1 for col in zip(*(c.bits for c in classes))):
-            prod = math.prod(ws)
-            raise NormConditionError(f"witness product {prod} is not a square in Q_{v}")
-        return cls(v, ws, classes)
+            raise NormConditionError(f"the product of {values} is not a square in Q_{v}")
+        return cls(v, classes)
 
     def is_trivial(self) -> bool:
         return all(c.is_trivial() for c in self.classes)
 
-    def same_class(self, other) -> bool:
-        return self.place == other.place and self.classes == other.classes
-
     def mask(self) -> int:
-        m, shift = 0, 0
-        for c in self.classes:
-            m |= c.mask() << shift
-            shift += len(c.bits)
-        return m
+        return class_mask(c.bits for c in self.classes)
+
+    def _one(self) -> LocalSquareClass:
+        return LocalSquareClass(self.place, (0,) * local_square_dim(self.place))
+
+    def _like(self, classes):
+        """The local triple or quintuple of these classes, at this place."""
+        return (LocalKummerTriple, LocalKummerQuintuple)[len(classes) == 5](
+            self.place, tuple(classes))
 
     def __mul__(self, other):
-        if other.place != self.place:
-            raise ValueError("mismatched places")
-        # raw witness products: local class data never needs factorization
-        return self.of(tuple(a * b for a, b in zip(self.witnesses, other.witnesses)), self.place)
+        # LocalSquareClass products refuse mismatched places
+        return self._like([a * b for a, b in zip(self.classes, other.classes)])
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c.representative()) for c in self.classes) + ")@" + str(self.place)
@@ -186,36 +190,27 @@ class KummerQuintuple(_KummerTuple):
 
 
 # ---------------------------------------------------------------------------
-# the connecting maps
+# the connecting maps, on global and local tuples alike
 # ---------------------------------------------------------------------------
 
 
 def psi_phi_to_two(t):
-    """(a, b, c) -> (1, c, c, b, b); works on global and local triples."""
-    if isinstance(t, KummerTriple):
-        a, b, c = t.classes
-        return KummerQuintuple((SquareClass.one(), c, c, b, b))
-    a, b, c = t.witnesses
-    return LocalKummerQuintuple.of((1, c, c, b, b), t.place)
+    """(a, b, c) -> (1, c, c, b, b)."""
+    a, b, c = t.classes
+    return t._like((t._one(), c, c, b, b))
 
 
 def psi_two_to_phihat(q):
-    """(a1, a2, a3, a4, a5) -> (a1, a2 a3, a4 a5); global or local."""
-    if isinstance(q, KummerQuintuple):
-        c = q.classes
-        return KummerTriple((c[0], c[1] * c[2], c[3] * c[4]))
-    w = q.witnesses
-    return LocalKummerTriple.of((w[0], w[1] * w[2], w[3] * w[4]), q.place)
+    """(a1, a2, a3, a4, a5) -> (a1, a2 a3, a4 a5)."""
+    c = q.classes
+    return q._like((c[0], c[1] * c[2], c[3] * c[4]))
 
 
 def lift_phihat_to_two(t):
     """The section (a, b, c) -> (a, 1, b, 1, c) of psi_two_to_phihat."""
-    if isinstance(t, KummerTriple):
-        a, b, c = t.classes
-        one = SquareClass.one()
-        return KummerQuintuple((a, one, b, one, c))
-    a, b, c = t.witnesses
-    return LocalKummerQuintuple.of((a, 1, b, 1, c), t.place)
+    a, b, c = t.classes
+    one = t._one()
+    return t._like((a, one, b, one, c))
 
 
 def quintuple_quotient(x, y):
@@ -237,19 +232,23 @@ def descend_to_phi(c: LocalKummerQuintuple) -> LocalKummerTriple:
         raise NotInImageError("slots 2 and 3 disagree as local classes")
     if cls[3] != cls[4]:
         raise NotInImageError("slots 4 and 5 disagree as local classes")
-    w = c.witnesses
-    return LocalKummerTriple.of((w[1] * w[3], w[3], w[1]), c.place)
+    return c._like((cls[1] * cls[3], cls[3], cls[1]))
 
 
 def cup_invariant(rho: LocalKummerTriple, t, v: LocalPlace = None) -> int:
     """F2 invariant of the cup product: 0 if the Hilbert-symbol product
-    (rho1, t1)_v (rho2, t2)_v (rho3, t3)_v is +1, else 1."""
+    (rho1, t1)_v (rho2, t2)_v (rho3, t3)_v is +1, else 1, summed from
+    `hilbert_bits` of the slots' classes.  A global t is restricted to v; a
+    local t, like rho, must live at v."""
     if v is None:
         v = rho.place
     if rho.place != v:
         raise ValueError("rho lives at a different place")
-    tw = t.values if isinstance(t, KummerTriple) else t.witnesses
-    s = 1
-    for r, a in zip(rho.witnesses, tw):
-        s *= hilbert_symbol(r, a, v)
-    return 0 if s == 1 else 1
+    if isinstance(t, KummerTriple):
+        t = t.restrict(v)
+    elif t.place != v:
+        raise ValueError(f"{t} lives at a different place than {v}")
+    e = 0
+    for r, a in zip(rho.classes, t.classes):
+        e ^= hilbert_bits(r.bits, a.bits, v.p)
+    return e

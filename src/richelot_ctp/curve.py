@@ -13,10 +13,11 @@ numerators and denominators; `poly_eval` wraps the two for a `Fraction`.
 A `RichelotPair` computes the data that depend on the curve alone once, on
 first use, and holds them: the sextic models f and fhat, the leading
 coefficient, the rational roots, the bad places, the key caches file the
-curve under, and one `SideData` per side with what the local search reads at
-every place (integer forms, Weierstrass and infinite factor values, kernel
-quadratics, real sample points, Taylor coefficients).  Nothing is shared
-between instances, so two equal curves built separately compute it twice.
+curve under, and one `SideData` per descent map with what it reads at every
+place (integer forms, Weierstrass and infinite factor values, kernel
+quadratics; for the search also real sample points and Taylor coefficients).
+Nothing is shared between instances, so two equal curves built separately
+compute it twice.
 """
 
 from __future__ import annotations
@@ -318,8 +319,9 @@ class RichelotPair:
 
     Everything derived from these fields is computed on first use and kept
     on the instance: f, fhat, the leading coefficient, the flat and the
-    codomain roots, `bad_places`, the cache `key`, and the `SideData` of
-    each side (`side_data`), so each place of a run does only its own work.
+    codomain roots, `bad_places`, the cache `key`, the `SideData` of each
+    side (`side_data`) and of the quintuple map (`two_data`), so each place
+    of a run does only its own work.
     """
 
     G: tuple[Poly, Poly, Poly]
@@ -373,11 +375,39 @@ class RichelotPair:
 
     @cached_property
     def domain_data(self) -> "SideData":
-        return SideData(self, DOMAIN)
+        # a point at infinity counts as 1 on the domain
+        return SideData(self.G, self.roots_by_factor, Fraction(1), [(1, 1)] * 3, self.f)
 
     @cached_property
     def codomain_data(self) -> "SideData":
-        return SideData(self, CODOMAIN)
+        # On a 5-root codomain (one linear L) infinity is a Weierstrass point,
+        # and its values are pinned by kernel triviality: the divisor
+        # {(z,0), inf} cut out by the linear factor is the image of rational
+        # two-torsion under the isogeny, so it must map to the trivial class;
+        # that forces infinity to take the values of (z, 0), L_j(z) and Delta
+        # times the other two in the linear slot, and makes the norm condition
+        # hold for every divisor containing infinity.  On a 6-root codomain the
+        # two infinite points are ordinary and contribute the leading
+        # coefficients of the L_i; they are Q_v-rational exactly when fhat's
+        # leading coefficient is a local square, which callers must check.
+        lin = self.codomain_linear_index
+        inf = ([(g[-1].numerator, g[-1].denominator) for g in self.L] if lin is None
+               else self.codomain_roots_by_factor[lin][0])
+        return SideData(self.L, self.codomain_roots_by_factor, self.delta, inf, self.fhat)
+
+    @cached_property
+    def two_data(self) -> "SideData":
+        """The slots of the quintuple map: the linear factors x - w_i of
+        f / lambda, with lambda as the special constant, so a Weierstrass
+        point w_i takes lambda prod_{l != i} (w_i - w_l) in its own slot, and
+        as the value of infinity in every slot.  The integer form of x - w
+        is ((-wn, wd), wd), written down without `poly_integer_form`."""
+        lam = self.leading_coefficient
+        return SideData(tuple((-w, Fraction(1)) for w in self.roots),
+                        tuple((w,) for w in self.roots), lam,
+                        [(lam.numerator, lam.denominator)] * len(self.roots),
+                        forms=[((-w.numerator, w.denominator), w.denominator)
+                               for w in self.roots])
 
     def side_data(self, side: str) -> "SideData":
         """The search data of `side`, DOMAIN or CODOMAIN."""
@@ -435,58 +465,45 @@ class RichelotPair:
 
 
 class SideData:
-    """What the local search reads of one side at every place, computed once
-    per curve: the factors (G_i on the domain, L_i on the codomain) and f
-    (f or fhat) with their integer forms, the rational Weierstrass points
-    with their factor values, the factor values at infinity, the kernel
-    divisor of each factor without rational roots, the real sample points
-    (taken between the factors' real roots, see `real_root_samples`) and the
-    Taylor coefficients at each centre.  A place adds only its class bits and
+    """What a descent map reads of its slots at every place, computed once
+    per curve: the factors (G_i on the domain, L_i on the codomain, x - w_i
+    for the quintuple map) with their integer forms, the rational Weierstrass
+    points with their factor values, the factor values at infinity, the
+    kernel divisor of each factor without rational roots, and for the search
+    f (f or fhat) with its integer form, the real sample points (taken
+    between the factors' real roots, see `real_root_samples`) and the Taylor
+    coefficients at each centre.  A place adds only its class bits and
     valuations.  Factor values are integer (numerator, denominator) pairs per
-    factor, in the conventions of the kernel descent map.
+    factor, in the conventions of the descent maps.
+
+    `groups` holds each factor's rational roots, or None where they are
+    irrational; a Weierstrass point's own slot takes the product of the other
+    factors times `delta`.  `inf_values` are the values at infinity, or the
+    Weierstrass point whose values infinity takes.  `forms` defaults to the
+    factors' `poly_integer_form`s.
     """
 
-    def __init__(self, curve: RichelotPair, side: str):
-        domain = side == DOMAIN
-        self.factors = curve.G if domain else curve.L
-        self.f = curve.f if domain else curve.fhat
-        self.forms = [poly_integer_form(g) for g in self.factors]
-        self.f_form = poly_integer_form(self.f)
-        # per factor its rational roots, or None where they are irrational
-        self.groups = curve.roots_by_factor if domain else curve.codomain_roots_by_factor
-        self.roots = curve.roots if domain else curve.codomain_roots
-        flat = [r for grp in self.groups for r in (grp or (None, None))]
+    def __init__(self, factors, groups, delta: Fraction, inf_values, f: Poly = (), forms=None):
+        self.factors, self.groups, self.delta, self.f = factors, groups, delta, f
+        self.forms = forms if forms is not None else [poly_integer_form(g) for g in factors]
+        self.roots = tuple(r for grp in groups if grp for r in grp)
+        flat = [r for grp in groups for r in (grp or (None, None))]
         self.slots = {i: r for i, r in enumerate(flat) if r is not None}  # torsion marker -> x
-        # a Weierstrass point's own slot takes the product of the other
-        # factors, times Delta on the codomain
-        self.delta = Fraction(1) if domain else curve.delta
         self.root_values = {w: self.point_values(w) for w in self.roots}
-        # A point at infinity counts as 1 on the domain.  On a 5-root codomain
-        # (one linear L) infinity is a Weierstrass point, and its values are
-        # pinned by kernel triviality: the divisor {(z,0), inf} cut out by the
-        # linear factor is the image of rational two-torsion under the
-        # isogeny, so it must map to the trivial class; that forces infinity
-        # to take the values of (z, 0), L_j(z) and Delta times the other two
-        # in the linear slot, and makes the norm condition hold for every
-        # divisor containing infinity.  On a 6-root codomain the two infinite
-        # points are ordinary and contribute the leading coefficients of the
-        # L_i; they are Q_v-rational exactly when fhat's leading coefficient
-        # is a local square, which callers must check.
-        lin = curve.codomain_linear_index
-        if domain:
-            self.inf_values = [(1, 1)] * 3
-        elif lin is None:
-            self.inf_values = [(g[-1].numerator, g[-1].denominator) for g in self.factors]
-        else:
-            self.inf_values = self.root_values[self.groups[lin][0]]
+        self.inf_values = (self.root_values[inf_values] if isinstance(inf_values, Fraction)
+                           else inf_values)
         # (a, b) of the monic x^2 + a x + b for each factor without rational
         # roots (its conjugate Weierstrass points), with its values
         self.kernels = {}
-        for g, grp in zip(self.factors, self.groups):
+        for g, grp in zip(factors, groups):
             if grp is None:
                 a, b = g[1] / g[2], g[0] / g[2]
                 self.kernels[a, b] = self.quadratic_values(a, b)
         self._taylor: dict = {}
+
+    @cached_property
+    def f_form(self) -> tuple[tuple[int, ...], int]:
+        return poly_integer_form(self.f)
 
     def point_values(self, x: Fraction) -> list[tuple[int, int]]:
         """The factor values at a finite point x; at a Weierstrass point its

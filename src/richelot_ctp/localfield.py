@@ -1,13 +1,15 @@
 """Exact local arithmetic at a place v of Q.
 
-Square classes of Q_v, the Hilbert symbol in closed form, an independent
-brute-force solvability oracle, and a bounded-precision p-adic type used only
-by the Mumford-divisor search.  All symbol evaluations take exact rationals;
-squareness of a rational at a finite place is decided from the valuation
+Square classes of Q_v, the Hilbert symbol in closed form, and a
+bounded-precision p-adic type used only by the Mumford-divisor search.
+Squareness of a rational at a finite place is decided from the valuation
 parity and unit residues (mod p for odd p, mod 8 for p = 2), never from
 truncated expansions.  `square_class_bits` reads both in one pass from the
-integer numerator and denominator, without building a Fraction; square
-classes and Hilbert symbols are computed from it.
+integer numerator and denominator, without building a Fraction.  A Hilbert
+symbol depends only on the square classes of its arguments, so
+`hilbert_bits` evaluates it on their bits, and `hilbert_symbol` reads the
+bits of two rationals and calls it.  The tests check the closed form against
+an independent brute-force solvability oracle.
 """
 
 from __future__ import annotations
@@ -22,19 +24,15 @@ __all__ = [
     "LocalSquareClass",
     "local_square_class",
     "is_local_square",
+    "hilbert_bits",
     "hilbert_symbol",
-    "hilbert_oracle",
-    "OracleInconclusive",
     "PadicApprox",
     "InsufficientPrecision",
     "places_of",
+    "class_mask",
     "square_class_bits",
     "valuation",
 ]
-
-
-class OracleInconclusive(Exception):
-    """The lifting criteria cannot decide at this depth; raise the depth."""
 
 
 class InsufficientPrecision(Exception):
@@ -135,12 +133,6 @@ class LocalSquareClass:
             raise ValueError("mismatched places")
         return LocalSquareClass(self.place, tuple(a ^ b for a, b in zip(self.bits, other.bits)))
 
-    def mask(self) -> int:
-        m = 0
-        for i, b in enumerate(self.bits):
-            m |= b << i
-        return m
-
     def representative(self) -> int:
         """Smallest standard signed representative of the class."""
         p = self.place.p
@@ -195,6 +187,17 @@ def square_class_bits(n: int, d: int, p: Optional[int]) -> tuple[int, ...]:
     return (val & 1, 0 if pow((n % p) * (d % p), (p - 1) // 2, p) == 1 else 1)
 
 
+def class_mask(classes) -> int:
+    """The square-class bits of a tuple's slots packed into one int, slot
+    after slot, each slot's first bit lowest."""
+    m, shift = 0, 0
+    for bits in classes:
+        for i, b in enumerate(bits):
+            m |= b << (shift + i)
+        shift += len(bits)
+    return m
+
+
 def local_square_class(x, v: LocalPlace) -> LocalSquareClass:
     """The class of a nonzero rational in Q_v*/(Q_v*)^2."""
     if not isinstance(x, (int, Fraction)):
@@ -211,105 +214,40 @@ def is_local_square(x, v: LocalPlace) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def hilbert_symbol(a, b, v: LocalPlace) -> int:
-    """(a,b)_v = +1 iff z^2 = a x^2 + b y^2 has a nonzero solution over Q_v.
+def hilbert_bits(bits_a: tuple[int, ...], bits_b: tuple[int, ...], p: Optional[int]) -> int:
+    """The Hilbert symbol of two square classes at p (None being oo), from
+    their `square_class_bits`, as an F2 exponent: 0 for +1, 1 for -1.
 
     Classical closed form: sign test at the real place; at odd p the formula
     (-1)^(alpha beta eps(p)) (u|p)^beta (w|p)^alpha for a = p^alpha u,
     b = p^beta w; at p = 2 the exponent eps(u)eps(w) + alpha eta(w) + beta
     eta(u) with eps(u) = (u-1)/2 and eta(u) = (u^2-1)/8 read off mod 8.
-    Only the parities of alpha, beta enter, so both arguments are read
-    through `square_class_bits`: for u = 3^b1 5^b2 mod 8, eps(u) = b1 and
-    eta(u) = b1 + b2 mod 2.
+    Only the parities of alpha, beta enter, and for u = 3^b1 5^b2 mod 8,
+    eps(u) = b1 and eta(u) = b1 + b2 mod 2.
     """
-    if not isinstance(a, (int, Fraction)):
-        a = Fraction(a)
-    if not isinstance(b, (int, Fraction)):
-        b = Fraction(b)
-    if a == 0 or b == 0:
-        raise ValueError("hilbert symbol needs nonzero arguments")
-    p = v.p
     if p is None:
-        return -1 if (a < 0 and b < 0) else 1
-    bits_a = square_class_bits(a.numerator, a.denominator, p)
-    bits_b = square_class_bits(b.numerator, b.denominator, p)
+        return bits_a[0] & bits_b[0]
     if p == 2:
         alpha, eps_u, b2_u = bits_a
         beta, eps_w, b2_w = bits_b
-        e = (eps_u & eps_w) ^ (alpha & (eps_w ^ b2_w)) ^ (beta & (eps_u ^ b2_u))
-    else:
-        alpha, res_u = bits_a
-        beta, res_w = bits_b
-        e = (alpha & beta & (p % 4 == 3)) ^ (beta & res_u) ^ (alpha & res_w)
+        return (eps_u & eps_w) ^ (alpha & (eps_w ^ b2_w)) ^ (beta & (eps_u ^ b2_u))
+    alpha, res_u = bits_a
+    beta, res_w = bits_b
+    return (alpha & beta & (p % 4 == 3)) ^ (beta & res_u) ^ (alpha & res_w)
+
+
+def hilbert_symbol(a, b, v: LocalPlace) -> int:
+    """(a,b)_v = +1 iff z^2 = a x^2 + b y^2 has a nonzero solution over Q_v,
+    for nonzero rationals a and b: `hilbert_bits` of their square classes."""
+    e = hilbert_bits(local_square_class(a, v).bits, local_square_class(b, v).bits, v.p)
     return -1 if e else 1
 
 
 # ---------------------------------------------------------------------------
-# Hilbert symbol: independent brute-force oracle
+# bounded-precision p-adic numbers (search plumbing only)
 # ---------------------------------------------------------------------------
 
-_EXHAUSTIVE_CAP = 512  # run the residue exhaustion only while p^depth stays this small
-
-
-def hilbert_oracle(a, b, v: LocalPlace, depth: int = 6) -> int:
-    """Decide solvability of z^2 = a x^2 + b y^2 over Q_v by search.
-
-    Independent of the closed form above.  At the real place this is a sign
-    exhaustion.  At finite places with p^depth <= 512 it enumerates residue
-    triples mod p^depth, certifying solutions with the Hensel criterion
-    2 v(grad) < depth and insolvability by exhaustion over primitive triples.
-    For larger p it combines quadratic-residue sets built by brute squaring
-    with an elementary valuation-parity descent.
-
-    Raises OracleInconclusive when zeros exist mod p^depth but none certify.
-    """
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
-        raise ValueError("oracle needs nonzero arguments")
-    p = v.p
-    if p is None:
-        return -1 if (a < 0 and b < 0) else 1
-    # scale by squares so valuations are 0 or 1 (conic solutions transform by
-    # rescaling one coordinate, so the answer is unchanged)
-    alpha, beta = valuation(a, p) % 2, valuation(b, p) % 2
-    if p ** depth <= _EXHAUSTIVE_CAP:
-        return _oracle_exhaustive(a, b, p, depth, alpha, beta)
-    return _oracle_large_p(a, b, p, alpha, beta)
-
-
-def _oracle_exhaustive(a: Fraction, b: Fraction, p: int, depth: int, alpha: int, beta: int) -> int:
-    M = p ** depth
-    am = p ** alpha * _unit_residue(a, p, M) % M
-    bm = p ** beta * _unit_residue(b, p, M) % M
-    # square roots mod M, listed per residue
-    roots: dict[int, list[int]] = {}
-    for z in range(M):
-        roots.setdefault(z * z % M, []).append(z)
-    inconclusive = False
-    for x in range(M):
-        ax2 = am * x * x % M
-        for y in range(M):
-            t = (ax2 + bm * y * y) % M
-            if t not in roots:
-                continue
-            for z in roots[t]:
-                if x % p == 0 and y % p == 0 and z % p == 0:
-                    continue  # not primitive
-                # Hensel: some partial derivative 2*c*var with small valuation
-                ok = False
-                for c, var in ((am, x), (bm, y), (1, z)):
-                    if var == 0:
-                        continue
-                    vv = _int_valuation(2 * c * var, p, depth)
-                    if 2 * vv < depth:
-                        ok = True
-                        break
-                if ok:
-                    return 1
-                inconclusive = True
-    if inconclusive:
-        raise OracleInconclusive(f"zeros mod {p}^{depth} exist but none certify")
-    return -1
+DEFAULT_PADIC_DIGITS = 24
 
 
 def _int_valuation(n: int, p: int, cap: int) -> int:
@@ -318,41 +256,6 @@ def _int_valuation(n: int, p: int, cap: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def _oracle_large_p(a: Fraction, b: Fraction, p: int, alpha: int, beta: int) -> int:
-    u = _unit_residue(a, p, p)
-    w = _unit_residue(b, p, p)
-    qr = {x * x % p for x in range(1, p)}
-    if alpha == 0 and beta == 0:
-        # search a solution mod p; any zero with a unit coordinate lifts
-        w_inv = pow(w, -1, p)
-        for x in range(p):
-            ux2 = u * x * x % p
-            for z in range(p):
-                if x == 0 and z == 0:
-                    continue
-                t = (z * z - ux2) * w_inv % p
-                if t == 0 or t in qr:
-                    return 1
-        return -1
-    if alpha == 0:
-        # z^2 - u x^2 = (p w') y^2: LHS has even valuation unless u is a
-        # residue, while the RHS valuation is odd for y != 0
-        return 1 if u % p in qr else -1
-    if beta == 0:
-        return 1 if w % p in qr else -1
-    # both valuations odd: divide by p, need u x^2 + w y^2 = p z^2, i.e. a
-    # nontrivial zero of u x^2 + w y^2 mod p: exists iff -u/w is a residue
-    t = (p - u) * pow(w, -1, p) % p
-    return 1 if t in qr else -1
-
-
-# ---------------------------------------------------------------------------
-# bounded-precision p-adic numbers (search plumbing only)
-# ---------------------------------------------------------------------------
-
-DEFAULT_PADIC_DIGITS = 24
 
 
 class PadicApprox:

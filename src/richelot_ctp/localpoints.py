@@ -78,6 +78,7 @@ from .localfield import (
     InsufficientPrecision,
     LocalPlace,
     PadicApprox,
+    class_mask,
     is_local_square,
     local_square_dim,
     square_class_bits,
@@ -247,15 +248,15 @@ def _codomain_infinity_rational(curve: RichelotPair, v: LocalPlace) -> bool:
     return is_local_square(lc, v)
 
 
-def _triple_slot_values(D: MumfordDivisor, curve: RichelotPair) -> tuple[Fraction, ...]:
-    """Exact rational slot values of the kernel descent map on D's side."""
+def _slot_values(D: MumfordDivisor, curve: RichelotPair, data) -> tuple[Fraction, ...]:
+    """Exact rational slot values of the descent map whose slots are the
+    factors of `data`, a `SideData` of D's curve."""
     if D.tag == "identity":
-        return (Fraction(1),) * 3
-    data = curve.side_data(D.side)
+        return (Fraction(1),) * len(data.forms)
     if D.tag == "quadratic":
         return tuple(Fraction(n, d) for n, d in data.quadratic_values(*D.quad))
     # each slot accumulates as an integer numerator and denominator
-    nums, dens = [1, 1, 1], [1, 1, 1]
+    nums, dens = [1] * len(data.forms), [1] * len(data.forms)
     for marker in _point_markers(D, curve):
         x = marker[-1]
         for i, (n, d) in enumerate(data.inf_values if marker[0] == "inf" else
@@ -265,68 +266,35 @@ def _triple_slot_values(D: MumfordDivisor, curve: RichelotPair) -> tuple[Fractio
     return tuple(Fraction(n, d) for n, d in zip(nums, dens))
 
 
-def _quintuple_slot_values(D: MumfordDivisor, curve: RichelotPair) -> tuple[Fraction, ...]:
-    """Exact rational slot values of the 5-slot map (domain divisors only)."""
-    curve.require_five_roots()
-    if D.side != DOMAIN:
-        raise ValueError("the quintuple map lives on the domain curve")
-    roots = curve.roots
-    lam = curve.leading_coefficient
-    if D.tag == "identity":
-        return (Fraction(1),) * 5
-    if D.tag == "quadratic":
-        an, bn, q = _common_denominator(*D.quad)
-        # ((-wn, wd), wd) is the integer form of x - w
-        return tuple(Fraction(*_res2(an, bn, q, ((-w.numerator, w.denominator), w.denominator)))
-                     for w in roots)
-    vals = [Fraction(1)] * 5
-    for marker in _point_markers(D, curve):
-        if marker[0] == "inf":
-            vals = [y * lam for y in vals]
-            continue
-        # a Weierstrass point w_i contributes lam prod_{l != i} (w_i - w_l)
-        # to its own slot
-        x = marker[1]
-        vals = [y * (x - w if x != w else lam * math.prod(w - wl for wl in roots if wl != w))
-                for y, w in zip(vals, roots)]
-    return tuple(vals)
-
-
 def mu_two(D: MumfordDivisor, curve: RichelotPair, v: Optional[LocalPlace] = None):
     """Image of D under the full 2-descent quintuple map; global when v is None.
 
-    Global images are canonicalized to signed squarefree witnesses; local
-    images keep the raw evaluations (class data needs no factorization).
+    The slots are the linear factors x - w_i (`RichelotPair.two_data`).
+    Global images are canonicalized to signed squarefree classes; local
+    images are the slot values' square classes at v.
     """
-    return KummerQuintuple.at(_quintuple_slot_values(D, curve), v)
+    curve.require_five_roots()
+    if D.side != DOMAIN:
+        raise ValueError("the quintuple map lives on the domain curve")
+    return KummerQuintuple.at(_slot_values(D, curve, curve.two_data), v)
 
 
 def mu_phihat(D: MumfordDivisor, curve: RichelotPair, v: Optional[LocalPlace] = None):
     """Image of a domain divisor under the dual-kernel descent map (G-evaluations)."""
     if D.side != DOMAIN:
         raise ValueError("mu_phihat consumes domain divisors")
-    return KummerTriple.at(_triple_slot_values(D, curve), v)
+    return KummerTriple.at(_slot_values(D, curve, curve.domain_data), v)
 
 
 def mu_phi(D: MumfordDivisor, curve: RichelotPair, v: Optional[LocalPlace] = None):
     """Image of a codomain divisor under the kernel descent map (L-evaluations)."""
     if D.side != CODOMAIN:
         raise ValueError("mu_phi consumes codomain divisors")
-    return KummerTriple.at(_triple_slot_values(D, curve), v)
+    return KummerTriple.at(_slot_values(D, curve, curve.codomain_data), v)
 
 
 def divisor_image(D: MumfordDivisor, curve: RichelotPair, v: Optional[LocalPlace] = None):
     return (mu_phihat if D.side == DOMAIN else mu_phi)(D, curve, v)
-
-
-def _class_mask(classes) -> int:
-    """`LocalKummerTriple.mask` of the triple whose slots have these class bits."""
-    m, shift = 0, 0
-    for bits in classes:
-        for i, b in enumerate(bits):
-            m |= b << (shift + i)
-        shift += len(bits)
-    return m
 
 
 def _checked_image(D: MumfordDivisor, mask: int, curve: RichelotPair,
@@ -609,7 +577,7 @@ def _quadratic_mask(an: int, bn: int, q: int, forms, p: int) -> int:
     if 0 in res:
         i = res.index(0)
         res[i] = res[i - 1] * res[i - 2]
-    return _class_mask([square_class_bits(r, 1, p) for r in res])
+    return class_mask([square_class_bits(r, 1, p) for r in res])
 
 
 def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfig,
@@ -683,7 +651,7 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
     data = curve.side_data(side)
 
     def bits(values) -> int:
-        return _class_mask([square_class_bits(n, d, p) for n, d in values])
+        return class_mask([square_class_bits(n, d, p) for n, d in values])
 
     # the masks of the Weierstrass points, and of infinity under "inf"
     masks = {x: bits(values) for x, values in data.root_values.items()}
@@ -728,7 +696,7 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
             if full() and ckey in seen_classes:
                 continue
             seen_classes.add(ckey)
-            mask = _class_mask(ckey)
+            mask = class_mask(ckey)
             if len(pool) < 3 * _POINT_POOL:
                 pool.append((x, mask))
             if inf_ok and mask ^ masks["inf"] not in known:
@@ -910,6 +878,28 @@ def local_images(curve: RichelotPair, v: LocalPlace, cfg: SearchConfig = SearchC
     return images
 
 
+def _is_witness(D: MumfordDivisor, t_local: LocalKummerTriple, curve: RichelotPair,
+                v: LocalPlace) -> bool:
+    """Is D, as a file gave it, a domain point over Q_v with image t_local?
+    Each rational x must have f(x) a nonzero square in Q_v, and a quadratic
+    must be irreducible over Q_v and pass the certificate.  A divisor whose
+    fields do not fit its tag (no quadratic, a marker the curve lacks) fails
+    on the way, and is no witness either."""
+    if D.side != DOMAIN:
+        return False
+    try:
+        if D.tag == "quadratic":
+            an, bn, q = _common_denominator(*D.quad)
+            ok = (any(square_class_bits(an * an - 4 * bn * q, 1, v.p))
+                  and _quadratic_certificate(curve.domain_data.f_form, an, bn, q, v))
+        else:
+            xs = [(x.numerator, x.denominator) for x in D.xs]
+            ok = len(list(_points_among(curve, DOMAIN, v, xs))) == len(xs)
+        return ok and divisor_image(D, curve, v) == t_local
+    except (AttributeError, InsufficientPrecision, KeyError, TypeError, ValueError):
+        return False
+
+
 def find_local_point(target, curve: RichelotPair, v: LocalPlace,
                      cfg: SearchConfig = SearchConfig(),
                      cache: Optional["LocalDataCache"] = None) -> MumfordDivisor:
@@ -922,13 +912,16 @@ def find_local_point(target, curve: RichelotPair, v: LocalPlace,
     before SearchExhausted.  The walk `local_images` left in the cache is
     shared by every target at v: a target it holds is read off, and otherwise
     the walk resumes where it stopped.  Without one, a private walk runs.
+    A witness the cache read back from a file is used only if `_is_witness`
+    holds for it; otherwise the cache drops it and the walk answers.
     """
     t_local = target.restrict(v) if isinstance(target, KummerTriple) else target
     if t_local.place != v:
         raise ValueError(f"target {t_local} does not live at {v}")
     key = tuple(c.bits for c in t_local.classes)
     store = cache is not None and cfg.shuffle_seed is None
-    hit = cache.get_witness(curve, v, cfg, key) if store else None
+    hit = cache.get_witness(curve, v, cfg, key,
+                            lambda D: _is_witness(D, t_local, curve, v)) if store else None
     if hit is not None:
         return hit
     walk = cache.get_walk(curve, v, cfg) if cache is not None else None
@@ -959,12 +952,14 @@ class LocalDataCache:
     one thread.  Witnesses persist with the config's bounds, when `save` is
     called, as {"version": 1, "witnesses": [rows]}; a row with other bounds
     fields, or none, is ignored, and a file of another version, or one that
-    does not parse, or a malformed row, raises CacheFormatError.
+    does not parse, or a malformed row, raises CacheFormatError.  A witness
+    read from the file is checked when it is first asked for.
     """
 
     def __init__(self, directory: Optional[str] = None):
         self._places: dict = {}  # key -> (images, domain walk) of local_images
         self._witnesses: dict = {}
+        self._unchecked: set = set()  # keys of witnesses read from the file
         self._unsaved = False  # a witness was put since the last save
         self.directory = Path(directory) if directory else None
         if self.directory:
@@ -984,8 +979,16 @@ class LocalDataCache:
     def put_images(self, curve, v, cfg, images, walk):
         self._places[self._key(curve, v, cfg)] = images, walk
 
-    def get_witness(self, curve, v, cfg, key):
-        return self._witnesses.get(self._key(curve, v, cfg) + (key,))
+    def get_witness(self, curve, v, cfg, key, check=None):
+        """The witness kept under this key.  One read back from the file is
+        passed to `check` first, once, and dropped if that fails."""
+        k = self._key(curve, v, cfg) + (key,)
+        if check is not None and k in self._unchecked:
+            self._unchecked.discard(k)
+            if not check(self._witnesses[k]):
+                del self._witnesses[k]
+                self._unsaved = True
+        return self._witnesses.get(k)
 
     def put_witness(self, curve, v, cfg, key, D):
         self._witnesses[self._key(curve, v, cfg) + (key,)] = D
@@ -1026,8 +1029,9 @@ class LocalDataCache:
             for row in data["witnesses"]:
                 if set(row.get("bounds", ())) != set(_BOUNDS):
                     continue  # written under other search bounds: not trusted
-                key = tuple(tuple(b) for b in row["target"])
-                self._witnesses[(row["curve"], row["place"], SearchConfig(**row["bounds"]),
-                                 key)] = MumfordDivisor.from_json(row["witness"])
+                k = (row["curve"], row["place"], SearchConfig(**row["bounds"]),
+                     tuple(tuple(b) for b in row["target"]))
+                self._witnesses[k] = MumfordDivisor.from_json(row["witness"])
+                self._unchecked.add(k)
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise CacheFormatError(f"{path}: malformed witness row: {e!r}") from e

@@ -23,7 +23,7 @@ from . import gf2
 from .arith import PlaceSet, SquareClass
 from .cohomology import KummerTriple
 from .curve import RichelotPair
-from .localfield import LocalPlace, local_square_class, local_square_dim, places_of
+from .localfield import LocalPlace, class_mask, local_square_class, local_square_dim, places_of
 from .localpoints import (
     CODOMAIN,
     DOMAIN,
@@ -176,7 +176,7 @@ def selmer_group(curve: RichelotPair, side: str, cfg: SearchConfig = SearchConfi
             status = "heuristic"
         imgs[v] = img.span()
         dims.append((v, img.dim))
-        gen_masks = [local_square_class(g, v).mask() for g in gens]
+        gen_masks = [class_mask([local_square_class(g, v).bits]) for g in gens]
         rows += _local_rows(gen_masks, local_square_dim(v), imgs[v])
     kernel = gf2.nullspace(rows, 2 * n)
 

@@ -79,9 +79,9 @@ _SEL_PHIHAT = [(2 * K, -14 * K, -7), (K, 7, 7 * K), (K, K, 1), (2, 2, 1), (1, 7,
 _SEL_PHI = [(K, -7 * K, -7), (2 * K, 7, 14 * K), (K, 1, K)]
 
 
-def _same_local_classes(values, expected, v: LocalPlace) -> bool:
-    return all(local_square_class(a, v) == local_square_class(b, v)
-               for a, b in zip(values, expected))
+def _same_local_classes(t, expected, v: LocalPlace) -> bool:
+    """Does the local tuple t have the classes at v of the expected values?"""
+    return t.classes == tuple(local_square_class(b, v) for b in expected)
 
 
 def run_verification(cfg: SearchConfig = SearchConfig(),
@@ -159,10 +159,10 @@ def run_verification(cfg: SearchConfig = SearchConfig(),
                     break
             else:
                 _, d2row, liftrow, diffrow, rhorow = expected
-                if not (_same_local_classes(row.delta2.witnesses, d2row, v)
-                        and _same_local_classes(row.lift.witnesses, liftrow, v)
-                        and _same_local_classes(row.difference.witnesses, diffrow, v)
-                        and _same_local_classes(row.rho.witnesses, rhorow, v)):
+                if not (_same_local_classes(row.delta2, d2row, v)
+                        and _same_local_classes(row.lift, liftrow, v)
+                        and _same_local_classes(row.difference, diffrow, v)
+                        and _same_local_classes(row.rho, rhorow, v)):
                     ok, why = False, f"row mismatch at v={v}"
                     break
         check(f"local table for {a}", ok, why)

@@ -43,16 +43,29 @@ def test_isogeny_command_example(curve_file, capsys):
     assert "-178766*x + 60601674" in out
 
 
-def test_invalid_curve_exits_2(curve_file, capsys):
+def test_invalid_curve_exits_2(curve_file, tmp_path, capsys):
     assert main(["isogeny", curve_file(DEGENERATE)]) == 2
     assert "product of elliptic" in capsys.readouterr().err.lower()
     bad = curve_file({"lambda": "1", "G1": ["1"]}, "bad.json")
     assert main(["isogeny", bad]) == 2
     capsys.readouterr()
+    # a string factor was read digit by digit ("22" as 2 + 2x), and a float
+    # such as 1e400 ended in an OverflowError traceback
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text(json.dumps(CURVE113).replace('"-678"', "1e400", 1))
     for name, data in (("list.json", [1, 2]),
-                       ("null.json", dict(CURVE113, G2=["0", None, "1"]))):
+                       ("null.json", dict(CURVE113, G2=["0", None, "1"])),
+                       ("string-factor.json", dict(CURVE113, G1="22")),
+                       ("float.json", dict(CURVE113, G1=[226.0, "1"])),
+                       ("bool.json", dict(CURVE113, G1=["226", True])),
+                       ("bool-lambda.json", dict(CURVE113, **{"lambda": True})),
+                       ("float-lambda.json", dict(CURVE113, **{"lambda": 0.5}))):
         assert main(["isogeny", curve_file(data, name)]) == 2
         assert "malformed curve file" in capsys.readouterr().err
+    assert main(["isogeny", str(overflow)]) == 2
+    assert "malformed curve file" in capsys.readouterr().err
+    # an integer coefficient is read as it is
+    assert main(["isogeny", curve_file(dict(CURVE113, G1=[226, 1]), "int.json")]) == 0
 
 
 # lambda is the product of two 20-digit primes, which the rho stage of the
@@ -196,13 +209,13 @@ def test_verify_example_passes(capsys):
 def test_verify_example_catches_symbol_mutation(monkeypatch, capsys):
     # a wrong Hilbert symbol implementation must be caught
     import richelot_ctp.cohomology as coh
-    real = coh.hilbert_symbol
+    real = coh.hilbert_bits
 
-    def broken(a, b, v):
-        s = real(a, b, v)
-        return -s if v.p == 3 else s
+    def broken(bits_a, bits_b, p):
+        e = real(bits_a, bits_b, p)
+        return e ^ 1 if p == 3 else e
 
-    monkeypatch.setattr(coh, "hilbert_symbol", broken)
+    monkeypatch.setattr(coh, "hilbert_bits", broken)
     assert main(["verify-example"]) == 1
     assert "FAILED" in capsys.readouterr().out
 
@@ -211,10 +224,44 @@ def test_cache_dir_persists(curve_file, tmp_path, capsys):
     cdir = tmp_path / "cache"
     rc = main(["ctp", curve_file(CURVE113), "--json", "--cache-dir", str(cdir)])
     assert rc == 0
-    capsys.readouterr()
+    cold = capsys.readouterr().out
     assert (cdir / "witnesses.json").exists()
     rc = main(["ctp", curve_file(CURVE113), "--json", "--cache-dir", str(cdir)])
     assert rc == 0
+    assert capsys.readouterr().out == cold
+
+
+def _swap_the_oo_witnesses(rows):
+    oo = [row for row in rows if row["place"] == "oo"]
+    assert len(oo) == 2 and oo[0]["witness"] != oo[1]["witness"]
+    oo[0]["witness"], oo[1]["witness"] = oo[1]["witness"], oo[0]["witness"]
+
+
+def _drop_a_quadratic(rows):
+    rows[0]["witness"] = {"tag": "quadratic", "side": "domain"}
+
+
+def _name_a_marker_the_curve_lacks(rows):
+    rows[0]["witness"] = {"tag": "weierstrass_pair", "side": "domain", "support": ["7", "9"]}
+
+
+@pytest.mark.parametrize("corrupt", [
+    _swap_the_oo_witnesses, _drop_a_quadratic, _name_a_marker_the_curve_lacks])
+def test_a_cached_witness_that_fails_its_check_is_searched_again(
+        curve_file, tmp_path, capsys, corrupt):
+    # swapping the witnesses of the two rows at oo used to end the next run
+    # in exit 3 at the pairing self-check: each has the other's image
+    path, cdir = curve_file(CURVE113), tmp_path / "cache"
+    assert main(["ctp", path, "--json"]) == 0
+    fresh = capsys.readouterr().out
+    assert main(["ctp", path, "--json", "--cache-dir", str(cdir)]) == 0
+    capsys.readouterr()
+    witnesses = cdir / "witnesses.json"
+    data = json.loads(witnesses.read_text())
+    corrupt(data["witnesses"])
+    witnesses.write_text(json.dumps(data))
+    assert main(["ctp", path, "--json", "--cache-dir", str(cdir)]) == 0
+    assert capsys.readouterr().out == fresh
 
 
 def test_cache_dir_writes_witnesses_once_per_run(curve_file, tmp_path, capsys, monkeypatch):

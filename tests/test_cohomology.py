@@ -79,11 +79,12 @@ def test_quotient_examples():
 
 def test_descend_examples():
     q = LocalKummerQuintuple.of((1, 3, 3, -1, -1), V3)
-    assert descend_to_phi(q).witnesses == (-3, -1, 3)
+    assert descend_to_phi(q) == LocalKummerTriple.of((-3, -1, 3), V3)
     q2 = LocalKummerQuintuple.of((1, 6, 6, -1, -1), V2)
-    assert descend_to_phi(q2).witnesses == (-6, -1, 6)
-    q3 = LocalKummerQuintuple.of((1, 1, 1, 7, 7), LocalPlace.finite(7))
-    assert descend_to_phi(q3).witnesses == (7, 7, 1)
+    assert descend_to_phi(q2) == LocalKummerTriple.of((-6, -1, 6), V2)
+    V7 = LocalPlace.finite(7)
+    q3 = LocalKummerQuintuple.of((1, 1, 1, 7, 7), V7)
+    assert descend_to_phi(q3) == LocalKummerTriple.of((7, 7, 1), V7)
 
 
 def test_descend_rejects_non_image():
@@ -104,7 +105,7 @@ def test_descend_inverts_psi():
         for v in (V2, V3, V113):
             q = psi_phi_to_two(t).restrict(v)
             got = descend_to_phi(q)
-            assert got.same_class(t.restrict(v))
+            assert got == t.restrict(v)
 
 
 def test_cup_invariant_examples():
@@ -114,6 +115,14 @@ def test_cup_invariant_examples():
     assert cup_invariant(rho2, KummerTriple.of(2, 2, 1)) == 0
     triv = LocalKummerTriple.of((1, 1, 1), V3)
     assert cup_invariant(triv, KummerTriple.of(113, 113, 1)) == 0
+
+
+def test_cup_invariant_rejects_a_local_t_at_another_place():
+    rho = LocalKummerTriple.of((-3, -1, 3), V3)
+    t = KummerTriple.of(2, 2, 1)
+    assert cup_invariant(rho, t.restrict(V3)) == cup_invariant(rho, t) == 1
+    with pytest.raises(ValueError, match="different place"):
+        cup_invariant(rho, t.restrict(V2))
 
 
 def test_cup_invariant_bilinear():

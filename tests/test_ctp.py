@@ -44,11 +44,12 @@ def matrix(curve113, sel_phihat, cache):
 
 def _direct_formula_local(a, a2, curve, v, cache):
     # the closed form: pick any local point below a with quintuple image
-    # (x1..x5); the contribution is (x2 x4, a2_1)(x4, a2_2)(x2, a2_3)
+    # (x1..x5); the contribution is (x2 x4, a2_1)(x4, a2_2)(x2, a2_3), each
+    # symbol evaluated on rationals: the slot values' squarefree classes
     from richelot_ctp.localfield import hilbert_symbol
     from richelot_ctp.localpoints import find_local_point, mu_two
     P_v = find_local_point(a, curve, v, cache=cache)
-    x = mu_two(P_v, curve, v).witnesses
+    x = mu_two(P_v, curve).values
     w = a2.values
     s = (hilbert_symbol(x[1] * x[3], w[0], v)
          * hilbert_symbol(x[3], w[1], v)

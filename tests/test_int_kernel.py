@@ -1,20 +1,25 @@
 """The integer kernel against the Fraction code it replaced.
 
-`poly_eval`, the square classes, the Hilbert symbol and the quadratic
-certificate run on integer numerators and denominators.  The references
-below are the straightforward Fraction versions: Horner's rule on Fractions,
-the square class read through `valuation` and `_unit_residue`, the closed
-form Hilbert symbol on those, and the norm-trace certificate on Fractions.
-They are compared on seeded random inputs, and the singles tier's point
-decision is compared with evaluating f itself on every candidate.
+`poly_eval`, the square classes, the Hilbert symbol, the quadratic
+certificate and the slot values of the descent maps run on integer
+numerators and denominators.  The references below are the straightforward
+Fraction versions: Horner's rule on Fractions, the square class read through
+`valuation` and `_unit_residue`, the closed form Hilbert symbol on those, the
+norm-trace certificate on Fractions, and the quintuple map's evaluator.
+They are compared on seeded random inputs, the singles tier's point
+decision is compared with evaluating f itself on every candidate, and the
+quintuple map with its evaluator on every divisor the search walks yield.
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from richelot_ctp.curve import build_pair, poly_eval, poly_integer_form, rational_sqrt
+from richelot_ctp.cohomology import LocalKummerQuintuple
+from richelot_ctp.curve import INF, build_pair, poly_eval, poly_integer_form, rational_sqrt
 from richelot_ctp.localfield import (
     InsufficientPrecision,
     LocalPlace,
@@ -24,6 +29,7 @@ from richelot_ctp.localfield import (
     hilbert_symbol,
     is_local_square,
     local_square_class,
+    places_of,
     square_class_bits,
     valuation,
 )
@@ -32,14 +38,19 @@ from richelot_ctp.localpoints import (
     CODOMAIN,
     DOMAIN,
     SearchConfig,
+    _Walk,
     _block_xs,
     _common_denominator,
+    _escalated,
     _mod_quadratic_ints,
     _points_among,
     _res2,
+    _slot_values,
+    _torsion_divisors,
     _unit_residues,
     _x_blocks,
     _x_candidates,
+    mu_two,
     quadratic_mumford_certificate,
 )
 
@@ -53,6 +64,21 @@ A257 = build_pair(1, [0, 1], [-1, 0, 1], [-257 * 257, 0, 1])
 K113 = build_pair(1, [226, 1], [0, -678, 1], [-7 * 113 * 113, -678, 1])
 B31 = build_pair(1, [0, 1], [2, -3, 1], [5 * 31, -(5 + 31), 1])
 B97 = build_pair(1, [0, 1], [2, -3, 1], [5 * 97, -(5 + 97), 1])
+
+
+def k_family(k):
+    return build_pair(1, [2 * k, 1], [0, -6 * k, 1], [-7 * k * k, -6 * k, 1])
+
+
+# the fourteen curves of the benchmark's four workloads
+BENCHMARK_CURVES = {
+    "k113": K113, "fractional": FRACTIONAL, "irrational": IRRATIONAL,
+    "A257": A257, "B31": B31, "B97": B97,
+    **{f"k{k}": k_family(k) for k in (17, 143, 2431, 46189, 1062347)},
+    "six-root": build_pair(2, [-1, 1], [30, -21, 3], [-11, -10, 1]),
+    "negative-lc": build_pair(-1, [0, 1], [-1, 0, 1], [-9, 0, 1]),
+    "A1009": build_pair(1, [0, 1], [-1, 0, 1], [-1009 * 1009, 0, 1]),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +145,28 @@ def reference_res2(a, b, L):
     c0, c1, c2 = (list(L) + [Fraction(0)] * 3)[:3]
     return (c2 * c2 * e2 * e2 + c2 * c1 * e1 * e2 + c2 * c0 * (e1 * e1 - 2 * e2)
             + c1 * c1 * e2 + c1 * c0 * e1 + c0 * c0)
+
+
+def reference_quintuple_values(D, curve):
+    """The Fraction evaluator the quintuple map had before it shared the
+    integer slot-value code: slot i is (x1 - w_i)(x2 - w_i), where a
+    Weierstrass point w_i contributes lambda prod_{l != i} (w_i - w_l) to
+    its own slot and infinity lambda to every slot."""
+    roots, lam = curve.roots, curve.leading_coefficient
+    if D.tag == "quadratic":
+        return tuple(reference_res2(*D.quad, (-w, 1)) for w in roots)
+    if D.tag == "weierstrass_pair":
+        points = [None if m == INF else roots[m] for m in D.torsion.support]
+    else:
+        points = list(D.xs) + [None] * (D.tag == "point_plus_infinity")
+    vals = [Fraction(1)] * 5
+    for x in points:
+        if x is None:
+            vals = [y * lam for y in vals]
+        else:
+            vals = [y * (x - w if x != w else lam * math.prod(w - wl for wl in roots if wl != w))
+                    for y, w in zip(vals, roots)]
+    return tuple(vals)
 
 
 def reference_certificate(f, a, b, v, prec=24):
@@ -367,3 +415,23 @@ def test_most_domain_blocks_at_2_are_generic():
     blocks = list(_x_blocks(K113, DOMAIN, 2, SearchConfig()))
     assert len(blocks) == 37
     assert sum(generic for _, _, generic in blocks) >= 29
+
+
+@pytest.mark.parametrize("label", sorted(BENCHMARK_CURVES))
+def test_quintuple_slot_values_match_the_fraction_evaluator(label):
+    # every divisor a domain walk yields, walked to its end at every bad
+    # place, and every two-torsion divisor, which the walk yields only once
+    # per mask
+    curve = BENCHMARK_CURVES[label]
+    tags = set()
+    for v in places_of(curve.bad_places):
+        walk = _Walk(curve, DOMAIN, v, _escalated(SearchConfig()))
+        walked = [D for D, _ in itertools.chain.from_iterable(walk.tiers())]
+        for D in walked + _torsion_divisors(curve, DOMAIN):
+            want = reference_quintuple_values(D, curve)
+            assert _slot_values(D, curve, curve.two_data) == want, (str(D), str(v))
+            assert mu_two(D, curve, v) == LocalKummerQuintuple.of(want, v), (str(D), str(v))
+            tags.add(D.tag)
+    # the walks of k2431 yield two-torsion only; the other curves' walks
+    # yield every kind of point, and six of them quadratics as well
+    assert {"identity", "weierstrass_pair"} <= tags

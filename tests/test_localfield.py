@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from hilbert_oracle import OracleInconclusive, hilbert_oracle
 from richelot_ctp.localfield import (
     DEFAULT_PADIC_DIGITS,
     InsufficientPrecision,
     LocalPlace,
-    OracleInconclusive,
     PadicApprox,
-    hilbert_oracle,
     hilbert_symbol,
     is_local_square,
     local_square_class,

@@ -254,7 +254,7 @@ def oracle_find_local_point(target, curve, v, cfg):
     config = cfg
     for _ in range(cfg.escalations + 1):
         for D in itertools.chain.from_iterable(oracle_point_tiers(curve, DOMAIN, v, config)):
-            if divisor_image(D, curve, v).same_class(t_local):
+            if divisor_image(D, curve, v) == t_local:
                 return D
         config = config.escalate()
     return SearchExhausted

@@ -21,7 +21,7 @@ from richelot_ctp.ctp import (
     rank_report,
 )
 from richelot_ctp.curve import UnsupportedModelError, build_pair
-from richelot_ctp.localfield import LocalPlace, local_square_class, places_of
+from richelot_ctp.localfield import LocalPlace, class_mask, local_square_class, places_of
 from richelot_ctp.localpoints import LocalDataCache, SearchConfig, local_images
 from richelot_ctp.selmer import (
     KernelCheckError,
@@ -53,7 +53,7 @@ def enumerate_selmer(curve, side, cfg=SearchConfig(), cache=None) -> SelmerGroup
     local_masks = {}
     for v in places:
         classes = [local_square_class(c.value, v) for c in group]
-        local_masks[v] = ([lc.mask() for lc in classes], len(classes[0].bits))
+        local_masks[v] = ([class_mask([lc.bits]) for lc in classes], len(classes[0].bits))
 
     members = []
     for i1, a1 in enumerate(group):
