@@ -192,12 +192,13 @@ def ctp_matrix(selmer: SelmerGroup, curve: RichelotPair,
         places = places_of(curve.bad_places)
     n = len(bas)
     rows = tuple(tuple(local_row(a, curve, v, cfg, cache) for v in places) for a in bas)
+    local_bas = {v: [t.restrict(v) for t in bas] for v in places}
     entries = []
     breakdown = {}
     for i in range(n):
         row = []
         for j in range(n):
-            bd = {str(r.place): cup_invariant(r.rho, bas[j], r.place) for r in rows[i]}
+            bd = {str(r.place): cup_invariant(r.rho, local_bas[r.place][j]) for r in rows[i]}
             breakdown[(i, j)] = bd
             row.append(sum(bd.values()) % 2)
         entries.append(tuple(row))

@@ -432,11 +432,6 @@ class RichelotPair:
                 out.append(rational_roots_quadratic(Li))
         return tuple(out)
 
-    @cached_property
-    def codomain_roots(self) -> tuple[Fraction, ...]:
-        """The rational roots of the L_i, flattened in factor order."""
-        return tuple(r for grp in self.codomain_roots_by_factor if grp for r in grp)
-
     @property
     def codomain_degree(self) -> int:
         """5 when one L_i is linear (its root pairs with infinity), else 6."""

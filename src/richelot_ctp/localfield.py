@@ -1,15 +1,16 @@
 """Exact local arithmetic at a place v of Q.
 
-Square classes of Q_v, the Hilbert symbol in closed form, and a
-bounded-precision p-adic type used only by the Mumford-divisor search.
-Squareness of a rational at a finite place is decided from the valuation
-parity and unit residues (mod p for odd p, mod 8 for p = 2), never from
-truncated expansions.  `square_class_bits` reads both in one pass from the
-integer numerator and denominator, without building a Fraction.  A Hilbert
-symbol depends only on the square classes of its arguments, so
-`hilbert_bits` evaluates it on their bits, and `hilbert_symbol` reads the
-bits of two rationals and calls it.  The tests check the closed form against
-an independent brute-force solvability oracle.
+Square classes of Q_v, the Hilbert symbol in closed form, and square roots
+of p-adic units modulo p^k, of which the Mumford-divisor certificate reads
+a few digits.  Squareness of a rational at a finite place is decided from
+the valuation parity and unit residues (mod p for odd p, mod 8 for p = 2),
+never from truncated expansions.  `square_class_bits` reads both in one
+pass from the integer numerator and denominator, without building a
+Fraction.  A Hilbert symbol depends only on the square classes of its
+arguments, so `hilbert_bits` evaluates it on their bits, and
+`hilbert_symbol` reads the bits of two rationals and calls it.  The tests
+check the closed form against an independent brute-force solvability
+oracle.
 """
 
 from __future__ import annotations
@@ -26,17 +27,12 @@ __all__ = [
     "is_local_square",
     "hilbert_bits",
     "hilbert_symbol",
-    "PadicApprox",
-    "InsufficientPrecision",
     "places_of",
     "class_mask",
     "square_class_bits",
+    "sqrt_mod_pk",
     "valuation",
 ]
-
-
-class InsufficientPrecision(Exception):
-    """A p-adic square test needs more digits than are being carried."""
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,7 @@ def places_of(S) -> list[LocalPlace]:
 
 
 # ---------------------------------------------------------------------------
-# valuations and unit residues of rationals
+# valuations and residue symbols
 # ---------------------------------------------------------------------------
 
 
@@ -86,16 +82,6 @@ def valuation(q, p: int) -> int:
         d //= p
         v -= 1
     return v
-
-
-def _unit_residue(q: Fraction, p: int, modulus: int) -> int:
-    """The p-unit part of q reduced mod `modulus` (a power of p)."""
-    n, d = q.numerator, q.denominator
-    while n % p == 0:
-        n //= p
-    while d % p == 0:
-        d //= p
-    return n * pow(d, -1, modulus) % modulus
 
 
 def _legendre(u: int, p: int) -> int:
@@ -244,148 +230,36 @@ def hilbert_symbol(a, b, v: LocalPlace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bounded-precision p-adic numbers (search plumbing only)
+# square roots modulo prime powers
 # ---------------------------------------------------------------------------
 
-DEFAULT_PADIC_DIGITS = 24
 
+def sqrt_mod_pk(u: int, p: int, k: int) -> int:
+    """A square root mod p^k (k >= 1) of a unit u that is a square in Z_p:
+    the residue of one of its two roots in Z_p, the other being minus it.
 
-def _int_valuation(n: int, p: int, cap: int) -> int:
-    v = 0
-    while v < cap and n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-class PadicApprox:
-    """x = p^val * unit known mod p^prec, with exact valuation tracking.
-
-    Exists solely for the Mumford-divisor search: its square test demands
-    enough digits (1 for odd p, 3 for p = 2) and raises InsufficientPrecision
-    instead of guessing.  `None` valuation marks an exact zero.
+    Tonelli-Shanks mod p, then Hensel lifting at odd p.  At p = 2 (u = 1
+    mod 8) the root is lifted bit by bit to a solution mod 2^(k+1), whose
+    residue mod 2^k is a true root's: the solutions mod 2^(k+1) are +-r and
+    +-r + 2^k.  Raises ValueError when u is not a square unit.
     """
-
-    __slots__ = ("p", "val", "unit", "prec")
-
-    def __init__(self, p: int, val: Optional[int], unit: int, prec: int):
-        self.p = p
-        self.prec = prec
-        if val is None:
-            self.val = None
-            self.unit = 0
-            return
-        self.val = val
-        if prec <= 0:
-            self.unit = 0  # no digits carried
-            return
-        unit %= p ** prec
-        if unit % p == 0:
-            raise ValueError("unit part must be prime to p")
-        self.unit = unit
-
-    @staticmethod
-    def from_rational(q, p: int, prec: int = DEFAULT_PADIC_DIGITS) -> "PadicApprox":
-        q = Fraction(q)
-        if q == 0:
-            return PadicApprox(p, None, 0, prec)
-        v = valuation(q, p)
-        return PadicApprox(p, v, _unit_residue(q, p, p ** prec), prec)
-
-    @staticmethod
-    def from_ints(n: int, d: int, p: int, prec: int = DEFAULT_PADIC_DIGITS) -> "PadicApprox":
-        """`from_rational(n/d)` read from the integers (d nonzero) in one pass:
-        strip p from n and d for the valuation, and take the unit as n d^-1
-        mod p^prec, which common factors prime to p do not change."""
-        if not d:
-            raise ZeroDivisionError("denominator is zero")
-        if not n:
-            return PadicApprox(p, None, 0, prec)
-        val = 0
-        while n % p == 0:
-            n //= p
-            val += 1
-        while d % p == 0:
-            d //= p
-            val -= 1
-        m = p ** prec
-        return PadicApprox(p, val, n * pow(d, -1, m) % m, prec)
-
-    def is_zero(self) -> bool:
-        return self.val is None
-
-    def _modulus(self) -> int:
-        return self.p ** self.prec
-
-    def __mul__(self, other: "PadicApprox") -> "PadicApprox":
-        if self.is_zero() or other.is_zero():
-            return PadicApprox(self.p, None, 0, min(self.prec, other.prec))
-        prec = min(self.prec, other.prec)
-        return PadicApprox(self.p, self.val + other.val,
-                           self.unit * other.unit % self.p ** prec, prec)
-
-    def __add__(self, other: "PadicApprox") -> "PadicApprox":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        p = self.p
-        lo, hi = (self, other) if self.val <= other.val else (other, self)
-        shift = hi.val - lo.val
-        prec = min(lo.prec, hi.prec + shift)
-        if prec <= 0:
-            raise InsufficientPrecision("additive cancellation exhausted all digits")
-        m = p ** prec
-        s = (lo.unit + hi.unit * p ** shift) % m
-        if s == 0:
-            # cancelled below the carried precision: indistinguishable from 0
-            raise InsufficientPrecision("sum vanishes to working precision")
-        extra = _int_valuation(s, p, prec)
-        if extra >= prec:
-            raise InsufficientPrecision("sum vanishes to working precision")
-        return PadicApprox(p, lo.val + extra, s // p ** extra, prec - extra)
-
-    def __neg__(self) -> "PadicApprox":
-        if self.is_zero():
-            return self
-        return PadicApprox(self.p, self.val, -self.unit % self._modulus(), self.prec)
-
-    def is_square(self) -> bool:
-        """Squareness in Q_p; needs 1 spare digit for odd p, 3 for p = 2."""
-        if self.is_zero():
-            return True
-        need = 3 if self.p == 2 else 1
-        if self.prec < need:
-            raise InsufficientPrecision(f"need {need} unit digits, have {self.prec}")
-        if self.val % 2:
-            return False
-        if self.p == 2:
-            return self.unit % 8 == 1
-        return _legendre(self.unit % self.p, self.p) == 1
-
-    def sqrt(self) -> "PadicApprox":
-        """A square root, by Tonelli-Shanks mod p plus Hensel lifting."""
-        if self.is_zero():
-            return self
-        if not self.is_square():
-            raise ValueError("not a square in Q_p")
-        p, u = self.p, self.unit
-        if p == 2:
-            prec = self.prec
-            if prec < 3:
-                raise InsufficientPrecision("need 3 digits for a 2-adic sqrt")
-            r = 1
-            for k in range(3, prec):
-                if (r * r - u) % (1 << (k + 1)):
-                    r += 1 << (k - 1)
-            return PadicApprox(2, self.val // 2, r, max(prec - 1, 1))
-        r = _sqrt_mod_p(u % p, p)
-        k = 1
-        while k < self.prec:
-            k = min(2 * k, self.prec)
-            m = p ** k
-            r = (r - (r * r - u) * pow(2 * r, -1, m)) % m
-        return PadicApprox(p, self.val // 2, r, self.prec)
+    if p == 2:
+        if u % 8 != 1:
+            raise ValueError(f"{u} is not a square unit in Z_2")
+        r = 1
+        for i in range(3, k + 1):  # r^2 = u mod 2^i; make it mod 2^(i+1)
+            if (r * r - u) % (2 << i):
+                r += 1 << (i - 1)
+        return r
+    if u % p == 0 or _legendre(u, p) == -1:
+        raise ValueError(f"{u} is not a square unit in Z_{p}")
+    r = _sqrt_mod_p(u % p, p)
+    j = 1
+    while j < k:
+        j = min(2 * j, k)
+        m = p ** j
+        r = (r - (r * r - u) * pow(2 * r, -1, m)) % m
+    return r
 
 
 def _sqrt_mod_p(n: int, p: int) -> int:

@@ -50,7 +50,6 @@ import os
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -71,16 +70,14 @@ from .curve import (
     _res2,
     homogenized_eval,
     poly_integer_form,
-    rational_sqrt,
     two_torsion_points,
 )
 from .localfield import (
-    InsufficientPrecision,
     LocalPlace,
-    PadicApprox,
     class_mask,
     is_local_square,
     local_square_dim,
+    sqrt_mod_pk,
     square_class_bits,
     valuation,
 )
@@ -329,28 +326,32 @@ def _mod_quadratic_ints(f_form, an: int, bn: int, q: int) -> tuple[int, int, int
     return U, W, den * qpow
 
 
-def quadratic_mumford_certificate(curve_f, A, v: LocalPlace, prec: int = 24) -> bool:
+def quadratic_mumford_certificate(curve_f, A, v: LocalPlace) -> bool:
     """Is f a square in Q_v[x]/(A) for monic irreducible A = x^2 + a x + b?
 
     Norm-trace criterion: with xi = f mod A, a square root B = b1 x + b0
-    exists iff N(xi) is a square n^2 in Q_v and Tr(xi) +- 2n is a square
-    (tau = Tr(B) satisfies tau^2 = Tr(xi) + 2 nu with nu = N(B) = +-n).
-    Rational data is tested exactly; the irrational-sqrt branch uses bounded
-    p-adic digits and raises InsufficientPrecision rather than guessing.
+    exists iff N(xi) is a square n^2 in Q_v and Tr(xi) +- 2n is a nonzero
+    square (tau = Tr(B) satisfies tau^2 = Tr(xi) + 2 nu with nu = N(B) = +-n).
+    The answer is exact: square classes are read from integers and a few
+    digits of an integer square root mod p^k, with no digit budget.
     """
     a, b = Fraction(A[0]), Fraction(A[1])
-    return _quadratic_certificate(poly_integer_form(curve_f), *_common_denominator(a, b),
-                                  v, prec)
+    return _quadratic_certificate(poly_integer_form(curve_f), *_common_denominator(a, b), v)
 
 
-def _quadratic_certificate(f_form, an: int, bn: int, q: int, v: LocalPlace,
-                           prec: int = 24) -> bool:
+def _quadratic_certificate(f_form, an: int, bn: int, q: int, v: LocalPlace) -> bool:
     """`quadratic_mumford_certificate` for A = x^2 + (an/q) x + bn/q and f
-    given by its `poly_integer_form`.
+    given by its `poly_integer_form`, decided exactly on integers.
 
-    With xi = (U x + W)/s, the discriminant, norm and trace are
-    (an^2 - 4 bn q)/q^2, (q W^2 - an U W + bn U^2)/(q s^2) and
-    (2 q W - an U)/(q s); their square classes are read from the integers.
+    With xi = (U x + W)/s and disc(A) = D/q^2, D = an^2 - 4 bn q, the trace
+    and norm of xi scaled by q s and (q s)^2 are the integers
+    tr = 2 q W - an U and nn = q (q W^2 - an U W + bn U^2).  The candidates
+    t = tr +- 2 sqrt(nn) are q s (Tr xi +- 2n), so one is a square iff its
+    class is that of q s.  Their product tr^2 - 4 nn = U^2 D is nonzero for
+    U, D nonzero, so the candidate of smaller valuation has valuation at
+    most a = min(v(tr), v(2 sqrt(nn))) (a + 1 at p = 2), and its class is
+    read from it mod p^(a+1) (mod 2^(a+4)); the other's class is that times
+    the class of D.  A double root (D = 0) leaves one nonzero candidate, 2 tr.
     """
     U, W, s = _mod_quadratic_ints(f_form, an, bn, q)
     p = v.p
@@ -358,41 +359,34 @@ def _quadratic_certificate(f_form, an: int, bn: int, q: int, v: LocalPlace,
         # irreducible over R means conjugate complex points; C is quadratically
         # closed, so the certificate always exists (f mod A != 0 here)
         return not (U == 0 and W == 0)
+    disc = an * an - 4 * bn * q
     if U == 0:
         if W == 0:
             return True  # A divides f: the two-torsion divisor, B = 0
         return (not any(square_class_bits(W, s, p))
-                or not any(square_class_bits(W * (an * an - 4 * bn * q), s, p)))
-    norm_n = q * W * W - an * U * W + bn * U * U
-    if norm_n == 0:
+                or (disc != 0 and not any(square_class_bits(W * disc, s, p))))
+    nn = q * (q * W * W - an * U * W + bn * U * U)
+    if nn == 0 or any(square_class_bits(nn, 1, p)):
         return False
-    if any(square_class_bits(norm_n, q, p)):
-        return False
-    tr_n, tr_d = 2 * q * W - an * U, q * s
-    n = rational_sqrt(Fraction(norm_n, q * s * s))
-    if n is not None:
-        tr = Fraction(tr_n, tr_d)
-        for nu in (n, -n):
-            t = tr + 2 * nu
-            if t == 0:
-                continue  # trace-zero roots only square to rational xi
-            if is_local_square(t, v):
-                return True
-        return False
-    n_pad = PadicApprox.from_ints(norm_n, q * s * s, p, prec).sqrt()
-    tr_pad = PadicApprox.from_ints(tr_n, tr_d, p, prec)
-    two = _padic_two(p, prec)
-    for nu in (n_pad, -n_pad):
-        if (tr_pad + two * nu).is_square():
-            return True
-    return False
-
-
-@lru_cache(maxsize=None)
-def _padic_two(p: int, prec: int) -> PadicApprox:
-    """The constant 2 of the certificate's p-adic branch, built once per
-    (p, prec); PadicApprox arithmetic never mutates its operands."""
-    return PadicApprox.from_ints(2, 1, p, prec)
+    tr = 2 * q * W - an * U
+    want = class_mask([square_class_bits(q, s, p)])
+    if disc == 0:
+        return class_mask([square_class_bits(2 * tr, 1, p)]) == want
+    h, u = 0, nn  # nn = p^(2h) u with u a unit
+    while u % p == 0:
+        u //= p * p
+        h += 1
+    a, x = 0, tr  # a = min(v(tr), v(2 sqrt(nn)))
+    while a < h + (p == 2) and x % p == 0:
+        x //= p
+        a += 1
+    e = a + (4 if p == 2 else 1)
+    m = p ** e
+    root = 2 * p ** h * sqrt_mod_pk(u, p, max(e - h, 1))
+    # the candidate of smaller valuation, nonzero mod m
+    t = min((tr + root) % m, (tr - root) % m, key=lambda y: math.gcd(y, m))
+    c = class_mask([square_class_bits(t, 1, p)])
+    return want in (c, c ^ class_mask([square_class_bits(disc, 1, p)]))
 
 
 # ---------------------------------------------------------------------------
@@ -625,13 +619,8 @@ def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: Se
         if disc_n == 0 or not any(square_class_bits(disc_n, 1, p)):
             continue  # split or degenerate over Q_v: covered by point pairs
         mask = _quadratic_mask(an, bn, q, data.forms, p)
-        if mask in known:
-            continue
-        try:
-            if _quadratic_certificate(data.f_form, an, bn, q, v):
-                yield MumfordDivisor.quadratic(Fraction(na, da), Fraction(nb, db), side), mask
-        except InsufficientPrecision:
-            pass
+        if mask not in known and _quadratic_certificate(data.f_form, an, bn, q, v):
+            yield MumfordDivisor.quadratic(Fraction(na, da), Fraction(nb, db), side), mask
 
 
 def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfig,
@@ -814,9 +803,6 @@ class LocalImage:
     def span(self) -> gf2.Span:
         return gf2.Span(t.mask() for t in self.basis)
 
-    def contains(self, t: LocalKummerTriple) -> bool:
-        return t.mask() in self.span()
-
 
 def _h1_dim(v: LocalPlace) -> int:
     return 2 * local_square_dim(v)
@@ -896,7 +882,7 @@ def _is_witness(D: MumfordDivisor, t_local: LocalKummerTriple, curve: RichelotPa
             xs = [(x.numerator, x.denominator) for x in D.xs]
             ok = len(list(_points_among(curve, DOMAIN, v, xs))) == len(xs)
         return ok and divisor_image(D, curve, v) == t_local
-    except (AttributeError, InsufficientPrecision, KeyError, TypeError, ValueError):
+    except (AttributeError, KeyError, TypeError, ValueError):
         return False
 
 

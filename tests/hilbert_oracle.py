@@ -7,11 +7,30 @@ check against it.
 
 from fractions import Fraction
 
-from richelot_ctp.localfield import LocalPlace, _int_valuation, _unit_residue, valuation
+from richelot_ctp.localfield import LocalPlace, valuation
 
 
 class OracleInconclusive(Exception):
     """The lifting criteria cannot decide at this depth; raise the depth."""
+
+
+def _unit_residue(q: Fraction, p: int, modulus: int) -> int:
+    """The p-unit part of q reduced mod `modulus` (a power of p)."""
+    n, d = q.numerator, q.denominator
+    while n % p == 0:
+        n //= p
+    while d % p == 0:
+        d //= p
+    return n * pow(d, -1, modulus) % modulus
+
+
+def _int_valuation(n: int, p: int, cap: int) -> int:
+    """v_p(n), or `cap` if that is smaller (n = 0 gives `cap`)."""
+    v = 0
+    while v < cap and n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 _EXHAUSTIVE_CAP = 512  # run the residue exhaustion only while p^depth stays this small

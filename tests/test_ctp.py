@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from richelot_ctp import localfield
 from richelot_ctp.arith import bad_places, enumerate_Q_S2
 from richelot_ctp.cohomology import KummerTriple, lift_phihat_to_two, psi_phi_to_two
 from richelot_ctp.ctp import (
@@ -102,6 +103,18 @@ def test_matrix_breakdown_reproduces_tables(matrix):
     bd = matrix.breakdown[(2, 3)]
     assert bd["3"] == 1
     assert sum(bd.values()) % 2 == 1
+
+
+def test_a_warm_matrix_restricts_each_basis_element_once_per_place(
+        curve113, sel_phihat, cache, matrix, count_calls):
+    # with the local points cached, the matrix takes 13 classes per (row,
+    # place) for its pipeline and restricts each of the 5 basis triples to
+    # each of the 5 places once: 5 * 5 * 13 + 5 * 5 * 3 = 400, where one
+    # restriction per matrix entry took 700
+    calls = count_calls(localfield, "local_square_class", lambda args: str(args[1]))
+    again = ctp_matrix(sel_phihat, curve113, cache, basis=REFERENCE_BASIS)
+    assert (again.entries, again.breakdown) == (matrix.entries, matrix.breakdown)
+    assert len(calls) == 5 and sum(calls.values()) == 400
 
 
 def test_basis_change_same_radical(curve113, sel_phihat, cache):

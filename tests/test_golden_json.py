@@ -49,10 +49,46 @@ SHA256 = {
 }
 
 
-@pytest.mark.parametrize("label", sorted(CURVES))
-def test_ctp_json_bytes_are_pinned(label, tmp_path, capsys):
+# (exit code, stdout hash) under other search bounds: a smaller valuation
+# window, and the smallest search, where most curves end heuristic (exit 3)
+FLAGGED = {
+    "--val-bound 2": {
+        "A1009": (0, "1e8ee1fe19a152326de04cbb2e7e6b1dacbde7af9eadf562bb76ec3cc374aaa7"),
+        "A257": (0, "0201bb6bd80b4a7136c00e370c7763ee969092ebf2878307480f15f6bc932ef0"),
+        "B31": (0, "07cd033412f6bf019cde520f2be1069aab72662b0491c1cc8b357d3554d0336c"),
+        "B97": (0, "842989209dd6683b8d6c431d27a6447dae295968e1ca91af869494a4c3f63e06"),
+        "fractional": (0, "c0590bd6bb5969c9826c737e21a23c55ea14278c4a1e4dae2de385d75910d871"),
+        "irrational": (0, "ed38e77996943c1defa10d4835a48b97c3d0a8373f9a72e16e5213955d236001"),
+        "k=113": (0, "a07dbc6c359c6be3c307b08f8a3636b6b299b67c320d8bc7e83ac7432cd00329"),
+        "six-root": (0, "05b9536c9ff863324b6d7660a615a34c4a8c9ba63b92c55b2b6979301d7adc2e"),
+    },
+    "--precision 1 --val-bound 0 --escalations 0": {
+        "A1009": (3, "86c2dc70aaefb26d48d0f5dfab97e19a1da26c4d5bb6c0c9b15fed4a73f63068"),
+        "A257": (0, "de50491d3a2d622dfbc5a9d66cb8d7d7410c1b864f2b2a5d732d5f458705acea"),
+        "B31": (3, "2dc53f098c710755c1bd9b5f92d5dfdea21eae7184e63048488e71d28ba896b9"),
+        "B97": (3, "49495f7f9d70da36e336e34d57dadb34c0f38579f962d223d668900f458dfee0"),
+        "fractional": (3, "322e896772d048d1e7a36b07442c49fa6135ffbfa63755516c4a04d5c35d71a9"),
+        "irrational": (3, "a2dc1cd6d562ff0ed2de7f3cf482aa993ff11564157526976639467dd820411c"),
+        "k=113": (0, "5e0e7b4839cb0eb6533241080afa6df7f68c83943513d92895f30c6acb82eac0"),
+        "six-root": (0, "b827bdbf732fe1593b22975a08c5edc7aaa7005a0b8e6080456df3821dc8ad58"),
+    },
+}
+
+
+def ctp_json(label, flags, tmp_path, capsys):
+    """The exit code and the sha256 of stdout of `ctp --json` on the curve."""
     path = tmp_path / "curve.json"
     path.write_text(json.dumps(CURVES[label]))
-    assert main(["ctp", str(path), "--json"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == SHA256[label]
+    code = main(["ctp", str(path), "--json", *flags])
+    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("label", sorted(CURVES))
+def test_ctp_json_bytes_are_pinned(label, tmp_path, capsys):
+    assert ctp_json(label, [], tmp_path, capsys) == (0, SHA256[label])
+
+
+@pytest.mark.parametrize("label", sorted(CURVES))
+@pytest.mark.parametrize("flags", sorted(FLAGGED))
+def test_ctp_json_bytes_are_pinned_under_other_bounds(flags, label, tmp_path, capsys):
+    assert ctp_json(label, flags.split(), tmp_path, capsys) == FLAGGED[flags][label]

@@ -5,12 +5,14 @@ certificate and the slot values of the descent maps run on integer
 numerators and denominators.  The references below are the straightforward
 Fraction versions: Horner's rule on Fractions, the square class read through
 `valuation` and `_unit_residue`, the closed form Hilbert symbol on those, the
-norm-trace certificate on Fractions, and the quintuple map's evaluator.
+norm-trace certificate on Fractions and 80-digit p-adics (`padic_oracle`),
+and the quintuple map's evaluator.
 They are compared on seeded random inputs, the singles tier's point
 decision is compared with evaluating f itself on every candidate, and the
 quintuple map with its evaluator on every divisor the search walks yield.
 """
 
+import collections
 import itertools
 import math
 import random
@@ -18,18 +20,19 @@ from fractions import Fraction
 
 import pytest
 
+from hilbert_oracle import _unit_residue
+from padic_oracle import InsufficientPrecision, PadicApprox
 from richelot_ctp.cohomology import LocalKummerQuintuple
 from richelot_ctp.curve import INF, build_pair, poly_eval, poly_integer_form, rational_sqrt
 from richelot_ctp.localfield import (
-    InsufficientPrecision,
     LocalPlace,
-    PadicApprox,
     _legendre,
-    _unit_residue,
+    _smallest_nonresidue,
     hilbert_symbol,
     is_local_square,
     local_square_class,
     places_of,
+    sqrt_mod_pk,
     square_class_bits,
     valuation,
 )
@@ -169,7 +172,7 @@ def reference_quintuple_values(D, curve):
     return tuple(vals)
 
 
-def reference_certificate(f, a, b, v, prec=24):
+def reference_certificate(f, a, b, v, prec=80):
     u, w = reference_mod_quadratic(f, a, b)
     disc = a * a - 4 * b
     if v.p is None:
@@ -177,7 +180,7 @@ def reference_certificate(f, a, b, v, prec=24):
     if u == 0:
         if w == 0:
             return True
-        return reference_is_square(w, v) or reference_is_square(w * disc, v)
+        return reference_is_square(w, v) or (disc != 0 and reference_is_square(w * disc, v))
     norm = w * w - a * u * w + b * u * u
     if norm == 0 or not reference_is_square(norm, v):
         return False
@@ -264,76 +267,107 @@ def test_hilbert_symbol_matches_the_old_closed_form(v):
             assert hilbert_symbol(a, b, v) == reference_hilbert(a, b, v)
 
 
-@pytest.mark.parametrize("p", (2, 3, 17, 1009))
+def random_quadratic(rng, p, kind):
+    """(a, b) of a monic x^2 + a x + b: random, with rational roots, or with
+    a double root."""
+    if kind == "random":
+        return random_rational(rng, p, zero_ok=True), random_rational(rng, p)
+    r1 = random_rational(rng, p, zero_ok=True)
+    r2 = r1 if kind == "double root" else random_rational(rng, p, zero_ok=True)
+    return -(r1 + r2), r1 * r2
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 17, 257, 1009))
 def test_quadratic_kernel_matches_fraction_references(p):
     rng = random.Random(f"quadratic {p}")
     v = LocalPlace.finite(p)
     polys = CURVE_POLYS + [random_poly(rng, p, deg) for deg in (2, 5, 6) for _ in range(3)]
-    agree = 0
+    agree = collections.Counter()
     for f in polys:
-        for _ in range(25):
-            a = random_rational(rng, p, zero_ok=True)
-            b = random_rational(rng, p)
-            U, W, s = _mod_quadratic_ints(poly_integer_form(f), *_common_denominator(a, b))
-            assert (Fraction(U, s), Fraction(W, s)) == reference_mod_quadratic(f, a, b)
-            for L in ((Fraction(-3), Fraction(1)), f[:3]):
-                got = _res2(*_common_denominator(a, b), poly_integer_form(L))
-                assert Fraction(*got) == reference_res2(a, b, L)
-            try:
+        for kind in ("random", "reducible", "double root"):
+            for _ in range(25 if kind == "random" else 10):
+                a, b = random_quadratic(rng, p, kind)
+                U, W, s = _mod_quadratic_ints(poly_integer_form(f), *_common_denominator(a, b))
+                assert (Fraction(U, s), Fraction(W, s)) == reference_mod_quadratic(f, a, b)
+                for L in ((Fraction(-3), Fraction(1)), f[:3]):
+                    got = _res2(*_common_denominator(a, b), poly_integer_form(L))
+                    assert Fraction(*got) == reference_res2(a, b, L)
                 want = reference_certificate(f, a, b, v)
-            except InsufficientPrecision:
-                with pytest.raises(InsufficientPrecision):
-                    quadratic_mumford_certificate(f, (a, b), v)
-                continue
-            assert quadratic_mumford_certificate(f, (a, b), v) == want
-            agree += want
-    assert agree  # some certificates hold, so both outcomes are exercised
+                assert quadratic_mumford_certificate(f, (a, b), v) == want, (f, a, b)
+                agree[kind, want] += 1
+    # every kind of A both passes and fails the certificate
+    assert len(agree) == 6, agree
 
 
 @pytest.mark.parametrize("p", (2, 3, 17))
 def test_quadratic_certificate_runs_out_of_digits_like_the_reference(p):
-    # at a few p-adic digits the irrational-norm branch raises
-    # InsufficientPrecision; the integer branch must raise in the same cases
+    # at 1 to 4 p-adic digits the reference's irrational-norm branch often
+    # runs out of digits; where it decides, the exact certificate agrees
+    # with it, and where it runs out, the exact certificate is the 80-digit
+    # reference's answer
     rng = random.Random(f"low precision {p}")
     v = LocalPlace.finite(p)
-    outcomes = set()
+    outcomes = collections.Counter()
     for f in CURVE_POLYS:
         for _ in range(40):
             a, b = random_rational(rng, p, zero_ok=True), random_rational(rng, p)
-            prec = rng.choice((1, 2, 3, 4))
+            got = quadratic_mumford_certificate(f, (a, b), v)
             try:
-                want = reference_certificate(f, a, b, v, prec)
+                want = reference_certificate(f, a, b, v, rng.choice((1, 2, 3, 4)))
+                outcomes[want] += 1
             except InsufficientPrecision:
-                want = InsufficientPrecision
-            try:
-                got = quadratic_mumford_certificate(f, (a, b), v, prec)
-            except InsufficientPrecision:
-                got = InsufficientPrecision
-            assert got == want
-            outcomes.add(want)
-    assert outcomes == {True, False, InsufficientPrecision}
+                want = reference_certificate(f, a, b, v)
+                outcomes[InsufficientPrecision] += 1
+            assert got == want, (f, a, b)
+    assert set(outcomes) == {True, False, InsufficientPrecision}
 
 
-def padic_state(x):
-    return x.p, x.val, x.unit, x.prec
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_quadratic_certificate_is_exact_where_24_digits_run_out(p):
+    # f = B^2 + a p-adically small perturbation against A = (x + c p^k)^2 -
+    # d p^(2k), whose discriminant 4 d p^(2k) makes Tr xi - 2 N(B) cancel
+    # deeply: the 24-digit reference runs out of digits on some of these,
+    # and the exact certificate is the 80-digit reference's answer on all
+    rng = random.Random(f"deep cancellation {p}")
+    v = LocalPlace.finite(p)
+    outcomes = collections.Counter()
+    for _ in range(400):
+        k, c = rng.randint(0, 16), rng.randint(-30, 30)
+        d = rng.choice((-1, 1)) * rng.randint(1, 50)
+        a, b = 2 * c * p ** k, (c * c - d) * p ** (2 * k)
+        b1, b0 = Fraction(rng.randint(1, 40), rng.choice((1, 5, 11))), rng.randint(-40, 40)
+        f = tuple(y + rng.randint(-3, 3) * Fraction(p) ** rng.randint(0, 40)
+                  for y in (b0 * b0, 2 * b1 * b0)) + (b1 * b1,)
+        want = reference_certificate(f, a, b, v)
+        assert quadratic_mumford_certificate(f, (a, b), v) == want, (f, a, b)
+        try:
+            reference_certificate(f, a, b, v, 24)
+            outcomes[want] += 1
+        except InsufficientPrecision:
+            outcomes[InsufficientPrecision] += 1
+    assert set(outcomes) == {True, False, InsufficientPrecision}, outcomes
 
 
-@pytest.mark.parametrize("p", (2, 3, 23, 1009))
-def test_padic_from_ints_matches_from_rational(p):
-    rng = random.Random(f"padic {p}")
-    for _ in range(600):
-        x = random_rational(rng, p, zero_ok=True)
-        prec = rng.choice((1, 2, 3, 8, 24))
-        want = padic_state(PadicApprox.from_rational(x, p, prec))
-        assert padic_state(PadicApprox.from_ints(x.numerator, x.denominator, p, prec)) == want
-        # the certificate passes unreduced pairs with either sign
-        k = rng.choice((-1, 1)) * rng.randint(1, 10 ** 6) * p ** rng.randint(0, 3)
-        assert padic_state(PadicApprox.from_ints(x.numerator * k, x.denominator * k,
-                                                 p, prec)) == want
-    assert padic_state(PadicApprox.from_ints(2, 1, p)) == padic_state(
-        PadicApprox.from_rational(2, p))
-    with pytest.raises(ZeroDivisionError):
-        PadicApprox.from_ints(1, 0, p)
+@pytest.mark.parametrize("p", (2, 3, 5, 13, 257))
+def test_sqrt_mod_pk_is_a_truncated_root(p):
+    # a root mod p^k squares back to u mod p^k, and it is the truncation of
+    # a root in Z_p: the 24-digit reference root or its negative, mod p^k
+    rng = random.Random(f"sqrt {p}")
+    for _ in range(300):
+        u = rng.randint(1, 10 ** 20) ** 2 * (1 + 8 * rng.randint(0, 10 ** 6))
+        while u % p == 0:
+            u //= p
+        if p != 2 and _legendre(u % p, p) == -1:
+            continue
+        k = rng.randint(1, 12)
+        m = p ** k
+        r = sqrt_mod_pk(u, p, k)
+        assert 0 <= r < m and (r * r - u) % m == 0
+        ref = PadicApprox.from_rational(u, p).sqrt().unit
+        assert r in (ref % m, -ref % m)
+    for u in ((3, 5, 7) if p == 2 else (p, _smallest_nonresidue(p))):
+        with pytest.raises(ValueError):
+            sqrt_mod_pk(u, p, 4)
 
 
 @pytest.mark.parametrize("curve, p", [(A257, 257), (IRRATIONAL, 7), (IRRATIONAL, 3)],

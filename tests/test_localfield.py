@@ -4,11 +4,9 @@ from fractions import Fraction
 import pytest
 
 from hilbert_oracle import OracleInconclusive, hilbert_oracle
+from padic_oracle import DEFAULT_PADIC_DIGITS, InsufficientPrecision, PadicApprox
 from richelot_ctp.localfield import (
-    DEFAULT_PADIC_DIGITS,
-    InsufficientPrecision,
     LocalPlace,
-    PadicApprox,
     hilbert_symbol,
     is_local_square,
     local_square_class,
@@ -184,7 +182,7 @@ def test_oracle_agrees_with_closed_form_thousand_triples():
         checked += 1
 
 
-# -- bounded-precision p-adics ------------------------------------------------
+# -- the bounded-precision p-adic reference (padic_oracle) -------------------
 
 
 def test_padic_roundtrip_and_arithmetic():

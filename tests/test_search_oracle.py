@@ -28,7 +28,6 @@ from richelot_ctp.arith import bad_places
 from richelot_ctp.ctp import ctp_matrix
 from richelot_ctp.curve import build_pair, poly_integer_form
 from richelot_ctp.localfield import (
-    InsufficientPrecision,
     LocalPlace,
     places_of,
     square_class_bits,
@@ -102,6 +101,13 @@ CONFIGS = {
 # ---------------------------------------------------------------------------
 
 
+def weierstrass_xs(curve, side):
+    """The side's rational Weierstrass x-coordinates, in factor order."""
+    if side == DOMAIN:
+        return curve.roots
+    return tuple(r for roots in curve.codomain_roots_by_factor if roots for r in roots)
+
+
 def oracle_quadratic_candidates(curve, side, v, cfg):
     # the earlier library generator verbatim, on Fraction coefficients with a
     # certificate for every candidate; it calls the certificate through the
@@ -120,11 +126,8 @@ def oracle_quadratic_candidates(curve, side, v, cfg):
         disc_n = an * an - 4 * bn * q  # disc = a^2 - 4 b = disc_n / q^2
         if disc_n == 0 or not any(square_class_bits(disc_n, 1, p)):
             return None  # split or degenerate over Q_v: covered by point pairs
-        try:
-            if lp._quadratic_certificate(f, an, bn, q, v):
-                return MumfordDivisor.quadratic(a, b, side)
-        except InsufficientPrecision:
-            pass
+        if lp._quadratic_certificate(f, an, bn, q, v):
+            return MumfordDivisor.quadratic(a, b, side)
         return None
 
     # pairs are keyed by their integer parts, which hash faster than Fractions
@@ -146,7 +149,7 @@ def oracle_quadratic_candidates(curve, side, v, cfg):
     # p-adically near a torsion pair live here, and on models whose reduction
     # degenerates they can be the only points there are
     polys = curve.G if side == DOMAIN else curve.L
-    roots = curve.roots if side == DOMAIN else curve.codomain_roots
+    roots = weierstrass_xs(curve, side)
     bases = []
     for g in polys:
         if len(g) == 3:
@@ -173,7 +176,7 @@ def oracle_quadratic_candidates(curve, side, v, cfg):
 
 def oracle_point_tiers(curve, side, v, cfg):
     rng = random.Random(cfg.shuffle_seed) if cfg.shuffle_seed is not None else None
-    weier = curve.roots if side == DOMAIN else curve.codomain_roots
+    weier = weierstrass_xs(curve, side)
     good_xs = []
     seen_classes = set()
 
@@ -339,9 +342,9 @@ def count_certificates(monkeypatch, curve):
     certificate = lp._quadratic_certificate
     f_form = poly_integer_form(curve.f)
 
-    def counted(f, an, bn, q, v, prec=24):
+    def counted(f, an, bn, q, v):
         calls[(DOMAIN if f == f_form else CODOMAIN, an, bn, q)] += 1
-        return certificate(f, an, bn, q, v, prec)
+        return certificate(f, an, bn, q, v)
 
     monkeypatch.setattr(lp, "_quadratic_certificate", counted)
     return calls
@@ -381,9 +384,9 @@ def record_quadratic_work(monkeypatch, curve):
         log.append(("mask", side, (an, bn, q), m in yielded[side]))
         return m
 
-    def certified(f, an, bn, q, v, prec=24):
+    def certified(f, an, bn, q, v):
         log.append(("certificate", DOMAIN if f == f_form else CODOMAIN, (an, bn, q)))
-        return certificate(f, an, bn, q, v, prec)
+        return certificate(f, an, bn, q, v)
 
     monkeypatch.setattr(lp, "_point_tiers", tiers)
     monkeypatch.setattr(lp, "_quadratic_mask", mask)
