@@ -15,7 +15,9 @@ first use, and holds them: the sextic models f and fhat, the leading
 coefficient, the rational roots, the bad places, the key caches file the
 curve under, and one `SideData` per descent map with what it reads at every
 place (integer forms, Weierstrass and infinite factor values, kernel
-quadratics; for the search also real sample points and Taylor coefficients).
+quadratics; for the search also real sample points and Taylor coefficients,
+at x-centres and at the quadratic tier's centres, with their valuations per
+prime).
 Nothing is shared between instances, so two equal curves built separately
 compute it twice.
 """
@@ -29,6 +31,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
+
+from .localfield import valuation
 
 __all__ = [
     "CurveError",
@@ -467,9 +471,10 @@ class SideData:
     kernel divisor of each factor without rational roots, and for the search
     f (f or fhat) with its integer form, the real sample points (taken
     between the factors' real roots, see `real_root_samples`) and the Taylor
-    coefficients at each centre.  A place adds only its class bits and
-    valuations.  Factor values are integer (numerator, denominator) pairs per
-    factor, in the conventions of the descent maps.
+    coefficients at each centre, x-centres and quadratic ones.  A place adds
+    only its class bits and the valuations, which `taylor_valuations` keeps
+    per centre and prime.  Factor values are integer (numerator,
+    denominator) pairs per factor, in the conventions of the descent maps.
 
     `groups` holds each factor's rational roots, or None where they are
     irrational; a Weierstrass point's own slot takes the product of the other
@@ -495,6 +500,7 @@ class SideData:
                 a, b = g[1] / g[2], g[0] / g[2]
                 self.kernels[a, b] = self.quadratic_values(a, b)
         self._taylor: dict = {}
+        self._valuations: dict = {}
 
     @cached_property
     def f_form(self) -> tuple[tuple[int, ...], int]:
@@ -545,14 +551,52 @@ class SideData:
         return ([(g[1] / g[2], g[0] / g[2]) for g in self.factors if len(g) == 3]
                 + [(-(r + s), r * s) for r, s in itertools.combinations(self.roots, 2)])
 
-    def taylor(self, c: Fraction) -> list[list[tuple[int, Fraction]]]:
-        """Per factor g, (k, a_k) for the nonzero Taylor coefficients of
-        g(c + t) = sum a_k t^k, a_k = sum_i binom(i, k) g_i c^(i-k)."""
+    def taylor(self, c) -> list[list[tuple[tuple[int, ...], Fraction]]]:
+        """Per polynomial, (exponents, coefficient) of its nonzero Taylor
+        coefficients at the centre c.  At an x-centre c (a Fraction) the
+        polynomials are the factors g(c + t) = sum a_k t^k, a_k = sum_i
+        binom(i, k) g_i c^(i-k).  At a quadratic centre c = (a0, b0) they are,
+        for x^2 + (a0 + s) x + (b0 + t), the discriminant a^2 - 4 b and each
+        factor's resultant `_res2`, b^2 g2^2 - a b g1 g2 + a^2 g0 g2
+        + b (g1^2 - 2 g0 g2) - a g0 g1 + g0^2: quadratics in (s, t), with
+        exponents (i, k) for s^i t^k."""
         if c not in self._taylor:
-            self._taylor[c] = [[(k, a) for k, a in enumerate(
-                [sum(math.comb(i, k) * g[i] * c ** (i - k) for i in range(k, len(g)))
-                 for k in range(len(g))]) if a] for g in self.factors]
+            if isinstance(c, tuple):
+                polys = [({(2, 0): 1, (0, 1): -4}, 1)]
+                for C, den in self.forms:
+                    g0, g1, g2 = (tuple(C) + (0, 0))[:3]
+                    polys.append(({(0, 2): g2 * g2, (1, 1): -g1 * g2, (2, 0): g0 * g2,
+                                   (0, 1): g1 * g1 - 2 * g0 * g2, (1, 0): -g0 * g1,
+                                   (0, 0): g0 * g0}, den * den))
+                self._taylor[c] = [_shifted_quadratic(C, D, *_common_denominator(*c))
+                                   for C, D in polys]
+            else:
+                self._taylor[c] = [[((k,), a) for k, a in enumerate(
+                    [sum(math.comb(i, k) * g[i] * c ** (i - k) for i in range(k, len(g)))
+                     for k in range(len(g))]) if a] for g in self.factors]
         return self._taylor[c]
+
+    def taylor_valuations(self, c, p: int) -> list[list[tuple[int, tuple[int, ...]]]]:
+        """(v_p(coefficient), exponents) of each term of `taylor(c)`, per
+        polynomial, computed once per centre and prime."""
+        if (c, p) not in self._valuations:
+            self._valuations[c, p] = [[(valuation(a, p), ks) for ks, a in g]
+                                      for g in self.taylor(c)]
+        return self._valuations[c, p]
+
+
+def _shifted_quadratic(C: dict, D: int, an: int, bn: int, q: int) -> list:
+    """((i, k), coefficient) of the nonzero coefficients of s^i t^k in
+    P(a0 + s, b0 + t) = sum C_ik (a0 + s)^i (b0 + t)^k / D, for integer C_ik
+    of degree i + k <= 2 and the centre a0 = an/q, b0 = bn/q."""
+    def c(i, k):
+        return C.get((i, k), 0)
+    out = [((0, 0), sum(v * an ** i * bn ** k * q ** (2 - i - k) for (i, k), v in C.items()),
+            D * q * q),
+           ((1, 0), c(1, 0) * q + 2 * c(2, 0) * an + c(1, 1) * bn, D * q),
+           ((0, 1), c(0, 1) * q + 2 * c(0, 2) * bn + c(1, 1) * an, D * q),
+           ((2, 0), c(2, 0), D), ((1, 1), c(1, 1), D), ((0, 2), c(0, 2), D)]
+    return [(ks, Fraction(n, d)) for ks, n, d in out if n]
 
 
 def build_pair(lam, G1, G2, G3) -> RichelotPair:

@@ -31,14 +31,20 @@ once.  Each place has one domain walk, shared by `local_images` and every
 bounds it changes.  Single points come in blocks x = c + r p^j over the unit
 residues r; once the pairs tier's pool is full, a block where each factor
 has one Taylor term strictly below the others in valuation, at every p, is
-read once per unit class, since that term fixes the factor's square class.
+read once per unit class, since that term fixes the factor's square class
+(`_generic`).  Quadratic candidates x^2 + a x + b come in blocks
+(a, b) = centre + (r1 p^ea, r2 p^eb); where the discriminant, or the three
+resultants that give the mask, have such a term, they are read once per
+pair of unit classes.  A class whose resultants multiply to a non-square,
+the norm of f mod A, is dropped before its certificate, which it cannot
+pass.
 
 The search reads what depends on the curve alone from the curve's
 `SideData` (integer forms, Weierstrass and infinite factor values, kernel
-quadratics, real samples, Taylor coefficients), computed once per curve;
-a place computes only class bits and valuations at p.  The real place's
-single points are one sample per sign region of f, taken between the
-factors' real roots.
+quadratics, real samples, Taylor coefficients at each centre), computed
+once per curve; a place computes only class bits and, once per centre,
+valuations at p.  The real place's single points are one sample per sign
+region of f, taken between the factors' real roots.
 """
 
 from __future__ import annotations
@@ -443,12 +449,9 @@ def _x_blocks(curve: RichelotPair, side: str, p: int, cfg: SearchConfig) -> Iter
     pairs tier feeds on the earliest points found), then the grid r p^e,
     which is c = 0 and j = e for |e| <= val_bound.  Each (c, j) comes once.
 
-    A block is generic when each factor has one Taylor term a_k t^k at c
-    (t = r p^j) with v(a_k) + k j below every other term's.  Every factor
-    value is then a_k t^k (1 + u) with v(u) >= 1, and u mod p (mod 8 at
-    p = 2) depends on r only through r mod p (r mod 8), so the factor
-    classes, and whether f(x) is a square, depend on r only through its
-    unit class.
+    A block is generic when `_generic` holds for the factors' Taylor terms
+    at c (t = r p^j): the factor classes, and whether f(x) is a square,
+    then depend on r only through its unit class.
 
     The domain's roots are all rational (the standing assumption), so they
     are its centres; the codomain adds the lifted roots of fhat mod p that
@@ -463,11 +466,34 @@ def _x_blocks(curve: RichelotPair, side: str, p: int, cfg: SearchConfig) -> Iter
     # a root at 0 has already given the grid's blocks with e >= 1
     for c, js in [(c, range(1, vb + 1)) for c in centers] + [
             (Fraction(0), range(-vb, 1 if 0 in centers else vb + 1))]:
-        # per factor, (k, v(a_k)) for the nonzero Taylor coefficients at c
-        terms = [[(k, valuation(a, p)) for k, a in factor] for factor in data.taylor(c)]
+        terms = data.taylor_valuations(c, p)
         for j in js:
-            yield c, j, all(len(o) < 2 or o[0] < o[1] for o in (
-                sorted(v + k * j for k, v in factor) for factor in terms))
+            yield c, j, _generic(terms, (j,))
+
+
+def _generic(terms, js) -> bool:
+    """Does each polynomial of `terms`, given per polynomial as
+    (v(coefficient), exponents) of its Taylor terms a t1^k1 t2^k2 ..., have
+    one term whose valuation at t_i = r_i p^(js_i), r_i units, is below
+    every other's?  A None in js holds its variable at 0, dropping the terms
+    it enters.  The value is then that term times 1 + u with v(u) >= 1: a
+    square at odd p, and at p = 2 a unit that depends on the r_i only mod 8.
+    So its square class depends on the r_i only through their unit classes
+    (r mod 8 at p = 2), and it is not zero."""
+    for poly in terms:
+        w = []
+        for v, ks in poly:
+            for k, j in zip(ks, js):
+                if k:
+                    if j is None:
+                        break
+                    v += k * j
+            else:
+                w.append(v)
+        w.sort()
+        if not w or len(w) > 1 and w[0] >= w[1]:
+            return False
+    return True
 
 
 def _block_xs(c: Fraction, j: int, p: int, rs) -> Iterator:
@@ -574,53 +600,122 @@ def _quadratic_mask(an: int, bn: int, q: int, forms, p: int) -> int:
     return class_mask([square_class_bits(r, 1, p) for r in res])
 
 
-def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfig,
-                          known=()) -> Iterator[tuple[MumfordDivisor, int]]:
-    """Certified quadratic divisors x^2 + a x + b with their masks.
-
-    The coefficients are integer (numerator, denominator) pairs in lowest
-    terms.  A candidate whose mask is in `known` is skipped before its
-    certificate, the rule of every tier in `_point_tiers`.
-    """
-    if v.p is None:
-        return  # conjugate pairs have trivial image over R
-    p = v.p
-    data = curve.side_data(side)
+def _quadratic_blocks(data, p: int, cfg: SearchConfig) -> Iterator:
+    """The quadratic tier's candidates x^2 + a x + b, in walk order, as
+    (centre, a blocks, b blocks): (a, b) = centre + (r1 p^ea, r2 p^eb) for
+    each a of each a block, then each b of each b block.  A block is
+    (e, [(coefficient as (n, d), unit class of r)], its classes).  First the
+    grid a, b = r p^e, |e| <= 2, about (0, 0), where 0 is a block of its own
+    (e None, class 0); then each of the side's `quadratic_bases`, perturbed
+    by r p^j for j = 1..depth, r in the first 12 units or 0, again its own
+    block.  Divisors p-adically near a torsion pair live there, and on
+    degenerate models they may be all there are."""
     exponent, depth = _quadratic_bounds(p, cfg)
     units = _unit_residues(p, exponent)
     if len(units) > 40:
         units = units[:20] + units[-20:]
-    coeffs = [(0, 1)]
-    for e in range(-2, 3):
-        coeffs.extend(_block_xs(Fraction(0), e, p, units))
-    grid = set(coeffs)
-    small = units[:12] + [0]
+    classes = {r: r % 8 if p == 2 else pow(r, p // 2, p) for r in units}
 
-    def near():
-        # perturbations n/d + r p^j = (n + r p^j d)/d, still in lowest terms, of
-        # quadratics vanishing on two-torsion x-pairs: divisors p-adically near
-        # a torsion pair live here, and on degenerate models they may be all
-        tried = set()
-        for (a0, b0), j, r1, r2 in itertools.product(data.quadratic_bases,
-                                                      range(1, depth + 1), small, small):
-            a = (a0.numerator + r1 * p ** j * a0.denominator, a0.denominator)
-            b = (b0.numerator + r2 * p ** j * b0.denominator, b0.denominator)
-            if (r1 or r2) and (a, b) not in tried and not (a in grid and b in grid):
-                tried.add((a, b))
-                yield a, b
+    def block(c, j, rs):
+        xs = list(zip(_block_xs(c, j, p, rs), [classes[r] for r in rs]))
+        return j, xs, {k for _, k in xs}
 
-    for a, b in itertools.chain(itertools.product(coeffs, coeffs), near()):
-        if b[0] == 0:
-            continue
+    def alone(c):
+        return None, [((c.numerator, c.denominator), 0)], {0}
+
+    zero = Fraction(0)
+    grid = [alone(zero)] + [block(zero, e, units) for e in range(-2, 3)]
+    yield (zero, zero), grid, grid
+    for (a0, b0), j in itertools.product(data.quadratic_bases, range(1, depth + 1)):
+        yield (a0, b0), [block(a0, j, units[:12]), alone(a0)], [block(b0, j, units[:12]), alone(b0)]
+
+
+def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfig,
+                          known=()) -> Iterator[tuple[MumfordDivisor, int]]:
+    """Certified quadratic divisors x^2 + a x + b with their masks, over the
+    candidates of `_quadratic_blocks`, each (a, b) once.
+
+    A candidate is dead, and skipped before its certificate, when it splits
+    over Q_v (disc(A) zero or a square), when its mask is in `known` (the
+    rule of every tier in `_point_tiers`), or when its slot classes multiply
+    to a non-trivial class.  That product is the class of N(f mod A), which
+    is prod Res(A, G_i) (prod Res(A, L_i) / Delta^2 on the codomain), and
+    the certificate needs it to be a square.
+
+    The discriminant and the resultants are quadratics in (s, t) =
+    (r1 p^ea, r2 p^eb).  Where `_generic` holds at the centre for the
+    discriminant, whether a candidate splits depends on (r1, r2) only
+    through the pair of their unit classes; where it holds for the three
+    resultants, so does the mask.  Each is then read once per class pair,
+    from its first candidate, and a b block whose class pairs are all dead
+    for the current a is skipped whole.
+    """
+    if v.p is None:
+        return  # conjugate pairs have trivial image over R
+    p = v.p
+    d = local_square_dim(v)
+    data = curve.side_data(side)
+    # at p <= 3 each unit class of the tier holds one residue, so no class
+    # pair has two candidates and the rule is not asked
+    shared = p > 3
+    tried: set = set()
+
+    def ints(a, b):
         (na, da), (nb, db) = a, b
         q = da * db // math.gcd(da, db)
-        an, bn = na * (q // da), nb * (q // db)
-        disc_n = an * an - 4 * bn * q  # disc = a^2 - 4 b = disc_n / q^2
-        if disc_n == 0 or not any(square_class_bits(disc_n, 1, p)):
-            continue  # split or degenerate over Q_v: covered by point pairs
-        mask = _quadratic_mask(an, bn, q, data.forms, p)
-        if mask not in known and _quadratic_certificate(data.f_form, an, bn, q, v):
-            yield MumfordDivisor.quadratic(Fraction(na, da), Fraction(nb, db), side), mask
+        return na * (q // da), nb * (q // db), q
+
+    for i, (centre, a_blocks, b_blocks) in enumerate(_quadratic_blocks(data, p, cfg)):
+        if not i:
+            grid = {x for _, xs, _ in a_blocks for x, _ in xs}
+        terms = data.taylor_valuations(centre, p) if shared else None
+        # (ea, eb) -> [the rule for the discriminant, for the resultants (asked
+        # when first needed), {class pair: splits}, {class pair: mask, -1 where
+        # the norm fails}]; a table is filled only where its rule holds
+        tables: dict = {}
+        for ea, a_xs, _ in a_blocks:
+            for a, ka in a_xs:
+                for eb, b_xs, kbs in b_blocks:
+                    if i and ea is eb is None:
+                        continue  # the unperturbed centre
+                    if (ea, eb) not in tables:
+                        tables[ea, eb] = [shared and _generic(terms[:1], (ea, eb)),
+                                          None if shared else False, {}, {}]
+                    block = tables[ea, eb]
+                    disc_rule, res_rule, splits, masks = block
+                    if all(splits.get((ka, kb)) or (m := masks.get((ka, kb))) is not None
+                           and (m < 0 or m in known) for kb in kbs):
+                        continue
+                    for b, kb in b_xs:
+                        # the perturbations skip the grid and what an earlier
+                        # centre gave
+                        if b[0] == 0 or i and ((a, b) in tried or a in grid and b in grid):
+                            continue
+                        if i:
+                            tried.add((a, b))
+                        split, m = splits.get((ka, kb)), masks.get((ka, kb))
+                        if split or m is not None and (m < 0 or m in known):
+                            continue
+                        an, bn, q = ints(a, b)
+                        if split is None:
+                            disc = an * an - 4 * bn * q
+                            split = disc == 0 or not any(square_class_bits(disc, 1, p))
+                            if disc_rule:
+                                splits[ka, kb] = split
+                            if split:
+                                continue
+                        if m is None:
+                            m = _quadratic_mask(an, bn, q, data.forms, p)
+                            if (m ^ m >> d ^ m >> 2 * d) & ((1 << d) - 1):
+                                m = -1
+                            if res_rule is None:
+                                res_rule = block[1] = _generic(terms[1:], (ea, eb))
+                            if res_rule:
+                                masks[ka, kb] = m
+                            if m < 0 or m in known:
+                                continue
+                        if _quadratic_certificate(data.f_form, an, bn, q, v):
+                            yield MumfordDivisor.quadratic(Fraction(*a), Fraction(*b), side), m
 
 
 def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfig,

@@ -22,11 +22,13 @@ import pytest
 
 from hilbert_oracle import _unit_residue
 from padic_oracle import InsufficientPrecision, PadicApprox
+import richelot_ctp.curve as curve_module
 from richelot_ctp.cohomology import LocalKummerQuintuple
 from richelot_ctp.curve import INF, build_pair, poly_eval, poly_integer_form, rational_sqrt
 from richelot_ctp.localfield import (
     LocalPlace,
     _legendre,
+    class_mask,
     _smallest_nonresidue,
     hilbert_symbol,
     is_local_square,
@@ -45,8 +47,11 @@ from richelot_ctp.localpoints import (
     _block_xs,
     _common_denominator,
     _escalated,
+    _generic,
     _mod_quadratic_ints,
     _points_among,
+    _quadratic_blocks,
+    _quadratic_mask,
     _res2,
     _slot_values,
     _torsion_divisors,
@@ -449,6 +454,146 @@ def test_most_domain_blocks_at_2_are_generic():
     blocks = list(_x_blocks(K113, DOMAIN, 2, SearchConfig()))
     assert len(blocks) == 37
     assert sum(generic for _, _, generic in blocks) >= 29
+
+
+# the valuations of the Taylor coefficients depend only on the centre and
+# the prime: a later round's walk reads them from the first one's (the walk
+# used to recompute them at every centre in every round)
+def test_taylor_valuations_are_computed_once_per_centre_and_prime(count_calls):
+    curve = k_family(143)  # a fresh curve: the valuations live on its SideData
+    calls = count_calls(curve_module, "valuation", lambda args: args[1])
+    rounds = list(_escalated(SearchConfig()))
+    for p in bad_places(curve).finite_primes:
+        # the domain's centres are its roots and 0 in every round
+        list(_x_blocks(curve, DOMAIN, p, rounds[0]))
+        first = calls[p]
+        for cfg in rounds[1:]:
+            list(_x_blocks(curve, DOMAIN, p, cfg))
+        assert 0 < first == calls[p], p
+
+
+# ---------------------------------------------------------------------------
+# the quadratic tier's blocks
+# ---------------------------------------------------------------------------
+
+QUADRATIC_CURVES = {"k113": K113, "irrational": IRRATIONAL, "fractional": FRACTIONAL,
+                    "A257": A257, "B31": B31, "B97": B97}
+
+
+def quadratic_candidates_by_block(curve, side, p, cfg):
+    """(centre, a block, b block, [(a, b, class pair)]) for every block of
+    the tier, a block being (e, coefficients as Fractions, their classes)
+    and the candidates' coefficients Fractions."""
+    for centre, a_blocks, b_blocks in _quadratic_blocks(curve.side_data(side), p, cfg):
+        for (ea, a_xs, _), (eb, b_xs, _) in itertools.product(a_blocks, b_blocks):
+            a_xs = [(Fraction(*a), k) for a, k in a_xs]
+            b_xs = [(Fraction(*b), k) for b, k in b_xs]
+            yield centre, (ea, a_xs), (eb, b_xs), [
+                (a, b, (ka, kb)) for (a, ka), (b, kb) in itertools.product(a_xs, b_xs)]
+
+
+def check_quadratic_blocks(curve, configs, rule=_generic):
+    """At every odd bad prime, both sides, in every block of the tier under
+    any of `configs` (each block once): where `rule` (standing for
+    `_generic`) holds for the discriminant, each class pair has one
+    discriminant class; where it holds for all four polynomials, also one
+    mask and no zero resultant.  The classes are read from Fractions, the
+    mask from `SideData.quadratic_values` and `local_square_class` slot by
+    slot.  The class pair is checked against the perturbations themselves:
+    c + r p^e carries the unit class of r, and c itself class 0.  Returns
+    the number of blocks with the rule for all four, for the discriminant
+    alone, and for neither."""
+    counts = collections.Counter()
+    for p in bad_places(curve).finite_primes:
+        if p == 2:
+            continue
+        v = LocalPlace.finite(p)
+        for side in (DOMAIN, CODOMAIN):
+            data = curve.side_data(side)
+            checked = set()
+            for cfg in configs:
+                for centre, *blocks, candidates in quadratic_candidates_by_block(
+                        curve, side, p, cfg):
+                    (ea, a_xs), (eb, b_xs) = blocks
+                    if (centre, ea, eb) in checked:
+                        continue
+                    checked.add((centre, ea, eb))
+                    for c, (e, xs) in zip(centre, blocks):
+                        for x, k in xs:
+                            r = (x - c) / Fraction(p) ** (e or 0)
+                            assert (x == c and k == 0 if e is None else r.denominator == 1
+                                    and k == _legendre(r.numerator, p) % p), (p, side, str(x))
+                    terms = data.taylor_valuations(centre, p)
+                    disc_rule, all_rule = rule(terms[:1], (ea, eb)), rule(terms, (ea, eb))
+                    counts[all_rule, disc_rule] += 1
+                    reads = {}
+                    for a, b, pair in candidates if disc_rule else ():
+                        if b == 0:
+                            continue
+                        where = (p, side, str(a), str(b))
+                        assert a * a - 4 * b != 0, where
+                        read = (local_square_class(a * a - 4 * b, v),)
+                        if all_rule:
+                            an, bn, q = _common_denominator(a, b)
+                            assert all(_res2(an, bn, q, form)[0] for form in data.forms), where
+                            read += (class_mask(local_square_class(Fraction(n, d), v).bits
+                                                for n, d in data.quadratic_values(a, b)),)
+                        assert reads.setdefault(pair, read) == read, where
+    return counts
+
+
+# the tier reads a block's discriminant class, and where the resultants are
+# dominated too its mask, once per unit-class pair; every candidate of the
+# pair must have what its first one has, at every odd bad prime, both sides,
+# in the blocks of the default bounds, of val_bound=1 (depth 1) and of an
+# escalation of it (depth 3); p = 2 and 3 have one residue per class
+QUADRATIC_CONFIGS = (SearchConfig(), SearchConfig(val_bound=1), SearchConfig(val_bound=1).escalate())
+
+
+@pytest.mark.parametrize("label", sorted(QUADRATIC_CURVES))
+def test_a_generic_quadratic_block_has_one_read_per_class_pair(label):
+    counts = check_quadratic_blocks(QUADRATIC_CURVES[label], QUADRATIC_CONFIGS)
+    # blocks of all three kinds occur
+    assert counts[True, True] and counts[False, True] and counts[False, False], counts
+
+
+def test_the_quadratic_block_check_catches_a_wrong_rule():
+    # a rule that called every block generic would give tables whose one
+    # entry per class pair is wrong for some of its candidates
+    with pytest.raises(AssertionError):
+        check_quadratic_blocks(B97, [SearchConfig(val_bound=1)], rule=lambda terms, js: True)
+
+
+# the tier skips a class whose slot classes multiply to a non-trivial class:
+# N(f mod A) is prod Res(A, G_i) on the domain and prod Res(A, L_i) / Delta^2
+# on the codomain, and the certificate fails on a non-square norm nn
+@pytest.mark.parametrize("label", sorted(QUADRATIC_CURVES))
+def test_the_norm_is_a_square_exactly_when_the_slot_classes_multiply_to_1(label):
+    curve = QUADRATIC_CURVES[label]
+    outcomes = collections.Counter()
+    for p in bad_places(curve).finite_primes:
+        v = LocalPlace.finite(p)
+        d = 3 if p == 2 else 2
+        for side in (DOMAIN, CODOMAIN):
+            data = curve.side_data(side)
+            for *_, candidates in quadratic_candidates_by_block(curve, side, p, SearchConfig()):
+                for a, b, _ in candidates:
+                    an, bn, q = _common_denominator(a, b)
+                    disc = an * an - 4 * bn * q
+                    if b == 0 or disc == 0 or reference_is_square(disc, v):
+                        continue
+                    U, W, _ = _mod_quadratic_ints(data.f_form, an, bn, q)
+                    nn = q * (q * W * W - an * U * W + bn * U * U)
+                    m = _quadratic_mask(an, bn, q, data.forms, p)
+                    trivial = not (m ^ m >> d ^ m >> 2 * d) & ((1 << d) - 1)
+                    if not all(_res2(an, bn, q, form)[0] for form in data.forms):
+                        # A is a factor, so f mod A = 0 and its zero slot
+                        # takes the product of the other two
+                        assert nn == 0 and trivial, (p, side, str(a), str(b))
+                        continue
+                    assert nn != 0 and reference_is_square(nn, v) == trivial, (p, side, a, b)
+                    outcomes[trivial] += 1
+    assert outcomes[True] and outcomes[False], outcomes
 
 
 @pytest.mark.parametrize("label", sorted(BENCHMARK_CURVES))

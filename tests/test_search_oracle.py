@@ -350,76 +350,167 @@ def count_certificates(monkeypatch, curve):
     return calls
 
 
+def count_quadratic_work(monkeypatch, curve):
+    """Count, per (kind, side, A), the masks the library computes and the
+    certificates it runs into the returned Counter."""
+    calls = collections.Counter()
+    quadratic_mask, certificate = lp._quadratic_mask, lp._quadratic_certificate
+    f_form, g_forms = poly_integer_form(curve.f), [poly_integer_form(g) for g in curve.G]
+
+    def mask(an, bn, q, forms, p):
+        calls[("mask", DOMAIN if forms == g_forms else CODOMAIN, an, bn, q)] += 1
+        return quadratic_mask(an, bn, q, forms, p)
+
+    def certified(f, an, bn, q, v):
+        calls[("certificate", DOMAIN if f == f_form else CODOMAIN, an, bn, q)] += 1
+        return certificate(f, an, bn, q, v)
+
+    monkeypatch.setattr(lp, "_quadratic_mask", mask)
+    monkeypatch.setattr(lp, "_quadratic_certificate", certified)
+    return calls
+
+
 def test_local_images_tries_each_quadratic_once(monkeypatch):
     # B97 spends both escalations at 23; with the default bounds an
-    # escalation leaves the quadratic tier as it was, so it is walked once
-    calls = count_certificates(monkeypatch, B97)
+    # escalation leaves the quadratic tier as it was, so it is walked once:
+    # no quadratic has its mask read, or its certificate run, twice
+    calls = count_quadratic_work(monkeypatch, B97)
     images = local_images(B97, LocalPlace.finite(23))
     assert images[0].status == HEURISTIC  # the search did escalate
-    assert {side for side, *_ in calls} == {DOMAIN, CODOMAIN}
+    assert {side for kind, side, *_ in calls if kind == "mask"} == {DOMAIN, CODOMAIN}
     assert max(calls.values()) == 1
 
 
-def record_quadratic_work(monkeypatch, curve):
-    """Log, in order, each quadratic whose mask the library computes, as
-    ("mask", side, A, whether its side's walk had already yielded that mask),
-    and each certificate, as ("certificate", side, A).  The yielded masks
-    are read off the tiers' output, not off the walk's own record."""
-    log, yielded = [], {DOMAIN: set(), CODOMAIN: set()}
-    point_tiers, quadratic_mask = lp._point_tiers, lp._quadratic_mask
-    certificate = lp._quadratic_certificate
-    f_form, g_forms = poly_integer_form(curve.f), [poly_integer_form(g) for g in curve.G]
+def test_the_quadratic_tier_reads_a_class_pair_once(monkeypatch):
+    # the search that read every quadratic computed 9710 masks and ran 3162
+    # certificates for local_images(B97) at 23; reading the blocks whose
+    # dominant terms fix the classes once per unit-class pair, and skipping
+    # the classes whose norm is no square, leaves under a quarter of them
+    calls = count_quadratic_work(monkeypatch, B97)
+    local_images(B97, LocalPlace.finite(23))
+    kinds = collections.Counter(kind for kind, *_ in calls.elements())
+    assert 0 < kinds["mask"] < 9710 / 4
+    assert kinds["certificate"] <= 3162
 
-    def watched(tier, side):
-        for D, mask in tier:
-            yielded[side].add(mask)
+
+def record_quadratic_work(monkeypatch):
+    """Log each walk of the quadratic tier as (side, config, events).  Its
+    events are, in order: ("held", the masks its walk held when it started);
+    ("mask", A, mask) for each mask the library computes; ("certificate", A)
+    for each certificate; ("yield", mask) for each divisor it yields; and
+    ("end",) if it runs to its end.  A is (an, bn, q)."""
+    walks, active = [], [None]
+    quadratic_candidates, quadratic_mask = lp._quadratic_candidates, lp._quadratic_mask
+    certificate = lp._quadratic_certificate
+
+    def tier(curve_, side, v, cfg, known=()):
+        events = []
+        walks.append((side, cfg, events))
+        inner = quadratic_candidates(curve_, side, v, cfg, known)
+        while True:
+            active[0] = events
+            if not events:
+                events.append(("held", set(known)))
+            try:
+                D, mask = next(inner)
+            except StopIteration:
+                events.append(("end",))
+                return
+            events.append(("yield", mask))
             yield D, mask
 
-    def tiers(curve_, side, *args):
-        return [watched(tier, side) for tier in point_tiers(curve_, side, *args)]
-
     def mask(an, bn, q, forms, p):
-        side = DOMAIN if forms == g_forms else CODOMAIN
         m = quadratic_mask(an, bn, q, forms, p)
-        log.append(("mask", side, (an, bn, q), m in yielded[side]))
+        active[0].append(("mask", (an, bn, q), m))
         return m
 
     def certified(f, an, bn, q, v):
-        log.append(("certificate", DOMAIN if f == f_form else CODOMAIN, (an, bn, q)))
+        active[0].append(("certificate", (an, bn, q)))
         return certificate(f, an, bn, q, v)
 
-    monkeypatch.setattr(lp, "_point_tiers", tiers)
+    monkeypatch.setattr(lp, "_quadratic_candidates", tier)
     monkeypatch.setattr(lp, "_quadratic_mask", mask)
     monkeypatch.setattr(lp, "_quadratic_certificate", certified)
-    return log
+    return walks
+
+
+def quadratic_walk_order(curve, side, p, cfg):
+    """A -> (place in the walk, class pair key) for each candidate of the
+    quadratic tier, at its first place; the key is (centre index, ea, eb,
+    ka, kb).  The perturbations skip their unperturbed centre."""
+    order = {}
+    for i, (_, a_blocks, b_blocks) in enumerate(lp._quadratic_blocks(
+            curve.side_data(side), p, cfg)):
+        for ea, a_xs, _ in a_blocks:
+            for a, ka in a_xs:
+                for eb, b_xs, _ in b_blocks:
+                    for b, kb in b_xs:
+                        if b[0] and not (i and ea is eb is None):
+                            A = _common_denominator(Fraction(*a), Fraction(*b))
+                            order.setdefault(A, (len(order), (i, ea, eb, ka, kb)))
+    return order
 
 
 # escalations that grow the quadratic tier's depth (val_bound 1 -> 3 -> 5,
 # depth 1 -> 3 -> 4 at 23) or its residue exponent (1 -> 2 -> 3 at 2) must
 # walk it again: at these places the later walks reach 87 and 163 more
-# quadratics than the first.  The library reads the mask of every quadratic
-# the oracle certifies, and certifies one exactly when its walk has not yet
-# yielded that mask.
+# quadratics than the first.  Every quadratic the oracle certifies is, in
+# each walk of the library that reaches it, either certified or dead at its
+# place: its own mask (read here) fails the norm rule or was held by the
+# walk then.  The library reads that mask, or it reads the same mask for
+# the quadratic's unit-class pair; and it certifies a quadratic exactly when
+# it is not dead.
 @pytest.mark.parametrize("label, p, cfg", [
     ("B97", 23, SearchConfig(val_bound=1)),
     ("B31", 2, SearchConfig(residue_exponent=1)),
 ], ids=["B97@23-val_bound=1", "B31@2-residue_exponent=1"])
 def test_escalations_try_every_quadratic_the_oracle_tries(monkeypatch, label, p, cfg):
     curve, v = CURVES[label], LocalPlace.finite(p)
+    d = 3 if p == 2 else 2
     calls = count_certificates(monkeypatch, curve)
     oracle_local_images(curve, v, cfg)
     oracle_certified = set(calls)
-    log = record_quadratic_work(monkeypatch, curve)
+    quadratic_mask = lp._quadratic_mask
+    walks = record_quadratic_work(monkeypatch)
     local_images(curve, v, cfg)
-    masked = [event for event in log if event[0] == "mask"]
-    assert {(side, *A) for _, side, A, _ in masked} == oracle_certified
-    skipped = 0
-    for event, after in zip(log, log[1:] + [None]):
-        if event[0] == "mask":
-            _, side, A, known = event
-            assert known == (after != ("certificate", side, A)), event
-            skipped += known
-    assert skipped  # the rule does skip certificates here
+    tried, held_skips, norm_skips, from_pairs = set(), 0, 0, 0
+    for side, config, events in walks:
+        if not events:
+            continue  # made for a round, never walked
+        data = curve.side_data(side)
+        order = quadratic_walk_order(curve, side, p, config)
+        reads, certified, yields = {}, set(), []
+        pair_reads = collections.defaultdict(set)
+        for event in events:
+            if event[0] == "mask":
+                reads[event[1]] = event[2]
+                pair_reads[order[event[1]][1]].add(event[2])
+            elif event[0] == "certificate":
+                certified.add(event[1])
+                last = order[event[1]][0]
+            elif event[0] == "yield":
+                yields.append((last, event[1]))
+        end = len(order) if events[-1] == ("end",) else yields[-1][0]
+        for A, (place, pair) in sorted(order.items(), key=lambda item: item[1][0]):
+            an, bn, q = A
+            disc = an * an - 4 * bn * q
+            if place > end or disc == 0 or not any(square_class_bits(disc, 1, p)):
+                continue  # not reached, or split over Q_v: the oracle skips it too
+            tried.add((side, *A))
+            m = quadratic_mask(an, bn, q, data.forms, p)
+            assert reads.get(A, m) == m, (side, A)
+            if A not in reads:
+                assert pair_reads[pair] == {m}, (side, A)
+                from_pairs += 1
+            norm_fails = (m ^ m >> d ^ m >> 2 * d) & ((1 << d) - 1)
+            held = events[0][1] | {y for at, y in yields if at < place}
+            assert (A in certified) == (not norm_fails and m not in held), (side, A)
+            norm_skips += bool(norm_fails)
+            held_skips += not norm_fails and m in held
+    assert tried == oracle_certified
+    # the rules do skip certificates here, and B97's class pairs do share reads
+    assert held_skips and norm_skips
+    assert from_pairs or p == 2
 
 
 # every tier skips the masks its walk has already yielded, so a walk yields
@@ -555,12 +646,47 @@ def test_a_corrupt_class_bit_in_a_generic_block_representative_raises(monkeypatc
 
 
 def test_a_corrupt_quadratic_class_bit_raises(monkeypatch):
-    # B97 walks the quadratic tier at 23, where a flipped bit makes a
-    # candidate look new, so the search keeps it and checks its image
+    # B97 walks the quadratic tier at 23, where flipped bits make a
+    # candidate look new, so the search keeps it and checks its image; the
+    # parity bits of two slots flip, so the slot classes still multiply to
+    # the same class and the norm rule lets the candidate through
     quadratic_mask = lp._quadratic_mask
-    monkeypatch.setattr(lp, "_quadratic_mask", lambda *args: quadratic_mask(*args) ^ 1)
+    monkeypatch.setattr(lp, "_quadratic_mask", lambda *args: quadratic_mask(*args) ^ 0b101)
     with pytest.raises(ClassBitsMismatch):
         local_images(B97, LocalPlace.finite(23))
+
+
+def test_a_corrupt_entry_in_a_quadratic_class_table_raises(monkeypatch):
+    # a block whose resultants have dominant terms keeps one mask per
+    # unit-class pair in its table, read from the pair's first candidate;
+    # a wrong entry there (the parity bits of two slots flipped) makes the
+    # pair look new, so the search keeps one of its candidates and checks
+    # its image
+    p, cfg = 23, SearchConfig()
+    tabled = set()
+    for side in (DOMAIN, CODOMAIN):
+        data = B97.side_data(side)
+        for centre, a_blocks, b_blocks in lp._quadratic_blocks(data, p, cfg):
+            terms = data.taylor_valuations(centre, p)
+            for (ea, a_xs, _), (eb, b_xs, _) in itertools.product(a_blocks, b_blocks):
+                if lp._generic(terms[1:], (ea, eb)):
+                    tabled.update((side, *_common_denominator(Fraction(*a), Fraction(*b)))
+                                  for (a, _), (b, _) in itertools.product(a_xs, b_xs) if b[0])
+    quadratic_mask = lp._quadratic_mask
+    g_forms = B97.domain_data.forms
+    corrupted = []
+
+    def mask(an, bn, q, forms, p_):
+        m = quadratic_mask(an, bn, q, forms, p_)
+        if (DOMAIN if forms == g_forms else CODOMAIN, an, bn, q) in tabled:
+            corrupted.append((an, bn, q))
+            m ^= 0b101
+        return m
+
+    monkeypatch.setattr(lp, "_quadratic_mask", mask)
+    with pytest.raises(ClassBitsMismatch):
+        local_images(B97, LocalPlace.finite(p), cfg)
+    assert corrupted
 
 
 # ---------------------------------------------------------------------------
