@@ -12,19 +12,15 @@ Exit codes:
   1 verification failure;
   2 invalid input: an unreadable or malformed curve file, an unsupported
     model, curve data with a composite factor the factorization budget
-    cannot split, a --places name that is not a bad place, a search flag
-    below its minimum (1 for --precision, 0 for --val-bound and
-    --escalations), or a --cache-dir that cannot be made or whose
-    witnesses.json is not valid JSON, not of version 1 or has a malformed
-    row;
+    cannot split, a --places name that is not a bad place, an unknown flag,
+    or a search flag below its minimum (1 for --precision, 0 for --val-bound
+    and --escalations);
   3 a `ctp` run stopped by a failed search, self-check or dimension check
     (partial JSON naming the stage in "failed_at"), or a heuristic or
     unproven result under --strict.
 
-With --cache-dir, `selmer` and `ctp` write the witnesses they found once, when
-the command ends with exit 0 or 3.  A witness read back is used only if it is
-a point over Q_v with the image it is filed under; otherwise it is dropped
-and the search runs.
+The commands write nothing but their output: each run searches its local
+points afresh.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from .cohomology import NotInImageError
 from .ctp import InconsistentDimensions, LocalRow, ctp_matrix, rank_report
 from .curve import INF, CurveError, RichelotPair, build_pair, poly, poly_str
 from .localfield import places_of
-from .localpoints import CacheFormatError, LocalDataCache, SearchConfig, SearchExhausted
+from .localpoints import LocalDataCache, SearchConfig, SearchExhausted
 from .selmer import selmer_group
 from .verify import run_verification
 
@@ -94,7 +90,7 @@ def _kernel_descriptions(curve: RichelotPair):
     for i in (1, 2, 3):
         T = curve.kernel_point(i)
         parts = []
-        for m in sorted(T.support, key=lambda m: (1, 0) if m == INF else (0, m)):
+        for m in T.ordered_support:
             parts.append("inf" if m == INF else f"({curve.roots[m]}, 0)")
         dom[f"P{i}"] = "{" + ", ".join(parts) + "}"
     cod = {}
@@ -133,6 +129,12 @@ def _selmer_dict(sel) -> dict:
     }
 
 
+def _config_dict(cfg: SearchConfig) -> dict:
+    """The search bounds as the flags name them."""
+    return {"precision": cfg.residue_exponent, "val_bound": cfg.val_bound,
+            "escalations": cfg.escalations}
+
+
 def _row_dict(row: LocalRow) -> dict:
     return {
         "P_v": str(row.P_v),
@@ -167,8 +169,7 @@ def _ctp_report(curve, label, cfg, cache, places=None) -> dict:
             "symmetric": M.symmetric,
         },
         "partial_places_only": partial,
-        "config": {"precision": cfg.residue_exponent, "val_bound": cfg.val_bound,
-                   "escalations": cfg.escalations},
+        "config": _config_dict(cfg),
         "status": "certified" if sel_hat.status == sel_phi.status == "certified"
                   else "heuristic",
     }
@@ -200,14 +201,17 @@ def _print_isogeny(iso):
         print(f"{k} = {iso['dual_kernel_divisors'][k]}")
 
 
+def _tuples_str(tuples) -> str:
+    """Selmer elements as "(a, b, c), (d, e, f)"."""
+    return ", ".join("(%s)" % ", ".join(map(str, t)) for t in tuples)
+
+
 def _print_selmer(report):
     print(f"curve: {report['curve']['model']}")
     s = report["selmer"]
-    gens = ", ".join("(%s)" % ", ".join(map(str, b)) for b in s["basis"])
     print(f"Sel[{s['side']}]: dim {s['dim']}, size {s['size']} ({s['status']})")
-    print(f"basis: {gens}")
-    known = ", ".join("(%s)" % ", ".join(map(str, b)) for b in s["known_point_basis"])
-    print(f"known-point images: {known or '(none)'}")
+    print(f"basis: {_tuples_str(s['basis'])}")
+    print(f"known-point images: {_tuples_str(s['known_point_basis']) or '(none)'}")
 
 
 def _print_tables(report):
@@ -219,8 +223,7 @@ def _print_tables(report):
     print(f"bad places: {', '.join(report['bad_places'])}")
     for side in ("phihat", "phi"):
         s = report["selmer"][side]
-        gens = ", ".join("(%s)" % ", ".join(map(str, b)) for b in s["basis"])
-        print(f"Sel[{side}]: dim {s['dim']} ({s['status']}); basis {gens}")
+        print(f"Sel[{side}]: dim {s['dim']} ({s['status']}); basis {_tuples_str(s['basis'])}")
     for key, rows in report["local_tables"].items():
         print(f"\nlocal data for a = {key}")
         # bad-place order, also when --places keeps only some of them
@@ -278,8 +281,6 @@ def _add_search_flags(p: argparse.ArgumentParser):
                    help="valuation window for the local point search (>= 0)")
     p.add_argument("--escalations", type=_at_least(0), default=2,
                    help="number of times search bounds may escalate (>= 0)")
-    p.add_argument("--cache-dir", default=None,
-                   help="directory for persisting local search witnesses")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when any result is heuristic or unproven")
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -335,16 +336,8 @@ def main(argv=None) -> int:
         _emit(_isogeny_dict(curve, label), args.json, _print_isogeny)
         return 0
 
-    try:
-        cache = LocalDataCache(args.cache_dir)
-    except (CacheFormatError, OSError) as e:  # OSError: the directory cannot be made
-        print(f"error: --cache-dir: {e}", file=sys.stderr)
-        return 2
     run = _selmer_command if args.command == "selmer" else _ctp_command
-    code = run(args, curve, label, _cfg_of(args), cache)
-    if code != 2:
-        cache.save()  # the witnesses found, written once per run
-    return code
+    return run(args, curve, label, _cfg_of(args), LocalDataCache())
 
 
 def _selmer_command(args, curve: RichelotPair, label: str, cfg: SearchConfig,
@@ -356,9 +349,7 @@ def _selmer_command(args, curve: RichelotPair, label: str, cfg: SearchConfig,
         return 2
     report = {"curve": _curve_echo(curve, label),
               "selmer": _selmer_dict(sel),
-              "config": {"precision": cfg.residue_exponent,
-                         "val_bound": cfg.val_bound,
-                         "escalations": cfg.escalations}}
+              "config": _config_dict(cfg)}
     _emit(report, args.json, _print_selmer)
     if args.strict and sel.status != "certified":
         return 3

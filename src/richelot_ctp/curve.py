@@ -284,12 +284,15 @@ class TwoTorsionPoint:
     def is_identity(self) -> bool:
         return not self.support
 
+    @property
+    def ordered_support(self) -> list:
+        """The support's markers, root indices ascending, then INF."""
+        return sorted(self.support, key=lambda m: (1, 0) if m == INF else (0, m))
+
     def __str__(self) -> str:
         if self.is_identity:
             return "O"
-        def key(m):
-            return (1, 0) if m == INF else (0, m)
-        a, b = sorted(self.support, key=key)
+        a, b = self.ordered_support
         return f"{{{a},{b}}}"
 
 
@@ -599,6 +602,15 @@ def _shifted_quadratic(C: dict, D: int, an: int, bn: int, q: int) -> list:
     return [(ks, Fraction(n, d)) for ks, n, d in out if n]
 
 
+def _coefficient_det(polys) -> Fraction:
+    """det of the 3x3 matrix whose rows are the coefficients c0, c1, c2 of
+    three polynomials of degree at most 2."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = [
+        (P + (Fraction(0),) * 3)[:3] for P in polys]
+    return (a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0)
+            + a2 * (b0 * c1 - b1 * c0))
+
+
 def build_pair(lam, G1, G2, G3) -> RichelotPair:
     """Validate a split model and compute its Richelot codomain data.
 
@@ -638,10 +650,7 @@ def build_pair(lam, G1, G2, G3) -> RichelotPair:
     if len(set(flat)) != len(flat):
         raise SingularModelError("Weierstrass x-coordinates are not pairwise distinct")
 
-    rows = [(g + (Fraction(0),) * 3)[:3] for g in gs]
-    delta = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-             - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-             + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
+    delta = _coefficient_det(gs)
     if delta == 0:
         raise ProductOfEllipticError("Delta = 0: Jacobian is a product of elliptic curves")
 
@@ -667,10 +676,7 @@ def codomain_delta_analogue(curve: RichelotPair) -> Fraction:
     -2 Delta^2, so it never vanishes and the codomain needs no extra
     nondegeneracy condition.
     """
-    rows = [(L + (Fraction(0),) * 3)[:3] for L in curve.L]
-    return (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-            - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-            + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
+    return _coefficient_det(curve.L)
 
 
 def two_torsion_points(curve: RichelotPair) -> list[TwoTorsionPoint]:

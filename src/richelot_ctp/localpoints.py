@@ -50,13 +50,10 @@ region of f, taken between the factors' real roots.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-import os
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from . import gf2
@@ -93,7 +90,6 @@ __all__ = [
     "SearchConfig",
     "SearchExhausted",
     "ClassBitsMismatch",
-    "CacheFormatError",
     "LocalImage",
     "LocalDataCache",
     "mu_two",
@@ -109,10 +105,6 @@ class SearchExhausted(RuntimeError):
 
 class ClassBitsMismatch(RuntimeError):
     """A candidate's image read from class bits differs from its witnessed image."""
-
-
-class CacheFormatError(ValueError):
-    """A persisted witnesses file is not one this version reads."""
 
 
 @dataclass(frozen=True)
@@ -193,27 +185,6 @@ class MumfordDivisor:
         a, b = self.quad
         return f"{{x^2 + ({a})x + ({b}) = 0}}"
 
-    def to_json(self) -> dict:
-        d = {"tag": self.tag, "side": self.side}
-        if self.torsion is not None:
-            d["support"] = sorted((str(m) for m in self.torsion.support))
-        if self.xs:
-            d["xs"] = [str(x) for x in self.xs]
-        if self.quad:
-            d["quad"] = [str(c) for c in self.quad]
-        return d
-
-    @staticmethod
-    def from_json(d: dict) -> "MumfordDivisor":
-        torsion = None
-        if "support" in d:
-            markers = frozenset(INF if m == INF else int(m) for m in d["support"])
-            torsion = TwoTorsionPoint(markers)
-        return MumfordDivisor(
-            d["tag"], d.get("side", DOMAIN), torsion=torsion,
-            xs=tuple(Fraction(x) for x in d.get("xs", ())),
-            quad=tuple(Fraction(c) for c in d["quad"]) if "quad" in d else None)
-
 
 # ---------------------------------------------------------------------------
 # evaluation helpers
@@ -231,7 +202,7 @@ def _point_markers(D: MumfordDivisor, curve: RichelotPair) -> list:
     if D.tag == "weierstrass_pair":
         slots = curve.side_data(D.side).slots
         return [("inf",) if m == INF else ("x", slots[m])
-                for m in sorted(D.torsion.support, key=lambda m: (1, 0) if m == INF else (0, m))]
+                for m in D.torsion.ordered_support]
     if D.tag == "point_plus_infinity":
         return [("x", D.xs[0]), ("inf",)]
     return [("x", x) for x in D.xs]
@@ -959,28 +930,6 @@ def local_images(curve: RichelotPair, v: LocalPlace, cfg: SearchConfig = SearchC
     return images
 
 
-def _is_witness(D: MumfordDivisor, t_local: LocalKummerTriple, curve: RichelotPair,
-                v: LocalPlace) -> bool:
-    """Is D, as a file gave it, a domain point over Q_v with image t_local?
-    Each rational x must have f(x) a nonzero square in Q_v, and a quadratic
-    must be irreducible over Q_v and pass the certificate.  A divisor whose
-    fields do not fit its tag (no quadratic, a marker the curve lacks) fails
-    on the way, and is no witness either."""
-    if D.side != DOMAIN:
-        return False
-    try:
-        if D.tag == "quadratic":
-            an, bn, q = _common_denominator(*D.quad)
-            ok = (any(square_class_bits(an * an - 4 * bn * q, 1, v.p))
-                  and _quadratic_certificate(curve.domain_data.f_form, an, bn, q, v))
-        else:
-            xs = [(x.numerator, x.denominator) for x in D.xs]
-            ok = len(list(_points_among(curve, DOMAIN, v, xs))) == len(xs)
-        return ok and divisor_image(D, curve, v) == t_local
-    except (AttributeError, KeyError, TypeError, ValueError):
-        return False
-
-
 def find_local_point(target, curve: RichelotPair, v: LocalPlace,
                      cfg: SearchConfig = SearchConfig(),
                      cache: Optional["LocalDataCache"] = None) -> MumfordDivisor:
@@ -990,62 +939,36 @@ def find_local_point(target, curve: RichelotPair, v: LocalPlace,
     divisor is the first with the target's mask in the domain walk: the 16
     two-torsion divisors, single points over residue grids, pairs of found
     points, quadratic Mumford polynomials, over cfg.escalations escalations
-    before SearchExhausted.  The walk `local_images` left in the cache is
-    shared by every target at v: a target it holds is read off, and otherwise
-    the walk resumes where it stopped.  Without one, a private walk runs.
-    A witness the cache read back from a file is used only if `_is_witness`
-    holds for it; otherwise the cache drops it and the walk answers.
+    before SearchExhausted.  With a cache, one walk at v is shared by every
+    target there, the one `local_images` left or else one made by the first
+    target: a target it holds is read off, and otherwise the walk resumes
+    where it stopped.  Without one, a private walk runs.
     """
     t_local = target.restrict(v) if isinstance(target, KummerTriple) else target
     if t_local.place != v:
         raise ValueError(f"target {t_local} does not live at {v}")
-    key = tuple(c.bits for c in t_local.classes)
-    store = cache is not None and cfg.shuffle_seed is None
-    hit = cache.get_witness(curve, v, cfg, key,
-                            lambda D: _is_witness(D, t_local, curve, v)) if store else None
-    if hit is not None:
-        return hit
-    walk = cache.get_walk(curve, v, cfg) if cache is not None else None
-    D = (walk or _Walk(curve, DOMAIN, v, _escalated(cfg))).find(t_local.mask())
+    walk = (cache.walk(curve, v, cfg) if cache is not None
+            else _Walk(curve, DOMAIN, v, _escalated(cfg)))
+    D = walk.find(t_local.mask())
     if D is None:
         raise SearchExhausted(f"no divisor found with image {t_local} at {v}")
-    if store:
-        cache.put_witness(curve, v, cfg, key, D)
     return D
 
 
 # ---------------------------------------------------------------------------
-# cache (in memory, optionally persisted)
+# cache
 # ---------------------------------------------------------------------------
 
 
-# the SearchConfig fields a persisted witness is kept under (witnesses are
-# cached only without a shuffle seed)
-_BOUNDS = ("residue_exponent", "val_bound", "escalations")
-_FORMAT = 1  # the version of the witnesses.json layout
-
-
 class LocalDataCache:
-    """Shared store for local images, witness divisors and domain walks,
-    each kept under the curve, the place and the search config.
-
-    Walks live in memory only and are resumed in place, so a cache serves
-    one thread.  Witnesses persist with the config's bounds, when `save` is
-    called, as {"version": 1, "witnesses": [rows]}; a row with other bounds
-    fields, or none, is ignored, and a file of another version, or one that
-    does not parse, or a malformed row, raises CacheFormatError.  A witness
-    read from the file is checked when it is first asked for.
+    """In-memory store of the local images and the domain walk at each
+    place, kept under the curve, the place and the search config.  The walk
+    is the one store of local points: `find_local_point` reads its targets
+    off it.  Walks are resumed in place, so a cache serves one thread.
     """
 
-    def __init__(self, directory: Optional[str] = None):
-        self._places: dict = {}  # key -> (images, domain walk) of local_images
-        self._witnesses: dict = {}
-        self._unchecked: set = set()  # keys of witnesses read from the file
-        self._unsaved = False  # a witness was put since the last save
-        self.directory = Path(directory) if directory else None
-        if self.directory:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            self._load()
+    def __init__(self):
+        self._places: dict = {}  # key -> (images of local_images or None, domain walk)
 
     @staticmethod
     def _key(curve: RichelotPair, v, cfg: SearchConfig) -> tuple:
@@ -1054,65 +977,12 @@ class LocalDataCache:
     def get_images(self, curve, v, cfg):
         return self._places.get(self._key(curve, v, cfg), (None, None))[0]
 
-    def get_walk(self, curve, v, cfg):
-        return self._places.get(self._key(curve, v, cfg), (None, None))[1]
-
     def put_images(self, curve, v, cfg, images, walk):
         self._places[self._key(curve, v, cfg)] = images, walk
 
-    def get_witness(self, curve, v, cfg, key, check=None):
-        """The witness kept under this key.  One read back from the file is
-        passed to `check` first, once, and dropped if that fails."""
-        k = self._key(curve, v, cfg) + (key,)
-        if check is not None and k in self._unchecked:
-            self._unchecked.discard(k)
-            if not check(self._witnesses[k]):
-                del self._witnesses[k]
-                self._unsaved = True
-        return self._witnesses.get(k)
-
-    def put_witness(self, curve, v, cfg, key, D):
-        self._witnesses[self._key(curve, v, cfg) + (key,)] = D
-        self._unsaved = True
-
-    # persistence keeps witnesses only; images are cheap to rebuild and their
-    # triples do not serialize compactly
-    def save(self):
-        """Rewrite witnesses.json atomically, if a witness was put since the
-        last save: write a temporary file in the same directory, then
-        os.replace it, so no reader sees a partial file."""
-        if not (self.directory and self._unsaved):
-            return
-        data = {"version": _FORMAT, "witnesses": [
-            {"curve": ck, "place": vs, "bounds": {b: getattr(cfg, b) for b in _BOUNDS},
-             "target": [list(b) for b in key], "witness": D.to_json()}
-            for (ck, vs, cfg, key), D in self._witnesses.items()]}
-        path = self.directory / "witnesses.json"
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(json.dumps(data, indent=1))
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-        self._unsaved = False
-
-    def _load(self):
-        path = self.directory / "witnesses.json"
-        if not path.exists():
-            return
-        try:
-            data = json.loads(path.read_text())
-        except ValueError as e:  # invalid JSON or undecodable bytes
-            raise CacheFormatError(f"{path}: not valid JSON: {e}") from e
-        if not isinstance(data, dict) or data.get("version") != _FORMAT:
-            raise CacheFormatError(f"{path}: not a version {_FORMAT} witnesses file")
-        try:
-            for row in data["witnesses"]:
-                if set(row.get("bounds", ())) != set(_BOUNDS):
-                    continue  # written under other search bounds: not trusted
-                k = (row["curve"], row["place"], SearchConfig(**row["bounds"]),
-                     tuple(tuple(b) for b in row["target"]))
-                self._witnesses[k] = MumfordDivisor.from_json(row["witness"])
-                self._unchecked.add(k)
-        except (AttributeError, KeyError, TypeError, ValueError) as e:
-            raise CacheFormatError(f"{path}: malformed witness row: {e!r}") from e
+    def walk(self, curve, v, cfg) -> _Walk:
+        """The domain walk kept here, made and kept on first use."""
+        key = self._key(curve, v, cfg)
+        if key not in self._places:
+            self._places[key] = None, _Walk(curve, DOMAIN, v, _escalated(cfg))
+        return self._places[key][1]

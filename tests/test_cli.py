@@ -220,138 +220,6 @@ def test_verify_example_catches_symbol_mutation(monkeypatch, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
-def test_cache_dir_persists(curve_file, tmp_path, capsys):
-    cdir = tmp_path / "cache"
-    rc = main(["ctp", curve_file(CURVE113), "--json", "--cache-dir", str(cdir)])
-    assert rc == 0
-    cold = capsys.readouterr().out
-    assert (cdir / "witnesses.json").exists()
-    rc = main(["ctp", curve_file(CURVE113), "--json", "--cache-dir", str(cdir)])
-    assert rc == 0
-    assert capsys.readouterr().out == cold
-
-
-def _swap_the_oo_witnesses(rows):
-    oo = [row for row in rows if row["place"] == "oo"]
-    assert len(oo) == 2 and oo[0]["witness"] != oo[1]["witness"]
-    oo[0]["witness"], oo[1]["witness"] = oo[1]["witness"], oo[0]["witness"]
-
-
-def _drop_a_quadratic(rows):
-    rows[0]["witness"] = {"tag": "quadratic", "side": "domain"}
-
-
-def _name_a_marker_the_curve_lacks(rows):
-    rows[0]["witness"] = {"tag": "weierstrass_pair", "side": "domain", "support": ["7", "9"]}
-
-
-@pytest.mark.parametrize("corrupt", [
-    _swap_the_oo_witnesses, _drop_a_quadratic, _name_a_marker_the_curve_lacks])
-def test_a_cached_witness_that_fails_its_check_is_searched_again(
-        curve_file, tmp_path, capsys, corrupt):
-    # swapping the witnesses of the two rows at oo used to end the next run
-    # in exit 3 at the pairing self-check: each has the other's image
-    path, cdir = curve_file(CURVE113), tmp_path / "cache"
-    assert main(["ctp", path, "--json"]) == 0
-    fresh = capsys.readouterr().out
-    assert main(["ctp", path, "--json", "--cache-dir", str(cdir)]) == 0
-    capsys.readouterr()
-    witnesses = cdir / "witnesses.json"
-    data = json.loads(witnesses.read_text())
-    corrupt(data["witnesses"])
-    witnesses.write_text(json.dumps(data))
-    assert main(["ctp", path, "--json", "--cache-dir", str(cdir)]) == 0
-    assert capsys.readouterr().out == fresh
-
-
-def test_cache_dir_writes_witnesses_once_per_run(curve_file, tmp_path, capsys, monkeypatch):
-    # images are never persisted; the witnesses are written when the command
-    # ends, through one temporary file renamed over witnesses.json
-    import os
-
-    from richelot_ctp.localpoints import LocalDataCache
-    inserts, writes = [], []
-    real_put, real_replace = LocalDataCache.put_witness, os.replace
-
-    def put_witness(self, *args):
-        inserts.append(args)
-        return real_put(self, *args)
-
-    def replace(src, dst):
-        writes.append(str(dst))
-        return real_replace(src, dst)
-
-    monkeypatch.setattr(LocalDataCache, "put_witness", put_witness)
-    monkeypatch.setattr(os, "replace", replace)
-    cdir = tmp_path / "cache"
-    argv = ["ctp", curve_file(CURVE113), "--json", "--cache-dir", str(cdir)]
-    assert main(argv) == 0
-    first = capsys.readouterr().out
-    assert len(inserts) > 1
-    assert writes == [str(cdir / "witnesses.json")]
-    assert sorted(p.name for p in cdir.iterdir()) == ["witnesses.json"]
-    saved = json.loads((cdir / "witnesses.json").read_text())
-    assert saved["version"] == 1
-    assert len(saved["witnesses"]) == len(inserts)
-    # a second run reads every witness back: it puts none, so writes nothing
-    inserts.clear()
-    writes.clear()
-    assert main(argv) == 0
-    assert capsys.readouterr().out == first
-    assert not inserts
-    assert not writes
-
-
-def test_cache_dir_filled_under_other_bounds_leaves_a_default_run_unchanged(
-        curve_file, tmp_path, capsys):
-    path, cdir = curve_file(FRACTIONAL), str(tmp_path / "cache")
-    assert main(["ctp", path, "--json"]) == 0
-    fresh = capsys.readouterr()
-    assert main(["ctp", path, "--json", "--val-bound", "1", "--precision", "1",
-                 "--cache-dir", cdir]) == 0
-    assert capsys.readouterr() != fresh
-    assert main(["ctp", path, "--json", "--cache-dir", cdir]) == 0
-    assert capsys.readouterr() == fresh
-    # rows persisted without their search bounds are ignored
-    witnesses = tmp_path / "cache" / "witnesses.json"
-    rows = json.loads(witnesses.read_text())["witnesses"]
-    witnesses.write_text(json.dumps({"version": 1, "witnesses": [
-        {k: v for k, v in row.items() if k != "bounds"}
-        for row in rows if row["bounds"]["val_bound"] == 1]}))
-    assert main(["ctp", path, "--json", "--cache-dir", cdir]) == 0
-    assert capsys.readouterr() == fresh
-
-
-@pytest.mark.parametrize("command", ["ctp", "selmer"])
-@pytest.mark.parametrize("content", [
-    json.dumps({"version": 2, "witnesses": []}),
-    json.dumps([]),  # the unversioned layout of earlier releases
-    '{"version": 1, "witnesses": [',
-    json.dumps({"version": 1, "witnesses": [
-        {"bounds": {"residue_exponent": 4, "val_bound": 6, "escalations": 2}}]}),
-], ids=["version-2", "bare-list", "invalid-json", "row-without-target"])
-def test_a_cache_file_this_version_cannot_read_exits_2(
-        curve_file, tmp_path, capsys, command, content):
-    witnesses = tmp_path / "cache" / "witnesses.json"
-    witnesses.parent.mkdir()
-    witnesses.write_text(content)
-    assert main([command, curve_file(TOY), "--json", "--cache-dir", str(witnesses.parent)]) == 2
-    captured = capsys.readouterr()
-    assert not captured.out
-    assert captured.err.startswith("error: ") and str(witnesses) in captured.err
-    assert witnesses.read_text() == content
-
-
-@pytest.mark.parametrize("command", ["ctp", "selmer"])
-def test_a_cache_dir_that_is_a_file_exits_2(curve_file, tmp_path, capsys, command):
-    path = tmp_path / "not-a-directory"
-    path.write_text("")
-    assert main([command, curve_file(TOY), "--json", "--cache-dir", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert not captured.out
-    assert captured.err.startswith("error: --cache-dir: ") and str(path) in captured.err
-
-
 def test_ctp_partial_text_columns_follow_bad_place_order(curve_file, capsys):
     assert main(["ctp", curve_file(CURVE113), "--places", "3,113,oo"]) == 0
     heads = [line.split()[3:] for line in capsys.readouterr().out.splitlines()
@@ -394,17 +262,25 @@ def test_a_ctp_run_samples_the_real_place_at_most_once_per_side(
 
 
 @pytest.mark.parametrize("command", ["ctp", "selmer"])
-@pytest.mark.parametrize("flag, low", [("--precision", 1), ("--val-bound", 0),
-                                       ("--escalations", 0)])
-def test_a_search_flag_below_its_minimum_exits_2(curve_file, capsys, command, flag, low):
+@pytest.mark.parametrize("flag, value, message", [
+    ("--precision", "0", "argument --precision: must be at least 1, not 0"),
+    ("--val-bound", "-1", "argument --val-bound: must be at least 0, not -1"),
+    ("--escalations", "-1", "argument --escalations: must be at least 0, not -1"),
+    # the CLI writes nothing to disk, so it takes no cache directory
+    ("--cache-dir", "DIR", "unrecognized arguments: --cache-dir"),
+], ids=["precision", "val-bound", "escalations", "cache-dir"])
+def test_an_invalid_search_flag_exits_2(curve_file, tmp_path, capsys, monkeypatch,
+                                        command, flag, value, message):
     # --escalations -1 used to end in a KernelCheckError traceback, and the
     # other two were taken silently
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as stop:
-        main([command, curve_file(CURVE113), "--json", flag, str(low - 1)])
+        main([command, curve_file(CURVE113), "--json", flag, value])
     assert stop.value.code == 2
     captured = capsys.readouterr()
     assert not captured.out
-    assert f"argument {flag}: must be at least {low}, not {low - 1}" in captured.err
+    assert message in captured.err
+    assert not (tmp_path / "DIR").exists()
 
 
 @pytest.mark.parametrize("command", ["ctp", "selmer"])

@@ -6,7 +6,7 @@ import pytest
 
 from richelot_ctp.cohomology import KummerTriple, psi_two_to_phihat
 from richelot_ctp.curve import INF, TwoTorsionPoint, build_pair, poly_eval, poly_integer_form
-from richelot_ctp.localfield import LocalPlace, is_local_square, local_square_class
+from richelot_ctp.localfield import LocalPlace, is_local_square
 from richelot_ctp.localpoints import (
     CODOMAIN,
     DOMAIN,
@@ -248,34 +248,27 @@ def test_local_image_at_infinity_sign_analysis(curve113):
     assert classes_of(img.basis[0]) == ((0,), (1,), (1,))
 
 
-def test_witness_cache_roundtrip(tmp_path, curve113):
-    cache = LocalDataCache(str(tmp_path))
+def test_targets_on_one_cache_share_one_domain_walk(curve113, monkeypatch):
+    # without local_images, the first target makes the walk and leaves it in
+    # the cache; (1, 3, 3) is no image at 3, so its search runs the walk to
+    # the end, and the later targets are read off what it holds
+    import richelot_ctp.localpoints as lp
+    made = []
+
+    class Counted(lp._Walk):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(lp, "_Walk", Counted)
+    cache = LocalDataCache()
     t = KummerTriple.of(113, 113, 1)
-    D = find_local_point(t, curve113, V3, cache=cache)
-    assert not (tmp_path / "witnesses.json").exists()  # written by save alone
-    cache.save()
-    cache2 = LocalDataCache(str(tmp_path))
-    key = tuple(c.bits for c in t.restrict(V3).classes)
-    assert cache2.get_witness(curve113, V3, SearchConfig(), key) == D
-
-
-def test_a_persisted_witness_that_is_no_local_point_is_searched_again(tmp_path, curve113):
-    # f(x1) and f(x2) lie in one nontrivial class at 3, so the pair has an
-    # image of norm one, but it is no point over Q_3
-    def f_class(x):
-        return local_square_class(poly_eval(curve113.f, Fraction(x)), V3)
-    x1, x2 = next((x1, x2) for x1, x2 in itertools.combinations(range(1, 60), 2)
-                  if not f_class(x1).is_trivial() and f_class(x1) == f_class(x2))
-    fake = MumfordDivisor.rational_pair(x1, x2)
-    t = mu_phihat(fake, curve113, V3)
-    key = tuple(c.bits for c in t.classes)
-    cache = LocalDataCache(str(tmp_path))
-    cache.put_witness(curve113, V3, SearchConfig(), key, fake)
-    cache.save()
-    cache = LocalDataCache(str(tmp_path))
-    D = find_local_point(t, curve113, V3, cache=cache)
-    assert D != fake and mu_phihat(D, curve113, V3) == t
-    assert cache.get_witness(curve113, V3, SearchConfig(), key) == D
+    assert find_local_point(t, curve113, V3, cache=cache) == D_0_m113
+    with pytest.raises(SearchExhausted):
+        find_local_point(KummerTriple.of(1, 3, 3), curve113, V3, cache=cache)
+    assert find_local_point(t, curve113, V3, cache=cache) == D_0_m113
+    assert find_local_point(KummerTriple.of(1, 1, 1), curve113, V3, cache=cache).tag == "identity"
+    assert len(made) == 1
 
 
 def test_quadratic_masks_read_from_resultants_match_images(curve113):

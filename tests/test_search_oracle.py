@@ -718,7 +718,7 @@ def test_a_target_the_walk_holds_costs_no_certificate(monkeypatch):
     curve, v, cfg = CURVES["B31"], LocalPlace.finite(2), SearchConfig(residue_exponent=1)
     cache = LocalDataCache()
     local_images(curve, v, cfg, cache)
-    held = dict(cache.get_walk(curve, v, cfg).first)
+    held = dict(cache.walk(curve, v, cfg).first)
     assert any(D.tag == "quadratic" for D in held.values())
     calls = count_certificates(monkeypatch, curve)
     for D in held.values():
