@@ -220,6 +220,68 @@ def test_verify_example_catches_symbol_mutation(monkeypatch, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["ctp", "selmer"])
+@pytest.mark.parametrize("content", [
+    '{"lambda": "1", "G1": [',
+    json.dumps([]),
+    json.dumps({k: v for k, v in TOY.items() if k != "G3"}),
+    json.dumps(dict(TOY, G1="22")),
+], ids=["invalid-json", "bare-list", "missing-factor", "string-factor"])
+def test_a_malformed_curve_file_exits_2_before_any_search(
+        curve_file, tmp_path, capsys, monkeypatch, command, content):
+    import richelot_ctp.cli as cli
+
+    def no_search(*args):
+        raise AssertionError("the search ran on a malformed curve file")
+
+    monkeypatch.setattr(cli, "selmer_group", no_search)
+    path = tmp_path / "malformed.json"
+    path.write_text(content)
+    assert main([command, str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error: ")
+    assert path.read_text() == content
+
+
+@pytest.mark.parametrize("command", ["ctp", "selmer"])
+def test_a_curve_path_that_is_a_directory_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "a-directory"
+    path.mkdir()
+    assert main([command, str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error: cannot read curve file: ")
+    assert str(path) in captured.err
+
+
+@pytest.mark.parametrize("command", ["ctp", "selmer"])
+def test_a_run_writes_nothing_to_disk(curve_file, tmp_path, capsys, monkeypatch, command):
+    # local points live in the run's LocalDataCache alone
+    path = curve_file(TOY)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main([command, path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["curve"]["label"] == "toy"
+    assert not list(work.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.json", "work"]
+
+
+@pytest.mark.parametrize("command", ["ctp", "selmer"])
+def test_a_run_under_other_bounds_leaves_a_later_default_run_unchanged(
+        curve_file, capsys, command):
+    # each run searches in a cache of its own, so walks made under one search
+    # config never answer a run under another
+    path = curve_file(FRACTIONAL)
+    assert main([command, path, "--json"]) == 0
+    fresh = capsys.readouterr()
+    assert main([command, path, "--json", "--val-bound", "1", "--precision", "1"]) == 0
+    assert capsys.readouterr() != fresh
+    assert main([command, path, "--json"]) == 0
+    assert capsys.readouterr() == fresh
+
+
 def test_ctp_partial_text_columns_follow_bad_place_order(curve_file, capsys):
     assert main(["ctp", curve_file(CURVE113), "--places", "3,113,oo"]) == 0
     heads = [line.split()[3:] for line in capsys.readouterr().out.splitlines()

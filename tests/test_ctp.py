@@ -117,6 +117,21 @@ def test_a_warm_matrix_restricts_each_basis_element_once_per_place(
     assert len(calls) == 5 and sum(calls.values()) == 400
 
 
+@pytest.mark.parametrize("place", ["2", "3", "7", "113", "oo"])
+def test_each_local_row_takes_a_local_point_below_its_class(curve113, matrix, place):
+    # the pairing self-check fails when a row's point has another class's
+    # image, as two swapped points at one place would
+    from richelot_ctp.curve import poly_eval
+    from richelot_ctp.localfield import is_local_square
+    from richelot_ctp.localpoints import mu_phihat, mu_two
+    for a, rows in zip(matrix.basis, matrix.rows):
+        (row,) = [r for r in rows if str(r.place) == place]
+        v = row.place
+        assert mu_phihat(row.P_v, curve113, v) == a.restrict(v)
+        assert row.delta2 == mu_two(row.P_v, curve113, v)
+        assert all(is_local_square(poly_eval(curve113.f, x), v) for x in row.P_v.xs)
+
+
 def test_basis_change_same_radical(curve113, sel_phihat, cache):
     alt = (G1 * T1, G2, T1, T2 * T3, T3)
     m2 = ctp_matrix(sel_phihat, curve113, cache, basis=alt)

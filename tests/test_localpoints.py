@@ -6,7 +6,7 @@ import pytest
 
 from richelot_ctp.cohomology import KummerTriple, psi_two_to_phihat
 from richelot_ctp.curve import INF, TwoTorsionPoint, build_pair, poly_eval, poly_integer_form
-from richelot_ctp.localfield import LocalPlace, is_local_square
+from richelot_ctp.localfield import LocalPlace, is_local_square, local_square_class
 from richelot_ctp.localpoints import (
     CODOMAIN,
     DOMAIN,
@@ -269,6 +269,21 @@ def test_targets_on_one_cache_share_one_domain_walk(curve113, monkeypatch):
     assert find_local_point(t, curve113, V3, cache=cache) == D_0_m113
     assert find_local_point(KummerTriple.of(1, 1, 1), curve113, V3, cache=cache).tag == "identity"
     assert len(made) == 1
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cache", "private-walk"])
+def test_a_norm_one_pair_that_is_no_local_point_is_never_returned(curve113, cached):
+    # f(x1) and f(x2) lie in one nontrivial class at 3, so the pair has an
+    # image of norm one, but it is no point over Q_3
+    def f_class(x):
+        return local_square_class(poly_eval(curve113.f, Fraction(x)), V3)
+    x1, x2 = next((x1, x2) for x1, x2 in itertools.combinations(range(1, 60), 2)
+                  if not f_class(x1).is_trivial() and f_class(x1) == f_class(x2))
+    fake = MumfordDivisor.rational_pair(x1, x2)
+    t = mu_phihat(fake, curve113, V3)
+    D = find_local_point(t, curve113, V3, cache=LocalDataCache() if cached else None)
+    assert D != fake and mu_phihat(D, curve113, V3) == t
+    assert all(is_local_square(poly_eval(curve113.f, x), V3) for x in D.xs)
 
 
 def test_quadratic_masks_read_from_resultants_match_images(curve113):
