@@ -35,6 +35,21 @@ CURVES = {
     # the 6-root codomain
     "six-root": {"label": "six-root", "lambda": "2", "G1": ["-1", "1"],
                  "G2": ["30", "-21", "3"], "G3": ["-11", "-10", "1"]},
+    # the rest of the benchmark corpus, under the labels its workloads give:
+    # a sibling of k = 113 and the negative leading coefficient (`curves`),
+    # and the k-family with 5 to 8 finite bad primes (`kfamily`)
+    "k17": {"label": "k17", "lambda": "1", "G1": ["34", "1"],
+            "G2": ["0", "-102", "1"], "G3": ["-2023", "-102", "1"]},
+    "negative-lc": {"label": "negative-lc", "lambda": "-1", "G1": ["0", "1"],
+                    "G2": ["-1", "0", "1"], "G3": ["-9", "0", "1"]},
+    "k143": {"label": "k143", "lambda": "1", "G1": ["286", "1"],
+             "G2": ["0", "-858", "1"], "G3": ["-143143", "-858", "1"]},
+    "k2431": {"label": "k2431", "lambda": "1", "G1": ["4862", "1"],
+              "G2": ["0", "-14586", "1"], "G3": ["-41368327", "-14586", "1"]},
+    "k46189": {"label": "k46189", "lambda": "1", "G1": ["92378", "1"],
+               "G2": ["0", "-277134", "1"], "G3": ["-14933966047", "-277134", "1"]},
+    "k1062347": {"label": "k1062347", "lambda": "1", "G1": ["2124694", "1"],
+                 "G2": ["0", "-6374082", "1"], "G3": ["-7900068038863", "-6374082", "1"]},
 }
 
 SHA256 = {
@@ -46,11 +61,18 @@ SHA256 = {
     "B31": "d99f4306b69c3f7ddd7115fb5aad4a527d9a20c2e795b4f5618614780583352f",
     "B97": "cbef049b9ddec2ced28f0af52a293f80b45ddff453f0ff4d3c4631cb3086e83a",
     "six-root": "a141544f08973b0e2e6ed8c3e41cf1a61f9244ffc0bce32a67659a63a1c60f4f",
+    "k17": "0b225d50bbe188a7d5bd395e43966be1ce4b42b9a02e3416fca8a1e1eb874faf",
+    "negative-lc": "4318fa8735df4be1c0cddca0d47e71fd915072c256f2d6010553eac00e96cb62",
+    "k143": "c88c446a76f3dbaccb48ee42f45c98147cc252e13e3e3399d43140055a29af3d",
+    "k2431": "ede3fa932cdb40bd343334a319f20731365babdd2d7ec5349435dab52971ace3",
+    "k46189": "c44f12bd05a62e0e3033b5928034f3ebf7815dc784a98bc932c27c1e52732365",
+    "k1062347": "e37d3cbbbddf1dfc423b09366cc4694fef26b52cc5c382203ceff12383de2c92",
 }
 
 
 # (exit code, stdout hash) under other search bounds: a smaller valuation
-# window, and the smallest search, where most curves end heuristic (exit 3)
+# window, and the smallest search, where most curves end heuristic (exit 3);
+# pinned for the curves up to six-root
 FLAGGED = {
     "--val-bound 2": {
         "A1009": (0, "1e8ee1fe19a152326de04cbb2e7e6b1dacbde7af9eadf562bb76ec3cc374aaa7"),
@@ -88,7 +110,7 @@ def test_ctp_json_bytes_are_pinned(label, tmp_path, capsys):
     assert ctp_json(label, [], tmp_path, capsys) == (0, SHA256[label])
 
 
-@pytest.mark.parametrize("label", sorted(CURVES))
+@pytest.mark.parametrize("label", sorted(FLAGGED["--val-bound 2"]))
 @pytest.mark.parametrize("flags", sorted(FLAGGED))
 def test_ctp_json_bytes_are_pinned_under_other_bounds(flags, label, tmp_path, capsys):
     assert ctp_json(label, flags.split(), tmp_path, capsys) == FLAGGED[flags][label]
