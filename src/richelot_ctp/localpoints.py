@@ -27,17 +27,22 @@ only for a vector the search keeps or a point it returns (and must match its
 mask).  Every tier skips a mask its walk has already yielded before it
 builds the divisor, or certifies a quadratic, so a walk yields each mask
 once.  Each place has one domain walk, shared by `local_images` and every
-`find_local_point` target there; an escalation walks only the tiers whose
-bounds it changes.  Single points come in blocks x = c + r p^j over the unit
-residues r; once the pairs tier's pool is full, a block where each factor
-has one Taylor term strictly below the others in valuation, at every p, is
-read once per unit class, since that term fixes the factor's square class
-(`_generic`).  Quadratic candidates x^2 + a x + b come in blocks
-(a, b) = centre + (r1 p^ea, r2 p^eb); where the discriminant, or the three
-resultants that give the mask, have such a term, they are read once per
-pair of unit classes.  A class whose resultants multiply to a non-square,
-the norm of f mod A, is dropped before its certificate, which it cannot
-pass.
+`find_local_point` target there, whichever comes first; an escalation walks
+only the tiers whose bounds it changes.
+
+Single points come in blocks x = c + r p^j over the unit residues r.  A
+factor with one Taylor term strictly below the others in valuation there
+is dominated: that term fixes the factor's square class by the unit class
+of r (`_generic`), so its class is read once per block and unit class, and
+only the other factors are evaluated per candidate.  In a block where
+every factor is dominated, whether f(x) is a square is read once per unit
+class too, and once the pairs tier's pool is full the block gives only the
+first r of each unit class.  Quadratic candidates x^2 + a x + b come in
+blocks (a, b) = centre + (r1 p^ea, r2 p^eb); where the discriminant, or the
+three resultants that give the mask, have such a term, they are read once
+per pair of unit classes.  A class whose resultants multiply to a
+non-square, the norm of f mod A, is dropped before its certificate, which
+it cannot pass.
 
 The search reads what depends on the curve alone from the curve's
 `SideData` (integer forms, Weierstrass and infinite factor values, kernel
@@ -49,8 +54,10 @@ region of f, taken between the factors' real roots.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -414,15 +421,17 @@ def _root_centers(fi, p: int, depth: int) -> list[Fraction]:
 
 
 def _x_blocks(curve: RichelotPair, side: str, p: int, cfg: SearchConfig) -> Iterator:
-    """The blocks (c, j, generic) of candidates x = c + r p^j, r over the
+    """The blocks (c, j, dominated) of candidates x = c + r p^j, r over the
     unit residues: near-root refinements of every root centre c for
     j = 1..val_bound first (they carry the interesting classes, and the
     pairs tier feeds on the earliest points found), then the grid r p^e,
     which is c = 0 and j = e for |e| <= val_bound.  Each (c, j) comes once.
 
-    A block is generic when `_generic` holds for the factors' Taylor terms
-    at c (t = r p^j): the factor classes, and whether f(x) is a square,
-    then depend on r only through its unit class.
+    `dominated` holds, per factor, whether `_generic` holds for its Taylor
+    terms at c (t = r p^j): the factor's class then depends on r only
+    through its unit class, and the factor is not zero.  A block is generic
+    when every factor is dominated; whether f(x) is a square then depends
+    on r the same way.
 
     The domain's roots are all rational (the standing assumption), so they
     are its centres; the codomain adds the lifted roots of fhat mod p that
@@ -439,7 +448,7 @@ def _x_blocks(curve: RichelotPair, side: str, p: int, cfg: SearchConfig) -> Iter
             (Fraction(0), range(-vb, 1 if 0 in centers else vb + 1))]:
         terms = data.taylor_valuations(c, p)
         for j in js:
-            yield c, j, _generic(terms, (j,))
+            yield c, j, tuple(_generic([g], (j,)) for g in terms)
 
 
 def _generic(terms, js) -> bool:
@@ -475,58 +484,105 @@ def _block_xs(c: Fraction, j: int, p: int, rs) -> Iterator:
 
 
 def _x_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfig,
-                  fast=None) -> Iterator[tuple[int, int]]:
-    """Candidate x-coordinates as (numerator, denominator) in lowest terms,
-    made as the search asks for them: the blocks of `_x_blocks` in turn,
-    each candidate once.
+                  fast=None) -> Iterator[tuple[int, int, Optional[list]]]:
+    """Candidate x-coordinates as (numerator, denominator, tag), x in lowest
+    terms, made as the search asks for them: the blocks of `_x_blocks` in
+    turn, each candidate once.
+
+    Candidates share a tag exactly when they share a block and the unit
+    class of r (r mod 8 at p = 2, its Legendre symbol at odd p).  A tag is
+    the list [the block's `dominated` flags, None], in which `_points_among`
+    keeps what it reads for the tag; it is None where no factor is
+    dominated, and at the real place.
 
     While `fast()` holds, a generic block gives only the first r of each
     unit class, and is not recorded against repeats: the singles tier asks
     for this once a repeat of a class it has handled can change nothing.
     """
     if v.p is None:
-        yield from curve.side_data(side).real_samples
+        for n, d in curve.side_data(side).real_samples:
+            yield n, d, None
         return
     p = v.p
     units = _unit_residues(p, cfg.residue_exponent)
-    # the first residue of each unit class: r mod 8 is the class of a unit
-    # at p = 2, its Legendre symbol at odd p
-    reps = ([r for r in units if r < 8] if p == 2
-            else [1, next(r for r in units if pow(r, (p - 1) // 2, p) != 1)])
+    # the unit class of each residue, and the first residue of each class
+    classes = [r % 8 if p == 2 else pow(r, p // 2, p) for r in units]
+    firsts: dict = {}
+    for k, r in zip(classes, units):
+        firsts.setdefault(k, r)
+    reps = list(firsts.values())
     seen = set()
-    for c, j, generic in _x_blocks(curve, side, p, cfg):
-        if generic and fast and fast():
-            yield from _block_xs(c, j, p, reps)
-            continue
-        for x in _block_xs(c, j, p, units):
+    for c, j, dominated in _x_blocks(curve, side, p, cfg):
+        if any(dominated):
+            tags = {k: [dominated, None] for k in firsts}
+            if all(dominated) and fast and fast():
+                for (n, d), k in zip(_block_xs(c, j, p, reps), firsts):
+                    yield n, d, tags[k]
+                continue
+            block_tags = map(tags.__getitem__, classes)
+        else:
+            block_tags = itertools.repeat(None)
+        for x, tag in zip(_block_xs(c, j, p, units), block_tags):
             if x not in seen:
                 seen.add(x)
-                yield x
+                yield *x, tag
 
 
 def _points_among(curve: RichelotPair, side: str, v: LocalPlace,
-                  xs: Iterable[tuple[int, int]]) -> Iterator[tuple[Fraction, tuple]]:
-    """The candidates x = n/d with f(x) a nonzero square in Q_v, in order,
-    each with the square-class bits of its three factor values.
+                  xs: Iterable[tuple[int, int, Optional[list]]]) -> Iterator[tuple[Fraction, tuple]]:
+    """The candidates (n, d, tag) of `_x_candidates` with f(n/d) a nonzero
+    square in Q_v, in order, as x = n/d with the square-class bits of its
+    three factor values.
 
     f = G1 G2 G3 on the domain (build_pair folds lambda into G1) and
     fhat = L1 L2 L3 / Delta on the codomain, so f(x) is a square iff the
     factor classes XOR to the class of 1, or of Delta.  The factor values
     are read from their homogenized integer forms, without a Fraction.
+
+    A dominated factor has one class for all candidates of a tag, so it is
+    read once, from the tag's first candidate, and kept in the tag; where
+    every factor is dominated, the tag keeps whether the point is a square
+    too.  The other factors are read per candidate; only they can be zero,
+    at a Weierstrass point.
     """
     p = v.p
     data = curve.side_data(side)
     f_class = square_class_bits(data.delta.numerator, data.delta.denominator, p)
-    for n, d in xs:
-        classes = []
-        for C, den in data.forms:
-            acc, dk = homogenized_eval(C, n, d)
-            if not acc:
-                break  # x is a Weierstrass point
-            classes.append(square_class_bits(acc, den * dk, p))
-        else:
-            if not any(c ^ c1 ^ c2 ^ c3 for c, c1, c2, c3 in zip(f_class, *classes)):
-                yield Fraction(n, d), tuple(classes)
+
+    def bits(i, n, d):
+        C, den = data.forms[i]
+        acc, dk = homogenized_eval(C, n, d)
+        return acc and square_class_bits(acc, den * dk, p)
+
+    def xor(a, b):
+        return tuple(map(operator.xor, a, b))
+
+    def read(dominated, n, d):
+        # (the dominated factors' classes, None for the others; the others'
+        # indices; the class the others' classes multiply to iff f(x) is a
+        # square), or False where every factor is dominated and f(x) is not
+        # a square
+        classes = [bits(i, n, d) if dom else None for i, dom in enumerate(dominated)]
+        free = [i for i, c in enumerate(classes) if c is None]
+        want = functools.reduce(xor, [c for c in classes if c], f_class)
+        return (classes, free, want) if free or not any(want) else False
+
+    unknown = [None] * 3, range(3), f_class  # a candidate without a tag
+    for n, d, tag in xs:
+        known = tag[1] if tag else unknown
+        if known is None:
+            known = tag[1] = read(tag[0], n, d)
+        if not known:
+            continue
+        classes, free, want = known
+        if free:
+            got = [bits(i, n, d) for i in free]
+            if not all(got) or functools.reduce(xor, got) != want:
+                continue  # x is a Weierstrass point, or f(x) is no square
+            classes = classes[:]
+            for i, c in zip(free, got):
+                classes[i] = c
+        yield Fraction(n, d), tuple(classes)
 
 
 def _torsion_divisors(curve: RichelotPair, side: str) -> list[MumfordDivisor]:
@@ -787,8 +843,9 @@ def _escalated(cfg: SearchConfig) -> Iterator[SearchConfig]:
 class _Walk:
     """One side's search at one place: the tiers of `_point_tiers`, round
     after round over `configs`, walked once and resumable.  It records the
-    divisor it yields for each mask, and that divisor's checked image; the
-    tiers skip the masks it holds, so it yields each mask once.
+    divisor it yields for each mask, the tier that yielded it, and that
+    divisor's checked image; the tiers skip the masks it holds, so it
+    yields each mask once.
     A round walks only the tiers whose bounds changed: the torsion tier has
     none; the singles grid sizes the singles and pairs tiers,
     `_quadratic_bounds` the quadratic tier.
@@ -797,37 +854,48 @@ class _Walk:
     def __init__(self, curve: RichelotPair, side: str, v: LocalPlace, configs):
         self.curve, self.v = curve, v
         self.first: dict = {}  # mask -> the divisor yielded with it
+        self.tier_of: dict = {}  # mask -> the number of the tier that yielded it
         self.images: dict = {}  # mask -> checked image of first[mask]
         self.tier: Iterator = iter(())  # the current tier, partly walked
-        self._tiers = self._rounds(curve, side, v, configs, self.first)
+        self.current = -1  # its number
+        self._tiers = self._rounds(curve, side, v, configs, self.first, self.tier_of)
 
     # the generators below hold `first`, not the walk, so that a walk is
     # freed as soon as its cache is, without waiting for the cycle collector
     @staticmethod
-    def _rounds(curve, side, v, configs, first):
+    def _rounds(curve, side, v, configs, first, tier_of):
         walked = None
+        number = itertools.count()
         for config in configs:
             grid = (config.residue_exponent, config.val_bound)
             bounds = ((), grid, grid,
                       _quadratic_bounds(v.p, config) if v.p is not None else ())
             tiers = _point_tiers(curve, side, v, config, first)
             for tier, b, w in zip(tiers, bounds, walked or (None,) * 4):
-                yield _Walk._recorded(() if b == w else tier, first)
+                yield _Walk._recorded(() if b == w else tier, first, tier_of, next(number))
             walked = bounds
 
     @staticmethod
-    def _recorded(tier, first):
+    def _recorded(tier, first, tier_of, k):
         for D, mask in tier:
             first[mask] = D
+            tier_of[mask] = k
             yield D, mask
 
     def tiers(self) -> Iterator[Iterator[tuple[MumfordDivisor, int]]]:
-        """The rest of the current tier, then each later tier; a later call
-        resumes where a caller stopped (a for loop, unlike `yield from`,
-        leaves the round generator open when this one is dropped)."""
-        yield self.tier
-        for self.tier in self._tiers:
-            yield self.tier
+        """Each tier from the first: what the walk has yielded in it, then,
+        for the current tier and the later ones, what it yields next.  So
+        every call sees the same tiers, and walks on where an earlier caller
+        stopped (a for loop, unlike `yield from`, leaves the round generator
+        open when this one is dropped)."""
+        for k in itertools.count():
+            held = [(D, m) for m, D in self.first.items() if self.tier_of[m] == k]
+            if k > self.current:
+                tier = next(self._tiers, None)
+                if tier is None:
+                    return
+                self.tier, self.current = tier, k
+            yield itertools.chain(held, self.tier) if k == self.current else iter(held)
 
     def image(self, D: MumfordDivisor, mask: int) -> LocalKummerTriple:
         """The checked image of first[mask] = D, built once."""
@@ -889,18 +957,17 @@ def local_images(curve: RichelotPair, v: LocalPlace, cfg: SearchConfig = SearchC
     Returns (phihat image, phi image).  Certification: the dimensions sum to
     dim H^1 and every cross pair cups to zero.  Failing that within the
     escalation budget, both come back flagged heuristic.  With a cache, the
-    domain walk is kept there for `find_local_point` to resume.
+    domain walk is the one kept there, which `find_local_point` resumes and
+    may have begun.
     """
-    if cache is not None:
-        hit = cache.get_images(curve, v, cfg)
-        if hit is not None:
-            return hit
+    cache = cache or LocalDataCache()
+    hit = cache.get_images(curve, v, cfg)
+    if hit is not None:
+        return hit
     curve.require_five_roots()
     target = _h1_dim(v)
-    # the two sides' walks share one escalation per round
-    hat_configs, phi_configs = itertools.tee(_escalated(cfg))
-    walks = {"phihat": _Walk(curve, DOMAIN, v, hat_configs),
-             "phi": _Walk(curve, CODOMAIN, v, phi_configs)}
+    walks = {"phihat": cache.walk(curve, v, cfg),
+             "phi": _Walk(curve, CODOMAIN, v, _escalated(cfg))}
     found = {"phihat": [], "phi": []}  # side -> list of (triple, witness)
     spans = {"phihat": gf2.Span(), "phi": gf2.Span()}
 
@@ -913,7 +980,8 @@ def local_images(curve: RichelotPair, v: LocalPlace, cfg: SearchConfig = SearchC
         return False
 
     # walk the tiers in lockstep across both sides so the cheap tiers of one
-    # side are never starved behind the expensive tiers of the other
+    # side are never starved behind the expensive tiers of the other; a
+    # domain walk that `find_local_point` began gives first what it holds
     for hat, phi in zip(walks["phihat"].tiers(), walks["phi"].tiers()):
         if drain("phihat", hat) or drain("phi", phi):
             break
@@ -925,8 +993,7 @@ def local_images(curve: RichelotPair, v: LocalPlace, cfg: SearchConfig = SearchC
         LocalImage(v, name, tuple(t for t, _ in found[name]),
                    tuple(D for _, D in found[name]), status)
         for name in ("phihat", "phi"))
-    if cache is not None:
-        cache.put_images(curve, v, cfg, images, walks["phihat"])
+    cache.put_images(curve, v, cfg, images)
     return images
 
 
@@ -939,17 +1006,15 @@ def find_local_point(target, curve: RichelotPair, v: LocalPlace,
     divisor is the first with the target's mask in the domain walk: the 16
     two-torsion divisors, single points over residue grids, pairs of found
     points, quadratic Mumford polynomials, over cfg.escalations escalations
-    before SearchExhausted.  With a cache, one walk at v is shared by every
-    target there, the one `local_images` left or else one made by the first
-    target: a target it holds is read off, and otherwise the walk resumes
-    where it stopped.  Without one, a private walk runs.
+    before SearchExhausted.  With a cache, one walk at v is shared by
+    `local_images` and every target there, made by whichever comes first: a
+    target it holds is read off, and otherwise the walk resumes where it
+    stopped.  Without one, a private walk runs.
     """
     t_local = target.restrict(v) if isinstance(target, KummerTriple) else target
     if t_local.place != v:
         raise ValueError(f"target {t_local} does not live at {v}")
-    walk = (cache.walk(curve, v, cfg) if cache is not None
-            else _Walk(curve, DOMAIN, v, _escalated(cfg)))
-    D = walk.find(t_local.mask())
+    D = (cache or LocalDataCache()).walk(curve, v, cfg).find(t_local.mask())
     if D is None:
         raise SearchExhausted(f"no divisor found with image {t_local} at {v}")
     return D
@@ -977,8 +1042,8 @@ class LocalDataCache:
     def get_images(self, curve, v, cfg):
         return self._places.get(self._key(curve, v, cfg), (None, None))[0]
 
-    def put_images(self, curve, v, cfg, images, walk):
-        self._places[self._key(curve, v, cfg)] = images, walk
+    def put_images(self, curve, v, cfg, images):
+        self._places[self._key(curve, v, cfg)] = images, self.walk(curve, v, cfg)
 
     def walk(self, curve, v, cfg) -> _Walk:
         """The domain walk kept here, made and kept on first use."""

@@ -23,6 +23,7 @@ import pytest
 from hilbert_oracle import _unit_residue
 from padic_oracle import InsufficientPrecision, PadicApprox
 import richelot_ctp.curve as curve_module
+import richelot_ctp.localpoints as lp
 from richelot_ctp.cohomology import LocalKummerQuintuple
 from richelot_ctp.curve import INF, build_pair, poly_eval, poly_integer_form, rational_sqrt
 from richelot_ctp.localfield import (
@@ -384,7 +385,7 @@ def test_singles_factor_xor_decides_like_evaluating_f(curve, p, side):
     polys = curve.G if side == DOMAIN else curve.L
     xs = list(_x_candidates(curve, side, v, SearchConfig()))
     expected = []
-    for n, d in xs:
+    for n, d, _ in xs:
         x = Fraction(n, d)
         fx = poly_eval(f, x)
         if fx != 0 and is_local_square(fx, v):
@@ -399,9 +400,36 @@ def test_singles_factor_xor_decides_like_evaluating_f(curve, p, side):
     assert got or (curve is IRRATIONAL and side == CODOMAIN and p == 7)
 
 
-# a generic block is read once per unit class; every candidate of the class
-# must then have the classes its first one has, on both sides, at every bad
-# prime, under the default grid, a small one and a large one
+def check_x_blocks(curve, cfg):
+    """At every bad prime, both sides, in every block of `_x_blocks` under
+    cfg: each factor the block flags dominated is nonzero at every candidate
+    and has one class per unit class of r, read from Fractions.  Returns the
+    number of blocks with every factor dominated, with some, and with none."""
+    counts = collections.Counter()
+    for p in bad_places(curve).finite_primes:
+        v = LocalPlace.finite(p)
+        units = _unit_residues(p, cfg.residue_exponent)
+        for side in (DOMAIN, CODOMAIN):
+            polys = curve.G if side == DOMAIN else curve.L
+            for c, j, dominated in _x_blocks(curve, side, p, cfg):
+                counts["all" if all(dominated) else "some" if any(dominated) else "none"] += 1
+                by_class = {}
+                for r, (n, d) in zip(units, _block_xs(c, j, p, units)):
+                    assert Fraction(n, d) == c + r * Fraction(p) ** j
+                    unit_class = r % 8 if p == 2 else _legendre(r % p, p)
+                    for i, g in enumerate(polys):
+                        if dominated[i]:
+                            y = fraction_horner(g, Fraction(n, d))
+                            where = (p, side, str(c), j, r, i)
+                            assert y != 0, where
+                            got = by_class.setdefault((i, unit_class), reference_class(y, v))
+                            assert got == reference_class(y, v), where
+    return counts
+
+
+# a dominated factor is read once per block and unit class; every candidate
+# of the class must then have the class its first one has, on both sides,
+# at every bad prime, under the default grid, a small one and a large one
 @pytest.mark.parametrize("cfg", [SearchConfig(), SearchConfig(residue_exponent=1, val_bound=2),
                                  SearchConfig(residue_exponent=6, val_bound=8)],
                          ids=["default", "residue_exponent=1-val_bound=2",
@@ -409,26 +437,16 @@ def test_singles_factor_xor_decides_like_evaluating_f(curve, p, side):
 @pytest.mark.parametrize("curve", [K113, FRACTIONAL, IRRATIONAL, A257, B97],
                          ids=["k113", "fractional", "irrational", "A257", "B97"])
 def test_a_generic_block_has_one_class_tuple_per_unit_class(curve, cfg):
-    generic = other = 0
-    for p in bad_places(curve).finite_primes:
-        v = LocalPlace.finite(p)
-        units = _unit_residues(p, cfg.residue_exponent)
-        for side in (DOMAIN, CODOMAIN):
-            polys = curve.G if side == DOMAIN else curve.L
-            for c, j, is_generic in _x_blocks(curve, side, p, cfg):
-                if not is_generic:
-                    other += 1
-                    continue
-                generic += 1
-                by_class = {}
-                for r, (n, d) in zip(units, _block_xs(c, j, p, units)):
-                    assert Fraction(n, d) == c + r * Fraction(p) ** j
-                    values = [fraction_horner(g, Fraction(n, d)) for g in polys]
-                    assert 0 not in values, (str(c), j, r)
-                    unit_class = r % 8 if p == 2 else _legendre(r % p, p)
-                    classes = tuple(reference_class(y, v) for y in values)
-                    assert by_class.setdefault(unit_class, classes) == classes, (p, side, str(c), j, r)
-    assert generic and other  # both kinds of block occur
+    counts = check_x_blocks(curve, cfg)
+    assert counts["all"] and counts["some"], counts  # both kinds of block occur
+
+
+def test_the_x_block_check_catches_a_wrong_rule(monkeypatch):
+    # a rule that flagged every factor dominated would read one class per
+    # unit class where the candidates of the class have several
+    monkeypatch.setattr(lp, "_generic", lambda terms, js: True)
+    with pytest.raises(AssertionError):
+        check_x_blocks(A257, SearchConfig())
 
 
 # no block is walked twice: a rational root is not found again by the root
@@ -453,7 +471,7 @@ def test_each_block_comes_once_and_the_domain_centres_are_its_roots(curve):
 def test_most_domain_blocks_at_2_are_generic():
     blocks = list(_x_blocks(K113, DOMAIN, 2, SearchConfig()))
     assert len(blocks) == 37
-    assert sum(generic for _, _, generic in blocks) >= 29
+    assert sum(all(dominated) for _, _, dominated in blocks) >= 29
 
 
 # the valuations of the Taylor coefficients depend only on the centre and

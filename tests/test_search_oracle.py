@@ -2,15 +2,17 @@
 
 The oracle below is the earlier search, kept verbatim in behaviour: every
 escalation walks every tier again from the top, every target walks the tiers
-again on its own, every quadratic candidate is certified, and every
-candidate's image is built with `divisor_image` and compared as a
-`LocalKummerTriple`.  It keeps its own copy of the earlier quadratic
-generator and shares with the library only the other candidate generators
-(torsion divisors, residue grids and the singles filter).  The library's
-search walks each place once, skips the tiers an escalation does not change,
-compares every tier by class bits, certifies a quadratic only for a mask its
-walk has not yet yielded, and builds images only for the candidates it keeps,
-so it must return the same bases, witnesses, statuses and divisors.  The
+again on its own, every quadratic candidate is certified, every factor is
+evaluated at every single-point candidate, and every candidate's image is
+built with `divisor_image` and compared as a `LocalKummerTriple`.  It keeps
+its own copies of the earlier quadratic generator and singles filter, and
+shares with the library only the other candidate generators (torsion
+divisors and residue grids).  The library's search walks each place once,
+skips the tiers an escalation does not change, reads a dominated factor's
+class once per block and unit class, compares every tier by class bits,
+certifies a quadratic only for a mask its walk has not yet yielded, and
+builds images only for the candidates it keeps, so it must return the same
+bases, witnesses, statuses and divisors.  The
 module also counts the work the new search must not repeat, and corrupts
 class bits to trip the bits-against-witness check.
 """
@@ -25,8 +27,9 @@ import pytest
 import richelot_ctp.localpoints as lp
 from richelot_ctp import gf2
 from richelot_ctp.arith import bad_places
+from richelot_ctp.cohomology import LocalKummerTriple
 from richelot_ctp.ctp import ctp_matrix
-from richelot_ctp.curve import build_pair, poly_integer_form
+from richelot_ctp.curve import build_pair, homogenized_eval, poly_integer_form
 from richelot_ctp.localfield import (
     LocalPlace,
     places_of,
@@ -48,7 +51,6 @@ from richelot_ctp.localpoints import (
     _common_denominator,
     _h1_dim,
     _point_tiers,
-    _points_among,
     _quadratic_bounds,
     _torsion_divisors,
     _unit_residues,
@@ -174,6 +176,25 @@ def oracle_quadratic_candidates(curve, side, v, cfg):
                         yield D
 
 
+def flat_points_among(curve, side, v, xs):
+    """The candidates (n, d, tag) with f(n/d) a nonzero square in Q_v, as
+    (x, the class bits of the three factor values): the earlier singles
+    filter, which evaluates every factor at every candidate."""
+    p = v.p
+    data = curve.side_data(side)
+    f_class = square_class_bits(data.delta.numerator, data.delta.denominator, p)
+    for n, d, _ in xs:
+        classes = []
+        for C, den in data.forms:
+            acc, dk = homogenized_eval(C, n, d)
+            if not acc:
+                break  # x is a Weierstrass point
+            classes.append(square_class_bits(acc, den * dk, p))
+        else:
+            if not any(c ^ c1 ^ c2 ^ c3 for c, c1, c2, c3 in zip(f_class, *classes)):
+                yield Fraction(n, d), tuple(classes)
+
+
 def oracle_point_tiers(curve, side, v, cfg):
     rng = random.Random(cfg.shuffle_seed) if cfg.shuffle_seed is not None else None
     weier = weierstrass_xs(curve, side)
@@ -191,7 +212,7 @@ def oracle_point_tiers(curve, side, v, cfg):
         xs = list(_x_candidates(curve, side, v, cfg))
         if rng:
             rng.shuffle(xs)
-        for x, ckey in _points_among(curve, side, v, xs):
+        for x, ckey in flat_points_among(curve, side, v, xs):
             if ckey not in seen_classes or len(good_xs) < lp._POINT_POOL:
                 seen_classes.add(ckey)
                 if len(good_xs) < 3 * lp._POINT_POOL:
@@ -305,7 +326,7 @@ def kept_by_the_flat_feed(curve, side, v, cfg):
     """The points of every candidate, in order, less those that repeat a
     class once the pool is full (they change nothing the search keeps)."""
     kept, seen = [], set()
-    for x, ckey in _points_among(curve, side, v, list(_x_candidates(curve, side, v, cfg))):
+    for x, ckey in flat_points_among(curve, side, v, _x_candidates(curve, side, v, cfg)):
         if len(kept) < lp._POINT_POOL or ckey not in seen:
             seen.add(ckey)
             kept.append(x)
@@ -582,9 +603,9 @@ def test_no_image_is_built_for_a_discarded_point_candidate(monkeypatch, label, p
         assert len([E for E in built if E.tag in CANDIDATE_TAGS]) <= 1
 
 
-def test_large_p_singles_tier_reads_generic_blocks_once_per_unit_class(monkeypatch):
-    # the earlier singles tier evaluated the three factors at every residue
-    # of every block: 142220 evaluations for local_images(A1009) at 1009
+def count_factor_evaluations(monkeypatch, curve, p):
+    """The `homogenized_eval` calls of local_images(curve) at p, and its
+    status."""
     calls = collections.Counter()
     evaluate = lp.homogenized_eval
 
@@ -593,9 +614,29 @@ def test_large_p_singles_tier_reads_generic_blocks_once_per_unit_class(monkeypat
         return evaluate(*args)
 
     monkeypatch.setattr(lp, "homogenized_eval", counted)
-    images = local_images(A1009, LocalPlace.finite(1009))
-    assert images[0].status == CERTIFIED
-    assert calls["factor"] < 142220 / 4
+    images = local_images(curve, LocalPlace.finite(p))
+    return calls["factor"], images[0].status
+
+
+def test_large_p_singles_tier_reads_generic_blocks_once_per_unit_class(monkeypatch):
+    # the earlier singles tier evaluated the three factors at every residue
+    # of every block: 142220 evaluations for local_images(A1009) at 1009;
+    # reading only generic blocks once per unit class left 15405, and
+    # reading each dominated factor once per block and unit class leaves
+    # about 3300
+    evaluations, status = count_factor_evaluations(monkeypatch, A1009, 1009)
+    assert status == CERTIFIED
+    assert evaluations < 15405 / 3
+
+
+def test_the_singles_tier_reads_dominated_factors_once_per_unit_class(monkeypatch):
+    # B97 spends every escalation at 23, where most blocks have some factors
+    # dominated and others not: reading only generic blocks once per unit
+    # class made 5775 evaluations, reading each dominated factor once per
+    # block and unit class about 1600
+    evaluations, status = count_factor_evaluations(monkeypatch, B97, 23)
+    assert status == HEURISTIC
+    assert evaluations < 5775 / 2
 
 
 # ---------------------------------------------------------------------------
@@ -710,6 +751,37 @@ def test_a_ctp_matrix_builds_no_divisor_image_twice(monkeypatch):
     ctp_matrix(selmer_group(B97, "phihat", SearchConfig(), cache), B97, cache)
     assert built
     assert max(built.values()) == 1
+
+
+# local_images takes over the domain walk a target began in the cache: it
+# is given first what the walk holds, tier by tier, and walks on from there;
+# the targets are the last basis vector of the domain image, whose search
+# stops inside the walk, and a class outside the image, whose search runs the
+# walk to its end
+@pytest.mark.parametrize("label, p", [("k113", 3), ("B97", 23)])
+def test_local_images_takes_over_the_walk_a_target_began(monkeypatch, label, p):
+    curve, v, cfg = CURVES[label], LocalPlace.finite(p), SearchConfig()
+    fresh = local_images(curve, v, cfg, LocalDataCache())
+    span = fresh[0].span()
+    nonresidue = next(a for a in range(2, p) if pow(a, p // 2, p) != 1)
+    outside = next(t for t in (LocalKummerTriple.of((a, b, a * b), v) for a, b in
+                               itertools.product((p, nonresidue, p * nonresidue), repeat=2))
+                   if t.mask() not in span)
+    made = []
+
+    class Counted(lp._Walk):
+        def __init__(self, *args):
+            made.append(args[1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(lp, "_Walk", Counted)
+    for target in (fresh[0].basis[-1], outside):
+        made.clear()
+        cache = LocalDataCache()
+        point_or_exhausted(target, curve, v, cfg, cache)
+        assert local_images(curve, v, cfg, cache) == fresh, str(target)
+        assert made == [DOMAIN, CODOMAIN], str(target)
+    assert point_or_exhausted(outside, curve, v, cfg) is SearchExhausted
 
 
 def test_a_target_the_walk_holds_costs_no_certificate(monkeypatch):
