@@ -15,9 +15,9 @@ Exit codes:
     cannot split, a --places name that is not a bad place, an unknown flag,
     or a search flag below its minimum (1 for --precision, 0 for --val-bound
     and --escalations);
-  3 a `ctp` run stopped by a failed search, self-check or dimension check
-    (partial JSON naming the stage in "failed_at"), or a heuristic or
-    unproven result under --strict.
+  3 a `ctp` run stopped by a failed self-check or dimension check (partial
+    JSON naming the stage in "failed_at"), or a heuristic or unproven
+    result under --strict.
 
 The commands write nothing but their output: each run searches its local
 points afresh.
@@ -34,7 +34,7 @@ from .cohomology import NotInImageError
 from .ctp import InconsistentDimensions, LocalRow, ctp_matrix, rank_report
 from .curve import INF, CurveError, RichelotPair, build_pair, poly, poly_str
 from .localfield import places_of
-from .localpoints import LocalDataCache, SearchConfig, SearchExhausted
+from .localpoints import LocalDataCache, SearchConfig
 from .selmer import selmer_group
 from .verify import run_verification
 
@@ -42,7 +42,6 @@ __all__ = ["main"]
 
 # errors that end `ctp` with a partial report and exit 3: class -> failed stage
 _FAILED_AT = {
-    SearchExhausted: "local point search",
     NotInImageError: "pairing pipeline self-check",
     InconsistentDimensions: "descent bookkeeping",
 }
@@ -137,7 +136,7 @@ def _config_dict(cfg: SearchConfig) -> dict:
 
 def _row_dict(row: LocalRow) -> dict:
     return {
-        "P_v": str(row.P_v),
+        "P_v": " + ".join(map(str, row.P_v)),
         "delta2": [c.representative() for c in row.delta2.classes],
         "lift": [c.representative() for c in row.lift.classes],
         "difference": [c.representative() for c in row.difference.classes],

@@ -1,10 +1,11 @@
 """The pairing on the dual-kernel Selmer group, its Gram matrix, and rank reports.
 
 `local_row` is the one lift-and-descend pipeline: for a class `a` and a bad
-place v it lifts `a` to a quintuple (a1, 1, a2, 1, a3), finds a local point
-below it, takes the quintuple image of that point, divides out the lift, and
-descends the result to a kernel triple rho_v.  rho_v depends on `a` and v
-only, so the local value against any second argument a' is the cup of rho_v
+place v it lifts `a` to a quintuple (a1, 1, a2, 1, a3), writes a|v on the
+basis of the local image at v, multiplies the quintuple images of the
+matching witnesses, divides out the lift, and descends the result to a
+kernel triple rho_v.  rho_v depends on `a` and v only, and is F2-linear in
+`a`, so the local value against any second argument a' is the cup of rho_v
 with a' through Hilbert symbols, and `ctp_matrix` builds one row per
 (basis element, place).  Every intermediate is validated, so a wrong witness
 or a wrong lift raises instead of producing a silently wrong sign.  The
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import xor
+from operator import mul, xor
 from typing import Optional, Sequence
 
 from . import gf2
@@ -26,6 +27,7 @@ from .cohomology import (
     KummerTriple,
     LocalKummerQuintuple,
     LocalKummerTriple,
+    NotInImageError,
     cup_invariant,
     descend_to_phi,
     lift_phihat_to_two,
@@ -38,7 +40,7 @@ from .localpoints import (
     LocalDataCache,
     MumfordDivisor,
     SearchConfig,
-    find_local_point,
+    local_images,
     mu_two,
 )
 from .selmer import SelmerGroup, encode_triple
@@ -65,11 +67,12 @@ class InconsistentDimensions(RuntimeError):
 class LocalRow:
     """One column of the local tables: the pipeline for one class at one place.
 
-    lift is the global lift restricted to the place, difference is
-    delta2 / lift, and rho is the descended kernel triple rho_v.
+    P_v holds the image witnesses that sum to a point below the class (the
+    identity for a trivial class), lift is the global lift restricted to the
+    place, difference is delta2 / lift, and rho is the descended triple rho_v.
     """
 
-    P_v: MumfordDivisor
+    P_v: tuple[MumfordDivisor, ...]
     delta2: LocalKummerQuintuple
     lift: LocalKummerQuintuple
     difference: LocalKummerQuintuple
@@ -83,16 +86,21 @@ class LocalRow:
 def local_row(a: KummerTriple, curve: RichelotPair, v: LocalPlace,
               cfg: SearchConfig = SearchConfig(), cache: Optional[LocalDataCache] = None,
               lift: Optional[KummerQuintuple] = None) -> LocalRow:
-    """Run lift, local point, quintuple image, quotient and descent for `a` at v.
+    """Run lift, witnesses, quintuple image, quotient and descent for `a` at v.
 
     `lift` defaults to the section (a1, 1, a2, 1, a3).  Individual rows depend
-    on the choice of lift and local point; only the pairing summed over all
-    places is canonical.
+    on the choice of lift and witnesses; only the pairing summed over all
+    places is canonical.  A non-Selmer `a` can raise NotInImageError.
     """
     if lift is None:
         lift = lift_phihat_to_two(a)
-    P_v = find_local_point(a, curve, v, cfg, cache)
-    delta2 = mu_two(P_v, curve, v)
+    image = local_images(curve, v, cfg, cache)[0]
+    coords = gf2.coordinates([t.mask() for t in image.basis], a.restrict(v).mask())
+    if coords is None:
+        raise NotInImageError(f"{a} is outside the dual-kernel local image at {v}")
+    P_v = (tuple(w for k, w in enumerate(image.witnesses) if coords >> k & 1)
+           or (MumfordDivisor.identity(),))
+    delta2 = reduce(mul, (mu_two(w, curve, v) for w in P_v))
     lift_v = lift.restrict(v)
     diff = quintuple_quotient(delta2, lift_v)
     return LocalRow(P_v, delta2, lift_v, diff, descend_to_phi(diff))

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
-__all__ = ["Span", "echelon", "same_span", "nullspace"]
+__all__ = ["Span", "echelon", "same_span", "nullspace", "coordinates"]
 
 
 def echelon(vectors: Iterable[int]) -> list[int]:
@@ -99,3 +99,14 @@ def nullspace(rows: list[int], ncols: int) -> list[int]:
             basis.append((vec, tag))
             basis.sort(key=lambda t: -t[0])
     return kernel
+
+
+def coordinates(basis: list[int], v: int) -> Optional[int]:
+    """The mask whose bit k selects basis[k], for the rows that XOR to v, or
+    None when v is outside their span; the rows must be independent.  The
+    kernel of the matrix with columns basis + [v] is then at most one
+    vector, and holds one with v's bit set exactly when v is in the span."""
+    n, cols = len(basis), basis + [v]
+    rows = [sum((c >> i & 1) << k for k, c in enumerate(cols))
+            for i in range(max(cols).bit_length())]
+    return next((x ^ (1 << n) for x in nullspace(rows, n + 1) if x >> n & 1), None)

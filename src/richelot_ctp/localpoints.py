@@ -26,9 +26,10 @@ class bits, so candidates are compared by mask and the exact image is built
 only for a vector the search keeps or a point it returns (and must match its
 mask).  Every tier skips a mask its walk has already yielded before it
 builds the divisor, or certifies a quadratic, so a walk yields each mask
-once.  Each place has one domain walk, shared by `local_images` and every
-`find_local_point` target there, whichever comes first; an escalation walks
-only the tiers whose bounds it changes.
+once; an escalation walks only the tiers whose bounds it changes.  Each
+`local_images` or per-target `find_local_point` call walks afresh;
+`local_images` keeps the witness of each basis vector it takes, and the
+pairing builds its rows from those witnesses.
 
 Single points come in blocks x = c + r p^j over the unit residues r.  A
 factor with one Taylor term strictly below the others in valuation there
@@ -840,76 +841,32 @@ def _escalated(cfg: SearchConfig) -> Iterator[SearchConfig]:
         yield cfg
 
 
-class _Walk:
+def _walk(curve: RichelotPair, side: str, v: LocalPlace,
+          cfg: SearchConfig) -> Iterator[Iterator[tuple[MumfordDivisor, int]]]:
     """One side's search at one place: the tiers of `_point_tiers`, round
-    after round over `configs`, walked once and resumable.  It records the
-    divisor it yields for each mask, the tier that yielded it, and that
-    divisor's checked image; the tiers skip the masks it holds, so it
-    yields each mask once.
-    A round walks only the tiers whose bounds changed: the torsion tier has
-    none; the singles grid sizes the singles and pairs tiers,
-    `_quadratic_bounds` the quadratic tier.
+    after round over `_escalated(cfg)`.  It records the mask of every
+    candidate it yields, and the tiers skip the masks it holds, so it yields
+    each mask once.  A round walks only the tiers whose bounds changed (the
+    others come out empty): the torsion tier has none; the singles grid
+    sizes the singles and pairs tiers, `_quadratic_bounds` the quadratic
+    tier.
     """
+    known: set = set()
+    walked = None
+    for config in _escalated(cfg):
+        grid = (config.residue_exponent, config.val_bound)
+        bounds = ((), grid, grid,
+                  _quadratic_bounds(v.p, config) if v.p is not None else ())
+        tiers = _point_tiers(curve, side, v, config, known)
+        for tier, b, w in zip(tiers, bounds, walked or (None,) * 4):
+            yield _recorded(tier if b != w else (), known)
+        walked = bounds
 
-    def __init__(self, curve: RichelotPair, side: str, v: LocalPlace, configs):
-        self.curve, self.v = curve, v
-        self.first: dict = {}  # mask -> the divisor yielded with it
-        self.tier_of: dict = {}  # mask -> the number of the tier that yielded it
-        self.images: dict = {}  # mask -> checked image of first[mask]
-        self.tier: Iterator = iter(())  # the current tier, partly walked
-        self.current = -1  # its number
-        self._tiers = self._rounds(curve, side, v, configs, self.first, self.tier_of)
 
-    # the generators below hold `first`, not the walk, so that a walk is
-    # freed as soon as its cache is, without waiting for the cycle collector
-    @staticmethod
-    def _rounds(curve, side, v, configs, first, tier_of):
-        walked = None
-        number = itertools.count()
-        for config in configs:
-            grid = (config.residue_exponent, config.val_bound)
-            bounds = ((), grid, grid,
-                      _quadratic_bounds(v.p, config) if v.p is not None else ())
-            tiers = _point_tiers(curve, side, v, config, first)
-            for tier, b, w in zip(tiers, bounds, walked or (None,) * 4):
-                yield _Walk._recorded(() if b == w else tier, first, tier_of, next(number))
-            walked = bounds
-
-    @staticmethod
-    def _recorded(tier, first, tier_of, k):
-        for D, mask in tier:
-            first[mask] = D
-            tier_of[mask] = k
-            yield D, mask
-
-    def tiers(self) -> Iterator[Iterator[tuple[MumfordDivisor, int]]]:
-        """Each tier from the first: what the walk has yielded in it, then,
-        for the current tier and the later ones, what it yields next.  So
-        every call sees the same tiers, and walks on where an earlier caller
-        stopped (a for loop, unlike `yield from`, leaves the round generator
-        open when this one is dropped)."""
-        for k in itertools.count():
-            held = [(D, m) for m, D in self.first.items() if self.tier_of[m] == k]
-            if k > self.current:
-                tier = next(self._tiers, None)
-                if tier is None:
-                    return
-                self.tier, self.current = tier, k
-            yield itertools.chain(held, self.tier) if k == self.current else iter(held)
-
-    def image(self, D: MumfordDivisor, mask: int) -> LocalKummerTriple:
-        """The checked image of first[mask] = D, built once."""
-        if mask not in self.images:
-            self.images[mask] = _checked_image(D, mask, self.curve, self.v)
-        return self.images[mask]
-
-    def find(self, mask: int) -> Optional[MumfordDivisor]:
-        """The first divisor with this mask, walking on as far as needed."""
-        if mask not in self.first:
-            if not any(m == mask for _, m in itertools.chain.from_iterable(self.tiers())):
-                return None
-        self.image(self.first[mask], mask)
-        return self.first[mask]
+def _recorded(tier, known: set):
+    for D, mask in tier:
+        known.add(mask)
+        yield D, mask
 
 
 # ---------------------------------------------------------------------------
@@ -956,9 +913,7 @@ def local_images(curve: RichelotPair, v: LocalPlace, cfg: SearchConfig = SearchC
 
     Returns (phihat image, phi image).  Certification: the dimensions sum to
     dim H^1 and every cross pair cups to zero.  Failing that within the
-    escalation budget, both come back flagged heuristic.  With a cache, the
-    domain walk is the one kept there, which `find_local_point` resumes and
-    may have begun.
+    escalation budget, both come back flagged heuristic.
     """
     cache = cache or LocalDataCache()
     hit = cache.get_images(curve, v, cfg)
@@ -966,23 +921,21 @@ def local_images(curve: RichelotPair, v: LocalPlace, cfg: SearchConfig = SearchC
         return hit
     curve.require_five_roots()
     target = _h1_dim(v)
-    walks = {"phihat": cache.walk(curve, v, cfg),
-             "phi": _Walk(curve, CODOMAIN, v, _escalated(cfg))}
+    walks = {"phihat": _walk(curve, DOMAIN, v, cfg), "phi": _walk(curve, CODOMAIN, v, cfg)}
     found = {"phihat": [], "phi": []}  # side -> list of (triple, witness)
     spans = {"phihat": gf2.Span(), "phi": gf2.Span()}
 
     def drain(name: str, tier) -> bool:
         for D, mask in tier:
             if spans[name].add(mask):
-                found[name].append((walks[name].image(D, mask), D))
+                found[name].append((_checked_image(D, mask, curve, v), D))
                 if spans["phihat"].dim + spans["phi"].dim >= target:
                     return True
         return False
 
     # walk the tiers in lockstep across both sides so the cheap tiers of one
-    # side are never starved behind the expensive tiers of the other; a
-    # domain walk that `find_local_point` began gives first what it holds
-    for hat, phi in zip(walks["phihat"].tiers(), walks["phi"].tiers()):
+    # side are never starved behind the expensive tiers of the other
+    for hat, phi in zip(walks["phihat"], walks["phi"]):
         if drain("phihat", hat) or drain("phi", phi):
             break
 
@@ -998,26 +951,25 @@ def local_images(curve: RichelotPair, v: LocalPlace, cfg: SearchConfig = SearchC
 
 
 def find_local_point(target, curve: RichelotPair, v: LocalPlace,
-                     cfg: SearchConfig = SearchConfig(),
-                     cache: Optional["LocalDataCache"] = None) -> MumfordDivisor:
+                     cfg: SearchConfig = SearchConfig()) -> MumfordDivisor:
     """A domain divisor whose dual-kernel image equals `target` at v.
 
     `target` may be a global KummerTriple or a LocalKummerTriple.  The
-    divisor is the first with the target's mask in the domain walk: the 16
-    two-torsion divisors, single points over residue grids, pairs of found
-    points, quadratic Mumford polynomials, over cfg.escalations escalations
-    before SearchExhausted.  With a cache, one walk at v is shared by
-    `local_images` and every target there, made by whichever comes first: a
-    target it holds is read off, and otherwise the walk resumes where it
-    stopped.  Without one, a private walk runs.
+    divisor is the first with the target's mask in a domain walk of its
+    own: the 16 two-torsion divisors, single points over residue grids,
+    pairs of found points, quadratic Mumford polynomials, over
+    cfg.escalations escalations before SearchExhausted.  The pairing does
+    not call it: its rows come from the local images' witnesses.
     """
     t_local = target.restrict(v) if isinstance(target, KummerTriple) else target
     if t_local.place != v:
         raise ValueError(f"target {t_local} does not live at {v}")
-    D = (cache or LocalDataCache()).walk(curve, v, cfg).find(t_local.mask())
-    if D is None:
-        raise SearchExhausted(f"no divisor found with image {t_local} at {v}")
-    return D
+    mask = t_local.mask()
+    for D, m in itertools.chain.from_iterable(_walk(curve, DOMAIN, v, cfg)):
+        if m == mask:
+            _checked_image(D, m, curve, v)
+            return D
+    raise SearchExhausted(f"no divisor found with image {t_local} at {v}")
 
 
 # ---------------------------------------------------------------------------
@@ -1026,28 +978,18 @@ def find_local_point(target, curve: RichelotPair, v: LocalPlace,
 
 
 class LocalDataCache:
-    """In-memory store of the local images and the domain walk at each
-    place, kept under the curve, the place and the search config.  The walk
-    is the one store of local points: `find_local_point` reads its targets
-    off it.  Walks are resumed in place, so a cache serves one thread.
-    """
+    """In-memory store of the local images at each place, kept under the
+    curve, the place and the search config."""
 
     def __init__(self):
-        self._places: dict = {}  # key -> (images of local_images or None, domain walk)
+        self._images: dict = {}
 
     @staticmethod
     def _key(curve: RichelotPair, v, cfg: SearchConfig) -> tuple:
         return curve.key, str(v), cfg
 
     def get_images(self, curve, v, cfg):
-        return self._places.get(self._key(curve, v, cfg), (None, None))[0]
+        return self._images.get(self._key(curve, v, cfg))
 
     def put_images(self, curve, v, cfg, images):
-        self._places[self._key(curve, v, cfg)] = images, self.walk(curve, v, cfg)
-
-    def walk(self, curve, v, cfg) -> _Walk:
-        """The domain walk kept here, made and kept on first use."""
-        key = self._key(curve, v, cfg)
-        if key not in self._places:
-            self._places[key] = None, _Walk(curve, DOMAIN, v, _escalated(cfg))
-        return self._places[key][1]
+        self._images[self._key(curve, v, cfg)] = images

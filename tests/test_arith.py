@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import xor
 
 import pytest
 
@@ -129,3 +131,17 @@ def test_nullspace_matches_bruteforce():
                  if all(bin(r & x).count("1") % 2 == 0 for r in rows)]
         assert len(brute) == 1 << span.dim
         assert all(x in span for x in brute)
+
+
+def test_coordinates_match_bruteforce():
+    # every v of n bits against independent rows: the one subset of rows
+    # that XORs to v, or None
+    rng = random.Random(7)
+    for _ in range(50):
+        n = rng.randint(1, 6)
+        span = gf2.Span()
+        basis = [r for r in (rng.getrandbits(n) for _ in range(rng.randint(0, n))) if span.add(r)]
+        for v in range(1 << n):
+            subsets = [c for c in range(1 << len(basis))
+                       if reduce(xor, (b for k, b in enumerate(basis) if c >> k & 1), 0) == v]
+            assert gf2.coordinates(basis, v) == (subsets[0] if subsets else None)

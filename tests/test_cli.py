@@ -2,8 +2,12 @@ import json
 
 import pytest
 
+from curve_fixtures import fixture_curve, fixture_path
 from richelot_ctp import arith
 from richelot_ctp.cli import main
+from richelot_ctp.ctp import ctp_matrix
+from richelot_ctp.localpoints import LocalDataCache
+from richelot_ctp.selmer import selmer_group, torsion_images
 
 CURVE113 = {"label": "k=113", "lambda": "1",
             "G1": ["226", "1"], "G2": ["0", "-678", "1"],
@@ -122,6 +126,27 @@ def test_ctp_report_deterministic_and_roundtrips(curve_file, capsys):
     assert report["descent"]["rank_bound_after"] == 2
     assert report["descent"]["inferred_dim_sel2"] == 6
     assert report["status"] == "certified"
+
+
+@pytest.mark.parametrize("label", ["R15", "R18"])
+def test_ctp_finishes_where_the_walk_misses_an_image_class(label, capsys):
+    # at 2 the dual-kernel image is certified, but its domain walk yields 29
+    # of the image's 32 masks on R15 and 63 of 64 on R18, and a Selmer basis
+    # element's class is among the missing: a row searched for a point
+    # below it ended the run with exit 3
+    assert main(["ctp", str(fixture_path(label)), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    entries = report["matrix"]["entries"]
+    assert report["matrix"]["symmetric"] and entries == [list(r) for r in zip(*entries)]
+    if label == "R15":
+        assert report["status"] == "certified"
+    curve = fixture_curve(label)
+    cache = LocalDataCache()
+    matrix = ctp_matrix(selmer_group(curve, "phihat", cache=cache), curve, cache)
+    assert [list(r) for r in matrix.entries] == entries
+    torsion = torsion_images(curve, "phihat")
+    assert torsion
+    assert all(matrix.in_radical(t, curve.bad_places.finite_primes) for t in torsion)
 
 
 def test_ctp_inconsistent_dimensions_exits_3(curve_file, capsys, monkeypatch):

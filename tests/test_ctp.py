@@ -1,18 +1,33 @@
 import random
+from functools import reduce
+from operator import mul
 
 import pytest
 
 from richelot_ctp import localfield
 from richelot_ctp.arith import bad_places, enumerate_Q_S2
-from richelot_ctp.cohomology import KummerTriple, lift_phihat_to_two, psi_phi_to_two
+from curve_fixtures import BENCHMARK_CURVES
+from richelot_ctp.cohomology import (
+    KummerTriple,
+    NotInImageError,
+    cup_invariant,
+    lift_phihat_to_two,
+    psi_phi_to_two,
+)
 from richelot_ctp.ctp import (
     ctp_global,
     ctp_local,
     ctp_matrix,
     rank_report,
 )
-from richelot_ctp.localfield import LocalPlace
-from richelot_ctp.localpoints import LocalDataCache, SearchConfig
+from richelot_ctp.localfield import LocalPlace, places_of
+from richelot_ctp.localpoints import (
+    LocalDataCache,
+    SearchConfig,
+    SearchExhausted,
+    _slot_values,
+    find_local_point,
+)
 from richelot_ctp.selmer import selmer_group, torsion_images
 
 T1 = KummerTriple.of(113, 113, 1)
@@ -43,14 +58,13 @@ def matrix(curve113, sel_phihat, cache):
     return ctp_matrix(sel_phihat, curve113, cache, basis=REFERENCE_BASIS)
 
 
-def _direct_formula_local(a, a2, curve, v, cache):
-    # the closed form: pick any local point below a with quintuple image
-    # (x1..x5); the contribution is (x2 x4, a2_1)(x4, a2_2)(x2, a2_3), each
-    # symbol evaluated on rationals: the slot values' squarefree classes
+def _direct_formula_local(P_v, a2, curve, v):
+    # the closed form on a local point P_v with quintuple slot values
+    # (x1..x5): the contribution is (x2 x4, a2_1)(x4, a2_2)(x2, a2_3), each
+    # symbol evaluated on rationals (a point over Q_v only need not have a
+    # global quintuple image)
     from richelot_ctp.localfield import hilbert_symbol
-    from richelot_ctp.localpoints import find_local_point, mu_two
-    P_v = find_local_point(a, curve, v, cache=cache)
-    x = mu_two(P_v, curve).values
+    x = _slot_values(P_v, curve, curve.two_data)
     w = a2.values
     s = (hilbert_symbol(x[1] * x[3], w[0], v)
          * hilbert_symbol(x[3], w[1], v)
@@ -59,16 +73,41 @@ def _direct_formula_local(a, a2, curve, v, cache):
 
 
 def test_pipeline_matches_direct_hilbert_formula(curve113, cache):
-    # the validated lift-quotient-descend route and the direct product
-    # formula must agree place by place (the shared cache pins the witness)
-    from richelot_ctp.arith import bad_places
-    from richelot_ctp.localfield import places_of
-    places = places_of(bad_places(curve113))
+    # the validated lift-quotient-descend route on the local image's
+    # witnesses and the direct product formula on a searched local point
+    # must agree place by place
     for a in (T1, T2, T3, G1, G2):
-        for a2 in (T1, T2, T3, G1 * T2, G2 * T3):
-            for v in places:
+        for v in places_of(bad_places(curve113)):
+            P_v = find_local_point(a, curve113, v)
+            for a2 in (T1, T2, T3, G1 * T2, G2 * T3):
                 assert (ctp_local(a, a2, curve113, v, cache)
-                        == _direct_formula_local(a, a2, curve113, v, cache))
+                        == _direct_formula_local(P_v, a2, curve113, v))
+
+
+@pytest.mark.parametrize("label", sorted(BENCHMARK_CURVES))
+def test_searched_points_pair_like_the_image_witnesses(label):
+    # the matrix's rows come from the local images' witnesses; wherever the
+    # per-target search finds a local point below a Selmer basis element,
+    # the direct formula on that point gives the same local value against
+    # every basis element (rho_v itself may differ by a class that pairs
+    # trivially with the Selmer group)
+    curve = BENCHMARK_CURVES[label]
+    cache = LocalDataCache()
+    M = ctp_matrix(selmer_group(curve, "phihat", cache=cache), curve, cache)
+    checked = 0
+    for i, (a, rows) in enumerate(zip(M.basis, M.rows)):
+        for row in rows:
+            v = row.place
+            try:
+                P_v = find_local_point(a, curve, v)
+            except SearchExhausted:
+                continue
+            for j, b in enumerate(M.basis):
+                assert (_direct_formula_local(P_v, b, curve, v)
+                        == cup_invariant(row.rho, b.restrict(v))
+                        == M.breakdown[i, j][str(v)]), (str(a), str(b), str(v))
+            checked += 1
+    assert checked
 
 
 def test_ctp_local_values(curve113, cache):
@@ -107,29 +146,46 @@ def test_matrix_breakdown_reproduces_tables(matrix):
 
 def test_a_warm_matrix_restricts_each_basis_element_once_per_place(
         curve113, sel_phihat, cache, matrix, count_calls):
-    # with the local points cached, the matrix takes 13 classes per (row,
-    # place) for its pipeline and restricts each of the 5 basis triples to
-    # each of the 5 places once: 5 * 5 * 13 + 5 * 5 * 3 = 400, where one
+    # with the local images cached, each (row, place) of the pipeline takes
+    # the classes of its class (3), its lift (5) and each of its witnesses
+    # (5 apiece; 27 witnesses over the 25 rows, as two rows at 3 take two),
+    # and the matrix restricts each of the 5 basis triples to each of the 5
+    # places once: 25 * 8 + 27 * 5 + 5 * 5 * 3 = 410, where one
     # restriction per matrix entry took 700
     calls = count_calls(localfield, "local_square_class", lambda args: str(args[1]))
     again = ctp_matrix(sel_phihat, curve113, cache, basis=REFERENCE_BASIS)
     assert (again.entries, again.breakdown) == (matrix.entries, matrix.breakdown)
-    assert len(calls) == 5 and sum(calls.values()) == 400
+    assert sum(len(r.P_v) for rows in again.rows for r in rows) == 27
+    assert len(calls) == 5 and sum(calls.values()) == 410
 
 
 @pytest.mark.parametrize("place", ["2", "3", "7", "113", "oo"])
 def test_each_local_row_takes_a_local_point_below_its_class(curve113, matrix, place):
-    # the pairing self-check fails when a row's point has another class's
-    # image, as two swapped points at one place would
+    # a row's point is the sum of its witnesses: their images multiply to
+    # the class, and their quintuple images to delta2; the pairing
+    # self-check fails when a row's witnesses have another class's image,
+    # as two swapped rows at one place would
     from richelot_ctp.curve import poly_eval
     from richelot_ctp.localfield import is_local_square
     from richelot_ctp.localpoints import mu_phihat, mu_two
     for a, rows in zip(matrix.basis, matrix.rows):
         (row,) = [r for r in rows if str(r.place) == place]
         v = row.place
-        assert mu_phihat(row.P_v, curve113, v) == a.restrict(v)
-        assert row.delta2 == mu_two(row.P_v, curve113, v)
-        assert all(is_local_square(poly_eval(curve113.f, x), v) for x in row.P_v.xs)
+        assert reduce(mul, (mu_phihat(w, curve113, v) for w in row.P_v)) == a.restrict(v)
+        assert reduce(mul, (mu_two(w, curve113, v) for w in row.P_v)) == row.delta2
+        assert all(is_local_square(poly_eval(curve113.f, x), v)
+                   for w in row.P_v for x in w.xs)
+
+
+def test_a_class_outside_the_local_image_raises(curve113, cache):
+    # (1, 3, 3) is no local image class at 113: 3 is a nonresidue there,
+    # and the image is spanned by (113, 113, 1) and (113, 1, 113)
+    v = LocalPlace.finite(113)
+    outside = KummerTriple.of(1, 3, 3)
+    with pytest.raises(NotInImageError, match=r"\(1, 3, 3\).* at 113"):
+        ctp_local(outside, T1, curve113, v, cache)
+    with pytest.raises(NotInImageError):
+        ctp_global(outside, T1, curve113, cache)
 
 
 def test_basis_change_same_radical(curve113, sel_phihat, cache):

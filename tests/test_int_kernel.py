@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+from curve_fixtures import BENCHMARK_CURVES, k_family
 from hilbert_oracle import _unit_residue
 from padic_oracle import InsufficientPrecision, PadicApprox
 import richelot_ctp.curve as curve_module
@@ -44,7 +45,6 @@ from richelot_ctp.localpoints import (
     CODOMAIN,
     DOMAIN,
     SearchConfig,
-    _Walk,
     _block_xs,
     _common_denominator,
     _escalated,
@@ -57,6 +57,7 @@ from richelot_ctp.localpoints import (
     _slot_values,
     _torsion_divisors,
     _unit_residues,
+    _walk,
     _x_blocks,
     _x_candidates,
     mu_two,
@@ -73,21 +74,6 @@ A257 = build_pair(1, [0, 1], [-1, 0, 1], [-257 * 257, 0, 1])
 K113 = build_pair(1, [226, 1], [0, -678, 1], [-7 * 113 * 113, -678, 1])
 B31 = build_pair(1, [0, 1], [2, -3, 1], [5 * 31, -(5 + 31), 1])
 B97 = build_pair(1, [0, 1], [2, -3, 1], [5 * 97, -(5 + 97), 1])
-
-
-def k_family(k):
-    return build_pair(1, [2 * k, 1], [0, -6 * k, 1], [-7 * k * k, -6 * k, 1])
-
-
-# the fourteen curves of the benchmark's four workloads
-BENCHMARK_CURVES = {
-    "k113": K113, "fractional": FRACTIONAL, "irrational": IRRATIONAL,
-    "A257": A257, "B31": B31, "B97": B97,
-    **{f"k{k}": k_family(k) for k in (17, 143, 2431, 46189, 1062347)},
-    "six-root": build_pair(2, [-1, 1], [30, -21, 3], [-11, -10, 1]),
-    "negative-lc": build_pair(-1, [0, 1], [-1, 0, 1], [-9, 0, 1]),
-    "A1009": build_pair(1, [0, 1], [-1, 0, 1], [-1009 * 1009, 0, 1]),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +608,8 @@ def test_quintuple_slot_values_match_the_fraction_evaluator(label):
     curve = BENCHMARK_CURVES[label]
     tags = set()
     for v in places_of(curve.bad_places):
-        walk = _Walk(curve, DOMAIN, v, _escalated(SearchConfig()))
-        walked = [D for D, _ in itertools.chain.from_iterable(walk.tiers())]
+        walk = _walk(curve, DOMAIN, v, SearchConfig())
+        walked = [D for D, _ in itertools.chain.from_iterable(walk)]
         for D in walked + _torsion_divisors(curve, DOMAIN):
             want = reference_quintuple_values(D, curve)
             assert _slot_values(D, curve, curve.two_data) == want, (str(D), str(v))

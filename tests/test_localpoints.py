@@ -195,11 +195,10 @@ def test_find_local_point_witnesses(curve113):
 
 
 def test_find_local_point_roundtrip(curve113):
-    cache = LocalDataCache()
     for vals in ((113, 113, 1), (2, 2, 1), (1, 7, 7), (226, -14 * 113, -7)):
         t = KummerTriple.of(*vals)
         for v in (OO, V2, V3, V7, V113):
-            D = find_local_point(t, curve113, v, cache=cache)
+            D = find_local_point(t, curve113, v)
             assert mu_phihat(D, curve113, v) == t.restrict(v)
 
 
@@ -248,31 +247,7 @@ def test_local_image_at_infinity_sign_analysis(curve113):
     assert classes_of(img.basis[0]) == ((0,), (1,), (1,))
 
 
-def test_targets_on_one_cache_share_one_domain_walk(curve113, monkeypatch):
-    # without local_images, the first target makes the walk and leaves it in
-    # the cache; (1, 3, 3) is no image at 3, so its search runs the walk to
-    # the end, and the later targets are read off what it holds
-    import richelot_ctp.localpoints as lp
-    made = []
-
-    class Counted(lp._Walk):
-        def __init__(self, *args):
-            made.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(lp, "_Walk", Counted)
-    cache = LocalDataCache()
-    t = KummerTriple.of(113, 113, 1)
-    assert find_local_point(t, curve113, V3, cache=cache) == D_0_m113
-    with pytest.raises(SearchExhausted):
-        find_local_point(KummerTriple.of(1, 3, 3), curve113, V3, cache=cache)
-    assert find_local_point(t, curve113, V3, cache=cache) == D_0_m113
-    assert find_local_point(KummerTriple.of(1, 1, 1), curve113, V3, cache=cache).tag == "identity"
-    assert len(made) == 1
-
-
-@pytest.mark.parametrize("cached", [True, False], ids=["cache", "private-walk"])
-def test_a_norm_one_pair_that_is_no_local_point_is_never_returned(curve113, cached):
+def test_a_norm_one_pair_that_is_no_local_point_is_never_returned(curve113):
     # f(x1) and f(x2) lie in one nontrivial class at 3, so the pair has an
     # image of norm one, but it is no point over Q_3
     def f_class(x):
@@ -281,7 +256,7 @@ def test_a_norm_one_pair_that_is_no_local_point_is_never_returned(curve113, cach
                   if not f_class(x1).is_trivial() and f_class(x1) == f_class(x2))
     fake = MumfordDivisor.rational_pair(x1, x2)
     t = mu_phihat(fake, curve113, V3)
-    D = find_local_point(t, curve113, V3, cache=LocalDataCache() if cached else None)
+    D = find_local_point(t, curve113, V3)
     assert D != fake and mu_phihat(D, curve113, V3) == t
     assert all(is_local_square(poly_eval(curve113.f, x), V3) for x in D.xs)
 

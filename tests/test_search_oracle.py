@@ -27,7 +27,6 @@ import pytest
 import richelot_ctp.localpoints as lp
 from richelot_ctp import gf2
 from richelot_ctp.arith import bad_places
-from richelot_ctp.cohomology import LocalKummerTriple
 from richelot_ctp.ctp import ctp_matrix
 from richelot_ctp.curve import build_pair, homogenized_eval, poly_integer_form
 from richelot_ctp.localfield import (
@@ -284,9 +283,9 @@ def oracle_find_local_point(target, curve, v, cfg):
     return SearchExhausted
 
 
-def point_or_exhausted(target, curve, v, cfg, cache=None):
+def point_or_exhausted(target, curve, v, cfg):
     try:
-        return find_local_point(target, curve, v, cfg, cache)
+        return find_local_point(target, curve, v, cfg)
     except SearchExhausted:
         return SearchExhausted
 
@@ -305,16 +304,13 @@ def test_search_matches_the_rewalking_oracle(label, config):
     cache = LocalDataCache()
     for v in places:
         assert local_images(curve, v, cfg, cache) == oracle_local_images(curve, v, cfg), str(v)
-    # every Selmer basis target at every place, as the pairing's local
-    # tables ask for them
+    # every Selmer basis target at every place
     targets = selmer_group(curve, "phihat", cfg, cache).basis
     assert targets
     for t in targets:
         for v in places:
             want = oracle_find_local_point(t, curve, v, cfg)
             assert point_or_exhausted(t, curve, v, cfg) == want, (str(t), str(v))
-            # resuming the walk local_images left in the cache, target by target
-            assert point_or_exhausted(t, curve, v, cfg, cache) == want, (str(t), str(v))
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +552,7 @@ def test_every_walk_yields_each_mask_once(monkeypatch, label, p):
     cache = LocalDataCache()
     local_images(curve, v, SearchConfig(), cache)
     for t in selmer_group(curve, "phihat", SearchConfig(), cache).basis:
-        point_or_exhausted(t, curve, v, SearchConfig())  # a private walk
-        point_or_exhausted(t, curve, v, SearchConfig(), cache)  # the shared one
+        point_or_exhausted(t, curve, v, SearchConfig())
     assert len(walks) > 2
     for _, counts in walks.values():
         assert all(n == 1 for n in counts.values())
@@ -731,7 +726,7 @@ def test_a_corrupt_entry_in_a_quadratic_class_table_raises(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# one walk per place
+# each image built once
 # ---------------------------------------------------------------------------
 
 
@@ -751,48 +746,3 @@ def test_a_ctp_matrix_builds_no_divisor_image_twice(monkeypatch):
     ctp_matrix(selmer_group(B97, "phihat", SearchConfig(), cache), B97, cache)
     assert built
     assert max(built.values()) == 1
-
-
-# local_images takes over the domain walk a target began in the cache: it
-# is given first what the walk holds, tier by tier, and walks on from there;
-# the targets are the last basis vector of the domain image, whose search
-# stops inside the walk, and a class outside the image, whose search runs the
-# walk to its end
-@pytest.mark.parametrize("label, p", [("k113", 3), ("B97", 23)])
-def test_local_images_takes_over_the_walk_a_target_began(monkeypatch, label, p):
-    curve, v, cfg = CURVES[label], LocalPlace.finite(p), SearchConfig()
-    fresh = local_images(curve, v, cfg, LocalDataCache())
-    span = fresh[0].span()
-    nonresidue = next(a for a in range(2, p) if pow(a, p // 2, p) != 1)
-    outside = next(t for t in (LocalKummerTriple.of((a, b, a * b), v) for a, b in
-                               itertools.product((p, nonresidue, p * nonresidue), repeat=2))
-                   if t.mask() not in span)
-    made = []
-
-    class Counted(lp._Walk):
-        def __init__(self, *args):
-            made.append(args[1])
-            super().__init__(*args)
-
-    monkeypatch.setattr(lp, "_Walk", Counted)
-    for target in (fresh[0].basis[-1], outside):
-        made.clear()
-        cache = LocalDataCache()
-        point_or_exhausted(target, curve, v, cfg, cache)
-        assert local_images(curve, v, cfg, cache) == fresh, str(target)
-        assert made == [DOMAIN, CODOMAIN], str(target)
-    assert point_or_exhausted(outside, curve, v, cfg) is SearchExhausted
-
-
-def test_a_target_the_walk_holds_costs_no_certificate(monkeypatch):
-    # at B31@2 the earlier per-target search certified up to 143 quadratics
-    # to reach divisors that the image walk had already yielded
-    curve, v, cfg = CURVES["B31"], LocalPlace.finite(2), SearchConfig(residue_exponent=1)
-    cache = LocalDataCache()
-    local_images(curve, v, cfg, cache)
-    held = dict(cache.walk(curve, v, cfg).first)
-    assert any(D.tag == "quadratic" for D in held.values())
-    calls = count_certificates(monkeypatch, curve)
-    for D in held.values():
-        assert find_local_point(divisor_image(D, curve, v), curve, v, cfg, cache) == D
-    assert not calls
