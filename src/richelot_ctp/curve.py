@@ -16,8 +16,8 @@ coefficient, the rational roots, the bad places, the key caches file the
 curve under, and one `SideData` per descent map with what it reads at every
 place (integer forms, Weierstrass and infinite factor values, kernel
 quadratics; for the search also real sample points and Taylor coefficients,
-at x-centres and at the quadratic tier's centres, with their valuations per
-prime).
+at x-centres and at the quadratic tier's centres, with their valuations and
+the search's tables per prime).
 Nothing is shared between instances, so two equal curves built separately
 compute it twice.
 """
@@ -475,8 +475,8 @@ class SideData:
     f (f or fhat) with its integer form, the real sample points (taken
     between the factors' real roots, see `real_root_samples`) and the Taylor
     coefficients at each centre, x-centres and quadratic ones.  A place adds
-    only its class bits and the valuations, which `taylor_valuations` keeps
-    per centre and prime.  Factor values are integer (numerator,
+    only its class bits and the tables `table` keeps per prime, such as the
+    valuations of `taylor_valuations`.  Factor values are integer (numerator,
     denominator) pairs per factor, in the conventions of the descent maps.
 
     `groups` holds each factor's rational roots, or None where they are
@@ -503,7 +503,7 @@ class SideData:
                 a, b = g[1] / g[2], g[0] / g[2]
                 self.kernels[a, b] = self.quadratic_values(a, b)
         self._taylor: dict = {}
-        self._valuations: dict = {}
+        self._tables: dict = {}
 
     @cached_property
     def f_form(self) -> tuple[tuple[int, ...], int]:
@@ -582,10 +582,14 @@ class SideData:
     def taylor_valuations(self, c, p: int) -> list[list[tuple[int, tuple[int, ...]]]]:
         """(v_p(coefficient), exponents) of each term of `taylor(c)`, per
         polynomial, computed once per centre and prime."""
-        if (c, p) not in self._valuations:
-            self._valuations[c, p] = [[(valuation(a, p), ks) for ks, a in g]
-                                      for g in self.taylor(c)]
-        return self._valuations[c, p]
+        return self.table(("valuations", c, p), lambda: [
+            [(valuation(a, p), ks) for ks, a in g] for g in self.taylor(c)])
+
+    def table(self, key, make):
+        """`make()`, kept under `key`: the search's tables per prime."""
+        if key not in self._tables:
+            self._tables[key] = make()
+        return self._tables[key]
 
 
 def _shifted_quadratic(C: dict, D: int, an: int, bn: int, q: int) -> list:

@@ -27,9 +27,10 @@ only for a vector the search keeps or a point it returns (and must match its
 mask).  Every tier skips a mask its walk has already yielded before it
 builds the divisor, or certifies a quadratic, so a walk yields each mask
 once; an escalation walks only the tiers whose bounds it changes.  Each
-`local_images` or per-target `find_local_point` call walks afresh;
-`local_images` keeps the witness of each basis vector it takes, and the
-pairing builds its rows from those witnesses.
+call walks afresh.  `local_images` steps the two sides' walks in turn (a
+block of candidates or one candidate a step), stops once they fill dim H^1,
+escalates only once both have used up a round, and keeps the witness of
+each basis vector, from which the pairing builds its rows.
 
 Single points come in blocks x = c + r p^j over the unit residues r.  A
 factor with one Taylor term strictly below the others in valuation there
@@ -37,20 +38,21 @@ is dominated: that term fixes the factor's square class by the unit class
 of r (`_generic`), so its class is read once per block and unit class, and
 only the other factors are evaluated per candidate.  In a block where
 every factor is dominated, whether f(x) is a square is read once per unit
-class too, and once the pairs tier's pool is full the block gives only the
-first r of each unit class.  Quadratic candidates x^2 + a x + b come in
-blocks (a, b) = centre + (r1 p^ea, r2 p^eb); where the discriminant, or the
-three resultants that give the mask, have such a term, they are read once
-per pair of unit classes.  A class whose resultants multiply to a
-non-square, the norm of f mod A, is dropped before its certificate, which
-it cannot pass.
+class too, and once the pairs tier's pool is full, even mid-block, the rest
+of the block gives only the first r of each unit class not yet reached.
+Quadratic candidates x^2 + a x + b come in blocks (a, b) = centre +
+(r1 p^ea, r2 p^eb); where the discriminant, or the three resultants that
+give the mask, have such a term, they are read once per pair of unit
+classes.  A class whose resultants multiply to a non-square, the norm of
+f mod A, is dropped before its certificate, which it cannot pass.
 
 The search reads what depends on the curve alone from the curve's
 `SideData` (integer forms, Weierstrass and infinite factor values, kernel
 quadratics, real samples, Taylor coefficients at each centre), computed
-once per curve; a place computes only class bits and, once per centre,
-valuations at p.  The real place's single points are one sample per sign
-region of f, taken between the factors' real roots.
+once per curve; a place adds only class bits and, kept there too, the
+valuations at p at each centre, the root centres and the unit classes.
+The real place's single points are one sample per sign region of f, taken
+between the factors' real roots.
 """
 
 from __future__ import annotations
@@ -392,9 +394,9 @@ def _unit_residues(p: int, exponent: int) -> list[int]:
     return [r for r in range(1, mod) if r % p]
 
 
-def _root_centers(fi, p: int, depth: int) -> list[Fraction]:
+def _root_centers(data, p: int, depth: int) -> list[Fraction]:
     """Hensel-lifted approximations of the simple roots mod p of the
-    polynomial f with integer coefficients fi (a `poly_integer_form`).
+    polynomial f of `data`, a `SideData`.
 
     Near-root refinement needs centers p-adically close to every root of f,
     including irrational ones; simple roots mod p lift uniquely to mod
@@ -403,13 +405,14 @@ def _root_centers(fi, p: int, depth: int) -> list[Fraction]:
     """
     if p > 1000:
         return []
-    g = math.gcd(*fi)
-    fi = [c // g for c in fi]
+    g = math.gcd(*data.f_form[0])
+    fi = [c // g for c in data.f_form[0]]
     fprime = [i * c for i, c in enumerate(fi)][1:]
     centers = []
-    for t in range(p):
-        if homogenized_eval(fi, t, 1)[0] % p or not homogenized_eval(fprime, t, 1)[0] % p:
-            continue  # no root, or a multiple root mod p; grid sampling has to cover it
+    # the simple roots mod p, scanned once per curve, so a later round only
+    # lifts them; a multiple root mod p is left to the grid
+    for t in data.table(("simple roots", p), lambda: [t for t in range(p) if (
+            homogenized_eval(fi, t, 1)[0] % p == 0 and homogenized_eval(fprime, t, 1)[0] % p)]):
         x, mod = t, p
         for _ in range(depth):
             mod *= p
@@ -442,7 +445,7 @@ def _x_blocks(curve: RichelotPair, side: str, p: int, cfg: SearchConfig) -> Iter
     data = curve.side_data(side)
     centers = list(data.roots)
     if side == CODOMAIN:
-        centers += [c for c in _root_centers(data.f_form[0], p, vb) if not any(
+        centers += [c for c in _root_centers(data, p, vb) if not any(
             c == r or valuation(c - r, p) >= vb for r in data.roots)]
     # a root at 0 has already given the grid's blocks with e >= 1
     for c, js in [(c, range(1, vb + 1)) for c in centers] + [
@@ -485,10 +488,10 @@ def _block_xs(c: Fraction, j: int, p: int, rs) -> Iterator:
 
 
 def _x_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfig,
-                  fast=None) -> Iterator[tuple[int, int, Optional[list]]]:
+                  full=None) -> Iterator[Optional[tuple[int, int, Optional[list]]]]:
     """Candidate x-coordinates as (numerator, denominator, tag), x in lowest
     terms, made as the search asks for them: the blocks of `_x_blocks` in
-    turn, each candidate once.
+    turn, each candidate once, each block ended by a None (a step mark).
 
     Candidates share a tag exactly when they share a block and the unit
     class of r (r mod 8 at p = 2, its Legendre symbol at odd p).  A tag is
@@ -496,9 +499,10 @@ def _x_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConf
     keeps what it reads for the tag; it is None where no factor is
     dominated, and at the real place.
 
-    While `fast()` holds, a generic block gives only the first r of each
-    unit class, and is not recorded against repeats: the singles tier asks
-    for this once a repeat of a class it has handled can change nothing.
+    Once `full()` holds, even in the middle of a generic block, the rest of
+    the block gives only the first r of each unit class it has not reached:
+    the singles tier asks for this once a repeat of a class it has handled
+    can change nothing, and in a generic block a unit class is one class.
     """
     if v.p is None:
         for n, d in curve.side_data(side).real_samples:
@@ -506,34 +510,31 @@ def _x_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConf
         return
     p = v.p
     units = _unit_residues(p, cfg.residue_exponent)
-    # the unit class of each residue, and the first residue of each class
-    classes = [r % 8 if p == 2 else pow(r, p // 2, p) for r in units]
-    firsts: dict = {}
-    for k, r in zip(classes, units):
-        firsts.setdefault(k, r)
-    reps = list(firsts.values())
+    classes = curve.side_data(side).table(("classes", p, cfg.residue_exponent), lambda: [
+        r % 8 if p == 2 else pow(r, p // 2, p) for r in units])
+    kinds = set(classes)
     seen = set()
     for c, j, dominated in _x_blocks(curve, side, p, cfg):
-        if any(dominated):
-            tags = {k: [dominated, None] for k in firsts}
-            if all(dominated) and fast and fast():
-                for (n, d), k in zip(_block_xs(c, j, p, reps), firsts):
-                    yield n, d, tags[k]
+        tags = {k: [dominated, None] if any(dominated) else None for k in kinds}
+        cut = full if all(dominated) else None
+        reached = set()
+        for x, k in zip(_block_xs(c, j, p, units), classes):
+            if cut and k in reached and cut():
+                if len(reached) == len(kinds):
+                    break  # the rest of the block repeats reached classes
                 continue
-            block_tags = map(tags.__getitem__, classes)
-        else:
-            block_tags = itertools.repeat(None)
-        for x, tag in zip(_block_xs(c, j, p, units), block_tags):
+            reached.add(k)
             if x not in seen:
                 seen.add(x)
-                yield *x, tag
+                yield *x, tags[k]
+        yield None
 
 
 def _points_among(curve: RichelotPair, side: str, v: LocalPlace,
-                  xs: Iterable[tuple[int, int, Optional[list]]]) -> Iterator[tuple[Fraction, tuple]]:
+                  xs: Iterable[Optional[tuple]]) -> Iterator[Optional[tuple[Fraction, tuple]]]:
     """The candidates (n, d, tag) of `_x_candidates` with f(n/d) a nonzero
     square in Q_v, in order, as x = n/d with the square-class bits of its
-    three factor values.
+    three factor values, and the feed's step marks (None) as they come.
 
     f = G1 G2 G3 on the domain (build_pair folds lambda into G1) and
     fhat = L1 L2 L3 / Delta on the codomain, so f(x) is a square iff the
@@ -569,7 +570,11 @@ def _points_among(curve: RichelotPair, side: str, v: LocalPlace,
         return (classes, free, want) if free or not any(want) else False
 
     unknown = [None] * 3, range(3), f_class  # a candidate without a tag
-    for n, d, tag in xs:
+    for item in xs:
+        if item is None:
+            yield None
+            continue
+        n, d, tag = item
         known = tag[1] if tag else unknown
         if known is None:
             known = tag[1] = read(tag[0], n, d)
@@ -744,6 +749,7 @@ def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: Se
                                 continue
                         if _quadratic_certificate(data.f_form, an, bn, q, v):
                             yield MumfordDivisor.quadratic(Fraction(*a), Fraction(*b), side), m
+                    yield None
 
 
 def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfig,
@@ -752,7 +758,9 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
     point); pairs of found points; quadratic Mumford pairs.
 
     Each candidate comes with its image's `LocalKummerTriple.mask`, read
-    from class bits.  Every tier skips a candidate whose mask is in `known`
+    from class bits.  A None ends each step: a candidate of the torsion and
+    pairs tiers, an x-block of the singles tier, an (a, b block) of the
+    quadratic tier.  Every tier skips a candidate whose mask is in `known`
     (the walk's record of the masks it has yielded) before it builds the
     divisor; the singles tier still adds the point to the pairs tier's pool.
     A torsion divisor's mask is the XOR of its points', or read from its
@@ -778,7 +786,7 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
                 for marker in _point_markers(D, curve):
                     m ^= masks[marker[-1]]  # ("x", x) or ("inf",)
             if m not in known:
-                yield D, m
+                yield from ((D, m), None)  # the candidate, then a step mark
 
     pool: list[tuple[Fraction, int]] = []  # found points with their masks
     seen_classes: set = set()
@@ -802,17 +810,19 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
 
         xs = _x_candidates(curve, side, v, cfg, None if rng else full)
         if rng:
-            xs = list(xs)
+            xs = [x for x in xs if x]  # a shuffled feed has no blocks: one step
             rng.shuffle(xs)
-        for x, ckey in _points_among(curve, side, v, xs):
-            if full() and ckey in seen_classes:
-                continue
-            seen_classes.add(ckey)
-            mask = class_mask(ckey)
-            if len(pool) < 3 * _POINT_POOL:
-                pool.append((x, mask))
-            if inf_ok and mask ^ masks["inf"] not in known:
-                yield MumfordDivisor.point_plus_infinity(x, side), mask ^ masks["inf"]
+        for item in _points_among(curve, side, v, xs):
+            if not item:
+                yield item  # a step mark
+            elif not full() or item[1] not in seen_classes:
+                x, ckey = item
+                seen_classes.add(ckey)
+                mask = class_mask(ckey)
+                if len(pool) < 3 * _POINT_POOL:
+                    pool.append((x, mask))
+                if inf_ok and mask ^ masks["inf"] not in known:
+                    yield MumfordDivisor.point_plus_infinity(x, side), mask ^ masks["inf"]
 
     def pairs_tier():
         points = [(w, masks[w]) for w in data.roots] + pool
@@ -826,47 +836,55 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
                 continue  # both Weierstrass: already in the torsion tier
             (x1, m1), (x2, m2) = points[i], points[j]
             if m1 ^ m2 not in known:
-                yield MumfordDivisor.rational_pair(x1, x2, side), m1 ^ m2
+                yield from ((MumfordDivisor.rational_pair(x1, x2, side), m1 ^ m2), None)
 
     return [torsion_tier(), singles_tier(), pairs_tier(),
             _quadratic_candidates(curve, side, v, cfg, known)]
 
 
-def _escalated(cfg: SearchConfig) -> Iterator[SearchConfig]:
-    """The configs of the search's rounds: cfg, then cfg.escalations
-    escalations of it, each made only when its round is asked for."""
-    for k in range(cfg.escalations + 1):
-        if k:
-            cfg = cfg.escalate()
-        yield cfg
-
-
 def _walk(curve: RichelotPair, side: str, v: LocalPlace,
-          cfg: SearchConfig) -> Iterator[Iterator[tuple[MumfordDivisor, int]]]:
-    """One side's search at one place: the tiers of `_point_tiers`, round
-    after round over `_escalated(cfg)`.  It records the mask of every
-    candidate it yields, and the tiers skip the masks it holds, so it yields
-    each mask once.  A round walks only the tiers whose bounds changed (the
-    others come out empty): the torsion tier has none; the singles grid
-    sizes the singles and pairs tiers, `_quadratic_bounds` the quadratic
-    tier.
+          cfg: SearchConfig) -> Iterator[Iterator[Optional[tuple[MumfordDivisor, int]]]]:
+    """One side's search at one place: per round (cfg, then each of its
+    cfg.escalations escalations) the tiers of `_point_tiers` with their step
+    marks.  It records the mask of every candidate it yields, and the tiers
+    skip the masks it holds, so it yields each mask once.  A round walks only
+    the tiers whose bounds changed: the torsion tier has none; the singles
+    grid sizes the singles and pairs tiers, `_quadratic_bounds` the
+    quadratic tier.
     """
     known: set = set()
-    walked = None
-    for config in _escalated(cfg):
+    walked, config = (None,) * 4, None
+    for _ in range(cfg.escalations + 1):
+        config = config.escalate() if config else cfg
         grid = (config.residue_exponent, config.val_bound)
         bounds = ((), grid, grid,
                   _quadratic_bounds(v.p, config) if v.p is not None else ())
         tiers = _point_tiers(curve, side, v, config, known)
-        for tier, b, w in zip(tiers, bounds, walked or (None,) * 4):
-            yield _recorded(tier if b != w else (), known)
+        yield _recorded(itertools.chain.from_iterable(
+            [tier for tier, b, w in zip(tiers, bounds, walked) if b != w]), known)
         walked = bounds
 
 
-def _recorded(tier, known: set):
-    for D, mask in tier:
-        known.add(mask)
-        yield D, mask
+def _recorded(items, known: set):
+    for item in items:
+        if item:
+            known.add(item[1])
+        yield item
+
+
+def _alternating(walks: dict) -> Iterator[tuple]:
+    """(key, item) for the `_walk`s in `walks`: in each round one step (up to
+    a None) of each in turn; no walk enters a round before all end the last."""
+    for rounds in zip(*walks.values()):
+        steps = dict(zip(walks, rounds))
+        while steps:
+            for key, items in list(steps.items()):
+                for item in items:
+                    if item is None:
+                        break
+                    yield key, item
+                else:
+                    del steps[key]
 
 
 # ---------------------------------------------------------------------------
@@ -925,19 +943,14 @@ def local_images(curve: RichelotPair, v: LocalPlace, cfg: SearchConfig = SearchC
     found = {"phihat": [], "phi": []}  # side -> list of (triple, witness)
     spans = {"phihat": gf2.Span(), "phi": gf2.Span()}
 
-    def drain(name: str, tier) -> bool:
-        for D, mask in tier:
-            if spans[name].add(mask):
-                found[name].append((_checked_image(D, mask, curve, v), D))
-                if spans["phihat"].dim + spans["phi"].dim >= target:
-                    return True
-        return False
-
-    # walk the tiers in lockstep across both sides so the cheap tiers of one
-    # side are never starved behind the expensive tiers of the other
-    for hat, phi in zip(walks["phihat"], walks["phi"]):
-        if drain("phihat", hat) or drain("phi", phi):
-            break
+    # step the sides in turn: only the sum of the dimensions is known, so
+    # neither side walks far past its last new vector while the other lacks
+    # some; each basis is the prefix of its own walk that raises its span
+    for name, (D, mask) in _alternating(walks):
+        if spans[name].add(mask):
+            found[name].append((_checked_image(D, mask, curve, v), D))
+            if spans["phihat"].dim + spans["phi"].dim >= target:
+                break
 
     certified = (spans["phihat"].dim + spans["phi"].dim == target
                  and _annihilate(found["phihat"], found["phi"]))
@@ -965,10 +978,10 @@ def find_local_point(target, curve: RichelotPair, v: LocalPlace,
     if t_local.place != v:
         raise ValueError(f"target {t_local} does not live at {v}")
     mask = t_local.mask()
-    for D, m in itertools.chain.from_iterable(_walk(curve, DOMAIN, v, cfg)):
-        if m == mask:
-            _checked_image(D, m, curve, v)
-            return D
+    for item in itertools.chain.from_iterable(_walk(curve, DOMAIN, v, cfg)):
+        if item and item[1] == mask:  # None marks a step
+            _checked_image(*item, curve, v)
+            return item[0]
     raise SearchExhausted(f"no divisor found with image {t_local} at {v}")
 
 

@@ -1,3 +1,4 @@
+import collections
 import random
 from functools import reduce
 from operator import mul
@@ -146,17 +147,39 @@ def test_matrix_breakdown_reproduces_tables(matrix):
 
 def test_a_warm_matrix_restricts_each_basis_element_once_per_place(
         curve113, sel_phihat, cache, matrix, count_calls):
-    # with the local images cached, each (row, place) of the pipeline takes
-    # the classes of its class (3), its lift (5) and each of its witnesses
-    # (5 apiece; 27 witnesses over the 25 rows, as two rows at 3 take two),
-    # and the matrix restricts each of the 5 basis triples to each of the 5
-    # places once: 25 * 8 + 27 * 5 + 5 * 5 * 3 = 410, where one
-    # restriction per matrix entry took 700
+    # with the local images cached, the matrix restricts each of the 5
+    # basis triples to each of the 5 places once (3 classes apiece), and the
+    # rows take those restrictions; each (row, place) takes the classes of
+    # its lift (5), and each distinct witness at a place its quintuple image
+    # once (5 apiece; the 25 rows use 27 witnesses, 14 of them distinct
+    # pairs of witness and place): 5 * 5 * 3 + 25 * 5 + 14 * 5 = 270.
+    # Restricting each class again for its row took 410, and one
+    # restriction per matrix entry 700
     calls = count_calls(localfield, "local_square_class", lambda args: str(args[1]))
     again = ctp_matrix(sel_phihat, curve113, cache, basis=REFERENCE_BASIS)
     assert (again.entries, again.breakdown) == (matrix.entries, matrix.breakdown)
     assert sum(len(r.P_v) for rows in again.rows for r in rows) == 27
-    assert len(calls) == 5 and sum(calls.values()) == 410
+    assert len({(w, str(r.place)) for rows in again.rows for r in rows for w in r.P_v}) == 14
+    assert len(calls) == 5 and sum(calls.values()) == 270
+
+
+def test_a_matrix_computes_each_witness_quintuple_image_once_per_place(monkeypatch):
+    # A1009's rows use 70 witnesses over 23 distinct pairs of witness and
+    # place; each row used to compute the quintuple image of each of its own
+    from richelot_ctp import ctp
+    calls = collections.Counter()
+    mu_two = ctp.mu_two
+
+    def counted(D, curve, v=None):
+        calls[(D, str(v))] += 1
+        return mu_two(D, curve, v)
+
+    monkeypatch.setattr(ctp, "mu_two", counted)
+    curve = BENCHMARK_CURVES["A1009"]
+    cache = LocalDataCache()
+    M = ctp_matrix(selmer_group(curve, "phihat", SearchConfig(), cache), curve, cache)
+    assert sum(len(r.P_v) for rows in M.rows for r in rows) == 70
+    assert len(calls) == 23 and sum(calls.values()) == 23
 
 
 @pytest.mark.parametrize("place", ["2", "3", "7", "113", "oo"])

@@ -47,7 +47,6 @@ from richelot_ctp.localpoints import (
     SearchConfig,
     _block_xs,
     _common_denominator,
-    _escalated,
     _generic,
     _mod_quadratic_ints,
     _points_among,
@@ -369,7 +368,9 @@ def test_singles_factor_xor_decides_like_evaluating_f(curve, p, side):
     v = LocalPlace.finite(p)
     f = curve.f if side == DOMAIN else curve.fhat
     polys = curve.G if side == DOMAIN else curve.L
-    xs = list(_x_candidates(curve, side, v, SearchConfig()))
+    feed = list(_x_candidates(curve, side, v, SearchConfig()))
+    xs = [x for x in feed if x is not None]  # less the step marks, one per block
+    assert len(feed) > len(xs)
     expected = []
     for n, d, _ in xs:
         x = Fraction(n, d)
@@ -378,7 +379,7 @@ def test_singles_factor_xor_decides_like_evaluating_f(curve, p, side):
             assert reference_is_square(fraction_horner(f, x), v)
             expected.append((x, tuple(reference_class(fraction_horner(g, x), v)
                                       for g in polys)))
-    got = list(_points_among(curve, side, v, xs))
+    got = [x for x in _points_among(curve, side, v, feed) if x is not None]
     assert got == expected
     assert len(got) < len(xs)
     # fhat(x) is a square in Q_7 at none of the irrational codomain's
@@ -466,7 +467,7 @@ def test_most_domain_blocks_at_2_are_generic():
 def test_taylor_valuations_are_computed_once_per_centre_and_prime(count_calls):
     curve = k_family(143)  # a fresh curve: the valuations live on its SideData
     calls = count_calls(curve_module, "valuation", lambda args: args[1])
-    rounds = list(_escalated(SearchConfig()))
+    rounds = [SearchConfig(), SearchConfig().escalate(), SearchConfig().escalate().escalate()]
     for p in bad_places(curve).finite_primes:
         # the domain's centres are its roots and 0 in every round
         list(_x_blocks(curve, DOMAIN, p, rounds[0]))
@@ -474,6 +475,31 @@ def test_taylor_valuations_are_computed_once_per_centre_and_prime(count_calls):
         for cfg in rounds[1:]:
             list(_x_blocks(curve, DOMAIN, p, cfg))
         assert 0 < first == calls[p], p
+
+
+# the codomain's root centres start from a scan of the residues mod p (one
+# factor evaluation each, more at a root), which depends only on the curve
+# and p: a later round only lifts what the first scan found, to its own
+# depth.  fhat of B97 has no simple root mod 23, where the search escalates
+# twice; the walk used to scan again in every round
+@pytest.mark.parametrize("P, p", [(97, 23), (257, 257)], ids=["B97@23", "A257@257"])
+def test_the_root_scan_runs_once_per_curve_and_prime(monkeypatch, P, p):
+    curve = (build_pair(1, [0, 1], [-1, 0, 1], [-P * P, 0, 1]) if P == p else
+             build_pair(1, [0, 1], [2, -3, 1], [5 * P, -(5 + P), 1]))  # fresh curves
+    curve.codomain_data  # its Weierstrass values are evaluated once, on first use
+    evaluate, calls = lp.homogenized_eval, []
+
+    def counted(*args):
+        calls[-1] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(lp, "homogenized_eval", counted)
+    for cfg in [SearchConfig(), SearchConfig().escalate(), SearchConfig().escalate().escalate()]:
+        calls.append(0)
+        list(_x_blocks(curve, CODOMAIN, p, cfg))
+    assert calls[0] >= p and all(n < p for n in calls[1:]), calls
+    if P != p:
+        assert calls[1:] == [0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +635,7 @@ def test_quintuple_slot_values_match_the_fraction_evaluator(label):
     tags = set()
     for v in places_of(curve.bad_places):
         walk = _walk(curve, DOMAIN, v, SearchConfig())
-        walked = [D for D, _ in itertools.chain.from_iterable(walk)]
+        walked = [item[0] for item in itertools.chain.from_iterable(walk) if item]
         for D in walked + _torsion_divisors(curve, DOMAIN):
             want = reference_quintuple_values(D, curve)
             assert _slot_values(D, curve, curve.two_data) == want, (str(D), str(v))

@@ -7,14 +7,16 @@ evaluated at every single-point candidate, and every candidate's image is
 built with `divisor_image` and compared as a `LocalKummerTriple`.  It keeps
 its own copies of the earlier quadratic generator and singles filter, and
 shares with the library only the other candidate generators (torsion
-divisors and residue grids).  The library's search walks each place once,
-skips the tiers an escalation does not change, reads a dominated factor's
-class once per block and unit class, compares every tier by class bits,
-certifies a quadratic only for a mask its walk has not yet yielded, and
-builds images only for the candidates it keeps, so it must return the same
-bases, witnesses, statuses and divisors.  The
-module also counts the work the new search must not repeat, and corrupts
-class bits to trip the bits-against-witness check.
+divisors and residue grids).  It drains the two sides' tiers in lockstep,
+tier by tier.  The library's search walks each place once, steps the two
+sides' walks in turn and stops as soon as both images are full, skips the
+tiers an escalation does not change, reads a dominated factor's class once
+per block and unit class, cuts a generic block once the pool is full,
+compares every tier by class bits, certifies a quadratic only for a mask
+its walk has not yet yielded, and builds images only for the candidates it
+keeps, so it must return the same bases, witnesses, statuses and divisors.
+The module also counts the work the new search must not repeat, and
+corrupts class bits to trip the bits-against-witness check.
 """
 
 import collections
@@ -24,6 +26,7 @@ from fractions import Fraction
 
 import pytest
 
+from curve_fixtures import BENCHMARK_CURVES
 import richelot_ctp.localpoints as lp
 from richelot_ctp import gf2
 from richelot_ctp.arith import bad_places
@@ -175,6 +178,11 @@ def oracle_quadratic_candidates(curve, side, v, cfg):
                         yield D
 
 
+def unmarked(items):
+    """The items of a feed, tier or walk without its step marks (None)."""
+    return [item for item in items if item is not None]
+
+
 def flat_points_among(curve, side, v, xs):
     """The candidates (n, d, tag) with f(n/d) a nonzero square in Q_v, as
     (x, the class bits of the three factor values): the earlier singles
@@ -182,7 +190,7 @@ def flat_points_among(curve, side, v, xs):
     p = v.p
     data = curve.side_data(side)
     f_class = square_class_bits(data.delta.numerator, data.delta.denominator, p)
-    for n, d, _ in xs:
+    for n, d, _ in unmarked(xs):
         classes = []
         for C, den in data.forms:
             acc, dk = homogenized_eval(C, n, d)
@@ -208,7 +216,7 @@ def oracle_point_tiers(curve, side, v, cfg):
 
     def singles_tier():
         inf_ok = side == DOMAIN or _codomain_infinity_rational(curve, v)
-        xs = list(_x_candidates(curve, side, v, cfg))
+        xs = unmarked(_x_candidates(curve, side, v, cfg))
         if rng:
             rng.shuffle(xs)
         for x, ckey in flat_points_among(curve, side, v, xs):
@@ -341,11 +349,11 @@ def test_the_singles_feed_keeps_what_the_flat_feed_keeps(label, cfg):
     for v in places_of(bad_places(curve)):
         for side in (DOMAIN, CODOMAIN):
             tiers, oracle = _point_tiers(curve, side, v, cfg), oracle_point_tiers(curve, side, v, cfg)
-            singles = [D.xs[0] for D, _ in tiers[1]]
+            singles = [D.xs[0] for D, _ in unmarked(tiers[1])]
             inf_ok = side == DOMAIN or _codomain_infinity_rational(curve, v)
             assert singles == (kept_by_the_flat_feed(curve, side, v, cfg) if inf_ok else [])
             list(oracle[1])  # the oracle's pool fills as its singles tier runs
-            assert [D for D, _ in tiers[2]] == list(oracle[2]), (str(v), side)
+            assert [D for D, _ in unmarked(tiers[2])] == list(oracle[2]), (str(v), side)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +423,8 @@ def record_quadratic_work(monkeypatch):
     events are, in order: ("held", the masks its walk held when it started);
     ("mask", A, mask) for each mask the library computes; ("certificate", A)
     for each certificate; ("yield", mask) for each divisor it yields; and
-    ("end",) if it runs to its end.  A is (an, bn, q)."""
+    ("end",) if it runs to its end.  A is (an, bn, q).  The tier's step
+    marks pass through."""
     walks, active = [], [None]
     quadratic_candidates, quadratic_mask = lp._quadratic_candidates, lp._quadratic_mask
     certificate = lp._quadratic_certificate
@@ -429,12 +438,13 @@ def record_quadratic_work(monkeypatch):
             if not events:
                 events.append(("held", set(known)))
             try:
-                D, mask = next(inner)
+                item = next(inner)
             except StopIteration:
                 events.append(("end",))
                 return
-            events.append(("yield", mask))
-            yield D, mask
+            if item is not None:
+                events.append(("yield", item[1]))
+            yield item
 
     def mask(an, bn, q, forms, p):
         m = quadratic_mask(an, bn, q, forms, p)
@@ -540,9 +550,10 @@ def test_every_walk_yields_each_mask_once(monkeypatch, label, p):
     point_tiers = lp._point_tiers
 
     def watched(tier, counts):
-        for D, mask in tier:
-            counts[mask] += 1
-            yield D, mask
+        for item in tier:
+            if item is not None:
+                counts[item[1]] += 1
+            yield item
 
     def tiers(curve_, side, v_, cfg, known=()):
         _, counts = walks.setdefault(id(known), (known, collections.Counter()))
@@ -635,6 +646,78 @@ def test_the_singles_tier_reads_dominated_factors_once_per_unit_class(monkeypatc
 
 
 # ---------------------------------------------------------------------------
+# each place stops when its two images certify
+# ---------------------------------------------------------------------------
+
+
+def test_a_side_stops_its_singles_tier_once_both_images_are_full(monkeypatch):
+    # at 2 the phihat image of k143 is full before its singles tier starts,
+    # and the phi side needs a few single points; walking phihat's whole
+    # singles tier before phi's made 503 factor evaluations, stepping the
+    # two sides in turn about 60
+    evaluations, status = count_factor_evaluations(
+        monkeypatch, build_pair(1, [286, 1], [0, -858, 1], [-7 * 143 * 143, -858, 1]), 2)
+    assert status == CERTIFIED
+    assert evaluations <= 100
+
+
+def test_a_large_prime_walks_at_most_a_few_generic_blocks_whole(monkeypatch):
+    # local_images(A1009) at 1009 walked 5136 singles candidates and read
+    # 1559 points, most of them in two generic blocks that began before the
+    # pool filled; cutting a block when the pool fills, and stopping when
+    # both images are full, leaves about 3190 candidates and 600 points
+    walked = collections.Counter()
+    x_candidates, points_among = lp._x_candidates, lp._points_among
+
+    def counted(name, feed):
+        def wrapped(*args):
+            for item in feed(*args):
+                walked[name] += item is not None
+                yield item
+        return wrapped
+
+    monkeypatch.setattr(lp, "_x_candidates", counted("candidates", x_candidates))
+    monkeypatch.setattr(lp, "_points_among", counted("points", points_among))
+    images = local_images(large_prime(1009), LocalPlace.finite(1009))
+    assert images[0].status == CERTIFIED
+    assert 0 < walked["candidates"] <= 3300
+    assert 0 < walked["points"] <= 700
+
+
+def test_the_quadratic_tier_steps_one_b_block_at_a_time(monkeypatch):
+    # at 257 one side of A257 reaches its quadratic tier while the other
+    # still walks single points; a step of the tier is one (a, b block), so
+    # the tier reads about 40 masks before both images are full, where
+    # walking it as one step read 3797
+    calls = count_quadratic_work(monkeypatch, CURVES["A257"])
+    images = local_images(CURVES["A257"], LocalPlace.finite(257))
+    assert images[0].status == CERTIFIED
+    assert 0 < collections.Counter(kind for kind, *_ in calls.elements())["mask"] <= 100
+
+
+def test_only_a_heuristic_place_escalates(monkeypatch):
+    # neither side enters a later round before both have used up the
+    # current one, so a place escalates only when a whole round fails: of
+    # the benchmark's places only B31@17 and B97@23, which end heuristic,
+    # and there each side escalates twice
+    escalate = SearchConfig.escalate
+    calls = collections.Counter()
+
+    def counted(cfg):
+        calls[place] += 1
+        return escalate(cfg)
+
+    monkeypatch.setattr(SearchConfig, "escalate", counted)
+    statuses = {}
+    for label, curve in BENCHMARK_CURVES.items():
+        for v in places_of(curve.bad_places):
+            place = f"{label}@{v}"
+            statuses[place] = local_images(curve, v)[0].status
+    assert dict(calls) == {"B31@17": 4, "B97@23": 4}
+    assert {place for place, status in statuses.items() if status == HEURISTIC} == set(calls)
+
+
+# ---------------------------------------------------------------------------
 # the bits-against-witness check
 # ---------------------------------------------------------------------------
 
@@ -643,9 +726,12 @@ def test_a_corrupt_class_bit_raises(monkeypatch):
     points_among = lp._points_among
 
     def corrupted(*args):
-        for x, classes in points_among(*args):
-            first = classes[0]
-            yield x, ((first[0], first[1] ^ 1),) + classes[1:]
+        for item in points_among(*args):
+            if item is not None:
+                x, classes = item
+                first = classes[0]
+                item = x, ((first[0], first[1] ^ 1),) + classes[1:]
+            yield item
 
     monkeypatch.setattr(lp, "_points_among", corrupted)
     with pytest.raises(ClassBitsMismatch):
@@ -653,28 +739,30 @@ def test_a_corrupt_class_bit_raises(monkeypatch):
 
 
 def test_a_corrupt_class_bit_in_a_generic_block_representative_raises(monkeypatch):
-    # once the pool is full the singles tier reads a generic block through
-    # the first residue of each unit class; flipping a bit of such a point
-    # makes its class look new, so the search keeps it and checks its image
-    block_xs, points_among = lp._block_xs, lp._points_among
+    # once the pool is full, even in the middle of a generic block, the rest
+    # of the block gives only the first residue of each unit class it has not
+    # reached; flipping a bit of such a point makes its class look new, so
+    # the search keeps it and checks its image
+    x_candidates, points_among = lp._x_candidates, lp._points_among
     fast = set()
 
-    def recorded_xs(c, j, p, rs):
-        # a block read once per unit class gets the two classes' first
-        # residues at an odd prime; every other block gets all 1008 units
-        for x in block_xs(c, j, p, rs):
-            if len(rs) == 2:
-                fast.add(x)
-            yield x
+    def recorded_xs(curve_, side, v_, cfg, full=None):
+        # a candidate the feed gives from a generic block while the pool is
+        # full is such a representative
+        for item in x_candidates(curve_, side, v_, cfg, full):
+            if item and item[2] and all(item[2][0]) and full and full():
+                fast.add(item[:2])
+            yield item
 
     def corrupted(*args):
-        for x, classes in points_among(*args):
-            if (x.numerator, x.denominator) in fast:
+        for item in points_among(*args):
+            if item is not None and (item[0].numerator, item[0].denominator) in fast:
+                x, classes = item
                 first = classes[0]
-                classes = ((first[0], first[1] ^ 1),) + classes[1:]
-            yield x, classes
+                item = x, ((first[0], first[1] ^ 1),) + classes[1:]
+            yield item
 
-    monkeypatch.setattr(lp, "_block_xs", recorded_xs)
+    monkeypatch.setattr(lp, "_x_candidates", recorded_xs)
     monkeypatch.setattr(lp, "_points_among", corrupted)
     with pytest.raises(ClassBitsMismatch):
         local_images(A1009, LocalPlace.finite(1009))
