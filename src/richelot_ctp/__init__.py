@@ -1,16 +1,15 @@
 """Descent and Cassels-Tate pairing computations for split genus-2 Jacobians over Q."""
 
-from .arith import PlaceSet, SquareClass, bad_places, enumerate_Q_S2, squarefree_reduce
+from .arith import PlaceSet, SquareClass, bad_places, squarefree_reduce
 from .cohomology import KummerQuintuple, KummerTriple
 from .ctp import DescentReport, PairingMatrix, ctp_global, ctp_local, ctp_matrix, rank_report
-from .curve import RichelotPair, TwoTorsionPoint, build_pair, weil_e2, weil_ephi
-from .localfield import LocalPlace, LocalSquareClass, hilbert_symbol, local_square_class
+from .curve import RichelotPair, TwoTorsionPoint, build_pair, weil_ephi
+from .localfield import LocalPlace, LocalSquareClass, local_square_class
 from .localpoints import (
     LocalDataCache,
     LocalImage,
     MumfordDivisor,
     SearchConfig,
-    find_local_point,
     mu_phi,
     mu_phihat,
     mu_two,

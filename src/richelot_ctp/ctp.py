@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import mul, xor
+from operator import mul
 from typing import Optional, Sequence
 
 from . import gf2
@@ -43,7 +43,7 @@ from .localpoints import (
     local_images,
     mu_two,
 )
-from .selmer import SelmerGroup, encode_triple
+from .selmer import SelmerGroup
 
 __all__ = [
     "LocalRow",
@@ -171,14 +171,6 @@ class PairingMatrix:
     @property
     def radical_dim(self) -> int:
         return len(self.radical_basis)
-
-    def in_radical(self, t: KummerTriple, primes) -> bool:
-        """Is t in the radical?  Each radical mask selects basis rows, and the
-        XOR of their F2 coordinates over `primes` is the element's."""
-        rows = [encode_triple(b, primes) for b in self.basis]
-        span = gf2.Span(reduce(xor, (r for i, r in enumerate(rows) if m >> i & 1), 0)
-                        for m in self.radical_basis)
-        return encode_triple(t, primes) in span
 
     def qz_entries(self) -> tuple[tuple[str, ...], ...]:
         """The matrix over Q/Z, entries '0' and '1/2'."""

@@ -44,7 +44,6 @@ __all__ = [
     "SideData",
     "TwoTorsionPoint",
     "build_pair",
-    "weil_e2",
     "weil_ephi",
     "two_torsion_points",
     "homogenized_eval",
@@ -294,11 +293,6 @@ class TwoTorsionPoint:
             return "O"
         a, b = self.ordered_support
         return f"{{{a},{b}}}"
-
-
-def weil_e2(P: TwoTorsionPoint, Q: TwoTorsionPoint) -> int:
-    """(-1)^(size of support intersection); identity pairs trivially."""
-    return -1 if len(P.support & Q.support) % 2 else 1
 
 
 def weil_ephi(i: int, j: int) -> int:
@@ -671,16 +665,6 @@ def build_pair(lam, G1, G2, G3) -> RichelotPair:
         if degs not in ([1, 2, 2], [2, 2, 2]):
             raise CurveError("degenerate codomain: L degrees are not {1,2,2} or {2,2,2}")
     return pair
-
-
-def codomain_delta_analogue(curve: RichelotPair) -> Fraction:
-    """det of the codomain coefficient matrix (L1; L2; L3).
-
-    With the cyclic orientation L_i = G_j' G_k - G_j G_k' this equals
-    -2 Delta^2, so it never vanishes and the codomain needs no extra
-    nondegeneracy condition.
-    """
-    return _coefficient_det(curve.L)
 
 
 def two_torsion_points(curve: RichelotPair) -> list[TwoTorsionPoint]:

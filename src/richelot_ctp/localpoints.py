@@ -79,10 +79,8 @@ from .curve import (
     INF,
     RichelotPair,
     TwoTorsionPoint,
-    _common_denominator,
     _res2,
     homogenized_eval,
-    poly_integer_form,
     two_torsion_points,
 )
 from .localfield import (
@@ -313,22 +311,15 @@ def _mod_quadratic_ints(f_form, an: int, bn: int, q: int) -> tuple[int, int, int
     return U, W, den * qpow
 
 
-def quadratic_mumford_certificate(curve_f, A, v: LocalPlace) -> bool:
-    """Is f a square in Q_v[x]/(A) for monic irreducible A = x^2 + a x + b?
+def _quadratic_certificate(f_form, an: int, bn: int, q: int, v: LocalPlace) -> bool:
+    """Is f a square in Q_v[x]/(A) for monic irreducible A = x^2 + (an/q) x
+    + bn/q, with f given by its `poly_integer_form`?
 
     Norm-trace criterion: with xi = f mod A, a square root B = b1 x + b0
     exists iff N(xi) is a square n^2 in Q_v and Tr(xi) +- 2n is a nonzero
     square (tau = Tr(B) satisfies tau^2 = Tr(xi) + 2 nu with nu = N(B) = +-n).
     The answer is exact: square classes are read from integers and a few
     digits of an integer square root mod p^k, with no digit budget.
-    """
-    a, b = Fraction(A[0]), Fraction(A[1])
-    return _quadratic_certificate(poly_integer_form(curve_f), *_common_denominator(a, b), v)
-
-
-def _quadratic_certificate(f_form, an: int, bn: int, q: int, v: LocalPlace) -> bool:
-    """`quadratic_mumford_certificate` for A = x^2 + (an/q) x + bn/q and f
-    given by its `poly_integer_form`, decided exactly on integers.
 
     With xi = (U x + W)/s and disc(A) = D/q^2, D = an^2 - 4 bn q, the trace
     and norm of xi scaled by q s and (q s)^2 are the integers

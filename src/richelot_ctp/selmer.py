@@ -12,6 +12,14 @@ therefore the kernel of one F2 matrix from Q(S,2)^2 to the sum of the local
 quotients H^1(Q_v)/im_v (Stoll, "Implementing 2-descent for Jacobians of
 hyperelliptic curves", Acta Arith. 98, 2001), and its cost is polynomial in
 |S| instead of 4^(|S|+1).
+
+The basis is the torsion images, then each ascending row of the reduced
+echelon form of the kernel that raises their span.  A kernel vector is
+a1 << n | a2, the pair's index in the Q(S,2)^2 enumeration, and in reduced
+echelon form the members' order is the order of the subsets of rows, so the
+smallest member outside a span is always a row: this is the basis a greedy
+pass over the members in enumeration order picks, with no member list.
+`SelmerGroup.elements` builds that list from the basis when it is read.
 """
 
 from __future__ import annotations
@@ -75,25 +83,39 @@ def triple_span(triples, primes) -> gf2.Span:
     return gf2.Span(encode_triple(t, primes) for t in triples)
 
 
+def _pair_index(t: KummerTriple, primes) -> int:
+    """a1 << n | a2: the index of (a1, a2) in the Q(S,2)^2 enumeration."""
+    n = len(primes) + 1
+    return _encode_class(t.classes[0], primes) << n | _encode_class(t.classes[1], primes)
+
+
+def _pair_triple(y: int, primes) -> KummerTriple:
+    """Inverse of _pair_index, with a3 = a1 a2."""
+    n = len(primes) + 1
+    a1, a2 = _decode_class(y >> n, primes), _decode_class(y & (1 << n) - 1, primes)
+    return KummerTriple((a1, a2, a1 * a2))
+
+
 @dataclass(frozen=True)
 class SelmerGroup:
     """A kernel Selmer group with a torsion-first basis.
 
     basis spans the group; known_point_basis is the prefix coming from images
-    of rational two-torsion.  elements lists all 2^dim members, ordered by
-    the Q(S,2) indices of (a1, a2).  local_image_dims holds (place, dim of the
-    local image of this side) for every place of S.  status is certified iff
-    every consulted local image carried a duality certificate.  The group is
-    exactly the set of classes whose restrictions lie in the images that were
-    found, and found images are spanned by genuine divisor images, so every
-    member is genuine either way; a heuristic status means an image may be too
-    small and the group may be missing elements, not that any member is wrong.
+    of rational two-torsion, and echelon rows follow it (see the module
+    docstring).  elements lists all 2^dim members, ordered by the Q(S,2)
+    indices of (a1, a2), and is built from the basis when read.
+    local_image_dims holds (place, dim of the local image of this side) for
+    every place of S.  status is certified iff every consulted local image
+    carried a duality certificate.  The group is exactly the set of classes
+    whose restrictions lie in the images that were found, and found images
+    are spanned by genuine divisor images, so every member is genuine either
+    way; a heuristic status means an image may be too small and the group
+    may be missing elements, not that any member is wrong.
     """
 
     side: str
     basis: tuple[KummerTriple, ...]
     known_point_basis: tuple[KummerTriple, ...]
-    elements: tuple[KummerTriple, ...]
     places: PlaceSet
     status: str
     local_image_dims: tuple[tuple[LocalPlace, int], ...]
@@ -105,8 +127,17 @@ class SelmerGroup:
     def span(self) -> gf2.Span:
         return triple_span(self.basis, self.places.finite_primes)
 
+    @property
+    def elements(self) -> tuple[KummerTriple, ...]:
+        primes = self.places.finite_primes
+        vectors = gf2.Span(_pair_index(t, primes) for t in self.basis).elements()
+        return tuple(_pair_triple(y, primes) for y in sorted(vectors))
+
     def contains(self, t: KummerTriple) -> bool:
-        return encode_triple(t, self.places.finite_primes) in self.span()
+        """Is t a member?  A class with a prime outside S is not."""
+        primes = self.places.finite_primes
+        return (all(p in primes for c in t.classes for p in c.primes)
+                and encode_triple(t, primes) in self.span())
 
     def same_group(self, generators) -> bool:
         """Subgroup equality against another generator list, basis-free."""
@@ -133,14 +164,15 @@ def torsion_images(curve: RichelotPair, side: str) -> list[KummerTriple]:
 def _local_rows(gen_masks: list[int], d: int, image: gf2.Span) -> list[int]:
     """Rows of the map (a1, a2) -> restriction of (a1, a2, a1 a2) modulo im_v.
 
-    With n = len(gen_masks), column j < n puts generator j into a1 and column
-    n + j puts it into a2; either way a1 a2 picks it up too.  Reduction
-    against the image's echelon rows zeroes every pivot bit, which leaves the
-    unique such representative of the coset, so it is linear and the reduced
-    columns transpose into rows.
+    With n = len(gen_masks), column j < n puts generator j into a2 and column
+    n + j puts it into a1; either way a1 a2 picks it up too, and a kernel
+    vector is the pair's `_pair_index`.  Reduction against the image's
+    echelon rows zeroes every pivot bit, which leaves the unique such
+    representative of the coset, so it is linear and the reduced columns
+    transpose into rows.
     """
-    cols = [image.reduce(g | g << 2 * d) for g in gen_masks]
-    cols += [image.reduce(g << d | g << 2 * d) for g in gen_masks]
+    cols = [image.reduce(g << d | g << 2 * d) for g in gen_masks]
+    cols += [image.reduce(g | g << 2 * d) for g in gen_masks]
     rows = []
     for bit in range(3 * d):
         r = 0
@@ -162,7 +194,6 @@ def selmer_group(curve: RichelotPair, side: str, cfg: SearchConfig = SearchConfi
     S = curve.bad_places
     primes = S.finite_primes
     places = places_of(S)
-    n = len(primes) + 1
     gens = (-1,) + primes
 
     imgs = {}
@@ -178,38 +209,19 @@ def selmer_group(curve: RichelotPair, side: str, cfg: SearchConfig = SearchConfi
         dims.append((v, img.dim))
         gen_masks = [class_mask([local_square_class(g, v).bits]) for g in gens]
         rows += _local_rows(gen_masks, local_square_dim(v), imgs[v])
-    kernel = gf2.nullspace(rows, 2 * n)
-
-    low = (1 << n) - 1
-
-    def triple(x: int) -> KummerTriple:
-        a1 = _decode_class(x & low, primes)
-        a2 = _decode_class(x >> n, primes)
-        return KummerTriple((a1, a2, a1 * a2))
+    kernel = gf2.nullspace(rows, 2 * len(gens))
 
     # restrict each kernel generator afresh, independently of the linearisation
-    for x in kernel:
-        t = triple(x)
+    for y in kernel:
+        t = _pair_triple(y, primes)
         for v in places:
             if t.restrict(v).mask() not in imgs[v]:
                 raise KernelCheckError(f"kernel vector {t} is not in the local image at {v}")
 
-    # all members, in the order of the Q(S,2)^2 enumeration by (index a1, index a2)
-    vectors = sorted(gf2.Span(kernel).elements(), key=lambda x: (x & low, x >> n))
-    members = [triple(x) for x in vectors]
-
-    # torsion-first basis
-    span = gf2.Span()
-    basis = []
-    known = []
-    for t in torsion_images(curve, side):
-        if span.add(encode_triple(t, primes)):
-            basis.append(t)
-            known.append(t)
-    for t in members:
-        if span.add(encode_triple(t, primes)):
-            basis.append(t)
+    known = torsion_images(curve, side)
+    span = gf2.Span(_pair_index(t, primes) for t in known)
+    basis = known + [_pair_triple(y, primes) for y in reversed(gf2.echelon(kernel))
+                     if span.add(y)]
     if len(basis) != len(kernel):
         raise KernelCheckError("a two-torsion image is not in the kernel")
-    return SelmerGroup(side, tuple(basis), tuple(known), tuple(members), S, status,
-                       tuple(dims))
+    return SelmerGroup(side, tuple(basis), tuple(known), S, status, tuple(dims))

@@ -1,11 +1,18 @@
 """Curves the tests share: the benchmark corpus, and curve files under
-fixtures/ in the format `ctp` reads."""
+fixtures/ in the format `ctp` reads; and two entry points the library does
+not need, written over its internals: `quadratic_mumford_certificate` and
+`in_radical`, the radical membership test of a pairing matrix."""
 
 import json
 from fractions import Fraction
+from functools import reduce
+from operator import xor
 from pathlib import Path
 
-from richelot_ctp.curve import build_pair
+from richelot_ctp import gf2
+from richelot_ctp.curve import _common_denominator, build_pair, poly_integer_form
+from richelot_ctp.localpoints import _quadratic_certificate
+from richelot_ctp.selmer import encode_triple
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -38,3 +45,20 @@ def fixture_curve(label: str):
     data = json.loads(fixture_path(label).read_text())
     return build_pair(Fraction(data["lambda"]),
                       *([Fraction(c) for c in data[g]] for g in ("G1", "G2", "G3")))
+
+
+def in_radical(matrix, t, primes) -> bool:
+    """Is t in the radical of the `PairingMatrix`?  Each radical mask selects
+    basis rows, and the XOR of their F2 coordinates over `primes` is the
+    element's."""
+    rows = [encode_triple(b, primes) for b in matrix.basis]
+    span = gf2.Span(reduce(xor, (r for i, r in enumerate(rows) if m >> i & 1), 0)
+                    for m in matrix.radical_basis)
+    return encode_triple(t, primes) in span
+
+
+def quadratic_mumford_certificate(f, A, v) -> bool:
+    """Is f, given by its Fraction coefficients, a square in Q_v[x]/(A) for
+    A = x^2 + a x + b, A = (a, b)?"""
+    a, b = Fraction(A[0]), Fraction(A[1])
+    return _quadratic_certificate(poly_integer_form(f), *_common_denominator(a, b), v)

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from curve_fixtures import fixture_curve, fixture_path
+from curve_fixtures import fixture_curve, fixture_path, in_radical
 from richelot_ctp import arith
 from richelot_ctp.cli import main
+from richelot_ctp.curve import build_pair
 from richelot_ctp.ctp import ctp_matrix
 from richelot_ctp.localpoints import LocalDataCache
 from richelot_ctp.selmer import selmer_group, torsion_images
@@ -16,6 +17,8 @@ TOY = {"label": "toy", "lambda": "1",
        "G1": ["0", "1"], "G2": ["-1", "0", "1"], "G3": ["-4", "0", "1"]}
 FRACTIONAL = {"label": "fractional", "lambda": "4", "G1": ["-1/2", "1"],
               "G2": ["-1", "0", "1"], "G3": ["-12", "1", "1"]}
+A1009 = {"label": "A1009", "lambda": "1", "G1": ["0", "1"],
+         "G2": ["-1", "0", "1"], "G3": ["-1018081", "0", "1"]}
 DEGENERATE = {"lambda": "1", "G1": ["0", "1"], "G2": ["-1", "0", "1"],
               "G3": ["-1", "3/2", "1"]}
 
@@ -146,7 +149,7 @@ def test_ctp_finishes_where_the_walk_misses_an_image_class(label, capsys):
     assert [list(r) for r in matrix.entries] == entries
     torsion = torsion_images(curve, "phihat")
     assert torsion
-    assert all(matrix.in_radical(t, curve.bad_places.finite_primes) for t in torsion)
+    assert all(in_radical(matrix, t, curve.bad_places.finite_primes) for t in torsion)
 
 
 def test_ctp_inconsistent_dimensions_exits_3(curve_file, capsys, monkeypatch):
@@ -212,6 +215,27 @@ def test_ctp_runs_the_local_pipeline_once_per_generator_and_place(
     n = len(report["matrix"]["basis"])
     assert (n, len(report["bad_places"])) == (5, 5)
     assert len(calls) == 25
+
+
+def test_a_ctp_run_lists_no_selmer_members(curve_file, capsys, monkeypatch):
+    # choosing each side's basis listed all 2^dim members of the group, 256
+    # on the dual-kernel side of A1009; only reading `elements` lists them now
+    from richelot_ctp import gf2
+    calls = []
+    real = gf2.Span.elements
+
+    def counting(span):
+        calls.append(span.dim)
+        return real(span)
+
+    monkeypatch.setattr(gf2.Span, "elements", counting)
+    assert main(["ctp", curve_file(A1009), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["selmer"]["phihat"]["dim"] == 8
+    assert calls == []
+    curve = build_pair(1, *(A1009[g] for g in ("G1", "G2", "G3")))
+    assert len(selmer_group(curve, "phihat").elements) == 256
+    assert calls == [8]
 
 
 def test_ctp_text_tables(curve_file, capsys):

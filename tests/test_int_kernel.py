@@ -20,13 +20,20 @@ from fractions import Fraction
 
 import pytest
 
-from curve_fixtures import BENCHMARK_CURVES, k_family
+from curve_fixtures import BENCHMARK_CURVES, k_family, quadratic_mumford_certificate
 from hilbert_oracle import _unit_residue
 from padic_oracle import InsufficientPrecision, PadicApprox
 import richelot_ctp.curve as curve_module
 import richelot_ctp.localpoints as lp
 from richelot_ctp.cohomology import LocalKummerQuintuple
-from richelot_ctp.curve import INF, build_pair, poly_eval, poly_integer_form, rational_sqrt
+from richelot_ctp.curve import (
+    INF,
+    _common_denominator,
+    build_pair,
+    poly_eval,
+    poly_integer_form,
+    rational_sqrt,
+)
 from richelot_ctp.localfield import (
     LocalPlace,
     _legendre,
@@ -46,7 +53,6 @@ from richelot_ctp.localpoints import (
     DOMAIN,
     SearchConfig,
     _block_xs,
-    _common_denominator,
     _generic,
     _mod_quadratic_ints,
     _points_among,
@@ -60,7 +66,6 @@ from richelot_ctp.localpoints import (
     _x_blocks,
     _x_candidates,
     mu_two,
-    quadratic_mumford_certificate,
 )
 
 PRIMES = (2, 3, 1009, 10007)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from curve_fixtures import quadratic_mumford_certificate
 from richelot_ctp.cohomology import KummerTriple, psi_two_to_phihat
 from richelot_ctp.curve import INF, TwoTorsionPoint, build_pair, poly_eval, poly_integer_form
 from richelot_ctp.localfield import LocalPlace, is_local_square, local_square_class
@@ -23,7 +24,6 @@ from richelot_ctp.localpoints import (
     mu_phi,
     mu_phihat,
     mu_two,
-    quadratic_mumford_certificate,
 )
 
 OO = LocalPlace.infinite()
@@ -266,8 +266,8 @@ def test_quadratic_masks_read_from_resultants_match_images(curve113):
     # a quadratic equal to a factor has a zero resultant slot, whose bits are
     # the XOR of the other two: on the domain it is the pair of that factor's
     # roots, whose image the point evaluation gives independently
+    from richelot_ctp.curve import _common_denominator
     from richelot_ctp.localpoints import (
-        _common_denominator,
         _quadratic_candidates,
         _quadratic_mask,
     )

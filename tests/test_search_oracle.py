@@ -31,7 +31,7 @@ import richelot_ctp.localpoints as lp
 from richelot_ctp import gf2
 from richelot_ctp.arith import bad_places
 from richelot_ctp.ctp import ctp_matrix
-from richelot_ctp.curve import build_pair, homogenized_eval, poly_integer_form
+from richelot_ctp.curve import _common_denominator, build_pair, homogenized_eval, poly_integer_form
 from richelot_ctp.localfield import (
     LocalPlace,
     places_of,
@@ -50,7 +50,6 @@ from richelot_ctp.localpoints import (
     SearchExhausted,
     _annihilate,
     _codomain_infinity_rational,
-    _common_denominator,
     _h1_dim,
     _point_tiers,
     _quadratic_bounds,

@@ -2,6 +2,7 @@ import pytest
 
 from richelot_ctp.arith import bad_places, enumerate_Q_S2
 from richelot_ctp.cohomology import KummerTriple
+from richelot_ctp.ctp import ctp_matrix
 from richelot_ctp.localpoints import LocalDataCache
 from richelot_ctp.selmer import selmer_group, torsion_images, triple_span
 
@@ -95,7 +96,12 @@ def test_membership_is_local_everywhere(sel_phihat, curve113, cache):
             assert t.restrict(v).mask() in span
 
 
-def test_non_selmer_class_rejected(sel_phihat):
+def test_non_selmer_class_rejected(sel_phihat, curve113):
     # (3, 3, 1) is supported on S but already fails at the real place or 3
     assert not sel_phihat.contains(KummerTriple.of(3, 3, 1))
     assert not sel_phihat.contains(KummerTriple.of(-1, -1, 1))
+    # (5, 5, 1) has a prime outside S = {2, 3, 7, 113}, so it is no member
+    # either; contains raised on it, and so ctp_matrix never named it
+    assert not sel_phihat.contains(KummerTriple.of(5, 5, 1))
+    with pytest.raises(ValueError, match="is not in the Selmer group"):
+        ctp_matrix(sel_phihat, curve113, basis=[KummerTriple.of(5, 5, 1)])

@@ -1,9 +1,12 @@
 """The Selmer groups as F2 kernels, against the brute-force enumeration.
 
 `enumerate_selmer` is the original membership search over all 4^(|S|+1)
-pairs (a1, a2) in Q(S,2)^2.  It shares nothing with the kernel computation
-but the local images (read from the same cache) and the torsion-first basis
-rule, so it is an independent oracle for the linear algebra.
+pairs (a1, a2) in Q(S,2)^2, with the original basis rule: after the torsion
+images, each member in enumeration order that raises the span.  It shares
+nothing with the kernel computation but the local images (read from the same
+cache) and the torsion images, so it is an independent oracle for the linear
+algebra, for the echelon basis rule and for the members that
+`SelmerGroup.elements` builds from the basis.
 """
 
 import dataclasses
@@ -12,6 +15,7 @@ import pytest
 
 import richelot_ctp.selmer as selmer_mod
 from richelot_ctp import gf2
+from curve_fixtures import BENCHMARK_CURVES, fixture_curve
 from richelot_ctp.arith import bad_places, enumerate_Q_S2
 from richelot_ctp.cohomology import KummerTriple
 from richelot_ctp.ctp import (
@@ -32,8 +36,9 @@ from richelot_ctp.selmer import (
 )
 
 
-def enumerate_selmer(curve, side, cfg=SearchConfig(), cache=None) -> SelmerGroup:
-    """Selmer group of `side` by testing every candidate pair in Q(S,2)^2."""
+def enumerate_selmer(curve, side, cfg=SearchConfig(), cache=None):
+    """Selmer group of `side` by testing every candidate pair in Q(S,2)^2,
+    and the list of its members in the order of that enumeration."""
     curve.require_five_roots()
     S = bad_places(curve)
     primes = S.finite_primes
@@ -81,17 +86,19 @@ def enumerate_selmer(curve, side, cfg=SearchConfig(), cache=None) -> SelmerGroup
         if span.add(encode_triple(t, primes)):
             basis.append(t)
     assert len(members) == 1 << len(basis), "membership set is not a subgroup"
-    return SelmerGroup(side, tuple(basis), tuple(known), tuple(members), S, status,
-                       tuple(dims))
+    return SelmerGroup(side, tuple(basis), tuple(known), S, status, tuple(dims)), tuple(members)
 
 
 def k_family(k):
     return build_pair(1, [2 * k, 1], [0, -6 * k, 1], [-7 * k * k, -6 * k, 1])
 
 
-# the k-family members of the benchmark with 4 to 6 finite bad primes, and
-# the six curves of test_more_curves.py
+# the k-family members of the benchmark with 4 to 6 finite bad primes, the
+# six curves of test_more_curves.py, the large-prime and exhausting curves of
+# the benchmark, and the R15 and R18 fixtures
 ORACLE_CURVES = {
+    **{name: lambda name=name: BENCHMARK_CURVES[name] for name in ("A257", "A1009", "B31", "B97")},
+    **{label: lambda label=label: fixture_curve(label) for label in ("R15", "R18")},
     "k113": lambda: k_family(113),
     "k143": lambda: k_family(143),
     "k2431": lambda: k_family(2431),
@@ -109,10 +116,10 @@ def test_kernel_matches_enumeration(name):
     cache = LocalDataCache()
     for side in ("phihat", "phi"):
         got = selmer_group(curve, side, cache=cache)
-        want = enumerate_selmer(curve, side, cache=cache)
+        want, members = enumerate_selmer(curve, side, cache=cache)
         assert got.basis == want.basis
         assert got.known_point_basis == want.known_point_basis
-        assert got.elements == want.elements
+        assert got.elements == members
         assert got.status == want.status
         assert got.local_image_dims == want.local_image_dims
 
@@ -130,9 +137,9 @@ def test_heuristic_images_match_enumeration(curve113):
     cache = LocalDataCache()
     for side in ("phihat", "phi"):
         got = selmer_group(curve113, side, cfg, cache)
-        want = enumerate_selmer(curve113, side, cfg, cache)
+        want, members = enumerate_selmer(curve113, side, cfg, cache)
         assert got.status == want.status == "heuristic"
-        assert got.elements == want.elements
+        assert got.elements == members
         assert got.basis == want.basis
 
 
