@@ -199,20 +199,31 @@ class SquareClass:
         return str(self.value)
 
 
-def squarefree_reduce(q) -> SquareClass:
+def squarefree_reduce(q, primes=()) -> SquareClass:
     """The class of a nonzero rational in Q*/(Q*)^2.
 
     The result times q is a rational square: n/d ~ n*d mod squares, then
-    odd-exponent primes survive.
+    odd-exponent primes survive.  The given `primes` (those of S, say) are
+    divided out first, and what is left is factored only when it is not a
+    perfect square, so an S-unit class costs no factoring.
     """
     q = Fraction(q)
     if q == 0:
         raise ValueError("0 has no square class")
     n = q.numerator * q.denominator
     sign = 1 if n > 0 else -1
-    facs = factorize(abs(n))
-    primes = tuple(sorted(p for p, e in facs.items() if e % 2))
-    return SquareClass(sign, primes)
+    n = abs(n)
+    odd = set()
+    for p in primes:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e % 2:
+            odd.add(p)
+    if math.isqrt(n) ** 2 != n:
+        odd.update(p for p, e in factorize(n).items() if e % 2)
+    return SquareClass(sign, tuple(sorted(odd)))
 
 
 # ---------------------------------------------------------------------------

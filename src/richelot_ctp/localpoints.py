@@ -32,7 +32,13 @@ block of candidates or one candidate a step), stops once they fill dim H^1,
 escalates only once both have used up a round, and keeps the witness of
 each basis vector, from which the pairing builds its rows.
 
-Single points come in blocks x = c + r p^j over the unit residues r.  A
+Single points come in blocks x = c + r p^j over the unit residues r: all
+units mod p^m while p^m <= `_RESIDUE_CAP`, past it a sample of that many
+units mod p seeded by p, so no block, and no table of unit classes, grows
+with p.  A sample that misses a class can only leave a place heuristic,
+since the duality certificate alone decides certified.  The centres c are
+the rational roots and, on the codomain, the simple roots mod p of the
+factors, from each factor's own roots mod p, lifted by Newton's method.  A
 factor with one Taylor term strictly below the others in valuation there
 is dominated: that term fixes the factor's square class by the unit class
 of r (`_generic`), so its class is read once per block and unit class, and
@@ -67,6 +73,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from . import gf2
+from .arith import squarefree_reduce
 from .cohomology import (
     KummerQuintuple,
     KummerTriple,
@@ -248,6 +255,17 @@ def _slot_values(D: MumfordDivisor, curve: RichelotPair, data) -> tuple[Fraction
     return tuple(Fraction(n, d) for n, d in zip(nums, dens))
 
 
+def _image(kind, D: MumfordDivisor, curve: RichelotPair, data, v: Optional[LocalPlace]):
+    """`kind.at` of D's slot values of `data`.  A global image divides the
+    primes of S out of each value before it factors what is left
+    (`squarefree_reduce`): the values of two-torsion are S-units."""
+    values = _slot_values(D, curve, data)
+    if v is None:
+        primes = curve.bad_places.finite_primes
+        values = [squarefree_reduce(x, primes) for x in values]
+    return kind.at(values, v)
+
+
 def mu_two(D: MumfordDivisor, curve: RichelotPair, v: Optional[LocalPlace] = None):
     """Image of D under the full 2-descent quintuple map; global when v is None.
 
@@ -258,21 +276,21 @@ def mu_two(D: MumfordDivisor, curve: RichelotPair, v: Optional[LocalPlace] = Non
     curve.require_five_roots()
     if D.side != DOMAIN:
         raise ValueError("the quintuple map lives on the domain curve")
-    return KummerQuintuple.at(_slot_values(D, curve, curve.two_data), v)
+    return _image(KummerQuintuple, D, curve, curve.two_data, v)
 
 
 def mu_phihat(D: MumfordDivisor, curve: RichelotPair, v: Optional[LocalPlace] = None):
     """Image of a domain divisor under the dual-kernel descent map (G-evaluations)."""
     if D.side != DOMAIN:
         raise ValueError("mu_phihat consumes domain divisors")
-    return KummerTriple.at(_slot_values(D, curve, curve.domain_data), v)
+    return _image(KummerTriple, D, curve, curve.domain_data, v)
 
 
 def mu_phi(D: MumfordDivisor, curve: RichelotPair, v: Optional[LocalPlace] = None):
     """Image of a codomain divisor under the kernel descent map (L-evaluations)."""
     if D.side != CODOMAIN:
         raise ValueError("mu_phi consumes codomain divisors")
-    return KummerTriple.at(_slot_values(D, curve, curve.codomain_data), v)
+    return _image(KummerTriple, D, curve, curve.codomain_data, v)
 
 
 def divisor_image(D: MumfordDivisor, curve: RichelotPair, v: Optional[LocalPlace] = None):
@@ -371,18 +389,43 @@ def _quadratic_certificate(f_form, an: int, bn: int, q: int, v: LocalPlace) -> b
 # candidate generation
 # ---------------------------------------------------------------------------
 
-_RESIDUE_CAP = 128  # enumerate unit residues modulo p^m only while p^m stays small
+# the most unit residues a block walks: all units mod p^m while p^m stays
+# within it, else a sample of this many units mod p seeded by p
+_RESIDUE_CAP = 128
 # single points the pairs tier pairs up before the singles tier keeps only
 # points of new classes
 _POINT_POOL = 24
 
 
 def _unit_residues(p: int, exponent: int) -> list[int]:
+    """The unit residues a block walks, ascending: all units mod p^m for the
+    largest m <= exponent with p^m <= `_RESIDUE_CAP` (m = 1 at least), or,
+    for p past the cap, `_RESIDUE_CAP` units mod p drawn with p as the seed,
+    so the cost of a block does not grow with p."""
+    if p > _RESIDUE_CAP:
+        return sorted(random.Random(p).sample(range(1, p), _RESIDUE_CAP))
     m = 1
     while m < exponent and p ** (m + 1) <= _RESIDUE_CAP:
         m += 1
     mod = p ** m
     return [r for r in range(1, mod) if r % p]
+
+
+def _roots_mod_p(C, p: int) -> list[int]:
+    """The roots mod p of the integer polynomial C, of degree at most 2,
+    primitive: a linear solve, or the quadratic formula with the square
+    root of the discriminant; at p = 2, the t in {0, 1} with C(t) even."""
+    c0, c1, c2 = [c % p for c in (tuple(C) + (0, 0))[:3]]
+    if p == 2:
+        return [t for t in (0, 1) if (c0 + t * (c1 + c2)) % 2 == 0]
+    if not c2:
+        return [-c0 * pow(c1, -1, p) % p] if c1 else []
+    disc = (c1 * c1 - 4 * c0 * c2) % p
+    if disc and pow(disc, p // 2, p) != 1:
+        return []
+    s = sqrt_mod_pk(disc, p, 1) if disc else 0
+    inv = pow(2 * c2, -1, p)
+    return [(-c1 + s) * inv % p, (-c1 - s) * inv % p]
 
 
 def _root_centers(data, p: int, depth: int) -> list[Fraction]:
@@ -392,18 +435,25 @@ def _root_centers(data, p: int, depth: int) -> list[Fraction]:
     Near-root refinement needs centers p-adically close to every root of f,
     including irrational ones; simple roots mod p lift uniquely to mod
     p^depth by Newton iteration.  Works on the primitive integer model, so
-    denominators of f never obstruct the reduction.
+    denominators of f never obstruct the reduction: by Gauss's lemma it is,
+    up to sign, the product of the factors' primitive forms, so its roots mod
+    p are theirs (`_roots_mod_p`), and a simple one has f'(t) nonzero mod p.
     """
-    if p > 1000:
-        return []
     g = math.gcd(*data.f_form[0])
     fi = [c // g for c in data.f_form[0]]
     fprime = [i * c for i, c in enumerate(fi)][1:]
+
+    def simple_roots():
+        roots = set()
+        for C, _ in data.forms:
+            content = math.gcd(*C)
+            roots.update(_roots_mod_p([c // content for c in C], p))
+        return sorted(t for t in roots if homogenized_eval(fprime, t, 1)[0] % p)
+
     centers = []
-    # the simple roots mod p, scanned once per curve, so a later round only
+    # the simple roots mod p, found once per curve, so a later round only
     # lifts them; a multiple root mod p is left to the grid
-    for t in data.table(("simple roots", p), lambda: [t for t in range(p) if (
-            homogenized_eval(fi, t, 1)[0] % p == 0 and homogenized_eval(fprime, t, 1)[0] % p)]):
+    for t in data.table(("simple roots", p), simple_roots):
         x, mod = t, p
         for _ in range(depth):
             mod *= p

@@ -38,6 +38,40 @@ def test_reduce_times_input_is_square():
         assert squarefree_reduce(prod).is_one()
 
 
+def test_squarefree_reduce_over_S_matches_the_plain_reduction(monkeypatch):
+    # S-units times a square or a non-square prime outside S, either sign,
+    # in numerator or denominator: dividing out S first gives the class of
+    # factoring the whole, and factors only a cofactor that is no square
+    S = (2, 3, 5, 11, 21649, 182041)
+    outside = (7, 13, 10007)
+    rng = random.Random(20)
+    factored = []
+    plain = arith.factorize
+    for _ in range(300):
+        n, d = rng.choice((1, -1)), 1
+        for p in S:
+            n *= p ** rng.randrange(3)
+            d *= p ** rng.randrange(2)
+        square, extra = rng.choice(outside), rng.choice((1,) + outside)
+        n *= square ** 2
+        if rng.randrange(2):
+            n, d = d * rng.choice((1, -1)), abs(n)
+        q = Fraction(n, d) * extra
+        monkeypatch.setattr(arith, "factorize", lambda m: factored.append(m) or plain(m))
+        got = squarefree_reduce(q, S)
+        monkeypatch.setattr(arith, "factorize", plain)
+        assert got == squarefree_reduce(q), q
+        # the cofactor is factored only when extra leaves it no square
+        assert bool(factored) == (extra != 1)
+        factored.clear()
+    # a 12-digit prime of S and the square of a 7-digit prime outside it:
+    # nothing is left to factor
+    big = 999999999989
+    monkeypatch.setattr(arith, "factorize", lambda m: factored.append(m) or plain(m))
+    assert squarefree_reduce(Fraction(-6 * big ** 3 * 1000003 ** 2, 25), S + (big,)).value == -6 * big
+    assert not factored
+
+
 def test_multiplicativity_and_involution():
     rng = random.Random(11)
     for _ in range(200):

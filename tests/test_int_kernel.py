@@ -20,7 +20,8 @@ from fractions import Fraction
 
 import pytest
 
-from curve_fixtures import BENCHMARK_CURVES, k_family, quadratic_mumford_certificate
+from curve_fixtures import (BENCHMARK_CURVES, fixture_curve, k_family,
+                            quadratic_mumford_certificate)
 from hilbert_oracle import _unit_residue
 from padic_oracle import InsufficientPrecision, PadicApprox
 import richelot_ctp.curve as curve_module
@@ -482,29 +483,76 @@ def test_taylor_valuations_are_computed_once_per_centre_and_prime(count_calls):
         assert 0 < first == calls[p], p
 
 
-# the codomain's root centres start from a scan of the residues mod p (one
-# factor evaluation each, more at a root), which depends only on the curve
-# and p: a later round only lifts what the first scan found, to its own
-# depth.  fhat of B97 has no simple root mod 23, where the search escalates
-# twice; the walk used to scan again in every round
-@pytest.mark.parametrize("P, p", [(97, 23), (257, 257)], ids=["B97@23", "A257@257"])
-def test_the_root_scan_runs_once_per_curve_and_prime(monkeypatch, P, p):
+# the codomain's root centres start from the roots mod p of its factors,
+# one evaluation of f' at each to keep the simple ones; this depends only
+# on the curve and p, and a later round only lifts what the first round
+# found, two evaluations per root and digit, to its own depth (6, 8, 10).
+# The cost does not grow with p: A257 and A1000033 (p = 1 mod 8 both) each
+# have three roots mod p, two of them simple, and A1000003 has one, a
+# multiple root, as fhat of B97 has at 23, where the search escalates
+# twice.  The roots used to come from a scan of the residues mod p, at
+# least p evaluations in the first round
+@pytest.mark.parametrize("P, p, calls", [(97, 23, [2, 0, 0]), (257, 257, [27, 32, 40]),
+                                         (1000003, 1000003, [1, 0, 0]),
+                                         (1000033, 1000033, [27, 32, 40])],
+                         ids=["B97@23", "A257@257", "A1000003@1000003", "A1000033@1000033"])
+def test_the_root_centres_are_found_once_per_curve_and_prime(monkeypatch, P, p, calls):
     curve = (build_pair(1, [0, 1], [-1, 0, 1], [-P * P, 0, 1]) if P == p else
              build_pair(1, [0, 1], [2, -3, 1], [5 * P, -(5 + P), 1]))  # fresh curves
     curve.codomain_data  # its Weierstrass values are evaluated once, on first use
-    evaluate, calls = lp.homogenized_eval, []
+    evaluate, counted_calls = lp.homogenized_eval, []
 
     def counted(*args):
-        calls[-1] += 1
+        counted_calls[-1] += 1
         return evaluate(*args)
 
     monkeypatch.setattr(lp, "homogenized_eval", counted)
     for cfg in [SearchConfig(), SearchConfig().escalate(), SearchConfig().escalate().escalate()]:
-        calls.append(0)
+        counted_calls.append(0)
         list(_x_blocks(curve, CODOMAIN, p, cfg))
-    assert calls[0] >= p and all(n < p for n in calls[1:]), calls
-    if P != p:
-        assert calls[1:] == [0, 0]
+    assert counted_calls == calls
+
+
+def scanned_simple_roots(data, p):
+    """The simple roots mod p of f of the `SideData`, by the scan of every
+    residue that `_root_centers` used to make."""
+    g = math.gcd(*data.f_form[0])
+    fi = [c // g for c in data.f_form[0]]
+    fprime = [i * c for i, c in enumerate(fi)][1:]
+    return [t for t in range(p) if poly_value(fi, t) % p == 0 and poly_value(fprime, t) % p]
+
+
+def poly_value(C, t):
+    return sum(c * t ** i for i, c in enumerate(C))
+
+
+# a factor's roots mod p are those of the scan, for seeded primitive
+# polynomials of degree up to 2, at p = 2, p = 3 and a few larger primes
+def test_the_roots_mod_p_of_a_factor_are_the_scanned_roots():
+    rng = random.Random(19)
+    for p in (2, 3, 5, 7, 13, 257):
+        for _ in range(200):
+            C = [rng.randint(-40, 40) for _ in range(rng.choice((2, 3)))]
+            if not any(C[1:]) or math.gcd(*C) != 1:
+                continue
+            assert sorted(set(lp._roots_mod_p(C, p))) == [
+                t for t in range(p) if poly_value(C, t) % p == 0], (C, p)
+
+
+# the root centres before lifting are the scan's simple roots, on both
+# sides, at every bad prime up to 1000 of the benchmark curves and R15, R18
+@pytest.mark.parametrize("label", [*BENCHMARK_CURVES, "R15", "R18"])
+def test_the_root_centres_are_the_scanned_simple_roots(label):
+    curve = BENCHMARK_CURVES.get(label) or fixture_curve(label)
+    checked = 0
+    for p in bad_places(curve).finite_primes:
+        if p > 1000:
+            continue
+        for side in (DOMAIN, CODOMAIN):
+            data = curve.side_data(side)
+            assert lp._root_centers(data, p, 0) == scanned_simple_roots(data, p), (p, side)
+            checked += 1
+    assert checked
 
 
 # ---------------------------------------------------------------------------

@@ -626,12 +626,12 @@ def count_factor_evaluations(monkeypatch, curve, p):
 def test_large_p_singles_tier_reads_generic_blocks_once_per_unit_class(monkeypatch):
     # the earlier singles tier evaluated the three factors at every residue
     # of every block: 142220 evaluations for local_images(A1009) at 1009;
-    # reading only generic blocks once per unit class left 15405, and
-    # reading each dominated factor once per block and unit class leaves
-    # about 3300
+    # reading only generic blocks once per unit class left 15405, reading
+    # each dominated factor once per block and unit class 3318, and a block
+    # of 128 sampled units in place of all 1008 leaves about 1200
     evaluations, status = count_factor_evaluations(monkeypatch, A1009, 1009)
     assert status == CERTIFIED
-    assert evaluations < 15405 / 3
+    assert evaluations <= 1250
 
 
 def test_the_singles_tier_reads_dominated_factors_once_per_unit_class(monkeypatch):
@@ -660,11 +660,9 @@ def test_a_side_stops_its_singles_tier_once_both_images_are_full(monkeypatch):
     assert evaluations <= 100
 
 
-def test_a_large_prime_walks_at_most_a_few_generic_blocks_whole(monkeypatch):
-    # local_images(A1009) at 1009 walked 5136 singles candidates and read
-    # 1559 points, most of them in two generic blocks that began before the
-    # pool filled; cutting a block when the pool fills, and stopping when
-    # both images are full, leaves about 3190 candidates and 600 points
+def count_walked(monkeypatch, curve, p):
+    """The singles candidates local_images(curve) walks at p, the points it
+    reads among them, and its status."""
     walked = collections.Counter()
     x_candidates, points_among = lp._x_candidates, lp._points_among
 
@@ -677,10 +675,48 @@ def test_a_large_prime_walks_at_most_a_few_generic_blocks_whole(monkeypatch):
 
     monkeypatch.setattr(lp, "_x_candidates", counted("candidates", x_candidates))
     monkeypatch.setattr(lp, "_points_among", counted("points", points_among))
-    images = local_images(large_prime(1009), LocalPlace.finite(1009))
-    assert images[0].status == CERTIFIED
-    assert 0 < walked["candidates"] <= 3300
-    assert 0 < walked["points"] <= 700
+    images = local_images(curve, LocalPlace.finite(p))
+    return walked["candidates"], walked["points"], images[0].status
+
+
+def test_a_large_prime_walks_at_most_a_few_generic_blocks_whole(monkeypatch):
+    # local_images(A1009) at 1009 walked 5136 singles candidates and read
+    # 1559 points, most of them in two generic blocks that began before the
+    # pool filled; cutting a block when the pool fills, and stopping when
+    # both images are full, left 3189 candidates and 599 points, and blocks
+    # of 128 sampled units leave 809 candidates and 143 points
+    candidates, points, status = count_walked(monkeypatch, large_prime(1009), 1009)
+    assert status == CERTIFIED
+    assert 0 < candidates <= 850
+    assert 0 < points <= 150
+
+
+# a block walks at most `_RESIDUE_CAP` units whatever the size of p, so the
+# search at a six- or seven-digit prime walks no more than at 1009, and
+# certifies; when it scanned every unit, A1000003 took 70 s and 510 MB
+@pytest.mark.parametrize("P", [100003, 1000003])
+def test_the_search_at_a_large_prime_walks_as_little_as_at_1009(monkeypatch, P):
+    candidates, points, status = count_walked(monkeypatch, large_prime(P), P)
+    assert status == CERTIFIED
+    assert 0 < candidates <= 850
+    assert 0 < points <= 150
+
+
+# the full walk of every unit mod p, the search before the cap, finds the
+# same images as the capped one, with the same status
+@pytest.mark.parametrize("P", [257, 1009, 10007])
+def test_the_capped_walk_finds_the_images_of_the_full_walk(monkeypatch, P):
+    v = LocalPlace.finite(P)
+    # fresh curves: the unit classes are kept per curve, prime and exponent
+    capped = local_images(large_prime(P), v)
+    unit_residues = lp._unit_residues
+    monkeypatch.setattr(lp, "_unit_residues", lambda p, e: (
+        list(range(1, p)) if p > lp._RESIDUE_CAP else unit_residues(p, e)))
+    assert len(lp._unit_residues(P, 4)) == P - 1 > len(unit_residues(P, 4))
+    full = local_images(large_prime(P), v)
+    for a, b in zip(capped, full):
+        assert a.status == b.status == CERTIFIED
+        assert a.span().basis() == b.span().basis(), (a.side, P)
 
 
 def test_the_quadratic_tier_steps_one_b_block_at_a_time(monkeypatch):

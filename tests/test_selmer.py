@@ -1,5 +1,7 @@
 import pytest
 
+from curve_fixtures import fixture_curve
+from richelot_ctp import arith
 from richelot_ctp.arith import bad_places, enumerate_Q_S2
 from richelot_ctp.cohomology import KummerTriple
 from richelot_ctp.ctp import ctp_matrix
@@ -105,3 +107,17 @@ def test_non_selmer_class_rejected(sel_phihat, curve113):
     assert not sel_phihat.contains(KummerTriple.of(5, 5, 1))
     with pytest.raises(ValueError, match="is not in the Selmer group"):
         ctp_matrix(sel_phihat, curve113, basis=[KummerTriple.of(5, 5, 1)])
+
+
+# the slot values of two-torsion are S-units, so once the bad places are
+# known the global torsion images factor nothing, even where S holds a
+# 12-digit prime and the values products of several of its primes
+def test_torsion_images_factor_nothing_once_S_is_known(monkeypatch):
+    curve = fixture_curve("A999999999989")
+    assert 999999999989 in curve.bad_places
+    factored = []
+    factorize = arith.factorize
+    monkeypatch.setattr(arith, "factorize", lambda n: factored.append(n) or factorize(n))
+    images = {side: torsion_images(curve, side) for side in ("phihat", "phi")}
+    assert not factored
+    assert any(999999999989 in c.primes for t in images["phihat"] for c in t.classes)
