@@ -15,9 +15,10 @@ first use, and holds them: the sextic models f and fhat, the leading
 coefficient, the rational roots, the bad places, the key caches file the
 curve under, and one `SideData` per descent map with what it reads at every
 place (integer forms, Weierstrass and infinite factor values, kernel
-quadratics; for the search also real sample points and Taylor coefficients,
-at x-centres and at the quadratic tier's centres, with their valuations and
-the search's tables per prime).
+quadratics; for the search also real sample points and the Taylor
+coefficients, at x-centres and at the quadratic tier's centres, as integer
+numerators and denominators, with their valuations and the search's tables
+per prime).
 Nothing is shared between instances, so two equal curves built separately
 compute it twice.
 """
@@ -468,8 +469,10 @@ class SideData:
     kernel divisor of each factor without rational roots, and for the search
     f (f or fhat) with its integer form, the real sample points (taken
     between the factors' real roots, see `real_root_samples`) and the Taylor
-    coefficients at each centre, x-centres and quadratic ones.  A place adds
-    only its class bits and the tables `table` keeps per prime, such as the
+    coefficients at each centre, x-centres and quadratic ones, as integer
+    numerators and denominators derived from the integer forms
+    (`taylor_terms`), so no Fraction is built per centre.  A place adds only
+    its class masks and the tables `table` keeps per prime, such as the
     valuations of `taylor_valuations`.  Factor values are integer (numerator,
     denominator) pairs per factor, in the conventions of the descent maps.
 
@@ -548,12 +551,14 @@ class SideData:
         return ([(g[1] / g[2], g[0] / g[2]) for g in self.factors if len(g) == 3]
                 + [(-(r + s), r * s) for r, s in itertools.combinations(self.roots, 2)])
 
-    def taylor(self, c) -> list[list[tuple[tuple[int, ...], Fraction]]]:
-        """Per polynomial, (exponents, coefficient) of its nonzero Taylor
-        coefficients at the centre c.  At an x-centre c (a Fraction) the
-        polynomials are the factors g(c + t) = sum a_k t^k, a_k = sum_i
-        binom(i, k) g_i c^(i-k).  At a quadratic centre c = (a0, b0) they are,
-        for x^2 + (a0 + s) x + (b0 + t), the discriminant a^2 - 4 b and each
+    def taylor_terms(self, c) -> list[list[tuple[tuple[int, ...], int, int]]]:
+        """Per polynomial, (exponents, numerator, denominator) of its nonzero
+        Taylor coefficients at the centre c, read from the integer forms.  At
+        an x-centre c = n/d (a Fraction) the polynomials are the factors
+        g = sum C_i x^i / den of degree k0, and g(c + t) has the coefficient
+        A_k / (den d^(k0-k)) at t^k, A_k = sum_i binom(i, k) C_i n^(i-k)
+        d^(k0-i).  At a quadratic centre c = (a0, b0) they are, for
+        x^2 + (a0 + s) x + (b0 + t), the discriminant a^2 - 4 b and each
         factor's resultant `_res2`, b^2 g2^2 - a b g1 g2 + a^2 g0 g2
         + b (g1^2 - 2 g0 g2) - a g0 g1 + g0^2: quadratics in (s, t), with
         exponents (i, k) for s^i t^k."""
@@ -568,16 +573,20 @@ class SideData:
                 self._taylor[c] = [_shifted_quadratic(C, D, *_common_denominator(*c))
                                    for C, D in polys]
             else:
-                self._taylor[c] = [[((k,), a) for k, a in enumerate(
-                    [sum(math.comb(i, k) * g[i] * c ** (i - k) for i in range(k, len(g)))
-                     for k in range(len(g))]) if a] for g in self.factors]
+                n, d = c.numerator, c.denominator
+                self._taylor[c] = [[((k,), a, den * d ** (len(C) - 1 - k)) for k, a in enumerate(
+                    [sum(math.comb(i, k) * C[i] * n ** (i - k) * d ** (len(C) - 1 - i)
+                         for i in range(k, len(C))) for k in range(len(C))]) if a]
+                    for C, den in self.forms]
         return self._taylor[c]
 
     def taylor_valuations(self, c, p: int) -> list[list[tuple[int, tuple[int, ...]]]]:
-        """(v_p(coefficient), exponents) of each term of `taylor(c)`, per
-        polynomial, computed once per centre and prime."""
+        """(v_p(coefficient), exponents) of each term of `taylor_terms(c)`,
+        per polynomial, as v_p(numerator) - v_p(denominator), computed once
+        per centre and prime."""
         return self.table(("valuations", c, p), lambda: [
-            [(valuation(a, p), ks) for ks, a in g] for g in self.taylor(c)])
+            [(valuation(a, p) - valuation(den, p), ks) for ks, a, den in g]
+            for g in self.taylor_terms(c)])
 
     def table(self, key, make):
         """`make()`, kept under `key`: the search's tables per prime."""
@@ -587,9 +596,9 @@ class SideData:
 
 
 def _shifted_quadratic(C: dict, D: int, an: int, bn: int, q: int) -> list:
-    """((i, k), coefficient) of the nonzero coefficients of s^i t^k in
-    P(a0 + s, b0 + t) = sum C_ik (a0 + s)^i (b0 + t)^k / D, for integer C_ik
-    of degree i + k <= 2 and the centre a0 = an/q, b0 = bn/q."""
+    """((i, k), numerator, denominator) of the nonzero coefficients of s^i t^k
+    in P(a0 + s, b0 + t) = sum C_ik (a0 + s)^i (b0 + t)^k / D, for integer
+    C_ik of degree i + k <= 2 and the centre a0 = an/q, b0 = bn/q."""
     def c(i, k):
         return C.get((i, k), 0)
     out = [((0, 0), sum(v * an ** i * bn ** k * q ** (2 - i - k) for (i, k), v in C.items()),
@@ -597,7 +606,7 @@ def _shifted_quadratic(C: dict, D: int, an: int, bn: int, q: int) -> list:
            ((1, 0), c(1, 0) * q + 2 * c(2, 0) * an + c(1, 1) * bn, D * q),
            ((0, 1), c(0, 1) * q + 2 * c(0, 2) * bn + c(1, 1) * an, D * q),
            ((2, 0), c(2, 0), D), ((1, 1), c(1, 1), D), ((0, 2), c(0, 2), D)]
-    return [(ks, Fraction(n, d)) for ks, n, d in out if n]
+    return [term for term in out if term[1]]
 
 
 def _coefficient_det(polys) -> Fraction:

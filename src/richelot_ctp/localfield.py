@@ -4,13 +4,14 @@ Square classes of Q_v, the Hilbert symbol in closed form, and square roots
 of p-adic units modulo p^k, of which the Mumford-divisor certificate reads
 a few digits.  Squareness of a rational at a finite place is decided from
 the valuation parity and unit residues (mod p for odd p, mod 8 for p = 2),
-never from truncated expansions.  `square_class_bits` reads both in one
+never from truncated expansions.  `square_class_mask` reads both in one
 pass from the integer numerator and denominator, without building a
-Fraction.  A Hilbert symbol depends only on the square classes of its
-arguments, so `hilbert_bits` evaluates it on their bits, and
-`hilbert_symbol` reads the bits of two rationals and calls it.  The tests
-check the closed form against an independent brute-force solvability
-oracle.
+Fraction, and packs the class into the bits of an int, the form the local
+search compares; `square_class_bits` unpacks it.  A Hilbert symbol depends
+only on the square classes of its arguments, so `hilbert_bits` evaluates it
+on their bits, and `hilbert_symbol` reads the bits of two rationals and
+calls it.  The tests check the closed form against an independent
+brute-force solvability oracle.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "places_of",
     "class_mask",
     "square_class_bits",
+    "square_class_mask",
     "sqrt_mod_pk",
     "valuation",
 ]
@@ -68,8 +70,9 @@ def places_of(S) -> list[LocalPlace]:
 
 
 def valuation(q, p: int) -> int:
-    """v_p of a nonzero rational."""
-    q = Fraction(q)
+    """v_p of a nonzero rational; an int or a Fraction is read as it is."""
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
     if q == 0:
         raise ValueError("valuation of zero")
     v = 0
@@ -149,8 +152,9 @@ def local_square_dim(v: LocalPlace) -> int:
     return 3 if v.p == 2 else 2
 
 
-def square_class_bits(n: int, d: int, p: Optional[int]) -> tuple[int, ...]:
-    """The `LocalSquareClass.bits` of n/d (nonzero ints) at p, None being oo.
+def square_class_mask(n: int, d: int, p: Optional[int]) -> int:
+    """The square class of n/d (nonzero ints) at p, None being oo, as a
+    mask: bit i is the i-th coordinate of `LocalSquareClass.bits`.
 
     One pass over the integers: strip p from n and d for the valuation
     parity, then read the unit part's residue from n d, which lies in the
@@ -159,18 +163,26 @@ def square_class_bits(n: int, d: int, p: Optional[int]) -> tuple[int, ...]:
     if not n or not d:
         raise ValueError("zero has no square class")
     if p is None:
-        return (1 if (n < 0) != (d < 0) else 0,)
+        return 1 if (n < 0) != (d < 0) else 0
+    if p == 2:
+        vn, vd = (n & -n).bit_length() - 1, (d & -d).bit_length() - 1
+        # the unit part is 3^b1 5^b2 mod 8, and b1, b2 are its bits 1 and 2
+        return (vn ^ vd) & 1 | ((n >> vn) * (d >> vd)) & 6
     val = 0
     while n % p == 0:
         n //= p
-        val += 1
+        val ^= 1
     while d % p == 0:
         d //= p
-        val -= 1
-    if p == 2:
-        u8 = (n % 8) * (d % 8) % 8  # the unit part is 3^b1 5^b2 mod 8
-        return (val & 1, (u8 >> 1) & 1, (u8 >> 2) & 1)
-    return (val & 1, 0 if pow((n % p) * (d % p), (p - 1) // 2, p) == 1 else 1)
+        val ^= 1
+    return val if pow(n % p * (d % p), p >> 1, p) == 1 else val | 2
+
+
+def square_class_bits(n: int, d: int, p: Optional[int]) -> tuple[int, ...]:
+    """The `LocalSquareClass.bits` of n/d (nonzero ints) at p, None being oo:
+    `square_class_mask` unpacked."""
+    m = square_class_mask(n, d, p)
+    return tuple(m >> i & 1 for i in range(1 if p is None else 3 if p == 2 else 2))
 
 
 def class_mask(classes) -> int:

@@ -21,16 +21,18 @@ are certified complete through local duality: the two kernels' images must
 annihilate each other under the cup product and their dimensions must fill
 dim H^1 (2 over R, 4 at odd p, 6 at p = 2).
 
-Every tier hands each candidate over with its image as a mask of integer
-class bits, so candidates are compared by mask and the exact image is built
-only for a vector the search keeps or a point it returns (and must match its
-mask).  Every tier skips a mask its walk has already yielded before it
-builds the divisor, or certifies a quadratic, so a walk yields each mask
-once; an escalation walks only the tiers whose bounds it changes.  Each
-call walks afresh.  `local_images` steps the two sides' walks in turn (a
-block of candidates or one candidate a step), stops once they fill dim H^1,
-escalates only once both have used up a round, and keeps the witness of
-each basis vector, from which the pairing builds its rows.
+Every tier hands each candidate over with its image as a mask: one int
+holding slot i's `square_class_mask` at shift i dim, read from integer
+numerators and denominators, so candidates are compared as ints and the
+exact image is built only for a vector the search keeps or a point it
+returns (and must match its mask).  Every tier skips a mask its walk has
+already yielded before it builds the divisor, or certifies a quadratic, so
+a walk yields each mask once; an escalation walks only the tiers whose
+bounds it changes.  Each call walks afresh.  `local_images` steps the two
+sides' walks in turn (a block of candidates or one candidate a step), stops
+once they fill dim H^1, escalates only once both have used up a round, and
+keeps the witness of each basis vector, from which the pairing builds its
+rows.
 
 Single points come in blocks x = c + r p^j over the unit residues r: all
 units mod p^m while p^m <= `_RESIDUE_CAP`, past it a sample of that many
@@ -54,19 +56,18 @@ f mod A, is dropped before its certificate, which it cannot pass.
 
 The search reads what depends on the curve alone from the curve's
 `SideData` (integer forms, Weierstrass and infinite factor values, kernel
-quadratics, real samples, Taylor coefficients at each centre), computed
-once per curve; a place adds only class bits and, kept there too, the
-valuations at p at each centre, the root centres and the unit classes.
+quadratics, real samples, the Taylor coefficients at each centre as integer
+numerators and denominators), computed once per curve; a place adds only
+class masks and, kept there too, the valuations at p at each centre, read
+from those integers, the root centres and the unit classes.
 The real place's single points are one sample per sign region of f, taken
 between the factors' real roots.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -92,11 +93,10 @@ from .curve import (
 )
 from .localfield import (
     LocalPlace,
-    class_mask,
     is_local_square,
     local_square_dim,
     sqrt_mod_pk,
-    square_class_bits,
+    square_class_mask,
     valuation,
 )
 
@@ -359,15 +359,15 @@ def _quadratic_certificate(f_form, an: int, bn: int, q: int, v: LocalPlace) -> b
     if U == 0:
         if W == 0:
             return True  # A divides f: the two-torsion divisor, B = 0
-        return (not any(square_class_bits(W, s, p))
-                or (disc != 0 and not any(square_class_bits(W * disc, s, p))))
+        return (not square_class_mask(W, s, p)
+                or (disc != 0 and not square_class_mask(W * disc, s, p)))
     nn = q * (q * W * W - an * U * W + bn * U * U)
-    if nn == 0 or any(square_class_bits(nn, 1, p)):
+    if nn == 0 or square_class_mask(nn, 1, p):
         return False
     tr = 2 * q * W - an * U
-    want = class_mask([square_class_bits(q, s, p)])
+    want = square_class_mask(q, s, p)
     if disc == 0:
-        return class_mask([square_class_bits(2 * tr, 1, p)]) == want
+        return square_class_mask(2 * tr, 1, p) == want
     h, u = 0, nn  # nn = p^(2h) u with u a unit
     while u % p == 0:
         u //= p * p
@@ -381,8 +381,8 @@ def _quadratic_certificate(f_form, an: int, bn: int, q: int, v: LocalPlace) -> b
     root = 2 * p ** h * sqrt_mod_pk(u, p, max(e - h, 1))
     # the candidate of smaller valuation, nonzero mod m
     t = min((tr + root) % m, (tr - root) % m, key=lambda y: math.gcd(y, m))
-    c = class_mask([square_class_bits(t, 1, p)])
-    return want in (c, c ^ class_mask([square_class_bits(disc, 1, p)]))
+    c = square_class_mask(t, 1, p)
+    return want in (c, c ^ square_class_mask(disc, 1, p))
 
 
 # ---------------------------------------------------------------------------
@@ -572,10 +572,11 @@ def _x_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConf
 
 
 def _points_among(curve: RichelotPair, side: str, v: LocalPlace,
-                  xs: Iterable[Optional[tuple]]) -> Iterator[Optional[tuple[Fraction, tuple]]]:
+                  xs: Iterable[Optional[tuple]]) -> Iterator[Optional[tuple[Fraction, int]]]:
     """The candidates (n, d, tag) of `_x_candidates` with f(n/d) a nonzero
-    square in Q_v, in order, as x = n/d with the square-class bits of its
-    three factor values, and the feed's step marks (None) as they come.
+    square in Q_v, in order, as x = n/d with its image mask (factor i's
+    `square_class_mask` at shift i dim), and the feed's step marks (None) as
+    they come.
 
     f = G1 G2 G3 on the domain (build_pair folds lambda into G1) and
     fhat = L1 L2 L3 / Delta on the codomain, so f(x) is a square iff the
@@ -583,34 +584,37 @@ def _points_among(curve: RichelotPair, side: str, v: LocalPlace,
     are read from their homogenized integer forms, without a Fraction.
 
     A dominated factor has one class for all candidates of a tag, so it is
-    read once, from the tag's first candidate, and kept in the tag; where
-    every factor is dominated, the tag keeps whether the point is a square
-    too.  The other factors are read per candidate; only they can be zero,
-    at a Weierstrass point.
+    read once, from the tag's first candidate, and kept in the tag, already
+    in its slot of the mask; where every factor is dominated, the tag keeps
+    whether the point is a square too.  The other factors are read per
+    candidate; only they can be zero, at a Weierstrass point, which has no
+    class (None), unlike the trivial class 0.
     """
-    p = v.p
+    p, dim = v.p, local_square_dim(v)
     data = curve.side_data(side)
-    f_class = square_class_bits(data.delta.numerator, data.delta.denominator, p)
+    f_class = square_class_mask(data.delta.numerator, data.delta.denominator, p)
 
     def bits(i, n, d):
         C, den = data.forms[i]
         acc, dk = homogenized_eval(C, n, d)
-        return acc and square_class_bits(acc, den * dk, p)
-
-    def xor(a, b):
-        return tuple(map(operator.xor, a, b))
+        return square_class_mask(acc, den * dk, p) if acc else None
 
     def read(dominated, n, d):
-        # (the dominated factors' classes, None for the others; the others'
+        # (the dominated factors' classes in their slots; the others'
         # indices; the class the others' classes multiply to iff f(x) is a
         # square), or False where every factor is dominated and f(x) is not
         # a square
-        classes = [bits(i, n, d) if dom else None for i, dom in enumerate(dominated)]
-        free = [i for i, c in enumerate(classes) if c is None]
-        want = functools.reduce(xor, [c for c in classes if c], f_class)
-        return (classes, free, want) if free or not any(want) else False
+        known, free, want = 0, [], f_class
+        for i, dom in enumerate(dominated):
+            if dom:
+                c = bits(i, n, d)
+                known |= c << i * dim
+                want ^= c
+            else:
+                free.append(i)
+        return (known, free, want) if free or not want else False
 
-    unknown = [None] * 3, range(3), f_class  # a candidate without a tag
+    unknown = 0, range(3), f_class  # a candidate without a tag
     for item in xs:
         if item is None:
             yield None
@@ -621,15 +625,16 @@ def _points_among(curve: RichelotPair, side: str, v: LocalPlace,
             known = tag[1] = read(tag[0], n, d)
         if not known:
             continue
-        classes, free, want = known
-        if free:
-            got = [bits(i, n, d) for i in free]
-            if not all(got) or functools.reduce(xor, got) != want:
-                continue  # x is a Weierstrass point, or f(x) is no square
-            classes = classes[:]
-            for i, c in zip(free, got):
-                classes[i] = c
-        yield Fraction(n, d), tuple(classes)
+        mask, free, want = known
+        for i in free:
+            c = bits(i, n, d)
+            if c is None:
+                break  # x is a Weierstrass point
+            mask |= c << i * dim
+            want ^= c
+        else:
+            if not want:  # else f(x) is no square
+                yield Fraction(n, d), mask
 
 
 def _torsion_divisors(curve: RichelotPair, side: str) -> list[MumfordDivisor]:
@@ -671,7 +676,10 @@ def _quadratic_mask(an: int, bn: int, q: int, forms, p: int) -> int:
     if 0 in res:
         i = res.index(0)
         res[i] = res[i - 1] * res[i - 2]
-    return class_mask([square_class_bits(r, 1, p) for r in res])
+    r0, r1, r2 = res
+    d = 3 if p == 2 else 2
+    return (square_class_mask(r0, 1, p) | square_class_mask(r1, 1, p) << d
+            | square_class_mask(r2, 1, p) << 2 * d)
 
 
 def _quadratic_blocks(data, p: int, cfg: SearchConfig) -> Iterator:
@@ -773,7 +781,7 @@ def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: Se
                         an, bn, q = ints(a, b)
                         if split is None:
                             disc = an * an - 4 * bn * q
-                            split = disc == 0 or not any(square_class_bits(disc, 1, p))
+                            split = disc == 0 or not square_class_mask(disc, 1, p)
                             if disc_rule:
                                 splits[ka, kb] = split
                             if split:
@@ -808,11 +816,14 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
     values for a kernel quadratic, all kept in the side's `SideData`.
     """
     rng = random.Random(cfg.shuffle_seed) if cfg.shuffle_seed is not None else None
-    p = v.p
+    p, dim = v.p, local_square_dim(v)
     data = curve.side_data(side)
 
     def bits(values) -> int:
-        return class_mask([square_class_bits(n, d, p) for n, d in values])
+        m = 0
+        for i, (n, d) in enumerate(values):
+            m |= square_class_mask(n, d, p) << i * dim
+        return m
 
     # the masks of the Weierstrass points, and of infinity under "inf"
     masks = {x: bits(values) for x, values in data.root_values.items()}
@@ -857,9 +868,8 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
             if not item:
                 yield item  # a step mark
             elif not full() or item[1] not in seen_classes:
-                x, ckey = item
-                seen_classes.add(ckey)
-                mask = class_mask(ckey)
+                x, mask = item
+                seen_classes.add(mask)
                 if len(pool) < 3 * _POINT_POOL:
                     pool.append((x, mask))
                 if inf_ok and mask ^ masks["inf"] not in known:

@@ -1,12 +1,14 @@
 """The integer kernel against the Fraction code it replaced.
 
-`poly_eval`, the square classes, the Hilbert symbol, the quadratic
-certificate and the slot values of the descent maps run on integer
-numerators and denominators.  The references below are the straightforward
-Fraction versions: Horner's rule on Fractions, the square class read through
+`poly_eval`, the square classes and their packed masks, the Hilbert
+symbol, the quadratic certificate, the Taylor coefficients at the search's
+centres and the slot values of the descent maps run on integer numerators
+and denominators.  The references below are the straightforward Fraction
+versions: Horner's rule on Fractions, the square class read through
 `valuation` and `_unit_residue`, the closed form Hilbert symbol on those, the
 norm-trace certificate on Fractions and 80-digit p-adics (`padic_oracle`),
-and the quintuple map's evaluator.
+the Taylor expansion on Fractions (`fraction_taylor`), and the quintuple
+map's evaluator.
 They are compared on seeded random inputs, the singles tier's point
 decision is compared with evaluating f itself on every candidate, and the
 quintuple map with its evaluator on every divisor the search walks yield.
@@ -46,6 +48,7 @@ from richelot_ctp.localfield import (
     places_of,
     sqrt_mod_pk,
     square_class_bits,
+    square_class_mask,
     valuation,
 )
 from richelot_ctp.arith import bad_places
@@ -72,6 +75,7 @@ from richelot_ctp.localpoints import (
 PRIMES = (2, 3, 1009, 10007)
 PLACES = [LocalPlace.infinite()] + [LocalPlace.finite(p) for p in PRIMES]
 OTHER = (1, 3, 5, 7, 11, 13, 1009, 10007)
+ROUNDS = [SearchConfig(), SearchConfig().escalate(), SearchConfig().escalate().escalate()]
 
 FRACTIONAL = build_pair(4, [Fraction(-1, 2), 1], [-1, 0, 1], [-12, 1, 1])
 IRRATIONAL = build_pair(1, [0, 1], [-1, 0, 1], [6, -5, 1])
@@ -252,6 +256,29 @@ def test_square_class_matches_valuation_and_unit_residue(v):
         square_class_bits(0, 5, v.p)
 
 
+# the packed class is the reference class's bits in one int, on seeded n/d
+# with either sign, p dividing neither, one or both, to powers up to p^12
+@pytest.mark.parametrize("v", [LocalPlace.infinite()] + [
+    LocalPlace.finite(p) for p in (2, 3, 5, 23, 1009)], ids=str)
+def test_square_class_mask_is_the_packed_reference_class(v):
+    rng = random.Random(f"square class mask {v}")
+    q = v.p or 2
+    cases = collections.Counter()
+    for _ in range(1000):
+        n = (rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(1, 30))
+             * q ** rng.choice((0, 0, rng.randint(1, 12))))
+        d = rng.randint(1, 10 ** rng.randint(0, 20)) * q ** rng.choice((0, 0, rng.randint(1, 12)))
+        want = class_mask([reference_class(Fraction(n, d), v)])
+        assert square_class_mask(n, d, v.p) == want, (n, d)
+        assert square_class_mask(-n, -d, v.p) == want, (n, d)  # a negative denominator
+        assert square_class_bits(n, d, v.p) == reference_class(Fraction(n, d), v)
+        cases[n < 0, n % q == 0, d % q == 0] += 1
+    assert len(cases) == 8, cases
+    for n, d in ((0, 5), (-3, 0), (0, 0)):
+        with pytest.raises(ValueError):
+            square_class_mask(n, d, v.p)
+
+
 @pytest.mark.parametrize("v", PLACES, ids=str)
 def test_hilbert_symbol_matches_the_old_closed_form(v):
     rng = random.Random(f"hilbert {v}")
@@ -383,8 +410,8 @@ def test_singles_factor_xor_decides_like_evaluating_f(curve, p, side):
         fx = poly_eval(f, x)
         if fx != 0 and is_local_square(fx, v):
             assert reference_is_square(fraction_horner(f, x), v)
-            expected.append((x, tuple(reference_class(fraction_horner(g, x), v)
-                                      for g in polys)))
+            expected.append((x, class_mask(reference_class(fraction_horner(g, x), v)
+                                           for g in polys)))
     got = [x for x in _points_among(curve, side, v, feed) if x is not None]
     assert got == expected
     assert len(got) < len(xs)
@@ -469,18 +496,74 @@ def test_most_domain_blocks_at_2_are_generic():
 
 # the valuations of the Taylor coefficients depend only on the centre and
 # the prime: a later round's walk reads them from the first one's (the walk
-# used to recompute them at every centre in every round)
+# used to recompute them at every centre in every round); they are read from
+# the integer numerators and denominators, never from a Fraction
 def test_taylor_valuations_are_computed_once_per_centre_and_prime(count_calls):
     curve = k_family(143)  # a fresh curve: the valuations live on its SideData
-    calls = count_calls(curve_module, "valuation", lambda args: args[1])
-    rounds = [SearchConfig(), SearchConfig().escalate(), SearchConfig().escalate().escalate()]
+    calls = count_calls(curve_module, "valuation", lambda args: (args[1], type(args[0])))
     for p in bad_places(curve).finite_primes:
         # the domain's centres are its roots and 0 in every round
-        list(_x_blocks(curve, DOMAIN, p, rounds[0]))
-        first = calls[p]
-        for cfg in rounds[1:]:
+        list(_x_blocks(curve, DOMAIN, p, ROUNDS[0]))
+        first = calls[p, int]
+        for cfg in ROUNDS[1:]:
             list(_x_blocks(curve, DOMAIN, p, cfg))
-        assert 0 < first == calls[p], p
+        assert 0 < first == calls[p, int], p
+    assert {kind for _, kind in calls} == {int}, calls
+
+
+def fraction_taylor(data, c):
+    """Per polynomial, (exponents, coefficient) of its nonzero Taylor
+    coefficients at the centre c, on Fractions: the reference for
+    `SideData.taylor_terms`.  At an x-centre the factors g(c + t), with
+    a_k = sum_i binom(i, k) g_i c^(i-k); at a quadratic centre (a0, b0) the
+    discriminant a^2 - 4 b and each factor's resultant b^2 g2^2 - a b g1 g2
+    + a^2 g0 g2 + b (g1^2 - 2 g0 g2) - a g0 g1 + g0^2, expanded at
+    (a0 + s, b0 + t) term by term, exponents (i, k) for s^i t^k."""
+    if not isinstance(c, tuple):
+        return [[((k,), a) for k, a in enumerate(
+            [sum(math.comb(i, k) * g[i] * c ** (i - k) for i in range(k, len(g)))
+             for k in range(len(g))]) if a] for g in data.factors]
+    polys = [{(2, 0): Fraction(1), (0, 1): Fraction(-4)}]
+    for g in data.factors:
+        g0, g1, g2 = (tuple(g) + (0, 0))[:3]
+        polys.append({(0, 2): g2 * g2, (1, 1): -g1 * g2, (2, 0): g0 * g2,
+                      (0, 1): g1 * g1 - 2 * g0 * g2, (1, 0): -g0 * g1, (0, 0): g0 * g0})
+    a0, b0 = c
+    out = []
+    for P in polys:
+        shifted = collections.Counter()
+        for (j, l), coefficient in P.items():
+            for i, k in itertools.product(range(j + 1), range(l + 1)):
+                shifted[i, k] += (coefficient * math.comb(j, i) * math.comb(l, k)
+                                  * a0 ** (j - i) * b0 ** (l - k))
+        out.append([(ks, shifted[ks]) for ks in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+                    if shifted[ks]])
+    return out
+
+
+# the integer Taylor data at every centre a walk visits, x-centres and
+# quadratic ones, on both sides, at every bad prime, in all three rounds,
+# are the Fraction coefficients, and so are their valuations
+@pytest.mark.parametrize("label", [*BENCHMARK_CURVES, "R15", "R18"])
+def test_taylor_valuations_match_the_fraction_taylor_oracle(label):
+    curve = BENCHMARK_CURVES.get(label) or fixture_curve(label)
+    kinds = collections.Counter()
+    for p in bad_places(curve).finite_primes:
+        for side in (DOMAIN, CODOMAIN):
+            data = curve.side_data(side)
+            centres = set()
+            for cfg in ROUNDS:
+                centres.update(c for c, _, _ in _x_blocks(curve, side, p, cfg))
+                centres.update(c for c, _, _ in _quadratic_blocks(data, p, cfg))
+            for c in centres:
+                want = fraction_taylor(data, c)
+                terms = data.taylor_terms(c)
+                assert [[(ks, Fraction(n, d)) for ks, n, d in g] for g in terms] == want, (p, c)
+                assert all(type(n) is int and type(d) is int for g in terms for _, n, d in g)
+                assert data.taylor_valuations(c, p) == [
+                    [(valuation(a, p), ks) for ks, a in g] for g in want], (p, side, c)
+                kinds[type(c)] += 1
+    assert kinds[Fraction] and kinds[tuple], kinds
 
 
 # the codomain's root centres start from the roots mod p of its factors,

@@ -763,9 +763,8 @@ def test_a_corrupt_class_bit_raises(monkeypatch):
     def corrupted(*args):
         for item in points_among(*args):
             if item is not None:
-                x, classes = item
-                first = classes[0]
-                item = x, ((first[0], first[1] ^ 1),) + classes[1:]
+                x, mask = item
+                item = x, mask ^ 0b10  # the second bit of the first slot
             yield item
 
     monkeypatch.setattr(lp, "_points_among", corrupted)
@@ -792,9 +791,8 @@ def test_a_corrupt_class_bit_in_a_generic_block_representative_raises(monkeypatc
     def corrupted(*args):
         for item in points_among(*args):
             if item is not None and (item[0].numerator, item[0].denominator) in fast:
-                x, classes = item
-                first = classes[0]
-                item = x, ((first[0], first[1] ^ 1),) + classes[1:]
+                x, mask = item
+                item = x, mask ^ 0b10  # the second bit of the first slot
             yield item
 
     monkeypatch.setattr(lp, "_x_candidates", recorded_xs)
