@@ -21,6 +21,8 @@ __all__ = [
     "PlaceSet",
     "squarefree_reduce",
     "enumerate_Q_S2",
+    "qs2_element",
+    "qs2_index",
     "bad_places",
     "factorize",
     "prime_support",
@@ -177,10 +179,6 @@ class SquareClass:
     def one() -> "SquareClass":
         return SquareClass(1, ())
 
-    @staticmethod
-    def minus_one() -> "SquareClass":
-        return SquareClass(-1, ())
-
     @property
     def value(self) -> int:
         v = self.sign
@@ -253,21 +251,25 @@ class PlaceSet:
         return "{" + ", ".join(parts) + "}"
 
 
+def qs2_index(c: SquareClass, primes) -> int:
+    """F2 coordinates of a class over the basis (-1, p1, p2, ...) of
+    Q(S,2), S having the finite `primes`: bit 0 is -1, bit i + 1 is
+    primes[i].  A prime outside `primes` is left out."""
+    return (c.sign < 0) | sum(2 << i for i, p in enumerate(primes) if p in c.primes)
+
+
+def qs2_element(m: int, primes) -> SquareClass:
+    """The class of Q(S,2) with the coordinates m (`qs2_index` inverted)."""
+    return SquareClass(-1 if m & 1 else 1, tuple(p for i, p in enumerate(primes) if m & 2 << i))
+
+
 def enumerate_Q_S2(S: PlaceSet) -> list[SquareClass]:
     """The subgroup Q(S,2) of Q*/(Q*)^2 generated by -1 and the primes of S.
 
     Deterministic order: binary counter over the basis (-1, p1, p2, ...),
     so the list has size 2^(1 + #finite primes) and starts with 1, -1, p1, ...
     """
-    basis = [SquareClass.minus_one()] + [SquareClass(1, (p,)) for p in S.finite_primes]
-    out = []
-    for mask in range(1 << len(basis)):
-        c = SquareClass.one()
-        for i, b in enumerate(basis):
-            if mask >> i & 1:
-                c = c * b
-        out.append(c)
-    return out
+    return [qs2_element(m, S.finite_primes) for m in range(2 << len(S.finite_primes))]
 
 
 def bad_places(curve) -> PlaceSet:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from .cohomology import NotInImageError
 from .ctp import InconsistentDimensions, LocalRow, ctp_matrix, rank_report
 from .curve import INF, CurveError, RichelotPair, build_pair, poly, poly_str
-from .localfield import places_of
+from .localfield import class_representative, places_of
 from .localpoints import LocalDataCache, SearchConfig
 from .selmer import selmer_group
 from .verify import run_verification
@@ -135,13 +135,13 @@ def _config_dict(cfg: SearchConfig) -> dict:
 
 
 def _row_dict(row: LocalRow) -> dict:
-    return {
-        "P_v": " + ".join(map(str, row.P_v)),
-        "delta2": [c.representative() for c in row.delta2.classes],
-        "lift": [c.representative() for c in row.lift.classes],
-        "difference": [c.representative() for c in row.difference.classes],
-        "rho": [c.representative() for c in row.rho.classes],
-    }
+    """The row's tuples as the representatives of their slots' classes,
+    read from the slot masks."""
+    p = row.place.p
+    out = {"P_v": " + ".join(map(str, row.P_v))}
+    for key in ("delta2", "lift", "difference", "rho"):
+        out[key] = [class_representative(c, p) for c in getattr(row, key).slots()]
+    return out
 
 
 def _ctp_report(curve, label, cfg, cache, places=None) -> dict:

@@ -10,21 +10,24 @@ for both isogeny kernels, quintuples (x1..x5) with square product for full
     section              : (a, b, c) -> (a, 1, b, 1, c)
 
 and the descent back onto the first kernel inverts the first map slotwise.
-A global tuple holds the signed squarefree class of each slot; a local tuple
-holds its place and the `LocalSquareClass` of each slot, nothing else: the
-Hilbert symbols downstream depend only on square classes, so `cup_invariant`
-evaluates them on class bits.  The maps multiply classes, so each works on
-global and local tuples alike.
+A global tuple holds the signed squarefree class of each slot.  A local
+tuple holds its place and one int, the `square_class_mask` of slot i at
+shift i dim: restriction reads each slot's integers once, a product is an
+XOR, and the Hilbert symbols downstream depend only on square classes, so
+`cup_invariant` evaluates them on the slots' masks.  `classes` builds the
+`LocalSquareClass`es when read.  Each map lists, per output slot, the input
+slots it multiplies, so it works on global and local tuples alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import reduce
+from operator import mul, xor
 
 from .arith import SquareClass, squarefree_reduce
-from .localfield import (LocalPlace, LocalSquareClass, class_mask, hilbert_bits,
-                         local_square_class, local_square_dim)
+from .localfield import (LocalPlace, LocalSquareClass, class_representative, hilbert_bits,
+                         local_square_dim, tuple_mask)
 
 __all__ = [
     "KummerTriple",
@@ -67,12 +70,9 @@ class _KummerTuple:
     classes: tuple[SquareClass, ...]
 
     @classmethod
-    def at(cls, values, v: Optional[LocalPlace] = None):
-        """The tuple of these slot values: global when v is None (each slot
-        factored once to its signed squarefree class; a SquareClass is kept),
-        else local at v (class data needs no factorization)."""
-        if v is not None:
-            return cls.local.of(values, v)
+    def at(cls, values):
+        """The tuple of these slot values, each factored once to its signed
+        squarefree class; a SquareClass is kept."""
         cs = tuple(c if isinstance(c, SquareClass) else squarefree_reduce(c) for c in values)
         if len(cs) != cls.n:
             raise ValueError(f"expected {cls.n} components")
@@ -90,15 +90,13 @@ class _KummerTuple:
     def is_trivial(self) -> bool:
         return all(c.is_one() for c in self.classes)
 
-    def _one(self) -> SquareClass:
-        return SquareClass.one()
-
-    def _like(self, classes):
-        """The global triple or quintuple of these classes."""
-        return (KummerTriple, KummerQuintuple)[len(classes) == 5](tuple(classes))
+    def _map(self, rows):
+        """The global tuple whose slot k multiplies the slots in rows[k]."""
+        return (KummerTriple, KummerQuintuple)[len(rows) == 5](tuple(
+            reduce(mul, (self.classes[i] for i in row), SquareClass.one()) for row in rows))
 
     def __mul__(self, other):
-        return self._like([a * b for a, b in zip(self.classes, other.classes)])
+        return type(self)(tuple(a * b for a, b in zip(self.classes, other.classes)))
 
     def restrict(self, v: LocalPlace):
         return self.local.of(self.values, v)
@@ -108,7 +106,7 @@ class _KummerTuple:
 
 
 # ---------------------------------------------------------------------------
-# local tuples: a place and a square class of Q_v per slot
+# local tuples: a place and the packed square classes of Q_v of the slots
 # ---------------------------------------------------------------------------
 
 
@@ -117,41 +115,51 @@ class _LocalKummerTuple:
     """The body shared by the local tuples; a subclass sets `n`."""
 
     place: LocalPlace
-    classes: tuple[LocalSquareClass, ...]
+    mask: int
 
     @classmethod
     def of(cls, values, v: LocalPlace):
-        """The tuple of the classes at v of these nonzero rational slot values."""
-        values = tuple(values)
+        """The tuple of the classes at v of these nonzero rational slot
+        values, each an int, a Fraction, or an int pair (numerator,
+        denominator)."""
+        values = [x if isinstance(x, tuple) else (x.numerator, x.denominator) for x in values]
         if len(values) != cls.n:
             raise ValueError(f"expected {cls.n} values")
-        classes = tuple(local_square_class(x, v) for x in values)
+        t = cls(v, tuple_mask(values, v.p))
         # the class map is a homomorphism: the product is a square iff the
-        # classes' bits sum to zero in every coordinate
-        if any(sum(col) & 1 for col in zip(*(c.bits for c in classes))):
+        # slots' masks XOR to zero
+        if reduce(xor, t.slots()):
             raise NormConditionError(f"the product of {values} is not a square in Q_{v}")
-        return cls(v, classes)
+        return t
+
+    def slots(self) -> list[int]:
+        """The mask of each slot's class."""
+        d = local_square_dim(self.place)
+        return [self.mask >> i * d & (1 << d) - 1 for i in range(self.n)]
+
+    @property
+    def classes(self) -> tuple[LocalSquareClass, ...]:
+        return tuple(LocalSquareClass(self.place, c) for c in self.slots())
 
     def is_trivial(self) -> bool:
-        return all(c.is_trivial() for c in self.classes)
+        return not self.mask
 
-    def mask(self) -> int:
-        return class_mask(c.bits for c in self.classes)
-
-    def _one(self) -> LocalSquareClass:
-        return LocalSquareClass(self.place, (0,) * local_square_dim(self.place))
-
-    def _like(self, classes):
-        """The local triple or quintuple of these classes, at this place."""
-        return (LocalKummerTriple, LocalKummerQuintuple)[len(classes) == 5](
-            self.place, tuple(classes))
+    def _map(self, rows):
+        """The local tuple whose slot k multiplies the slots in rows[k]."""
+        d, s, m = local_square_dim(self.place), self.slots(), 0
+        for k, row in enumerate(rows):
+            for i in row:
+                m ^= s[i] << k * d
+        return (LocalKummerTriple, LocalKummerQuintuple)[len(rows) == 5](self.place, m)
 
     def __mul__(self, other):
-        # LocalSquareClass products refuse mismatched places
-        return self._like([a * b for a, b in zip(self.classes, other.classes)])
+        if other.place != self.place:
+            raise ValueError("mismatched places")
+        return type(self)(self.place, self.mask ^ other.mask)
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(c.representative()) for c in self.classes) + ")@" + str(self.place)
+        reps = (class_representative(c, self.place.p) for c in self.slots())
+        return f"({', '.join(map(str, reps))})@{self.place}"
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +192,6 @@ class KummerQuintuple(_KummerTuple):
 
     @classmethod
     def of(cls, *cs) -> "KummerQuintuple":
-        if len(cs) == 1 and isinstance(cs[0], (tuple, list)):
-            cs = tuple(cs[0])
         return cls.at(cs)
 
 
@@ -196,21 +202,17 @@ class KummerQuintuple(_KummerTuple):
 
 def psi_phi_to_two(t):
     """(a, b, c) -> (1, c, c, b, b)."""
-    a, b, c = t.classes
-    return t._like((t._one(), c, c, b, b))
+    return t._map(((), (2,), (2,), (1,), (1,)))
 
 
 def psi_two_to_phihat(q):
     """(a1, a2, a3, a4, a5) -> (a1, a2 a3, a4 a5)."""
-    c = q.classes
-    return q._like((c[0], c[1] * c[2], c[3] * c[4]))
+    return q._map(((0,), (1, 2), (3, 4)))
 
 
 def lift_phihat_to_two(t):
     """The section (a, b, c) -> (a, 1, b, 1, c) of psi_two_to_phihat."""
-    a, b, c = t.classes
-    one = t._one()
-    return t._like((a, one, b, one, c))
+    return t._map(((0,), (), (1,), (), (2,)))
 
 
 def quintuple_quotient(x, y):
@@ -225,20 +227,20 @@ def descend_to_phi(c: LocalKummerQuintuple) -> LocalKummerTriple:
     and 4~5 equal); violations raise NotInImageError rather than silently
     producing a wrong pairing value.
     """
-    cls = c.classes
-    if not cls[0].is_trivial():
+    s = c.slots()
+    if s[0]:
         raise NotInImageError("slot 1 is a nontrivial local class")
-    if cls[1] != cls[2]:
+    if s[1] != s[2]:
         raise NotInImageError("slots 2 and 3 disagree as local classes")
-    if cls[3] != cls[4]:
+    if s[3] != s[4]:
         raise NotInImageError("slots 4 and 5 disagree as local classes")
-    return c._like((cls[1] * cls[3], cls[3], cls[1]))
+    return c._map(((1, 3), (3,), (1,)))
 
 
 def cup_invariant(rho: LocalKummerTriple, t, v: LocalPlace = None) -> int:
     """F2 invariant of the cup product: 0 if the Hilbert-symbol product
     (rho1, t1)_v (rho2, t2)_v (rho3, t3)_v is +1, else 1, summed from
-    `hilbert_bits` of the slots' classes.  A global t is restricted to v; a
+    `hilbert_bits` of the slots' masks.  A global t is restricted to v; a
     local t, like rho, must live at v."""
     if v is None:
         v = rho.place
@@ -249,6 +251,6 @@ def cup_invariant(rho: LocalKummerTriple, t, v: LocalPlace = None) -> int:
     elif t.place != v:
         raise ValueError(f"{t} lives at a different place than {v}")
     e = 0
-    for r, a in zip(rho.classes, t.classes):
-        e ^= hilbert_bits(r.bits, a.bits, v.p)
+    for r, a in zip(rho.slots(), t.slots()):
+        e ^= hilbert_bits(r, a, v.p)
     return e

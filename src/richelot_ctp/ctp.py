@@ -89,25 +89,24 @@ def local_row(a: KummerTriple, curve: RichelotPair, v: LocalPlace,
               two: Optional[dict] = None) -> LocalRow:
     """Run lift, witnesses, quintuple image, quotient and descent for `a` at v.
 
-    `lift` defaults to the section (a1, 1, a2, 1, a3).  Individual rows depend
+    `lift` defaults to the section (a1, 1, a2, 1, a3), which restricts to
+    the section of a|v.  Individual rows depend
     on the choice of lift and witnesses; only the pairing summed over all
     places is canonical.  A non-Selmer `a` can raise NotInImageError.
     `a_v` is a|v, and `two` maps witnesses to their `mu_two` at v and is
     filled here: `ctp_matrix` passes both, so each is computed once a place.
     """
-    if lift is None:
-        lift = lift_phihat_to_two(a)
     a_v = a.restrict(v) if a_v is None else a_v
     two = {} if two is None else two
     image = local_images(curve, v, cfg, cache)[0]
-    coords = gf2.coordinates([t.mask() for t in image.basis], a_v.mask())
+    coords = gf2.coordinates([t.mask for t in image.basis], a_v.mask)
     if coords is None:
         raise NotInImageError(f"{a} is outside the dual-kernel local image at {v}")
     P_v = (tuple(w for k, w in enumerate(image.witnesses) if coords >> k & 1)
            or (MumfordDivisor.identity(),))
     two.update({w: mu_two(w, curve, v) for w in set(P_v) - two.keys()})
     delta2 = reduce(mul, map(two.get, P_v))
-    lift_v = lift.restrict(v)
+    lift_v = lift_phihat_to_two(a_v) if lift is None else lift.restrict(v)
     diff = quintuple_quotient(delta2, lift_v)
     return LocalRow(P_v, delta2, lift_v, diff, descend_to_phi(diff))
 

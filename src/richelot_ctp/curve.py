@@ -580,13 +580,14 @@ class SideData:
                     for C, den in self.forms]
         return self._taylor[c]
 
-    def taylor_valuations(self, c, p: int) -> list[list[tuple[int, tuple[int, ...]]]]:
+    def taylor_valuations(self, c, p: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
         """(v_p(coefficient), exponents) of each term of `taylor_terms(c)`,
         per polynomial, as v_p(numerator) - v_p(denominator), computed once
-        per centre and prime."""
-        return self.table(("valuations", c, p), lambda: [
-            [(valuation(a, p) - valuation(den, p), ks) for ks, a, den in g]
-            for g in self.taylor_terms(c)])
+        per centre and prime; tuples, so the search can key what it reads
+        from them by them."""
+        return self.table(("valuations", c, p), lambda: tuple(
+            tuple((valuation(a, p) - valuation(den, p), ks) for ks, a, den in g)
+            for g in self.taylor_terms(c)))
 
     def table(self, key, make):
         """`make()`, kept under `key`: the search's tables per prime."""

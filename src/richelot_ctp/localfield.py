@@ -7,11 +7,12 @@ the valuation parity and unit residues (mod p for odd p, mod 8 for p = 2),
 never from truncated expansions.  `square_class_mask` reads both in one
 pass from the integer numerator and denominator, without building a
 Fraction, and packs the class into the bits of an int, the form the local
-search compares; `square_class_bits` unpacks it.  A Hilbert symbol depends
-only on the square classes of its arguments, so `hilbert_bits` evaluates it
-on their bits, and `hilbert_symbol` reads the bits of two rationals and
-calls it.  The tests check the closed form against an independent
-brute-force solvability oracle.
+search and the local tuples hold (`tuple_mask` packs a tuple's slots);
+`LocalSquareClass` keeps that int too.
+A Hilbert symbol depends only on the square classes of its arguments, so
+`hilbert_bits` evaluates it on two such masks, and `hilbert_symbol` reads
+the masks of two rationals and calls it.  The tests check the closed form
+against an independent brute-force solvability oracle.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ __all__ = [
     "hilbert_bits",
     "hilbert_symbol",
     "places_of",
-    "class_mask",
-    "square_class_bits",
+    "class_representative",
     "square_class_mask",
+    "tuple_mask",
     "sqrt_mod_pk",
     "valuation",
 ]
@@ -100,42 +101,50 @@ def _legendre(u: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class LocalSquareClass:
-    """An element of Q_v*/(Q_v*)^2.
+    """An element of Q_v*/(Q_v*)^2, held as its `square_class_mask`.
 
-    `bits` is the F2 coordinate vector: (val parity, nonresidue) at odd p,
-    (val parity, b1, b2) at p = 2 where the unit part is 3^b1 * 5^b2 mod 8,
-    and (sign,) at the real place.  The group has order 4 / 8 / 2.
+    `bits` is the F2 coordinate vector, bit i of the mask: (val parity,
+    nonresidue) at odd p, (val parity, b1, b2) at p = 2 where the unit part
+    is 3^b1 * 5^b2 mod 8, and (sign,) at the real place.  The group has
+    order 4 / 8 / 2.
     """
 
     place: LocalPlace
-    bits: tuple[int, ...]
+    mask: int
 
     def __post_init__(self):
-        if len(self.bits) != local_square_dim(self.place):
-            raise ValueError("wrong coordinate length for this place")
+        if not 0 <= self.mask < 1 << local_square_dim(self.place):
+            raise ValueError("the mask has more bits than a class at this place")
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple(self.mask >> i & 1 for i in range(local_square_dim(self.place)))
 
     def is_trivial(self) -> bool:
-        return not any(self.bits)
+        return not self.mask
 
     def __mul__(self, other: "LocalSquareClass") -> "LocalSquareClass":
         if other.place != self.place:
             raise ValueError("mismatched places")
-        return LocalSquareClass(self.place, tuple(a ^ b for a, b in zip(self.bits, other.bits)))
+        return LocalSquareClass(self.place, self.mask ^ other.mask)
 
     def representative(self) -> int:
-        """Smallest standard signed representative of the class."""
-        p = self.place.p
-        if p is None:
-            return -1 if self.bits[0] else 1
-        if p == 2:
-            u = {(0, 0): 1, (1, 0): 3, (0, 1): 5, (1, 1): 7}[self.bits[1:]]
-            u = {1: 1, 3: 3, 5: 5, 7: -1}[u]
-            return 2 * u if self.bits[0] else u
-        u = _smallest_nonresidue(p) if self.bits[1] else 1
-        return p * u if self.bits[0] else u
+        return class_representative(self.mask, self.place.p)
 
     def __str__(self) -> str:
         return f"{self.representative()}@{self.place}"
+
+
+def class_representative(m: int, p: Optional[int]) -> int:
+    """Smallest standard signed representative of the class of mask m at
+    p, None being oo."""
+    if p is None:
+        return -1 if m else 1
+    if p == 2:
+        u = (1, 3, 5, -1)[m >> 1]  # 3^b1 5^b2 mod 8, and 7 as -1
+    else:
+        u = _smallest_nonresidue(p) if m & 2 else 1
+    return u * p if m & 1 else u
 
 
 @lru_cache(maxsize=None)
@@ -178,29 +187,19 @@ def square_class_mask(n: int, d: int, p: Optional[int]) -> int:
     return val if pow(n % p * (d % p), p >> 1, p) == 1 else val | 2
 
 
-def square_class_bits(n: int, d: int, p: Optional[int]) -> tuple[int, ...]:
-    """The `LocalSquareClass.bits` of n/d (nonzero ints) at p, None being oo:
-    `square_class_mask` unpacked."""
-    m = square_class_mask(n, d, p)
-    return tuple(m >> i & 1 for i in range(1 if p is None else 3 if p == 2 else 2))
-
-
-def class_mask(classes) -> int:
-    """The square-class bits of a tuple's slots packed into one int, slot
-    after slot, each slot's first bit lowest."""
-    m, shift = 0, 0
-    for bits in classes:
-        for i, b in enumerate(bits):
-            m |= b << (shift + i)
-        shift += len(bits)
-    return m
+def tuple_mask(values, p: Optional[int]) -> int:
+    """The classes at p of a tuple of nonzero rationals, given as integer
+    pairs (n, d), packed into one int: slot i's `square_class_mask` at
+    shift i dim, dim being the bits of a class at p."""
+    dim = 1 if p is None else 3 if p == 2 else 2
+    return sum(square_class_mask(n, d, p) << i * dim for i, (n, d) in enumerate(values))
 
 
 def local_square_class(x, v: LocalPlace) -> LocalSquareClass:
     """The class of a nonzero rational in Q_v*/(Q_v*)^2."""
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
-    return LocalSquareClass(v, square_class_bits(x.numerator, x.denominator, v.p))
+    return LocalSquareClass(v, square_class_mask(x.numerator, x.denominator, v.p))
 
 
 def is_local_square(x, v: LocalPlace) -> bool:
@@ -212,32 +211,28 @@ def is_local_square(x, v: LocalPlace) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def hilbert_bits(bits_a: tuple[int, ...], bits_b: tuple[int, ...], p: Optional[int]) -> int:
+def hilbert_bits(a: int, b: int, p: Optional[int]) -> int:
     """The Hilbert symbol of two square classes at p (None being oo), from
-    their `square_class_bits`, as an F2 exponent: 0 for +1, 1 for -1.
+    their `square_class_mask`s, as an F2 exponent: 0 for +1, 1 for -1.
 
     Classical closed form: sign test at the real place; at odd p the formula
     (-1)^(alpha beta eps(p)) (u|p)^beta (w|p)^alpha for a = p^alpha u,
     b = p^beta w; at p = 2 the exponent eps(u)eps(w) + alpha eta(w) + beta
     eta(u) with eps(u) = (u-1)/2 and eta(u) = (u^2-1)/8 read off mod 8.
-    Only the parities of alpha, beta enter, and for u = 3^b1 5^b2 mod 8,
-    eps(u) = b1 and eta(u) = b1 + b2 mod 2.
+    Only the parities of alpha, beta (bit 0) enter, and for u = 3^b1 5^b2
+    mod 8, eps(u) = b1 (bit 1) and eta(u) = b1 + b2 mod 2 (bit 1 of m ^ m >> 1).
     """
     if p is None:
-        return bits_a[0] & bits_b[0]
+        return a & b
     if p == 2:
-        alpha, eps_u, b2_u = bits_a
-        beta, eps_w, b2_w = bits_b
-        return (eps_u & eps_w) ^ (alpha & (eps_w ^ b2_w)) ^ (beta & (eps_u ^ b2_u))
-    alpha, res_u = bits_a
-    beta, res_w = bits_b
-    return (alpha & beta & (p % 4 == 3)) ^ (beta & res_u) ^ (alpha & res_w)
+        return ((a & b) >> 1 ^ a & (b ^ b >> 1) >> 1 ^ b & (a ^ a >> 1) >> 1) & 1
+    return (a & b & (p & 3 == 3)) ^ (a >> 1 & b) ^ (a & b >> 1)
 
 
 def hilbert_symbol(a, b, v: LocalPlace) -> int:
     """(a,b)_v = +1 iff z^2 = a x^2 + b y^2 has a nonzero solution over Q_v,
     for nonzero rationals a and b: `hilbert_bits` of their square classes."""
-    e = hilbert_bits(local_square_class(a, v).bits, local_square_class(b, v).bits, v.p)
+    e = hilbert_bits(local_square_class(a, v).mask, local_square_class(b, v).mask, v.p)
     return -1 if e else 1
 
 

@@ -59,7 +59,8 @@ The search reads what depends on the curve alone from the curve's
 quadratics, real samples, the Taylor coefficients at each centre as integer
 numerators and denominators), computed once per curve; a place adds only
 class masks and, kept there too, the valuations at p at each centre, read
-from those integers, the root centres and the unit classes.
+from those integers, whether a term dominates (`_dominance`), the root
+centres, the unit classes and the two-torsion masks.
 The real place's single points are one sample per sign region of f, taken
 between the factors' real roots.
 """
@@ -71,6 +72,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Iterator, Optional
 
 from . import gf2
@@ -97,6 +99,7 @@ from .localfield import (
     local_square_dim,
     sqrt_mod_pk,
     square_class_mask,
+    tuple_mask,
     valuation,
 )
 
@@ -206,64 +209,47 @@ class MumfordDivisor:
 # ---------------------------------------------------------------------------
 
 
-def _point_markers(D: MumfordDivisor, curve: RichelotPair) -> list:
-    """Finite/infinite point specs of a non-quadratic divisor.
-
-    Each spec is ("x", x) for a finite point or ("inf",); Weierstrass points
-    are detected from the curve data at evaluation time.
-    """
-    if D.tag == "identity":
-        return []
-    if D.tag == "weierstrass_pair":
-        slots = curve.side_data(D.side).slots
-        return [("inf",) if m == INF else ("x", slots[m])
-                for m in D.torsion.ordered_support]
-    if D.tag == "point_plus_infinity":
-        return [("x", D.xs[0]), ("inf",)]
-    return [("x", x) for x in D.xs]
-
-
 def _codomain_infinity_rational(curve: RichelotPair, v: LocalPlace) -> bool:
     """Are the codomain's infinite points defined over Q_v?
 
     Always true for a 5-root codomain (Weierstrass point); for a 6-root
     codomain iff the sextic's leading coefficient is a square in Q_v.
     """
-    if curve.codomain_degree == 5:
-        return True
-    lc = curve.fhat[-1]
-    if v.p is None:
-        return lc > 0
-    return is_local_square(lc, v)
+    return curve.codomain_degree == 5 or is_local_square(curve.fhat[-1], v)
 
 
-def _slot_values(D: MumfordDivisor, curve: RichelotPair, data) -> tuple[Fraction, ...]:
-    """Exact rational slot values of the descent map whose slots are the
-    factors of `data`, a `SideData` of D's curve."""
-    if D.tag == "identity":
-        return (Fraction(1),) * len(data.forms)
+def _slot_values(D: MumfordDivisor, curve: RichelotPair, data) -> list[tuple[int, int]]:
+    """Exact slot values, as integer (numerator, denominator) pairs, of the
+    descent map whose slots are the factors of `data`, a `SideData` of D's
+    curve: the product of the values at D's points, x for a finite one and
+    INF for an infinite one, a Weierstrass point's read from `data`."""
     if D.tag == "quadratic":
-        return tuple(Fraction(n, d) for n, d in data.quadratic_values(*D.quad))
+        return data.quadratic_values(*D.quad)
+    if D.torsion:
+        slots = curve.side_data(D.side).slots  # the markers of D's side
+        points = [INF if m == INF else slots[m] for m in D.torsion.support]
+    else:
+        points = [*D.xs, INF] if D.tag == "point_plus_infinity" else D.xs
     # each slot accumulates as an integer numerator and denominator
     nums, dens = [1] * len(data.forms), [1] * len(data.forms)
-    for marker in _point_markers(D, curve):
-        x = marker[-1]
-        for i, (n, d) in enumerate(data.inf_values if marker[0] == "inf" else
+    for x in points:
+        for i, (n, d) in enumerate(data.inf_values if x == INF else
                                    data.root_values.get(x) or data.point_values(x)):
             nums[i] *= n
             dens[i] *= d
-    return tuple(Fraction(n, d) for n, d in zip(nums, dens))
+    return list(zip(nums, dens))
 
 
 def _image(kind, D: MumfordDivisor, curve: RichelotPair, data, v: Optional[LocalPlace]):
-    """`kind.at` of D's slot values of `data`.  A global image divides the
-    primes of S out of each value before it factors what is left
+    """The `kind` tuple of D's slot values of `data`: at v, their classes
+    read from the integers; global when v is None, where each value has
+    the primes of S divided out before what is left is factored
     (`squarefree_reduce`): the values of two-torsion are S-units."""
     values = _slot_values(D, curve, data)
-    if v is None:
-        primes = curve.bad_places.finite_primes
-        values = [squarefree_reduce(x, primes) for x in values]
-    return kind.at(values, v)
+    if v is not None:
+        return kind.local.of(values, v)
+    primes = curve.bad_places.finite_primes
+    return kind.at([squarefree_reduce(Fraction(n, d), primes) for n, d in values])
 
 
 def mu_two(D: MumfordDivisor, curve: RichelotPair, v: Optional[LocalPlace] = None):
@@ -302,9 +288,9 @@ def _checked_image(D: MumfordDivisor, mask: int, curve: RichelotPair,
     """The witnessed image of a candidate whose mask the search read from
     class bits; the two must agree."""
     t = divisor_image(D, curve, v)
-    if t.mask() != mask:
+    if t.mask != mask:
         raise ClassBitsMismatch(
-            f"class bits give mask {mask:#x} for {D} at {v}, its image {t} has {t.mask():#x}")
+            f"class bits give mask {mask:#x} for {D} at {v}, its image {t} has {t.mask:#x}")
     return t
 
 
@@ -484,6 +470,7 @@ def _x_blocks(curve: RichelotPair, side: str, p: int, cfg: SearchConfig) -> Iter
     """
     vb = cfg.val_bound
     data = curve.side_data(side)
+    dominant = _dominance(data, p)
     centers = list(data.roots)
     if side == CODOMAIN:
         centers += [c for c in _root_centers(data, p, vb) if not any(
@@ -493,7 +480,7 @@ def _x_blocks(curve: RichelotPair, side: str, p: int, cfg: SearchConfig) -> Iter
             (Fraction(0), range(-vb, 1 if 0 in centers else vb + 1))]:
         terms = data.taylor_valuations(c, p)
         for j in js:
-            yield c, j, tuple(_generic([g], (j,)) for g in terms)
+            yield c, j, tuple(dominant((g,), (j,)) for g in terms)
 
 
 def _generic(terms, js) -> bool:
@@ -519,6 +506,14 @@ def _generic(terms, js) -> bool:
         if not w or len(w) > 1 and w[0] >= w[1]:
             return False
     return True
+
+
+def _dominance(data, p: int):
+    """`_generic`, computed once per (terms, exponents) and kept in `data`,
+    a `SideData`, per prime: the walk asks it again for each block in each
+    round and for each centre's quadratic tables in each call, and distinct
+    centres share terms."""
+    return data.table(("dominant", p), lambda: cache(lambda terms, js: _generic(terms, js)))
 
 
 def _block_xs(c: Fraction, j: int, p: int, rs) -> Iterator:
@@ -658,6 +653,25 @@ def _torsion_divisors(curve: RichelotPair, side: str) -> list[MumfordDivisor]:
     return out + [MumfordDivisor.quadratic(a, b, CODOMAIN) for a, b in data.kernels]
 
 
+def _torsion_masks(curve: RichelotPair, side: str, cls) -> tuple[dict, list]:
+    """`cls` of the values of each Weierstrass point, under its marker (the
+    root's index, or INF); and each rational two-torsion divisor of `side`
+    with its image's mask: the XOR of its points' masks, or `cls` of a
+    kernel quadratic's values.  `cls` packs a list of slot values (n, d)
+    into a mask of the classes, local or global, whose XOR is the product.
+    The side's `SideData` keeps the divisors."""
+    data = curve.side_data(side)
+    masks = {m: cls(data.root_values[x]) for m, x in data.slots.items()}
+    masks[INF] = cls(data.inf_values)
+    out = []
+    for D in data.table("torsion", lambda: _torsion_divisors(curve, side)):
+        m = cls(data.kernels[D.quad]) if D.quad else 0
+        for k in D.torsion.support if D.torsion else ():
+            m ^= masks[k]
+        out.append((D, m))
+    return masks, out
+
+
 def _quadratic_bounds(p: int, cfg: SearchConfig) -> tuple[int, int]:
     """(residue exponent, valuation depth) that size the quadratic tier at p.
 
@@ -737,6 +751,7 @@ def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: Se
     p = v.p
     d = local_square_dim(v)
     data = curve.side_data(side)
+    dominant = _dominance(data, p)
     # at p <= 3 each unit class of the tier holds one residue, so no class
     # pair has two candidates and the rule is not asked
     shared = p > 3
@@ -761,7 +776,7 @@ def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: Se
                     if i and ea is eb is None:
                         continue  # the unperturbed centre
                     if (ea, eb) not in tables:
-                        tables[ea, eb] = [shared and _generic(terms[:1], (ea, eb)),
+                        tables[ea, eb] = [shared and dominant(terms[:1], (ea, eb)),
                                           None if shared else False, {}, {}]
                     block = tables[ea, eb]
                     disc_rule, res_rule, splits, masks = block
@@ -791,7 +806,7 @@ def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: Se
                             if (m ^ m >> d ^ m >> 2 * d) & ((1 << d) - 1):
                                 m = -1
                             if res_rule is None:
-                                res_rule = block[1] = _generic(terms[1:], (ea, eb))
+                                res_rule = block[1] = dominant(terms[1:], (ea, eb))
                             if res_rule:
                                 masks[ka, kb] = m
                             if m < 0 or m in known:
@@ -813,30 +828,16 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
     (the walk's record of the masks it has yielded) before it builds the
     divisor; the singles tier still adds the point to the pairs tier's pool.
     A torsion divisor's mask is the XOR of its points', or read from its
-    values for a kernel quadratic, all kept in the side's `SideData`.
+    values for a kernel quadratic (`_torsion_masks`), and the side's
+    `SideData` keeps them per place.
     """
     rng = random.Random(cfg.shuffle_seed) if cfg.shuffle_seed is not None else None
-    p, dim = v.p, local_square_dim(v)
     data = curve.side_data(side)
-
-    def bits(values) -> int:
-        m = 0
-        for i, (n, d) in enumerate(values):
-            m |= square_class_mask(n, d, p) << i * dim
-        return m
-
-    # the masks of the Weierstrass points, and of infinity under "inf"
-    masks = {x: bits(values) for x, values in data.root_values.items()}
-    masks["inf"] = bits(data.inf_values)
+    masks, torsion = data.table(("torsion", v.p), lambda: _torsion_masks(
+        curve, side, lambda values: tuple_mask(values, v.p)))
 
     def torsion_tier():
-        for D in torsion:
-            if D.quad:
-                m = bits(data.kernels[D.quad])
-            else:
-                m = 0
-                for marker in _point_markers(D, curve):
-                    m ^= masks[marker[-1]]  # ("x", x) or ("inf",)
+        for D, m in torsion:
             if m not in known:
                 yield from ((D, m), None)  # the candidate, then a step mark
 
@@ -845,8 +846,8 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
     # the torsion shuffle is the first draw from rng in every walk, so it can
     # run now: a walk that skips the tier still leaves rng where the next
     # tier expects it
-    torsion = _torsion_divisors(curve, side)
     if rng:
+        torsion = list(torsion)
         rng.shuffle(torsion)
 
     def singles_tier():
@@ -872,11 +873,11 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
                 seen_classes.add(mask)
                 if len(pool) < 3 * _POINT_POOL:
                     pool.append((x, mask))
-                if inf_ok and mask ^ masks["inf"] not in known:
-                    yield MumfordDivisor.point_plus_infinity(x, side), mask ^ masks["inf"]
+                if inf_ok and mask ^ masks[INF] not in known:
+                    yield MumfordDivisor.point_plus_infinity(x, side), mask ^ masks[INF]
 
     def pairs_tier():
-        points = [(w, masks[w]) for w in data.roots] + pool
+        points = [(x, masks[m]) for m, x in data.slots.items()] + pool
         pairs = itertools.combinations(range(len(points)), 2)
         if rng:
             pairs = list(pairs)
@@ -961,7 +962,7 @@ class LocalImage:
         return len(self.basis)
 
     def span(self) -> gf2.Span:
-        return gf2.Span(t.mask() for t in self.basis)
+        return gf2.Span(t.mask for t in self.basis)
 
 
 def _h1_dim(v: LocalPlace) -> int:
@@ -1028,7 +1029,7 @@ def find_local_point(target, curve: RichelotPair, v: LocalPlace,
     t_local = target.restrict(v) if isinstance(target, KummerTriple) else target
     if t_local.place != v:
         raise ValueError(f"target {t_local} does not live at {v}")
-    mask = t_local.mask()
+    mask = t_local.mask
     for item in itertools.chain.from_iterable(_walk(curve, DOMAIN, v, cfg)):
         if item and item[1] == mask:  # None marks a step
             _checked_image(*item, curve, v)

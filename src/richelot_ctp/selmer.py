@@ -7,11 +7,19 @@ automatic, so only places of S are consulted.  The classes are pairs
 (a1, a2) in Q(S,2)^2 with a3 = a1 a2 forced by the norm condition, and the
 condition is F2-linear in them: restriction is a homomorphism, so the local
 class of any element is the XOR of the local classes of the generators
-(-1, p1, p2, ...), and reduction modulo im_v is linear.  The Selmer group is
+(-1, p1, p2, ...), each read as a `square_class_mask`, and reduction modulo
+im_v is linear.  The Selmer group is
 therefore the kernel of one F2 matrix from Q(S,2)^2 to the sum of the local
 quotients H^1(Q_v)/im_v (Stoll, "Implementing 2-descent for Jacobians of
 hyperelliptic curves", Acta Arith. 98, 2001), and its cost is polynomial in
 |S| instead of 4^(|S|+1).
+
+The torsion images come the same way: the global class of each Weierstrass
+point (and infinity) is read once, in the coordinates of Q(S,2)
+(`arith.qs2_index`), a divisor's image is the XOR of its points', as in
+the local two-torsion tier, and only the basis is decoded to triples.  A
+point's class may carry a prime outside S, which must cancel in every
+divisor, and every image must be norm one; both are checked on the XOR.
 
 The basis is the torsion images, then each ascending row of the reduced
 echelon form of the kernel that raises their span.  A kernel vector is
@@ -25,20 +33,20 @@ pass over the members in enumeration order picks, with no member list.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from . import gf2
-from .arith import PlaceSet, SquareClass
-from .cohomology import KummerTriple
+from .arith import PlaceSet, qs2_element, qs2_index, squarefree_reduce
+from .cohomology import KummerTriple, NormConditionError
 from .curve import RichelotPair
-from .localfield import LocalPlace, class_mask, local_square_class, local_square_dim, places_of
+from .localfield import LocalPlace, local_square_dim, places_of, square_class_mask
 from .localpoints import (
     CODOMAIN,
     DOMAIN,
     LocalDataCache,
     SearchConfig,
-    _torsion_divisors,
-    divisor_image,
+    _torsion_masks,
     local_images,
 )
 
@@ -54,29 +62,11 @@ class KernelCheckError(RuntimeError):
     two-torsion image: the matrix does not describe the local conditions."""
 
 
-def _encode_class(c: SquareClass, primes) -> int:
-    m = 1 if c.sign < 0 else 0
-    for i, p in enumerate(primes):
-        if p in c.primes:
-            m |= 1 << (i + 1)
-    return m
-
-
-def _decode_class(m: int, primes) -> SquareClass:
-    """Inverse of _encode_class: bit 0 is -1, bit i + 1 is primes[i]."""
-    return SquareClass(-1 if m & 1 else 1,
-                       tuple(p for i, p in enumerate(primes) if m >> (i + 1) & 1))
-
-
 def encode_triple(t: KummerTriple, primes) -> int:
     """F2 coordinates of a triple over the basis (-1, p1, p2, ...) per slot."""
-    width = len(primes) + 1
-    m = 0
-    for i, c in enumerate(t.classes):
-        if any(p not in primes for p in c.primes):
-            raise ValueError(f"{t} is not supported on {primes}")
-        m |= _encode_class(c, primes) << (i * width)
-    return m
+    if any(set(c.primes).difference(primes) for c in t.classes):
+        raise ValueError(f"{t} is not supported on {primes}")
+    return sum(qs2_index(c, primes) << i * (len(primes) + 1) for i, c in enumerate(t.classes))
 
 
 def triple_span(triples, primes) -> gf2.Span:
@@ -86,13 +76,13 @@ def triple_span(triples, primes) -> gf2.Span:
 def _pair_index(t: KummerTriple, primes) -> int:
     """a1 << n | a2: the index of (a1, a2) in the Q(S,2)^2 enumeration."""
     n = len(primes) + 1
-    return _encode_class(t.classes[0], primes) << n | _encode_class(t.classes[1], primes)
+    return qs2_index(t.classes[0], primes) << n | qs2_index(t.classes[1], primes)
 
 
 def _pair_triple(y: int, primes) -> KummerTriple:
     """Inverse of _pair_index, with a3 = a1 a2."""
     n = len(primes) + 1
-    a1, a2 = _decode_class(y >> n, primes), _decode_class(y & (1 << n) - 1, primes)
+    a1, a2 = qs2_element(y >> n, primes), qs2_element(y & (1 << n) - 1, primes)
     return KummerTriple((a1, a2, a1 * a2))
 
 
@@ -124,9 +114,6 @@ class SelmerGroup:
     def dim(self) -> int:
         return len(self.basis)
 
-    def span(self) -> gf2.Span:
-        return triple_span(self.basis, self.places.finite_primes)
-
     @property
     def elements(self) -> tuple[KummerTriple, ...]:
         primes = self.places.finite_primes
@@ -137,7 +124,7 @@ class SelmerGroup:
         """Is t a member?  A class with a prime outside S is not."""
         primes = self.places.finite_primes
         return (all(p in primes for c in t.classes for p in c.primes)
-                and encode_triple(t, primes) in self.span())
+                and encode_triple(t, primes) in triple_span(self.basis, primes))
 
     def same_group(self, generators) -> bool:
         """Subgroup equality against another generator list, basis-free."""
@@ -148,16 +135,38 @@ class SelmerGroup:
 
 def torsion_images(curve: RichelotPair, side: str) -> list[KummerTriple]:
     """Images of the rational two-torsion divisors under the global descent
-    map of `side`, deduplicated to an F2 subgroup basis."""
+    map of `side`, deduplicated to an F2 subgroup basis.
+
+    One global class is read per Weierstrass point, infinity and kernel
+    quadratic, in the coordinates of `encode_triple`, and above them a bit
+    per slot and prime outside S that divides its value; a divisor's image
+    is the XOR of its points' (`_torsion_masks`).  It must have no bit
+    outside S and slots that multiply to a square, and only the basis is
+    decoded, from its `_pair_index`."""
     curve.require_five_roots()
     primes = curve.bad_places.finite_primes
-    divisors = _torsion_divisors(curve, DOMAIN if side == PHIHAT else CODOMAIN)
+    w = len(primes) + 1
+    outside: dict = {}  # a prime outside S -> its index
+
+    def classes(values) -> int:
+        m = 0
+        for i, (n, d) in enumerate(values):
+            c = squarefree_reduce(Fraction(n, d), primes)
+            m |= qs2_index(c, primes) << i * w
+            for q in set(c.primes).difference(primes):
+                m |= 1 << 3 * (w + outside.setdefault(q, len(outside))) + i
+        return m
+
     span = gf2.Span()
     basis = []
-    for D in divisors:
-        t = divisor_image(D, curve)
-        if span.add(encode_triple(t, primes)):
-            basis.append(t)
+    for _, m in _torsion_masks(curve, DOMAIN if side == PHIHAT else CODOMAIN, classes)[1]:
+        a1, a2 = m & (1 << w) - 1, m >> w & (1 << w) - 1
+        if m >> 3 * w:
+            raise ValueError(f"a two-torsion image is not supported on {primes}")
+        if m >> 2 * w != a1 ^ a2:
+            raise NormConditionError(f"a two-torsion image {m:#x} is not norm one")
+        if span.add(y := a1 << w | a2):
+            basis.append(_pair_triple(y, primes))
     return basis
 
 
@@ -169,18 +178,11 @@ def _local_rows(gen_masks: list[int], d: int, image: gf2.Span) -> list[int]:
     vector is the pair's `_pair_index`.  Reduction against the image's
     echelon rows zeroes every pivot bit, which leaves the unique such
     representative of the coset, so it is linear and the reduced columns
-    transpose into rows.
+    transpose into rows (a zero row among them constrains nothing).
     """
     cols = [image.reduce(g << d | g << 2 * d) for g in gen_masks]
     cols += [image.reduce(g | g << 2 * d) for g in gen_masks]
-    rows = []
-    for bit in range(3 * d):
-        r = 0
-        for j, c in enumerate(cols):
-            r |= (c >> bit & 1) << j
-        if r:
-            rows.append(r)
-    return rows
+    return [sum((c >> bit & 1) << j for j, c in enumerate(cols)) for bit in range(3 * d)]
 
 
 def selmer_group(curve: RichelotPair, side: str, cfg: SearchConfig = SearchConfig(),
@@ -189,25 +191,20 @@ def selmer_group(curve: RichelotPair, side: str, cfg: SearchConfig = SearchConfi
     if side not in (PHI, PHIHAT):
         raise ValueError("side must be 'phi' or 'phihat'")
     curve.require_five_roots()
-    if cache is None:
-        cache = LocalDataCache()
+    cache = cache or LocalDataCache()
     S = curve.bad_places
     primes = S.finite_primes
     places = places_of(S)
     gens = (-1,) + primes
 
-    imgs = {}
-    dims = []
-    status = "certified"
-    rows = []
+    imgs, dims, rows, status = {}, [], [], "certified"
     for v in places:
-        pair = local_images(curve, v, cfg, cache)
-        img = pair[0] if side == PHIHAT else pair[1]
+        img = local_images(curve, v, cfg, cache)[side == PHI]
         if img.status != "certified":
             status = "heuristic"
         imgs[v] = img.span()
         dims.append((v, img.dim))
-        gen_masks = [class_mask([local_square_class(g, v).bits]) for g in gens]
+        gen_masks = [square_class_mask(g, 1, v.p) for g in gens]
         rows += _local_rows(gen_masks, local_square_dim(v), imgs[v])
     kernel = gf2.nullspace(rows, 2 * len(gens))
 
@@ -215,7 +212,7 @@ def selmer_group(curve: RichelotPair, side: str, cfg: SearchConfig = SearchConfi
     for y in kernel:
         t = _pair_triple(y, primes)
         for v in places:
-            if t.restrict(v).mask() not in imgs[v]:
+            if t.restrict(v).mask not in imgs[v]:
                 raise KernelCheckError(f"kernel vector {t} is not in the local image at {v}")
 
     known = torsion_images(curve, side)

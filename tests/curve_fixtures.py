@@ -1,7 +1,9 @@
 """Curves the tests share: the benchmark corpus, and curve files under
-fixtures/ in the format `ctp` reads; and two entry points the library does
-not need, written over its internals: `quadratic_mumford_certificate` and
-`in_radical`, the radical membership test of a pairing matrix."""
+fixtures/ in the format `ctp` reads; and entry points the library does not
+need, written over its internals: `quadratic_mumford_certificate`,
+`in_radical`, the radical membership test of a pairing matrix, and the
+class bits of `square_class_bits` and `class_mask`, which pack and unpack
+them as the library's masks do."""
 
 import json
 from fractions import Fraction
@@ -11,6 +13,7 @@ from pathlib import Path
 
 from richelot_ctp import gf2
 from richelot_ctp.curve import _common_denominator, build_pair, poly_integer_form
+from richelot_ctp.localfield import square_class_mask
 from richelot_ctp.localpoints import _quadratic_certificate
 from richelot_ctp.selmer import encode_triple
 
@@ -62,3 +65,22 @@ def quadratic_mumford_certificate(f, A, v) -> bool:
     A = x^2 + a x + b, A = (a, b)?"""
     a, b = Fraction(A[0]), Fraction(A[1])
     return _quadratic_certificate(poly_integer_form(f), *_common_denominator(a, b), v)
+
+
+def square_class_bits(n: int, d: int, p) -> tuple[int, ...]:
+    """The `LocalSquareClass.bits` of n/d (nonzero ints) at p, None being oo:
+    `square_class_mask` unpacked."""
+    m = square_class_mask(n, d, p)
+    return tuple(m >> i & 1 for i in range(1 if p is None else 3 if p == 2 else 2))
+
+
+def class_mask(classes) -> int:
+    """The square-class bits of a tuple's slots packed into one int, slot
+    after slot, each slot's first bit lowest: the layout of a local tuple's
+    `mask`."""
+    m, shift = 0, 0
+    for bits in classes:
+        for i, b in enumerate(bits):
+            m |= b << (shift + i)
+        shift += len(bits)
+    return m

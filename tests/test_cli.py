@@ -256,17 +256,21 @@ def test_verify_example_passes(capsys):
 
 
 def test_verify_example_catches_symbol_mutation(monkeypatch, capsys):
-    # a wrong Hilbert symbol implementation must be caught
+    # a wrong Hilbert symbol implementation must be caught: the cup reads
+    # `hilbert_bits` on the slot masks of two packed triples
     import richelot_ctp.cohomology as coh
     real = coh.hilbert_bits
+    calls = []
 
-    def broken(bits_a, bits_b, p):
-        e = real(bits_a, bits_b, p)
+    def broken(a, b, p):
+        calls.append(p)
+        e = real(a, b, p)
         return e ^ 1 if p == 3 else e
 
     monkeypatch.setattr(coh, "hilbert_bits", broken)
     assert main(["verify-example"]) == 1
     assert "FAILED" in capsys.readouterr().out
+    assert 3 in calls
 
 
 @pytest.mark.parametrize("command", ["ctp", "selmer"])

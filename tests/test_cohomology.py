@@ -1,6 +1,12 @@
 import random
+from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
+
+from curve_fixtures import class_mask
+from hilbert_oracle import OracleInconclusive, hilbert_oracle
 
 from richelot_ctp.cohomology import (
     KummerQuintuple,
@@ -16,7 +22,7 @@ from richelot_ctp.cohomology import (
     psi_two_to_phihat,
     quintuple_quotient,
 )
-from richelot_ctp.localfield import LocalPlace
+from richelot_ctp.localfield import LocalPlace, local_square_class
 
 V2 = LocalPlace.finite(2)
 V3 = LocalPlace.finite(3)
@@ -89,11 +95,17 @@ def test_descend_examples():
 
 def test_descend_rejects_non_image():
     # slot 1 nontrivial at 3
-    with pytest.raises(NotInImageError):
+    with pytest.raises(NotInImageError, match="slot 1"):
         descend_to_phi(LocalKummerQuintuple.of((3, 3, 1, 1, 1), V3))
     # slots 2,3 differ at 3 (3 vs 1)
-    with pytest.raises(NotInImageError):
+    with pytest.raises(NotInImageError, match="slots 2 and 3"):
         descend_to_phi(LocalKummerQuintuple.of((1, 3, 1, 3, 1), V3))
+    # on a norm-one quintuple slots 4 and 5 agree once slots 2 and 3 do, so
+    # the last condition is checked on a tuple built from its mask: slot
+    # classes (1, 3, 3, 3, 1) at 3, whose product is not a square
+    slots = (0, 1, 1, 1, 0)
+    with pytest.raises(NotInImageError, match="slots 4 and 5"):
+        descend_to_phi(LocalKummerQuintuple(V3, sum(c << 2 * i for i, c in enumerate(slots))))
 
 
 def test_descend_inverts_psi():
@@ -146,3 +158,60 @@ def test_maps_preserve_norm_condition():
         lift_phihat_to_two(t)
         q = psi_phi_to_two(t)
         psi_two_to_phihat(q)
+
+
+# the packed local tuples against the slotwise classes, on seeded rationals
+# with p dividing numerator and denominator to small powers
+ORACLE_PLACES = [LocalPlace.finite(p) for p in (2, 3, 5, 23, 1009)] + [LocalPlace.infinite()]
+
+
+def random_rational(rng, p):
+    q = p or rng.choice((2, 3))
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 6) * q ** rng.randint(0, 3),
+                    rng.randint(1, 10 ** 4) * q ** rng.randint(0, 3))
+
+
+@pytest.mark.parametrize("v", ORACLE_PLACES, ids=str)
+@pytest.mark.parametrize("kind", [LocalKummerTriple, LocalKummerQuintuple],
+                         ids=["triple", "quintuple"])
+def test_a_local_tuple_holds_the_classes_of_its_slots(kind, v):
+    rng = random.Random(f"local tuple {kind.n} {v}")
+    # p has odd valuation at p, and -1 is negative: a non-square at v
+    non_square = v.p or -1
+    for _ in range(200):
+        values = [random_rational(rng, v.p) for _ in range(kind.n - 1)]
+        values.append(reduce(mul, values) * random_rational(rng, v.p) ** 2)
+        t = kind.of(values, v)
+        classes = tuple(local_square_class(x, v) for x in values)
+        assert t.classes == classes
+        assert t.mask == class_mask(c.bits for c in classes)
+        assert t.slots() == [c.mask for c in classes]
+        assert t.is_trivial() == all(c.is_trivial() for c in classes)
+        # unreduced integer pairs, as the search reads them, give the same
+        k = rng.choice((-1, 1)) * rng.randint(1, 999)
+        assert kind.of([(x.numerator * k, x.denominator * k) for x in values], v) == t
+        i = rng.randrange(kind.n)
+        with pytest.raises(NormConditionError):
+            kind.of(values[:i] + [values[i] * non_square] + values[i + 1:], v)
+
+
+# the cup of two packed triples is the product of the three Hilbert symbols
+# of their slots, each decided by the brute-force oracle on the values
+@pytest.mark.parametrize("v", [V2, V3, LocalPlace.finite(5), LocalPlace.infinite()], ids=str)
+def test_cup_invariant_of_packed_triples_is_the_oracle_symbol_product(v):
+    rng = random.Random(f"cup oracle {v}")
+    pool = (-1, 2, 3, 5, 7, 6, -3, 10, 15)
+    seen = set()
+    for _ in range(60):
+        a, b, c, d = (rng.choice(pool) for _ in range(4))
+        rho, t = (a, b, a * b), (c, d, c * d)
+        symbols = []
+        for x, y in zip(rho, t):
+            try:
+                symbols.append(hilbert_oracle(x, y, v))
+            except OracleInconclusive:
+                symbols.append(hilbert_oracle(x, y, v, depth=8))
+        got = cup_invariant(LocalKummerTriple.of(rho, v), LocalKummerTriple.of(t, v))
+        assert got == (reduce(mul, symbols) == -1), (rho, t, str(v))
+        seen.add(got)
+    assert seen == {0, 1}

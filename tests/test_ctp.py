@@ -1,5 +1,6 @@
 import collections
 import random
+from fractions import Fraction
 from functools import reduce
 from operator import mul
 
@@ -65,7 +66,7 @@ def _direct_formula_local(P_v, a2, curve, v):
     # symbol evaluated on rationals (a point over Q_v only need not have a
     # global quintuple image)
     from richelot_ctp.localfield import hilbert_symbol
-    x = _slot_values(P_v, curve, curve.two_data)
+    x = [Fraction(n, d) for n, d in _slot_values(P_v, curve, curve.two_data)]
     w = a2.values
     s = (hilbert_symbol(x[1] * x[3], w[0], v)
          * hilbert_symbol(x[3], w[1], v)
@@ -147,20 +148,24 @@ def test_matrix_breakdown_reproduces_tables(matrix):
 
 def test_a_warm_matrix_restricts_each_basis_element_once_per_place(
         curve113, sel_phihat, cache, matrix, count_calls):
-    # with the local images cached, the matrix restricts each of the 5
-    # basis triples to each of the 5 places once (3 classes apiece), and the
-    # rows take those restrictions; each (row, place) takes the classes of
-    # its lift (5), and each distinct witness at a place its quintuple image
-    # once (5 apiece; the 25 rows use 27 witnesses, 14 of them distinct
-    # pairs of witness and place): 5 * 5 * 3 + 25 * 5 + 14 * 5 = 270.
-    # Restricting each class again for its row took 410, and one
+    # with the local images cached, the matrix reads the class of each slot
+    # of each of the 5 basis triples at each of the 5 places once (3 reads
+    # apiece), and the rows take those restrictions, and their lifts from
+    # them (the section commutes with restriction); each distinct witness at
+    # a place has its quintuple image read once (5 apiece; the 25 rows use
+    # 27 witnesses, 14 of them distinct pairs of witness and place):
+    # 5 * 5 * 3 + 14 * 5 = 145.  Restricting each row's lift as well took
+    # 270 reads, restricting each class again for its row 410, and one
     # restriction per matrix entry 700
-    calls = count_calls(localfield, "local_square_class", lambda args: str(args[1]))
+    calls = count_calls(localfield, "square_class_mask", lambda args: args[2])
     again = ctp_matrix(sel_phihat, curve113, cache, basis=REFERENCE_BASIS)
     assert (again.entries, again.breakdown) == (matrix.entries, matrix.breakdown)
     assert sum(len(r.P_v) for rows in again.rows for r in rows) == 27
-    assert len({(w, str(r.place)) for rows in again.rows for r in rows for w in r.P_v}) == 14
-    assert len(calls) == 5 and sum(calls.values()) == 270
+    witnesses = {(w, r.place.p) for rows in again.rows for r in rows for w in r.P_v}
+    assert len(witnesses) == 14
+    for v in places_of(curve113.bad_places):
+        assert calls[v.p] == 5 * 3 + 5 * sum(p == v.p for _, p in witnesses), str(v)
+    assert len(calls) == 5 and sum(calls.values()) == 145
 
 
 def test_a_matrix_computes_each_witness_quintuple_image_once_per_place(monkeypatch):

@@ -5,11 +5,13 @@ the same candidates in the same order give the same witnesses, so a change
 to the arithmetic kernel must leave these bytes exactly as they are.  The
 report less its `local_tables` is pinned apart: a local row depends on the
 local points it is built from, but the Selmer groups, the matrix, the
-descent and the status do not.
+descent and the status do not.  Text-mode `ctp` is pinned too, on a few
+curves: its tables print the class representatives of every local row.
 """
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +120,22 @@ FLAGGED = {
 }
 
 
+# the fixtures' `ctp --json` bytes
+FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURE_SHA256 = {
+    "R15": "45b63889937dd6ee6d7492fb02a13f332471964bd60613ed8eb1ae4fff51a095",
+    "R18": "91da52b675e8574fdd3fb8084fdb12985267e44e41f88dc2e8c783413985a07b",
+}
+
+# text-mode `ctp` (no --json), whose tables print each local row's class
+# representatives
+TEXT_SHA256 = {
+    "k=113": "8b0092da876f045bfbb87e04eeefa53333846878a56adacd810854d64032db79",
+    "six-root": "07b52645451740121b284341a3a4fdbb522ff06ea25dfbac2ab5dd6d3a368ee8",
+    "R15": "0c67fbb993892b3e33897f857baf22beff03f3a71c8a93f13b044e5752e90aa0",
+}
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -154,3 +172,20 @@ def test_ctp_json_bytes_without_local_tables_are_pinned(label, tmp_path, capsys)
 @pytest.mark.parametrize("flags", sorted(FLAGGED))
 def test_ctp_json_bytes_are_pinned_under_other_bounds(flags, label, tmp_path, capsys):
     assert ctp_json(label, flags.split(), tmp_path, capsys) == FLAGGED[flags][label]
+
+
+@pytest.mark.parametrize("label", sorted(FIXTURE_SHA256))
+def test_ctp_json_bytes_of_the_fixtures_are_pinned(label, capsys):
+    code = main(["ctp", str(FIXTURES / f"{label}.json"), "--json"])
+    assert (code, sha256(capsys.readouterr().out)) == (0, FIXTURE_SHA256[label])
+
+
+@pytest.mark.parametrize("label", sorted(TEXT_SHA256))
+def test_ctp_text_bytes_are_pinned(label, tmp_path, capsys):
+    if label in CURVES:
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(CURVES[label]))
+    else:
+        path = FIXTURES / f"{label}.json"
+    code = main(["ctp", str(path)])
+    assert (code, sha256(capsys.readouterr().out)) == (0, TEXT_SHA256[label])

@@ -22,8 +22,8 @@ from fractions import Fraction
 
 import pytest
 
-from curve_fixtures import (BENCHMARK_CURVES, fixture_curve, k_family,
-                            quadratic_mumford_certificate)
+from curve_fixtures import (BENCHMARK_CURVES, class_mask, fixture_curve, k_family,
+                            quadratic_mumford_certificate, square_class_bits)
 from hilbert_oracle import _unit_residue
 from padic_oracle import InsufficientPrecision, PadicApprox
 import richelot_ctp.curve as curve_module
@@ -40,14 +40,12 @@ from richelot_ctp.curve import (
 from richelot_ctp.localfield import (
     LocalPlace,
     _legendre,
-    class_mask,
     _smallest_nonresidue,
     hilbert_symbol,
     is_local_square,
     local_square_class,
     places_of,
     sqrt_mod_pk,
-    square_class_bits,
     square_class_mask,
     valuation,
 )
@@ -463,10 +461,11 @@ def test_a_generic_block_has_one_class_tuple_per_unit_class(curve, cfg):
 
 def test_the_x_block_check_catches_a_wrong_rule(monkeypatch):
     # a rule that flagged every factor dominated would read one class per
-    # unit class where the candidates of the class have several
+    # unit class where the candidates of the class have several; on a fresh
+    # A257, since a curve keeps the flags it has read (`_dominance`)
     monkeypatch.setattr(lp, "_generic", lambda terms, js: True)
     with pytest.raises(AssertionError):
-        check_x_blocks(A257, SearchConfig())
+        check_x_blocks(build_pair(1, [0, 1], [-1, 0, 1], [-257 * 257, 0, 1]), SearchConfig())
 
 
 # no block is walked twice: a rational root is not found again by the root
@@ -509,6 +508,39 @@ def test_taylor_valuations_are_computed_once_per_centre_and_prime(count_calls):
             list(_x_blocks(curve, DOMAIN, p, cfg))
         assert 0 < first == calls[p, int], p
     assert {kind for _, kind in calls} == {int}, calls
+
+
+# the dominated flags depend only on the Taylor valuations and a block's
+# exponents, so a curve keeps them per side and prime (`_dominance`), and the
+# walks ask `_generic` once per distinct (terms, exponents).  One
+# `local_images` at B97@23, where both walks run to their end, asked it 892
+# times for 242 distinct pairs: 157 on the domain and 121 on the codomain,
+# 36 of them on both sides; a second walk on the same curve asks none
+def test_the_dominated_flags_are_computed_once_per_side_prime_and_terms(monkeypatch):
+    calls = collections.Counter()
+    generic = lp._generic
+
+    def counted(terms, js):
+        calls[repr(terms), js] += 1
+        return generic(terms, js)
+
+    monkeypatch.setattr(lp, "_generic", counted)
+    v = LocalPlace.finite(23)
+
+    def fresh_b97():
+        return build_pair(1, [0, 1], [2, -3, 1], [5 * 97, -(5 + 97), 1])
+
+    for side, distinct in ((DOMAIN, 157), (CODOMAIN, 121)):
+        calls.clear()
+        curve = fresh_b97()
+        first = list(itertools.chain.from_iterable(_walk(curve, side, v, SearchConfig())))
+        assert len(calls) == distinct and set(calls.values()) == {1}, (side, calls)
+        again = list(itertools.chain.from_iterable(_walk(curve, side, v, SearchConfig())))
+        assert again == first and sum(calls.values()) == distinct, side
+    calls.clear()
+    images = lp.local_images(fresh_b97(), v)
+    assert [image.status for image in images] == [lp.HEURISTIC] * 2
+    assert sum(calls.values()) == 157 + 121 and len(calls) == 242
 
 
 def fraction_taylor(data, c):
@@ -560,8 +592,8 @@ def test_taylor_valuations_match_the_fraction_taylor_oracle(label):
                 terms = data.taylor_terms(c)
                 assert [[(ks, Fraction(n, d)) for ks, n, d in g] for g in terms] == want, (p, c)
                 assert all(type(n) is int and type(d) is int for g in terms for _, n, d in g)
-                assert data.taylor_valuations(c, p) == [
-                    [(valuation(a, p), ks) for ks, a in g] for g in want], (p, side, c)
+                assert data.taylor_valuations(c, p) == tuple(
+                    tuple((valuation(a, p), ks) for ks, a in g) for g in want), (p, side, c)
                 kinds[type(c)] += 1
     assert kinds[Fraction] and kinds[tuple], kinds
 
@@ -774,7 +806,8 @@ def test_quintuple_slot_values_match_the_fraction_evaluator(label):
         walked = [item[0] for item in itertools.chain.from_iterable(walk) if item]
         for D in walked + _torsion_divisors(curve, DOMAIN):
             want = reference_quintuple_values(D, curve)
-            assert _slot_values(D, curve, curve.two_data) == want, (str(D), str(v))
+            got = tuple(Fraction(n, d) for n, d in _slot_values(D, curve, curve.two_data))
+            assert got == tuple(want), (str(D), str(v))
             assert mu_two(D, curve, v) == LocalKummerQuintuple.of(want, v), (str(D), str(v))
             tags.add(D.tag)
     # the walks of k2431 yield two-torsion only; the other curves' walks

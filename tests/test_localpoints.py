@@ -286,7 +286,7 @@ def test_quadratic_masks_read_from_resultants_match_images(curve113):
             for D, same in cases:
                 forms = [poly_integer_form(g) for g in (curve.G if D.side == DOMAIN else curve.L)]
                 mask = _quadratic_mask(*_common_denominator(*D.quad), forms, v.p)
-                assert mask == divisor_image(same, curve, v).mask(), (str(D), str(v))
+                assert mask == divisor_image(same, curve, v).mask, (str(D), str(v))
                 checked += 1
     assert checked >= 40
 
@@ -329,7 +329,7 @@ def test_torsion_masks_read_from_the_curve_data_match_the_images(monkeypatch, la
                 torsion = list(filter(None, _point_tiers(curve, side, v, SearchConfig())[0]))
             assert [D for D, _ in torsion] == _torsion_divisors(curve, side)
             for D, mask in torsion:
-                assert mask == divisor_image(D, curve, v).mask(), (D, v)
+                assert mask == divisor_image(D, curve, v).mask, (D, v)
 
 
 def test_uncached_walks_at_the_real_place_isolate_roots_once_per_side(count_calls):

@@ -26,17 +26,13 @@ from fractions import Fraction
 
 import pytest
 
-from curve_fixtures import BENCHMARK_CURVES
+from curve_fixtures import BENCHMARK_CURVES, square_class_bits
 import richelot_ctp.localpoints as lp
 from richelot_ctp import gf2
 from richelot_ctp.arith import bad_places
 from richelot_ctp.ctp import ctp_matrix
 from richelot_ctp.curve import _common_denominator, build_pair, homogenized_eval, poly_integer_form
-from richelot_ctp.localfield import (
-    LocalPlace,
-    places_of,
-    square_class_bits,
-)
+from richelot_ctp.localfield import LocalPlace, places_of
 from richelot_ctp.localpoints import (
     CERTIFIED,
     CODOMAIN,
@@ -252,7 +248,7 @@ def oracle_local_images(curve, v, cfg):
     def drain(name, tier):
         for D in tier:
             t = divisor_image(D, curve, v)
-            if spans[name].add(t.mask()):
+            if spans[name].add(t.mask):
                 found[name].append((t, D))
                 if filled():
                     return True

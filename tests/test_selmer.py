@@ -1,12 +1,15 @@
+from fractions import Fraction
+
 import pytest
 
-from curve_fixtures import fixture_curve
-from richelot_ctp import arith
-from richelot_ctp.arith import bad_places, enumerate_Q_S2
-from richelot_ctp.cohomology import KummerTriple
+from curve_fixtures import BENCHMARK_CURVES, fixture_curve
+from richelot_ctp import arith, gf2
+from richelot_ctp.arith import SquareClass, bad_places, enumerate_Q_S2, squarefree_reduce
+from richelot_ctp.cohomology import KummerTriple, NormConditionError
 from richelot_ctp.ctp import ctp_matrix
-from richelot_ctp.localpoints import LocalDataCache
-from richelot_ctp.selmer import selmer_group, torsion_images, triple_span
+from richelot_ctp.localpoints import (CODOMAIN, DOMAIN, LocalDataCache, _torsion_divisors,
+                                     divisor_image)
+from richelot_ctp.selmer import encode_triple, selmer_group, torsion_images, triple_span
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +98,7 @@ def test_membership_is_local_everywhere(sel_phihat, curve113, cache):
         img, _ = local_images(curve113, v, cache=cache)
         span = img.span()
         for t in sel_phihat.elements:
-            assert t.restrict(v).mask() in span
+            assert t.restrict(v).mask in span
 
 
 def test_non_selmer_class_rejected(sel_phihat, curve113):
@@ -121,3 +124,53 @@ def test_torsion_images_factor_nothing_once_S_is_known(monkeypatch):
     images = {side: torsion_images(curve, side) for side in ("phihat", "phi")}
     assert not factored
     assert any(999999999989 in c.primes for t in images["phihat"] for c in t.classes)
+
+
+def per_divisor_torsion_images(curve, side):
+    """The torsion route the library replaced, kept as its oracle: every
+    two-torsion divisor's global image from its own slot values
+    (`divisor_image`, which factors each value), the basis picked greedily
+    in divisor order."""
+    primes = curve.bad_places.finite_primes
+    span, basis = gf2.Span(), []
+    for D in _torsion_divisors(curve, DOMAIN if side == "phihat" else CODOMAIN):
+        t = divisor_image(D, curve)
+        if span.add(encode_triple(t, primes)):
+            basis.append(t)
+    return basis
+
+
+# torsion_images reads one class per Weierstrass point, infinity and kernel
+# quadratic, and XORs them per divisor; the codomain's points have values
+# with primes outside S, which cancel in every divisor
+@pytest.mark.parametrize("label", [*BENCHMARK_CURVES, "R15", "R18", "A999999999989"])
+def test_torsion_images_match_the_per_divisor_route(label):
+    curve = BENCHMARK_CURVES.get(label) or fixture_curve(label)
+    for side in ("phihat", "phi"):
+        want = per_divisor_torsion_images(curve, side)
+        assert torsion_images(curve, side) == want, side
+    # the curves whose codomain points have such values
+    data, primes = curve.codomain_data, curve.bad_places.finite_primes
+    outside = {q for values in [*data.root_values.values(), data.inf_values]
+               for n, d in values for q in squarefree_reduce(Fraction(n, d)).primes} - set(primes)
+    assert bool(outside) == (label in ("B31", "B97", "irrational", "R15")), outside
+
+
+# a wrong class of one Weierstrass point, read in its first slot, makes
+# every divisor through the point fail: -1 leaves its image not norm one,
+# and a prime outside S does not cancel in it
+@pytest.mark.parametrize("factor, error, match", [
+    (SquareClass(-1, ()), NormConditionError, "not norm one"),
+    (SquareClass(1, (10007,)), ValueError, "not supported")], ids=["sign", "prime-outside-S"])
+def test_torsion_images_check_every_divisor_image(curve113, monkeypatch, factor, error, match):
+    from richelot_ctp import selmer
+    reads = []
+
+    def wrong_first_read(q, primes=()):
+        reads.append(q)
+        c = squarefree_reduce(q, primes)
+        return c * factor if len(reads) == 1 else c
+
+    monkeypatch.setattr(selmer, "squarefree_reduce", wrong_first_read)
+    with pytest.raises(error, match=match):
+        torsion_images(curve113, "phihat")

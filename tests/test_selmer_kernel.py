@@ -15,7 +15,7 @@ import pytest
 
 import richelot_ctp.selmer as selmer_mod
 from richelot_ctp import gf2
-from curve_fixtures import BENCHMARK_CURVES, fixture_curve
+from curve_fixtures import BENCHMARK_CURVES, class_mask, fixture_curve
 from richelot_ctp.arith import bad_places, enumerate_Q_S2
 from richelot_ctp.cohomology import KummerTriple
 from richelot_ctp.ctp import (
@@ -25,7 +25,7 @@ from richelot_ctp.ctp import (
     rank_report,
 )
 from richelot_ctp.curve import UnsupportedModelError, build_pair
-from richelot_ctp.localfield import LocalPlace, class_mask, local_square_class, places_of
+from richelot_ctp.localfield import LocalPlace, local_square_class, places_of
 from richelot_ctp.localpoints import LocalDataCache, SearchConfig, local_images
 from richelot_ctp.selmer import (
     KernelCheckError,
