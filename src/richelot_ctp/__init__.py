@@ -6,7 +6,6 @@ from .ctp import DescentReport, PairingMatrix, ctp_global, ctp_local, ctp_matrix
 from .curve import RichelotPair, TwoTorsionPoint, build_pair, weil_ephi
 from .localfield import LocalPlace, LocalSquareClass, local_square_class
 from .localpoints import (
-    LocalDataCache,
     LocalImage,
     MumfordDivisor,
     SearchConfig,

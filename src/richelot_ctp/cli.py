@@ -34,7 +34,7 @@ from .cohomology import NotInImageError
 from .ctp import InconsistentDimensions, LocalRow, ctp_matrix, rank_report
 from .curve import INF, CurveError, RichelotPair, build_pair, poly, poly_str
 from .localfield import class_representative, places_of
-from .localpoints import LocalDataCache, SearchConfig
+from .localpoints import SearchConfig
 from .selmer import selmer_group
 from .verify import run_verification
 
@@ -144,12 +144,12 @@ def _row_dict(row: LocalRow) -> dict:
     return out
 
 
-def _ctp_report(curve, label, cfg, cache, places=None) -> dict:
+def _ctp_report(curve, label, cfg, places=None) -> dict:
     """The full report; `places`, a subset of the bad places, makes it partial."""
     partial = places is not None
-    sel_hat = selmer_group(curve, "phihat", cfg, cache)
-    sel_phi = selmer_group(curve, "phi", cfg, cache)
-    M = ctp_matrix(sel_hat, curve, cache, cfg, places=places)
+    sel_hat = selmer_group(curve, "phihat", cfg)
+    sel_phi = selmer_group(curve, "phi", cfg)
+    M = ctp_matrix(sel_hat, curve, cfg, places=places)
 
     report = {
         "curve": _curve_echo(curve, label),
@@ -336,13 +336,12 @@ def main(argv=None) -> int:
         return 0
 
     run = _selmer_command if args.command == "selmer" else _ctp_command
-    return run(args, curve, label, _cfg_of(args), LocalDataCache())
+    return run(args, curve, label, _cfg_of(args))
 
 
-def _selmer_command(args, curve: RichelotPair, label: str, cfg: SearchConfig,
-                    cache: LocalDataCache) -> int:
+def _selmer_command(args, curve: RichelotPair, label: str, cfg: SearchConfig) -> int:
     try:
-        sel = selmer_group(curve, args.side, cfg, cache)
+        sel = selmer_group(curve, args.side, cfg)
     except CurveError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -355,8 +354,7 @@ def _selmer_command(args, curve: RichelotPair, label: str, cfg: SearchConfig,
     return 0
 
 
-def _ctp_command(args, curve: RichelotPair, label: str, cfg: SearchConfig,
-                 cache: LocalDataCache) -> int:
+def _ctp_command(args, curve: RichelotPair, label: str, cfg: SearchConfig) -> int:
     try:
         places = None
         if args.places:
@@ -368,7 +366,7 @@ def _ctp_command(args, curve: RichelotPair, label: str, cfg: SearchConfig,
                       f"the bad places are {', '.join(str(v) for v in bad)}", file=sys.stderr)
                 return 2
             places = [v for v in bad if str(v) in chosen]
-        report = _ctp_report(curve, label, cfg, cache, places)
+        report = _ctp_report(curve, label, cfg, places)
     except CurveError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -64,13 +64,13 @@ class NotInImageError(RuntimeError):
 
 @dataclass(frozen=True)
 class _KummerTuple:
-    """The body shared by the global tuples; a subclass sets `n`, `local`
-    (its local tuple kind) and its own `of`."""
+    """The body shared by the global tuples; a subclass sets `n` and `local`
+    (its local tuple kind)."""
 
     classes: tuple[SquareClass, ...]
 
     @classmethod
-    def at(cls, values):
+    def of(cls, *values):
         """The tuple of these slot values, each factored once to its signed
         squarefree class; a SquareClass is kept."""
         cs = tuple(c if isinstance(c, SquareClass) else squarefree_reduce(c) for c in values)
@@ -180,19 +180,11 @@ class KummerTriple(_KummerTuple):
 
     n, local = 3, LocalKummerTriple
 
-    @classmethod
-    def of(cls, a, b, c) -> "KummerTriple":
-        return cls.at((a, b, c))
-
 
 class KummerQuintuple(_KummerTuple):
     """Element of the norm-one part of (Q*/(Q*)^2)^5."""
 
     n, local = 5, LocalKummerQuintuple
-
-    @classmethod
-    def of(cls, *cs) -> "KummerQuintuple":
-        return cls.at(cs)
 
 
 # ---------------------------------------------------------------------------

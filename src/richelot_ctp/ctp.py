@@ -36,13 +36,7 @@ from .cohomology import (
 )
 from .curve import RichelotPair
 from .localfield import LocalPlace, places_of
-from .localpoints import (
-    LocalDataCache,
-    MumfordDivisor,
-    SearchConfig,
-    local_images,
-    mu_two,
-)
+from .localpoints import MumfordDivisor, SearchConfig, local_images, mu_two
 from .selmer import SelmerGroup
 
 __all__ = [
@@ -84,26 +78,26 @@ class LocalRow:
 
 
 def local_row(a: KummerTriple, curve: RichelotPair, v: LocalPlace,
-              cfg: SearchConfig = SearchConfig(), cache: Optional[LocalDataCache] = None,
-              lift: Optional[KummerQuintuple] = None, a_v: Optional[LocalKummerTriple] = None,
-              two: Optional[dict] = None) -> LocalRow:
+              cfg: SearchConfig = SearchConfig(), lift: Optional[KummerQuintuple] = None,
+              a_v: Optional[LocalKummerTriple] = None) -> LocalRow:
     """Run lift, witnesses, quintuple image, quotient and descent for `a` at v.
 
     `lift` defaults to the section (a1, 1, a2, 1, a3), which restricts to
     the section of a|v.  Individual rows depend
     on the choice of lift and witnesses; only the pairing summed over all
     places is canonical.  A non-Selmer `a` can raise NotInImageError.
-    `a_v` is a|v, and `two` maps witnesses to their `mu_two` at v and is
-    filled here: `ctp_matrix` passes both, so each is computed once a place.
+    `a_v` is a|v, which `ctp_matrix` passes, so it is restricted once a
+    place; each witness's `mu_two` at v is kept in the curve's `two_data`,
+    so it is computed once per curve.
     """
     a_v = a.restrict(v) if a_v is None else a_v
-    two = {} if two is None else two
-    image = local_images(curve, v, cfg, cache)[0]
+    image = local_images(curve, v, cfg)[0]
     coords = gf2.coordinates([t.mask for t in image.basis], a_v.mask)
     if coords is None:
         raise NotInImageError(f"{a} is outside the dual-kernel local image at {v}")
     P_v = (tuple(w for k, w in enumerate(image.witnesses) if coords >> k & 1)
            or (MumfordDivisor.identity(),))
+    two = curve.two_data.table(("mu_two", v), dict)  # witness -> its mu_two at v
     two.update({w: mu_two(w, curve, v) for w in set(P_v) - two.keys()})
     delta2 = reduce(mul, map(two.get, P_v))
     lift_v = lift_phihat_to_two(a_v) if lift is None else lift.restrict(v)
@@ -112,10 +106,9 @@ def local_row(a: KummerTriple, curve: RichelotPair, v: LocalPlace,
 
 
 def ctp_local(a: KummerTriple, a2: KummerTriple, curve: RichelotPair, v: LocalPlace,
-              cache: Optional[LocalDataCache] = None, cfg: SearchConfig = SearchConfig(),
-              lift: Optional[KummerQuintuple] = None) -> int:
+              cfg: SearchConfig = SearchConfig(), lift: Optional[KummerQuintuple] = None) -> int:
     """Local pairing contribution at v, in F2, for a fixed global lift of `a`."""
-    return cup_invariant(local_row(a, curve, v, cfg, cache, lift).rho, a2, v)
+    return cup_invariant(local_row(a, curve, v, cfg, lift).rho, a2, v)
 
 
 def _pairing_places(curve: RichelotPair, a, a2, lift) -> list[LocalPlace]:
@@ -134,8 +127,7 @@ def _pairing_places(curve: RichelotPair, a, a2, lift) -> list[LocalPlace]:
 
 
 def ctp_global(a: KummerTriple, a2: KummerTriple, curve: RichelotPair,
-               cache: Optional[LocalDataCache] = None, cfg: SearchConfig = SearchConfig(),
-               lift: Optional[KummerQuintuple] = None) -> int:
+               cfg: SearchConfig = SearchConfig(), lift: Optional[KummerQuintuple] = None) -> int:
     """The pairing of a and a2, in F2 (0 or 1, i.e. 0 or 1/2 in Q/Z).
 
     Sums local contributions over the bad places; when a custom lift with
@@ -146,7 +138,7 @@ def ctp_global(a: KummerTriple, a2: KummerTriple, curve: RichelotPair,
         raise ValueError("lift does not map to a under the quintuple-to-triple map")
     total = 0
     for v in _pairing_places(curve, a, a2, lift):
-        total ^= ctp_local(a, a2, curve, v, cache, cfg, lift)
+        total ^= ctp_local(a, a2, curve, v, cfg, lift)
     return total
 
 
@@ -176,8 +168,7 @@ class PairingMatrix:
         return tuple(tuple("1/2" if e else "0" for e in row) for row in self.entries)
 
 
-def ctp_matrix(selmer: SelmerGroup, curve: RichelotPair,
-               cache: Optional[LocalDataCache] = None, cfg: SearchConfig = SearchConfig(),
+def ctp_matrix(selmer: SelmerGroup, curve: RichelotPair, cfg: SearchConfig = SearchConfig(),
                basis: Optional[Sequence[KummerTriple]] = None,
                places: Optional[Sequence[LocalPlace]] = None) -> PairingMatrix:
     """Gram matrix of the pairing on `basis` (default: the Selmer basis).
@@ -187,8 +178,6 @@ def ctp_matrix(selmer: SelmerGroup, curve: RichelotPair,
     """
     if selmer.side != "phihat":
         raise ValueError("the pairing is computed on the dual-kernel Selmer group")
-    if cache is None:
-        cache = LocalDataCache()
     bas = tuple(basis) if basis is not None else selmer.basis
     for t in bas:
         if not selmer.contains(t):
@@ -197,9 +186,8 @@ def ctp_matrix(selmer: SelmerGroup, curve: RichelotPair,
         places = places_of(curve.bad_places)
     n = len(bas)
     local_bas = {v: [t.restrict(v) for t in bas] for v in places}
-    two = {v: {} for v in places}  # each witness's mu_two at each place, shared by the rows
-    rows = tuple(tuple(local_row(a, curve, v, cfg, cache, a_v=local_bas[v][i], two=two[v])
-                       for v in places) for i, a in enumerate(bas))
+    rows = tuple(tuple(local_row(a, curve, v, cfg, a_v=local_bas[v][i]) for v in places)
+                 for i, a in enumerate(bas))
     entries = []
     breakdown = {}
     for i in range(n):

@@ -12,13 +12,13 @@ numerators and denominators; `poly_eval` wraps the two for a `Fraction`.
 
 A `RichelotPair` computes the data that depend on the curve alone once, on
 first use, and holds them: the sextic models f and fhat, the leading
-coefficient, the rational roots, the bad places, the key caches file the
-curve under, and one `SideData` per descent map with what it reads at every
-place (integer forms, Weierstrass and infinite factor values, kernel
-quadratics; for the search also real sample points and the Taylor
-coefficients, at x-centres and at the quadratic tier's centres, as integer
-numerators and denominators, with their valuations and the search's tables
-per prime).
+coefficient, the rational roots, the bad places, and one `SideData` per
+descent map with what it reads at every place (integer forms, Weierstrass
+and infinite factor values, kernel quadratics; for the search also real
+sample points and the Taylor coefficients, at x-centres and at the quadratic
+tier's centres, as integer numerators and denominators, with their
+valuations and the search's tables per prime and per place, the local
+images among them).
 Nothing is shared between instances, so two equal curves built separately
 compute it twice.
 """
@@ -26,7 +26,6 @@ compute it twice.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -321,9 +320,9 @@ class RichelotPair:
 
     Everything derived from these fields is computed on first use and kept
     on the instance: f, fhat, the leading coefficient, the flat and the
-    codomain roots, `bad_places`, the cache `key`, the `SideData` of each
-    side (`side_data`) and of the quintuple map (`two_data`), so each place
-    of a run does only its own work.
+    codomain roots, `bad_places`, the `SideData` of each side (`side_data`)
+    and of the quintuple map (`two_data`), so each place of a run does only
+    its own work.
     """
 
     G: tuple[Poly, Poly, Poly]
@@ -369,11 +368,6 @@ class RichelotPair:
         if isinstance(self._bad_places, Exception):
             raise self._bad_places
         return self._bad_places
-
-    @cached_property
-    def key(self) -> str:
-        """The factors as a JSON string, the key caches keep this curve under."""
-        return json.dumps([[str(c) for c in g] for g in self.G])
 
     @cached_property
     def domain_data(self) -> "SideData":
@@ -472,9 +466,10 @@ class SideData:
     coefficients at each centre, x-centres and quadratic ones, as integer
     numerators and denominators derived from the integer forms
     (`taylor_terms`), so no Fraction is built per centre.  A place adds only
-    its class masks and the tables `table` keeps per prime, such as the
-    valuations of `taylor_valuations`.  Factor values are integer (numerator,
-    denominator) pairs per factor, in the conventions of the descent maps.
+    its class masks and the tables `table` keeps per prime or place, such as
+    the valuations of `taylor_valuations` and the local images.  Factor
+    values are integer (numerator, denominator) pairs per factor, in the
+    conventions of the descent maps.
 
     `groups` holds each factor's rational roots, or None where they are
     irrational; a Weierstrass point's own slot takes the product of the other
@@ -499,7 +494,6 @@ class SideData:
             if grp is None:
                 a, b = g[1] / g[2], g[0] / g[2]
                 self.kernels[a, b] = self.quadratic_values(a, b)
-        self._taylor: dict = {}
         self._tables: dict = {}
 
     @cached_property
@@ -562,7 +556,7 @@ class SideData:
         factor's resultant `_res2`, b^2 g2^2 - a b g1 g2 + a^2 g0 g2
         + b (g1^2 - 2 g0 g2) - a g0 g1 + g0^2: quadratics in (s, t), with
         exponents (i, k) for s^i t^k."""
-        if c not in self._taylor:
+        def terms():
             if isinstance(c, tuple):
                 polys = [({(2, 0): 1, (0, 1): -4}, 1)]
                 for C, den in self.forms:
@@ -570,15 +564,13 @@ class SideData:
                     polys.append(({(0, 2): g2 * g2, (1, 1): -g1 * g2, (2, 0): g0 * g2,
                                    (0, 1): g1 * g1 - 2 * g0 * g2, (1, 0): -g0 * g1,
                                    (0, 0): g0 * g0}, den * den))
-                self._taylor[c] = [_shifted_quadratic(C, D, *_common_denominator(*c))
-                                   for C, D in polys]
-            else:
-                n, d = c.numerator, c.denominator
-                self._taylor[c] = [[((k,), a, den * d ** (len(C) - 1 - k)) for k, a in enumerate(
-                    [sum(math.comb(i, k) * C[i] * n ** (i - k) * d ** (len(C) - 1 - i)
-                         for i in range(k, len(C))) for k in range(len(C))]) if a]
-                    for C, den in self.forms]
-        return self._taylor[c]
+                return [_shifted_quadratic(C, D, *_common_denominator(*c)) for C, D in polys]
+            n, d = c.numerator, c.denominator
+            return [[((k,), a, den * d ** (len(C) - 1 - k)) for k, a in enumerate(
+                [sum(math.comb(i, k) * C[i] * n ** (i - k) * d ** (len(C) - 1 - i)
+                     for i in range(k, len(C))) for k in range(len(C))]) if a]
+                for C, den in self.forms]
+        return self.table(("taylor", c), terms)
 
     def taylor_valuations(self, c, p: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
         """(v_p(coefficient), exponents) of each term of `taylor_terms(c)`,
@@ -590,7 +582,8 @@ class SideData:
             for g in self.taylor_terms(c)))
 
     def table(self, key, make):
-        """`make()`, kept under `key`: the search's tables per prime."""
+        """`make()`, kept under `key`: the search's tables per centre, prime
+        and place."""
         if key not in self._tables:
             self._tables[key] = make()
         return self._tables[key]

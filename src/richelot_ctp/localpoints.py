@@ -28,11 +28,12 @@ exact image is built only for a vector the search keeps or a point it
 returns (and must match its mask).  Every tier skips a mask its walk has
 already yielded before it builds the divisor, or certifies a quadratic, so
 a walk yields each mask once; an escalation walks only the tiers whose
-bounds it changes.  Each call walks afresh.  `local_images` steps the two
-sides' walks in turn (a block of candidates or one candidate a step), stops
-once they fill dim H^1, escalates only once both have used up a round, and
-keeps the witness of each basis vector, from which the pairing builds its
-rows.
+bounds it changes.  `local_images` steps the two sides' walks in turn (a
+block of candidates or one candidate a step), stops once they fill dim H^1,
+escalates only once both have used up a round, and keeps the witness of
+each basis vector, from which the pairing builds its rows.  The curve keeps
+the images under the place and the search config, so the Selmer groups and
+the pairing of one curve walk each place once.
 
 Single points come in blocks x = c + r p^j over the unit residues r: all
 units mod p^m while p^m <= `_RESIDUE_CAP`, past it a sample of that many
@@ -109,7 +110,6 @@ __all__ = [
     "SearchExhausted",
     "ClassBitsMismatch",
     "LocalImage",
-    "LocalDataCache",
     "mu_two",
     "mu_phihat",
     "mu_phi",
@@ -249,7 +249,7 @@ def _image(kind, D: MumfordDivisor, curve: RichelotPair, data, v: Optional[Local
     if v is not None:
         return kind.local.of(values, v)
     primes = curve.bad_places.finite_primes
-    return kind.at([squarefree_reduce(Fraction(n, d), primes) for n, d in values])
+    return kind.of(*(squarefree_reduce(Fraction(n, d), primes) for n, d in values))
 
 
 def mu_two(D: MumfordDivisor, curve: RichelotPair, v: Optional[LocalPlace] = None):
@@ -395,6 +395,11 @@ def _unit_residues(p: int, exponent: int) -> list[int]:
         m += 1
     mod = p ** m
     return [r for r in range(1, mod) if r % p]
+
+
+def _unit_class(r: int, p: int) -> int:
+    """The unit class of r: r mod 8 at p = 2, its Legendre symbol at odd p."""
+    return r % 8 if p == 2 else pow(r, p // 2, p)
 
 
 def _roots_mod_p(C, p: int) -> list[int]:
@@ -547,7 +552,7 @@ def _x_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConf
     p = v.p
     units = _unit_residues(p, cfg.residue_exponent)
     classes = curve.side_data(side).table(("classes", p, cfg.residue_exponent), lambda: [
-        r % 8 if p == 2 else pow(r, p // 2, p) for r in units])
+        _unit_class(r, p) for r in units])
     kinds = set(classes)
     seen = set()
     for c, j, dominated in _x_blocks(curve, side, p, cfg):
@@ -690,10 +695,7 @@ def _quadratic_mask(an: int, bn: int, q: int, forms, p: int) -> int:
     if 0 in res:
         i = res.index(0)
         res[i] = res[i - 1] * res[i - 2]
-    r0, r1, r2 = res
-    d = 3 if p == 2 else 2
-    return (square_class_mask(r0, 1, p) | square_class_mask(r1, 1, p) << d
-            | square_class_mask(r2, 1, p) << 2 * d)
+    return tuple_mask([(r, 1) for r in res], p)
 
 
 def _quadratic_blocks(data, p: int, cfg: SearchConfig) -> Iterator:
@@ -710,7 +712,7 @@ def _quadratic_blocks(data, p: int, cfg: SearchConfig) -> Iterator:
     units = _unit_residues(p, exponent)
     if len(units) > 40:
         units = units[:20] + units[-20:]
-    classes = {r: r % 8 if p == 2 else pow(r, p // 2, p) for r in units}
+    classes = {r: _unit_class(r, p) for r in units}
 
     def block(c, j, rs):
         xs = list(zip(_block_xs(c, j, p, rs), [classes[r] for r in rs]))
@@ -977,18 +979,19 @@ def _annihilate(img_a: list, img_b: list) -> bool:
     return True
 
 
-def local_images(curve: RichelotPair, v: LocalPlace, cfg: SearchConfig = SearchConfig(),
-                 cache: Optional["LocalDataCache"] = None) -> tuple[LocalImage, LocalImage]:
+def local_images(curve: RichelotPair, v: LocalPlace,
+                 cfg: SearchConfig = SearchConfig()) -> tuple[LocalImage, LocalImage]:
     """Both local descent images at v, certified against each other.
 
     Returns (phihat image, phi image).  Certification: the dimensions sum to
     dim H^1 and every cross pair cups to zero.  Failing that within the
-    escalation budget, both come back flagged heuristic.
+    escalation budget, both come back flagged heuristic.  The domain's
+    `SideData` keeps them under (v, cfg), so a second call returns them.
     """
-    cache = cache or LocalDataCache()
-    hit = cache.get_images(curve, v, cfg)
-    if hit is not None:
-        return hit
+    return curve.domain_data.table(("images", v, cfg), lambda: _search_images(curve, v, cfg))
+
+
+def _search_images(curve: RichelotPair, v: LocalPlace, cfg: SearchConfig) -> tuple:
     curve.require_five_roots()
     target = _h1_dim(v)
     walks = {"phihat": _walk(curve, DOMAIN, v, cfg), "phi": _walk(curve, CODOMAIN, v, cfg)}
@@ -1007,12 +1010,10 @@ def local_images(curve: RichelotPair, v: LocalPlace, cfg: SearchConfig = SearchC
     certified = (spans["phihat"].dim + spans["phi"].dim == target
                  and _annihilate(found["phihat"], found["phi"]))
     status = CERTIFIED if certified else HEURISTIC
-    images = tuple(
+    return tuple(
         LocalImage(v, name, tuple(t for t, _ in found[name]),
                    tuple(D for _, D in found[name]), status)
         for name in ("phihat", "phi"))
-    cache.put_images(curve, v, cfg, images)
-    return images
 
 
 def find_local_point(target, curve: RichelotPair, v: LocalPlace,
@@ -1035,26 +1036,3 @@ def find_local_point(target, curve: RichelotPair, v: LocalPlace,
             _checked_image(*item, curve, v)
             return item[0]
     raise SearchExhausted(f"no divisor found with image {t_local} at {v}")
-
-
-# ---------------------------------------------------------------------------
-# cache
-# ---------------------------------------------------------------------------
-
-
-class LocalDataCache:
-    """In-memory store of the local images at each place, kept under the
-    curve, the place and the search config."""
-
-    def __init__(self):
-        self._images: dict = {}
-
-    @staticmethod
-    def _key(curve: RichelotPair, v, cfg: SearchConfig) -> tuple:
-        return curve.key, str(v), cfg
-
-    def get_images(self, curve, v, cfg):
-        return self._images.get(self._key(curve, v, cfg))
-
-    def put_images(self, curve, v, cfg, images):
-        self._images[self._key(curve, v, cfg)] = images

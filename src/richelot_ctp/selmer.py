@@ -34,21 +34,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
 
 from . import gf2
 from .arith import PlaceSet, qs2_element, qs2_index, squarefree_reduce
 from .cohomology import KummerTriple, NormConditionError
 from .curve import RichelotPair
 from .localfield import LocalPlace, local_square_dim, places_of, square_class_mask
-from .localpoints import (
-    CODOMAIN,
-    DOMAIN,
-    LocalDataCache,
-    SearchConfig,
-    _torsion_masks,
-    local_images,
-)
+from .localpoints import CODOMAIN, DOMAIN, SearchConfig, _torsion_masks, local_images
 
 __all__ = ["SelmerGroup", "KernelCheckError", "torsion_images", "selmer_group",
            "encode_triple", "triple_span"]
@@ -120,11 +113,16 @@ class SelmerGroup:
         vectors = gf2.Span(_pair_index(t, primes) for t in self.basis).elements()
         return tuple(_pair_triple(y, primes) for y in sorted(vectors))
 
+    @cached_property
+    def _span(self) -> gf2.Span:
+        return triple_span(self.basis, self.places.finite_primes)
+
     def contains(self, t: KummerTriple) -> bool:
-        """Is t a member?  A class with a prime outside S is not."""
+        """Is t a member?  A class with a prime outside S is not.  The span
+        of the basis is built on the first call."""
         primes = self.places.finite_primes
         return (all(p in primes for c in t.classes for p in c.primes)
-                and encode_triple(t, primes) in triple_span(self.basis, primes))
+                and encode_triple(t, primes) in self._span)
 
     def same_group(self, generators) -> bool:
         """Subgroup equality against another generator list, basis-free."""
@@ -185,13 +183,11 @@ def _local_rows(gen_masks: list[int], d: int, image: gf2.Span) -> list[int]:
     return [sum((c >> bit & 1) << j for j, c in enumerate(cols)) for bit in range(3 * d)]
 
 
-def selmer_group(curve: RichelotPair, side: str, cfg: SearchConfig = SearchConfig(),
-                 cache: Optional[LocalDataCache] = None) -> SelmerGroup:
+def selmer_group(curve: RichelotPair, side: str, cfg: SearchConfig = SearchConfig()) -> SelmerGroup:
     """Compute the kernel Selmer group of `side` ("phihat" or "phi")."""
     if side not in (PHI, PHIHAT):
         raise ValueError("side must be 'phi' or 'phihat'")
     curve.require_five_roots()
-    cache = cache or LocalDataCache()
     S = curve.bad_places
     primes = S.finite_primes
     places = places_of(S)
@@ -199,7 +195,7 @@ def selmer_group(curve: RichelotPair, side: str, cfg: SearchConfig = SearchConfi
 
     imgs, dims, rows, status = {}, [], [], "certified"
     for v in places:
-        img = local_images(curve, v, cfg, cache)[side == PHI]
+        img = local_images(curve, v, cfg)[side == PHI]
         if img.status != "certified":
             status = "heuristic"
         imgs[v] = img.span()

@@ -23,7 +23,7 @@ from .cohomology import (
 from .ctp import ctp_global, ctp_matrix, local_row, rank_report
 from .curve import RichelotPair, build_pair, poly, weil_ephi
 from .localfield import LocalPlace, local_square_class, places_of
-from .localpoints import LocalDataCache, SearchConfig
+from .localpoints import SearchConfig
 from .selmer import selmer_group, torsion_images
 
 __all__ = ["example_curve", "run_verification", "CheckResult"]
@@ -85,11 +85,8 @@ def _same_local_classes(t, expected, v: LocalPlace) -> bool:
 
 
 def run_verification(cfg: SearchConfig = SearchConfig(),
-                     cache: Optional[LocalDataCache] = None,
                      report: Optional[Callable[[str], None]] = None) -> list[CheckResult]:
     """Run every reference check; optionally print one line per check."""
-    if cache is None:
-        cache = LocalDataCache()
     results: list[CheckResult] = []
 
     def check(name: str, passed: bool, detail: str = ""):
@@ -134,8 +131,8 @@ def run_verification(cfg: SearchConfig = SearchConfig(),
           f"got {sorted(tors)}")
 
     # Selmer groups
-    sel_hat = selmer_group(curve, "phihat", cfg, cache)
-    sel_phi = selmer_group(curve, "phi", cfg, cache)
+    sel_hat = selmer_group(curve, "phihat", cfg)
+    sel_phi = selmer_group(curve, "phi", cfg)
     check("dual-kernel Selmer group",
           sel_hat.dim == 5 and sel_hat.status == "certified"
           and sel_hat.same_group([KummerTriple.of(*t) for t in _SEL_PHIHAT]),
@@ -151,7 +148,7 @@ def run_verification(cfg: SearchConfig = SearchConfig(),
         ok, why = True, ""
         for v in places_of(S):
             expected = cols[str(v)]
-            row = local_row(a, curve, v, cfg, cache)
+            row = local_row(a, curve, v, cfg)
             if expected is None:
                 if not (row.delta2.is_trivial() and row.difference.is_trivial()
                         and row.rho.is_trivial()):
@@ -169,13 +166,13 @@ def run_verification(cfg: SearchConfig = SearchConfig(),
 
     # pairing matrix on the reference basis order
     basis = tuple(KummerTriple.of(*t) for t in _SEL_PHIHAT)
-    matrix = ctp_matrix(sel_hat, curve, cache, cfg, basis=basis)
+    matrix = ctp_matrix(sel_hat, curve, cfg, basis=basis)
     expected_entries = tuple(
         tuple(1 if {i, j} == {2, 3} else 0 for j in range(5)) for i in range(5))
     check("pairing matrix", matrix.entries == expected_entries,
           f"got {matrix.entries}")
     check("pairing value 1/2",
-          ctp_global(basis[2], basis[3], curve, cache, cfg) == 1)
+          ctp_global(basis[2], basis[3], curve, cfg) == 1)
     check("matrix radical dimension", matrix.radical_dim == 3,
           f"got {matrix.radical_dim}")
     check("matrix symmetric", matrix.symmetric)

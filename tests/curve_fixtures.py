@@ -1,5 +1,7 @@
 """Curves the tests share: the benchmark corpus, and curve files under
-fixtures/ in the format `ctp` reads; and entry points the library does not
+fixtures/ in the format `ctp` reads; `fresh`, for a test that counts a
+walk's work on a shared curve, which keeps what earlier tests found; and
+entry points the library does not
 need, written over its internals: `quadratic_mumford_certificate`,
 `in_radical`, the radical membership test of a pairing matrix, and the
 class bits of `square_class_bits` and `class_mask`, which pack and unpack
@@ -37,6 +39,12 @@ BENCHMARK_CURVES = {
     "negative-lc": build_pair(-1, [0, 1], [-1, 0, 1], [-9, 0, 1]),
     "A1009": build_pair(1, [0, 1], [-1, 0, 1], [-1009 * 1009, 0, 1]),
 }
+
+
+def fresh(curve):
+    """A separate instance of `curve`, built again from its factors: it holds
+    none of the tables, local images among them, that `curve` has kept."""
+    return build_pair(1, *curve.G)
 
 
 def fixture_path(label: str) -> Path:

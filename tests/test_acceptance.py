@@ -32,7 +32,6 @@ from richelot_ctp.localfield import (
 )
 from richelot_ctp.localpoints import (
     DOMAIN,
-    LocalDataCache,
     SearchConfig,
     _point_tiers,
     find_local_point,
@@ -55,24 +54,19 @@ def curve():
 
 
 @pytest.fixture(scope="module")
-def cache():
-    return LocalDataCache()
+def sel_phihat(curve):
+    return selmer_group(curve, "phihat")
 
 
 @pytest.fixture(scope="module")
-def sel_phihat(curve, cache):
-    return selmer_group(curve, "phihat", cache=cache)
+def sel_phi(curve):
+    return selmer_group(curve, "phi")
 
 
 @pytest.fixture(scope="module")
-def sel_phi(curve, cache):
-    return selmer_group(curve, "phi", cache=cache)
-
-
-@pytest.fixture(scope="module")
-def matrix(curve, sel_phihat, cache):
+def matrix(curve, sel_phihat):
     basis = tuple(KummerTriple.of(*t) for t in _SEL_PHIHAT)
-    return ctp_matrix(sel_phihat, curve, cache, basis=basis)
+    return ctp_matrix(sel_phihat, curve, basis=basis)
 
 
 def test_criterion_1_isogeny_construction(curve):
@@ -93,7 +87,7 @@ def test_criterion_2_selmer_groups(sel_phihat, sel_phi):
     _report(2, "both Selmer groups equal the expected subgroups, certified")
 
 
-def test_criterion_3_local_tables(curve, cache):
+def test_criterion_3_local_tables(curve):
     S = bad_places(curve)
     checked = 0
     for a_vals, cols in _TABLES.items():
@@ -103,7 +97,7 @@ def test_criterion_3_local_tables(curve, cache):
             expected = cols[str(v)]
             # the pipeline's row, on the local image's witnesses, and the
             # same steps on the first local point a search finds below a
-            row = local_row(a, curve, v, cache=cache)
+            row = local_row(a, curve, v)
             P_v = find_local_point(a, curve, v)
             delta2 = mu_two(P_v, curve, v)
             diff = quintuple_quotient(delta2, lift.restrict(v))
@@ -189,7 +183,7 @@ def test_criterion_6_hilbert_symbol_suite():
                f"{oracle_checked} oracle agreements with zero failures")
 
 
-def test_criterion_7_choice_independence(curve, cache):
+def test_criterion_7_choice_independence(curve):
     rng = random.Random(31337)
     S = bad_places(curve)
     group = enumerate_Q_S2(S)
@@ -198,7 +192,7 @@ def test_criterion_7_choice_independence(curve, cache):
              (KummerTriple.of(2, 2, 1), KummerTriple.of(1, 7, 7)),
              (KummerTriple.of(2 * K, -14 * K, -7), KummerTriple.of(2, 2, 1)),
              (KummerTriple.of(113, 113, 1), KummerTriple.of(113, 113, 1))]
-    expected = [ctp_global(a, b, curve, cache) for a, b in pairs]
+    expected = [ctp_global(a, b, curve) for a, b in pairs]
     for run in range(20):
         cfg = SearchConfig(shuffle_seed=rng.randrange(10 ** 9))
         b1 = group[rng.randrange(len(group))]
@@ -206,11 +200,11 @@ def test_criterion_7_choice_independence(curve, cache):
         t = KummerTriple((b1 * c1, b1, c1))
         for (a, b), want in zip(pairs, expected):
             lift = lift_phihat_to_two(a) * psi_phi_to_two(t)
-            assert ctp_global(a, b, curve, cache, cfg, lift=lift) == want, run
+            assert ctp_global(a, b, curve, cfg, lift=lift) == want, run
     _report(7, "20 shuffled reruns with perturbed lifts left every value unchanged")
 
 
-def test_criterion_8_structural_invariants(curve, sel_phihat, matrix, cache):
+def test_criterion_8_structural_invariants(curve, sel_phihat, matrix):
     rng = random.Random(424242)
     # (a) exactness of the connecting maps
     group = enumerate_Q_S2(bad_places(curve))
@@ -246,7 +240,7 @@ def test_criterion_8_structural_invariants(curve, sel_phihat, matrix, cache):
     table = {}
     for a in elems:
         for b in elems:
-            table[(a.values, b.values)] = ctp_global(a, b, curve, cache)
+            table[(a.values, b.values)] = ctp_global(a, b, curve)
     for a, b, c in itertools.product(elems, elems, elems):
         assert (table[((a * b).values, c.values)]
                 == table[(a.values, c.values)] ^ table[(b.values, c.values)])

@@ -7,7 +7,6 @@ from richelot_ctp import arith
 from richelot_ctp.cli import main
 from richelot_ctp.curve import build_pair
 from richelot_ctp.ctp import ctp_matrix
-from richelot_ctp.localpoints import LocalDataCache
 from richelot_ctp.selmer import selmer_group, torsion_images
 
 CURVE113 = {"label": "k=113", "lambda": "1",
@@ -144,8 +143,7 @@ def test_ctp_finishes_where_the_walk_misses_an_image_class(label, capsys):
     if label == "R15":
         assert report["status"] == "certified"
     curve = fixture_curve(label)
-    cache = LocalDataCache()
-    matrix = ctp_matrix(selmer_group(curve, "phihat", cache=cache), curve, cache)
+    matrix = ctp_matrix(selmer_group(curve, "phihat"), curve)
     assert [list(r) for r in matrix.entries] == entries
     torsion = torsion_images(curve, "phihat")
     assert torsion
@@ -310,7 +308,7 @@ def test_a_curve_path_that_is_a_directory_exits_2(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["ctp", "selmer"])
 def test_a_run_writes_nothing_to_disk(curve_file, tmp_path, capsys, monkeypatch, command):
-    # local points live in the run's LocalDataCache alone
+    # local points live on the run's curve alone
     path = curve_file(TOY)
     work = tmp_path / "work"
     work.mkdir()
@@ -324,8 +322,9 @@ def test_a_run_writes_nothing_to_disk(curve_file, tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("command", ["ctp", "selmer"])
 def test_a_run_under_other_bounds_leaves_a_later_default_run_unchanged(
         curve_file, capsys, command):
-    # each run searches in a cache of its own, so walks made under one search
-    # config never answer a run under another
+    # each run builds a curve of its own, and the curve keeps its images
+    # per search config, so walks made under one config never answer a run
+    # under another
     path = curve_file(FRACTIONAL)
     assert main([command, path, "--json"]) == 0
     fresh = capsys.readouterr()

@@ -8,7 +8,7 @@ import pytest
 
 from richelot_ctp import localfield
 from richelot_ctp.arith import bad_places, enumerate_Q_S2
-from curve_fixtures import BENCHMARK_CURVES, in_radical
+from curve_fixtures import BENCHMARK_CURVES, fresh, in_radical
 from richelot_ctp.cohomology import (
     KummerTriple,
     NotInImageError,
@@ -24,13 +24,13 @@ from richelot_ctp.ctp import (
 )
 from richelot_ctp.localfield import LocalPlace, places_of
 from richelot_ctp.localpoints import (
-    LocalDataCache,
     SearchConfig,
     SearchExhausted,
     _slot_values,
     find_local_point,
 )
 from richelot_ctp.selmer import selmer_group, torsion_images
+from richelot_ctp.verify import example_curve
 
 T1 = KummerTriple.of(113, 113, 1)
 T2 = KummerTriple.of(2, 2, 1)
@@ -41,23 +41,18 @@ REFERENCE_BASIS = (G1, G2, T1, T2, T3)
 
 
 @pytest.fixture(scope="module")
-def cache():
-    return LocalDataCache()
+def sel_phihat(curve113):
+    return selmer_group(curve113, "phihat")
 
 
 @pytest.fixture(scope="module")
-def sel_phihat(curve113, cache):
-    return selmer_group(curve113, "phihat", cache=cache)
+def sel_phi(curve113):
+    return selmer_group(curve113, "phi")
 
 
 @pytest.fixture(scope="module")
-def sel_phi(curve113, cache):
-    return selmer_group(curve113, "phi", cache=cache)
-
-
-@pytest.fixture(scope="module")
-def matrix(curve113, sel_phihat, cache):
-    return ctp_matrix(sel_phihat, curve113, cache, basis=REFERENCE_BASIS)
+def matrix(curve113, sel_phihat):
+    return ctp_matrix(sel_phihat, curve113, basis=REFERENCE_BASIS)
 
 
 def _direct_formula_local(P_v, a2, curve, v):
@@ -74,7 +69,7 @@ def _direct_formula_local(P_v, a2, curve, v):
     return 0 if s == 1 else 1
 
 
-def test_pipeline_matches_direct_hilbert_formula(curve113, cache):
+def test_pipeline_matches_direct_hilbert_formula(curve113):
     # the validated lift-quotient-descend route on the local image's
     # witnesses and the direct product formula on a searched local point
     # must agree place by place
@@ -82,7 +77,7 @@ def test_pipeline_matches_direct_hilbert_formula(curve113, cache):
         for v in places_of(bad_places(curve113)):
             P_v = find_local_point(a, curve113, v)
             for a2 in (T1, T2, T3, G1 * T2, G2 * T3):
-                assert (ctp_local(a, a2, curve113, v, cache)
+                assert (ctp_local(a, a2, curve113, v)
                         == _direct_formula_local(P_v, a2, curve113, v))
 
 
@@ -94,8 +89,7 @@ def test_searched_points_pair_like_the_image_witnesses(label):
     # every basis element (rho_v itself may differ by a class that pairs
     # trivially with the Selmer group)
     curve = BENCHMARK_CURVES[label]
-    cache = LocalDataCache()
-    M = ctp_matrix(selmer_group(curve, "phihat", cache=cache), curve, cache)
+    M = ctp_matrix(selmer_group(curve, "phihat"), curve)
     checked = 0
     for i, (a, rows) in enumerate(zip(M.basis, M.rows)):
         for row in rows:
@@ -112,18 +106,18 @@ def test_searched_points_pair_like_the_image_witnesses(label):
     assert checked
 
 
-def test_ctp_local_values(curve113, cache):
-    assert ctp_local(T1, T2, curve113, LocalPlace.finite(3), cache) == 1
-    assert ctp_local(T1, T2, curve113, LocalPlace.finite(113), cache) == 0
-    assert ctp_local(T1, KummerTriple.of(1, 1, 1), curve113, LocalPlace.finite(3), cache) == 0
+def test_ctp_local_values(curve113):
+    assert ctp_local(T1, T2, curve113, LocalPlace.finite(3)) == 1
+    assert ctp_local(T1, T2, curve113, LocalPlace.finite(113)) == 0
+    assert ctp_local(T1, KummerTriple.of(1, 1, 1), curve113, LocalPlace.finite(3)) == 0
 
 
-def test_ctp_global_values(curve113, cache):
-    assert ctp_global(T1, T2, curve113, cache) == 1
-    assert ctp_global(T1, T3, curve113, cache) == 0
+def test_ctp_global_values(curve113):
+    assert ctp_global(T1, T2, curve113) == 1
+    assert ctp_global(T1, T3, curve113) == 0
     for x in (T1, T2, T3, G1, G2):
-        assert ctp_global(G1, x, curve113, cache) == 0
-        assert ctp_global(G2, x, curve113, cache) == 0
+        assert ctp_global(G1, x, curve113) == 0
+        assert ctp_global(G2, x, curve113) == 0
 
 
 def test_matrix_single_nontrivial_pair(matrix):
@@ -146,31 +140,39 @@ def test_matrix_breakdown_reproduces_tables(matrix):
     assert sum(bd.values()) % 2 == 1
 
 
-def test_a_warm_matrix_restricts_each_basis_element_once_per_place(
-        curve113, sel_phihat, cache, matrix, count_calls):
-    # with the local images cached, the matrix reads the class of each slot
-    # of each of the 5 basis triples at each of the 5 places once (3 reads
-    # apiece), and the rows take those restrictions, and their lifts from
-    # them (the section commutes with restriction); each distinct witness at
-    # a place has its quintuple image read once (5 apiece; the 25 rows use
-    # 27 witnesses, 14 of them distinct pairs of witness and place):
-    # 5 * 5 * 3 + 14 * 5 = 145.  Restricting each row's lift as well took
-    # 270 reads, restricting each class again for its row 410, and one
-    # restriction per matrix entry 700
+def test_a_warm_matrix_restricts_each_basis_element_once_per_place(matrix, count_calls):
+    # on a fresh reference curve whose Selmer group has found the local
+    # images, the matrix reads the class of each slot of each of the 5 basis
+    # triples at each of the 5 places once (3 reads apiece), and the rows
+    # take those restrictions, and their lifts from them (the section
+    # commutes with restriction); each distinct witness at a place has its
+    # quintuple image read once (5 apiece; the 25 rows use 27 witnesses, 14
+    # of them distinct pairs of witness and place): 5 * 5 * 3 + 14 * 5 = 145.
+    # Restricting each row's lift as well took 270 reads, restricting each
+    # class again for its row 410, and one restriction per matrix entry 700.
+    # The curve keeps the witnesses' quintuple images, so a second matrix
+    # reads only the restrictions, 75
+    curve = example_curve()
+    sel = selmer_group(curve, "phihat")
     calls = count_calls(localfield, "square_class_mask", lambda args: args[2])
-    again = ctp_matrix(sel_phihat, curve113, cache, basis=REFERENCE_BASIS)
-    assert (again.entries, again.breakdown) == (matrix.entries, matrix.breakdown)
-    assert sum(len(r.P_v) for rows in again.rows for r in rows) == 27
-    witnesses = {(w, r.place.p) for rows in again.rows for r in rows for w in r.P_v}
+    first = ctp_matrix(sel, curve, basis=REFERENCE_BASIS)
+    assert (first.entries, first.breakdown) == (matrix.entries, matrix.breakdown)
+    assert sum(len(r.P_v) for rows in first.rows for r in rows) == 27
+    witnesses = {(w, r.place.p) for rows in first.rows for r in rows for w in r.P_v}
     assert len(witnesses) == 14
-    for v in places_of(curve113.bad_places):
+    for v in places_of(curve.bad_places):
         assert calls[v.p] == 5 * 3 + 5 * sum(p == v.p for _, p in witnesses), str(v)
     assert len(calls) == 5 and sum(calls.values()) == 145
+    calls.clear()
+    again = ctp_matrix(sel, curve, basis=REFERENCE_BASIS)
+    assert (again.entries, again.breakdown) == (first.entries, first.breakdown)
+    assert len(calls) == 5 and set(calls.values()) == {5 * 3}
 
 
 def test_a_matrix_computes_each_witness_quintuple_image_once_per_place(monkeypatch):
     # A1009's rows use 70 witnesses over 23 distinct pairs of witness and
-    # place; each row used to compute the quintuple image of each of its own
+    # place; each row used to compute the quintuple image of each of its
+    # own.  On a fresh curve, since a curve keeps the images it has computed
     from richelot_ctp import ctp
     calls = collections.Counter()
     mu_two = ctp.mu_two
@@ -180,11 +182,12 @@ def test_a_matrix_computes_each_witness_quintuple_image_once_per_place(monkeypat
         return mu_two(D, curve, v)
 
     monkeypatch.setattr(ctp, "mu_two", counted)
-    curve = BENCHMARK_CURVES["A1009"]
-    cache = LocalDataCache()
-    M = ctp_matrix(selmer_group(curve, "phihat", SearchConfig(), cache), curve, cache)
+    curve = fresh(BENCHMARK_CURVES["A1009"])
+    M = ctp_matrix(selmer_group(curve, "phihat", SearchConfig()), curve)
     assert sum(len(r.P_v) for rows in M.rows for r in rows) == 70
     assert len(calls) == 23 and sum(calls.values()) == 23
+    ctp_matrix(selmer_group(curve, "phihat", SearchConfig()), curve)
+    assert sum(calls.values()) == 23
 
 
 @pytest.mark.parametrize("place", ["2", "3", "7", "113", "oo"])
@@ -205,45 +208,45 @@ def test_each_local_row_takes_a_local_point_below_its_class(curve113, matrix, pl
                    for w in row.P_v for x in w.xs)
 
 
-def test_a_class_outside_the_local_image_raises(curve113, cache):
+def test_a_class_outside_the_local_image_raises(curve113):
     # (1, 3, 3) is no local image class at 113: 3 is a nonresidue there,
     # and the image is spanned by (113, 113, 1) and (113, 1, 113)
     v = LocalPlace.finite(113)
     outside = KummerTriple.of(1, 3, 3)
     with pytest.raises(NotInImageError, match=r"\(1, 3, 3\).* at 113"):
-        ctp_local(outside, T1, curve113, v, cache)
+        ctp_local(outside, T1, curve113, v)
     with pytest.raises(NotInImageError):
-        ctp_global(outside, T1, curve113, cache)
+        ctp_global(outside, T1, curve113)
 
 
-def test_basis_change_same_radical(curve113, sel_phihat, cache):
+def test_basis_change_same_radical(curve113, sel_phihat):
     alt = (G1 * T1, G2, T1, T2 * T3, T3)
-    m2 = ctp_matrix(sel_phihat, curve113, cache, basis=alt)
+    m2 = ctp_matrix(sel_phihat, curve113, basis=alt)
     assert m2.radical_dim == 3
 
 
-def test_kernel_contains_torsion_images(curve113, sel_phihat, matrix, cache):
+def test_kernel_contains_torsion_images(curve113, sel_phihat, matrix):
     S = bad_places(curve113)
     for t in torsion_images(curve113, "phihat"):
         assert in_radical(matrix, t, S.finite_primes)
         for x in sel_phihat.elements:
-            assert ctp_global(t, x, curve113, cache) == 0
+            assert ctp_global(t, x, curve113) == 0
 
 
-def test_a_class_that_pairs_nontrivially_is_not_in_the_radical(curve113, matrix, cache):
+def test_a_class_that_pairs_nontrivially_is_not_in_the_radical(curve113, matrix):
     S = bad_places(curve113)
-    assert ctp_global(T1, T2, curve113, cache) == 1
+    assert ctp_global(T1, T2, curve113) == 1
     assert not in_radical(matrix, T1, S.finite_primes)
     assert not in_radical(matrix, T1 * T2 * G1, S.finite_primes)
     assert in_radical(matrix, G1 * G2 * T3, S.finite_primes)
 
 
-def test_bilinearity_on_full_group(curve113, sel_phihat, cache):
+def test_bilinearity_on_full_group(curve113, sel_phihat):
     elems = sel_phihat.elements
     table = {}
     for a in elems:
         for b in elems:
-            table[(a.values, b.values)] = ctp_global(a, b, curve113, cache)
+            table[(a.values, b.values)] = ctp_global(a, b, curve113)
     for a in elems:
         for b in elems:
             ab = a * b
@@ -254,7 +257,7 @@ def test_bilinearity_on_full_group(curve113, sel_phihat, cache):
                         == table[(c.values, a.values)] ^ table[(c.values, b.values)])
 
 
-def test_choice_independence_under_shuffle_and_lift(curve113, cache):
+def test_choice_independence_under_shuffle_and_lift(curve113):
     # re-running with shuffled search order and a perturbed global lift
     # (multiplied by the quintuple image of a norm-one triple) never changes
     # the global value
@@ -262,7 +265,7 @@ def test_choice_independence_under_shuffle_and_lift(curve113, cache):
     S = bad_places(curve113)
     group = enumerate_Q_S2(S)
     base_pairs = [(T1, T2), (T1, T3), (T2, T3), (T1, T1), (G1, T2)]
-    expected = {i: ctp_global(a, b, curve113, cache) for i, (a, b) in enumerate(base_pairs)}
+    expected = {i: ctp_global(a, b, curve113) for i, (a, b) in enumerate(base_pairs)}
     for run in range(20):
         cfg = SearchConfig(shuffle_seed=rng.randrange(10 ** 9))
         b1 = group[rng.randrange(len(group))]
@@ -270,21 +273,21 @@ def test_choice_independence_under_shuffle_and_lift(curve113, cache):
         t = KummerTriple((b1 * c1, b1, c1))
         for i, (a, b) in enumerate(base_pairs):
             lift = lift_phihat_to_two(a) * psi_phi_to_two(t)
-            got = ctp_global(a, b, curve113, cache, cfg, lift=lift)
+            got = ctp_global(a, b, curve113, cfg, lift=lift)
             assert got == expected[i], (run, i)
 
 
-def test_lift_support_outside_bad_set(curve113, cache):
+def test_lift_support_outside_bad_set(curve113):
     # a lift perturbed by a class involving 5 extends the place sum past S
     t = KummerTriple.of(5, 5, 1)
     lift = lift_phihat_to_two(T1) * psi_phi_to_two(t)
-    assert ctp_global(T1, T2, curve113, cache, lift=lift) == 1
+    assert ctp_global(T1, T2, curve113, lift=lift) == 1
 
 
-def test_ctp_global_rejects_wrong_lift(curve113, cache):
+def test_ctp_global_rejects_wrong_lift(curve113):
     wrong = lift_phihat_to_two(T2)
     with pytest.raises(ValueError):
-        ctp_global(T1, T2, curve113, cache, lift=wrong)
+        ctp_global(T1, T2, curve113, lift=wrong)
 
 
 def test_rank_report_values(curve113, sel_phi, sel_phihat, matrix):
@@ -307,13 +310,12 @@ def test_full_radical_means_no_improvement(curve113, sel_phi, sel_phihat, matrix
 def test_toy_curve_full_pipeline(toy_curve):
     # irrational codomain Weierstrass points: kernel side is handled through
     # conjugate-pair divisors, and the whole pipeline still certifies
-    cache = LocalDataCache()
-    sh = selmer_group(toy_curve, "phihat", cache=cache)
-    sp = selmer_group(toy_curve, "phi", cache=cache)
+    sh = selmer_group(toy_curve, "phihat")
+    sp = selmer_group(toy_curve, "phi")
     assert sh.status == sp.status == "certified"
     assert sh.dim == 4
     assert sp.dim == 0
-    M = ctp_matrix(sh, toy_curve, cache)
+    M = ctp_matrix(sh, toy_curve)
     assert M.radical_dim == 4  # the pairing is identically zero here
     rep = rank_report(toy_curve, sp, sh, M)
     assert rep.rank_bound_before == rep.rank_bound_after == 0

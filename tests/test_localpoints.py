@@ -6,12 +6,12 @@ import pytest
 
 from curve_fixtures import quadratic_mumford_certificate
 from richelot_ctp.cohomology import KummerTriple, psi_two_to_phihat
+from richelot_ctp.ctp import ctp_matrix
 from richelot_ctp.curve import INF, TwoTorsionPoint, build_pair, poly_eval, poly_integer_form
-from richelot_ctp.localfield import LocalPlace, is_local_square, local_square_class
+from richelot_ctp.localfield import LocalPlace, is_local_square, local_square_class, places_of
 from richelot_ctp.localpoints import (
     CODOMAIN,
     DOMAIN,
-    LocalDataCache,
     MumfordDivisor,
     SearchConfig,
     SearchExhausted,
@@ -25,6 +25,7 @@ from richelot_ctp.localpoints import (
     mu_phihat,
     mu_two,
 )
+from richelot_ctp.selmer import selmer_group
 
 OO = LocalPlace.infinite()
 V2, V3, V7, V113 = (LocalPlace.finite(p) for p in (2, 3, 7, 113))
@@ -219,10 +220,9 @@ def test_find_local_point_rejects_a_target_from_another_place(curve113):
 
 
 def test_local_images_certified_at_all_bad_places(curve113):
-    cache = LocalDataCache()
     dims = {}
     for v in (OO, V2, V3, V7, V113):
-        ih, ip = local_images(curve113, v, cache=cache)
+        ih, ip = local_images(curve113, v)
         assert ih.status == "certified"
         assert ip.status == "certified"
         dims[str(v)] = (ih.dim, ip.dim)
@@ -234,9 +234,8 @@ def test_local_images_certified_at_all_bad_places(curve113):
 
 def test_local_images_annihilate_under_cup(curve113):
     from richelot_ctp.cohomology import cup_invariant
-    cache = LocalDataCache()
     for v in (OO, V2, V3, V7, V113):
-        ih, ip = local_images(curve113, v, cache=cache)
+        ih, ip = local_images(curve113, v)
         for ta in ih.basis:
             for tb in ip.basis:
                 assert cup_invariant(tb, ta) == 0
@@ -347,6 +346,29 @@ def test_uncached_walks_at_the_real_place_isolate_roots_once_per_side(count_call
         for _ in range(2):
             list(itertools.chain.from_iterable(_walk(curve, side, OO, SearchConfig())))
     assert samples == {curve.G: 1, curve.L: 1}
+
+
+def test_a_curve_walks_each_side_and_place_once_per_search_config(count_calls):
+    # the curve keeps its local images under the place and the search
+    # config: the second Selmer group and the pairing read the images the
+    # first Selmer group found, and only another config walks again
+    from richelot_ctp import localpoints
+    curve = build_pair(1, [0, 1], [-1, 0, 1], [-4, 0, 1])
+    walks = count_calls(localpoints, "_walk", lambda args: (args[1], str(args[2]), args[3]))
+    sel = selmer_group(curve, "phihat")
+    selmer_group(curve, "phi")
+    ctp_matrix(sel, curve)
+    places = places_of(curve.bad_places)
+    assert walks == {(side, str(v), SearchConfig()): 1
+                     for side in (DOMAIN, CODOMAIN) for v in places}
+    v = places[-1]
+    images = local_images(curve, v)
+    assert local_images(curve, v) is images
+    assert sum(walks.values()) == 2 * len(places)
+    other = SearchConfig(val_bound=2)
+    assert local_images(curve, v, other) is not images
+    assert walks[DOMAIN, str(v), other] == walks[CODOMAIN, str(v), other] == 1
+    assert sum(walks.values()) == 2 * len(places) + 2
 
 
 @pytest.mark.parametrize("field, low", [("residue_exponent", 1), ("val_bound", 0),

@@ -15,20 +15,19 @@ from richelot_ctp.arith import bad_places
 from richelot_ctp.ctp import ctp_global, ctp_matrix, rank_report
 from richelot_ctp.curve import UnsupportedModelError, build_pair
 from richelot_ctp.localfield import LocalPlace, places_of
-from richelot_ctp.localpoints import LocalDataCache, MumfordDivisor, local_images, mu_two
+from richelot_ctp.localpoints import MumfordDivisor, local_images, mu_two
 from richelot_ctp.selmer import selmer_group, torsion_images
 
 
 def run_pipeline(curve):
-    cache = LocalDataCache()
-    sh = selmer_group(curve, "phihat", cache=cache)
-    sp = selmer_group(curve, "phi", cache=cache)
-    M = ctp_matrix(sh, curve, cache)
+    sh = selmer_group(curve, "phihat")
+    sp = selmer_group(curve, "phi")
+    M = ctp_matrix(sh, curve)
     rep = rank_report(curve, sp, sh, M)
-    return cache, sh, sp, M, rep
+    return sh, sp, M, rep
 
 
-def check_consistency(curve, cache, sh, sp, M, rep):
+def check_consistency(curve, sh, sp, M, rep):
     assert sh.status == sp.status == "certified"
     assert rep.alternating_sum() == 0
     S = bad_places(curve)
@@ -40,12 +39,12 @@ def check_consistency(curve, cache, sh, sp, M, rep):
     # bilinearity spot checks against the basis elements (the bundled
     # example's acceptance suite runs the exhaustive version)
     elems = sh.elements
-    table = {(a.values, b.values): ctp_global(a, b, curve, cache)
+    table = {(a.values, b.values): ctp_global(a, b, curve)
              for a in elems for b in sh.basis}
     for a in elems[::3]:
         for b in elems[::5]:
             for x in sh.basis:
-                assert (ctp_global(a * b, x, curve, cache)
+                assert (ctp_global(a * b, x, curve)
                         == table[(a.values, x.values)] ^ table[(b.values, x.values)])
 
 
@@ -54,21 +53,21 @@ def test_sibling_family_member_bound_drops_to_zero():
     # both non-torsion classes die, improving the bound from 2 to 0
     k = 17
     c = build_pair(1, [2 * k, 1], [0, -6 * k, 1], [-7 * k * k, -6 * k, 1])
-    cache, sh, sp, M, rep = run_pipeline(c)
+    sh, sp, M, rep = run_pipeline(c)
     assert (sh.dim, sp.dim) == (4, 2)
     assert M.radical_dim == 2
     assert (rep.rank_bound_before, rep.rank_bound_after) == (2, 0)
-    check_consistency(c, cache, sh, sp, M, rep)
+    check_consistency(c, sh, sp, M, rep)
 
 
 def test_six_root_codomain_generic_curve():
     # G2, G3 with different linear coefficients: the codomain has six roots
     c = build_pair(2, [-1, 1], [30, -21, 3], [-11, -10, 1])
     assert c.codomain_degree == 6
-    cache, sh, sp, M, rep = run_pipeline(c)
+    sh, sp, M, rep = run_pipeline(c)
     assert (sh.dim, sp.dim) == (5, 0)
     assert rep.rank_bound_before == rep.rank_bound_after == 1
-    check_consistency(c, cache, sh, sp, M, rep)
+    check_consistency(c, sh, sp, M, rep)
 
 
 def test_fully_irrational_codomain_with_degenerate_reduction():
@@ -79,9 +78,9 @@ def test_fully_irrational_codomain_with_degenerate_reduction():
     assert c.codomain_degree == 6
     assert c.codomain_roots_by_factor == (None, None, None)
     assert c.fhat[-1] > 0
-    cache, sh, sp, M, rep = run_pipeline(c)
+    sh, sp, M, rep = run_pipeline(c)
     for v in places_of(bad_places(c)):
-        ih, ip = local_images(c, v, cache=cache)
+        ih, ip = local_images(c, v)
         assert ih.status == "certified", str(v)
     assert (sh.dim, sp.dim) == (5, 0)
     # the pairing here is nonzero on the diagonal (it need not be
@@ -90,7 +89,7 @@ def test_fully_irrational_codomain_with_degenerate_reduction():
     assert M.symmetric
     assert M.radical_dim == 4
     assert (rep.rank_bound_before, rep.rank_bound_after) == (1, 0)
-    check_consistency(c, cache, sh, sp, M, rep)
+    check_consistency(c, sh, sp, M, rep)
 
 
 def test_fractional_root_and_scaled_model():
@@ -98,21 +97,21 @@ def test_fractional_root_and_scaled_model():
     c = build_pair(4, [Fraction(-1, 2), 1], [-1, 0, 1], [-12, 1, 1])
     assert Fraction(1, 2) in c.roots
     assert 2 in bad_places(c).finite_primes
-    cache, sh, sp, M, rep = run_pipeline(c)
+    sh, sp, M, rep = run_pipeline(c)
     assert (sh.dim, sp.dim) == (7, 0)
     assert M.radical_dim == 5
     assert (rep.rank_bound_before, rep.rank_bound_after) == (3, 1)
-    check_consistency(c, cache, sh, sp, M, rep)
+    check_consistency(c, sh, sp, M, rep)
 
 
 def test_negative_leading_coefficient():
     # y^2 = -x (x^2 - 1)(x^2 - 9): the real locus sits left of the sign flips
     c = build_pair(-1, [0, 1], [-1, 0, 1], [-9, 0, 1])
     assert c.leading_coefficient == -1
-    cache, sh, sp, M, rep = run_pipeline(c)
+    sh, sp, M, rep = run_pipeline(c)
     assert (sh.dim, sp.dim) == (4, 0)
     assert rep.rank_bound_before == rep.rank_bound_after == 0
-    check_consistency(c, cache, sh, sp, M, rep)
+    check_consistency(c, sh, sp, M, rep)
 
 
 def test_six_root_domain_rejected_by_descent_machinery():

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import pytest
 
-from curve_fixtures import BENCHMARK_CURVES, square_class_bits
+from curve_fixtures import BENCHMARK_CURVES, fresh, square_class_bits
 import richelot_ctp.localpoints as lp
 from richelot_ctp import gf2
 from richelot_ctp.arith import bad_places
@@ -39,7 +39,6 @@ from richelot_ctp.localpoints import (
     DOMAIN,
     HEURISTIC,
     ClassBitsMismatch,
-    LocalDataCache,
     LocalImage,
     MumfordDivisor,
     SearchConfig,
@@ -304,11 +303,10 @@ def point_or_exhausted(target, curve, v, cfg):
 def test_search_matches_the_rewalking_oracle(label, config):
     curve, cfg = WITH_A1009[label], CONFIGS[config]
     places = places_of(bad_places(curve))
-    cache = LocalDataCache()
     for v in places:
-        assert local_images(curve, v, cfg, cache) == oracle_local_images(curve, v, cfg), str(v)
+        assert local_images(curve, v, cfg) == oracle_local_images(curve, v, cfg), str(v)
     # every Selmer basis target at every place
-    targets = selmer_group(curve, "phihat", cfg, cache).basis
+    targets = selmer_group(curve, "phihat", cfg).basis
     assert targets
     for t in targets:
         for v in places:
@@ -393,9 +391,12 @@ def count_quadratic_work(monkeypatch, curve):
 def test_local_images_tries_each_quadratic_once(monkeypatch):
     # B97 spends both escalations at 23; with the default bounds an
     # escalation leaves the quadratic tier as it was, so it is walked once:
-    # no quadratic has its mask read, or its certificate run, twice
-    calls = count_quadratic_work(monkeypatch, B97)
-    images = local_images(B97, LocalPlace.finite(23))
+    # no quadratic has its mask read, or its certificate run, twice.  Every
+    # test that counts a walk's work walks a fresh curve, since a curve
+    # keeps the local images it has found
+    curve = fresh(B97)
+    calls = count_quadratic_work(monkeypatch, curve)
+    images = local_images(curve, LocalPlace.finite(23))
     assert images[0].status == HEURISTIC  # the search did escalate
     assert {side for kind, side, *_ in calls if kind == "mask"} == {DOMAIN, CODOMAIN}
     assert max(calls.values()) == 1
@@ -406,8 +407,9 @@ def test_the_quadratic_tier_reads_a_class_pair_once(monkeypatch):
     # certificates for local_images(B97) at 23; reading the blocks whose
     # dominant terms fix the classes once per unit-class pair, and skipping
     # the classes whose norm is no square, leaves under a quarter of them
-    calls = count_quadratic_work(monkeypatch, B97)
-    local_images(B97, LocalPlace.finite(23))
+    curve = fresh(B97)
+    calls = count_quadratic_work(monkeypatch, curve)
+    local_images(curve, LocalPlace.finite(23))
     kinds = collections.Counter(kind for kind, *_ in calls.elements())
     assert 0 < kinds["mask"] < 9710 / 4
     assert kinds["certificate"] <= 3162
@@ -487,7 +489,7 @@ def quadratic_walk_order(curve, side, p, cfg):
     ("B31", 2, SearchConfig(residue_exponent=1)),
 ], ids=["B97@23-val_bound=1", "B31@2-residue_exponent=1"])
 def test_escalations_try_every_quadratic_the_oracle_tries(monkeypatch, label, p, cfg):
-    curve, v = CURVES[label], LocalPlace.finite(p)
+    curve, v = fresh(CURVES[label]), LocalPlace.finite(p)
     d = 3 if p == 2 else 2
     calls = count_certificates(monkeypatch, curve)
     oracle_local_images(curve, v, cfg)
@@ -540,7 +542,7 @@ def test_escalations_try_every_quadratic_the_oracle_tries(monkeypatch, label, p,
 # candidates for 6 masks at B97@23, one mask 1130 times
 @pytest.mark.parametrize("label, p", [("B97", 23), ("k113", 3)])
 def test_every_walk_yields_each_mask_once(monkeypatch, label, p):
-    curve, v = CURVES[label], LocalPlace.finite(p)
+    curve, v = fresh(CURVES[label]), LocalPlace.finite(p)
     walks = {}  # id of a walk's record -> (the record, Counter of masks yielded)
     point_tiers = lp._point_tiers
 
@@ -555,9 +557,9 @@ def test_every_walk_yields_each_mask_once(monkeypatch, label, p):
         return [watched(tier, counts) for tier in point_tiers(curve_, side, v_, cfg, known)]
 
     monkeypatch.setattr(lp, "_point_tiers", tiers)
-    cache = LocalDataCache()
-    local_images(curve, v, SearchConfig(), cache)
-    for t in selmer_group(curve, "phihat", SearchConfig(), cache).basis:
+    local_images(curve, v, SearchConfig())
+    assert len(walks) == 2  # one walk per side
+    for t in selmer_group(curve, "phihat", SearchConfig()).basis:
         point_or_exhausted(t, curve, v, SearchConfig())
     assert len(walks) > 2
     for _, counts in walks.values():
@@ -575,7 +577,7 @@ CANDIDATE_TAGS = ("point_plus_infinity", "rational_pair", "quadratic")
                                       ("negative-lc", 3), ("B97", 23)],
                          ids=lambda x: "oo" if x is None else str(x))
 def test_no_image_is_built_for_a_discarded_point_candidate(monkeypatch, label, p):
-    curve = CURVES[label]
+    curve = fresh(CURVES[label])
     v = LocalPlace.infinite() if p is None else LocalPlace.finite(p)
     built = []
 
@@ -591,6 +593,7 @@ def test_no_image_is_built_for_a_discarded_point_candidate(monkeypatch, label, p
     monkeypatch.setattr(lp, "mu_phihat", recorded(lp.mu_phihat))
     monkeypatch.setattr(lp, "mu_phi", recorded(lp.mu_phi))
     kept = set(itertools.chain.from_iterable(img.witnesses for img in local_images(curve, v)))
+    assert built  # the walk checks the image of each witness it keeps
     points = [D for D in built if D.tag in CANDIDATE_TAGS]
     assert set(points) <= kept
     assert len(points) == len(set(points))
@@ -616,6 +619,7 @@ def count_factor_evaluations(monkeypatch, curve, p):
 
     monkeypatch.setattr(lp, "homogenized_eval", counted)
     images = local_images(curve, LocalPlace.finite(p))
+    assert calls["factor"]  # the walk ran
     return calls["factor"], images[0].status
 
 
@@ -625,7 +629,7 @@ def test_large_p_singles_tier_reads_generic_blocks_once_per_unit_class(monkeypat
     # reading only generic blocks once per unit class left 15405, reading
     # each dominated factor once per block and unit class 3318, and a block
     # of 128 sampled units in place of all 1008 leaves about 1200
-    evaluations, status = count_factor_evaluations(monkeypatch, A1009, 1009)
+    evaluations, status = count_factor_evaluations(monkeypatch, fresh(A1009), 1009)
     assert status == CERTIFIED
     assert evaluations <= 1250
 
@@ -635,7 +639,7 @@ def test_the_singles_tier_reads_dominated_factors_once_per_unit_class(monkeypatc
     # dominated and others not: reading only generic blocks once per unit
     # class made 5775 evaluations, reading each dominated factor once per
     # block and unit class about 1600
-    evaluations, status = count_factor_evaluations(monkeypatch, B97, 23)
+    evaluations, status = count_factor_evaluations(monkeypatch, fresh(B97), 23)
     assert status == HEURISTIC
     assert evaluations < 5775 / 2
 
@@ -720,8 +724,9 @@ def test_the_quadratic_tier_steps_one_b_block_at_a_time(monkeypatch):
     # still walks single points; a step of the tier is one (a, b block), so
     # the tier reads about 40 masks before both images are full, where
     # walking it as one step read 3797
-    calls = count_quadratic_work(monkeypatch, CURVES["A257"])
-    images = local_images(CURVES["A257"], LocalPlace.finite(257))
+    curve = fresh(CURVES["A257"])
+    calls = count_quadratic_work(monkeypatch, curve)
+    images = local_images(curve, LocalPlace.finite(257))
     assert images[0].status == CERTIFIED
     assert 0 < collections.Counter(kind for kind, *_ in calls.elements())["mask"] <= 100
 
@@ -740,7 +745,8 @@ def test_only_a_heuristic_place_escalates(monkeypatch):
 
     monkeypatch.setattr(SearchConfig, "escalate", counted)
     statuses = {}
-    for label, curve in BENCHMARK_CURVES.items():
+    for label, shared in BENCHMARK_CURVES.items():
+        curve = fresh(shared)
         for v in places_of(curve.bad_places):
             place = f"{label}@{v}"
             statuses[place] = local_images(curve, v)[0].status
@@ -755,17 +761,20 @@ def test_only_a_heuristic_place_escalates(monkeypatch):
 
 def test_a_corrupt_class_bit_raises(monkeypatch):
     points_among = lp._points_among
+    flipped = []
 
     def corrupted(*args):
         for item in points_among(*args):
             if item is not None:
                 x, mask = item
                 item = x, mask ^ 0b10  # the second bit of the first slot
+                flipped.append(x)
             yield item
 
     monkeypatch.setattr(lp, "_points_among", corrupted)
     with pytest.raises(ClassBitsMismatch):
-        local_images(CURVES["k113"], LocalPlace.finite(3))
+        local_images(fresh(CURVES["k113"]), LocalPlace.finite(3))
+    assert flipped
 
 
 def test_a_corrupt_class_bit_in_a_generic_block_representative_raises(monkeypatch):
@@ -794,7 +803,7 @@ def test_a_corrupt_class_bit_in_a_generic_block_representative_raises(monkeypatc
     monkeypatch.setattr(lp, "_x_candidates", recorded_xs)
     monkeypatch.setattr(lp, "_points_among", corrupted)
     with pytest.raises(ClassBitsMismatch):
-        local_images(A1009, LocalPlace.finite(1009))
+        local_images(fresh(A1009), LocalPlace.finite(1009))
     assert fast
 
 
@@ -804,9 +813,16 @@ def test_a_corrupt_quadratic_class_bit_raises(monkeypatch):
     # parity bits of two slots flip, so the slot classes still multiply to
     # the same class and the norm rule lets the candidate through
     quadratic_mask = lp._quadratic_mask
-    monkeypatch.setattr(lp, "_quadratic_mask", lambda *args: quadratic_mask(*args) ^ 0b101)
+    flipped = []
+
+    def mask(*args):
+        flipped.append(args[:3])
+        return quadratic_mask(*args) ^ 0b101
+
+    monkeypatch.setattr(lp, "_quadratic_mask", mask)
     with pytest.raises(ClassBitsMismatch):
-        local_images(B97, LocalPlace.finite(23))
+        local_images(fresh(B97), LocalPlace.finite(23))
+    assert flipped
 
 
 def test_a_corrupt_entry_in_a_quadratic_class_table_raises(monkeypatch):
@@ -815,10 +831,10 @@ def test_a_corrupt_entry_in_a_quadratic_class_table_raises(monkeypatch):
     # a wrong entry there (the parity bits of two slots flipped) makes the
     # pair look new, so the search keeps one of its candidates and checks
     # its image
-    p, cfg = 23, SearchConfig()
+    p, cfg, curve = 23, SearchConfig(), fresh(B97)
     tabled = set()
     for side in (DOMAIN, CODOMAIN):
-        data = B97.side_data(side)
+        data = curve.side_data(side)
         for centre, a_blocks, b_blocks in lp._quadratic_blocks(data, p, cfg):
             terms = data.taylor_valuations(centre, p)
             for (ea, a_xs, _), (eb, b_xs, _) in itertools.product(a_blocks, b_blocks):
@@ -826,7 +842,7 @@ def test_a_corrupt_entry_in_a_quadratic_class_table_raises(monkeypatch):
                     tabled.update((side, *_common_denominator(Fraction(*a), Fraction(*b)))
                                   for (a, _), (b, _) in itertools.product(a_xs, b_xs) if b[0])
     quadratic_mask = lp._quadratic_mask
-    g_forms = B97.domain_data.forms
+    g_forms = curve.domain_data.forms
     corrupted = []
 
     def mask(an, bn, q, forms, p_):
@@ -838,7 +854,7 @@ def test_a_corrupt_entry_in_a_quadratic_class_table_raises(monkeypatch):
 
     monkeypatch.setattr(lp, "_quadratic_mask", mask)
     with pytest.raises(ClassBitsMismatch):
-        local_images(B97, LocalPlace.finite(p), cfg)
+        local_images(curve, LocalPlace.finite(p), cfg)
     assert corrupted
 
 
@@ -859,7 +875,7 @@ def test_a_ctp_matrix_builds_no_divisor_image_twice(monkeypatch):
 
     monkeypatch.setattr(lp, "mu_phihat", recorded(lp.mu_phihat))
     monkeypatch.setattr(lp, "mu_phi", recorded(lp.mu_phi))
-    cache = LocalDataCache()
-    ctp_matrix(selmer_group(B97, "phihat", SearchConfig(), cache), B97, cache)
+    curve = fresh(B97)
+    ctp_matrix(selmer_group(curve, "phihat", SearchConfig()), curve)
     assert built
     assert max(built.values()) == 1

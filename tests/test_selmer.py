@@ -7,24 +7,18 @@ from richelot_ctp import arith, gf2
 from richelot_ctp.arith import SquareClass, bad_places, enumerate_Q_S2, squarefree_reduce
 from richelot_ctp.cohomology import KummerTriple, NormConditionError
 from richelot_ctp.ctp import ctp_matrix
-from richelot_ctp.localpoints import (CODOMAIN, DOMAIN, LocalDataCache, _torsion_divisors,
-                                     divisor_image)
+from richelot_ctp.localpoints import CODOMAIN, DOMAIN, _torsion_divisors, divisor_image
 from richelot_ctp.selmer import encode_triple, selmer_group, torsion_images, triple_span
 
 
 @pytest.fixture(scope="module")
-def cache():
-    return LocalDataCache()
+def sel_phihat(curve113):
+    return selmer_group(curve113, "phihat")
 
 
 @pytest.fixture(scope="module")
-def sel_phihat(curve113, cache):
-    return selmer_group(curve113, "phihat", cache=cache)
-
-
-@pytest.fixture(scope="module")
-def sel_phi(curve113, cache):
-    return selmer_group(curve113, "phi", cache=cache)
+def sel_phi(curve113):
+    return selmer_group(curve113, "phi")
 
 
 EXPECTED_PHIHAT = [
@@ -88,14 +82,14 @@ def test_candidate_space_size(curve113):
     assert len(enumerate_Q_S2(S)) ** 2 == 2 ** (2 * (1 + len(S.finite_primes)))
 
 
-def test_membership_is_local_everywhere(sel_phihat, curve113, cache):
+def test_membership_is_local_everywhere(sel_phihat, curve113):
     # every member restricts into the local image at each bad place
     from richelot_ctp.arith import bad_places
     from richelot_ctp.localfield import places_of
     from richelot_ctp.localpoints import local_images
     S = bad_places(curve113)
     for v in places_of(S):
-        img, _ = local_images(curve113, v, cache=cache)
+        img, _ = local_images(curve113, v)
         span = img.span()
         for t in sel_phihat.elements:
             assert t.restrict(v).mask in span
@@ -110,6 +104,20 @@ def test_non_selmer_class_rejected(sel_phihat, curve113):
     assert not sel_phihat.contains(KummerTriple.of(5, 5, 1))
     with pytest.raises(ValueError, match="is not in the Selmer group"):
         ctp_matrix(sel_phihat, curve113, basis=[KummerTriple.of(5, 5, 1)])
+
+
+def test_membership_encodes_the_basis_once_per_group(curve113, count_calls):
+    # ctp_matrix asks once per basis element; each call used to encode the
+    # whole basis again, 5 + 1 encodings a call, 90 over these 15 calls
+    from richelot_ctp import selmer
+    group = selmer_group(curve113, "phihat")  # a group that has built no span
+    calls = count_calls(selmer, "encode_triple", lambda args: "encoded")
+    for t in group.basis * 3:
+        assert group.contains(t)
+    assert calls["encoded"] == group.dim + 3 * group.dim == 20
+    assert not group.contains(KummerTriple.of(3, 3, 1))
+    assert not group.contains(KummerTriple.of(5, 5, 1))  # outside S: nothing encoded
+    assert calls["encoded"] == 21
 
 
 # the slot values of two-torsion are S-units, so once the bad places are

@@ -3,8 +3,8 @@
 `enumerate_selmer` is the original membership search over all 4^(|S|+1)
 pairs (a1, a2) in Q(S,2)^2, with the original basis rule: after the torsion
 images, each member in enumeration order that raises the span.  It shares
-nothing with the kernel computation but the local images (read from the same
-cache) and the torsion images, so it is an independent oracle for the linear
+nothing with the kernel computation but the local images (which the curve
+keeps) and the torsion images, so it is an independent oracle for the linear
 algebra, for the echelon basis rule and for the members that
 `SelmerGroup.elements` builds from the basis.
 """
@@ -26,7 +26,7 @@ from richelot_ctp.ctp import (
 )
 from richelot_ctp.curve import UnsupportedModelError, build_pair
 from richelot_ctp.localfield import LocalPlace, local_square_class, places_of
-from richelot_ctp.localpoints import LocalDataCache, SearchConfig, local_images
+from richelot_ctp.localpoints import SearchConfig, local_images
 from richelot_ctp.selmer import (
     KernelCheckError,
     SelmerGroup,
@@ -36,7 +36,7 @@ from richelot_ctp.selmer import (
 )
 
 
-def enumerate_selmer(curve, side, cfg=SearchConfig(), cache=None):
+def enumerate_selmer(curve, side, cfg=SearchConfig()):
     """Selmer group of `side` by testing every candidate pair in Q(S,2)^2,
     and the list of its members in the order of that enumeration."""
     curve.require_five_roots()
@@ -47,7 +47,7 @@ def enumerate_selmer(curve, side, cfg=SearchConfig(), cache=None):
     dims = []
     status = "certified"
     for v in places:
-        img = local_images(curve, v, cfg, cache)[0 if side == "phihat" else 1]
+        img = local_images(curve, v, cfg)[0 if side == "phihat" else 1]
         if img.status != "certified":
             status = "heuristic"
         imgs[v] = img.span()
@@ -113,10 +113,9 @@ ORACLE_CURVES = {
 @pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
 def test_kernel_matches_enumeration(name):
     curve = ORACLE_CURVES[name]()
-    cache = LocalDataCache()
     for side in ("phihat", "phi"):
-        got = selmer_group(curve, side, cache=cache)
-        want, members = enumerate_selmer(curve, side, cache=cache)
+        got = selmer_group(curve, side)
+        want, members = enumerate_selmer(curve, side)
         assert got.basis == want.basis
         assert got.known_point_basis == want.known_point_basis
         assert got.elements == members
@@ -134,10 +133,9 @@ def test_six_root_domain_rejected_by_both():
 def test_heuristic_images_match_enumeration(curve113):
     # starved search: some images come back heuristic and too small
     cfg = SearchConfig(residue_exponent=1, val_bound=0, escalations=0)
-    cache = LocalDataCache()
     for side in ("phihat", "phi"):
-        got = selmer_group(curve113, side, cfg, cache)
-        want, members = enumerate_selmer(curve113, side, cfg, cache)
+        got = selmer_group(curve113, side, cfg)
+        want, members = enumerate_selmer(curve113, side, cfg)
         assert got.status == want.status == "heuristic"
         assert got.elements == members
         assert got.basis == want.basis
@@ -157,9 +155,8 @@ def test_twelve_prime_member_scales():
     assert k == 1448810778701
     curve = k_family(k)
     assert len(bad_places(curve).finite_primes) == 12
-    cache = LocalDataCache()
-    sh = selmer_group(curve, "phihat", cache=cache)
-    sp = selmer_group(curve, "phi", cache=cache)
+    sh = selmer_group(curve, "phihat")
+    sp = selmer_group(curve, "phi")
     assert sh.status == sp.status == "certified"
     assert (sh.dim, sp.dim) == (4, 2)
     assert sh.dim - sp.dim == sum(greenberg_wiles_terms(sh))
@@ -170,8 +167,8 @@ def test_twelve_prime_member_scales():
 
 def _drop_image_vector(monkeypatch, place, index):
     """Make the phihat image at `place` lose its basis vector `index`."""
-    def shrunk(curve, v, cfg=SearchConfig(), cache=None):
-        img_hat, img_phi = local_images(curve, v, cfg, cache)
+    def shrunk(curve, v, cfg=SearchConfig()):
+        img_hat, img_phi = local_images(curve, v, cfg)
         if v == place:
             keep = [i for i in range(img_hat.dim) if i != index]
             img_hat = dataclasses.replace(
@@ -182,14 +179,13 @@ def _drop_image_vector(monkeypatch, place, index):
 
 
 def test_greenberg_wiles_catches_a_lost_image_vector(curve113, monkeypatch):
-    cache = LocalDataCache()
-    sp = selmer_group(curve113, "phi", cache=cache)
+    sp = selmer_group(curve113, "phi")
     empty = PairingMatrix((), (), {}, (), True)
-    rank_report(curve113, sp, selmer_group(curve113, "phihat", cache=cache), empty)
+    rank_report(curve113, sp, selmer_group(curve113, "phihat"), empty)
     # at 3 the phihat image loses a vector that no global class needed: the
     # kernel stays the same, so only the cross-check can notice
     _drop_image_vector(monkeypatch, LocalPlace.finite(3), 2)
-    sh = selmer_group(curve113, "phihat", cache=cache)
+    sh = selmer_group(curve113, "phihat")
     assert sh.status == "certified" and sh.dim == 5
     with pytest.raises(InconsistentDimensions, match="Greenberg-Wiles"):
         rank_report(curve113, sp, sh, empty)
