@@ -7,17 +7,18 @@ matching witnesses, divides out the lift, and descends the result to a
 kernel triple rho_v.  rho_v depends on `a` and v only, and is F2-linear in
 `a`, so the local value against any second argument a' is the cup of rho_v
 with a' through Hilbert symbols, and `ctp_matrix` builds one row per
-(basis element, place).  Every intermediate is validated, so a wrong witness
-or a wrong lift raises instead of producing a silently wrong sign.  The
-global value is the sum over the bad places; all other places contribute
-zero.
+(basis element, place) and reads the three symbols of each Gram entry
+from the slot masks of rho_v and a'|v, each read once.  Every
+intermediate is validated, so a wrong witness or a wrong lift raises
+instead of producing a silently wrong sign.  The global value is the sum
+over the bad places; all other places contribute zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import mul
+from operator import xor
 from typing import Optional, Sequence
 
 from . import gf2
@@ -35,7 +36,7 @@ from .cohomology import (
     quintuple_quotient,
 )
 from .curve import RichelotPair
-from .localfield import LocalPlace, places_of
+from .localfield import LocalPlace, hilbert_bits, places_of
 from .localpoints import MumfordDivisor, SearchConfig, local_images, mu_two
 from .selmer import SelmerGroup
 
@@ -99,7 +100,7 @@ def local_row(a: KummerTriple, curve: RichelotPair, v: LocalPlace,
            or (MumfordDivisor.identity(),))
     two = curve.two_data.table(("mu_two", v), dict)  # witness -> its mu_two at v
     two.update({w: mu_two(w, curve, v) for w in set(P_v) - two.keys()})
-    delta2 = reduce(mul, map(two.get, P_v))
+    delta2 = LocalKummerQuintuple(v, reduce(xor, (two[w].mask for w in P_v)))
     lift_v = lift_phihat_to_two(a_v) if lift is None else lift.restrict(v)
     diff = quintuple_quotient(delta2, lift_v)
     return LocalRow(P_v, delta2, lift_v, diff, descend_to_phi(diff))
@@ -188,18 +189,25 @@ def ctp_matrix(selmer: SelmerGroup, curve: RichelotPair, cfg: SearchConfig = Sea
     local_bas = {v: [t.restrict(v) for t in bas] for v in places}
     rows = tuple(tuple(local_row(a, curve, v, cfg, a_v=local_bas[v][i]) for v in places)
                  for i, a in enumerate(bas))
+    # the cup of rho_v with b|v, as in `cup_invariant`, on slot masks read once
+    bas_slots = [(str(v), v.p, [t.slots() for t in local_bas[v]]) for v in places]
     entries = []
     breakdown = {}
     for i in range(n):
+        rho_slots = [r.rho.slots() for r in rows[i]]
         row = []
         for j in range(n):
-            bd = {str(r.place): cup_invariant(r.rho, local_bas[r.place][j]) for r in rows[i]}
+            bd = {}
+            for (name, p, slots), (r1, r2, r3) in zip(bas_slots, rho_slots):
+                b1, b2, b3 = slots[j]
+                bd[name] = (hilbert_bits(r1, b1, p) ^ hilbert_bits(r2, b2, p)
+                            ^ hilbert_bits(r3, b3, p))
             breakdown[(i, j)] = bd
             row.append(sum(bd.values()) % 2)
         entries.append(tuple(row))
     entries = tuple(entries)
-    masks = [sum(e << j for j, e in enumerate(row)) for row in entries]
-    radical = gf2.echelon(gf2.nullspace(masks, n))
+    columns = [sum(row[j] << i for i, row in enumerate(entries)) for j in range(n)]
+    radical = gf2.echelon(gf2.nullspace(columns))
     symmetric = all(entries[i][j] == entries[j][i] for i in range(n) for j in range(n))
     return PairingMatrix(bas, entries, breakdown, tuple(radical), symmetric, rows)
 

@@ -74,39 +74,36 @@ def same_span(a: Iterable[int], b: Iterable[int]) -> bool:
     return echelon(a) == echelon(b)
 
 
-def nullspace(rows: list[int], ncols: int) -> list[int]:
-    """Kernel basis of the matrix whose i-th row acts by x -> parity(rows[i] & x).
+def nullspace(columns: list[int]) -> list[int]:
+    """Kernel basis of the matrix with these columns (bit i of a column is
+    its entry in row i): the masks whose bit c selects columns[c], for the
+    selections that XOR to zero.
 
-    Column elimination with identity tags: column c of the matrix, tagged with
-    e_c, is reduced against an XOR basis; columns that vanish yield kernel
-    vectors (their tags).
+    Column elimination with identity tags: column c, tagged with e_c, is
+    reduced against the pivots kept so far, one per leading bit.  A column
+    that vanishes yields its tag, the one kernel vector with bit c set and
+    its other bits at independent columns before c; any other column
+    becomes the pivot of its leading bit.
     """
-    basis: list[tuple[int, int]] = []  # (reduced column, tag), distinct top bits
+    pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (reduced column, tag)
     kernel: list[int] = []
-    for c in range(ncols):
-        vec = 0
-        for i, r in enumerate(rows):
-            if r >> c & 1:
-                vec |= 1 << i
+    for c, vec in enumerate(columns):
         tag = 1 << c
-        for bvec, btag in basis:
-            if vec ^ bvec < vec:
-                vec ^= bvec
-                tag ^= btag
-        if vec == 0:
-            kernel.append(tag)
+        while vec and (top := vec.bit_length()) in pivots:
+            pvec, ptag = pivots[top]
+            vec ^= pvec
+            tag ^= ptag
+        if vec:
+            pivots[top] = (vec, tag)
         else:
-            basis.append((vec, tag))
-            basis.sort(key=lambda t: -t[0])
+            kernel.append(tag)
     return kernel
 
 
 def coordinates(basis: list[int], v: int) -> Optional[int]:
-    """The mask whose bit k selects basis[k], for the rows that XOR to v, or
-    None when v is outside their span; the rows must be independent.  The
-    kernel of the matrix with columns basis + [v] is then at most one
+    """The mask whose bit k selects basis[k], for the vectors that XOR to v,
+    or None when v is outside their span; the vectors must be independent.
+    The kernel of the matrix with columns basis + [v] is then at most one
     vector, and holds one with v's bit set exactly when v is in the span."""
-    n, cols = len(basis), basis + [v]
-    rows = [sum((c >> i & 1) << k for k, c in enumerate(cols))
-            for i in range(max(cols).bit_length())]
-    return next((x ^ (1 << n) for x in nullspace(rows, n + 1) if x >> n & 1), None)
+    n = len(basis)
+    return next((x ^ 1 << n for x in nullspace(basis + [v]) if x >> n & 1), None)

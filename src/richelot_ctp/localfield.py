@@ -192,7 +192,11 @@ def tuple_mask(values, p: Optional[int]) -> int:
     pairs (n, d), packed into one int: slot i's `square_class_mask` at
     shift i dim, dim being the bits of a class at p."""
     dim = 1 if p is None else 3 if p == 2 else 2
-    return sum(square_class_mask(n, d, p) << i * dim for i, (n, d) in enumerate(values))
+    m = shift = 0
+    for n, d in values:
+        m |= square_class_mask(n, d, p) << shift
+        shift += dim
+    return m
 
 
 def local_square_class(x, v: LocalPlace) -> LocalSquareClass:

@@ -12,7 +12,11 @@ im_v is linear.  The Selmer group is
 therefore the kernel of one F2 matrix from Q(S,2)^2 to the sum of the local
 quotients H^1(Q_v)/im_v (Stoll, "Implementing 2-descent for Jacobians of
 hyperelliptic curves", Acta Arith. 98, 2001), and its cost is polynomial in
-|S| instead of 4^(|S|+1).
+|S| instead of 4^(|S|+1).  The matrix is built by columns, the form
+`gf2.nullspace` takes: a column is one generator in a1 or a2, and each
+place stacks its reduced images of the generators at its own row offset.
+The generators' masks at a place are kept on the curve, so the two sides
+read them once.
 
 The torsion images come the same way: the global class of each Weierstrass
 point (and infinity) is read once, in the coordinates of Q(S,2)
@@ -168,19 +172,19 @@ def torsion_images(curve: RichelotPair, side: str) -> list[KummerTriple]:
     return basis
 
 
-def _local_rows(gen_masks: list[int], d: int, image: gf2.Span) -> list[int]:
-    """Rows of the map (a1, a2) -> restriction of (a1, a2, a1 a2) modulo im_v.
+def _local_columns(gen_masks: list[int], d: int, image: gf2.Span) -> list[int]:
+    """Columns of the map (a1, a2) -> restriction of (a1, a2, a1 a2) modulo im_v.
 
     With n = len(gen_masks), column j < n puts generator j into a2 and column
     n + j puts it into a1; either way a1 a2 picks it up too, and a kernel
     vector is the pair's `_pair_index`.  Reduction against the image's
     echelon rows zeroes every pivot bit, which leaves the unique such
-    representative of the coset, so it is linear and the reduced columns
-    transpose into rows (a zero row among them constrains nothing).
+    representative of the coset, so it is linear; it is done once for each
+    distinct generator mask, of which a place has at most 2^d.
     """
-    cols = [image.reduce(g << d | g << 2 * d) for g in gen_masks]
-    cols += [image.reduce(g | g << 2 * d) for g in gen_masks]
-    return [sum((c >> bit & 1) << j for j, c in enumerate(cols)) for bit in range(3 * d)]
+    reduced = {g: (image.reduce(g << d | g << 2 * d), image.reduce(g | g << 2 * d))
+               for g in set(gen_masks)}
+    return [reduced[g][0] for g in gen_masks] + [reduced[g][1] for g in gen_masks]
 
 
 def selmer_group(curve: RichelotPair, side: str, cfg: SearchConfig = SearchConfig()) -> SelmerGroup:
@@ -193,16 +197,22 @@ def selmer_group(curve: RichelotPair, side: str, cfg: SearchConfig = SearchConfi
     places = places_of(S)
     gens = (-1,) + primes
 
-    imgs, dims, rows, status = {}, [], [], "certified"
+    # each place's columns are stacked at its row offset, 3 dim bits a place
+    imgs, dims, status = {}, [], "certified"
+    columns, offset = [0] * (2 * len(gens)), 0
     for v in places:
         img = local_images(curve, v, cfg)[side == PHI]
         if img.status != "certified":
             status = "heuristic"
         imgs[v] = img.span()
         dims.append((v, img.dim))
-        gen_masks = [square_class_mask(g, 1, v.p) for g in gens]
-        rows += _local_rows(gen_masks, local_square_dim(v), imgs[v])
-    kernel = gf2.nullspace(rows, 2 * len(gens))
+        gen_masks = curve.domain_data.table(
+            ("generators", v), lambda: [square_class_mask(g, 1, v.p) for g in gens])
+        d = local_square_dim(v)
+        for j, c in enumerate(_local_columns(gen_masks, d, imgs[v])):
+            columns[j] |= c << offset
+        offset += 3 * d
+    kernel = gf2.nullspace(columns)
 
     # restrict each kernel generator afresh, independently of the linearisation
     for y in kernel:

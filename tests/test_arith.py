@@ -155,21 +155,30 @@ def test_same_span_basis_independent():
 
 
 def test_nullspace_matches_bruteforce():
+    # the kernel of the matrix with these columns: every selection of
+    # columns that XORs to zero, and only those
     rng = random.Random(5)
     for _ in range(50):
         n = rng.randint(1, 7)
-        rows = [rng.getrandbits(n) for _ in range(rng.randint(1, 7))]
-        kern = gf2.nullspace(rows, n)
+        columns = [rng.getrandbits(rng.randint(1, 7)) for _ in range(n)]
+        kern = gf2.nullspace(columns)
         span = gf2.Span(kern)
         brute = [x for x in range(1 << n)
-                 if all(bin(r & x).count("1") % 2 == 0 for r in rows)]
-        assert len(brute) == 1 << span.dim
+                 if reduce(xor, (c for k, c in enumerate(columns) if x >> k & 1), 0) == 0]
+        assert len(kern) == span.dim and len(brute) == 1 << span.dim
         assert all(x in span for x in brute)
 
 
+def test_nullspace_edge_cases():
+    assert gf2.nullspace([]) == []
+    # a zero column is a kernel vector on its own
+    assert gf2.nullspace([0b1, 0, 0b1]) == [0b010, 0b101]
+    assert gf2.nullspace([0]) == [1]
+
+
 def test_coordinates_match_bruteforce():
-    # every v of n bits against independent rows: the one subset of rows
-    # that XORs to v, or None
+    # every v of n bits against independent vectors: the one subset of
+    # them that XORs to v, or None
     rng = random.Random(7)
     for _ in range(50):
         n = rng.randint(1, 6)
@@ -179,3 +188,8 @@ def test_coordinates_match_bruteforce():
             subsets = [c for c in range(1 << len(basis))
                        if reduce(xor, (b for k, b in enumerate(basis) if c >> k & 1), 0) == v]
             assert gf2.coordinates(basis, v) == (subsets[0] if subsets else None)
+
+
+def test_coordinates_over_an_empty_basis():
+    assert gf2.coordinates([], 0) == 0
+    assert gf2.coordinates([], 0b10) is None

@@ -120,11 +120,15 @@ FLAGGED = {
 }
 
 
-# the fixtures' `ctp --json` bytes
+# the fixtures' `ctp --json` bytes; K32 is the k-family member at k = the
+# product of the 28 primes from 11 to 131, with 31 bad primes and infinity,
+# so its Selmer matrices stack places of dimension 1, 2 and 3 far past the
+# nine places of the curves above
 FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE_SHA256 = {
     "R15": "45b63889937dd6ee6d7492fb02a13f332471964bd60613ed8eb1ae4fff51a095",
     "R18": "91da52b675e8574fdd3fb8084fdb12985267e44e41f88dc2e8c783413985a07b",
+    "K32": "99b882851a2411153d982bf40794029635300799dd6d2a170850c12f633ce15f",
 }
 
 # text-mode `ctp` (no --json), whose tables print each local row's class
@@ -178,6 +182,16 @@ def test_ctp_json_bytes_are_pinned_under_other_bounds(flags, label, tmp_path, ca
 def test_ctp_json_bytes_of_the_fixtures_are_pinned(label, capsys):
     code = main(["ctp", str(FIXTURES / f"{label}.json"), "--json"])
     assert (code, sha256(capsys.readouterr().out)) == (0, FIXTURE_SHA256[label])
+
+
+def test_k32_answers(capsys):
+    # [dim Sel^phihat, dim Sel^phi, radical dim, rank bound before, after, status]
+    assert main(["ctp", str(FIXTURES / "K32.json"), "--json"]) == 0
+    r = json.loads(capsys.readouterr().out)
+    assert len(r["bad_places"]) == 32
+    assert [r["selmer"]["phihat"]["dim"], r["selmer"]["phi"]["dim"], r["matrix"]["radical_dim"],
+            r["descent"]["rank_bound_before"], r["descent"]["rank_bound_after"],
+            r["status"]] == [4, 3, 2, 3, 1, "certified"]
 
 
 @pytest.mark.parametrize("label", sorted(TEXT_SHA256))

@@ -201,11 +201,11 @@ def test_lost_torsion_image_vector_fails_kernel_check(curve113, monkeypatch):
 
 def test_wrong_linearisation_fails_kernel_check(curve113, monkeypatch):
     # a matrix that drops the conditions at 2 has too large a kernel
-    real = selmer_mod._local_rows
+    real = selmer_mod._local_columns
 
     def without_two(gen_masks, d, image):
-        return [] if d == 3 else real(gen_masks, d, image)
+        return [0] * (2 * len(gen_masks)) if d == 3 else real(gen_masks, d, image)
 
-    monkeypatch.setattr(selmer_mod, "_local_rows", without_two)
+    monkeypatch.setattr(selmer_mod, "_local_columns", without_two)
     with pytest.raises(KernelCheckError, match="local image at 2"):
         selmer_group(curve113, "phihat")
