@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .curve import CurveError
 
@@ -179,7 +180,7 @@ class SquareClass:
     def one() -> "SquareClass":
         return SquareClass(1, ())
 
-    @property
+    @cached_property
     def value(self) -> int:
         v = self.sign
         for p in self.primes:
@@ -231,10 +232,10 @@ def squarefree_reduce(q, primes=()) -> SquareClass:
 
 @dataclass(frozen=True)
 class PlaceSet:
-    """A finite set of rational places; curve-derived sets always hold 2 and oo."""
+    """A finite set of rational places: oo and the `finite_primes`;
+    curve-derived sets always hold 2."""
 
     finite_primes: tuple[int, ...]
-    includes_infinity: bool = True
 
     def __post_init__(self):
         ps = self.finite_primes
@@ -245,10 +246,7 @@ class PlaceSet:
         return p in self.finite_primes
 
     def __str__(self) -> str:
-        parts = [str(p) for p in self.finite_primes]
-        if self.includes_infinity:
-            parts.append("oo")
-        return "{" + ", ".join(parts) + "}"
+        return "{" + ", ".join([str(p) for p in self.finite_primes] + ["oo"]) + "}"
 
 
 def qs2_index(c: SquareClass, primes) -> int:
@@ -288,4 +286,4 @@ def bad_places(curve) -> PlaceSet:
             supp |= prime_support(Fraction(roots[i].denominator))
         for j in range(i + 1, len(roots)):
             supp |= prime_support(roots[i] - roots[j])
-    return PlaceSet(tuple(sorted(supp)), includes_infinity=True)
+    return PlaceSet(tuple(sorted(supp)))

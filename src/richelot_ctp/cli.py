@@ -327,24 +327,18 @@ def main(argv=None) -> int:
     try:
         label, lam, gs = _parse_curve_file(args.curve_file)
         curve = build_pair(lam, *gs)
+        if args.command == "isogeny":
+            _emit(_isogeny_dict(curve, label), args.json, _print_isogeny)
+            return 0
+        run = _selmer_command if args.command == "selmer" else _ctp_command
+        return run(args, curve, label, _cfg_of(args))
     except CurveError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-
-    if args.command == "isogeny":
-        _emit(_isogeny_dict(curve, label), args.json, _print_isogeny)
-        return 0
-
-    run = _selmer_command if args.command == "selmer" else _ctp_command
-    return run(args, curve, label, _cfg_of(args))
 
 
 def _selmer_command(args, curve: RichelotPair, label: str, cfg: SearchConfig) -> int:
-    try:
-        sel = selmer_group(curve, args.side, cfg)
-    except CurveError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    sel = selmer_group(curve, args.side, cfg)
     report = {"curve": _curve_echo(curve, label),
               "selmer": _selmer_dict(sel),
               "config": _config_dict(cfg)}
@@ -367,9 +361,6 @@ def _ctp_command(args, curve: RichelotPair, label: str, cfg: SearchConfig) -> in
                 return 2
             places = [v for v in bad if str(v) in chosen]
         report = _ctp_report(curve, label, cfg, places)
-    except CurveError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except tuple(_FAILED_AT) as e:
         stage = next(s for cls, s in _FAILED_AT.items() if isinstance(e, cls))
         partial = {"curve": _curve_echo(curve, label), "failed_at": stage, "error": str(e)}

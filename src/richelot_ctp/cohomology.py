@@ -12,11 +12,12 @@ for both isogeny kernels, quintuples (x1..x5) with square product for full
 and the descent back onto the first kernel inverts the first map slotwise.
 A global tuple holds the signed squarefree class of each slot.  A local
 tuple holds its place and one int, the `square_class_mask` of slot i at
-shift i dim: restriction reads each slot's integers once, a product is an
-XOR, and the Hilbert symbols downstream depend only on square classes, so
-`cup_invariant` evaluates them on the slots' masks.  `classes` builds the
-`LocalSquareClass`es when read.  Each map lists, per output slot, the input
-slots it multiplies, so it works on global and local tuples alike.
+shift i dim, and `slots` unpacks the masks, which are the slots' classes:
+restriction reads each slot's integers once, a product is an XOR, and the
+Hilbert symbols downstream depend only on square classes, so
+`cup_invariant` evaluates them on the slots' masks.  Each map lists, per
+output slot, the input slots it multiplies, so it works on global and
+local tuples alike.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from functools import reduce
 from operator import mul, xor
 
 from .arith import SquareClass, squarefree_reduce
-from .localfield import (LocalPlace, LocalSquareClass, class_representative, hilbert_bits,
-                         local_square_dim, tuple_mask)
+from .localfield import LocalPlace, class_representative, hilbert_bits, local_square_dim, tuple_mask
 
 __all__ = [
     "KummerTriple",
@@ -136,10 +136,6 @@ class _LocalKummerTuple:
         """The mask of each slot's class."""
         d = local_square_dim(self.place)
         return [self.mask >> i * d & (1 << d) - 1 for i in range(self.n)]
-
-    @property
-    def classes(self) -> tuple[LocalSquareClass, ...]:
-        return tuple(LocalSquareClass(self.place, c) for c in self.slots())
 
     def is_trivial(self) -> bool:
         return not self.mask

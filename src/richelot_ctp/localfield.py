@@ -6,9 +6,9 @@ a few digits.  Squareness of a rational at a finite place is decided from
 the valuation parity and unit residues (mod p for odd p, mod 8 for p = 2),
 never from truncated expansions.  `square_class_mask` reads both in one
 pass from the integer numerator and denominator, without building a
-Fraction, and packs the class into the bits of an int, the form the local
-search and the local tuples hold (`tuple_mask` packs a tuple's slots);
-`LocalSquareClass` keeps that int too.
+Fraction, and packs the class into the bits of an int: that int is the
+class, in the local search, the local tuples (`tuple_mask` packs a tuple's
+slots) and `local_square_class` alike.
 A Hilbert symbol depends only on the square classes of its arguments, so
 `hilbert_bits` evaluates it on two such masks, and `hilbert_symbol` reads
 the masks of two rationals and calls it.  The tests check the closed form
@@ -24,7 +24,6 @@ from typing import Optional
 
 __all__ = [
     "LocalPlace",
-    "LocalSquareClass",
     "local_square_class",
     "is_local_square",
     "hilbert_bits",
@@ -60,9 +59,7 @@ class LocalPlace:
 
 def places_of(S) -> list[LocalPlace]:
     """LocalPlace list for a PlaceSet, infinity first then primes ascending."""
-    out = [LocalPlace.infinite()] if S.includes_infinity else []
-    out.extend(LocalPlace.finite(p) for p in S.finite_primes)
-    return out
+    return [LocalPlace.infinite()] + [LocalPlace.finite(p) for p in S.finite_primes]
 
 
 # ---------------------------------------------------------------------------
@@ -99,42 +96,6 @@ def _legendre(u: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalSquareClass:
-    """An element of Q_v*/(Q_v*)^2, held as its `square_class_mask`.
-
-    `bits` is the F2 coordinate vector, bit i of the mask: (val parity,
-    nonresidue) at odd p, (val parity, b1, b2) at p = 2 where the unit part
-    is 3^b1 * 5^b2 mod 8, and (sign,) at the real place.  The group has
-    order 4 / 8 / 2.
-    """
-
-    place: LocalPlace
-    mask: int
-
-    def __post_init__(self):
-        if not 0 <= self.mask < 1 << local_square_dim(self.place):
-            raise ValueError("the mask has more bits than a class at this place")
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple(self.mask >> i & 1 for i in range(local_square_dim(self.place)))
-
-    def is_trivial(self) -> bool:
-        return not self.mask
-
-    def __mul__(self, other: "LocalSquareClass") -> "LocalSquareClass":
-        if other.place != self.place:
-            raise ValueError("mismatched places")
-        return LocalSquareClass(self.place, self.mask ^ other.mask)
-
-    def representative(self) -> int:
-        return class_representative(self.mask, self.place.p)
-
-    def __str__(self) -> str:
-        return f"{self.representative()}@{self.place}"
-
-
 def class_representative(m: int, p: Optional[int]) -> int:
     """Smallest standard signed representative of the class of mask m at
     p, None being oo."""
@@ -163,7 +124,9 @@ def local_square_dim(v: LocalPlace) -> int:
 
 def square_class_mask(n: int, d: int, p: Optional[int]) -> int:
     """The square class of n/d (nonzero ints) at p, None being oo, as a
-    mask: bit i is the i-th coordinate of `LocalSquareClass.bits`.
+    mask whose bits are its F2 coordinates: (val parity, nonresidue) at odd
+    p, (val parity, b1, b2) at p = 2 where the unit part is 3^b1 * 5^b2
+    mod 8, and (sign,) at the real place; the group has order 4 / 8 / 2.
 
     One pass over the integers: strip p from n and d for the valuation
     parity, then read the unit part's residue from n d, which lies in the
@@ -199,15 +162,15 @@ def tuple_mask(values, p: Optional[int]) -> int:
     return m
 
 
-def local_square_class(x, v: LocalPlace) -> LocalSquareClass:
-    """The class of a nonzero rational in Q_v*/(Q_v*)^2."""
+def local_square_class(x, v: LocalPlace) -> int:
+    """The `square_class_mask` of a nonzero rational in Q_v*/(Q_v*)^2."""
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
-    return LocalSquareClass(v, square_class_mask(x.numerator, x.denominator, v.p))
+    return square_class_mask(x.numerator, x.denominator, v.p)
 
 
 def is_local_square(x, v: LocalPlace) -> bool:
-    return local_square_class(x, v).is_trivial()
+    return not local_square_class(x, v)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +199,7 @@ def hilbert_bits(a: int, b: int, p: Optional[int]) -> int:
 def hilbert_symbol(a, b, v: LocalPlace) -> int:
     """(a,b)_v = +1 iff z^2 = a x^2 + b y^2 has a nonzero solution over Q_v,
     for nonzero rationals a and b: `hilbert_bits` of their square classes."""
-    e = hilbert_bits(local_square_class(a, v).mask, local_square_class(b, v).mask, v.p)
-    return -1 if e else 1
+    return -1 if hilbert_bits(local_square_class(a, v), local_square_class(b, v), v.p) else 1
 
 
 # ---------------------------------------------------------------------------

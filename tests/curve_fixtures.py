@@ -4,8 +4,9 @@ walk's work on a shared curve, which keeps what earlier tests found; and
 entry points the library does not
 need, written over its internals: `quadratic_mumford_certificate`,
 `in_radical`, the radical membership test of a pairing matrix, and the
-class bits of `square_class_bits` and `class_mask`, which pack and unpack
-them as the library's masks do."""
+F2 coordinates of a class: `class_bits` unpacks a mask into them,
+`square_class_bits` reads them from n/d, and `class_mask` packs a tuple's
+slots back into one int, as the library's masks do."""
 
 import json
 from fractions import Fraction
@@ -75,11 +76,17 @@ def quadratic_mumford_certificate(f, A, v) -> bool:
     return _quadratic_certificate(poly_integer_form(f), *_common_denominator(a, b), v)
 
 
-def square_class_bits(n: int, d: int, p) -> tuple[int, ...]:
-    """The `LocalSquareClass.bits` of n/d (nonzero ints) at p, None being oo:
-    `square_class_mask` unpacked."""
-    m = square_class_mask(n, d, p)
+def class_bits(m: int, p) -> tuple[int, ...]:
+    """The F2 coordinates of the class with mask m at p, None being oo: bit
+    i of m for i below the dimension of a class there (1, 3 at p = 2, else
+    2)."""
     return tuple(m >> i & 1 for i in range(1 if p is None else 3 if p == 2 else 2))
+
+
+def square_class_bits(n: int, d: int, p) -> tuple[int, ...]:
+    """The F2 coordinates of the class of n/d (nonzero ints) at p, None
+    being oo: `square_class_mask` unpacked."""
+    return class_bits(square_class_mask(n, d, p), p)
 
 
 def class_mask(classes) -> int:

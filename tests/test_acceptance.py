@@ -108,8 +108,8 @@ def test_criterion_3_local_tables(curve):
                 else:
                     _, d2row, _, diffrow, rhorow = expected
                     for t, want in zip(got, (d2row, diffrow, rhorow)):
-                        assert t.classes == tuple(
-                            local_square_class(y, v) for y in want), (a_vals, str(v))
+                        assert t.slots() == [
+                            local_square_class(y, v) for y in want], (a_vals, str(v))
             checked += 1
     assert checked == 15
     _report(3, "per-place rows, from the image's witnesses and from a searched "

@@ -5,7 +5,7 @@ from operator import mul
 
 import pytest
 
-from curve_fixtures import class_mask
+from curve_fixtures import class_bits, class_mask, square_class_bits
 from hilbert_oracle import OracleInconclusive, hilbert_oracle
 
 from richelot_ctp.cohomology import (
@@ -22,7 +22,7 @@ from richelot_ctp.cohomology import (
     psi_two_to_phihat,
     quintuple_quotient,
 )
-from richelot_ctp.localfield import LocalPlace, local_square_class
+from richelot_ctp.localfield import LocalPlace, local_square_class, square_class_mask
 
 V2 = LocalPlace.finite(2)
 V3 = LocalPlace.finite(3)
@@ -183,10 +183,12 @@ def test_a_local_tuple_holds_the_classes_of_its_slots(kind, v):
         values.append(reduce(mul, values) * random_rational(rng, v.p) ** 2)
         t = kind.of(values, v)
         classes = tuple(local_square_class(x, v) for x in values)
-        assert t.classes == classes
-        assert t.mask == class_mask(c.bits for c in classes)
-        assert t.slots() == [c.mask for c in classes]
-        assert t.is_trivial() == all(c.is_trivial() for c in classes)
+        assert tuple(t.slots()) == classes
+        assert t.mask == class_mask(class_bits(c, v.p) for c in classes)
+        assert t.mask == class_mask(square_class_bits(x.numerator, x.denominator, v.p)
+                                    for x in values)
+        assert t.slots() == [square_class_mask(x.numerator, x.denominator, v.p) for x in values]
+        assert t.is_trivial() == all(not c for c in classes)
         # unreduced integer pairs, as the search reads them, give the same
         k = rng.choice((-1, 1)) * rng.randint(1, 999)
         assert kind.of([(x.numerator * k, x.denominator * k) for x in values], v) == t

@@ -16,6 +16,7 @@ from richelot_ctp.curve import (
     two_torsion_points,
     weil_ephi,
 )
+from richelot_ctp.localfield import places_of
 
 
 def weil_e2(P: TwoTorsionPoint, Q: TwoTorsionPoint) -> int:
@@ -92,7 +93,7 @@ def test_codomain_of_example_rebuilds(curve113):
 def test_bad_places_examples(curve113, toy_curve):
     S = bad_places(curve113)
     assert S.finite_primes == (2, 3, 7, 113)
-    assert S.includes_infinity
+    assert [str(v) for v in places_of(S)] == ["oo", "2", "3", "7", "113"]
     S2 = bad_places(toy_curve)
     assert {2, 3} <= set(S2.finite_primes)
     assert 2 in S2.finite_primes

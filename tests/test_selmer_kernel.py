@@ -15,7 +15,7 @@ import pytest
 
 import richelot_ctp.selmer as selmer_mod
 from richelot_ctp import gf2
-from curve_fixtures import BENCHMARK_CURVES, class_mask, fixture_curve
+from curve_fixtures import BENCHMARK_CURVES, class_bits, class_mask, fixture_curve
 from richelot_ctp.arith import bad_places, enumerate_Q_S2
 from richelot_ctp.cohomology import KummerTriple
 from richelot_ctp.ctp import (
@@ -57,8 +57,8 @@ def enumerate_selmer(curve, side, cfg=SearchConfig()):
     index = {c.value: i for i, c in enumerate(group)}
     local_masks = {}
     for v in places:
-        classes = [local_square_class(c.value, v) for c in group]
-        local_masks[v] = ([class_mask([lc.bits]) for lc in classes], len(classes[0].bits))
+        classes = [class_bits(local_square_class(c.value, v), v.p) for c in group]
+        local_masks[v] = ([class_mask([bits]) for bits in classes], len(classes[0]))
 
     members = []
     for i1, a1 in enumerate(group):
