@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .cohomology import NotInImageError
 from .ctp import InconsistentDimensions, LocalRow, ctp_matrix, rank_report
-from .curve import INF, CurveError, RichelotPair, build_pair, poly, poly_str
+from .curve import CurveError, RichelotPair, build_pair, poly, poly_str
 from .localfield import class_representative, places_of
 from .localpoints import SearchConfig
 from .selmer import selmer_group
@@ -85,23 +85,15 @@ def _curve_echo(curve: RichelotPair, label: str) -> dict:
 
 
 def _kernel_descriptions(curve: RichelotPair):
-    dom = {}
-    for i in (1, 2, 3):
-        T = curve.kernel_point(i)
-        parts = []
-        for m in T.ordered_support:
-            parts.append("inf" if m == INF else f"({curve.roots[m]}, 0)")
-        dom[f"P{i}"] = "{" + ", ".join(parts) + "}"
-    cod = {}
-    for i in (1, 2, 3):
-        grp = curve.codomain_roots_by_factor[i - 1]
-        if len(curve.L[i - 1]) == 2:
-            cod[f"P{i}'"] = "{(%s, 0), inf}" % grp[0]
-        elif grp is None:
-            cod[f"P{i}'"] = "{conjugate roots of %s}" % poly_str(curve.L[i - 1])
-        else:
-            cod[f"P{i}'"] = "{(%s, 0), (%s, 0)}" % grp
-    return dom, cod
+    """P_i and P_i', the divisors cut out by G_i and by L_i: a factor's
+    rational roots, with infinity beside a linear factor's root."""
+    out = []
+    for prime, factors, groups in (("", curve.G, curve.roots_by_factor),
+                                   ("'", curve.L, curve.codomain_roots_by_factor)):
+        out.append({f"P{i}{prime}": "{conjugate roots of %s}" % poly_str(g) if grp is None
+                    else "{%s}" % ", ".join([f"({r}, 0)" for r in grp] + ["inf"] * (len(g) == 2))
+                    for i, (g, grp) in enumerate(zip(factors, groups), 1)})
+    return out
 
 
 def _isogeny_dict(curve: RichelotPair, label: str) -> dict:

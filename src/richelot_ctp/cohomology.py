@@ -15,9 +15,9 @@ tuple holds its place and one int, the `square_class_mask` of slot i at
 shift i dim, and `slots` unpacks the masks, which are the slots' classes:
 restriction reads each slot's integers once, a product is an XOR, and the
 Hilbert symbols downstream depend only on square classes, so
-`cup_invariant` evaluates them on the slots' masks.  Each map lists, per
-output slot, the input slots it multiplies, so it works on global and
-local tuples alike.
+`cup_invariant` evaluates them on the packed masks, all slots in one call.
+Each map lists, per output slot, the input slots it multiplies, so it
+works on global and local tuples alike.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class _LocalKummerTuple:
 
     def slots(self) -> list[int]:
         """The mask of each slot's class."""
-        d = local_square_dim(self.place)
+        d = local_square_dim(self.place.p)
         return [self.mask >> i * d & (1 << d) - 1 for i in range(self.n)]
 
     def is_trivial(self) -> bool:
@@ -142,7 +142,7 @@ class _LocalKummerTuple:
 
     def _map(self, rows):
         """The local tuple whose slot k multiplies the slots in rows[k]."""
-        d, s, m = local_square_dim(self.place), self.slots(), 0
+        d, s, m = local_square_dim(self.place.p), self.slots(), 0
         for k, row in enumerate(rows):
             for i in row:
                 m ^= s[i] << k * d
@@ -227,9 +227,9 @@ def descend_to_phi(c: LocalKummerQuintuple) -> LocalKummerTriple:
 
 def cup_invariant(rho: LocalKummerTriple, t, v: LocalPlace = None) -> int:
     """F2 invariant of the cup product: 0 if the Hilbert-symbol product
-    (rho1, t1)_v (rho2, t2)_v (rho3, t3)_v is +1, else 1, summed from
-    `hilbert_bits` of the slots' masks.  A global t is restricted to v; a
-    local t, like rho, must live at v."""
+    (rho1, t1)_v (rho2, t2)_v (rho3, t3)_v is +1, else 1: `hilbert_bits` of
+    the two packed masks.  A global t is restricted to v; a local t, like
+    rho, must live at v."""
     if v is None:
         v = rho.place
     if rho.place != v:
@@ -238,7 +238,4 @@ def cup_invariant(rho: LocalKummerTriple, t, v: LocalPlace = None) -> int:
         t = t.restrict(v)
     elif t.place != v:
         raise ValueError(f"{t} lives at a different place than {v}")
-    e = 0
-    for r, a in zip(rho.slots(), t.slots()):
-        e ^= hilbert_bits(r, a, v.p)
-    return e
+    return hilbert_bits(rho.mask, t.mask, v.p)

@@ -189,19 +189,15 @@ def ctp_matrix(selmer: SelmerGroup, curve: RichelotPair, cfg: SearchConfig = Sea
     local_bas = {v: [t.restrict(v) for t in bas] for v in places}
     rows = tuple(tuple(local_row(a, curve, v, cfg, a_v=local_bas[v][i]) for v in places)
                  for i, a in enumerate(bas))
-    # the cup of rho_v with b|v, as in `cup_invariant`, on slot masks read once
-    bas_slots = [(str(v), v.p, [t.slots() for t in local_bas[v]]) for v in places]
+    # the cup of rho_v with b|v, as in `cup_invariant`, on the packed masks
+    bas_masks = [(str(v), v.p, [t.mask for t in local_bas[v]]) for v in places]
     entries = []
     breakdown = {}
     for i in range(n):
-        rho_slots = [r.rho.slots() for r in rows[i]]
         row = []
         for j in range(n):
-            bd = {}
-            for (name, p, slots), (r1, r2, r3) in zip(bas_slots, rho_slots):
-                b1, b2, b3 = slots[j]
-                bd[name] = (hilbert_bits(r1, b1, p) ^ hilbert_bits(r2, b2, p)
-                            ^ hilbert_bits(r3, b3, p))
+            bd = {name: hilbert_bits(r.rho.mask, masks[j], p)
+                  for (name, p, masks), r in zip(bas_masks, rows[i])}
             breakdown[(i, j)] = bd
             row.append(sum(bd.values()) % 2)
         entries.append(tuple(row))

@@ -42,10 +42,8 @@ __all__ = [
     "UnsupportedModelError",
     "RichelotPair",
     "SideData",
-    "TwoTorsionPoint",
     "build_pair",
     "weil_ephi",
-    "two_torsion_points",
     "homogenized_eval",
     "poly_eval",
     "poly_integer_form",
@@ -263,38 +261,6 @@ DOMAIN = "domain"
 CODOMAIN = "codomain"
 
 
-@dataclass(frozen=True)
-class TwoTorsionPoint:
-    """Identity, or an unordered pair of Weierstrass markers (root index or INF)."""
-
-    support: frozenset
-
-    @staticmethod
-    def identity() -> "TwoTorsionPoint":
-        return TwoTorsionPoint(frozenset())
-
-    @staticmethod
-    def pair(a, b) -> "TwoTorsionPoint":
-        if a == b:
-            raise ValueError("support markers must be distinct")
-        return TwoTorsionPoint(frozenset((a, b)))
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.support
-
-    @property
-    def ordered_support(self) -> list:
-        """The support's markers, root indices ascending, then INF."""
-        return sorted(self.support, key=lambda m: (1, 0) if m == INF else (0, m))
-
-    def __str__(self) -> str:
-        if self.is_identity:
-            return "O"
-        a, b = self.ordered_support
-        return f"{{{a},{b}}}"
-
-
 def weil_ephi(i: int, j: int) -> int:
     """e_phi on kernel generators: +1 iff i = j."""
     if i not in (1, 2, 3) or j not in (1, 2, 3):
@@ -332,7 +298,8 @@ class RichelotPair:
 
     @property
     def degree(self) -> int:
-        return 5 if len(self.G[0]) == 2 else 6
+        """5 when infinity is a Weierstrass point of the domain, else 6."""
+        return 5 if INF in self.domain_data.markers else 6
 
     @cached_property
     def roots(self) -> tuple[Fraction, ...]:
@@ -430,8 +397,8 @@ class RichelotPair:
 
     @property
     def codomain_degree(self) -> int:
-        """5 when one L_i is linear (its root pairs with infinity), else 6."""
-        return 5 if any(len(Li) == 2 for Li in self.L) else 6
+        """5 when infinity is a Weierstrass point of the codomain, else 6."""
+        return 5 if INF in self.codomain_data.markers else 6
 
     @property
     def codomain_linear_index(self) -> Optional[int]:
@@ -440,16 +407,6 @@ class RichelotPair:
             if len(Li) == 2:
                 return i
         return None
-
-    def kernel_point(self, i: int) -> TwoTorsionPoint:
-        """P_i, the order-2 divisor cut out by G_i = 0 (1-based index)."""
-        offs = [0]
-        for grp in self.roots_by_factor:
-            offs.append(offs[-1] + len(grp))
-        grp = self.roots_by_factor[i - 1]
-        if len(grp) == 1:
-            return TwoTorsionPoint.pair(offs[i - 1], INF)
-        return TwoTorsionPoint.pair(offs[i - 1], offs[i - 1] + 1)
 
     def label(self) -> str:
         return "y^2 = (%s)(%s)(%s)" % tuple(poly_str(g) for g in self.G)
@@ -473,7 +430,10 @@ class SideData:
 
     `groups` holds each factor's rational roots, or None where they are
     irrational; a Weierstrass point's own slot takes the product of the other
-    factors times `delta`.  `inf_values` are the values at infinity, or the
+    factors times `delta`.  `markers` names the rational Weierstrass points:
+    each root by its slot, the index of its x in `groups` flattened with an
+    irrational factor taking two slots (`slots` maps it to x), and the point
+    at infinity by INF.  `inf_values` are the values at infinity, or the
     Weierstrass point whose values infinity takes.  `forms` defaults to the
     factors' `poly_integer_form`s.
     """
@@ -483,7 +443,10 @@ class SideData:
         self.forms = forms if forms is not None else [poly_integer_form(g) for g in factors]
         self.roots = tuple(r for grp in groups if grp for r in grp)
         flat = [r for grp in groups for r in (grp or (None, None))]
-        self.slots = {i: r for i, r in enumerate(flat) if r is not None}  # torsion marker -> x
+        self.slots = {i: r for i, r in enumerate(flat) if r is not None}  # marker -> x
+        # the rational Weierstrass points: the roots' slots ascending, then
+        # INF when a factor is linear, its root's partner at infinity
+        self.markers = tuple(self.slots) + ((INF,) if any(len(g) == 2 for g in factors) else ())
         self.root_values = {w: self.point_values(w) for w in self.roots}
         self.inf_values = (self.root_values[inf_values] if isinstance(inf_values, Fraction)
                            else inf_values)
@@ -669,16 +632,3 @@ def build_pair(lam, G1, G2, G3) -> RichelotPair:
             raise CurveError("degenerate codomain: L degrees are not {1,2,2} or {2,2,2}")
     return pair
 
-
-def two_torsion_points(curve: RichelotPair) -> list[TwoTorsionPoint]:
-    """All 16 elements of J[2] in a fixed order: identity, root pairs
-    lexicographic in slot indices, then root-infinity pairs (5-root models)."""
-    n = len(curve.roots)
-    out = [TwoTorsionPoint.identity()]
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.append(TwoTorsionPoint.pair(i, j))
-    if curve.degree == 5:
-        for i in range(n):
-            out.append(TwoTorsionPoint.pair(i, INF))
-    return out

@@ -10,8 +10,9 @@ Fraction, and packs the class into the bits of an int: that int is the
 class, in the local search, the local tuples (`tuple_mask` packs a tuple's
 slots) and `local_square_class` alike.
 A Hilbert symbol depends only on the square classes of its arguments, so
-`hilbert_bits` evaluates it on two such masks, and `hilbert_symbol` reads
-the masks of two rationals and calls it.  The tests check the closed form
+`hilbert_bits` evaluates it on two such masks, or sums it over the slots of
+two packed tuples in one call, and `hilbert_symbol` reads the masks of two
+rationals and calls it.  The tests check the closed form
 against an independent brute-force solvability oracle.
 """
 
@@ -116,10 +117,10 @@ def _smallest_nonresidue(p: int) -> int:
     raise ValueError(f"{p} is not an odd prime")
 
 
-def local_square_dim(v: LocalPlace) -> int:
-    if v.p is None:
-        return 1
-    return 3 if v.p == 2 else 2
+def local_square_dim(p: Optional[int]) -> int:
+    """The bits of a square class at p, None being oo: the F2 dimension of
+    Q_p*/(Q_p*)^2, and the width of a slot in a packed tuple."""
+    return 1 if p is None else 3 if p == 2 else 2
 
 
 def square_class_mask(n: int, d: int, p: Optional[int]) -> int:
@@ -154,7 +155,7 @@ def tuple_mask(values, p: Optional[int]) -> int:
     """The classes at p of a tuple of nonzero rationals, given as integer
     pairs (n, d), packed into one int: slot i's `square_class_mask` at
     shift i dim, dim being the bits of a class at p."""
-    dim = 1 if p is None else 3 if p == 2 else 2
+    dim = local_square_dim(p)
     m = shift = 0
     for n, d in values:
         m |= square_class_mask(n, d, p) << shift
@@ -180,7 +181,11 @@ def is_local_square(x, v: LocalPlace) -> bool:
 
 def hilbert_bits(a: int, b: int, p: Optional[int]) -> int:
     """The Hilbert symbol of two square classes at p (None being oo), from
-    their `square_class_mask`s, as an F2 exponent: 0 for +1, 1 for -1.
+    their `square_class_mask`s, as an F2 exponent: 0 for +1, 1 for -1.  On
+    two tuples packed alike (`tuple_mask`), of any length, it is the sum of
+    the slots' exponents: the closed form below runs on every slot at once
+    and leaves each slot's exponent in the slot's bit 0, the other bits are
+    masked off, and the parity of what is left is the sum.
 
     Classical closed form: sign test at the real place; at odd p the formula
     (-1)^(alpha beta eps(p)) (u|p)^beta (w|p)^alpha for a = p^alpha u,
@@ -190,10 +195,14 @@ def hilbert_bits(a: int, b: int, p: Optional[int]) -> int:
     mod 8, eps(u) = b1 (bit 1) and eta(u) = b1 + b2 mod 2 (bit 1 of m ^ m >> 1).
     """
     if p is None:
-        return a & b
+        return (a & b).bit_count() & 1
     if p == 2:
-        return ((a & b) >> 1 ^ a & (b ^ b >> 1) >> 1 ^ b & (a ^ a >> 1) >> 1) & 1
-    return (a & b & (p & 3 == 3)) ^ (a >> 1 & b) ^ (a & b >> 1)
+        e = (a & b) >> 1 ^ a & (b ^ b >> 1) >> 1 ^ b & (a ^ a >> 1) >> 1
+    else:
+        e = (a & b if p & 3 == 3 else 0) ^ (a >> 1 & b) ^ (a & b >> 1)
+    d = local_square_dim(p)
+    n = e.bit_length() // d + 1  # slots enough to hold e
+    return (e & ((1 << n * d) - 1) // ((1 << d) - 1)).bit_count() & 1
 
 
 def hilbert_symbol(a, b, v: LocalPlace) -> int:

@@ -89,10 +89,8 @@ from .curve import (
     DOMAIN,
     INF,
     RichelotPair,
-    TwoTorsionPoint,
     _res2,
     homogenized_eval,
-    two_torsion_points,
 )
 from .localfield import (
     LocalPlace,
@@ -165,7 +163,7 @@ class MumfordDivisor:
 
     tag: str
     side: str = DOMAIN
-    torsion: Optional[TwoTorsionPoint] = None
+    torsion: tuple = ()  # a Weierstrass pair's two markers (`SideData.markers`)
     xs: tuple[Fraction, ...] = ()
     quad: Optional[tuple[Fraction, Fraction]] = None  # (a, b) of x^2 + a x + b
 
@@ -174,10 +172,10 @@ class MumfordDivisor:
         return MumfordDivisor("identity", side)
 
     @staticmethod
-    def from_torsion(T: TwoTorsionPoint, side=DOMAIN) -> "MumfordDivisor":
-        if T.is_identity:
-            return MumfordDivisor.identity(side)
-        return MumfordDivisor("weierstrass_pair", side, torsion=T)
+    def weierstrass_pair(a, b, side=DOMAIN) -> "MumfordDivisor":
+        if a == b:
+            raise ValueError("a Weierstrass pair needs two distinct markers")
+        return MumfordDivisor("weierstrass_pair", side, torsion=(a, b))
 
     @staticmethod
     def point_plus_infinity(x, side=DOMAIN) -> "MumfordDivisor":
@@ -195,7 +193,7 @@ class MumfordDivisor:
         if self.tag == "identity":
             return "id"
         if self.tag == "weierstrass_pair":
-            return str(self.torsion)
+            return "{%s,%s}" % self.torsion
         if self.tag == "point_plus_infinity":
             return f"{{({self.xs[0]}, y), inf}}"
         if self.tag == "rational_pair":
@@ -227,7 +225,7 @@ def _slot_values(D: MumfordDivisor, curve: RichelotPair, data) -> list[tuple[int
         return data.quadratic_values(*D.quad)
     if D.torsion:
         slots = curve.side_data(D.side).slots  # the markers of D's side
-        points = [INF if m == INF else slots[m] for m in D.torsion.support]
+        points = [INF if m == INF else slots[m] for m in D.torsion]
     else:
         points = [*D.xs, INF] if D.tag == "point_plus_infinity" else D.xs
     # each slot accumulates as an integer numerator and denominator
@@ -590,7 +588,7 @@ def _points_among(curve: RichelotPair, side: str, v: LocalPlace,
     candidate; only they can be zero, at a Weierstrass point, which has no
     class (None), unlike the trivial class 0.
     """
-    p, dim = v.p, local_square_dim(v)
+    p, dim = v.p, local_square_dim(v.p)
     data = curve.side_data(side)
     f_class = square_class_mask(data.delta.numerator, data.delta.denominator, p)
 
@@ -638,24 +636,16 @@ def _points_among(curve: RichelotPair, side: str, v: LocalPlace,
 
 
 def _torsion_divisors(curve: RichelotPair, side: str) -> list[MumfordDivisor]:
-    """All rational two-torsion divisors on the requested side.
-
-    On the domain the standing assumption gives all 16.  On the codomain an
-    irrational quadratic factor contributes only its kernel divisor, as a
-    quadratic-tag pair of conjugate Weierstrass points; the infinite point
-    enters only for a 5-root codomain, where it is Weierstrass.
-    """
-    if side == DOMAIN:
-        return [MumfordDivisor.from_torsion(T, DOMAIN) for T in two_torsion_points(curve)]
-    curve.require_five_roots()
-    data = curve.codomain_data
-    markers = sorted(data.slots)
-    if curve.codomain_degree == 5:
-        markers.append(INF)
-    out = [MumfordDivisor.identity(CODOMAIN)]
-    for m1, m2 in itertools.combinations(markers, 2):
-        out.append(MumfordDivisor.from_torsion(TwoTorsionPoint.pair(m1, m2), CODOMAIN))
-    return out + [MumfordDivisor.quadratic(a, b, CODOMAIN) for a, b in data.kernels]
+    """All rational two-torsion divisors on the requested side: the
+    identity, each pair of the side's Weierstrass markers, the pairs with
+    INF last, then the kernel divisor of each factor without rational
+    roots, as a quadratic-tag pair of conjugate Weierstrass points.  On the
+    domain the standing assumption gives all 16."""
+    data = curve.side_data(side)
+    pairs = sorted(itertools.combinations(data.markers, 2), key=lambda pair: pair[1] == INF)
+    return ([MumfordDivisor.identity(side)]
+            + [MumfordDivisor.weierstrass_pair(a, b, side) for a, b in pairs]
+            + [MumfordDivisor.quadratic(a, b, side) for a, b in data.kernels])
 
 
 def _torsion_masks(curve: RichelotPair, side: str, cls) -> tuple[dict, list]:
@@ -671,7 +661,7 @@ def _torsion_masks(curve: RichelotPair, side: str, cls) -> tuple[dict, list]:
     out = []
     for D in data.table("torsion", lambda: _torsion_divisors(curve, side)):
         m = cls(data.kernels[D.quad]) if D.quad else 0
-        for k in D.torsion.support if D.torsion else ():
+        for k in D.torsion:
             m ^= masks[k]
         out.append((D, m))
     return masks, out
@@ -751,7 +741,7 @@ def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: Se
     if v.p is None:
         return  # conjugate pairs have trivial image over R
     p = v.p
-    d = local_square_dim(v)
+    d = local_square_dim(p)
     data = curve.side_data(side)
     dominant = _dominance(data, p)
     # at p <= 3 each unit class of the tier holds one residue, so no class
@@ -968,7 +958,7 @@ class LocalImage:
 
 
 def _h1_dim(v: LocalPlace) -> int:
-    return 2 * local_square_dim(v)
+    return 2 * local_square_dim(v.p)
 
 
 def _annihilate(img_a: list, img_b: list) -> bool:

@@ -208,7 +208,7 @@ def selmer_group(curve: RichelotPair, side: str, cfg: SearchConfig = SearchConfi
         dims.append((v, img.dim))
         gen_masks = curve.domain_data.table(
             ("generators", v), lambda: [square_class_mask(g, 1, v.p) for g in gens])
-        d = local_square_dim(v)
+        d = local_square_dim(v.p)
         for j, c in enumerate(_local_columns(gen_masks, d, imgs[v])):
             columns[j] |= c << offset
         offset += 3 * d

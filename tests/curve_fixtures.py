@@ -16,7 +16,7 @@ from pathlib import Path
 
 from richelot_ctp import gf2
 from richelot_ctp.curve import _common_denominator, build_pair, poly_integer_form
-from richelot_ctp.localfield import square_class_mask
+from richelot_ctp.localfield import local_square_dim, square_class_mask
 from richelot_ctp.localpoints import _quadratic_certificate
 from richelot_ctp.selmer import encode_triple
 
@@ -78,9 +78,8 @@ def quadratic_mumford_certificate(f, A, v) -> bool:
 
 def class_bits(m: int, p) -> tuple[int, ...]:
     """The F2 coordinates of the class with mask m at p, None being oo: bit
-    i of m for i below the dimension of a class there (1, 3 at p = 2, else
-    2)."""
-    return tuple(m >> i & 1 for i in range(1 if p is None else 3 if p == 2 else 2))
+    i of m for i below the dimension of a class there (`local_square_dim`)."""
+    return tuple(m >> i & 1 for i in range(local_square_dim(p)))
 
 
 def square_class_bits(n: int, d: int, p) -> tuple[int, ...]:

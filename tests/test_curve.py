@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,19 +10,34 @@ from richelot_ctp.curve import (
     NonSplitError,
     ProductOfEllipticError,
     SingularModelError,
-    TwoTorsionPoint,
     build_pair,
     poly,
     _coefficient_det,
-    two_torsion_points,
     weil_ephi,
 )
 from richelot_ctp.localfield import places_of
+from richelot_ctp.localpoints import CODOMAIN, DOMAIN, _torsion_divisors
 
 
-def weil_e2(P: TwoTorsionPoint, Q: TwoTorsionPoint) -> int:
-    """(-1)^(size of support intersection); identity pairs trivially."""
-    return -1 if len(P.support & Q.support) % 2 else 1
+def weil_e2(P: frozenset, Q: frozenset) -> int:
+    """(-1)^(size of support intersection) for two-torsion given by the
+    markers of its support; the identity, the empty set, pairs trivially."""
+    return -1 if len(P & Q) % 2 else 1
+
+
+def weierstrass_points(factors, groups) -> dict:
+    """x of each rational Weierstrass point of a side, None for infinity,
+    under its marker: the index of x among the factors' root slots, an
+    irrational factor taking two; infinity is INF, when a factor is linear."""
+    slots = [x for g, grp in zip(factors, groups) for x in (grp or (None, None))]
+    points = {i: x for i, x in enumerate(slots) if x is not None}
+    if any(len(g) == 2 for g in factors):
+        points[INF] = None
+    return points
+
+
+SIDES = {DOMAIN: lambda c: (c.G, c.roots_by_factor),
+         CODOMAIN: lambda c: (c.L, c.codomain_roots_by_factor)}
 
 
 def test_example_curve_isogeny_data(curve113):
@@ -68,7 +84,30 @@ def test_six_root_model_builds():
     c = build_pair(1, [-9, 0, 1], [-1, 0, 1], [-20, 1, 1])
     assert c.degree == 6
     assert len(c.roots) == 6
-    assert len(two_torsion_points(c)) == 16
+    assert len(_torsion_divisors(c, DOMAIN)) == 16
+
+
+@pytest.mark.parametrize("side", sorted(SIDES))
+def test_torsion_divisors_are_the_identity_the_weierstrass_pairs_and_the_kernel_quadratics(
+        side, curve113, toy_curve):
+    six_root = build_pair(1, [-9, 0, 1], [-1, 0, 1], [-20, 1, 1])
+    irrational = build_pair(1, [0, 1], [-1, 0, 1], [6, -5, 1])
+    for c in (curve113, toy_curve, six_root, irrational):
+        factors, groups = SIDES[side](c)
+        points = weierstrass_points(factors, groups)
+        quadratics = [(g[1] / g[2], g[0] / g[2]) for g, grp in zip(factors, groups) if grp is None]
+        tors = _torsion_divisors(c, side)
+        assert tors[0].tag == "identity"
+        pairs = Counter(frozenset(points[m] for m in D.torsion)
+                        for D in tors if D.tag == "weierstrass_pair")
+        assert pairs == Counter(map(frozenset, itertools.combinations(points.values(), 2)))
+        with_inf = [INF in D.torsion for D in tors if D.tag == "weierstrass_pair"]
+        assert with_inf == sorted(with_inf)  # the pairs with infinity last
+        assert [D.quad for D in tors if D.tag == "quadratic"] == quadratics
+        assert len(tors) == 1 + len(points) * (len(points) - 1) // 2 + len(quadratics)
+        assert {D.side for D in tors} == {side}
+        if side == DOMAIN:
+            assert len(tors) == 16
 
 
 def test_codomain_discriminant_analogue(curve113, toy_curve):
@@ -100,40 +139,44 @@ def test_bad_places_examples(curve113, toy_curve):
 
 
 def test_weil_e2_spec_values():
-    P = TwoTorsionPoint.pair(0, 1)
+    P = frozenset((0, 1))
     assert weil_e2(P, P) == 1
-    assert weil_e2(TwoTorsionPoint.pair(0, 1), TwoTorsionPoint.pair(1, 2)) == -1
-    assert weil_e2(TwoTorsionPoint.pair(0, 1), TwoTorsionPoint.pair(2, 3)) == 1
-    assert weil_e2(TwoTorsionPoint.identity(), P) == 1
+    assert weil_e2(frozenset((0, 1)), frozenset((1, 2))) == -1
+    assert weil_e2(frozenset((0, 1)), frozenset((2, 3))) == 1
+    assert weil_e2(frozenset(), P) == 1
 
 
 def test_weil_e2_bilinear_alternating(curve113):
-    pts = two_torsion_points(curve113)
+    pts = [frozenset(D.torsion) for D in _torsion_divisors(curve113, DOMAIN)]
     assert len(pts) == 16
     markers = frozenset(range(5)) | {INF}
 
     def add(P, Q):
         # group law on supports: symmetric difference, reduced through the
         # complementary pair when it has size four
-        s = P.support ^ Q.support
+        s = P ^ Q
         if len(s) == 4:
             s = markers - s
-        return TwoTorsionPoint(s)
+        return s
 
-    group = {P.support for P in pts}
+    group = set(pts)
+    assert len(group) == 16
     for P, Q, R in itertools.product(pts, pts, pts):
         S = add(P, Q)
-        assert S.support in group
+        assert S in group
         assert weil_e2(S, R) == weil_e2(P, R) * weil_e2(Q, R)
     for P in pts:
         assert weil_e2(P, P) == 1
 
 
 def test_kernel_isotropic(curve113):
-    ker = [curve113.kernel_point(i) for i in (1, 2, 3)]
-    assert ker[0] == TwoTorsionPoint.pair(0, INF)
-    assert ker[1] == TwoTorsionPoint.pair(1, 2)
-    assert ker[2] == TwoTorsionPoint.pair(3, 4)
+    # P_i is cut out by G_i: its support is G_i's roots, with infinity
+    # beside the linear G_1's root
+    points = weierstrass_points(curve113.G, curve113.roots_by_factor)
+    ker = [frozenset((0, INF)), frozenset((1, 2)), frozenset((3, 4))]
+    for P, g, grp in zip(ker, curve113.G, curve113.roots_by_factor):
+        assert {points[m] for m in P} == set(grp) | ({None} if len(g) == 2 else set())
+    assert set(ker) <= {frozenset(D.torsion) for D in _torsion_divisors(curve113, DOMAIN)}
     for P in ker:
         for Q in ker:
             assert weil_e2(P, Q) == 1

@@ -7,6 +7,7 @@ report less its `local_tables` is pinned apart: a local row depends on the
 local points it is built from, but the Selmer groups, the matrix, the
 descent and the status do not.  Text-mode `ctp` is pinned too, on a few
 curves: its tables print the class representatives of every local row.
+`isogeny` is pinned in both modes: it prints the kernel divisors.
 """
 
 import hashlib
@@ -203,3 +204,57 @@ def test_ctp_text_bytes_are_pinned(label, tmp_path, capsys):
         path = FIXTURES / f"{label}.json"
     code = main(["ctp", str(path)])
     assert (code, sha256(capsys.readouterr().out)) == (0, TEXT_SHA256[label])
+
+
+# `isogeny` output, which names the kernel divisors P_i and P_i' of both
+# sides; a six-root domain model adds a domain without a point at infinity
+# among its Weierstrass points and a codomain with two irrational factors
+ISOGENY_CURVES = {
+    **CURVES,
+    "six-root-domain": {"label": "six-root-domain", "lambda": "1", "G1": ["6", "-5", "1"],
+                        "G2": ["-1", "0", "1"], "G3": ["-16", "0", "1"]},
+}
+ISOGENY_JSON_SHA256 = {
+    "A1009": "29990f8672c61123e091ef51826958e92d3d20a367f0b662905777fb04d52658",
+    "A257": "1b957f23da43cc76ac13ccad9d0faf87eb795bd96f264c7a584f0df9d81244f8",
+    "B31": "7a50fa2c24f35125faa3598b554954e5de7575533473713b9ae5af391fcae34c",
+    "B97": "0b9713fac02beb5813d6c8b1baef17a3c382dbff1355dec2442c5940b8ea0d3c",
+    "fractional": "c6e62c26e61392ffe25f40ee6f97655ab200086e86b26d90d2c58151e78298c7",
+    "irrational": "e6b59aabb9a91cd4b4127e79cc8042271176d7863665027851ec7b6cddb88962",
+    "k1062347": "b4608e417d2d0c30cae91e2795bb6d454db7a42037ef7f89d78fce9e163baf07",
+    "k143": "41979818fd800c565231c8d8571a49a8d18ae79d9a5b181e3c1fea264c718a68",
+    "k17": "735dd3505ef5a305d0e9799f34d7650e98cc0e09c01ade8c4abf8d4d268a3453",
+    "k2431": "41f5c3522e37b87215c24bd1a892b4cf8b3ebdcc7d861cc24038e852130a7704",
+    "k46189": "65c8e883b6f8268316f10c654132389dbb6060c34bee27c9657075b962460836",
+    "k=113": "75ad0e6c490a109cafd4165c867695b7130c3a07cd036f427eb331f911ef1764",
+    "negative-lc": "5b8bb2241e28dd352dec3eed95b5e385832d692419941a6fb6acf4e266aa6e06",
+    "six-root": "ae0e1caf967bdfbd57c46c4c7b95bc054044c8c73bcda3449bb1d7628807eef8",
+    "six-root-domain": "ef09b8d01f9e2f6667991b62b7e2ea2f2aa9473cb58d97ceb80d10b3bc48dc33",
+}
+ISOGENY_TEXT_SHA256 = {
+    "A1009": "1d8a2f62d3b07d7de6f87bf5d98721c657e25ec6c70789a15c51bad08c9f7ee4",
+    "A257": "bf4bc887a55869dec249cccb3a963ba5b36682e7f209258d192c2a3f59609c25",
+    "B31": "84b271b425df0fd20d8390552ec40dbad57ef3f52707c37e858ff57556095c75",
+    "B97": "475e2f2f26a906efe77db935682cd6751ca7833ef12010bcb108dcd0eab9b338",
+    "fractional": "5d21fc717343d3c76c4b067864aee82bb024eebca7b80275b420213257b028c1",
+    "irrational": "e4dcfdaa7c8fa1cc107b086c66efae8183857877643a185ec53afb98f88ade9f",
+    "k1062347": "5b7b271a4852dfe6881025697cb851860f49eba6e60dbe045ee207fbaabbc4d7",
+    "k143": "fd53603c4ac8d5be8e25f80e94f424ac3843aea222d638d52eeca1a68c22ff80",
+    "k17": "703db6941dd208b6d3a0860ea052219a2c5ac8ec08b3221e18f11849d8a86212",
+    "k2431": "ea7f4ece995308cc42e6ab62980bf7085eca04626efc6f8125132874c1e11aa9",
+    "k46189": "6487eb73fec9733ac599f20d77211f61bfdb9997758db8537a32061f9bbdfd61",
+    "k=113": "ec3a35ba3a99054418009ed55a1067f2a49ad4e13e957c60ed037d243a700be5",
+    "negative-lc": "b70ac3573935b395460c2414f92b4c2b62d2aeb56ce91e295c5e59e3d17a43de",
+    "six-root": "2d2dfe38260d9ab3bf6713ea7ef9551e98b66afdf1f5c9e2762ebe168b4779d5",
+    "six-root-domain": "4c14d2dac647fdadb9c9370f0e4bdef0dc6794647c5501b23c65f8299581c813",
+}
+
+
+@pytest.mark.parametrize("label", sorted(ISOGENY_CURVES))
+def test_isogeny_bytes_are_pinned(label, tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(ISOGENY_CURVES[label]))
+    assert main(["isogeny", str(path), "--json"]) == 0
+    assert sha256(capsys.readouterr().out) == ISOGENY_JSON_SHA256[label]
+    assert main(["isogeny", str(path)]) == 0
+    assert sha256(capsys.readouterr().out) == ISOGENY_TEXT_SHA256[label]

@@ -158,7 +158,7 @@ def reference_quintuple_values(D, curve):
     if D.tag == "quadratic":
         return tuple(reference_res2(*D.quad, (-w, 1)) for w in roots)
     if D.tag == "weierstrass_pair":
-        points = [None if m == INF else roots[m] for m in D.torsion.support]
+        points = [None if m == INF else roots[m] for m in D.torsion]
     else:
         points = list(D.xs) + [None] * (D.tag == "point_plus_infinity")
     vals = [Fraction(1)] * 5

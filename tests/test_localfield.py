@@ -9,9 +9,11 @@ from padic_oracle import DEFAULT_PADIC_DIGITS, InsufficientPrecision, PadicAppro
 from richelot_ctp.localfield import (
     LocalPlace,
     class_representative,
+    hilbert_bits,
     hilbert_symbol,
     is_local_square,
     local_square_class,
+    local_square_dim,
     valuation,
 )
 
@@ -182,6 +184,33 @@ def test_oracle_agrees_with_closed_form_thousand_triples():
             got = hilbert_oracle(a, b, v, depth=depth_for[v.p] + 2)
         assert got == hilbert_symbol(a, b, v), (a, b, str(v))
         checked += 1
+
+
+# on two tuples packed alike, one call sums the symbols of the slots; each
+# slot's symbol is the oracle's on the representatives of the two classes
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 7, 113], ids=str)
+def test_hilbert_bits_of_packed_tuples_is_the_sum_over_the_slots(p):
+    v, d = LocalPlace(p), local_square_dim(p)
+    depth = {None: 1, 2: 6, 3: 4, 5: 3, 7: 3, 113: 2}[p]
+    oracle = {}
+    for x in range(1 << d):
+        for y in range(1 << d):
+            a, b = class_representative(x, p), class_representative(y, p)
+            try:
+                symbol = hilbert_oracle(a, b, v, depth=depth)
+            except OracleInconclusive:
+                symbol = hilbert_oracle(a, b, v, depth=depth + 2)
+            oracle[x, y] = int(symbol == -1)
+    rng = random.Random(f"packed hilbert at {v}")
+    seen = set()
+    for n in (1, 3, 5):
+        for _ in range(100):
+            xs, ys = ([rng.randrange(1 << d) for _ in range(n)] for _ in range(2))
+            a, b = (sum(c << i * d for i, c in enumerate(cs)) for cs in (xs, ys))
+            want = sum(oracle[x, y] for x, y in zip(xs, ys)) % 2
+            assert hilbert_bits(a, b, p) == want, (xs, ys)
+            seen.add((n, want))
+    assert seen == {(n, e) for n in (1, 3, 5) for e in (0, 1)}
 
 
 # -- the bounded-precision p-adic reference (padic_oracle) -------------------

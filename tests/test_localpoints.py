@@ -7,7 +7,7 @@ import pytest
 from curve_fixtures import class_bits, quadratic_mumford_certificate
 from richelot_ctp.cohomology import KummerTriple, psi_two_to_phihat
 from richelot_ctp.ctp import ctp_matrix
-from richelot_ctp.curve import INF, TwoTorsionPoint, build_pair, poly_eval, poly_integer_form
+from richelot_ctp.curve import INF, build_pair, poly_eval, poly_integer_form
 from richelot_ctp.localfield import LocalPlace, is_local_square, local_square_class, places_of
 from richelot_ctp.localpoints import (
     CODOMAIN,
@@ -31,9 +31,9 @@ OO = LocalPlace.infinite()
 V2, V3, V7, V113 = (LocalPlace.finite(p) for p in (2, 3, 7, 113))
 
 # divisors named by root slots: 0 <-> -226, 1 <-> 0, 2 <-> 678, 3 <-> -113, 4 <-> 791
-D_0_m113 = MumfordDivisor.from_torsion(TwoTorsionPoint.pair(1, 3))
-D_0_m226 = MumfordDivisor.from_torsion(TwoTorsionPoint.pair(0, 1))
-D_m226_m113 = MumfordDivisor.from_torsion(TwoTorsionPoint.pair(0, 3))
+D_0_m113 = MumfordDivisor.weierstrass_pair(1, 3)
+D_0_m226 = MumfordDivisor.weierstrass_pair(0, 1)
+D_m226_m113 = MumfordDivisor.weierstrass_pair(0, 3)
 
 
 def classes_of(t):
@@ -42,6 +42,13 @@ def classes_of(t):
 
 def same_local(t, values, v):
     return classes_of(t) == tuple(class_bits(local_square_class(x, v), v.p) for x in values)
+
+
+def test_a_weierstrass_pair_is_two_distinct_markers_in_order():
+    D = MumfordDivisor.weierstrass_pair(3, INF, CODOMAIN)
+    assert (D.tag, D.side, D.torsion, str(D)) == ("weierstrass_pair", CODOMAIN, (3, INF), "{3,inf}")
+    with pytest.raises(ValueError):
+        MumfordDivisor.weierstrass_pair(2, 2)
 
 
 def test_mu_two_table_values(curve113):
@@ -70,13 +77,9 @@ def test_mu_phi_kernel_divisors_trivial(curve113):
     assert mu_phi(P2, curve113).values == (1, 1, 1)
     assert mu_phi(P3, curve113).values == (1, 1, 1)
     # the linear factor's kernel divisor contains the infinite point
-    slots = sorted(_codomain_slot_map(curve113))
-    P1 = MumfordDivisor.from_torsion(TwoTorsionPoint.pair(slots[0], INF), CODOMAIN)
+    slots = sorted(curve113.codomain_data.slots)
+    P1 = MumfordDivisor.weierstrass_pair(slots[0], INF, CODOMAIN)
     assert mu_phi(P1, curve113).values == (1, 1, 1)
-
-
-def _codomain_slot_map(curve):
-    return curve.codomain_data.slots
 
 
 def test_mu_phi_weierstrass_totality(curve113):
