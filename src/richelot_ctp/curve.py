@@ -104,8 +104,14 @@ def poly_integer_form(f: Poly) -> tuple[tuple[int, ...], int]:
 def homogenized_eval(C: Sequence[int], n: int, d: int) -> tuple[int, int]:
     """(sum C_i n^i d^(k-i), d^k) for the integer coefficients C of degree k.
 
-    Their quotient is sum C_i x^i at x = n/d; Horner's rule on ints.
+    Their quotient is sum C_i x^i at x = n/d; Horner's rule on ints, written
+    out for degree 1 and 2, the factors the search reads per candidate.
     """
+    if len(C) == 3:
+        c0, c1, c2 = C
+        return (c2 * n + c1 * d) * n + c0 * d * d, d * d
+    if len(C) == 2:
+        return C[1] * n + C[0] * d, d
     acc = C[-1]
     dpow = 1
     for i in range(len(C) - 2, -1, -1):

@@ -37,11 +37,17 @@ the pairing of one curve walk each place once.
 
 Single points come in blocks x = c + r p^j over the unit residues r: all
 units mod p^m while p^m <= `_RESIDUE_CAP`, past it a sample of that many
-units mod p seeded by p, so no block, and no table of unit classes, grows
+units mod p seeded by p, drawn once per curve, prime and exponent and kept
+with their unit classes, so no block, and no table of unit classes, grows
 with p.  A sample that misses a class can only leave a place heuristic,
 since the duality certificate alone decides certified.  The centres c are
 the rational roots and, on the codomain, the simple roots mod p of the
-factors, from each factor's own roots mod p, lifted by Newton's method.  A
+factors, from each factor's own roots mod p, lifted by Newton's method.
+One reader, `_square_points`, walks a block in one loop: it forms each
+candidate's integer numerator, skips an x an earlier block gave, reads the
+factors' classes from their integer forms straight into the mask, and
+hands over only the points where f(x) is a square, as (n, d, mask); the
+singles tier builds a Fraction only for a point it pools or yields.  A
 factor with one Taylor term strictly below the others in valuation there
 is dominated: that term fixes the factor's square class by the unit class
 of r (`_generic`), so its class is read once per block and unit class, and
@@ -74,7 +80,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from . import gf2
 from .arith import squarefree_reduce
@@ -400,6 +406,16 @@ def _unit_class(r: int, p: int) -> int:
     return r % 8 if p == 2 else pow(r, p // 2, p)
 
 
+def _unit_table(data, p: int, exponent: int) -> tuple[list[int], list[int]]:
+    """The `_unit_residues` of p and exponent and their unit classes, as two
+    lists in that order, drawn once per curve, prime and exponent and kept
+    in `data`, a `SideData`."""
+    def draw():
+        units = _unit_residues(p, exponent)
+        return units, [_unit_class(r, p) for r in units]
+    return data.table(("classes", p, exponent), draw)
+
+
 def _roots_mod_p(C, p: int) -> list[int]:
     """The roots mod p of the integer polynomial C, of degree at most 2,
     primitive: a linear solve, or the quadratic formula with the square
@@ -519,120 +535,99 @@ def _dominance(data, p: int):
     return data.table(("dominant", p), lambda: cache(lambda terms, js: _generic(terms, js)))
 
 
-def _block_xs(c: Fraction, j: int, p: int, rs) -> Iterator:
-    """The candidates c + r p^j of a block, r in rs, as (n, d) in lowest
-    terms (gcd(cn + k cd, cd) = 1, and a unit r is prime to p)."""
-    step, d = (p ** j * c.denominator, c.denominator) if j >= 0 else (1, p ** -j)  # c = 0
-    return ((c.numerator + r * step, d) for r in rs)
+def _block_step(c: Fraction, j: int, p: int) -> tuple[int, int]:
+    """(step, d) with each candidate c + r p^j of a block, r a unit, equal
+    to (c.numerator + r step) / d in lowest terms: gcd(cn + m cd, cd) = 1
+    for any integer m, and r is prime to p.  j < 0 only at c = 0."""
+    return (p ** j * c.denominator, c.denominator) if j >= 0 else (1, p ** -j)
 
 
-def _x_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfig,
-                  full=None) -> Iterator[Optional[tuple[int, int, Optional[list]]]]:
-    """Candidate x-coordinates as (numerator, denominator, tag), x in lowest
-    terms, made as the search asks for them: the blocks of `_x_blocks` in
-    turn, each candidate once, each block ended by a None (a step mark).
+def _square_points(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfig,
+                   full=None, rng=None) -> Iterator[Optional[tuple[int, int, int]]]:
+    """The singles tier's candidates x = n/d (lowest terms) with f(x) a
+    nonzero square in Q_v, in walk order, as (n, d, image mask: factor i's
+    `square_class_mask` at shift i dim).  At the real place the candidates
+    are the side's real samples; at a prime they are the blocks of
+    `_x_blocks`, each ended by a step mark (None), in which x = c + r p^j
+    for (r, unit class k) over `_unit_table`; each x comes once.  With
+    `rng` the blocks come in a shuffled order and each block's residues too.
 
-    Candidates share a tag exactly when they share a block and the unit
-    class of r (r mod 8 at p = 2, its Legendre symbol at odd p).  A tag is
-    the list [the block's `dominated` flags, None], in which `_points_among`
-    keeps what it reads for the tag; it is None where no factor is
-    dominated, and at the real place.
-
-    Once `full()` holds, even in the middle of a generic block, the rest of
-    the block gives only the first r of each unit class it has not reached:
-    the singles tier asks for this once a repeat of a class it has handled
-    can change nothing, and in a generic block a unit class is one class.
+    f = G1 G2 G3 on the domain (build_pair folds lambda into G1) and
+    fhat = L1 L2 L3 / Delta on the codomain, so f(x) is a square iff the
+    factor classes XOR to the class of 1, or of Delta.  A factor is read
+    from its homogenized integer form, without a Fraction.  A dominated
+    factor has one class per block and k, so it is read from the first
+    candidate of each k, and kept in its slot of the mask; where every
+    factor is dominated, so is whether f(x) is a square, and once `full()`
+    holds, even mid-block, the rest of the block gives only the first r of
+    each k it has not reached: the singles tier asks for this once a repeat
+    of a class it has handled can change nothing.  The other factors are
+    read per candidate; only they can be zero, at a Weierstrass point,
+    which has no class.
     """
-    if v.p is None:
-        for n, d in curve.side_data(side).real_samples:
-            yield n, d, None
+    data = curve.side_data(side)
+    p, dim = v.p, local_square_dim(v.p)
+    f_class = square_class_mask(data.delta.numerator, data.delta.denominator, p)
+
+    def read(factors, n, d, mask, want):
+        # the classes of `factors` at n/d XOR-ed into (mask, want), or None
+        # where one of them is zero
+        for i in factors:
+            C, den = data.forms[i]
+            acc, dk = homogenized_eval(C, n, d)
+            if not acc:
+                return None
+            c = square_class_mask(acc, den * dk, p)
+            mask |= c << i * dim
+            want ^= c
+        return mask, want
+
+    if p is None:  # f(x) > 0 at a real sample: one step, no factor zero
+        samples = list(data.real_samples)
+        if rng:
+            rng.shuffle(samples)
+        for n, d in samples:
+            yield n, d, read(range(3), n, d, 0, f_class)[0]
         return
-    p = v.p
-    units = _unit_residues(p, cfg.residue_exponent)
-    classes = curve.side_data(side).table(("classes", p, cfg.residue_exponent), lambda: [
-        _unit_class(r, p) for r in units])
+    units, classes = _unit_table(data, p, cfg.residue_exponent)
     kinds = set(classes)
-    seen = set()
-    for c, j, dominated in _x_blocks(curve, side, p, cfg):
-        tags = {k: [dominated, None] if any(dominated) else None for k in kinds}
-        cut = full if all(dominated) else None
+    seen: dict = {}  # denominator -> the numerators walked
+    blocks = _x_blocks(curve, side, p, cfg)
+    if rng:
+        blocks = list(blocks)
+        rng.shuffle(blocks)
+    for c, j, dominated in blocks:
+        (step, d), cn = _block_step(c, j, p), c.numerator
+        walked = seen.setdefault(d, set())
+        ruled = [i for i, dom in enumerate(dominated) if dom]
+        free = [i for i, dom in enumerate(dominated) if not dom]
+        cut = None if free else full
+        # k -> (mask, want) of the dominated factors, False where f(x) is no square
+        reads = {} if ruled else dict.fromkeys(kinds, (0, f_class))
         reached = set()
-        for x, k in zip(_block_xs(c, j, p, units), classes):
+        order = zip(units, classes)
+        if rng:
+            order = list(order)
+            rng.shuffle(order)
+        for r, k in order:
             if cut and k in reached and cut():
                 if len(reached) == len(kinds):
                     break  # the rest of the block repeats reached classes
                 continue
             reached.add(k)
-            if x not in seen:
-                seen.add(x)
-                yield *x, tags[k]
+            n = cn + r * step
+            if n in walked:
+                continue
+            walked.add(n)
+            got = reads.get(k)
+            if got is None:
+                mask, want = read(ruled, n, d, 0, f_class)
+                got = reads[k] = (mask, want) if free or not want else False
+            if got and free:
+                got = read(free, n, d, *got)
+            if got and not got[1]:  # else x is a Weierstrass point, or no square
+                yield n, d, got[0]
         yield None
-
-
-def _points_among(curve: RichelotPair, side: str, v: LocalPlace,
-                  xs: Iterable[Optional[tuple]]) -> Iterator[Optional[tuple[Fraction, int]]]:
-    """The candidates (n, d, tag) of `_x_candidates` with f(n/d) a nonzero
-    square in Q_v, in order, as x = n/d with its image mask (factor i's
-    `square_class_mask` at shift i dim), and the feed's step marks (None) as
-    they come.
-
-    f = G1 G2 G3 on the domain (build_pair folds lambda into G1) and
-    fhat = L1 L2 L3 / Delta on the codomain, so f(x) is a square iff the
-    factor classes XOR to the class of 1, or of Delta.  The factor values
-    are read from their homogenized integer forms, without a Fraction.
-
-    A dominated factor has one class for all candidates of a tag, so it is
-    read once, from the tag's first candidate, and kept in the tag, already
-    in its slot of the mask; where every factor is dominated, the tag keeps
-    whether the point is a square too.  The other factors are read per
-    candidate; only they can be zero, at a Weierstrass point, which has no
-    class (None), unlike the trivial class 0.
-    """
-    p, dim = v.p, local_square_dim(v.p)
-    data = curve.side_data(side)
-    f_class = square_class_mask(data.delta.numerator, data.delta.denominator, p)
-
-    def bits(i, n, d):
-        C, den = data.forms[i]
-        acc, dk = homogenized_eval(C, n, d)
-        return square_class_mask(acc, den * dk, p) if acc else None
-
-    def read(dominated, n, d):
-        # (the dominated factors' classes in their slots; the others'
-        # indices; the class the others' classes multiply to iff f(x) is a
-        # square), or False where every factor is dominated and f(x) is not
-        # a square
-        known, free, want = 0, [], f_class
-        for i, dom in enumerate(dominated):
-            if dom:
-                c = bits(i, n, d)
-                known |= c << i * dim
-                want ^= c
-            else:
-                free.append(i)
-        return (known, free, want) if free or not want else False
-
-    unknown = 0, range(3), f_class  # a candidate without a tag
-    for item in xs:
-        if item is None:
-            yield None
-            continue
-        n, d, tag = item
-        known = tag[1] if tag else unknown
-        if known is None:
-            known = tag[1] = read(tag[0], n, d)
-        if not known:
-            continue
-        mask, free, want = known
-        for i in free:
-            c = bits(i, n, d)
-            if c is None:
-                break  # x is a Weierstrass point
-            mask |= c << i * dim
-            want ^= c
-        else:
-            if not want:  # else f(x) is no square
-                yield Fraction(n, d), mask
 
 
 def _torsion_divisors(curve: RichelotPair, side: str) -> list[MumfordDivisor]:
@@ -699,14 +694,13 @@ def _quadratic_blocks(data, p: int, cfg: SearchConfig) -> Iterator:
     block.  Divisors p-adically near a torsion pair live there, and on
     degenerate models they may be all there are."""
     exponent, depth = _quadratic_bounds(p, cfg)
-    units = _unit_residues(p, exponent)
+    units = list(zip(*_unit_table(data, p, exponent)))
     if len(units) > 40:
         units = units[:20] + units[-20:]
-    classes = {r: _unit_class(r, p) for r in units}
 
-    def block(c, j, rs):
-        xs = list(zip(_block_xs(c, j, p, rs), [classes[r] for r in rs]))
-        return j, xs, {k for _, k in xs}
+    def block(c, j, rks):
+        step, d = _block_step(c, j, p)
+        return j, [((c.numerator + r * step, d), k) for r, k in rks], {k for _, k in rks}
 
     def alone(c):
         return None, [((c.numerator, c.denominator), 0)], {0}
@@ -819,9 +813,14 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
     quadratic tier.  Every tier skips a candidate whose mask is in `known`
     (the walk's record of the masks it has yielded) before it builds the
     divisor; the singles tier still adds the point to the pairs tier's pool.
-    A torsion divisor's mask is the XOR of its points', or read from its
-    values for a kernel quadratic (`_torsion_masks`), and the side's
-    `SideData` keeps them per place.
+    The singles tier takes its points, as integers with their masks, from
+    `_square_points`, and builds x as a Fraction only for a point it pools
+    or yields.  A torsion divisor's mask is the XOR of its points', or read
+    from its values for a kernel quadratic (`_torsion_masks`), and the
+    side's `SideData` keeps them per place.  Under `cfg.shuffle_seed` each
+    tier walks its candidates in an order drawn from one seeded generator:
+    the torsion divisors, then the singles reader's blocks and each block's
+    residues, then the pairs.
     """
     rng = random.Random(cfg.shuffle_seed) if cfg.shuffle_seed is not None else None
     data = curve.side_data(side)
@@ -853,19 +852,21 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
         def full():
             return len(pool) >= _POINT_POOL
 
-        xs = _x_candidates(curve, side, v, cfg, None if rng else full)
-        if rng:
-            xs = [x for x in xs if x]  # a shuffled feed has no blocks: one step
-            rng.shuffle(xs)
-        for item in _points_among(curve, side, v, xs):
+        for item in _square_points(curve, side, v, cfg, full, rng):
             if not item:
                 yield item  # a step mark
-            elif not full() or item[1] not in seen_classes:
-                x, mask = item
-                seen_classes.add(mask)
-                if len(pool) < 3 * _POINT_POOL:
+                continue
+            n, d, mask = item
+            if full() and mask in seen_classes:
+                continue
+            seen_classes.add(mask)
+            pooled = len(pool) < 3 * _POINT_POOL
+            new = inf_ok and mask ^ masks[INF] not in known
+            if pooled or new:  # the only points that need x as a Fraction
+                x = Fraction(n, d)
+                if pooled:
                     pool.append((x, mask))
-                if inf_ok and mask ^ masks[INF] not in known:
+                if new:
                     yield MumfordDivisor.point_plus_infinity(x, side), mask ^ masks[INF]
 
     def pairs_tier():

@@ -33,6 +33,7 @@ from richelot_ctp.curve import (
     INF,
     _common_denominator,
     build_pair,
+    homogenized_eval,
     poly_eval,
     poly_integer_form,
     rational_sqrt,
@@ -54,21 +55,21 @@ from richelot_ctp.localpoints import (
     CODOMAIN,
     DOMAIN,
     SearchConfig,
-    _block_xs,
+    _block_step,
     _generic,
     _mod_quadratic_ints,
-    _points_among,
     _quadratic_blocks,
     _quadratic_mask,
     _res2,
     _slot_values,
+    _square_points,
     _torsion_divisors,
     _unit_residues,
     _walk,
     _x_blocks,
-    _x_candidates,
     mu_two,
 )
+from test_search_oracle import flat_feed
 
 PRIMES = (2, 3, 1009, 10007)
 PLACES = [LocalPlace.infinite()] + [LocalPlace.finite(p) for p in PRIMES]
@@ -235,6 +236,30 @@ def test_poly_eval_matches_fraction_horner(v):
         assert poly_eval(f, 7) == fraction_horner(f, Fraction(7))
 
 
+# the homogenized form itself, not only its quotient: the search reads a
+# factor's class from these two integers, and the evaluation is written out
+# for degree 1 and 2, so both must be sum C_i n^i d^(k-i) and d^k exactly,
+# for n negative, zero and positive, d = 1 and d > 1, and ints of up to 60
+# digits
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+def test_homogenized_eval_is_the_homogenized_fraction_horner(degree):
+    rng = random.Random(f"homogenized_eval {degree}")
+
+    def big():
+        return rng.randint(1, 10 ** rng.randint(1, 60))
+
+    cases = [([rng.choice((-1, 0, 1)) * big() for _ in range(degree)] + [rng.choice((-1, 1)) * big()],
+              rng.choice((-1, 0, 1)) * big(), rng.choice((1, big())))
+             for _ in range(300)]
+    cases += [([3, -5, 7, 2, -1][:degree + 1], n, d) for n in (-4, 0, 4) for d in (1, 6)]
+    for C, n, d in cases:
+        acc, dk = homogenized_eval(C, n, d)
+        assert dk == d ** degree, (C, n, d)
+        assert acc == sum(c * n ** i * d ** (degree - i) for i, c in enumerate(C)), (C, n, d)
+        assert Fraction(acc, dk) == fraction_horner(C, Fraction(n, d)), (C, n, d)
+    assert {n for _, n, _ in cases} >= {-4, 0, 4} and any(d > 10 ** 30 for *_, d in cases)
+
+
 @pytest.mark.parametrize("v", PLACES, ids=str)
 def test_square_class_matches_valuation_and_unit_residue(v):
     rng = random.Random(f"square class {v}")
@@ -399,19 +424,21 @@ def test_singles_factor_xor_decides_like_evaluating_f(curve, p, side):
     v = LocalPlace.finite(p)
     f = curve.f if side == DOMAIN else curve.fhat
     polys = curve.G if side == DOMAIN else curve.L
-    feed = list(_x_candidates(curve, side, v, SearchConfig()))
-    xs = [x for x in feed if x is not None]  # less the step marks, one per block
-    assert len(feed) > len(xs)
+    xs = flat_feed(curve, side, v, SearchConfig())
     expected = []
-    for n, d, _ in xs:
+    for n, d in xs:
         x = Fraction(n, d)
         fx = poly_eval(f, x)
         if fx != 0 and is_local_square(fx, v):
             assert reference_is_square(fraction_horner(f, x), v)
             expected.append((x, class_mask(reference_class(fraction_horner(g, x), v)
                                            for g in polys)))
-    got = [x for x in _points_among(curve, side, v, feed) if x is not None]
+    # the reader without a cut walks every x of the flat feed, in its order
+    read = list(_square_points(curve, side, v, SearchConfig()))
+    got = [(Fraction(n, d), mask) for n, d, mask in filter(None, read)]
     assert got == expected
+    # one step mark per block
+    assert read.count(None) == len(list(_x_blocks(curve, side, p, SearchConfig())))
     assert len(got) < len(xs)
     # fhat(x) is a square in Q_7 at none of the irrational codomain's
     # candidates (its image at 7 comes from torsion and quadratic divisors)
@@ -432,8 +459,10 @@ def check_x_blocks(curve, cfg):
             for c, j, dominated in _x_blocks(curve, side, p, cfg):
                 counts["all" if all(dominated) else "some" if any(dominated) else "none"] += 1
                 by_class = {}
-                for r, (n, d) in zip(units, _block_xs(c, j, p, units)):
-                    assert Fraction(n, d) == c + r * Fraction(p) ** j
+                step, d = _block_step(c, j, p)
+                for r in units:
+                    n = c.numerator + r * step
+                    assert Fraction(n, d) == c + r * Fraction(p) ** j and math.gcd(n, d) == 1
                     unit_class = r % 8 if p == 2 else _legendre(r % p, p)
                     for i, g in enumerate(polys):
                         if dominated[i]:

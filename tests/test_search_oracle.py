@@ -6,15 +6,17 @@ again on its own, every quadratic candidate is certified, every factor is
 evaluated at every single-point candidate, and every candidate's image is
 built with `divisor_image` and compared as a `LocalKummerTriple`.  It keeps
 its own copies of the earlier quadratic generator and singles filter, and
+its own flat singles feed (`flat_feed`, on Fractions, with no cut), and
 shares with the library only the other candidate generators (torsion
-divisors and residue grids).  It drains the two sides' tiers in lockstep,
-tier by tier.  The library's search walks each place once, steps the two
-sides' walks in turn and stops as soon as both images are full, skips the
-tiers an escalation does not change, reads a dominated factor's class once
-per block and unit class, cuts a generic block once the pool is full,
-compares every tier by class bits, certifies a quadratic only for a mask
-its walk has not yet yielded, and builds images only for the candidates it
-keeps, so it must return the same bases, witnesses, statuses and divisors.
+divisors, the blocks of `_x_blocks` and the residue grids).  It drains the
+two sides' tiers in lockstep, tier by tier.  The library's search walks
+each place once, steps the two sides' walks in turn and stops as soon as
+both images are full, skips the tiers an escalation does not change, reads
+a dominated factor's class once per block and unit class, cuts a generic
+block once the pool is full, compares every tier by class bits, certifies
+a quadratic only for a mask its walk has not yet yielded, and builds
+images only for the candidates it keeps, so it must return the same bases,
+witnesses, statuses and divisors.
 The module also counts the work the new search must not repeat, and
 corrupts class bits to trip the bits-against-witness check.
 """
@@ -22,6 +24,7 @@ corrupts class bits to trip the bits-against-witness check.
 import collections
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -50,7 +53,7 @@ from richelot_ctp.localpoints import (
     _quadratic_bounds,
     _torsion_divisors,
     _unit_residues,
-    _x_candidates,
+    _x_blocks,
     divisor_image,
     find_local_point,
     local_images,
@@ -177,14 +180,36 @@ def unmarked(items):
     return [item for item in items if item is not None]
 
 
+def flat_feed(curve, side, v, cfg, rng=None):
+    """The singles candidates as (n, d), x = n/d in lowest terms, with no
+    step mark and no cut: the side's real samples at the real place, else
+    each block (c, j) of `_x_blocks` as c + r p^j on Fractions, r over
+    `_unit_residues`, each x once.  With rng, the blocks are shuffled, then
+    each block's residues in the shuffled block order, as the library's
+    walk shuffles them."""
+    if v.p is None:
+        xs = list(curve.side_data(side).real_samples)
+        if rng:
+            rng.shuffle(xs)
+        return xs
+    p, units = v.p, _unit_residues(v.p, cfg.residue_exponent)
+    blocks = [[c + r * Fraction(p) ** j for r in units] for c, j, _ in _x_blocks(curve, side, p, cfg)]
+    if rng:
+        rng.shuffle(blocks)
+        for block in blocks:
+            rng.shuffle(block)
+    xs = dict.fromkeys(itertools.chain.from_iterable(blocks))  # the first of each x, in order
+    return [(x.numerator, x.denominator) for x in xs]
+
+
 def flat_points_among(curve, side, v, xs):
-    """The candidates (n, d, tag) with f(n/d) a nonzero square in Q_v, as
-    (x, the class bits of the three factor values): the earlier singles
-    filter, which evaluates every factor at every candidate."""
+    """The candidates (n, d) with f(n/d) a nonzero square in Q_v, as (x, the
+    class bits of the three factor values): the earlier singles filter,
+    which evaluates every factor at every candidate."""
     p = v.p
     data = curve.side_data(side)
     f_class = square_class_bits(data.delta.numerator, data.delta.denominator, p)
-    for n, d, _ in unmarked(xs):
+    for n, d in xs:
         classes = []
         for C, den in data.forms:
             acc, dk = homogenized_eval(C, n, d)
@@ -210,10 +235,7 @@ def oracle_point_tiers(curve, side, v, cfg):
 
     def singles_tier():
         inf_ok = side == DOMAIN or _codomain_infinity_rational(curve, v)
-        xs = unmarked(_x_candidates(curve, side, v, cfg))
-        if rng:
-            rng.shuffle(xs)
-        for x, ckey in flat_points_among(curve, side, v, xs):
+        for x, ckey in flat_points_among(curve, side, v, flat_feed(curve, side, v, cfg, rng)):
             if ckey not in seen_classes or len(good_xs) < lp._POINT_POOL:
                 seen_classes.add(ckey)
                 if len(good_xs) < 3 * lp._POINT_POOL:
@@ -323,7 +345,7 @@ def kept_by_the_flat_feed(curve, side, v, cfg):
     """The points of every candidate, in order, less those that repeat a
     class once the pool is full (they change nothing the search keeps)."""
     kept, seen = [], set()
-    for x, ckey in flat_points_among(curve, side, v, _x_candidates(curve, side, v, cfg)):
+    for x, ckey in flat_points_among(curve, side, v, flat_feed(curve, side, v, cfg)):
         if len(kept) < lp._POINT_POOL or ckey not in seen:
             seen.add(ckey)
             kept.append(x)
@@ -660,23 +682,41 @@ def test_a_side_stops_its_singles_tier_once_both_images_are_full(monkeypatch):
     assert evaluations <= 100
 
 
+class CountedStep(int):
+    """A block's step that records each candidate formed as c.numerator +
+    r * step, as (n, d), into `formed`."""
+
+    def __rmul__(self, r):
+        rstep = r * int(self)
+        self.formed.add((self.cn + rstep, self.d))
+        return rstep
+
+
 def count_walked(monkeypatch, curve, p):
     """The singles candidates local_images(curve) walks at p, the points it
-    reads among them, and its status."""
-    walked = collections.Counter()
-    x_candidates, points_among = lp._x_candidates, lp._points_among
+    reads among them, and its status.  A candidate is counted when the
+    singles reader forms it, past the cut, once per call of the reader: an
+    x an earlier block of the call gave is not walked again."""
+    walked, formed = collections.Counter(), collections.defaultdict(set)
+    block_step, square_points = lp._block_step, lp._square_points
 
-    def counted(name, feed):
-        def wrapped(*args):
-            for item in feed(*args):
-                walked[name] += item is not None
-                yield item
-        return wrapped
+    def step(c, j, p_):
+        step, d = block_step(c, j, p_)
+        caller = sys._getframe(1)
+        if caller.f_code is square_points.__code__:  # not the quadratic tier
+            step = CountedStep(step)
+            step.formed, step.cn, step.d = formed[caller], c.numerator, d
+        return step, d
 
-    monkeypatch.setattr(lp, "_x_candidates", counted("candidates", x_candidates))
-    monkeypatch.setattr(lp, "_points_among", counted("points", points_among))
+    def points(*args):
+        for item in square_points(*args):
+            walked["points"] += item is not None
+            yield item
+
+    monkeypatch.setattr(lp, "_block_step", step)
+    monkeypatch.setattr(lp, "_square_points", points)
     images = local_images(curve, LocalPlace.finite(p))
-    return walked["candidates"], walked["points"], images[0].status
+    return sum(map(len, formed.values())), walked["points"], images[0].status
 
 
 def test_a_large_prime_walks_at_most_a_few_generic_blocks_whole(monkeypatch):
@@ -760,18 +800,18 @@ def test_only_a_heuristic_place_escalates(monkeypatch):
 
 
 def test_a_corrupt_class_bit_raises(monkeypatch):
-    points_among = lp._points_among
+    square_points = lp._square_points
     flipped = []
 
     def corrupted(*args):
-        for item in points_among(*args):
+        for item in square_points(*args):
             if item is not None:
-                x, mask = item
-                item = x, mask ^ 0b10  # the second bit of the first slot
-                flipped.append(x)
+                n, d, mask = item
+                item = n, d, mask ^ 0b10  # the second bit of the first slot
+                flipped.append(Fraction(n, d))
             yield item
 
-    monkeypatch.setattr(lp, "_points_among", corrupted)
+    monkeypatch.setattr(lp, "_square_points", corrupted)
     with pytest.raises(ClassBitsMismatch):
         local_images(fresh(CURVES["k113"]), LocalPlace.finite(3))
     assert flipped
@@ -782,26 +822,29 @@ def test_a_corrupt_class_bit_in_a_generic_block_representative_raises(monkeypatc
     # of the block gives only the first residue of each unit class it has not
     # reached; flipping a bit of such a point makes its class look new, so
     # the search keeps it and checks its image
-    x_candidates, points_among = lp._x_candidates, lp._points_among
-    fast = set()
+    x_blocks, square_points = lp._x_blocks, lp._square_points
+    block, fast = {}, set()
 
-    def recorded_xs(curve_, side, v_, cfg, full=None):
-        # a candidate the feed gives from a generic block while the pool is
-        # full is such a representative
-        for item in x_candidates(curve_, side, v_, cfg, full):
-            if item and item[2] and all(item[2][0]) and full and full():
-                fast.add(item[:2])
+    def recorded_blocks(curve_, side, p, cfg):
+        # the block each side's reader walks: it takes the next one only
+        # after the last point and the step mark of the one before
+        for item in x_blocks(curve_, side, p, cfg):
+            block[side] = item
             yield item
 
-    def corrupted(*args):
-        for item in points_among(*args):
-            if item is not None and (item[0].numerator, item[0].denominator) in fast:
-                x, mask = item
-                item = x, mask ^ 0b10  # the second bit of the first slot
+    def corrupted(curve_, side, v_, cfg, full=None, rng=None):
+        # a point the reader gives from a generic block while the pool is
+        # full is such a representative: the pool is as it was when the
+        # reader cut the block
+        for item in square_points(curve_, side, v_, cfg, full, rng):
+            if item is not None and all(block[side][2]) and full():
+                n, d, mask = item
+                item = n, d, mask ^ 0b10  # the second bit of the first slot
+                fast.add((n, d))
             yield item
 
-    monkeypatch.setattr(lp, "_x_candidates", recorded_xs)
-    monkeypatch.setattr(lp, "_points_among", corrupted)
+    monkeypatch.setattr(lp, "_x_blocks", recorded_blocks)
+    monkeypatch.setattr(lp, "_square_points", corrupted)
     with pytest.raises(ClassBitsMismatch):
         local_images(fresh(A1009), LocalPlace.finite(1009))
     assert fast
