@@ -1,6 +1,6 @@
 """Descent and Cassels-Tate pairing computations for split genus-2 Jacobians over Q."""
 
-from .arith import PlaceSet, SquareClass, bad_places, squarefree_reduce
+from .arith import PlaceSet, bad_places, squarefree_reduce
 from .cohomology import KummerQuintuple, KummerTriple
 from .ctp import DescentReport, PairingMatrix, ctp_global, ctp_local, ctp_matrix, rank_report
 from .curve import RichelotPair, build_pair, weil_ephi

@@ -1,9 +1,10 @@
 """Exact global arithmetic: square classes of Q, primes, and the groups Q(S,2).
 
 Everything here is pure-Fraction arithmetic; no floats anywhere.  A square
-class is represented canonically as a signed squarefree integer, stored as a
-sign together with its sorted prime support, so that subgroup computations
-reduce to F2 linear algebra over the basis (-1, p1, p2, ...).
+class is its canonical representative, a signed squarefree int: the
+product of two is `class_product`, and within Q(S,2) its F2 coordinates
+over the basis (-1, p1, p2, ...) are `qs2_index`, so that subgroup
+computations reduce to F2 linear algebra.
 """
 
 from __future__ import annotations
@@ -12,14 +13,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .curve import CurveError
 
 __all__ = [
     "FactorizationBudgetExceeded",
-    "SquareClass",
     "PlaceSet",
+    "class_product",
     "squarefree_reduce",
     "enumerate_Q_S2",
     "qs2_element",
@@ -158,48 +158,15 @@ def prime_support(q: Fraction | int) -> set[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SquareClass:
-    """An element of Q*/(Q*)^2 as a signed squarefree integer.
-
-    `sign` is +1 or -1 and `primes` is the strictly increasing squarefree
-    support.  Multiplication is symmetric difference of supports; every
-    element squares to the trivial class.
-    """
-
-    sign: int
-    primes: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if any(self.primes[i] >= self.primes[i + 1] for i in range(len(self.primes) - 1)):
-            raise ValueError("prime support must be strictly increasing")
-
-    @staticmethod
-    def one() -> "SquareClass":
-        return SquareClass(1, ())
-
-    @cached_property
-    def value(self) -> int:
-        v = self.sign
-        for p in self.primes:
-            v *= p
-        return v
-
-    def is_one(self) -> bool:
-        return self.sign == 1 and not self.primes
-
-    def __mul__(self, other: "SquareClass") -> "SquareClass":
-        a, b = set(self.primes), set(other.primes)
-        return SquareClass(self.sign * other.sign, tuple(sorted(a ^ b)))
-
-    def __str__(self) -> str:
-        return str(self.value)
+def class_product(a: int, b: int) -> int:
+    """The class of a b, for signed squarefree a and b: their product
+    without the square of the primes they share."""
+    return a * b // math.gcd(a, b) ** 2
 
 
-def squarefree_reduce(q, primes=()) -> SquareClass:
-    """The class of a nonzero rational in Q*/(Q*)^2.
+def squarefree_reduce(q, primes=()) -> int:
+    """The class of a nonzero rational in Q*/(Q*)^2, as a signed squarefree
+    integer.
 
     The result times q is a rational square: n/d ~ n*d mod squares, then
     odd-exponent primes survive.  The given `primes` (those of S, say) are
@@ -210,19 +177,18 @@ def squarefree_reduce(q, primes=()) -> SquareClass:
     if q == 0:
         raise ValueError("0 has no square class")
     n = q.numerator * q.denominator
-    sign = 1 if n > 0 else -1
+    c = 1 if n > 0 else -1
     n = abs(n)
-    odd = set()
     for p in primes:
         e = 0
         while n % p == 0:
             n //= p
             e += 1
         if e % 2:
-            odd.add(p)
+            c *= p
     if math.isqrt(n) ** 2 != n:
-        odd.update(p for p, e in factorize(n).items() if e % 2)
-    return SquareClass(sign, tuple(sorted(odd)))
+        c *= math.prod(p for p, e in factorize(n).items() if e % 2)
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -249,19 +215,19 @@ class PlaceSet:
         return "{" + ", ".join([str(p) for p in self.finite_primes] + ["oo"]) + "}"
 
 
-def qs2_index(c: SquareClass, primes) -> int:
+def qs2_index(c: int, primes) -> int:
     """F2 coordinates of a class over the basis (-1, p1, p2, ...) of
     Q(S,2), S having the finite `primes`: bit 0 is -1, bit i + 1 is
     primes[i].  A prime outside `primes` is left out."""
-    return (c.sign < 0) | sum(2 << i for i, p in enumerate(primes) if p in c.primes)
+    return (c < 0) | sum(2 << i for i, p in enumerate(primes) if c % p == 0)
 
 
-def qs2_element(m: int, primes) -> SquareClass:
+def qs2_element(m: int, primes) -> int:
     """The class of Q(S,2) with the coordinates m (`qs2_index` inverted)."""
-    return SquareClass(-1 if m & 1 else 1, tuple(p for i, p in enumerate(primes) if m & 2 << i))
+    return (-1 if m & 1 else 1) * math.prod(p for i, p in enumerate(primes) if m & 2 << i)
 
 
-def enumerate_Q_S2(S: PlaceSet) -> list[SquareClass]:
+def enumerate_Q_S2(S: PlaceSet) -> list[int]:
     """The subgroup Q(S,2) of Q*/(Q*)^2 generated by -1 and the primes of S.
 
     Deterministic order: binary counter over the basis (-1, p1, p2, ...),

@@ -10,12 +10,13 @@ for both isogeny kernels, quintuples (x1..x5) with square product for full
     section              : (a, b, c) -> (a, 1, b, 1, c)
 
 and the descent back onto the first kernel inverts the first map slotwise.
-A global tuple holds the signed squarefree class of each slot.  A local
-tuple holds its place and one int, the `square_class_mask` of slot i at
-shift i dim, and `slots` unpacks the masks, which are the slots' classes:
-restriction reads each slot's integers once, a product is an XOR, and the
-Hilbert symbols downstream depend only on square classes, so
-`cup_invariant` evaluates them on the packed masks, all slots in one call.
+A global tuple holds each slot's class as its signed squarefree int, and
+a product is slotwise `class_product`.  A local tuple holds its place and
+one int, the `square_class_mask` of slot i at shift i dim, and `slots`
+unpacks the masks, which are the slots' classes: restriction reads each
+slot's integers once, a product is an XOR, and the Hilbert symbols
+downstream depend only on square classes, so `cup_invariant` evaluates
+them on the packed masks, all slots in one call.
 Each map lists, per output slot, the input slots it multiplies, so it
 works on global and local tuples alike.
 """
@@ -24,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import mul, xor
+from operator import xor
 
-from .arith import SquareClass, squarefree_reduce
+from .arith import class_product, squarefree_reduce
 from .localfield import LocalPlace, class_representative, hilbert_bits, local_square_dim, tuple_mask
 
 __all__ = [
@@ -64,39 +65,32 @@ class NotInImageError(RuntimeError):
 
 @dataclass(frozen=True)
 class _KummerTuple:
-    """The body shared by the global tuples; a subclass sets `n` and `local`
-    (its local tuple kind)."""
+    """The body shared by the global tuples, the signed squarefree class of
+    each slot; a subclass sets `n` and `local` (its local tuple kind)."""
 
-    classes: tuple[SquareClass, ...]
+    values: tuple[int, ...]
 
     @classmethod
-    def of(cls, *values):
-        """The tuple of these slot values, each factored once to its signed
-        squarefree class; a SquareClass is kept."""
-        cs = tuple(c if isinstance(c, SquareClass) else squarefree_reduce(c) for c in values)
+    def of(cls, *values, primes=()):
+        """The tuple of the classes of these nonzero rational slot values
+        (`squarefree_reduce`, which divides out `primes` before it factors)."""
+        cs = tuple(squarefree_reduce(c, primes) for c in values)
         if len(cs) != cls.n:
             raise ValueError(f"expected {cls.n} components")
-        prod = SquareClass.one()
-        for c in cs:
-            prod = prod * c
-        if not prod.is_one():
+        if (prod := reduce(class_product, cs)) != 1:
             raise NormConditionError(f"component product {prod} is not a square")
         return cls(cs)
 
-    @property
-    def values(self) -> tuple[int, ...]:
-        return tuple(c.value for c in self.classes)
-
     def is_trivial(self) -> bool:
-        return all(c.is_one() for c in self.classes)
+        return all(c == 1 for c in self.values)
 
     def _map(self, rows):
         """The global tuple whose slot k multiplies the slots in rows[k]."""
         return (KummerTriple, KummerQuintuple)[len(rows) == 5](tuple(
-            reduce(mul, (self.classes[i] for i in row), SquareClass.one()) for row in rows))
+            reduce(class_product, (self.values[i] for i in row), 1) for row in rows))
 
     def __mul__(self, other):
-        return type(self)(tuple(a * b for a, b in zip(self.classes, other.classes)))
+        return type(self)(tuple(map(class_product, self.values, other.values)))
 
     def restrict(self, v: LocalPlace):
         return self.local.of(self.values, v)

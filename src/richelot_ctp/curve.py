@@ -133,10 +133,13 @@ def poly_eval(f: Poly, x: Fraction) -> Fraction:
     return Fraction(acc, den * dk)
 
 
-def _common_denominator(a: Fraction, b: Fraction) -> tuple[int, int, int]:
-    """(a q, b q, q) for the least common denominator q of a and b."""
-    q = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
-    return a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q
+def _common_denominator(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int, int]:
+    """(a q, b q, q) for the least common denominator q of a and b, each an
+    integer pair (numerator, denominator), as `Fraction.as_integer_ratio`
+    gives."""
+    (na, da), (nb, db) = a, b
+    q = da * db // math.gcd(da, db)
+    return na * (q // da), nb * (q // db), q
 
 
 def _res2(an: int, bn: int, q: int, form) -> tuple[int, int]:
@@ -247,8 +250,11 @@ def rational_sqrt(q: Fraction) -> Optional[Fraction]:
     return None
 
 
-def rational_roots_quadratic(g: Poly) -> Optional[tuple[Fraction, Fraction]]:
-    """Both roots of a rational quadratic, ascending, or None if irrational."""
+def rational_roots(g: Poly) -> Optional[tuple[Fraction, ...]]:
+    """The roots of a factor: (-g0/g1,) for a linear g; both roots of a
+    quadratic, ascending, or None if they are irrational."""
+    if len(g) == 2:
+        return (-g[0] / g[1],)
     c0, c1, c2 = (g + (Fraction(0),) * 3)[:3]
     s = rational_sqrt(c1 * c1 - 4 * c0 * c2)
     if s is None:
@@ -393,13 +399,7 @@ class RichelotPair:
     def codomain_roots_by_factor(self) -> tuple[Optional[tuple[Fraction, ...]], ...]:
         """Rational roots of each L_i, or None where irrational (computed once:
         the local search looks them up for every codomain candidate)."""
-        out = []
-        for Li in self.L:
-            if len(Li) == 2:
-                out.append((-Li[0] / Li[1],))
-            else:
-                out.append(rational_roots_quadratic(Li))
-        return tuple(out)
+        return tuple(map(rational_roots, self.L))
 
     @property
     def codomain_degree(self) -> int:
@@ -490,7 +490,7 @@ class SideData:
         """The factor values at the quadratic divisor x^2 + a x + b: each
         factor's product over its two roots.  When it is a factor up to
         scaling, the kernel divisor, both points take the special value."""
-        an, bn, q = _common_denominator(a, b)
+        an, bn, q = _common_denominator(a.as_integer_ratio(), b.as_integer_ratio())
         values = [_res2(an, bn, q, form) for form in self.forms]
         for i, (n, d) in enumerate(values):
             if n == 0:
@@ -533,7 +533,8 @@ class SideData:
                     polys.append(({(0, 2): g2 * g2, (1, 1): -g1 * g2, (2, 0): g0 * g2,
                                    (0, 1): g1 * g1 - 2 * g0 * g2, (1, 0): -g0 * g1,
                                    (0, 0): g0 * g0}, den * den))
-                return [_shifted_quadratic(C, D, *_common_denominator(*c)) for C, D in polys]
+                A = _common_denominator(*(x.as_integer_ratio() for x in c))
+                return [_shifted_quadratic(C, D, *A) for C, D in polys]
             n, d = c.numerator, c.denominator
             return [[((k,), a, den * d ** (len(C) - 1 - k)) for k, a in enumerate(
                 [sum(math.comb(i, k) * C[i] * n ** (i - k) * d ** (len(C) - 1 - i)
@@ -605,17 +606,12 @@ def build_pair(lam, G1, G2, G3) -> RichelotPair:
             gs[0] = poly_scale(gs[0], lc)
             gs[j] = poly_scale(gs[j], 1 / lc)
 
-    roots_by_factor = []
-    for g in gs:
-        if len(g) == 2:
-            roots_by_factor.append((-g[0] / g[1],))
-        else:
-            rr = rational_roots_quadratic(g)
-            if rr is None:
-                raise NonSplitError(f"factor {poly_str(g)} has no rational roots")
-            if rr[0] == rr[1]:
-                raise SingularModelError(f"factor {poly_str(g)} has a repeated root")
-            roots_by_factor.append(rr)
+    roots_by_factor = [rational_roots(g) for g in gs]
+    for g, rr in zip(gs, roots_by_factor):
+        if rr is None:
+            raise NonSplitError(f"factor {poly_str(g)} has no rational roots")
+        if len(rr) == 2 and rr[0] == rr[1]:
+            raise SingularModelError(f"factor {poly_str(g)} has a repeated root")
     flat = [r for grp in roots_by_factor for r in grp]
     if len(set(flat)) != len(flat):
         raise SingularModelError("Weierstrass x-coordinates are not pairwise distinct")

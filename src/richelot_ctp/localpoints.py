@@ -67,7 +67,8 @@ quadratics, real samples, the Taylor coefficients at each centre as integer
 numerators and denominators), computed once per curve; a place adds only
 class masks and, kept there too, the valuations at p at each centre, read
 from those integers, whether a term dominates (`_dominance`), the root
-centres, the unit classes and the two-torsion masks.
+centres and the two-torsion masks.  The unit residues and their classes
+are kept in the domain's `SideData`, so the two sides share one draw.
 The real place's single points are one sample per sign region of f, taken
 between the factors' real roots.
 """
@@ -79,11 +80,11 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
+from operator import xor
 from typing import Iterator, Optional
 
 from . import gf2
-from .arith import squarefree_reduce
 from .cohomology import (
     KummerQuintuple,
     KummerTriple,
@@ -95,6 +96,7 @@ from .curve import (
     DOMAIN,
     INF,
     RichelotPair,
+    _common_denominator,
     _res2,
     homogenized_eval,
 )
@@ -248,12 +250,13 @@ def _image(kind, D: MumfordDivisor, curve: RichelotPair, data, v: Optional[Local
     """The `kind` tuple of D's slot values of `data`: at v, their classes
     read from the integers; global when v is None, where each value has
     the primes of S divided out before what is left is factored
-    (`squarefree_reduce`): the values of two-torsion are S-units."""
+    (`squarefree_reduce`): a slot value of a two-torsion divisor is an
+    S-unit times a square, so it is never factored, though a single
+    Weierstrass point's values may carry primes outside S."""
     values = _slot_values(D, curve, data)
     if v is not None:
         return kind.local.of(values, v)
-    primes = curve.bad_places.finite_primes
-    return kind.of(*(squarefree_reduce(Fraction(n, d), primes) for n, d in values))
+    return kind.of(*(Fraction(n, d) for n, d in values), primes=curve.bad_places.finite_primes)
 
 
 def mu_two(D: MumfordDivisor, curve: RichelotPair, v: Optional[LocalPlace] = None):
@@ -406,14 +409,14 @@ def _unit_class(r: int, p: int) -> int:
     return r % 8 if p == 2 else pow(r, p // 2, p)
 
 
-def _unit_table(data, p: int, exponent: int) -> tuple[list[int], list[int]]:
+def _unit_table(curve: RichelotPair, p: int, exponent: int) -> tuple[list[int], list[int]]:
     """The `_unit_residues` of p and exponent and their unit classes, as two
     lists in that order, drawn once per curve, prime and exponent and kept
-    in `data`, a `SideData`."""
+    in the curve's `domain_data`, so both sides read one draw."""
     def draw():
         units = _unit_residues(p, exponent)
         return units, [_unit_class(r, p) for r in units]
-    return data.table(("classes", p, exponent), draw)
+    return curve.domain_data.table(("classes", p, exponent), draw)
 
 
 def _roots_mod_p(C, p: int) -> list[int]:
@@ -589,7 +592,7 @@ def _square_points(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchCon
         for n, d in samples:
             yield n, d, read(range(3), n, d, 0, f_class)[0]
         return
-    units, classes = _unit_table(data, p, cfg.residue_exponent)
+    units, classes = _unit_table(curve, p, cfg.residue_exponent)
     kinds = set(classes)
     seen: dict = {}  # denominator -> the numerators walked
     blocks = _x_blocks(curve, side, p, cfg)
@@ -643,22 +646,22 @@ def _torsion_divisors(curve: RichelotPair, side: str) -> list[MumfordDivisor]:
             + [MumfordDivisor.quadratic(a, b, side) for a, b in data.kernels])
 
 
-def _torsion_masks(curve: RichelotPair, side: str, cls) -> tuple[dict, list]:
+def _torsion_masks(curve: RichelotPair, side: str, cls, product=xor,
+                   one=0) -> tuple[dict, list]:
     """`cls` of the values of each Weierstrass point, under its marker (the
     root's index, or INF); and each rational two-torsion divisor of `side`
-    with its image's mask: the XOR of its points' masks, or `cls` of a
-    kernel quadratic's values.  `cls` packs a list of slot values (n, d)
-    into a mask of the classes, local or global, whose XOR is the product.
-    The side's `SideData` keeps the divisors."""
+    with its image: the `product` of its points' and, for a kernel
+    quadratic, of `cls` of its values, `one` for the identity.  `cls`
+    reads a list of slot values (n, d) as the classes, local or global, that
+    `product` multiplies: XOR on local masks, slotwise `class_product` on
+    global classes.  The side's `SideData` keeps the divisors."""
     data = curve.side_data(side)
     masks = {m: cls(data.root_values[x]) for m, x in data.slots.items()}
     masks[INF] = cls(data.inf_values)
     out = []
     for D in data.table("torsion", lambda: _torsion_divisors(curve, side)):
-        m = cls(data.kernels[D.quad]) if D.quad else 0
-        for k in D.torsion:
-            m ^= masks[k]
-        out.append((D, m))
+        parts = [masks[k] for k in D.torsion] + ([cls(data.kernels[D.quad])] if D.quad else [])
+        out.append((D, reduce(product, parts, one)))
     return masks, out
 
 
@@ -683,7 +686,7 @@ def _quadratic_mask(an: int, bn: int, q: int, forms, p: int) -> int:
     return tuple_mask([(r, 1) for r in res], p)
 
 
-def _quadratic_blocks(data, p: int, cfg: SearchConfig) -> Iterator:
+def _quadratic_blocks(curve: RichelotPair, side: str, p: int, cfg: SearchConfig) -> Iterator:
     """The quadratic tier's candidates x^2 + a x + b, in walk order, as
     (centre, a blocks, b blocks): (a, b) = centre + (r1 p^ea, r2 p^eb) for
     each a of each a block, then each b of each b block.  A block is
@@ -694,7 +697,7 @@ def _quadratic_blocks(data, p: int, cfg: SearchConfig) -> Iterator:
     block.  Divisors p-adically near a torsion pair live there, and on
     degenerate models they may be all there are."""
     exponent, depth = _quadratic_bounds(p, cfg)
-    units = list(zip(*_unit_table(data, p, exponent)))
+    units = list(zip(*_unit_table(curve, p, exponent)))
     if len(units) > 40:
         units = units[:20] + units[-20:]
 
@@ -708,7 +711,8 @@ def _quadratic_blocks(data, p: int, cfg: SearchConfig) -> Iterator:
     zero = Fraction(0)
     grid = [alone(zero)] + [block(zero, e, units) for e in range(-2, 3)]
     yield (zero, zero), grid, grid
-    for (a0, b0), j in itertools.product(data.quadratic_bases, range(1, depth + 1)):
+    for (a0, b0), j in itertools.product(curve.side_data(side).quadratic_bases,
+                                         range(1, depth + 1)):
         yield (a0, b0), [block(a0, j, units[:12]), alone(a0)], [block(b0, j, units[:12]), alone(b0)]
 
 
@@ -743,12 +747,7 @@ def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: Se
     shared = p > 3
     tried: set = set()
 
-    def ints(a, b):
-        (na, da), (nb, db) = a, b
-        q = da * db // math.gcd(da, db)
-        return na * (q // da), nb * (q // db), q
-
-    for i, (centre, a_blocks, b_blocks) in enumerate(_quadratic_blocks(data, p, cfg)):
+    for i, (centre, a_blocks, b_blocks) in enumerate(_quadratic_blocks(curve, side, p, cfg)):
         if not i:
             grid = {x for _, xs, _ in a_blocks for x, _ in xs}
         terms = data.taylor_valuations(centre, p) if shared else None
@@ -779,7 +778,7 @@ def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: Se
                         split, m = splits.get((ka, kb)), masks.get((ka, kb))
                         if split or m is not None and (m < 0 or m in known):
                             continue
-                        an, bn, q = ints(a, b)
+                        an, bn, q = _common_denominator(a, b)
                         if split is None:
                             disc = an * an - 4 * bn * q
                             split = disc == 0 or not square_class_mask(disc, 1, p)

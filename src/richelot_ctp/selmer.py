@@ -8,47 +8,48 @@ automatic, so only places of S are consulted.  The classes are pairs
 condition is F2-linear in them: restriction is a homomorphism, so the local
 class of any element is the XOR of the local classes of the generators
 (-1, p1, p2, ...), each read as a `square_class_mask`, and reduction modulo
-im_v is linear.  The Selmer group is
-therefore the kernel of one F2 matrix from Q(S,2)^2 to the sum of the local
-quotients H^1(Q_v)/im_v (Stoll, "Implementing 2-descent for Jacobians of
-hyperelliptic curves", Acta Arith. 98, 2001), and its cost is polynomial in
-|S| instead of 4^(|S|+1).  The matrix is built by columns, the form
+im_v is linear.  The Selmer group is therefore the kernel of one F2
+matrix from Q(S,2)^2 to the sum of the local quotients H^1(Q_v)/im_v
+(Stoll, "Implementing 2-descent for Jacobians of hyperelliptic curves",
+Acta Arith. 98, 2001), and its cost is polynomial in |S| instead of
+4^(|S|+1).  The matrix is built by columns, the form
 `gf2.nullspace` takes: a column is one generator in a1 or a2, and each
 place stacks its reduced images of the generators at its own row offset.
 The generators' masks at a place are kept on the curve, so the two sides
 read them once.
 
-The torsion images come the same way: the global class of each Weierstrass
-point (and infinity) is read once, in the coordinates of Q(S,2)
-(`arith.qs2_index`), a divisor's image is the XOR of its points', as in
-the local two-torsion tier, and only the basis is decoded to triples.  A
-point's class may carry a prime outside S, which must cancel in every
-divisor, and every image must be norm one; both are checked on the XOR.
+A class is packed one way, as a1 << n | a2, the index of the pair in the
+Q(S,2)^2 enumeration (`_pair_index`), once it is checked to be supported
+on S and norm one.  The torsion images are read as in the local
+two-torsion tier: the global classes of each Weierstrass point (and
+infinity) are read once as signed squarefree ints, and a divisor's image
+is their slotwise `class_product`, in which a point's prime outside S
+cancels exactly; every image is then checked and packed.
 
 The basis is the torsion images, then each ascending row of the reduced
-echelon form of the kernel that raises their span.  A kernel vector is
-a1 << n | a2, the pair's index in the Q(S,2)^2 enumeration, and in reduced
-echelon form the members' order is the order of the subsets of rows, so the
-smallest member outside a span is always a row: this is the basis a greedy
-pass over the members in enumeration order picks, with no member list.
+echelon form of the kernel that raises their span.  A kernel vector is a
+pair's index, and in reduced echelon form the members' order is the order
+of the subsets of rows, so the smallest member outside a span is always a
+row: this is the basis a greedy pass over the members in enumeration order
+picks, with no member list.
 `SelmerGroup.elements` builds that list from the basis when it is read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from . import gf2
-from .arith import PlaceSet, qs2_element, qs2_index, squarefree_reduce
+from .arith import PlaceSet, class_product, qs2_element, qs2_index, squarefree_reduce
 from .cohomology import KummerTriple, NormConditionError
 from .curve import RichelotPair
 from .localfield import LocalPlace, local_square_dim, places_of, square_class_mask
 from .localpoints import CODOMAIN, DOMAIN, SearchConfig, _torsion_masks, local_images
 
-__all__ = ["SelmerGroup", "KernelCheckError", "torsion_images", "selmer_group",
-           "encode_triple", "triple_span"]
+__all__ = ["SelmerGroup", "KernelCheckError", "torsion_images", "selmer_group"]
 
 PHI = "phi"
 PHIHAT = "phihat"
@@ -59,28 +60,30 @@ class KernelCheckError(RuntimeError):
     two-torsion image: the matrix does not describe the local conditions."""
 
 
-def encode_triple(t: KummerTriple, primes) -> int:
-    """F2 coordinates of a triple over the basis (-1, p1, p2, ...) per slot."""
-    if any(set(c.primes).difference(primes) for c in t.classes):
+def _checked(t: KummerTriple, primes) -> KummerTriple:
+    """t, if it is supported on S, the finite `primes` (each slot divides
+    their product), and norm one (a3 = a1 a2), so that `_pair_index` packs
+    it; else ValueError, a NormConditionError for the norm."""
+    radical = math.prod(primes)
+    if any(radical % c for c in t.values):
         raise ValueError(f"{t} is not supported on {primes}")
-    return sum(qs2_index(c, primes) << i * (len(primes) + 1) for i, c in enumerate(t.classes))
-
-
-def triple_span(triples, primes) -> gf2.Span:
-    return gf2.Span(encode_triple(t, primes) for t in triples)
+    if t.values[2] != class_product(*t.values[:2]):
+        raise NormConditionError(f"{t} is not norm one")
+    return t
 
 
 def _pair_index(t: KummerTriple, primes) -> int:
-    """a1 << n | a2: the index of (a1, a2) in the Q(S,2)^2 enumeration."""
+    """a1 << n | a2: the index of (a1, a2) in the Q(S,2)^2 enumeration, for
+    a t that `_checked` passes."""
     n = len(primes) + 1
-    return qs2_index(t.classes[0], primes) << n | qs2_index(t.classes[1], primes)
+    return qs2_index(t.values[0], primes) << n | qs2_index(t.values[1], primes)
 
 
 def _pair_triple(y: int, primes) -> KummerTriple:
     """Inverse of _pair_index, with a3 = a1 a2."""
     n = len(primes) + 1
     a1, a2 = qs2_element(y >> n, primes), qs2_element(y & (1 << n) - 1, primes)
-    return KummerTriple((a1, a2, a1 * a2))
+    return KummerTriple((a1, a2, class_product(a1, a2)))
 
 
 @dataclass(frozen=True)
@@ -114,61 +117,54 @@ class SelmerGroup:
     @property
     def elements(self) -> tuple[KummerTriple, ...]:
         primes = self.places.finite_primes
-        vectors = gf2.Span(_pair_index(t, primes) for t in self.basis).elements()
-        return tuple(_pair_triple(y, primes) for y in sorted(vectors))
+        return tuple(_pair_triple(y, primes) for y in sorted(self._span.elements()))
 
     @cached_property
     def _span(self) -> gf2.Span:
-        return triple_span(self.basis, self.places.finite_primes)
+        return gf2.Span(_pair_index(t, self.places.finite_primes) for t in self.basis)
 
     def contains(self, t: KummerTriple) -> bool:
-        """Is t a member?  A class with a prime outside S is not.  The span
-        of the basis is built on the first call."""
+        """Is t a member?  A class with a prime outside S, or not norm one,
+        is not.  The span of the basis is built on the first call."""
         primes = self.places.finite_primes
-        return (all(p in primes for c in t.classes for p in c.primes)
-                and encode_triple(t, primes) in self._span)
+        try:
+            _checked(t, primes)
+        except ValueError:
+            return False
+        return _pair_index(t, primes) in self._span
 
     def same_group(self, generators) -> bool:
-        """Subgroup equality against another generator list, basis-free."""
+        """Subgroup equality against another generator list, basis-free; a
+        generator `_checked` fails raises."""
         primes = self.places.finite_primes
-        return gf2.same_span((encode_triple(t, primes) for t in generators),
-                             (encode_triple(t, primes) for t in self.basis))
+        return gf2.same_span((_pair_index(_checked(t, primes), primes) for t in generators),
+                             (_pair_index(t, primes) for t in self.basis))
 
 
 def torsion_images(curve: RichelotPair, side: str) -> list[KummerTriple]:
     """Images of the rational two-torsion divisors under the global descent
     map of `side`, deduplicated to an F2 subgroup basis.
 
-    One global class is read per Weierstrass point, infinity and kernel
-    quadratic, in the coordinates of `encode_triple`, and above them a bit
-    per slot and prime outside S that divides its value; a divisor's image
-    is the XOR of its points' (`_torsion_masks`).  It must have no bit
-    outside S and slots that multiply to a square, and only the basis is
-    decoded, from its `_pair_index`."""
+    The global classes of each Weierstrass point, infinity and kernel
+    quadratic are read once, and a divisor's image is their slotwise
+    `class_product` (`_torsion_masks`), in which a point's prime outside S
+    cancels exactly.  Each image must pass `_checked`, supported on S and
+    norm one, and is kept where its `_pair_index` raises the span."""
     curve.require_five_roots()
     primes = curve.bad_places.finite_primes
-    w = len(primes) + 1
-    outside: dict = {}  # a prime outside S -> its index
 
-    def classes(values) -> int:
-        m = 0
-        for i, (n, d) in enumerate(values):
-            c = squarefree_reduce(Fraction(n, d), primes)
-            m |= qs2_index(c, primes) << i * w
-            for q in set(c.primes).difference(primes):
-                m |= 1 << 3 * (w + outside.setdefault(q, len(outside))) + i
-        return m
+    def classes(values) -> tuple[int, ...]:
+        return tuple(squarefree_reduce(Fraction(n, d), primes) for n, d in values)
 
-    span = gf2.Span()
-    basis = []
-    for _, m in _torsion_masks(curve, DOMAIN if side == PHIHAT else CODOMAIN, classes)[1]:
-        a1, a2 = m & (1 << w) - 1, m >> w & (1 << w) - 1
-        if m >> 3 * w:
-            raise ValueError(f"a two-torsion image is not supported on {primes}")
-        if m >> 2 * w != a1 ^ a2:
-            raise NormConditionError(f"a two-torsion image {m:#x} is not norm one")
-        if span.add(y := a1 << w | a2):
-            basis.append(_pair_triple(y, primes))
+    def product(a, b) -> tuple[int, ...]:
+        return tuple(map(class_product, a, b))
+
+    span, basis = gf2.Span(), []
+    side = DOMAIN if side == PHIHAT else CODOMAIN
+    for _, c in _torsion_masks(curve, side, classes, product, (1, 1, 1))[1]:
+        t = _checked(KummerTriple(c), primes)
+        if span.add(_pair_index(t, primes)):
+            basis.append(t)
     return basis
 
 

@@ -1,24 +1,26 @@
 """Curves the tests share: the benchmark corpus, and curve files under
 fixtures/ in the format `ctp` reads; `fresh`, for a test that counts a
 walk's work on a shared curve, which keeps what earlier tests found; and
-entry points the library does not
-need, written over its internals: `quadratic_mumford_certificate`,
-`in_radical`, the radical membership test of a pairing matrix, and the
-F2 coordinates of a class: `class_bits` unpacks a mask into them,
-`square_class_bits` reads them from n/d, and `class_mask` packs a tuple's
-slots back into one int, as the library's masks do."""
+entry points the library does not need, written over its internals:
+`quadratic_mumford_certificate`, `encode_triple`, a triple's F2
+coordinates in three slots, `in_radical`, the radical membership test of
+a pairing matrix, and the F2 coordinates of a class: `class_bits` unpacks
+a mask into them, `square_class_bits` reads them from n/d, and
+`class_mask` packs a tuple's slots back into one int, as the library's
+masks do."""
 
 import json
+import math
 from fractions import Fraction
 from functools import reduce
 from operator import xor
 from pathlib import Path
 
 from richelot_ctp import gf2
+from richelot_ctp.arith import qs2_index
 from richelot_ctp.curve import _common_denominator, build_pair, poly_integer_form
 from richelot_ctp.localfield import local_square_dim, square_class_mask
 from richelot_ctp.localpoints import _quadratic_certificate
-from richelot_ctp.selmer import encode_triple
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -59,6 +61,16 @@ def fixture_curve(label: str):
                       *([Fraction(c) for c in data[g]] for g in ("G1", "G2", "G3")))
 
 
+def encode_triple(t, primes) -> int:
+    """F2 coordinates of a triple over the basis (-1, p1, p2, ...) of
+    Q(S,2), S having the finite `primes`, slot after slot: the tests'
+    packing, with no norm condition, beside the library's pair index."""
+    radical = math.prod(primes)
+    if any(radical % c for c in t.values):
+        raise ValueError(f"{t} is not supported on {primes}")
+    return sum(qs2_index(c, primes) << i * (len(primes) + 1) for i, c in enumerate(t.values))
+
+
 def in_radical(matrix, t, primes) -> bool:
     """Is t in the radical of the `PairingMatrix`?  Each radical mask selects
     basis rows, and the XOR of their F2 coordinates over `primes` is the
@@ -73,7 +85,8 @@ def quadratic_mumford_certificate(f, A, v) -> bool:
     """Is f, given by its Fraction coefficients, a square in Q_v[x]/(A) for
     A = x^2 + a x + b, A = (a, b)?"""
     a, b = Fraction(A[0]), Fraction(A[1])
-    return _quadratic_certificate(poly_integer_form(f), *_common_denominator(a, b), v)
+    return _quadratic_certificate(poly_integer_form(f), *_common_denominator(
+        a.as_integer_ratio(), b.as_integer_ratio()), v)
 
 
 def class_bits(m: int, p) -> tuple[int, ...]:

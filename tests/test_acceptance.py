@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from richelot_ctp.arith import bad_places, enumerate_Q_S2
+from richelot_ctp.arith import bad_places, class_product, enumerate_Q_S2
 from richelot_ctp.cohomology import (
     KummerTriple,
     descend_to_phi,
@@ -197,7 +197,7 @@ def test_criterion_7_choice_independence(curve):
         cfg = SearchConfig(shuffle_seed=rng.randrange(10 ** 9))
         b1 = group[rng.randrange(len(group))]
         c1 = group[rng.randrange(len(group))]
-        t = KummerTriple((b1 * c1, b1, c1))
+        t = KummerTriple((class_product(b1, c1), b1, c1))
         for (a, b), want in zip(pairs, expected):
             lift = lift_phihat_to_two(a) * psi_phi_to_two(t)
             assert ctp_global(a, b, curve, cfg, lift=lift) == want, run
@@ -210,7 +210,7 @@ def test_criterion_8_structural_invariants(curve, sel_phihat, matrix):
     group = enumerate_Q_S2(bad_places(curve))
     for _ in range(100):
         b1, c1 = rng.choice(group), rng.choice(group)
-        t = KummerTriple((b1 * c1, b1, c1))
+        t = KummerTriple((class_product(b1, c1), b1, c1))
         assert psi_two_to_phihat(psi_phi_to_two(t)).is_trivial()
         assert psi_two_to_phihat(lift_phihat_to_two(t)).values == t.values
 

@@ -9,6 +9,7 @@ from richelot_ctp import arith
 from richelot_ctp.arith import (
     FactorizationBudgetExceeded,
     PlaceSet,
+    class_product,
     enumerate_Q_S2,
     factorize,
     prime_support,
@@ -18,9 +19,9 @@ from richelot_ctp import gf2
 
 
 def test_squarefree_reduce_examples():
-    assert squarefree_reduce(18).value == 2
-    assert squarefree_reduce(-50).value == -2
-    assert squarefree_reduce(Fraction(4, 9)).value == 1
+    assert squarefree_reduce(18) == 2
+    assert squarefree_reduce(-50) == -2
+    assert squarefree_reduce(Fraction(4, 9)) == 1
 
 
 def test_squarefree_reduce_rejects_zero():
@@ -33,9 +34,9 @@ def test_reduce_times_input_is_square():
     for _ in range(200):
         q = Fraction(rng.randint(-500, 500) or 1, rng.randint(1, 500))
         c = squarefree_reduce(q)
-        prod = q * c.value
+        prod = q * c
         assert prod > 0
-        assert squarefree_reduce(prod).is_one()
+        assert squarefree_reduce(prod) == 1
 
 
 def test_squarefree_reduce_over_S_matches_the_plain_reduction(monkeypatch):
@@ -68,7 +69,7 @@ def test_squarefree_reduce_over_S_matches_the_plain_reduction(monkeypatch):
     # nothing is left to factor
     big = 999999999989
     monkeypatch.setattr(arith, "factorize", lambda m: factored.append(m) or plain(m))
-    assert squarefree_reduce(Fraction(-6 * big ** 3 * 1000003 ** 2, 25), S + (big,)).value == -6 * big
+    assert squarefree_reduce(Fraction(-6 * big ** 3 * 1000003 ** 2, 25), S + (big,)) == -6 * big
     assert not factored
 
 
@@ -78,8 +79,25 @@ def test_multiplicativity_and_involution():
         a = Fraction(rng.randint(-300, 300) or 3, rng.randint(1, 60))
         b = Fraction(rng.randint(-300, 300) or 5, rng.randint(1, 60))
         ca, cb = squarefree_reduce(a), squarefree_reduce(b)
-        assert squarefree_reduce(a * b) == ca * cb
-        assert (ca * ca).is_one()
+        assert squarefree_reduce(a * b) == class_product(ca, cb)
+        assert class_product(ca, ca) == 1
+
+
+def test_class_product_is_the_class_of_the_product():
+    # signed squarefree ints over small primes and a 12-digit one, with the
+    # classes 1 and -1 among them; the reduction divides out those primes,
+    # so it factors nothing
+    primes = (2, 3, 5, 7, 11, 13, 999999999989)
+    rng = random.Random(28)
+    classes = [1, -1, 999999999989, -999999999989]
+    for _ in range(100):
+        c = rng.choice((1, -1))
+        for p in primes:
+            c *= p if rng.randrange(2) else 1
+        classes.append(c)
+    for a in classes:
+        for b in classes[::7]:
+            assert class_product(a, b) == squarefree_reduce(a * b, primes) == class_product(b, a), (a, b)
 
 
 def test_factorize_roundtrip():
@@ -117,19 +135,19 @@ def test_factorize_names_the_cofactor_it_cannot_split(monkeypatch):
 def test_enumerate_Q_S2_sizes_and_closure():
     S = PlaceSet((2,))
     grp = enumerate_Q_S2(S)
-    assert sorted(c.value for c in grp) == [-2, -1, 1, 2]
+    assert sorted(grp) == [-2, -1, 1, 2]
 
     S = PlaceSet((2, 3, 7, 113))
     grp = enumerate_Q_S2(S)
     assert len(grp) == 32
-    vals = {c.value for c in grp}
+    vals = set(grp)
     assert len(vals) == 32
     for a in grp[:8]:
         for b in grp[:8]:
-            assert (a * b).value in vals
+            assert class_product(a, b) in vals
 
     grp0 = enumerate_Q_S2(PlaceSet(()))
-    assert sorted(c.value for c in grp0) == [-1, 1]
+    assert sorted(grp0) == [-1, 1]
 
 
 def test_prime_support_of_fraction():

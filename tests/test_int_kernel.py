@@ -334,10 +334,11 @@ def test_quadratic_kernel_matches_fraction_references(p):
         for kind in ("random", "reducible", "double root"):
             for _ in range(25 if kind == "random" else 10):
                 a, b = random_quadratic(rng, p, kind)
-                U, W, s = _mod_quadratic_ints(poly_integer_form(f), *_common_denominator(a, b))
+                A = _common_denominator(a.as_integer_ratio(), b.as_integer_ratio())
+                U, W, s = _mod_quadratic_ints(poly_integer_form(f), *A)
                 assert (Fraction(U, s), Fraction(W, s)) == reference_mod_quadratic(f, a, b)
                 for L in ((Fraction(-3), Fraction(1)), f[:3]):
-                    got = _res2(*_common_denominator(a, b), poly_integer_form(L))
+                    got = _res2(*A, poly_integer_form(L))
                     assert Fraction(*got) == reference_res2(a, b, L)
                 want = reference_certificate(f, a, b, v)
                 assert quadratic_mumford_certificate(f, (a, b), v) == want, (f, a, b)
@@ -615,7 +616,7 @@ def test_taylor_valuations_match_the_fraction_taylor_oracle(label):
             centres = set()
             for cfg in ROUNDS:
                 centres.update(c for c, _, _ in _x_blocks(curve, side, p, cfg))
-                centres.update(c for c, _, _ in _quadratic_blocks(data, p, cfg))
+                centres.update(c for c, _, _ in _quadratic_blocks(curve, side, p, cfg))
             for c in centres:
                 want = fraction_taylor(data, c)
                 terms = data.taylor_terms(c)
@@ -711,7 +712,7 @@ def quadratic_candidates_by_block(curve, side, p, cfg):
     """(centre, a block, b block, [(a, b, class pair)]) for every block of
     the tier, a block being (e, coefficients as Fractions, their classes)
     and the candidates' coefficients Fractions."""
-    for centre, a_blocks, b_blocks in _quadratic_blocks(curve.side_data(side), p, cfg):
+    for centre, a_blocks, b_blocks in _quadratic_blocks(curve, side, p, cfg):
         for (ea, a_xs, _), (eb, b_xs, _) in itertools.product(a_blocks, b_blocks):
             a_xs = [(Fraction(*a), k) for a, k in a_xs]
             b_xs = [(Fraction(*b), k) for b, k in b_xs]
@@ -761,7 +762,8 @@ def check_quadratic_blocks(curve, configs, rule=_generic):
                         assert a * a - 4 * b != 0, where
                         read = (local_square_class(a * a - 4 * b, v),)
                         if all_rule:
-                            an, bn, q = _common_denominator(a, b)
+                            an, bn, q = _common_denominator(a.as_integer_ratio(),
+                                                            b.as_integer_ratio())
                             assert all(_res2(an, bn, q, form)[0] for form in data.forms), where
                             classes = (local_square_class(Fraction(n, d), v)
                                        for n, d in data.quadratic_values(a, b))
@@ -806,7 +808,7 @@ def test_the_norm_is_a_square_exactly_when_the_slot_classes_multiply_to_1(label)
             data = curve.side_data(side)
             for *_, candidates in quadratic_candidates_by_block(curve, side, p, SearchConfig()):
                 for a, b, _ in candidates:
-                    an, bn, q = _common_denominator(a, b)
+                    an, bn, q = _common_denominator(a.as_integer_ratio(), b.as_integer_ratio())
                     disc = an * an - 4 * bn * q
                     if b == 0 or disc == 0 or reference_is_square(disc, v):
                         continue

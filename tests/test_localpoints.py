@@ -286,7 +286,8 @@ def test_quadratic_masks_read_from_resultants_match_images(curve113):
                                   MumfordDivisor.rational_pair(*roots)))
             for D, same in cases:
                 forms = [poly_integer_form(g) for g in (curve.G if D.side == DOMAIN else curve.L)]
-                mask = _quadratic_mask(*_common_denominator(*D.quad), forms, v.p)
+                mask = _quadratic_mask(*_common_denominator(
+                    *(x.as_integer_ratio() for x in D.quad)), forms, v.p)
                 assert mask == divisor_image(same, curve, v).mask, (str(D), str(v))
                 checked += 1
     assert checked >= 40

@@ -123,7 +123,7 @@ def oracle_quadratic_candidates(curve, side, v, cfg):
         units = units[:20] + units[-20:]
 
     def attempt(a: Fraction, b: Fraction):
-        an, bn, q = _common_denominator(a, b)
+        an, bn, q = _common_denominator(a.as_integer_ratio(), b.as_integer_ratio())
         disc_n = an * an - 4 * bn * q  # disc = a^2 - 4 b = disc_n / q^2
         if disc_n == 0 or not any(square_class_bits(disc_n, 1, p)):
             return None  # split or degenerate over Q_v: covered by point pairs
@@ -485,14 +485,13 @@ def quadratic_walk_order(curve, side, p, cfg):
     quadratic tier, at its first place; the key is (centre index, ea, eb,
     ka, kb).  The perturbations skip their unperturbed centre."""
     order = {}
-    for i, (_, a_blocks, b_blocks) in enumerate(lp._quadratic_blocks(
-            curve.side_data(side), p, cfg)):
+    for i, (_, a_blocks, b_blocks) in enumerate(lp._quadratic_blocks(curve, side, p, cfg)):
         for ea, a_xs, _ in a_blocks:
             for a, ka in a_xs:
                 for eb, b_xs, _ in b_blocks:
                     for b, kb in b_xs:
                         if b[0] and not (i and ea is eb is None):
-                            A = _common_denominator(Fraction(*a), Fraction(*b))
+                            A = _common_denominator(a, b)
                             order.setdefault(A, (len(order), (i, ea, eb, ka, kb)))
     return order
 
@@ -759,6 +758,19 @@ def test_the_capped_walk_finds_the_images_of_the_full_walk(monkeypatch, P):
         assert a.span().basis() == b.span().basis(), (a.side, P)
 
 
+# the curve keeps each draw of unit residues, with its unit classes, where
+# both sides read it: a run of both Selmer groups and the pairing draws
+# each (p, exponent) once, where a draw per side drew 11 times for 6 at
+# A257 and 14 times for 8 at A1009
+@pytest.mark.parametrize("label, distinct", [("A257", 6), ("A1009", 8)])
+def test_a_run_draws_each_unit_sample_once(count_calls, label, distinct):
+    curve = fresh(WITH_A1009[label])
+    calls = count_calls(lp, "_unit_residues", lambda args: args)
+    ctp_matrix(selmer_group(curve, "phihat"), curve)
+    selmer_group(curve, "phi")
+    assert len(calls) == distinct and set(calls.values()) == {1}, calls
+
+
 def test_the_quadratic_tier_steps_one_b_block_at_a_time(monkeypatch):
     # at 257 one side of A257 reaches its quadratic tier while the other
     # still walks single points; a step of the tier is one (a, b block), so
@@ -823,7 +835,7 @@ def test_a_corrupt_class_bit_in_a_generic_block_representative_raises(monkeypatc
     # reached; flipping a bit of such a point makes its class look new, so
     # the search keeps it and checks its image
     x_blocks, square_points = lp._x_blocks, lp._square_points
-    block, fast = {}, set()
+    block, fast, cut = {}, set(), set()
 
     def recorded_blocks(curve_, side, p, cfg):
         # the block each side's reader walks: it takes the next one only
@@ -836,18 +848,26 @@ def test_a_corrupt_class_bit_in_a_generic_block_representative_raises(monkeypatc
         # a point the reader gives from a generic block while the pool is
         # full is such a representative: the pool is as it was when the
         # reader cut the block
-        for item in square_points(curve_, side, v_, cfg, full, rng):
+        def asked():
+            # the reader asks only to cut: a True skips a residue
+            if full():
+                cut.add((side, block[side]))
+                return True
+            return False
+
+        for item in square_points(curve_, side, v_, cfg, asked, rng):
             if item is not None and all(block[side][2]) and full():
                 n, d, mask = item
                 item = n, d, mask ^ 0b10  # the second bit of the first slot
-                fast.add((n, d))
+                fast.add((side, block[side]))
             yield item
 
     monkeypatch.setattr(lp, "_x_blocks", recorded_blocks)
     monkeypatch.setattr(lp, "_square_points", corrupted)
     with pytest.raises(ClassBitsMismatch):
         local_images(fresh(A1009), LocalPlace.finite(1009))
-    assert fast
+    # a flipped point comes from a block the reader cut short
+    assert fast & cut
 
 
 def test_a_corrupt_quadratic_class_bit_raises(monkeypatch):
@@ -878,11 +898,11 @@ def test_a_corrupt_entry_in_a_quadratic_class_table_raises(monkeypatch):
     tabled = set()
     for side in (DOMAIN, CODOMAIN):
         data = curve.side_data(side)
-        for centre, a_blocks, b_blocks in lp._quadratic_blocks(data, p, cfg):
+        for centre, a_blocks, b_blocks in lp._quadratic_blocks(curve, side, p, cfg):
             terms = data.taylor_valuations(centre, p)
             for (ea, a_xs, _), (eb, b_xs, _) in itertools.product(a_blocks, b_blocks):
                 if lp._generic(terms[1:], (ea, eb)):
-                    tabled.update((side, *_common_denominator(Fraction(*a), Fraction(*b)))
+                    tabled.update((side, *_common_denominator(a, b))
                                   for (a, _), (b, _) in itertools.product(a_xs, b_xs) if b[0])
     quadratic_mask = lp._quadratic_mask
     g_forms = curve.domain_data.forms

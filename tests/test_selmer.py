@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from curve_fixtures import BENCHMARK_CURVES, fixture_curve
+from curve_fixtures import BENCHMARK_CURVES, encode_triple, fixture_curve
 from richelot_ctp import arith, gf2
-from richelot_ctp.arith import SquareClass, bad_places, enumerate_Q_S2, squarefree_reduce
+from richelot_ctp.arith import (bad_places, class_product, enumerate_Q_S2, prime_support,
+                                squarefree_reduce)
 from richelot_ctp.cohomology import KummerTriple, NormConditionError
 from richelot_ctp.ctp import ctp_matrix
 from richelot_ctp.localpoints import CODOMAIN, DOMAIN, _torsion_divisors, divisor_image
-from richelot_ctp.selmer import encode_triple, selmer_group, torsion_images, triple_span
+from richelot_ctp.selmer import selmer_group, torsion_images
 
 
 @pytest.fixture(scope="module")
@@ -46,8 +47,7 @@ def test_torsion_images_phihat(curve113):
 def test_torsion_images_phi_inside_expected_group(curve113):
     basis = torsion_images(curve113, "phi")
     S = bad_places(curve113)
-    span = triple_span(EXPECTED_PHI, S.finite_primes)
-    from richelot_ctp.selmer import encode_triple
+    span = gf2.Span(encode_triple(t, S.finite_primes) for t in EXPECTED_PHI)
     for t in basis:
         assert encode_triple(t, S.finite_primes) in span
 
@@ -106,12 +106,21 @@ def test_non_selmer_class_rejected(sel_phihat, curve113):
         ctp_matrix(sel_phihat, curve113, basis=[KummerTriple.of(5, 5, 1)])
 
 
+def test_a_triple_that_is_not_norm_one_is_no_member(sel_phihat):
+    # built directly, past the norm check of KummerTriple.of; the pair
+    # (1, -1) of the second indexes the member (1, -1, -1), so only the
+    # norm check keeps it out
+    assert not sel_phihat.contains(KummerTriple((3, 1, 1)))
+    assert sel_phihat.contains(KummerTriple((1, -1, -1)))
+    assert not sel_phihat.contains(KummerTriple((1, -1, 1)))
+
+
 def test_membership_encodes_the_basis_once_per_group(curve113, count_calls):
     # ctp_matrix asks once per basis element; each call used to encode the
     # whole basis again, 5 + 1 encodings a call, 90 over these 15 calls
     from richelot_ctp import selmer
     group = selmer_group(curve113, "phihat")  # a group that has built no span
-    calls = count_calls(selmer, "encode_triple", lambda args: "encoded")
+    calls = count_calls(selmer, "_pair_index", lambda args: "encoded")
     for t in group.basis * 3:
         assert group.contains(t)
     assert calls["encoded"] == group.dim + 3 * group.dim == 20
@@ -131,7 +140,7 @@ def test_torsion_images_factor_nothing_once_S_is_known(monkeypatch):
     monkeypatch.setattr(arith, "factorize", lambda n: factored.append(n) or factorize(n))
     images = {side: torsion_images(curve, side) for side in ("phihat", "phi")}
     assert not factored
-    assert any(999999999989 in c.primes for t in images["phihat"] for c in t.classes)
+    assert any(c % 999999999989 == 0 for t in images["phihat"] for c in t.values)
 
 
 def per_divisor_torsion_images(curve, side):
@@ -160,7 +169,8 @@ def test_torsion_images_match_the_per_divisor_route(label):
     # the curves whose codomain points have such values
     data, primes = curve.codomain_data, curve.bad_places.finite_primes
     outside = {q for values in [*data.root_values.values(), data.inf_values]
-               for n, d in values for q in squarefree_reduce(Fraction(n, d)).primes} - set(primes)
+               for n, d in values for q in prime_support(squarefree_reduce(Fraction(n, d)))
+               } - set(primes)
     assert bool(outside) == (label in ("B31", "B97", "irrational", "R15")), outside
 
 
@@ -168,8 +178,8 @@ def test_torsion_images_match_the_per_divisor_route(label):
 # every divisor through the point fail: -1 leaves its image not norm one,
 # and a prime outside S does not cancel in it
 @pytest.mark.parametrize("factor, error, match", [
-    (SquareClass(-1, ()), NormConditionError, "not norm one"),
-    (SquareClass(1, (10007,)), ValueError, "not supported")], ids=["sign", "prime-outside-S"])
+    (-1, NormConditionError, "not norm one"),
+    (10007, ValueError, "not supported")], ids=["sign", "prime-outside-S"])
 def test_torsion_images_check_every_divisor_image(curve113, monkeypatch, factor, error, match):
     from richelot_ctp import selmer
     reads = []
@@ -177,7 +187,7 @@ def test_torsion_images_check_every_divisor_image(curve113, monkeypatch, factor,
     def wrong_first_read(q, primes=()):
         reads.append(q)
         c = squarefree_reduce(q, primes)
-        return c * factor if len(reads) == 1 else c
+        return class_product(c, factor) if len(reads) == 1 else c
 
     monkeypatch.setattr(selmer, "squarefree_reduce", wrong_first_read)
     with pytest.raises(error, match=match):

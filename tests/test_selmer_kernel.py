@@ -15,8 +15,8 @@ import pytest
 
 import richelot_ctp.selmer as selmer_mod
 from richelot_ctp import gf2
-from curve_fixtures import BENCHMARK_CURVES, class_bits, class_mask, fixture_curve
-from richelot_ctp.arith import bad_places, enumerate_Q_S2
+from curve_fixtures import BENCHMARK_CURVES, class_bits, class_mask, encode_triple, fixture_curve
+from richelot_ctp.arith import bad_places, class_product, enumerate_Q_S2
 from richelot_ctp.cohomology import KummerTriple
 from richelot_ctp.ctp import (
     InconsistentDimensions,
@@ -30,7 +30,6 @@ from richelot_ctp.localpoints import SearchConfig, local_images
 from richelot_ctp.selmer import (
     KernelCheckError,
     SelmerGroup,
-    encode_triple,
     selmer_group,
     torsion_images,
 )
@@ -54,17 +53,17 @@ def enumerate_selmer(curve, side, cfg=SearchConfig()):
         dims.append((v, img.dim))
 
     group = enumerate_Q_S2(S)
-    index = {c.value: i for i, c in enumerate(group)}
+    index = {c: i for i, c in enumerate(group)}
     local_masks = {}
     for v in places:
-        classes = [class_bits(local_square_class(c.value, v), v.p) for c in group]
+        classes = [class_bits(local_square_class(c, v), v.p) for c in group]
         local_masks[v] = ([class_mask([bits]) for bits in classes], len(classes[0]))
 
     members = []
     for i1, a1 in enumerate(group):
         for i2, a2 in enumerate(group):
-            a3 = a1 * a2
-            i3 = index[a3.value]
+            a3 = class_product(a1, a2)
+            i3 = index[a3]
             ok = True
             for v in places:
                 masks, d = local_masks[v]
