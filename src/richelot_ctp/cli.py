@@ -20,15 +20,19 @@ Exit codes:
     result under --strict.
 
 The commands write nothing but their output: each run searches its local
-points afresh.
+points afresh.  A JSON report is written by `_json`, which gives the bytes of
+`json.dumps(report, sort_keys=True, indent=2)` without the stdlib's
+pure-Python indenting encoder; the tests check it against that call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .cohomology import NotInImageError
 from .ctp import InconsistentDimensions, LocalRow, ctp_matrix, rank_report
@@ -36,7 +40,6 @@ from .curve import CurveError, RichelotPair, build_pair, poly, poly_str
 from .localfield import class_representative, places_of
 from .localpoints import SearchConfig
 from .selmer import selmer_group
-from .verify import run_verification
 
 __all__ = ["main"]
 
@@ -246,9 +249,36 @@ def _print_tables(report):
     print(f"status: {report['status']}")
 
 
+def _json(x, pad: str = "\n") -> str:
+    """`json.dumps(x, sort_keys=True, indent=2)` for dicts with str keys,
+    lists, tuples, strs, ints, bools and None; `pad` is the newline and
+    indent of x's own line.  A non-str key raises TypeError, from
+    `encode_basestring_ascii`.  Most values are small ints, which the dict
+    and list branches write without a call."""
+    t = type(x)
+    if t is int:
+        return int.__repr__(x)
+    if t is str:
+        return encode_basestring_ascii(x)
+    inner = pad + "  "
+    if t is dict:
+        if not x:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": "
+             + (int.__repr__(v) if type(v) is int else _json(v, inner))
+             for k, v in sorted(x.items())]) + pad + "}"
+    if t is list or t is tuple:
+        if not x:
+            return "[]"
+        return "[" + inner + ("," + inner).join(
+            [int.__repr__(e) if type(e) is int else _json(e, inner) for e in x]) + pad + "]"
+    return json.dumps(x)
+
+
 def _emit(report, as_json: bool, renderer=None):
     if as_json:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_json(report))
     else:
         (renderer or _print_tables)(report)
 
@@ -282,7 +312,10 @@ def _cfg_of(args) -> SearchConfig:
                         escalations=args.escalations)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first `main` call; each
+    `parse_args` call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="richelot-ctp",
         description="Descent and pairing computations for split genus-2 Jacobians")
@@ -304,10 +337,15 @@ def main(argv=None) -> int:
     _add_search_flags(p_ctp)
 
     sub.add_parser("verify-example", help="check the bundled reference example")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "verify-example":
+        from .verify import run_verification  # the other commands need none of it
+
         results = run_verification(report=print)
         failed = [r for r in results if not r.passed]
         if failed:
@@ -356,7 +394,7 @@ def _ctp_command(args, curve: RichelotPair, label: str, cfg: SearchConfig) -> in
     except tuple(_FAILED_AT) as e:
         stage = next(s for cls, s in _FAILED_AT.items() if isinstance(e, cls))
         partial = {"curve": _curve_echo(curve, label), "failed_at": stage, "error": str(e)}
-        print(json.dumps(partial, sort_keys=True, indent=2))
+        _emit(partial, True)
         return 3
     _emit(report, args.json)
     if args.strict and report["status"] != "certified":

@@ -22,7 +22,7 @@ from operator import xor
 from typing import Optional, Sequence
 
 from . import gf2
-from .arith import prime_support
+from .arith import factorize
 from .cohomology import (
     KummerQuintuple,
     KummerTriple,
@@ -113,15 +113,19 @@ def ctp_local(a: KummerTriple, a2: KummerTriple, curve: RichelotPair, v: LocalPl
 
 
 def _pairing_places(curve: RichelotPair, a, a2, lift) -> list[LocalPlace]:
+    """The bad places, then the primes outside S that divide a slot of a, a2
+    or the lift.  S is divided out of each slot first, so only the cofactor
+    left over is factored: an S-unit class costs no factoring."""
     S = curve.bad_places
     extra = set()
-    for t in (a, a2):
+    for t in (a, a2) if lift is None else (a, a2, lift):
         for val in t.values:
-            extra |= prime_support(val)
-    if lift is not None:
-        for val in lift.values:
-            extra |= prime_support(val)
-    extra -= set(S.finite_primes)
+            n = abs(val)
+            for p in S.finite_primes:
+                while n % p == 0:
+                    n //= p
+            if n > 1:
+                extra.update(factorize(n))
     places = places_of(S)
     places.extend(LocalPlace.finite(p) for p in sorted(extra))
     return places

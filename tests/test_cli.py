@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -403,3 +407,36 @@ def test_the_smallest_search_flags_still_run(curve_file, capsys, command):
                  "--val-bound", "0", "--escalations", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["config"] == {
         "precision": 1, "val_bound": 0, "escalations": 0}
+
+
+def test_the_parser_is_built_once_and_carries_nothing_between_calls(curve_file, capsys):
+    import richelot_ctp.cli as cli
+
+    path = curve_file(CURVE113)
+
+    def report(argv):
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)
+
+    assert report(["ctp", path, "--val-bound", "2", "--json"])["config"]["val_bound"] == 2
+    assert report(["ctp", path, "--json"])["config"] == {
+        "precision": 4, "val_bound": 6, "escalations": 2}
+    assert report(["selmer", path, "--side", "phi", "--json"])["selmer"]["side"] == "phi"
+    assert report(["selmer", path, "--json"])["selmer"]["side"] == "phihat"
+    with pytest.raises(SystemExit) as stop:
+        main(["ctp", path, "--json", "--no-such-flag"])
+    assert stop.value.code == 2
+    capsys.readouterr()
+    assert report(["isogeny", path, "--json"])["curve"]["label"] == "k=113"
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_importing_the_cli_leaves_verify_unloaded():
+    # only `verify-example` needs the verification module
+    import richelot_ctp.cli as cli
+
+    code = "import sys, richelot_ctp.cli; print('richelot_ctp.verify' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout == "False\n"

@@ -6,9 +6,9 @@ from operator import mul
 
 import pytest
 
-from richelot_ctp import localfield
+from richelot_ctp import arith, localfield
 from richelot_ctp.arith import bad_places, class_product, enumerate_Q_S2
-from curve_fixtures import BENCHMARK_CURVES, fresh, in_radical
+from curve_fixtures import BENCHMARK_CURVES, fixture_curve, fresh, in_radical
 from richelot_ctp.cohomology import (
     KummerTriple,
     NotInImageError,
@@ -17,6 +17,7 @@ from richelot_ctp.cohomology import (
     psi_phi_to_two,
 )
 from richelot_ctp.ctp import (
+    _pairing_places,
     ctp_global,
     ctp_local,
     ctp_matrix,
@@ -282,6 +283,22 @@ def test_lift_support_outside_bad_set(curve113):
     t = KummerTriple.of(5, 5, 1)
     lift = lift_phihat_to_two(T1) * psi_phi_to_two(t)
     assert ctp_global(T1, T2, curve113, lift=lift) == 1
+
+
+def test_pairing_places_factor_only_what_s_leaves_of_a_slot(count_calls):
+    # S holds a 12-digit prime, which trial division would take to 10^6 to find
+    curve = fixture_curve("A999999999989")
+    S = curve.bad_places
+    big = 999999999989
+    a = KummerTriple((-big, 2 * big, -2))
+    a2 = KummerTriple((3 * 21649, big, 3 * 21649 * big))
+    calls = count_calls(arith, "factorize", lambda args: args[0])
+    assert _pairing_places(curve, a, a2, None) == places_of(S)
+    assert not calls
+    lift = lift_phihat_to_two(a) * psi_phi_to_two(KummerTriple((10007, 10007, 1)))
+    assert lift.values == (-big, 1, 2 * big, 10007, -2 * 10007)
+    assert _pairing_places(curve, a, a2, lift) == places_of(S) + [LocalPlace.finite(10007)]
+    assert calls == {10007: 2}
 
 
 def test_ctp_global_rejects_wrong_lift(curve113):
