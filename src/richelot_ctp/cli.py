@@ -12,9 +12,9 @@ Exit codes:
   1 verification failure;
   2 invalid input: an unreadable or malformed curve file, an unsupported
     model, curve data with a composite factor the factorization budget
-    cannot split, a --places name that is not a bad place, an unknown flag,
-    or a search flag below its minimum (1 for --precision, 0 for --val-bound
-    and --escalations);
+    cannot split, a --places name that is not a bad place ("oo" or a prime),
+    an unknown flag, or a search flag below its minimum (1 for --precision,
+    0 for --val-bound and --escalations);
   3 a `ctp` run stopped by a failed self-check or dimension check (partial
     JSON naming the stage in "failed_at"), or a heuristic or unproven
     result under --strict.
@@ -37,7 +37,7 @@ from json.encoder import encode_basestring_ascii
 from .cohomology import NotInImageError
 from .ctp import InconsistentDimensions, LocalRow, ctp_matrix, rank_report
 from .curve import CurveError, RichelotPair, build_pair, poly, poly_str
-from .localfield import class_representative, places_of
+from .localfield import class_representative, place_name, places_of
 from .localpoints import SearchConfig
 from .selmer import selmer_group
 
@@ -132,7 +132,7 @@ def _config_dict(cfg: SearchConfig) -> dict:
 def _row_dict(row: LocalRow) -> dict:
     """The row's tuples as the representatives of their slots' classes,
     read from the slot masks."""
-    p = row.place.p
+    p = row.place
     out = {"P_v": " + ".join(map(str, row.P_v))}
     for key in ("delta2", "lift", "difference", "rho"):
         out[key] = [class_representative(c, p) for c in getattr(row, key).slots()]
@@ -149,10 +149,10 @@ def _ctp_report(curve, label, cfg, places=None) -> dict:
     report = {
         "curve": _curve_echo(curve, label),
         "isogeny": _isogeny_dict(curve, label),
-        "bad_places": [str(v) for v in places_of(curve.bad_places)],
+        "bad_places": [place_name(v) for v in places_of(curve.bad_places)],
         "selmer": {"phihat": _selmer_dict(sel_hat), "phi": _selmer_dict(sel_phi)},
         "local_tables": {
-            str(a.values): {str(r.place): _row_dict(r) for r in rows}
+            str(a.values): {place_name(r.place): _row_dict(r) for r in rows}
             for a, rows in zip(M.basis, M.rows)},
         "matrix": {
             "basis": [list(t.values) for t in M.basis],
@@ -382,14 +382,14 @@ def _ctp_command(args, curve: RichelotPair, label: str, cfg: SearchConfig) -> in
     try:
         places = None
         if args.places:
-            bad = places_of(curve.bad_places)
+            bad = {place_name(v): v for v in places_of(curve.bad_places)}  # in place order
             chosen = {s.strip() for s in args.places.split(",")}
-            unknown = sorted(chosen.difference(str(v) for v in bad))
+            unknown = sorted(chosen.difference(bad))
             if unknown:
                 print(f"error: --places: not a bad place: {', '.join(unknown)}; "
-                      f"the bad places are {', '.join(str(v) for v in bad)}", file=sys.stderr)
+                      f"the bad places are {', '.join(bad)}", file=sys.stderr)
                 return 2
-            places = [v for v in bad if str(v) in chosen]
+            places = [v for name, v in bad.items() if name in chosen]
         report = _ctp_report(curve, label, cfg, places)
     except tuple(_FAILED_AT) as e:
         stage = next(s for cls, s in _FAILED_AT.items() if isinstance(e, cls))

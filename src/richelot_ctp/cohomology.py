@@ -11,12 +11,13 @@ for both isogeny kernels, quintuples (x1..x5) with square product for full
 
 and the descent back onto the first kernel inverts the first map slotwise.
 A global tuple holds each slot's class as its signed squarefree int, and
-a product is slotwise `class_product`.  A local tuple holds its place and
-one int, the `square_class_mask` of slot i at shift i dim, and `slots`
-unpacks the masks, which are the slots' classes: restriction reads each
-slot's integers once, a product is an XOR, and the Hilbert symbols
-downstream depend only on square classes, so `cup_invariant` evaluates
-them on the packed masks, all slots in one call.
+a product is slotwise `class_product`.  A local tuple is its place and
+one int: the place is its prime, 0 for oo, and the int holds slot i's
+`square_class_mask` at shift i dim.  `slots` unpacks the masks, which are
+the slots' classes: restriction reads each slot's integers once, a product
+is an XOR, and the Hilbert symbols downstream depend only on square
+classes, so `cup_invariant` evaluates them on the packed masks, all slots
+in one call.
 Each map lists, per output slot, the input slots it multiplies, so it
 works on global and local tuples alike.
 """
@@ -28,7 +29,7 @@ from functools import reduce
 from operator import xor
 
 from .arith import class_product, squarefree_reduce
-from .localfield import LocalPlace, class_representative, hilbert_bits, local_square_dim, tuple_mask
+from .localfield import class_representative, hilbert_bits, local_square_dim, place_name, tuple_mask
 
 __all__ = [
     "KummerTriple",
@@ -92,7 +93,7 @@ class _KummerTuple:
     def __mul__(self, other):
         return type(self)(tuple(map(class_product, self.values, other.values)))
 
-    def restrict(self, v: LocalPlace):
+    def restrict(self, v: int):
         return self.local.of(self.values, v)
 
     def __str__(self) -> str:
@@ -108,27 +109,28 @@ class _KummerTuple:
 class _LocalKummerTuple:
     """The body shared by the local tuples; a subclass sets `n`."""
 
-    place: LocalPlace
+    place: int
     mask: int
 
     @classmethod
-    def of(cls, values, v: LocalPlace):
+    def of(cls, values, v: int):
         """The tuple of the classes at v of these nonzero rational slot
         values, each an int, a Fraction, or an int pair (numerator,
         denominator)."""
         values = [x if isinstance(x, tuple) else (x.numerator, x.denominator) for x in values]
         if len(values) != cls.n:
             raise ValueError(f"expected {cls.n} values")
-        t = cls(v, tuple_mask(values, v.p))
+        t = cls(v, tuple_mask(values, v))
         # the class map is a homomorphism: the product is a square iff the
         # slots' masks XOR to zero
         if reduce(xor, t.slots()):
-            raise NormConditionError(f"the product of {values} is not a square in Q_{v}")
+            raise NormConditionError(
+                f"the product of {values} is not a square in Q_{place_name(v)}")
         return t
 
     def slots(self) -> list[int]:
         """The mask of each slot's class."""
-        d = local_square_dim(self.place.p)
+        d = local_square_dim(self.place)
         return [self.mask >> i * d & (1 << d) - 1 for i in range(self.n)]
 
     def is_trivial(self) -> bool:
@@ -136,7 +138,7 @@ class _LocalKummerTuple:
 
     def _map(self, rows):
         """The local tuple whose slot k multiplies the slots in rows[k]."""
-        d, s, m = local_square_dim(self.place.p), self.slots(), 0
+        d, s, m = local_square_dim(self.place), self.slots(), 0
         for k, row in enumerate(rows):
             for i in row:
                 m ^= s[i] << k * d
@@ -148,8 +150,8 @@ class _LocalKummerTuple:
         return type(self)(self.place, self.mask ^ other.mask)
 
     def __str__(self) -> str:
-        reps = (class_representative(c, self.place.p) for c in self.slots())
-        return f"({', '.join(map(str, reps))})@{self.place}"
+        reps = (class_representative(c, self.place) for c in self.slots())
+        return f"({', '.join(map(str, reps))})@{place_name(self.place)}"
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +221,14 @@ def descend_to_phi(c: LocalKummerQuintuple) -> LocalKummerTriple:
     return c._map(((1, 3), (3,), (1,)))
 
 
-def cup_invariant(rho: LocalKummerTriple, t, v: LocalPlace = None) -> int:
-    """F2 invariant of the cup product: 0 if the Hilbert-symbol product
-    (rho1, t1)_v (rho2, t2)_v (rho3, t3)_v is +1, else 1: `hilbert_bits` of
-    the two packed masks.  A global t is restricted to v; a local t, like
-    rho, must live at v."""
-    if v is None:
-        v = rho.place
-    if rho.place != v:
-        raise ValueError("rho lives at a different place")
+def cup_invariant(rho: LocalKummerTriple, t) -> int:
+    """F2 invariant of the cup product at rho's place v: 0 if the
+    Hilbert-symbol product (rho1, t1)_v (rho2, t2)_v (rho3, t3)_v is +1,
+    else 1: `hilbert_bits` of the two packed masks.  A global t is
+    restricted to v; a local t must live at v."""
+    v = rho.place
     if isinstance(t, KummerTriple):
         t = t.restrict(v)
     elif t.place != v:
-        raise ValueError(f"{t} lives at a different place than {v}")
-    return hilbert_bits(rho.mask, t.mask, v.p)
+        raise ValueError(f"{t} lives at a different place than {place_name(v)}")
+    return hilbert_bits(rho.mask, t.mask, v)

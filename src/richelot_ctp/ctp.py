@@ -36,7 +36,7 @@ from .cohomology import (
     quintuple_quotient,
 )
 from .curve import RichelotPair
-from .localfield import LocalPlace, hilbert_bits, places_of
+from .localfield import hilbert_bits, place_name, places_of
 from .localpoints import MumfordDivisor, SearchConfig, local_images, mu_two
 from .selmer import SelmerGroup
 
@@ -74,11 +74,11 @@ class LocalRow:
     rho: LocalKummerTriple
 
     @property
-    def place(self) -> LocalPlace:
+    def place(self) -> int:
         return self.rho.place
 
 
-def local_row(a: KummerTriple, curve: RichelotPair, v: LocalPlace,
+def local_row(a: KummerTriple, curve: RichelotPair, v: int,
               cfg: SearchConfig = SearchConfig(), lift: Optional[KummerQuintuple] = None,
               a_v: Optional[LocalKummerTriple] = None) -> LocalRow:
     """Run lift, witnesses, quintuple image, quotient and descent for `a` at v.
@@ -95,7 +95,7 @@ def local_row(a: KummerTriple, curve: RichelotPair, v: LocalPlace,
     image = local_images(curve, v, cfg)[0]
     coords = gf2.coordinates([t.mask for t in image.basis], a_v.mask)
     if coords is None:
-        raise NotInImageError(f"{a} is outside the dual-kernel local image at {v}")
+        raise NotInImageError(f"{a} is outside the dual-kernel local image at {place_name(v)}")
     P_v = (tuple(w for k, w in enumerate(image.witnesses) if coords >> k & 1)
            or (MumfordDivisor.identity(),))
     two = curve.two_data.table(("mu_two", v), dict)  # witness -> its mu_two at v
@@ -106,13 +106,13 @@ def local_row(a: KummerTriple, curve: RichelotPair, v: LocalPlace,
     return LocalRow(P_v, delta2, lift_v, diff, descend_to_phi(diff))
 
 
-def ctp_local(a: KummerTriple, a2: KummerTriple, curve: RichelotPair, v: LocalPlace,
+def ctp_local(a: KummerTriple, a2: KummerTriple, curve: RichelotPair, v: int,
               cfg: SearchConfig = SearchConfig(), lift: Optional[KummerQuintuple] = None) -> int:
     """Local pairing contribution at v, in F2, for a fixed global lift of `a`."""
-    return cup_invariant(local_row(a, curve, v, cfg, lift).rho, a2, v)
+    return cup_invariant(local_row(a, curve, v, cfg, lift).rho, a2)
 
 
-def _pairing_places(curve: RichelotPair, a, a2, lift) -> list[LocalPlace]:
+def _pairing_places(curve: RichelotPair, a, a2, lift) -> list[int]:
     """The bad places, then the primes outside S that divide a slot of a, a2
     or the lift.  S is divided out of each slot first, so only the cofactor
     left over is factored: an S-unit class costs no factoring."""
@@ -126,9 +126,7 @@ def _pairing_places(curve: RichelotPair, a, a2, lift) -> list[LocalPlace]:
                     n //= p
             if n > 1:
                 extra.update(factorize(n))
-    places = places_of(S)
-    places.extend(LocalPlace.finite(p) for p in sorted(extra))
-    return places
+    return places_of(S) + sorted(extra)
 
 
 def ctp_global(a: KummerTriple, a2: KummerTriple, curve: RichelotPair,
@@ -175,7 +173,7 @@ class PairingMatrix:
 
 def ctp_matrix(selmer: SelmerGroup, curve: RichelotPair, cfg: SearchConfig = SearchConfig(),
                basis: Optional[Sequence[KummerTriple]] = None,
-               places: Optional[Sequence[LocalPlace]] = None) -> PairingMatrix:
+               places: Optional[Sequence[int]] = None) -> PairingMatrix:
     """Gram matrix of the pairing on `basis` (default: the Selmer basis).
 
     Sums over `places` (default: every bad place).  A proper subset of the
@@ -194,7 +192,7 @@ def ctp_matrix(selmer: SelmerGroup, curve: RichelotPair, cfg: SearchConfig = Sea
     rows = tuple(tuple(local_row(a, curve, v, cfg, a_v=local_bas[v][i]) for v in places)
                  for i, a in enumerate(bas))
     # the cup of rho_v with b|v, as in `cup_invariant`, on the packed masks
-    bas_masks = [(str(v), v.p, [t.mask for t in local_bas[v]]) for v in places]
+    bas_masks = [(place_name(v), v, [t.mask for t in local_bas[v]]) for v in places]
     entries = []
     breakdown = {}
     for i in range(n):

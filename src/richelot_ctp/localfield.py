@@ -1,4 +1,6 @@
-"""Exact local arithmetic at a place v of Q.
+"""Exact local arithmetic at a place v of Q, which is an int at every
+layer: its prime p, or 0 for the real place oo, as in PARI/GP's
+`hilbert(x, y, 0)`; `place_name` prints it.
 
 Square classes of Q_v, the Hilbert symbol in closed form, and square roots
 of p-adic units modulo p^k, of which the Mumford-divisor certificate reads
@@ -18,13 +20,11 @@ against an independent brute-force solvability oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 __all__ = [
-    "LocalPlace",
+    "place_name",
     "local_square_class",
     "is_local_square",
     "hilbert_bits",
@@ -38,29 +38,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LocalPlace:
-    """A place of Q: finite(p) or the real place (p is None)."""
-
-    p: Optional[int] = None
-
-    @staticmethod
-    def finite(p: int) -> "LocalPlace":
-        if p < 2:
-            raise ValueError("finite place needs a prime")
-        return LocalPlace(p)
-
-    @staticmethod
-    def infinite() -> "LocalPlace":
-        return LocalPlace(None)
-
-    def __str__(self) -> str:
-        return "oo" if self.p is None else str(self.p)
+def places_of(S) -> list[int]:
+    """The places of a PlaceSet: 0 for oo, then its primes ascending."""
+    return [0, *S.finite_primes]
 
 
-def places_of(S) -> list[LocalPlace]:
-    """LocalPlace list for a PlaceSet, infinity first then primes ascending."""
-    return [LocalPlace.infinite()] + [LocalPlace.finite(p) for p in S.finite_primes]
+def place_name(p: int) -> str:
+    """How a report names the place p: "oo" for 0, else the prime."""
+    return str(p) if p else "oo"
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +82,10 @@ def _legendre(u: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def class_representative(m: int, p: Optional[int]) -> int:
+def class_representative(m: int, p: int) -> int:
     """Smallest standard signed representative of the class of mask m at
-    p, None being oo."""
-    if p is None:
+    the place p."""
+    if not p:
         return -1 if m else 1
     if p == 2:
         u = (1, 3, 5, -1)[m >> 1]  # 3^b1 5^b2 mod 8, and 7 as -1
@@ -117,14 +102,14 @@ def _smallest_nonresidue(p: int) -> int:
     raise ValueError(f"{p} is not an odd prime")
 
 
-def local_square_dim(p: Optional[int]) -> int:
-    """The bits of a square class at p, None being oo: the F2 dimension of
+def local_square_dim(p: int) -> int:
+    """The bits of a square class at the place p: the F2 dimension of
     Q_p*/(Q_p*)^2, and the width of a slot in a packed tuple."""
-    return 1 if p is None else 3 if p == 2 else 2
+    return 3 if p == 2 else 2 if p else 1
 
 
-def square_class_mask(n: int, d: int, p: Optional[int]) -> int:
-    """The square class of n/d (nonzero ints) at p, None being oo, as a
+def square_class_mask(n: int, d: int, p: int) -> int:
+    """The square class of n/d (nonzero ints) at the place p, as a
     mask whose bits are its F2 coordinates: (val parity, nonresidue) at odd
     p, (val parity, b1, b2) at p = 2 where the unit part is 3^b1 * 5^b2
     mod 8, and (sign,) at the real place; the group has order 4 / 8 / 2.
@@ -135,7 +120,7 @@ def square_class_mask(n: int, d: int, p: Optional[int]) -> int:
     """
     if not n or not d:
         raise ValueError("zero has no square class")
-    if p is None:
+    if not p:
         return 1 if (n < 0) != (d < 0) else 0
     if p == 2:
         vn, vd = (n & -n).bit_length() - 1, (d & -d).bit_length() - 1
@@ -151,7 +136,7 @@ def square_class_mask(n: int, d: int, p: Optional[int]) -> int:
     return val if pow(n % p * (d % p), p >> 1, p) == 1 else val | 2
 
 
-def tuple_mask(values, p: Optional[int]) -> int:
+def tuple_mask(values, p: int) -> int:
     """The classes at p of a tuple of nonzero rationals, given as integer
     pairs (n, d), packed into one int: slot i's `square_class_mask` at
     shift i dim, dim being the bits of a class at p."""
@@ -163,15 +148,15 @@ def tuple_mask(values, p: Optional[int]) -> int:
     return m
 
 
-def local_square_class(x, v: LocalPlace) -> int:
-    """The `square_class_mask` of a nonzero rational in Q_v*/(Q_v*)^2."""
+def local_square_class(x, p: int) -> int:
+    """The `square_class_mask` of a nonzero rational in Q_p*/(Q_p*)^2."""
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
-    return square_class_mask(x.numerator, x.denominator, v.p)
+    return square_class_mask(x.numerator, x.denominator, p)
 
 
-def is_local_square(x, v: LocalPlace) -> bool:
-    return not local_square_class(x, v)
+def is_local_square(x, p: int) -> bool:
+    return not local_square_class(x, p)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +164,8 @@ def is_local_square(x, v: LocalPlace) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def hilbert_bits(a: int, b: int, p: Optional[int]) -> int:
-    """The Hilbert symbol of two square classes at p (None being oo), from
+def hilbert_bits(a: int, b: int, p: int) -> int:
+    """The Hilbert symbol of two square classes at the place p, from
     their `square_class_mask`s, as an F2 exponent: 0 for +1, 1 for -1.  On
     two tuples packed alike (`tuple_mask`), of any length, it is the sum of
     the slots' exponents: the closed form below runs on every slot at once
@@ -194,7 +179,7 @@ def hilbert_bits(a: int, b: int, p: Optional[int]) -> int:
     Only the parities of alpha, beta (bit 0) enter, and for u = 3^b1 5^b2
     mod 8, eps(u) = b1 (bit 1) and eta(u) = b1 + b2 mod 2 (bit 1 of m ^ m >> 1).
     """
-    if p is None:
+    if not p:
         return (a & b).bit_count() & 1
     if p == 2:
         e = (a & b) >> 1 ^ a & (b ^ b >> 1) >> 1 ^ b & (a ^ a >> 1) >> 1
@@ -205,10 +190,10 @@ def hilbert_bits(a: int, b: int, p: Optional[int]) -> int:
     return (e & ((1 << n * d) - 1) // ((1 << d) - 1)).bit_count() & 1
 
 
-def hilbert_symbol(a, b, v: LocalPlace) -> int:
-    """(a,b)_v = +1 iff z^2 = a x^2 + b y^2 has a nonzero solution over Q_v,
+def hilbert_symbol(a, b, p: int) -> int:
+    """(a,b)_p = +1 iff z^2 = a x^2 + b y^2 has a nonzero solution over Q_p,
     for nonzero rationals a and b: `hilbert_bits` of their square classes."""
-    return -1 if hilbert_bits(local_square_class(a, v), local_square_class(b, v), v.p) else 1
+    return -1 if hilbert_bits(local_square_class(a, p), local_square_class(b, p), p) else 1
 
 
 # ---------------------------------------------------------------------------

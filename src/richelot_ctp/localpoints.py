@@ -101,9 +101,9 @@ from .curve import (
     homogenized_eval,
 )
 from .localfield import (
-    LocalPlace,
     is_local_square,
     local_square_dim,
+    place_name,
     sqrt_mod_pk,
     square_class_mask,
     tuple_mask,
@@ -215,13 +215,13 @@ class MumfordDivisor:
 # ---------------------------------------------------------------------------
 
 
-def _codomain_infinity_rational(curve: RichelotPair, v: LocalPlace) -> bool:
-    """Are the codomain's infinite points defined over Q_v?
+def _codomain_infinity_rational(curve: RichelotPair, p: int) -> bool:
+    """Are the codomain's infinite points defined over Q_p?
 
     Always true for a 5-root codomain (Weierstrass point); for a 6-root
-    codomain iff the sextic's leading coefficient is a square in Q_v.
+    codomain iff the sextic's leading coefficient is a square in Q_p.
     """
-    return curve.codomain_degree == 5 or is_local_square(curve.fhat[-1], v)
+    return curve.codomain_degree == 5 or is_local_square(curve.fhat[-1], p)
 
 
 def _slot_values(D: MumfordDivisor, curve: RichelotPair, data) -> list[tuple[int, int]]:
@@ -246,7 +246,7 @@ def _slot_values(D: MumfordDivisor, curve: RichelotPair, data) -> list[tuple[int
     return list(zip(nums, dens))
 
 
-def _image(kind, D: MumfordDivisor, curve: RichelotPair, data, v: Optional[LocalPlace]):
+def _image(kind, D: MumfordDivisor, curve: RichelotPair, data, v: Optional[int]):
     """The `kind` tuple of D's slot values of `data`: at v, their classes
     read from the integers; global when v is None, where each value has
     the primes of S divided out before what is left is factored
@@ -259,7 +259,7 @@ def _image(kind, D: MumfordDivisor, curve: RichelotPair, data, v: Optional[Local
     return kind.of(*(Fraction(n, d) for n, d in values), primes=curve.bad_places.finite_primes)
 
 
-def mu_two(D: MumfordDivisor, curve: RichelotPair, v: Optional[LocalPlace] = None):
+def mu_two(D: MumfordDivisor, curve: RichelotPair, v: Optional[int] = None):
     """Image of D under the full 2-descent quintuple map; global when v is None.
 
     The slots are the linear factors x - w_i (`RichelotPair.two_data`).
@@ -272,32 +272,33 @@ def mu_two(D: MumfordDivisor, curve: RichelotPair, v: Optional[LocalPlace] = Non
     return _image(KummerQuintuple, D, curve, curve.two_data, v)
 
 
-def mu_phihat(D: MumfordDivisor, curve: RichelotPair, v: Optional[LocalPlace] = None):
+def mu_phihat(D: MumfordDivisor, curve: RichelotPair, v: Optional[int] = None):
     """Image of a domain divisor under the dual-kernel descent map (G-evaluations)."""
     if D.side != DOMAIN:
         raise ValueError("mu_phihat consumes domain divisors")
     return _image(KummerTriple, D, curve, curve.domain_data, v)
 
 
-def mu_phi(D: MumfordDivisor, curve: RichelotPair, v: Optional[LocalPlace] = None):
+def mu_phi(D: MumfordDivisor, curve: RichelotPair, v: Optional[int] = None):
     """Image of a codomain divisor under the kernel descent map (L-evaluations)."""
     if D.side != CODOMAIN:
         raise ValueError("mu_phi consumes codomain divisors")
     return _image(KummerTriple, D, curve, curve.codomain_data, v)
 
 
-def divisor_image(D: MumfordDivisor, curve: RichelotPair, v: Optional[LocalPlace] = None):
+def divisor_image(D: MumfordDivisor, curve: RichelotPair, v: Optional[int] = None):
     return (mu_phihat if D.side == DOMAIN else mu_phi)(D, curve, v)
 
 
 def _checked_image(D: MumfordDivisor, mask: int, curve: RichelotPair,
-                   v: LocalPlace) -> LocalKummerTriple:
+                   v: int) -> LocalKummerTriple:
     """The witnessed image of a candidate whose mask the search read from
     class bits; the two must agree."""
     t = divisor_image(D, curve, v)
     if t.mask != mask:
         raise ClassBitsMismatch(
-            f"class bits give mask {mask:#x} for {D} at {v}, its image {t} has {t.mask:#x}")
+            f"class bits give mask {mask:#x} for {D} at {place_name(v)}, "
+            f"its image {t} has {t.mask:#x}")
     return t
 
 
@@ -322,12 +323,12 @@ def _mod_quadratic_ints(f_form, an: int, bn: int, q: int) -> tuple[int, int, int
     return U, W, den * qpow
 
 
-def _quadratic_certificate(f_form, an: int, bn: int, q: int, v: LocalPlace) -> bool:
-    """Is f a square in Q_v[x]/(A) for monic irreducible A = x^2 + (an/q) x
+def _quadratic_certificate(f_form, an: int, bn: int, q: int, p: int) -> bool:
+    """Is f a square in Q_p[x]/(A) for monic irreducible A = x^2 + (an/q) x
     + bn/q, with f given by its `poly_integer_form`?
 
     Norm-trace criterion: with xi = f mod A, a square root B = b1 x + b0
-    exists iff N(xi) is a square n^2 in Q_v and Tr(xi) +- 2n is a nonzero
+    exists iff N(xi) is a square n^2 in Q_p and Tr(xi) +- 2n is a nonzero
     square (tau = Tr(B) satisfies tau^2 = Tr(xi) + 2 nu with nu = N(B) = +-n).
     The answer is exact: square classes are read from integers and a few
     digits of an integer square root mod p^k, with no digit budget.
@@ -343,8 +344,7 @@ def _quadratic_certificate(f_form, an: int, bn: int, q: int, v: LocalPlace) -> b
     the class of D.  A double root (D = 0) leaves one nonzero candidate, 2 tr.
     """
     U, W, s = _mod_quadratic_ints(f_form, an, bn, q)
-    p = v.p
-    if p is None:
+    if not p:
         # irreducible over R means conjugate complex points; C is quadratically
         # closed, so the certificate always exists (f mod A != 0 here)
         return not (U == 0 and W == 0)
@@ -545,10 +545,10 @@ def _block_step(c: Fraction, j: int, p: int) -> tuple[int, int]:
     return (p ** j * c.denominator, c.denominator) if j >= 0 else (1, p ** -j)
 
 
-def _square_points(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfig,
+def _square_points(curve: RichelotPair, side: str, p: int, cfg: SearchConfig,
                    full=None, rng=None) -> Iterator[Optional[tuple[int, int, int]]]:
     """The singles tier's candidates x = n/d (lowest terms) with f(x) a
-    nonzero square in Q_v, in walk order, as (n, d, image mask: factor i's
+    nonzero square in Q_p, in walk order, as (n, d, image mask: factor i's
     `square_class_mask` at shift i dim).  At the real place the candidates
     are the side's real samples; at a prime they are the blocks of
     `_x_blocks`, each ended by a step mark (None), in which x = c + r p^j
@@ -569,7 +569,7 @@ def _square_points(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchCon
     which has no class.
     """
     data = curve.side_data(side)
-    p, dim = v.p, local_square_dim(v.p)
+    dim = local_square_dim(p)
     f_class = square_class_mask(data.delta.numerator, data.delta.denominator, p)
 
     def read(factors, n, d, mask, want):
@@ -585,7 +585,7 @@ def _square_points(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchCon
             want ^= c
         return mask, want
 
-    if p is None:  # f(x) > 0 at a real sample: one step, no factor zero
+    if not p:  # f(x) > 0 at a real sample: one step, no factor zero
         samples = list(data.real_samples)
         if rng:
             rng.shuffle(samples)
@@ -716,13 +716,13 @@ def _quadratic_blocks(curve: RichelotPair, side: str, p: int, cfg: SearchConfig)
         yield (a0, b0), [block(a0, j, units[:12]), alone(a0)], [block(b0, j, units[:12]), alone(b0)]
 
 
-def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfig,
+def _quadratic_candidates(curve: RichelotPair, side: str, p: int, cfg: SearchConfig,
                           known=()) -> Iterator[tuple[MumfordDivisor, int]]:
     """Certified quadratic divisors x^2 + a x + b with their masks, over the
     candidates of `_quadratic_blocks`, each (a, b) once.
 
     A candidate is dead, and skipped before its certificate, when it splits
-    over Q_v (disc(A) zero or a square), when its mask is in `known` (the
+    over Q_p (disc(A) zero or a square), when its mask is in `known` (the
     rule of every tier in `_point_tiers`), or when its slot classes multiply
     to a non-trivial class.  That product is the class of N(f mod A), which
     is prod Res(A, G_i) (prod Res(A, L_i) / Delta^2 on the codomain), and
@@ -736,9 +736,8 @@ def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: Se
     from its first candidate, and a b block whose class pairs are all dead
     for the current a is skipped whole.
     """
-    if v.p is None:
+    if not p:
         return  # conjugate pairs have trivial image over R
-    p = v.p
     d = local_square_dim(p)
     data = curve.side_data(side)
     dominant = _dominance(data, p)
@@ -796,12 +795,12 @@ def _quadratic_candidates(curve: RichelotPair, side: str, v: LocalPlace, cfg: Se
                                 masks[ka, kb] = m
                             if m < 0 or m in known:
                                 continue
-                        if _quadratic_certificate(data.f_form, an, bn, q, v):
+                        if _quadratic_certificate(data.f_form, an, bn, q, p):
                             yield MumfordDivisor.quadratic(Fraction(*a), Fraction(*b), side), m
                     yield None
 
 
-def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfig,
+def _point_tiers(curve: RichelotPair, side: str, p: int, cfg: SearchConfig,
                  known=()) -> list[Iterator[tuple[MumfordDivisor, int]]]:
     """Candidate divisors in tiers: torsion; single points (with the infinite
     point); pairs of found points; quadratic Mumford pairs.
@@ -823,8 +822,8 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
     """
     rng = random.Random(cfg.shuffle_seed) if cfg.shuffle_seed is not None else None
     data = curve.side_data(side)
-    masks, torsion = data.table(("torsion", v.p), lambda: _torsion_masks(
-        curve, side, lambda values: tuple_mask(values, v.p)))
+    masks, torsion = data.table(("torsion", p), lambda: _torsion_masks(
+        curve, side, lambda values: tuple_mask(values, p)))
 
     def torsion_tier():
         for D, m in torsion:
@@ -841,9 +840,9 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
         rng.shuffle(torsion)
 
     def singles_tier():
-        # a divisor {P, inf} needs the infinite point rational over Q_v; when
+        # a divisor {P, inf} needs the infinite point rational over Q_p; when
         # it is not, the tier still collects points for the pairs tier
-        inf_ok = side == DOMAIN or _codomain_infinity_rational(curve, v)
+        inf_ok = side == DOMAIN or _codomain_infinity_rational(curve, p)
         # a pair {P, Q} maps to the product of the points' slot classes, so
         # once the pool is full it wants one representative per new class; a
         # point of a class seen before then changes nothing, since its mask
@@ -851,7 +850,7 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
         def full():
             return len(pool) >= _POINT_POOL
 
-        for item in _square_points(curve, side, v, cfg, full, rng):
+        for item in _square_points(curve, side, p, cfg, full, rng):
             if not item:
                 yield item  # a step mark
                 continue
@@ -883,10 +882,10 @@ def _point_tiers(curve: RichelotPair, side: str, v: LocalPlace, cfg: SearchConfi
                 yield from ((MumfordDivisor.rational_pair(x1, x2, side), m1 ^ m2), None)
 
     return [torsion_tier(), singles_tier(), pairs_tier(),
-            _quadratic_candidates(curve, side, v, cfg, known)]
+            _quadratic_candidates(curve, side, p, cfg, known)]
 
 
-def _walk(curve: RichelotPair, side: str, v: LocalPlace,
+def _walk(curve: RichelotPair, side: str, v: int,
           cfg: SearchConfig) -> Iterator[Iterator[Optional[tuple[MumfordDivisor, int]]]]:
     """One side's search at one place: per round (cfg, then each of its
     cfg.escalations escalations) the tiers of `_point_tiers` with their step
@@ -902,7 +901,7 @@ def _walk(curve: RichelotPair, side: str, v: LocalPlace,
         config = config.escalate() if config else cfg
         grid = (config.residue_exponent, config.val_bound)
         bounds = ((), grid, grid,
-                  _quadratic_bounds(v.p, config) if v.p is not None else ())
+                  _quadratic_bounds(v, config) if v else ())
         tiers = _point_tiers(curve, side, v, config, known)
         yield _recorded(itertools.chain.from_iterable(
             [tier for tier, b, w in zip(tiers, bounds, walked) if b != w]), known)
@@ -943,7 +942,7 @@ HEURISTIC = "heuristic"
 class LocalImage:
     """The image of one kernel's local descent map as an F2 subgroup."""
 
-    place: LocalPlace
+    place: int
     side: str  # "phihat" (domain points) or "phi" (codomain points)
     basis: tuple[LocalKummerTriple, ...]
     witnesses: tuple[MumfordDivisor, ...]
@@ -957,10 +956,6 @@ class LocalImage:
         return gf2.Span(t.mask for t in self.basis)
 
 
-def _h1_dim(v: LocalPlace) -> int:
-    return 2 * local_square_dim(v.p)
-
-
 def _annihilate(img_a: list, img_b: list) -> bool:
     for ta, _ in img_a:
         for tb, _ in img_b:
@@ -969,7 +964,7 @@ def _annihilate(img_a: list, img_b: list) -> bool:
     return True
 
 
-def local_images(curve: RichelotPair, v: LocalPlace,
+def local_images(curve: RichelotPair, v: int,
                  cfg: SearchConfig = SearchConfig()) -> tuple[LocalImage, LocalImage]:
     """Both local descent images at v, certified against each other.
 
@@ -981,9 +976,9 @@ def local_images(curve: RichelotPair, v: LocalPlace,
     return curve.domain_data.table(("images", v, cfg), lambda: _search_images(curve, v, cfg))
 
 
-def _search_images(curve: RichelotPair, v: LocalPlace, cfg: SearchConfig) -> tuple:
+def _search_images(curve: RichelotPair, v: int, cfg: SearchConfig) -> tuple:
     curve.require_five_roots()
-    target = _h1_dim(v)
+    target = 2 * local_square_dim(v)  # dim H^1
     walks = {"phihat": _walk(curve, DOMAIN, v, cfg), "phi": _walk(curve, CODOMAIN, v, cfg)}
     found = {"phihat": [], "phi": []}  # side -> list of (triple, witness)
     spans = {"phihat": gf2.Span(), "phi": gf2.Span()}
@@ -1006,7 +1001,7 @@ def _search_images(curve: RichelotPair, v: LocalPlace, cfg: SearchConfig) -> tup
         for name in ("phihat", "phi"))
 
 
-def find_local_point(target, curve: RichelotPair, v: LocalPlace,
+def find_local_point(target, curve: RichelotPair, v: int,
                      cfg: SearchConfig = SearchConfig()) -> MumfordDivisor:
     """A domain divisor whose dual-kernel image equals `target` at v.
 
@@ -1019,10 +1014,10 @@ def find_local_point(target, curve: RichelotPair, v: LocalPlace,
     """
     t_local = target.restrict(v) if isinstance(target, KummerTriple) else target
     if t_local.place != v:
-        raise ValueError(f"target {t_local} does not live at {v}")
+        raise ValueError(f"target {t_local} does not live at {place_name(v)}")
     mask = t_local.mask
     for item in itertools.chain.from_iterable(_walk(curve, DOMAIN, v, cfg)):
         if item and item[1] == mask:  # None marks a step
             _checked_image(*item, curve, v)
             return item[0]
-    raise SearchExhausted(f"no divisor found with image {t_local} at {v}")
+    raise SearchExhausted(f"no divisor found with image {t_local} at {place_name(v)}")

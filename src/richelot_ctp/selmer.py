@@ -46,7 +46,7 @@ from . import gf2
 from .arith import PlaceSet, class_product, qs2_element, qs2_index, squarefree_reduce
 from .cohomology import KummerTriple, NormConditionError
 from .curve import RichelotPair
-from .localfield import LocalPlace, local_square_dim, places_of, square_class_mask
+from .localfield import local_square_dim, place_name, places_of, square_class_mask
 from .localpoints import CODOMAIN, DOMAIN, SearchConfig, _torsion_masks, local_images
 
 __all__ = ["SelmerGroup", "KernelCheckError", "torsion_images", "selmer_group"]
@@ -108,7 +108,7 @@ class SelmerGroup:
     known_point_basis: tuple[KummerTriple, ...]
     places: PlaceSet
     status: str
-    local_image_dims: tuple[tuple[LocalPlace, int], ...]
+    local_image_dims: tuple[tuple[int, int], ...]
 
     @property
     def dim(self) -> int:
@@ -203,8 +203,8 @@ def selmer_group(curve: RichelotPair, side: str, cfg: SearchConfig = SearchConfi
         imgs[v] = img.span()
         dims.append((v, img.dim))
         gen_masks = curve.domain_data.table(
-            ("generators", v), lambda: [square_class_mask(g, 1, v.p) for g in gens])
-        d = local_square_dim(v.p)
+            ("generators", v), lambda: [square_class_mask(g, 1, v) for g in gens])
+        d = local_square_dim(v)
         for j, c in enumerate(_local_columns(gen_masks, d, imgs[v])):
             columns[j] |= c << offset
         offset += 3 * d
@@ -215,7 +215,8 @@ def selmer_group(curve: RichelotPair, side: str, cfg: SearchConfig = SearchConfi
         t = _pair_triple(y, primes)
         for v in places:
             if t.restrict(v).mask not in imgs[v]:
-                raise KernelCheckError(f"kernel vector {t} is not in the local image at {v}")
+                raise KernelCheckError(
+                    f"kernel vector {t} is not in the local image at {place_name(v)}")
 
     known = torsion_images(curve, side)
     span = gf2.Span(_pair_index(t, primes) for t in known)

@@ -22,7 +22,7 @@ from .cohomology import (
 )
 from .ctp import ctp_global, ctp_matrix, local_row, rank_report
 from .curve import RichelotPair, build_pair, poly, weil_ephi
-from .localfield import LocalPlace, local_square_class, places_of
+from .localfield import local_square_class, place_name, places_of
 from .localpoints import SearchConfig
 from .selmer import selmer_group, torsion_images
 
@@ -79,7 +79,7 @@ _SEL_PHIHAT = [(2 * K, -14 * K, -7), (K, 7, 7 * K), (K, K, 1), (2, 2, 1), (1, 7,
 _SEL_PHI = [(K, -7 * K, -7), (2 * K, 7, 14 * K), (K, 1, K)]
 
 
-def _same_local_classes(t, expected, v: LocalPlace) -> bool:
+def _same_local_classes(t, expected, v: int) -> bool:
     """Does the local tuple t have the classes at v of the expected values?"""
     return t.slots() == [local_square_class(b, v) for b in expected]
 
@@ -103,7 +103,7 @@ def run_verification(cfg: SearchConfig = SearchConfig(),
     check("codomain L2", curve.L[1] == poly([-5 * K * K, 4 * K, 1]), f"got {curve.L[1]}")
     check("codomain L3", curve.L[2] == poly([12 * K * K, -4 * K, -1]), f"got {curve.L[2]}")
     S = bad_places(curve)
-    check("bad places", [str(v) for v in places_of(S)] == ["oo", "2", "3", "7", "113"],
+    check("bad places", [place_name(v) for v in places_of(S)] == ["oo", "2", "3", "7", "113"],
           f"got {S}")
 
     # kernel pairing table
@@ -147,12 +147,12 @@ def run_verification(cfg: SearchConfig = SearchConfig(),
         a = KummerTriple.of(*a_vals)
         ok, why = True, ""
         for v in places_of(S):
-            expected = cols[str(v)]
+            expected = cols[place_name(v)]
             row = local_row(a, curve, v, cfg)
             if expected is None:
                 if not (row.delta2.is_trivial() and row.difference.is_trivial()
                         and row.rho.is_trivial()):
-                    ok, why = False, f"expected identity column at v={v}"
+                    ok, why = False, f"expected identity column at v={place_name(v)}"
                     break
             else:
                 _, d2row, liftrow, diffrow, rhorow = expected
@@ -160,7 +160,7 @@ def run_verification(cfg: SearchConfig = SearchConfig(),
                         and _same_local_classes(row.lift, liftrow, v)
                         and _same_local_classes(row.difference, diffrow, v)
                         and _same_local_classes(row.rho, rhorow, v)):
-                    ok, why = False, f"row mismatch at v={v}"
+                    ok, why = False, f"row mismatch at v={place_name(v)}"
                     break
         check(f"local table for {a}", ok, why)
 

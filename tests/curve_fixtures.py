@@ -90,13 +90,13 @@ def quadratic_mumford_certificate(f, A, v) -> bool:
 
 
 def class_bits(m: int, p) -> tuple[int, ...]:
-    """The F2 coordinates of the class with mask m at p, None being oo: bit
+    """The F2 coordinates of the class with mask m at p, 0 being oo: bit
     i of m for i below the dimension of a class there (`local_square_dim`)."""
     return tuple(m >> i & 1 for i in range(local_square_dim(p)))
 
 
 def square_class_bits(n: int, d: int, p) -> tuple[int, ...]:
-    """The F2 coordinates of the class of n/d (nonzero ints) at p, None
+    """The F2 coordinates of the class of n/d (nonzero ints) at p, 0
     being oo: `square_class_mask` unpacked."""
     return class_bits(square_class_mask(n, d, p), p)
 

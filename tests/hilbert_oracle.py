@@ -7,7 +7,7 @@ check against it.
 
 from fractions import Fraction
 
-from richelot_ctp.localfield import LocalPlace, valuation
+from richelot_ctp.localfield import valuation
 
 
 class OracleInconclusive(Exception):
@@ -36,8 +36,9 @@ def _int_valuation(n: int, p: int, cap: int) -> int:
 _EXHAUSTIVE_CAP = 512  # run the residue exhaustion only while p^depth stays this small
 
 
-def hilbert_oracle(a, b, v: LocalPlace, depth: int = 6) -> int:
-    """Decide solvability of z^2 = a x^2 + b y^2 over Q_v by search.
+def hilbert_oracle(a, b, p: int, depth: int = 6) -> int:
+    """Decide solvability of z^2 = a x^2 + b y^2 over Q_p by search (p = 0
+    being the real place).
 
     Independent of the closed form.  At the real place this is a sign
     exhaustion.  At finite places with p^depth <= 512 it enumerates residue
@@ -51,8 +52,7 @@ def hilbert_oracle(a, b, v: LocalPlace, depth: int = 6) -> int:
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("oracle needs nonzero arguments")
-    p = v.p
-    if p is None:
+    if not p:
         return -1 if (a < 0 and b < 0) else 1
     # scale by squares so valuations are 0 or 1 (conic solutions transform by
     # rescaling one coordinate, so the answer is unchanged)

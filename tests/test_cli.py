@@ -179,12 +179,10 @@ def test_ctp_places_filter_marks_partial(curve_file, capsys):
         assert set(bd) <= {"3", "113"}
     # the partial report is a view of the matrix over the chosen places
     from richelot_ctp.ctp import ctp_matrix
-    from richelot_ctp.localfield import LocalPlace
     from richelot_ctp.selmer import selmer_group
     from richelot_ctp.verify import example_curve
     curve = example_curve()
-    M = ctp_matrix(selmer_group(curve, "phihat"), curve,
-                   places=[LocalPlace.finite(3), LocalPlace.finite(113)])
+    M = ctp_matrix(selmer_group(curve, "phihat"), curve, places=[3, 113])
     assert report["matrix"]["entries"] == [list(r) for r in M.entries]
     assert report["matrix"]["per_place"] == {
         f"{i},{j}": bd for (i, j), bd in M.breakdown.items()}

@@ -23,7 +23,7 @@ from richelot_ctp.ctp import (
     ctp_matrix,
     rank_report,
 )
-from richelot_ctp.localfield import LocalPlace, places_of
+from richelot_ctp.localfield import place_name, places_of
 from richelot_ctp.localpoints import (
     SearchConfig,
     SearchExhausted,
@@ -102,15 +102,15 @@ def test_searched_points_pair_like_the_image_witnesses(label):
             for j, b in enumerate(M.basis):
                 assert (_direct_formula_local(P_v, b, curve, v)
                         == cup_invariant(row.rho, b.restrict(v))
-                        == M.breakdown[i, j][str(v)]), (str(a), str(b), str(v))
+                        == M.breakdown[i, j][place_name(v)]), (str(a), str(b), place_name(v))
             checked += 1
     assert checked
 
 
 def test_ctp_local_values(curve113):
-    assert ctp_local(T1, T2, curve113, LocalPlace.finite(3)) == 1
-    assert ctp_local(T1, T2, curve113, LocalPlace.finite(113)) == 0
-    assert ctp_local(T1, KummerTriple.of(1, 1, 1), curve113, LocalPlace.finite(3)) == 0
+    assert ctp_local(T1, T2, curve113, 3) == 1
+    assert ctp_local(T1, T2, curve113, 113) == 0
+    assert ctp_local(T1, KummerTriple.of(1, 1, 1), curve113, 3) == 0
 
 
 def test_ctp_global_values(curve113):
@@ -159,10 +159,10 @@ def test_a_warm_matrix_restricts_each_basis_element_once_per_place(matrix, count
     first = ctp_matrix(sel, curve, basis=REFERENCE_BASIS)
     assert (first.entries, first.breakdown) == (matrix.entries, matrix.breakdown)
     assert sum(len(r.P_v) for rows in first.rows for r in rows) == 27
-    witnesses = {(w, r.place.p) for rows in first.rows for r in rows for w in r.P_v}
+    witnesses = {(w, r.place) for rows in first.rows for r in rows for w in r.P_v}
     assert len(witnesses) == 14
     for v in places_of(curve.bad_places):
-        assert calls[v.p] == 5 * 3 + 5 * sum(p == v.p for _, p in witnesses), str(v)
+        assert calls[v] == 5 * 3 + 5 * sum(p == v for _, p in witnesses), place_name(v)
     assert len(calls) == 5 and sum(calls.values()) == 145
     calls.clear()
     again = ctp_matrix(sel, curve, basis=REFERENCE_BASIS)
@@ -179,7 +179,7 @@ def test_a_matrix_computes_each_witness_quintuple_image_once_per_place(monkeypat
     mu_two = ctp.mu_two
 
     def counted(D, curve, v=None):
-        calls[(D, str(v))] += 1
+        calls[(D, place_name(v))] += 1
         return mu_two(D, curve, v)
 
     monkeypatch.setattr(ctp, "mu_two", counted)
@@ -201,7 +201,7 @@ def test_each_local_row_takes_a_local_point_below_its_class(curve113, matrix, pl
     from richelot_ctp.localfield import is_local_square
     from richelot_ctp.localpoints import mu_phihat, mu_two
     for a, rows in zip(matrix.basis, matrix.rows):
-        (row,) = [r for r in rows if str(r.place) == place]
+        (row,) = [r for r in rows if place_name(r.place) == place]
         v = row.place
         assert reduce(mul, (mu_phihat(w, curve113, v) for w in row.P_v)) == a.restrict(v)
         assert reduce(mul, (mu_two(w, curve113, v) for w in row.P_v)) == row.delta2
@@ -212,7 +212,7 @@ def test_each_local_row_takes_a_local_point_below_its_class(curve113, matrix, pl
 def test_a_class_outside_the_local_image_raises(curve113):
     # (1, 3, 3) is no local image class at 113: 3 is a nonresidue there,
     # and the image is spanned by (113, 113, 1) and (113, 1, 113)
-    v = LocalPlace.finite(113)
+    v = 113
     outside = KummerTriple.of(1, 3, 3)
     with pytest.raises(NotInImageError, match=r"\(1, 3, 3\).* at 113"):
         ctp_local(outside, T1, curve113, v)
@@ -297,7 +297,7 @@ def test_pairing_places_factor_only_what_s_leaves_of_a_slot(count_calls):
     assert not calls
     lift = lift_phihat_to_two(a) * psi_phi_to_two(KummerTriple((10007, 10007, 1)))
     assert lift.values == (-big, 1, 2 * big, 10007, -2 * 10007)
-    assert _pairing_places(curve, a, a2, lift) == places_of(S) + [LocalPlace.finite(10007)]
+    assert _pairing_places(curve, a, a2, lift) == places_of(S) + [10007]
     assert calls == {10007: 2}
 
 

@@ -7,7 +7,9 @@ report less its `local_tables` is pinned apart: a local row depends on the
 local points it is built from, but the Selmer groups, the matrix, the
 descent and the status do not.  Text-mode `ctp` is pinned too, on a few
 curves: its tables print the class representatives of every local row.
-`isogeny` is pinned in both modes: it prints the kernel divisors.
+`isogeny` is pinned in both modes: it prints the kernel divisors.  So are
+partial `ctp --places` runs and the exit-2 error of a name that is no bad
+place, which name the places they keep and list.
 """
 
 import hashlib
@@ -215,6 +217,37 @@ def test_ctp_text_bytes_are_pinned(label, tmp_path, capsys):
         path = FIXTURES / f"{label}.json"
     code = main(["ctp", str(path)])
     assert (code, sha256(capsys.readouterr().out)) == (0, TEXT_SHA256[label])
+
+
+# partial `ctp --places` runs, whose tables and per-place entries name only
+# the chosen places, and the exit-2 error naming the bad places: (curve,
+# flags) -> (exit code, stdout hash, stderr hash)
+PARTIAL_SHA256 = {
+    ("k=113", "--places oo,3,113 --json"): (
+        0, "1da1dbb430a23316b37ca9290f1f95d92dbd0d4df32c4719d4ce92075a17b74a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("k=113", "--places oo,3,113"): (
+        0, "a411dda93d8dcf251e03cad942367e4d4545a633be7cf43809183592aa4d5eb2",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("R15", "--places oo,2 --json"): (
+        0, "72a39539dcfc80de4223af646269fcd6c33f8b464dd96b4e1155fc49cc3e6649",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("k=113", "--places 2,nope"): (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "1733cdf0e9d056152b435ebe23c8a52e7090387e90b066f62267a7a2d07c9e23"),
+}
+
+
+@pytest.mark.parametrize("label, flags", sorted(PARTIAL_SHA256))
+def test_partial_ctp_bytes_are_pinned(label, flags, tmp_path, capsys):
+    if label in CURVES:
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(CURVES[label]))
+    else:
+        path = FIXTURES / f"{label}.json"
+    code = main(["ctp", str(path), *flags.split()])
+    out, err = capsys.readouterr()
+    assert (code, sha256(out), sha256(err)) == PARTIAL_SHA256[label, flags]
 
 
 # `isogeny` output, which names the kernel divisors P_i and P_i' of both

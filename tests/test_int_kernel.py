@@ -39,12 +39,12 @@ from richelot_ctp.curve import (
     rational_sqrt,
 )
 from richelot_ctp.localfield import (
-    LocalPlace,
     _legendre,
     _smallest_nonresidue,
     hilbert_symbol,
     is_local_square,
     local_square_class,
+    place_name,
     places_of,
     sqrt_mod_pk,
     square_class_mask,
@@ -72,7 +72,7 @@ from richelot_ctp.localpoints import (
 from test_search_oracle import flat_feed
 
 PRIMES = (2, 3, 1009, 10007)
-PLACES = [LocalPlace.infinite()] + [LocalPlace.finite(p) for p in PRIMES]
+PLACES = [0, *PRIMES]
 OTHER = (1, 3, 5, 7, 11, 13, 1009, 10007)
 ROUNDS = [SearchConfig(), SearchConfig().escalate(), SearchConfig().escalate().escalate()]
 
@@ -98,8 +98,8 @@ def fraction_horner(f, x):
 
 def reference_class(x, v):
     x = Fraction(x)
-    p = v.p
-    if p is None:
+    p = v
+    if not p:
         return (1 if x < 0 else 0,)
     val = valuation(x, p)
     if p == 2:
@@ -111,8 +111,8 @@ def reference_class(x, v):
 
 def reference_hilbert(a, b, v):
     a, b = Fraction(a), Fraction(b)
-    p = v.p
-    if p is None:
+    p = v
+    if not p:
         return -1 if (a < 0 and b < 0) else 1
     alpha, beta = valuation(a, p), valuation(b, p)
     if p == 2:
@@ -175,7 +175,7 @@ def reference_quintuple_values(D, curve):
 def reference_certificate(f, a, b, v, prec=80):
     u, w = reference_mod_quadratic(f, a, b)
     disc = a * a - 4 * b
-    if v.p is None:
+    if not v:
         return not (u == 0 and w == 0)
     if u == 0:
         if w == 0:
@@ -189,7 +189,7 @@ def reference_certificate(f, a, b, v, prec=80):
     if n is not None:
         return any(t != 0 and reference_is_square(t, v)
                    for t in (tr + 2 * n, tr - 2 * n))
-    p = v.p
+    p = v
     n_pad = PadicApprox.from_rational(norm, p, prec).sqrt()
     tr_pad = PadicApprox.from_rational(tr, p, prec)
     two = PadicApprox.from_rational(2, p, prec)
@@ -204,7 +204,7 @@ def reference_certificate(f, a, b, v, prec=80):
 def random_rational(rng, p, zero_ok=False):
     """A signed rational whose numerator and denominator mix powers of p
     (2 at the real place) with other primes and large cofactors."""
-    q = 2 if p is None else p
+    q = p or 2
     n = rng.randint(0 if zero_ok else 1, 10 ** rng.randint(1, 25)) * q ** rng.randint(0, 5)
     d = rng.randint(1, 10 ** rng.randint(0, 15)) * q ** rng.randint(0, 5) * rng.choice(OTHER)
     return Fraction(rng.choice((-1, 1)) * n, d)
@@ -224,14 +224,14 @@ CURVE_POLYS = (list(FRACTIONAL.G) + list(FRACTIONAL.L) + [FRACTIONAL.f, FRACTION
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("v", PLACES, ids=str)
+@pytest.mark.parametrize("v", PLACES, ids=place_name)
 def test_poly_eval_matches_fraction_horner(v):
-    rng = random.Random(f"poly_eval {v}")
-    polys = [random_poly(rng, v.p, deg) for deg in range(7) for _ in range(8)]
+    rng = random.Random(f"poly_eval {place_name(v)}")
+    polys = [random_poly(rng, v, deg) for deg in range(7) for _ in range(8)]
     polys += CURVE_POLYS + [(), (Fraction(5, 3),)]
     for f in polys:
         for _ in range(12):
-            x = random_rational(rng, v.p, zero_ok=True)
+            x = random_rational(rng, v, zero_ok=True)
             assert poly_eval(f, x) == fraction_horner(f, x)
         assert poly_eval(f, 7) == fraction_horner(f, Fraction(7))
 
@@ -260,53 +260,52 @@ def test_homogenized_eval_is_the_homogenized_fraction_horner(degree):
     assert {n for _, n, _ in cases} >= {-4, 0, 4} and any(d > 10 ** 30 for *_, d in cases)
 
 
-@pytest.mark.parametrize("v", PLACES, ids=str)
+@pytest.mark.parametrize("v", PLACES, ids=place_name)
 def test_square_class_matches_valuation_and_unit_residue(v):
-    rng = random.Random(f"square class {v}")
+    rng = random.Random(f"square class {place_name(v)}")
     for _ in range(800):
-        x = random_rational(rng, v.p)
-        assert class_bits(local_square_class(x, v), v.p) == reference_class(x, v)
+        x = random_rational(rng, v)
+        assert class_bits(local_square_class(x, v), v) == reference_class(x, v)
         # the kernel also reads classes off unreduced and negative-denominator
         # pairs such as (acc, den d^k)
-        k = rng.choice((-1, 1)) * rng.randint(1, 10 ** 6) * (v.p or 2) ** rng.randint(0, 3)
-        assert square_class_bits(x.numerator * k, x.denominator * k, v.p) == reference_class(x, v)
+        k = rng.choice((-1, 1)) * rng.randint(1, 10 ** 6) * (v or 2) ** rng.randint(0, 3)
+        assert square_class_bits(x.numerator * k, x.denominator * k, v) == reference_class(x, v)
     for n in (1, -1, 2, -2, 3, 5, 7, 8, 12, -1009, 10007 * 4):
-        assert class_bits(local_square_class(n, v), v.p) == reference_class(n, v)
-    assert class_bits(local_square_class("3/4", v), v.p) == reference_class(Fraction(3, 4), v)
+        assert class_bits(local_square_class(n, v), v) == reference_class(n, v)
+    assert class_bits(local_square_class("3/4", v), v) == reference_class(Fraction(3, 4), v)
     with pytest.raises(ValueError):
         local_square_class(0, v)
     with pytest.raises(ValueError):
-        square_class_bits(0, 5, v.p)
+        square_class_bits(0, 5, v)
 
 
 # the packed class is the reference class's bits in one int, on seeded n/d
 # with either sign, p dividing neither, one or both, to powers up to p^12
-@pytest.mark.parametrize("v", [LocalPlace.infinite()] + [
-    LocalPlace.finite(p) for p in (2, 3, 5, 23, 1009)], ids=str)
+@pytest.mark.parametrize("v", [0, 2, 3, 5, 23, 1009], ids=place_name)
 def test_square_class_mask_is_the_packed_reference_class(v):
-    rng = random.Random(f"square class mask {v}")
-    q = v.p or 2
+    rng = random.Random(f"square class mask {place_name(v)}")
+    q = v or 2
     cases = collections.Counter()
     for _ in range(1000):
         n = (rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(1, 30))
              * q ** rng.choice((0, 0, rng.randint(1, 12))))
         d = rng.randint(1, 10 ** rng.randint(0, 20)) * q ** rng.choice((0, 0, rng.randint(1, 12)))
         want = class_mask([reference_class(Fraction(n, d), v)])
-        assert square_class_mask(n, d, v.p) == want, (n, d)
-        assert square_class_mask(-n, -d, v.p) == want, (n, d)  # a negative denominator
-        assert square_class_bits(n, d, v.p) == reference_class(Fraction(n, d), v)
+        assert square_class_mask(n, d, v) == want, (n, d)
+        assert square_class_mask(-n, -d, v) == want, (n, d)  # a negative denominator
+        assert square_class_bits(n, d, v) == reference_class(Fraction(n, d), v)
         cases[n < 0, n % q == 0, d % q == 0] += 1
     assert len(cases) == 8, cases
     for n, d in ((0, 5), (-3, 0), (0, 0)):
         with pytest.raises(ValueError):
-            square_class_mask(n, d, v.p)
+            square_class_mask(n, d, v)
 
 
-@pytest.mark.parametrize("v", PLACES, ids=str)
+@pytest.mark.parametrize("v", PLACES, ids=place_name)
 def test_hilbert_symbol_matches_the_old_closed_form(v):
-    rng = random.Random(f"hilbert {v}")
+    rng = random.Random(f"hilbert {place_name(v)}")
     for _ in range(800):
-        a, b = random_rational(rng, v.p), random_rational(rng, v.p)
+        a, b = random_rational(rng, v), random_rational(rng, v)
         assert hilbert_symbol(a, b, v) == reference_hilbert(a, b, v)
     small = [Fraction(n) for n in (-7, -5, -3, -2, -1, 1, 2, 3, 5, 6, 7)]
     for a in small:
@@ -327,7 +326,6 @@ def random_quadratic(rng, p, kind):
 @pytest.mark.parametrize("p", (2, 3, 5, 17, 257, 1009))
 def test_quadratic_kernel_matches_fraction_references(p):
     rng = random.Random(f"quadratic {p}")
-    v = LocalPlace.finite(p)
     polys = CURVE_POLYS + [random_poly(rng, p, deg) for deg in (2, 5, 6) for _ in range(3)]
     agree = collections.Counter()
     for f in polys:
@@ -340,8 +338,8 @@ def test_quadratic_kernel_matches_fraction_references(p):
                 for L in ((Fraction(-3), Fraction(1)), f[:3]):
                     got = _res2(*A, poly_integer_form(L))
                     assert Fraction(*got) == reference_res2(a, b, L)
-                want = reference_certificate(f, a, b, v)
-                assert quadratic_mumford_certificate(f, (a, b), v) == want, (f, a, b)
+                want = reference_certificate(f, a, b, p)
+                assert quadratic_mumford_certificate(f, (a, b), p) == want, (f, a, b)
                 agree[kind, want] += 1
     # every kind of A both passes and fails the certificate
     assert len(agree) == 6, agree
@@ -354,17 +352,16 @@ def test_quadratic_certificate_runs_out_of_digits_like_the_reference(p):
     # with it, and where it runs out, the exact certificate is the 80-digit
     # reference's answer
     rng = random.Random(f"low precision {p}")
-    v = LocalPlace.finite(p)
     outcomes = collections.Counter()
     for f in CURVE_POLYS:
         for _ in range(40):
             a, b = random_rational(rng, p, zero_ok=True), random_rational(rng, p)
-            got = quadratic_mumford_certificate(f, (a, b), v)
+            got = quadratic_mumford_certificate(f, (a, b), p)
             try:
-                want = reference_certificate(f, a, b, v, rng.choice((1, 2, 3, 4)))
+                want = reference_certificate(f, a, b, p, rng.choice((1, 2, 3, 4)))
                 outcomes[want] += 1
             except InsufficientPrecision:
-                want = reference_certificate(f, a, b, v)
+                want = reference_certificate(f, a, b, p)
                 outcomes[InsufficientPrecision] += 1
             assert got == want, (f, a, b)
     assert set(outcomes) == {True, False, InsufficientPrecision}
@@ -377,7 +374,6 @@ def test_quadratic_certificate_is_exact_where_24_digits_run_out(p):
     # deeply: the 24-digit reference runs out of digits on some of these,
     # and the exact certificate is the 80-digit reference's answer on all
     rng = random.Random(f"deep cancellation {p}")
-    v = LocalPlace.finite(p)
     outcomes = collections.Counter()
     for _ in range(400):
         k, c = rng.randint(0, 16), rng.randint(-30, 30)
@@ -386,10 +382,10 @@ def test_quadratic_certificate_is_exact_where_24_digits_run_out(p):
         b1, b0 = Fraction(rng.randint(1, 40), rng.choice((1, 5, 11))), rng.randint(-40, 40)
         f = tuple(y + rng.randint(-3, 3) * Fraction(p) ** rng.randint(0, 40)
                   for y in (b0 * b0, 2 * b1 * b0)) + (b1 * b1,)
-        want = reference_certificate(f, a, b, v)
-        assert quadratic_mumford_certificate(f, (a, b), v) == want, (f, a, b)
+        want = reference_certificate(f, a, b, p)
+        assert quadratic_mumford_certificate(f, (a, b), p) == want, (f, a, b)
         try:
-            reference_certificate(f, a, b, v, 24)
+            reference_certificate(f, a, b, p, 24)
             outcomes[want] += 1
         except InsufficientPrecision:
             outcomes[InsufficientPrecision] += 1
@@ -422,20 +418,19 @@ def test_sqrt_mod_pk_is_a_truncated_root(p):
                          ids=["A257@257", "irrational@7", "irrational@3"])
 @pytest.mark.parametrize("side", [DOMAIN, CODOMAIN])
 def test_singles_factor_xor_decides_like_evaluating_f(curve, p, side):
-    v = LocalPlace.finite(p)
     f = curve.f if side == DOMAIN else curve.fhat
     polys = curve.G if side == DOMAIN else curve.L
-    xs = flat_feed(curve, side, v, SearchConfig())
+    xs = flat_feed(curve, side, p, SearchConfig())
     expected = []
     for n, d in xs:
         x = Fraction(n, d)
         fx = poly_eval(f, x)
-        if fx != 0 and is_local_square(fx, v):
-            assert reference_is_square(fraction_horner(f, x), v)
-            expected.append((x, class_mask(reference_class(fraction_horner(g, x), v)
+        if fx != 0 and is_local_square(fx, p):
+            assert reference_is_square(fraction_horner(f, x), p)
+            expected.append((x, class_mask(reference_class(fraction_horner(g, x), p)
                                            for g in polys)))
     # the reader without a cut walks every x of the flat feed, in its order
-    read = list(_square_points(curve, side, v, SearchConfig()))
+    read = list(_square_points(curve, side, p, SearchConfig()))
     got = [(Fraction(n, d), mask) for n, d, mask in filter(None, read)]
     assert got == expected
     # one step mark per block
@@ -453,7 +448,6 @@ def check_x_blocks(curve, cfg):
     number of blocks with every factor dominated, with some, and with none."""
     counts = collections.Counter()
     for p in bad_places(curve).finite_primes:
-        v = LocalPlace.finite(p)
         units = _unit_residues(p, cfg.residue_exponent)
         for side in (DOMAIN, CODOMAIN):
             polys = curve.G if side == DOMAIN else curve.L
@@ -470,8 +464,8 @@ def check_x_blocks(curve, cfg):
                             y = fraction_horner(g, Fraction(n, d))
                             where = (p, side, str(c), j, r, i)
                             assert y != 0, where
-                            got = by_class.setdefault((i, unit_class), reference_class(y, v))
-                            assert got == reference_class(y, v), where
+                            got = by_class.setdefault((i, unit_class), reference_class(y, p))
+                            assert got == reference_class(y, p), where
     return counts
 
 
@@ -555,7 +549,7 @@ def test_the_dominated_flags_are_computed_once_per_side_prime_and_terms(monkeypa
         return generic(terms, js)
 
     monkeypatch.setattr(lp, "_generic", counted)
-    v = LocalPlace.finite(23)
+    v = 23
 
     def fresh_b97():
         return build_pair(1, [0, 1], [2, -3, 1], [5 * 97, -(5 + 97), 1])
@@ -735,7 +729,6 @@ def check_quadratic_blocks(curve, configs, rule=_generic):
     for p in bad_places(curve).finite_primes:
         if p == 2:
             continue
-        v = LocalPlace.finite(p)
         for side in (DOMAIN, CODOMAIN):
             data = curve.side_data(side)
             checked = set()
@@ -760,12 +753,12 @@ def check_quadratic_blocks(curve, configs, rule=_generic):
                             continue
                         where = (p, side, str(a), str(b))
                         assert a * a - 4 * b != 0, where
-                        read = (local_square_class(a * a - 4 * b, v),)
+                        read = (local_square_class(a * a - 4 * b, p),)
                         if all_rule:
                             an, bn, q = _common_denominator(a.as_integer_ratio(),
                                                             b.as_integer_ratio())
                             assert all(_res2(an, bn, q, form)[0] for form in data.forms), where
-                            classes = (local_square_class(Fraction(n, d), v)
+                            classes = (local_square_class(Fraction(n, d), p)
                                        for n, d in data.quadratic_values(a, b))
                             read += (class_mask(class_bits(c, p) for c in classes),)
                         assert reads.setdefault(pair, read) == read, where
@@ -802,7 +795,6 @@ def test_the_norm_is_a_square_exactly_when_the_slot_classes_multiply_to_1(label)
     curve = QUADRATIC_CURVES[label]
     outcomes = collections.Counter()
     for p in bad_places(curve).finite_primes:
-        v = LocalPlace.finite(p)
         d = 3 if p == 2 else 2
         for side in (DOMAIN, CODOMAIN):
             data = curve.side_data(side)
@@ -810,7 +802,7 @@ def test_the_norm_is_a_square_exactly_when_the_slot_classes_multiply_to_1(label)
                 for a, b, _ in candidates:
                     an, bn, q = _common_denominator(a.as_integer_ratio(), b.as_integer_ratio())
                     disc = an * an - 4 * bn * q
-                    if b == 0 or disc == 0 or reference_is_square(disc, v):
+                    if b == 0 or disc == 0 or reference_is_square(disc, p):
                         continue
                     U, W, _ = _mod_quadratic_ints(data.f_form, an, bn, q)
                     nn = q * (q * W * W - an * U * W + bn * U * U)
@@ -821,7 +813,7 @@ def test_the_norm_is_a_square_exactly_when_the_slot_classes_multiply_to_1(label)
                         # takes the product of the other two
                         assert nn == 0 and trivial, (p, side, str(a), str(b))
                         continue
-                    assert nn != 0 and reference_is_square(nn, v) == trivial, (p, side, a, b)
+                    assert nn != 0 and reference_is_square(nn, p) == trivial, (p, side, a, b)
                     outcomes[trivial] += 1
     assert outcomes[True] and outcomes[False], outcomes
 
@@ -839,8 +831,8 @@ def test_quintuple_slot_values_match_the_fraction_evaluator(label):
         for D in walked + _torsion_divisors(curve, DOMAIN):
             want = reference_quintuple_values(D, curve)
             got = tuple(Fraction(n, d) for n, d in _slot_values(D, curve, curve.two_data))
-            assert got == tuple(want), (str(D), str(v))
-            assert mu_two(D, curve, v) == LocalKummerQuintuple.of(want, v), (str(D), str(v))
+            assert got == tuple(want), (str(D), place_name(v))
+            assert mu_two(D, curve, v) == LocalKummerQuintuple.of(want, v), (str(D), place_name(v))
             tags.add(D.tag)
     # the walks of k2431 yield two-torsion only; the other curves' walks
     # yield every kind of point, and six of them quadratics as well

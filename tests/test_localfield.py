@@ -7,19 +7,19 @@ from curve_fixtures import class_bits
 from hilbert_oracle import OracleInconclusive, hilbert_oracle
 from padic_oracle import DEFAULT_PADIC_DIGITS, InsufficientPrecision, PadicApprox
 from richelot_ctp.localfield import (
-    LocalPlace,
     class_representative,
     hilbert_bits,
     hilbert_symbol,
     is_local_square,
     local_square_class,
     local_square_dim,
+    place_name,
     valuation,
 )
 
-OO = LocalPlace.infinite()
-V2 = LocalPlace.finite(2)
-V3 = LocalPlace.finite(3)
+OO = 0
+V2 = 2
+V3 = 3
 
 
 def brute_is_square(x, p, digits=12):
@@ -44,7 +44,7 @@ def test_local_square_class_examples():
 
 def test_local_square_class_group_orders():
     for v, order in ((V3, 4), (V2, 8), (OO, 2)):
-        seen = {class_bits(local_square_class(n, v), v.p) for n in range(-50, 50) if n}
+        seen = {class_bits(local_square_class(n, v), v) for n in range(-50, 50) if n}
         assert len(seen) == order
 
 
@@ -53,12 +53,12 @@ def test_local_square_agrees_with_brute_force():
     for _ in range(300):
         q = Fraction(rng.randint(-400, 400) or 7, rng.randint(1, 120))
         for p in (2, 3, 5, 7, 113):
-            assert is_local_square(q, LocalPlace.finite(p)) == brute_is_square(q, p)
+            assert is_local_square(q, p) == brute_is_square(q, p)
 
 
 def test_ratio_square_iff_same_class():
     rng = random.Random(23)
-    vs = [OO, V2, V3, LocalPlace.finite(113)]
+    vs = [OO, V2, V3, 113]
     for _ in range(150):
         a = Fraction(rng.randint(-200, 200) or 3, rng.randint(1, 50))
         b = Fraction(rng.randint(-200, 200) or 5, rng.randint(1, 50))
@@ -71,9 +71,9 @@ def test_representative_is_in_class():
     rng = random.Random(29)
     for _ in range(200):
         q = Fraction(rng.randint(-300, 300) or 11, rng.randint(1, 40))
-        for v in (OO, V2, V3, LocalPlace.finite(7), LocalPlace.finite(113)):
+        for v in (OO, V2, V3, 7, 113):
             c = local_square_class(q, v)
-            assert local_square_class(class_representative(c, v.p), v) == c
+            assert local_square_class(class_representative(c, v), v) == c
 
 
 # -- Hilbert symbol -----------------------------------------------------------
@@ -81,8 +81,8 @@ def test_representative_is_in_class():
 
 def test_hilbert_symbol_spec_values():
     assert hilbert_symbol(-1, -1, OO) == -1
-    assert hilbert_symbol(2, 7, LocalPlace.finite(7)) == 1
-    assert hilbert_symbol(3, 7, LocalPlace.finite(7)) == -1
+    assert hilbert_symbol(2, 7, 7) == 1
+    assert hilbert_symbol(3, 7, 7) == -1
     assert hilbert_symbol(-1, -1, V2) == -1
 
 
@@ -100,7 +100,7 @@ def _random_rationals(rng, n):
 
 def test_hilbert_symmetry_and_bimultiplicativity():
     rng = random.Random(31)
-    places = [OO, V2, V3, LocalPlace.finite(5), LocalPlace.finite(7), LocalPlace.finite(113)]
+    places = [OO, V2, V3, 5, 7, 113]
     xs = _random_rationals(rng, 40)
     for _ in range(300):
         a, b, c = rng.choice(xs), rng.choice(xs), rng.choice(xs)
@@ -111,7 +111,7 @@ def test_hilbert_symmetry_and_bimultiplicativity():
 
 def test_hilbert_minus_a_and_one_minus_a():
     rng = random.Random(37)
-    places = [OO, V2, V3, LocalPlace.finite(7), LocalPlace.finite(113)]
+    places = [OO, V2, V3, 7, 113]
     xs = [x for x in _random_rationals(rng, 60) if x not in (0, 1)]
     for a in xs:
         for v in places:
@@ -136,7 +136,7 @@ def test_hilbert_product_formula():
             if n > 1:
                 supp.add(n)
         for p in sorted(supp):
-            prod *= hilbert_symbol(a, b, LocalPlace.finite(p))
+            prod *= hilbert_symbol(a, b, p)
         assert prod == 1
 
 
@@ -146,8 +146,7 @@ def test_hilbert_product_formula():
 def test_oracle_spec_examples():
     assert hilbert_oracle(1, 1, V3, depth=3) == 1
     assert hilbert_oracle(-1, -1, V2, depth=6) == -1
-    v5 = LocalPlace.finite(5)
-    assert hilbert_oracle(5, 3, v5, depth=3) == hilbert_symbol(5, 3, v5)
+    assert hilbert_oracle(5, 3, 5, depth=3) == hilbert_symbol(5, 3, 5)
 
 
 def test_oracle_paths_agree_with_each_other():
@@ -156,52 +155,51 @@ def test_oracle_paths_agree_with_each_other():
     rng = random.Random(97)
     xs = _random_rationals(rng, 40)
     for p in (3, 5, 7):
-        v = LocalPlace.finite(p)
         exhaustive_depth = {3: 4, 5: 3, 7: 3}[p]
         for _ in range(120):
             a, b = rng.choice(xs), rng.choice(xs)
-            want = hilbert_symbol(a, b, v)
+            want = hilbert_symbol(a, b, p)
             try:
-                got1 = hilbert_oracle(a, b, v, depth=exhaustive_depth)
+                got1 = hilbert_oracle(a, b, p, depth=exhaustive_depth)
             except OracleInconclusive:
-                got1 = hilbert_oracle(a, b, v, depth=exhaustive_depth + 2)
-            got2 = hilbert_oracle(a, b, v, depth=12)  # large-p descent path
+                got1 = hilbert_oracle(a, b, p, depth=exhaustive_depth + 2)
+            got2 = hilbert_oracle(a, b, p, depth=12)  # large-p descent path
             assert got1 == want and got2 == want, (a, b, p)
 
 
 def test_oracle_agrees_with_closed_form_thousand_triples():
     rng = random.Random(43)
-    places = [OO, V2, V3, LocalPlace.finite(5), LocalPlace.finite(7), LocalPlace.finite(113)]
-    depth_for = {None: 1, 2: 6, 3: 4, 5: 3, 7: 3, 113: 2}
+    places = [OO, V2, V3, 5, 7, 113]
+    depth_for = {0: 1, 2: 6, 3: 4, 5: 3, 7: 3, 113: 2}
     checked = 0
     xs = _random_rationals(rng, 80)
     while checked < 1000:
         a, b = rng.choice(xs), rng.choice(xs)
         v = rng.choice(places)
         try:
-            got = hilbert_oracle(a, b, v, depth=depth_for[v.p])
+            got = hilbert_oracle(a, b, v, depth=depth_for[v])
         except OracleInconclusive:
-            got = hilbert_oracle(a, b, v, depth=depth_for[v.p] + 2)
-        assert got == hilbert_symbol(a, b, v), (a, b, str(v))
+            got = hilbert_oracle(a, b, v, depth=depth_for[v] + 2)
+        assert got == hilbert_symbol(a, b, v), (a, b, place_name(v))
         checked += 1
 
 
 # on two tuples packed alike, one call sums the symbols of the slots; each
 # slot's symbol is the oracle's on the representatives of the two classes
-@pytest.mark.parametrize("p", [None, 2, 3, 5, 7, 113], ids=str)
+@pytest.mark.parametrize("p", [0, 2, 3, 5, 7, 113], ids=place_name)
 def test_hilbert_bits_of_packed_tuples_is_the_sum_over_the_slots(p):
-    v, d = LocalPlace(p), local_square_dim(p)
-    depth = {None: 1, 2: 6, 3: 4, 5: 3, 7: 3, 113: 2}[p]
+    d = local_square_dim(p)
+    depth = {0: 1, 2: 6, 3: 4, 5: 3, 7: 3, 113: 2}[p]
     oracle = {}
     for x in range(1 << d):
         for y in range(1 << d):
             a, b = class_representative(x, p), class_representative(y, p)
             try:
-                symbol = hilbert_oracle(a, b, v, depth=depth)
+                symbol = hilbert_oracle(a, b, p, depth=depth)
             except OracleInconclusive:
-                symbol = hilbert_oracle(a, b, v, depth=depth + 2)
+                symbol = hilbert_oracle(a, b, p, depth=depth + 2)
             oracle[x, y] = int(symbol == -1)
-    rng = random.Random(f"packed hilbert at {v}")
+    rng = random.Random(f"packed hilbert at {place_name(p)}")
     seen = set()
     for n in (1, 3, 5):
         for _ in range(100):
@@ -235,10 +233,9 @@ def test_padic_roundtrip_and_arithmetic():
 def test_padic_square_test_matches_exact():
     rng = random.Random(53)
     for p in (2, 3, 7, 113):
-        v = LocalPlace.finite(p)
         for _ in range(100):
             q = Fraction(rng.randint(-300, 300) or 7, rng.randint(1, 50))
-            assert PadicApprox.from_rational(q, p).is_square() == is_local_square(q, v)
+            assert PadicApprox.from_rational(q, p).is_square() == is_local_square(q, p)
 
 
 def test_padic_square_requires_precision():

@@ -8,7 +8,7 @@ from curve_fixtures import class_bits, quadratic_mumford_certificate
 from richelot_ctp.cohomology import KummerTriple, psi_two_to_phihat
 from richelot_ctp.ctp import ctp_matrix
 from richelot_ctp.curve import INF, build_pair, poly_eval, poly_integer_form
-from richelot_ctp.localfield import LocalPlace, is_local_square, local_square_class, places_of
+from richelot_ctp.localfield import is_local_square, local_square_class, place_name, places_of
 from richelot_ctp.localpoints import (
     CODOMAIN,
     DOMAIN,
@@ -27,8 +27,8 @@ from richelot_ctp.localpoints import (
 )
 from richelot_ctp.selmer import selmer_group
 
-OO = LocalPlace.infinite()
-V2, V3, V7, V113 = (LocalPlace.finite(p) for p in (2, 3, 7, 113))
+OO = 0
+V2, V3, V7, V113 = 2, 3, 7, 113
 
 # divisors named by root slots: 0 <-> -226, 1 <-> 0, 2 <-> 678, 3 <-> -113, 4 <-> 791
 D_0_m113 = MumfordDivisor.weierstrass_pair(1, 3)
@@ -37,11 +37,11 @@ D_m226_m113 = MumfordDivisor.weierstrass_pair(0, 3)
 
 
 def classes_of(t):
-    return tuple(class_bits(c, t.place.p) for c in t.slots())
+    return tuple(class_bits(c, t.place) for c in t.slots())
 
 
 def same_local(t, values, v):
-    return classes_of(t) == tuple(class_bits(local_square_class(x, v), v.p) for x in values)
+    return classes_of(t) == tuple(class_bits(local_square_class(x, v), v) for x in values)
 
 
 def test_a_weierstrass_pair_is_two_distinct_markers_in_order():
@@ -116,7 +116,7 @@ def test_commutativity_psi_of_mu_two_is_mu_phihat(curve113):
                 _point_tiers(curve113, DOMAIN, v, SearchConfig(val_bound=3)))):
             got = psi_two_to_phihat(mu_two(D, curve113, v))
             want = mu_phihat(D, curve113, v)
-            assert got == want, (str(D), str(v))
+            assert got == want, (str(D), place_name(v))
             checked += 1
             if checked >= 120 * (places.index(v) + 1):
                 break
@@ -129,7 +129,7 @@ def test_commutativity_on_quadratic_divisors(curve113):
     for v in (V2, V3, V7):
         for D, _ in filter(None, _quadratic_candidates(curve113, DOMAIN, v, SearchConfig())):
             got = psi_two_to_phihat(mu_two(D, curve113, v))
-            assert got == mu_phihat(D, curve113, v), (str(D), str(v))
+            assert got == mu_phihat(D, curve113, v), (str(D), place_name(v))
             checked += 1
             if checked >= 10 * ((V2, V3, V7).index(v) + 1):
                 break
@@ -182,7 +182,7 @@ def test_quadratic_certificate_split_case_agrees(curve113):
         for v in (V3, V7):
             want = is_local_square(fx1, v) and is_local_square(fx2, v)
             got = quadratic_mumford_certificate(f, A, v)
-            assert got == want, (x1, x2, str(v))
+            assert got == want, (x1, x2, place_name(v))
         checked += 1
         if checked >= 40:
             break
@@ -227,7 +227,7 @@ def test_local_images_certified_at_all_bad_places(curve113):
         ih, ip = local_images(curve113, v)
         assert ih.status == "certified"
         assert ip.status == "certified"
-        dims[str(v)] = (ih.dim, ip.dim)
+        dims[place_name(v)] = (ih.dim, ip.dim)
     assert dims["oo"] == (1, 1)
     assert dims["2"][0] + dims["2"][1] == 6
     for p in ("3", "7", "113"):
@@ -287,8 +287,8 @@ def test_quadratic_masks_read_from_resultants_match_images(curve113):
             for D, same in cases:
                 forms = [poly_integer_form(g) for g in (curve.G if D.side == DOMAIN else curve.L)]
                 mask = _quadratic_mask(*_common_denominator(
-                    *(x.as_integer_ratio() for x in D.quad)), forms, v.p)
-                assert mask == divisor_image(same, curve, v).mask, (str(D), str(v))
+                    *(x.as_integer_ratio() for x in D.quad)), forms, v)
+                assert mask == divisor_image(same, curve, v).mask, (str(D), place_name(v))
                 checked += 1
     assert checked >= 40
 
@@ -357,12 +357,12 @@ def test_a_curve_walks_each_side_and_place_once_per_search_config(count_calls):
     # first Selmer group found, and only another config walks again
     from richelot_ctp import localpoints
     curve = build_pair(1, [0, 1], [-1, 0, 1], [-4, 0, 1])
-    walks = count_calls(localpoints, "_walk", lambda args: (args[1], str(args[2]), args[3]))
+    walks = count_calls(localpoints, "_walk", lambda args: (args[1], place_name(args[2]), args[3]))
     sel = selmer_group(curve, "phihat")
     selmer_group(curve, "phi")
     ctp_matrix(sel, curve)
     places = places_of(curve.bad_places)
-    assert walks == {(side, str(v), SearchConfig()): 1
+    assert walks == {(side, place_name(v), SearchConfig()): 1
                      for side in (DOMAIN, CODOMAIN) for v in places}
     v = places[-1]
     images = local_images(curve, v)
@@ -370,7 +370,7 @@ def test_a_curve_walks_each_side_and_place_once_per_search_config(count_calls):
     assert sum(walks.values()) == 2 * len(places)
     other = SearchConfig(val_bound=2)
     assert local_images(curve, v, other) is not images
-    assert walks[DOMAIN, str(v), other] == walks[CODOMAIN, str(v), other] == 1
+    assert walks[DOMAIN, place_name(v), other] == walks[CODOMAIN, place_name(v), other] == 1
     assert sum(walks.values()) == 2 * len(places) + 2
 
 

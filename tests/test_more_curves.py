@@ -14,7 +14,7 @@ from curve_fixtures import in_radical
 from richelot_ctp.arith import bad_places
 from richelot_ctp.ctp import ctp_global, ctp_matrix, rank_report
 from richelot_ctp.curve import UnsupportedModelError, build_pair
-from richelot_ctp.localfield import LocalPlace, places_of
+from richelot_ctp.localfield import place_name, places_of
 from richelot_ctp.localpoints import MumfordDivisor, local_images, mu_two
 from richelot_ctp.selmer import selmer_group, torsion_images
 
@@ -81,7 +81,7 @@ def test_fully_irrational_codomain_with_degenerate_reduction():
     sh, sp, M, rep = run_pipeline(c)
     for v in places_of(bad_places(c)):
         ih, ip = local_images(c, v)
-        assert ih.status == "certified", str(v)
+        assert ih.status == "certified", place_name(v)
     assert (sh.dim, sp.dim) == (5, 0)
     # the pairing here is nonzero on the diagonal (it need not be
     # alternating) and still improves the bound
@@ -120,4 +120,4 @@ def test_six_root_domain_rejected_by_descent_machinery():
     with pytest.raises(UnsupportedModelError):
         selmer_group(c, "phihat")
     with pytest.raises(UnsupportedModelError):
-        mu_two(MumfordDivisor.identity(), c, LocalPlace.finite(3))
+        mu_two(MumfordDivisor.identity(), c, 3)

@@ -35,7 +35,7 @@ from richelot_ctp import gf2
 from richelot_ctp.arith import bad_places
 from richelot_ctp.ctp import ctp_matrix
 from richelot_ctp.curve import _common_denominator, build_pair, homogenized_eval, poly_integer_form
-from richelot_ctp.localfield import LocalPlace, places_of
+from richelot_ctp.localfield import local_square_dim, place_name, places_of
 from richelot_ctp.localpoints import (
     CERTIFIED,
     CODOMAIN,
@@ -48,7 +48,6 @@ from richelot_ctp.localpoints import (
     SearchExhausted,
     _annihilate,
     _codomain_infinity_rational,
-    _h1_dim,
     _point_tiers,
     _quadratic_bounds,
     _torsion_divisors,
@@ -113,9 +112,9 @@ def oracle_quadratic_candidates(curve, side, v, cfg):
     # the earlier library generator verbatim, on Fraction coefficients with a
     # certificate for every candidate; it calls the certificate through the
     # module so that tests can count the calls
-    if v.p is None:
+    if not v:
         return  # conjugate pairs have trivial image over R
-    p = v.p
+    p = v
     f = poly_integer_form(curve.f if side == DOMAIN else curve.fhat)
     exponent, depth = _quadratic_bounds(p, cfg)
     units = _unit_residues(p, exponent)
@@ -187,12 +186,12 @@ def flat_feed(curve, side, v, cfg, rng=None):
     `_unit_residues`, each x once.  With rng, the blocks are shuffled, then
     each block's residues in the shuffled block order, as the library's
     walk shuffles them."""
-    if v.p is None:
+    if not v:
         xs = list(curve.side_data(side).real_samples)
         if rng:
             rng.shuffle(xs)
         return xs
-    p, units = v.p, _unit_residues(v.p, cfg.residue_exponent)
+    p, units = v, _unit_residues(v, cfg.residue_exponent)
     blocks = [[c + r * Fraction(p) ** j for r in units] for c, j, _ in _x_blocks(curve, side, p, cfg)]
     if rng:
         rng.shuffle(blocks)
@@ -206,7 +205,7 @@ def flat_points_among(curve, side, v, xs):
     """The candidates (n, d) with f(n/d) a nonzero square in Q_v, as (x, the
     class bits of the three factor values): the earlier singles filter,
     which evaluates every factor at every candidate."""
-    p = v.p
+    p = v
     data = curve.side_data(side)
     f_class = square_class_bits(data.delta.numerator, data.delta.denominator, p)
     for n, d in xs:
@@ -259,7 +258,7 @@ def oracle_point_tiers(curve, side, v, cfg):
 
 
 def oracle_local_images(curve, v, cfg):
-    target = _h1_dim(v)
+    target = 2 * local_square_dim(v)
     found = {"phihat": [], "phi": []}
     spans = {"phihat": gf2.Span(), "phi": gf2.Span()}
 
@@ -326,14 +325,14 @@ def test_search_matches_the_rewalking_oracle(label, config):
     curve, cfg = WITH_A1009[label], CONFIGS[config]
     places = places_of(bad_places(curve))
     for v in places:
-        assert local_images(curve, v, cfg) == oracle_local_images(curve, v, cfg), str(v)
+        assert local_images(curve, v, cfg) == oracle_local_images(curve, v, cfg), place_name(v)
     # every Selmer basis target at every place
     targets = selmer_group(curve, "phihat", cfg).basis
     assert targets
     for t in targets:
         for v in places:
             want = oracle_find_local_point(t, curve, v, cfg)
-            assert point_or_exhausted(t, curve, v, cfg) == want, (str(t), str(v))
+            assert point_or_exhausted(t, curve, v, cfg) == want, (str(t), place_name(v))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +367,7 @@ def test_the_singles_feed_keeps_what_the_flat_feed_keeps(label, cfg):
             inf_ok = side == DOMAIN or _codomain_infinity_rational(curve, v)
             assert singles == (kept_by_the_flat_feed(curve, side, v, cfg) if inf_ok else [])
             list(oracle[1])  # the oracle's pool fills as its singles tier runs
-            assert [D for D, _ in unmarked(tiers[2])] == list(oracle[2]), (str(v), side)
+            assert [D for D, _ in unmarked(tiers[2])] == list(oracle[2]), (place_name(v), side)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +417,7 @@ def test_local_images_tries_each_quadratic_once(monkeypatch):
     # keeps the local images it has found
     curve = fresh(B97)
     calls = count_quadratic_work(monkeypatch, curve)
-    images = local_images(curve, LocalPlace.finite(23))
+    images = local_images(curve, 23)
     assert images[0].status == HEURISTIC  # the search did escalate
     assert {side for kind, side, *_ in calls if kind == "mask"} == {DOMAIN, CODOMAIN}
     assert max(calls.values()) == 1
@@ -431,7 +430,7 @@ def test_the_quadratic_tier_reads_a_class_pair_once(monkeypatch):
     # the classes whose norm is no square, leaves under a quarter of them
     curve = fresh(B97)
     calls = count_quadratic_work(monkeypatch, curve)
-    local_images(curve, LocalPlace.finite(23))
+    local_images(curve, 23)
     kinds = collections.Counter(kind for kind, *_ in calls.elements())
     assert 0 < kinds["mask"] < 9710 / 4
     assert kinds["certificate"] <= 3162
@@ -510,14 +509,14 @@ def quadratic_walk_order(curve, side, p, cfg):
     ("B31", 2, SearchConfig(residue_exponent=1)),
 ], ids=["B97@23-val_bound=1", "B31@2-residue_exponent=1"])
 def test_escalations_try_every_quadratic_the_oracle_tries(monkeypatch, label, p, cfg):
-    curve, v = fresh(CURVES[label]), LocalPlace.finite(p)
+    curve = fresh(CURVES[label])
     d = 3 if p == 2 else 2
     calls = count_certificates(monkeypatch, curve)
-    oracle_local_images(curve, v, cfg)
+    oracle_local_images(curve, p, cfg)
     oracle_certified = set(calls)
     quadratic_mask = lp._quadratic_mask
     walks = record_quadratic_work(monkeypatch)
-    local_images(curve, v, cfg)
+    local_images(curve, p, cfg)
     tried, held_skips, norm_skips, from_pairs = set(), 0, 0, 0
     for side, config, events in walks:
         if not events:
@@ -563,7 +562,7 @@ def test_escalations_try_every_quadratic_the_oracle_tries(monkeypatch, label, p,
 # candidates for 6 masks at B97@23, one mask 1130 times
 @pytest.mark.parametrize("label, p", [("B97", 23), ("k113", 3)])
 def test_every_walk_yields_each_mask_once(monkeypatch, label, p):
-    curve, v = fresh(CURVES[label]), LocalPlace.finite(p)
+    curve = fresh(CURVES[label])
     walks = {}  # id of a walk's record -> (the record, Counter of masks yielded)
     point_tiers = lp._point_tiers
 
@@ -578,10 +577,10 @@ def test_every_walk_yields_each_mask_once(monkeypatch, label, p):
         return [watched(tier, counts) for tier in point_tiers(curve_, side, v_, cfg, known)]
 
     monkeypatch.setattr(lp, "_point_tiers", tiers)
-    local_images(curve, v, SearchConfig())
+    local_images(curve, p, SearchConfig())
     assert len(walks) == 2  # one walk per side
     for t in selmer_group(curve, "phihat", SearchConfig()).basis:
-        point_or_exhausted(t, curve, v, SearchConfig())
+        point_or_exhausted(t, curve, p, SearchConfig())
     assert len(walks) > 2
     for _, counts in walks.values():
         assert all(n == 1 for n in counts.values())
@@ -593,13 +592,12 @@ def test_every_walk_yields_each_mask_once(monkeypatch, label, p):
 CANDIDATE_TAGS = ("point_plus_infinity", "rational_pair", "quadratic")
 
 
-@pytest.mark.parametrize("label, p", [("k113", 2), ("k17", 7), ("six-root", 3),
-                                      ("irrational", None), ("fractional", 7),
+@pytest.mark.parametrize("label, v", [("k113", 2), ("k17", 7), ("six-root", 3),
+                                      ("irrational", 0), ("fractional", 7),
                                       ("negative-lc", 3), ("B97", 23)],
-                         ids=lambda x: "oo" if x is None else str(x))
-def test_no_image_is_built_for_a_discarded_point_candidate(monkeypatch, label, p):
+                         ids=lambda x: "oo" if x == 0 else str(x))
+def test_no_image_is_built_for_a_discarded_point_candidate(monkeypatch, label, v):
     curve = fresh(CURVES[label])
-    v = LocalPlace.infinite() if p is None else LocalPlace.finite(p)
     built = []
 
     def recorded(mu):
@@ -639,7 +637,7 @@ def count_factor_evaluations(monkeypatch, curve, p):
         return evaluate(*args)
 
     monkeypatch.setattr(lp, "homogenized_eval", counted)
-    images = local_images(curve, LocalPlace.finite(p))
+    images = local_images(curve, p)
     assert calls["factor"]  # the walk ran
     return calls["factor"], images[0].status
 
@@ -714,7 +712,7 @@ def count_walked(monkeypatch, curve, p):
 
     monkeypatch.setattr(lp, "_block_step", step)
     monkeypatch.setattr(lp, "_square_points", points)
-    images = local_images(curve, LocalPlace.finite(p))
+    images = local_images(curve, p)
     return sum(map(len, formed.values())), walked["points"], images[0].status
 
 
@@ -745,7 +743,7 @@ def test_the_search_at_a_large_prime_walks_as_little_as_at_1009(monkeypatch, P):
 # same images as the capped one, with the same status
 @pytest.mark.parametrize("P", [257, 1009, 10007])
 def test_the_capped_walk_finds_the_images_of_the_full_walk(monkeypatch, P):
-    v = LocalPlace.finite(P)
+    v = P
     # fresh curves: the unit classes are kept per curve, prime and exponent
     capped = local_images(large_prime(P), v)
     unit_residues = lp._unit_residues
@@ -778,7 +776,7 @@ def test_the_quadratic_tier_steps_one_b_block_at_a_time(monkeypatch):
     # walking it as one step read 3797
     curve = fresh(CURVES["A257"])
     calls = count_quadratic_work(monkeypatch, curve)
-    images = local_images(curve, LocalPlace.finite(257))
+    images = local_images(curve, 257)
     assert images[0].status == CERTIFIED
     assert 0 < collections.Counter(kind for kind, *_ in calls.elements())["mask"] <= 100
 
@@ -800,7 +798,7 @@ def test_only_a_heuristic_place_escalates(monkeypatch):
     for label, shared in BENCHMARK_CURVES.items():
         curve = fresh(shared)
         for v in places_of(curve.bad_places):
-            place = f"{label}@{v}"
+            place = f"{label}@{place_name(v)}"
             statuses[place] = local_images(curve, v)[0].status
     assert dict(calls) == {"B31@17": 4, "B97@23": 4}
     assert {place for place, status in statuses.items() if status == HEURISTIC} == set(calls)
@@ -825,7 +823,7 @@ def test_a_corrupt_class_bit_raises(monkeypatch):
 
     monkeypatch.setattr(lp, "_square_points", corrupted)
     with pytest.raises(ClassBitsMismatch):
-        local_images(fresh(CURVES["k113"]), LocalPlace.finite(3))
+        local_images(fresh(CURVES["k113"]), 3)
     assert flipped
 
 
@@ -865,7 +863,7 @@ def test_a_corrupt_class_bit_in_a_generic_block_representative_raises(monkeypatc
     monkeypatch.setattr(lp, "_x_blocks", recorded_blocks)
     monkeypatch.setattr(lp, "_square_points", corrupted)
     with pytest.raises(ClassBitsMismatch):
-        local_images(fresh(A1009), LocalPlace.finite(1009))
+        local_images(fresh(A1009), 1009)
     # a flipped point comes from a block the reader cut short
     assert fast & cut
 
@@ -884,7 +882,7 @@ def test_a_corrupt_quadratic_class_bit_raises(monkeypatch):
 
     monkeypatch.setattr(lp, "_quadratic_mask", mask)
     with pytest.raises(ClassBitsMismatch):
-        local_images(fresh(B97), LocalPlace.finite(23))
+        local_images(fresh(B97), 23)
     assert flipped
 
 
@@ -917,7 +915,7 @@ def test_a_corrupt_entry_in_a_quadratic_class_table_raises(monkeypatch):
 
     monkeypatch.setattr(lp, "_quadratic_mask", mask)
     with pytest.raises(ClassBitsMismatch):
-        local_images(curve, LocalPlace.finite(p), cfg)
+        local_images(curve, p, cfg)
     assert corrupted
 
 
@@ -932,7 +930,7 @@ def test_a_ctp_matrix_builds_no_divisor_image_twice(monkeypatch):
     def recorded(mu):
         def build(D, c, place=None):
             if place is not None:
-                built[(D, str(place))] += 1
+                built[(D, place_name(place))] += 1
             return mu(D, c, place)
         return build
 
