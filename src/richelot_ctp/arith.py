@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .curve import CurveError
 
@@ -196,17 +196,23 @@ def squarefree_reduce(q, primes=()) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlaceSet:
-    """A finite set of rational places: oo and the `finite_primes`;
-    curve-derived sets always hold 2."""
-
+class _PlaceSetFields(NamedTuple):
     finite_primes: tuple[int, ...]
 
-    def __post_init__(self):
+
+class PlaceSet(_PlaceSetFields):
+    """A finite set of rational places: oo and the `finite_primes`;
+    curve-derived sets always hold 2; primes out of increasing order raise
+    ValueError."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         ps = self.finite_primes
         if any(ps[i] >= ps[i + 1] for i in range(len(ps) - 1)):
             raise ValueError("finite primes must be strictly increasing")
+        return self
 
     def __contains__(self, p) -> bool:
         return p in self.finite_primes

@@ -12,9 +12,9 @@ Exit codes:
   1 verification failure;
   2 invalid input: an unreadable or malformed curve file, an unsupported
     model, curve data with a composite factor the factorization budget
-    cannot split, a --places name that is not a bad place ("oo" or a prime),
-    an unknown flag, or a search flag below its minimum (1 for --precision,
-    0 for --val-bound and --escalations);
+    cannot split, a --places name that is missing or not a bad place ("oo"
+    or a prime), an unknown flag, or a search flag below its minimum (1 for
+    --precision, 0 for --val-bound and --escalations);
   3 a `ctp` run stopped by a failed self-check or dimension check (partial
     JSON naming the stage in "failed_at"), or a heuristic or unproven
     result under --strict.
@@ -253,8 +253,10 @@ def _json(x, pad: str = "\n") -> str:
     """`json.dumps(x, sort_keys=True, indent=2)` for dicts with str keys,
     lists, tuples, strs, ints, bools and None; `pad` is the newline and
     indent of x's own line.  A non-str key raises TypeError, from
-    `encode_basestring_ascii`.  Most values are small ints, which the dict
-    and list branches write without a call."""
+    `encode_basestring_ascii`, and so does a value of any other type: a
+    record, a tuple subclass, would pass `json.dumps` as an array.  Most
+    values are small ints, which the dict and list branches write without
+    a call."""
     t = type(x)
     if t is int:
         return int.__repr__(x)
@@ -273,7 +275,9 @@ def _json(x, pad: str = "\n") -> str:
             return "[]"
         return "[" + inner + ("," + inner).join(
             [int.__repr__(e) if type(e) is int else _json(e, inner) for e in x]) + pad + "]"
-    return json.dumps(x)
+    if t is bool or x is None:
+        return json.dumps(x)
+    raise TypeError(f"a report holds no {t.__name__}: {x!r}")
 
 
 def _emit(report, as_json: bool, renderer=None):
@@ -381,13 +385,15 @@ def _selmer_command(args, curve: RichelotPair, label: str, cfg: SearchConfig) ->
 def _ctp_command(args, curve: RichelotPair, label: str, cfg: SearchConfig) -> int:
     try:
         places = None
-        if args.places:
+        if args.places is not None:
             bad = {place_name(v): v for v in places_of(curve.bad_places)}  # in place order
             chosen = {s.strip() for s in args.places.split(",")}
             unknown = sorted(chosen.difference(bad))
             if unknown:
-                print(f"error: --places: not a bad place: {', '.join(unknown)}; "
-                      f"the bad places are {', '.join(bad)}", file=sys.stderr)
+                problem = ("a place name is missing" if "" in chosen
+                           else f"not a bad place: {', '.join(unknown)}")
+                print(f"error: --places: {problem}; the bad places are {', '.join(bad)}",
+                      file=sys.stderr)
                 return 2
             places = [v for name, v in bad.items() if name in chosen]
         report = _ctp_report(curve, label, cfg, places)

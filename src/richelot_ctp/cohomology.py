@@ -24,9 +24,9 @@ works on global and local tuples alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import xor
+from typing import NamedTuple
 
 from .arith import class_product, squarefree_reduce
 from .localfield import class_representative, hilbert_bits, local_square_dim, place_name, tuple_mask
@@ -64,8 +64,7 @@ class NotInImageError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _KummerTuple:
+class _KummerTuple(NamedTuple):
     """The body shared by the global tuples, the signed squarefree class of
     each slot; a subclass sets `n` and `local` (its local tuple kind)."""
 
@@ -105,8 +104,7 @@ class _KummerTuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _LocalKummerTuple:
+class _LocalKummerTuple(NamedTuple):
     """The body shared by the local tuples; a subclass sets `n`."""
 
     place: int
@@ -160,22 +158,26 @@ class _LocalKummerTuple:
 
 
 class LocalKummerTriple(_LocalKummerTuple):
+    __slots__ = ()
     n = 3
 
 
 class LocalKummerQuintuple(_LocalKummerTuple):
+    __slots__ = ()
     n = 5
 
 
 class KummerTriple(_KummerTuple):
     """Element of the norm-one part of (Q*/(Q*)^2)^3."""
 
+    __slots__ = ()
     n, local = 3, LocalKummerTriple
 
 
 class KummerQuintuple(_KummerTuple):
     """Element of the norm-one part of (Q*/(Q*)^2)^5."""
 
+    __slots__ = ()
     n, local = 5, LocalKummerQuintuple
 
 

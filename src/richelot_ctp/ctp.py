@@ -16,10 +16,9 @@ over the bad places; all other places contribute zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import xor
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import gf2
 from .arith import factorize
@@ -58,8 +57,7 @@ class InconsistentDimensions(RuntimeError):
     """The descent bookkeeping violates exactness of the dimension count."""
 
 
-@dataclass(frozen=True)
-class LocalRow:
+class LocalRow(NamedTuple):
     """One column of the local tables: the pipeline for one class at one place.
 
     P_v holds the image witnesses that sum to a point below the class (the
@@ -145,8 +143,7 @@ def ctp_global(a: KummerTriple, a2: KummerTriple, curve: RichelotPair,
     return total
 
 
-@dataclass(frozen=True)
-class PairingMatrix:
+class PairingMatrix(NamedTuple):
     """F2 Gram matrix of the pairing on a chosen basis, with per-place data.
 
     entries[i][j] is the pairing of basis[i] against basis[j]; breakdown maps
@@ -210,8 +207,7 @@ def ctp_matrix(selmer: SelmerGroup, curve: RichelotPair, cfg: SearchConfig = Sea
     return PairingMatrix(bas, entries, breakdown, tuple(radical), symmetric, rows)
 
 
-@dataclass(frozen=True)
-class DescentReport:
+class DescentReport(NamedTuple):
     """Dimension bookkeeping for the descent, before and after the pairing.
 
     The rank bound replaces the dual-kernel Selmer dimension by the dimension

@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .localfield import valuation
 
@@ -285,8 +284,14 @@ def weil_ephi(i: int, j: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RichelotPair:
+class _RichelotPairFields(NamedTuple):
+    G: tuple[Poly, Poly, Poly]
+    roots_by_factor: tuple[tuple[Fraction, ...], ...]
+    delta: Fraction
+    L: tuple[Poly, Poly, Poly]
+
+
+class RichelotPair(_RichelotPairFields):
     """A validated split genus-2 model together with its isogenous codomain.
 
     G holds the three factors with lambda absorbed into G1 and the quadratic
@@ -300,13 +305,9 @@ class RichelotPair:
     on the instance: f, fhat, the leading coefficient, the flat and the
     codomain roots, `bad_places`, the `SideData` of each side (`side_data`)
     and of the quintuple map (`two_data`), so each place of a run does only
-    its own work.
+    its own work.  (No `__slots__`: the cached properties live in the
+    instance's `__dict__`.)
     """
-
-    G: tuple[Poly, Poly, Poly]
-    roots_by_factor: tuple[tuple[Fraction, ...], ...]
-    delta: Fraction
-    L: tuple[Poly, Poly, Poly]
 
     @property
     def degree(self) -> int:

@@ -78,11 +78,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, reduce
 from operator import xor
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import gf2
 from .cohomology import (
@@ -131,25 +130,30 @@ class ClassBitsMismatch(RuntimeError):
     """A candidate's image read from class bits differs from its witnessed image."""
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Bounds for the Mumford-divisor search, surfaced as CLI flags; a
-    residue exponent below 1, or a negative valuation bound or escalation
-    count, raises ValueError."""
-
+class _SearchConfigFields(NamedTuple):
     residue_exponent: int = 4
     val_bound: int = 6
     escalations: int = 2
     shuffle_seed: Optional[int] = None
 
-    def __post_init__(self):
+
+class SearchConfig(_SearchConfigFields):
+    """Bounds for the Mumford-divisor search, surfaced as CLI flags; a
+    residue exponent below 1, or a negative valuation bound or escalation
+    count, raises ValueError."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name, low in (("residue_exponent", 1), ("val_bound", 0), ("escalations", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, not {getattr(self, name)}")
+        return self
 
     def escalate(self) -> "SearchConfig":
-        return replace(self, residue_exponent=self.residue_exponent + 1,
-                       val_bound=self.val_bound + 2)
+        return SearchConfig(self.residue_exponent + 1, self.val_bound + 2,
+                            self.escalations, self.shuffle_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +161,7 @@ class SearchConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MumfordDivisor:
+class MumfordDivisor(NamedTuple):
     """A point of J(Q_v) presented as an effective degree-2 divisor.
 
     tag is one of identity / weierstrass_pair / point_plus_infinity /
@@ -938,8 +941,7 @@ CERTIFIED = "certified"
 HEURISTIC = "heuristic"
 
 
-@dataclass(frozen=True)
-class LocalImage:
+class LocalImage(NamedTuple):
     """The image of one kernel's local descent map as an F2 subgroup."""
 
     place: int

@@ -38,9 +38,9 @@ picks, with no member list.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from . import gf2
 from .arith import PlaceSet, class_product, qs2_element, qs2_index, squarefree_reduce
@@ -86,8 +86,16 @@ def _pair_triple(y: int, primes) -> KummerTriple:
     return KummerTriple((a1, a2, class_product(a1, a2)))
 
 
-@dataclass(frozen=True)
-class SelmerGroup:
+class _SelmerGroupFields(NamedTuple):
+    side: str
+    basis: tuple[KummerTriple, ...]
+    known_point_basis: tuple[KummerTriple, ...]
+    places: PlaceSet
+    status: str
+    local_image_dims: tuple[tuple[int, int], ...]
+
+
+class SelmerGroup(_SelmerGroupFields):
     """A kernel Selmer group with a torsion-first basis.
 
     basis spans the group; known_point_basis is the prefix coming from images
@@ -100,15 +108,9 @@ class SelmerGroup:
     whose restrictions lie in the images that were found, and found images
     are spanned by genuine divisor images, so every member is genuine either
     way; a heuristic status means an image may be too small and the group
-    may be missing elements, not that any member is wrong.
+    may be missing elements, not that any member is wrong.  (No
+    `__slots__`: the cached span lives in the instance's `__dict__`.)
     """
-
-    side: str
-    basis: tuple[KummerTriple, ...]
-    known_point_basis: tuple[KummerTriple, ...]
-    places: PlaceSet
-    status: str
-    local_image_dims: tuple[tuple[int, int], ...]
 
     @property
     def dim(self) -> int:

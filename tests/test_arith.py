@@ -132,6 +132,12 @@ def test_factorize_names_the_cofactor_it_cannot_split(monkeypatch):
         prime_support(Fraction(3, p * q))
 
 
+@pytest.mark.parametrize("primes", [(3, 2), (2, 2), (2, 5, 3)])
+def test_place_set_rejects_primes_out_of_increasing_order(primes):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PlaceSet(primes)
+
+
 def test_enumerate_Q_S2_sizes_and_closure():
     S = PlaceSet((2,))
     grp = enumerate_Q_S2(S)

@@ -196,6 +196,14 @@ def test_ctp_unknown_place_exits_2(curve_file, capsys):
     assert "5, xyz" in captured.err
     assert "oo, 2, 3, 7, 113" in captured.err
     assert main(["ctp", curve_file(CURVE113), "--places", "3,5"]) == 2
+    capsys.readouterr()
+    # an empty value, or an empty name in the list, names no place
+    for places in ("", ",", "oo,,2"):
+        assert main(["ctp", curve_file(CURVE113), "--places", places, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--places: a place name is missing; " in captured.err
+        assert "oo, 2, 3, 7, 113" in captured.err
 
 
 def test_ctp_runs_the_local_pipeline_once_per_generator_and_place(
@@ -430,11 +438,14 @@ def test_the_parser_is_built_once_and_carries_nothing_between_calls(curve_file, 
 
 
 def test_importing_the_cli_leaves_verify_unloaded():
-    # only `verify-example` needs the verification module
+    # only `verify-example` needs the verification module, and no module
+    # needs `dataclasses` (with `inspect` under it): a fresh interpreter,
+    # since pytest itself loads both
     import richelot_ctp.cli as cli
 
-    code = "import sys, richelot_ctp.cli; print('richelot_ctp.verify' in sys.modules)"
+    code = ("import sys, richelot_ctp.cli; print([m for m in "
+            "('richelot_ctp.verify', 'dataclasses', 'inspect') if m in sys.modules])")
     src = str(Path(cli.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout == "False\n"
+    assert out.stdout == "[]\n"

@@ -318,8 +318,7 @@ def test_rank_report_values(curve113, sel_phi, sel_phihat, matrix):
 
 def test_full_radical_means_no_improvement(curve113, sel_phi, sel_phihat, matrix):
     # a hypothetical full radical leaves the bound unchanged
-    from dataclasses import replace
-    full = replace(matrix, radical_basis=tuple(1 << i for i in range(len(matrix.basis))))
+    full = matrix._replace(radical_basis=tuple(1 << i for i in range(len(matrix.basis))))
     rep = rank_report(curve113, sel_phi, sel_phihat, full)
     assert rep.rank_bound_after == rep.rank_bound_before
 

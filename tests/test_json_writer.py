@@ -9,6 +9,7 @@ import pytest
 
 import richelot_ctp.cli as cli
 from richelot_ctp.cli import _json, main
+from richelot_ctp.localpoints import SearchConfig
 from test_golden_json import CURVES
 
 
@@ -101,5 +102,13 @@ def test_the_writer_matches_json_dumps_on_a_random_corpus():
 @pytest.mark.parametrize("x", [{1: 2}, {"a": {None: 1}}, [{(1, 2): "x"}], {b"k": 1},
                                {"a": 1, 2: "b"}])
 def test_a_key_that_is_not_a_str_raises(x):
+    with pytest.raises(TypeError):
+        _json(x)
+
+
+@pytest.mark.parametrize("x", [{"config": SearchConfig()}, [SearchConfig()], SearchConfig(),
+                               {"x": 0.5}, {"x": {1, 2}}])
+def test_a_value_of_another_type_raises(x):
+    # json.dumps would write a record, a tuple subclass, as an array
     with pytest.raises(TypeError):
         _json(x)

@@ -12,6 +12,7 @@ from richelot_ctp.localfield import is_local_square, local_square_class, place_n
 from richelot_ctp.localpoints import (
     CODOMAIN,
     DOMAIN,
+    LocalImage,
     MumfordDivisor,
     SearchConfig,
     SearchExhausted,
@@ -380,3 +381,33 @@ def test_search_config_rejects_a_bound_below_its_minimum(field, low):
     with pytest.raises(ValueError, match=f"{field} must be at least {low}"):
         SearchConfig(**{field: low - 1})
     assert getattr(SearchConfig(**{field: low}), field) == low
+
+
+def test_search_config_escalates_through_its_own_method():
+    assert SearchConfig().escalate() == SearchConfig(5, 8, 2, None)
+    assert type(SearchConfig().escalate()) is SearchConfig
+    # the traced benchmark wraps the method in the class's own namespace
+    assert "escalate" in vars(SearchConfig)
+
+
+@pytest.mark.parametrize("record, field", [
+    (SearchConfig(), "val_bound"),
+    (MumfordDivisor.point_plus_infinity(3), "xs"),
+    (LocalImage(2, "phihat", (), (), "certified"), "status"),
+])
+def test_a_record_field_cannot_be_assigned(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+
+
+def test_equal_table_keys_hash_alike():
+    # search configs key the local-image tables, divisors the mu_two tables
+    pairs = [(SearchConfig(val_bound=2), SearchConfig(4, 2)),
+             (MumfordDivisor.rational_pair(1, "1/2"),
+              MumfordDivisor("rational_pair", DOMAIN, xs=(Fraction(1), Fraction(1, 2)))),
+             (MumfordDivisor.weierstrass_pair(0, INF, CODOMAIN),
+              MumfordDivisor.weierstrass_pair(0, INF, CODOMAIN))]
+    for a, b in pairs:
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1

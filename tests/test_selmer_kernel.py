@@ -9,8 +9,6 @@ algebra, for the echelon basis rule and for the members that
 `SelmerGroup.elements` builds from the basis.
 """
 
-import dataclasses
-
 import pytest
 
 import richelot_ctp.selmer as selmer_mod
@@ -170,9 +168,8 @@ def _drop_image_vector(monkeypatch, place, index):
         img_hat, img_phi = local_images(curve, v, cfg)
         if v == place:
             keep = [i for i in range(img_hat.dim) if i != index]
-            img_hat = dataclasses.replace(
-                img_hat, basis=tuple(img_hat.basis[i] for i in keep),
-                witnesses=tuple(img_hat.witnesses[i] for i in keep))
+            img_hat = img_hat._replace(basis=tuple(img_hat.basis[i] for i in keep),
+                                       witnesses=tuple(img_hat.witnesses[i] for i in keep))
         return img_hat, img_phi
     monkeypatch.setattr(selmer_mod, "local_images", shrunk)
 
@@ -189,7 +186,7 @@ def test_greenberg_wiles_catches_a_lost_image_vector(curve113, monkeypatch):
     with pytest.raises(InconsistentDimensions, match="Greenberg-Wiles"):
         rank_report(curve113, sp, sh, empty)
     # a heuristic side skips the check
-    rank_report(curve113, sp, dataclasses.replace(sh, status="heuristic"), empty)
+    rank_report(curve113, sp, sh._replace(status="heuristic"), empty)
 
 
 def test_lost_torsion_image_vector_fails_kernel_check(curve113, monkeypatch):
