@@ -214,8 +214,14 @@ class PlaceSet(_PlaceSetFields):
             raise ValueError("finite primes must be strictly increasing")
         return self
 
+    @classmethod
+    def _make(cls, fields) -> "PlaceSet":
+        """Through the validating constructor, and so is `_replace`."""
+        return cls(*fields)
+
     def __contains__(self, p) -> bool:
-        return p in self.finite_primes
+        """Is p a place of the set: 0 for oo, which every set holds, or a prime?"""
+        return p == 0 or p in self.finite_primes
 
     def __str__(self) -> str:
         return "{" + ", ".join([str(p) for p in self.finite_primes] + ["oo"]) + "}"

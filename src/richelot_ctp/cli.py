@@ -2,7 +2,8 @@
 and the built-in example verification.
 
 Curve files are JSON with each factor a list of rational coefficients, low
-degree first, each a string or an integer; so is "lambda":
+degree first, each a string or an integer; so is "lambda", and "label", if
+given, is a string:
 
     {"label": "k=113", "lambda": "1",
      "G1": ["226", "1"], "G2": ["0", "-678", "1"], "G3": ["-89383", "-678", "1"]}
@@ -10,11 +11,12 @@ degree first, each a string or an integer; so is "lambda":
 Exit codes:
   0 ok;
   1 verification failure;
-  2 invalid input: an unreadable or malformed curve file, an unsupported
-    model, curve data with a composite factor the factorization budget
-    cannot split, a --places name that is missing or not a bad place ("oo"
-    or a prime), an unknown flag, or a search flag below its minimum (1 for
-    --precision, 0 for --val-bound and --escalations);
+  2 invalid input: an unreadable or malformed curve file (a non-string
+    label among them), an unsupported model, curve data with a composite
+    factor the factorization budget cannot split, a --places name that is
+    missing or not a bad place ("oo" or a prime), an unknown flag, or a
+    search flag below its minimum (1 for --precision, 0 for --val-bound and
+    --escalations);
   3 a `ctp` run stopped by a failed self-check or dimension check (partial
     JSON naming the stage in "failed_at"), or a heuristic or unproven
     result under --strict.
@@ -36,7 +38,7 @@ from json.encoder import encode_basestring_ascii
 
 from .cohomology import NotInImageError
 from .ctp import InconsistentDimensions, LocalRow, ctp_matrix, rank_report
-from .curve import CurveError, RichelotPair, build_pair, poly, poly_str
+from .curve import PHI, PHIHAT, CurveError, RichelotPair, build_pair, poly, poly_str
 from .localfield import class_representative, place_name, places_of
 from .localpoints import SearchConfig
 from .selmer import selmer_group
@@ -75,6 +77,8 @@ def _parse_curve_file(path: str):
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise CurveError(f"malformed curve file: {e}")
     label = data.get("label", "")
+    if not isinstance(label, str):
+        raise CurveError(f"malformed curve file: the label {label!r} is not a string")
     return label, lam, gs
 
 
@@ -142,15 +146,15 @@ def _row_dict(row: LocalRow) -> dict:
 def _ctp_report(curve, label, cfg, places=None) -> dict:
     """The full report; `places`, a subset of the bad places, makes it partial."""
     partial = places is not None
-    sel_hat = selmer_group(curve, "phihat", cfg)
-    sel_phi = selmer_group(curve, "phi", cfg)
+    sel_hat = selmer_group(curve, PHIHAT, cfg)
+    sel_phi = selmer_group(curve, PHI, cfg)
     M = ctp_matrix(sel_hat, curve, cfg, places=places)
 
     report = {
         "curve": _curve_echo(curve, label),
         "isogeny": _isogeny_dict(curve, label),
         "bad_places": [place_name(v) for v in places_of(curve.bad_places)],
-        "selmer": {"phihat": _selmer_dict(sel_hat), "phi": _selmer_dict(sel_phi)},
+        "selmer": {PHIHAT: _selmer_dict(sel_hat), PHI: _selmer_dict(sel_phi)},
         "local_tables": {
             str(a.values): {place_name(r.place): _row_dict(r) for r in rows}
             for a, rows in zip(M.basis, M.rows)},
@@ -215,7 +219,7 @@ def _print_tables(report):
     for i, L in enumerate(iso["L"], 1):
         print(f"L{i} = {poly_str(poly(L))}")
     print(f"bad places: {', '.join(report['bad_places'])}")
-    for side in ("phihat", "phi"):
+    for side in (PHIHAT, PHI):
         s = report["selmer"][side]
         print(f"Sel[{side}]: dim {s['dim']} ({s['status']}); basis {_tuples_str(s['basis'])}")
     for key, rows in report["local_tables"].items():
@@ -331,7 +335,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_sel = sub.add_parser("selmer", help="compute a kernel Selmer group")
     p_sel.add_argument("curve_file")
-    p_sel.add_argument("--side", choices=("phihat", "phi"), default="phihat")
+    p_sel.add_argument("--side", choices=(PHIHAT, PHI), default=PHIHAT)
     _add_search_flags(p_sel)
 
     p_ctp = sub.add_parser("ctp", help="full pairing pipeline and rank report")

@@ -34,7 +34,7 @@ from .cohomology import (
     psi_two_to_phihat,
     quintuple_quotient,
 )
-from .curve import RichelotPair
+from .curve import PHIHAT, RichelotPair
 from .localfield import hilbert_bits, place_name, places_of
 from .localpoints import MumfordDivisor, SearchConfig, local_images, mu_two
 from .selmer import SelmerGroup
@@ -176,7 +176,7 @@ def ctp_matrix(selmer: SelmerGroup, curve: RichelotPair, cfg: SearchConfig = Sea
     Sums over `places` (default: every bad place).  A proper subset of the
     bad places gives a partial matrix whose radical is not the pairing's.
     """
-    if selmer.side != "phihat":
+    if selmer.side != PHIHAT:
         raise ValueError("the pairing is computed on the dual-kernel Selmer group")
     bas = tuple(basis) if basis is not None else selmer.basis
     for t in bas:

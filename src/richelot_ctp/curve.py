@@ -268,8 +268,8 @@ def rational_roots(g: Poly) -> Optional[tuple[Fraction, ...]]:
 # ---------------------------------------------------------------------------
 
 INF = "inf"  # marker for the Weierstrass point at infinity of a 5-root model
-DOMAIN = "domain"
-CODOMAIN = "codomain"
+PHIHAT = "phihat"  # the side, named by its descent map, of points of the domain J
+PHI = "phi"  # the side of points of the codomain Jhat
 
 
 def weil_ephi(i: int, j: int) -> int:
@@ -376,18 +376,17 @@ class RichelotPair(_RichelotPairFields):
         """The slots of the quintuple map: the linear factors x - w_i of
         f / lambda, with lambda as the special constant, so a Weierstrass
         point w_i takes lambda prod_{l != i} (w_i - w_l) in its own slot, and
-        as the value of infinity in every slot.  The integer form of x - w
-        is ((-wn, wd), wd), written down without `poly_integer_form`."""
+        as the value of infinity in every slot."""
         lam = self.leading_coefficient
         return SideData(tuple((-w, Fraction(1)) for w in self.roots),
                         tuple((w,) for w in self.roots), lam,
-                        [(lam.numerator, lam.denominator)] * len(self.roots),
-                        forms=[((-w.numerator, w.denominator), w.denominator)
-                               for w in self.roots])
+                        [(lam.numerator, lam.denominator)] * len(self.roots))
 
     def side_data(self, side: str) -> "SideData":
-        """The search data of `side`, DOMAIN or CODOMAIN."""
-        return self.domain_data if side == DOMAIN else self.codomain_data
+        """The search data of `side`, PHIHAT or PHI; any other name raises."""
+        if side not in (PHIHAT, PHI):
+            raise ValueError(f"side must be {PHIHAT!r} or {PHI!r}, not {side!r}")
+        return self.domain_data if side == PHIHAT else self.codomain_data
 
     def require_five_roots(self):
         if self.degree != 5:
@@ -401,11 +400,6 @@ class RichelotPair(_RichelotPairFields):
         """Rational roots of each L_i, or None where irrational (computed once:
         the local search looks them up for every codomain candidate)."""
         return tuple(map(rational_roots, self.L))
-
-    @property
-    def codomain_degree(self) -> int:
-        """5 when infinity is a Weierstrass point of the codomain, else 6."""
-        return 5 if INF in self.codomain_data.markers else 6
 
     @property
     def codomain_linear_index(self) -> Optional[int]:
@@ -441,13 +435,13 @@ class SideData:
     each root by its slot, the index of its x in `groups` flattened with an
     irrational factor taking two slots (`slots` maps it to x), and the point
     at infinity by INF.  `inf_values` are the values at infinity, or the
-    Weierstrass point whose values infinity takes.  `forms` defaults to the
+    Weierstrass point whose values infinity takes.  `forms` are the
     factors' `poly_integer_form`s.
     """
 
-    def __init__(self, factors, groups, delta: Fraction, inf_values, f: Poly = (), forms=None):
+    def __init__(self, factors, groups, delta: Fraction, inf_values, f: Poly = ()):
         self.factors, self.groups, self.delta, self.f = factors, groups, delta, f
-        self.forms = forms if forms is not None else [poly_integer_form(g) for g in factors]
+        self.forms = [poly_integer_form(g) for g in factors]
         self.roots = tuple(r for grp in groups if grp for r in grp)
         flat = [r for grp in groups for r in (grp or (None, None))]
         self.slots = {i: r for i, r in enumerate(flat) if r is not None}  # marker -> x

@@ -15,6 +15,11 @@ the linear factor, which is the image under the isogeny of rational
 two-torsion, to map to the trivial class; the raw rules the formulas suggest
 would violate both that and the norm condition.
 
+A side is named by its kernel map, as everywhere in the package: the
+divisors, walks and local images of side PHIHAT lie on the domain J and
+feed Sel^phihat, those of side PHI on the codomain Jhat and feed Sel^phi
+(`RichelotPair.side_data` rejects any other name).
+
 Local points are found by tiered search (two-torsion, single points against
 residue grids, pairs, then quadratic Mumford polynomials) and local images
 are certified complete through local duality: the two kernels' images must
@@ -91,9 +96,9 @@ from .cohomology import (
     cup_invariant,
 )
 from .curve import (
-    CODOMAIN,
-    DOMAIN,
     INF,
+    PHI,
+    PHIHAT,
     RichelotPair,
     _common_denominator,
     _res2,
@@ -151,9 +156,14 @@ class SearchConfig(_SearchConfigFields):
                 raise ValueError(f"{name} must be at least {low}, not {getattr(self, name)}")
         return self
 
+    @classmethod
+    def _make(cls, fields) -> "SearchConfig":
+        """Through the validating constructor, and so is `_replace`."""
+        return cls(*fields)
+
     def escalate(self) -> "SearchConfig":
-        return SearchConfig(self.residue_exponent + 1, self.val_bound + 2,
-                            self.escalations, self.shuffle_seed)
+        return self._make((self.residue_exponent + 1, self.val_bound + 2,
+                           self.escalations, self.shuffle_seed))
 
 
 # ---------------------------------------------------------------------------
@@ -173,31 +183,31 @@ class MumfordDivisor(NamedTuple):
     """
 
     tag: str
-    side: str = DOMAIN
+    side: str = PHIHAT  # the descent map of D's curve: PHIHAT (J) or PHI (Jhat)
     torsion: tuple = ()  # a Weierstrass pair's two markers (`SideData.markers`)
     xs: tuple[Fraction, ...] = ()
     quad: Optional[tuple[Fraction, Fraction]] = None  # (a, b) of x^2 + a x + b
 
     @staticmethod
-    def identity(side=DOMAIN) -> "MumfordDivisor":
+    def identity(side=PHIHAT) -> "MumfordDivisor":
         return MumfordDivisor("identity", side)
 
     @staticmethod
-    def weierstrass_pair(a, b, side=DOMAIN) -> "MumfordDivisor":
+    def weierstrass_pair(a, b, side=PHIHAT) -> "MumfordDivisor":
         if a == b:
             raise ValueError("a Weierstrass pair needs two distinct markers")
         return MumfordDivisor("weierstrass_pair", side, torsion=(a, b))
 
     @staticmethod
-    def point_plus_infinity(x, side=DOMAIN) -> "MumfordDivisor":
+    def point_plus_infinity(x, side=PHIHAT) -> "MumfordDivisor":
         return MumfordDivisor("point_plus_infinity", side, xs=(Fraction(x),))
 
     @staticmethod
-    def rational_pair(x1, x2, side=DOMAIN) -> "MumfordDivisor":
+    def rational_pair(x1, x2, side=PHIHAT) -> "MumfordDivisor":
         return MumfordDivisor("rational_pair", side, xs=(Fraction(x1), Fraction(x2)))
 
     @staticmethod
-    def quadratic(a, b, side=DOMAIN) -> "MumfordDivisor":
+    def quadratic(a, b, side=PHIHAT) -> "MumfordDivisor":
         return MumfordDivisor("quadratic", side, quad=(Fraction(a), Fraction(b)))
 
     def __str__(self) -> str:
@@ -216,15 +226,6 @@ class MumfordDivisor(NamedTuple):
 # ---------------------------------------------------------------------------
 # evaluation helpers
 # ---------------------------------------------------------------------------
-
-
-def _codomain_infinity_rational(curve: RichelotPair, p: int) -> bool:
-    """Are the codomain's infinite points defined over Q_p?
-
-    Always true for a 5-root codomain (Weierstrass point); for a 6-root
-    codomain iff the sextic's leading coefficient is a square in Q_p.
-    """
-    return curve.codomain_degree == 5 or is_local_square(curve.fhat[-1], p)
 
 
 def _slot_values(D: MumfordDivisor, curve: RichelotPair, data) -> list[tuple[int, int]]:
@@ -270,27 +271,27 @@ def mu_two(D: MumfordDivisor, curve: RichelotPair, v: Optional[int] = None):
     images are the slot values' square classes at v.
     """
     curve.require_five_roots()
-    if D.side != DOMAIN:
+    if D.side != PHIHAT:
         raise ValueError("the quintuple map lives on the domain curve")
     return _image(KummerQuintuple, D, curve, curve.two_data, v)
 
 
 def mu_phihat(D: MumfordDivisor, curve: RichelotPair, v: Optional[int] = None):
     """Image of a domain divisor under the dual-kernel descent map (G-evaluations)."""
-    if D.side != DOMAIN:
+    if D.side != PHIHAT:
         raise ValueError("mu_phihat consumes domain divisors")
     return _image(KummerTriple, D, curve, curve.domain_data, v)
 
 
 def mu_phi(D: MumfordDivisor, curve: RichelotPair, v: Optional[int] = None):
     """Image of a codomain divisor under the kernel descent map (L-evaluations)."""
-    if D.side != CODOMAIN:
+    if D.side != PHI:
         raise ValueError("mu_phi consumes codomain divisors")
     return _image(KummerTriple, D, curve, curve.codomain_data, v)
 
 
 def divisor_image(D: MumfordDivisor, curve: RichelotPair, v: Optional[int] = None):
-    return (mu_phihat if D.side == DOMAIN else mu_phi)(D, curve, v)
+    return (mu_phihat if D.side == PHIHAT else mu_phi)(D, curve, v)
 
 
 def _checked_image(D: MumfordDivisor, mask: int, curve: RichelotPair,
@@ -497,7 +498,7 @@ def _x_blocks(curve: RichelotPair, side: str, p: int, cfg: SearchConfig) -> Iter
     data = curve.side_data(side)
     dominant = _dominance(data, p)
     centers = list(data.roots)
-    if side == CODOMAIN:
+    if side == PHI:
         centers += [c for c in _root_centers(data, p, vb) if not any(
             c == r or valuation(c - r, p) >= vb for r in data.roots)]
     # a root at 0 has already given the grid's blocks with e >= 1
@@ -843,9 +844,10 @@ def _point_tiers(curve: RichelotPair, side: str, p: int, cfg: SearchConfig,
         rng.shuffle(torsion)
 
     def singles_tier():
-        # a divisor {P, inf} needs the infinite point rational over Q_p; when
+        # a divisor {P, inf} needs the infinite point rational over Q_p: a
+        # Weierstrass point, or else f's leading coefficient a square; when
         # it is not, the tier still collects points for the pairs tier
-        inf_ok = side == DOMAIN or _codomain_infinity_rational(curve, p)
+        inf_ok = INF in data.markers or is_local_square(data.f[-1], p)
         # a pair {P, Q} maps to the product of the points' slot classes, so
         # once the pool is full it wants one representative per new class; a
         # point of a class seen before then changes nothing, since its mask
@@ -918,19 +920,19 @@ def _recorded(items, known: set):
         yield item
 
 
-def _alternating(walks: dict) -> Iterator[tuple]:
-    """(key, item) for the `_walk`s in `walks`: in each round one step (up to
-    a None) of each in turn; no walk enters a round before all end the last."""
-    for rounds in zip(*walks.values()):
-        steps = dict(zip(walks, rounds))
+def _alternating(walks: list) -> Iterator[tuple]:
+    """(index, item) for the `_walk`s in `walks`: in each round one step (up
+    to a None) of each in turn; no walk enters a round before all end the last."""
+    for rounds in zip(*walks):
+        steps = dict(enumerate(rounds))
         while steps:
-            for key, items in list(steps.items()):
+            for i, items in list(steps.items()):
                 for item in items:
                     if item is None:
                         break
-                    yield key, item
+                    yield i, item
                 else:
-                    del steps[key]
+                    del steps[i]
 
 
 # ---------------------------------------------------------------------------
@@ -945,7 +947,7 @@ class LocalImage(NamedTuple):
     """The image of one kernel's local descent map as an F2 subgroup."""
 
     place: int
-    side: str  # "phihat" (domain points) or "phi" (codomain points)
+    side: str  # PHIHAT (points of the domain J) or PHI (points of the codomain Jhat)
     basis: tuple[LocalKummerTriple, ...]
     witnesses: tuple[MumfordDivisor, ...]
     status: str
@@ -981,26 +983,23 @@ def local_images(curve: RichelotPair, v: int,
 def _search_images(curve: RichelotPair, v: int, cfg: SearchConfig) -> tuple:
     curve.require_five_roots()
     target = 2 * local_square_dim(v)  # dim H^1
-    walks = {"phihat": _walk(curve, DOMAIN, v, cfg), "phi": _walk(curve, CODOMAIN, v, cfg)}
-    found = {"phihat": [], "phi": []}  # side -> list of (triple, witness)
-    spans = {"phihat": gf2.Span(), "phi": gf2.Span()}
+    sides = (PHIHAT, PHI)
+    found = ([], [])  # per side, (triple, witness) pairs
+    spans = (gf2.Span(), gf2.Span())
 
     # step the sides in turn: only the sum of the dimensions is known, so
     # neither side walks far past its last new vector while the other lacks
     # some; each basis is the prefix of its own walk that raises its span
-    for name, (D, mask) in _alternating(walks):
-        if spans[name].add(mask):
-            found[name].append((_checked_image(D, mask, curve, v), D))
-            if spans["phihat"].dim + spans["phi"].dim >= target:
+    for i, (D, mask) in _alternating([_walk(curve, side, v, cfg) for side in sides]):
+        if spans[i].add(mask):
+            found[i].append((_checked_image(D, mask, curve, v), D))
+            if spans[0].dim + spans[1].dim >= target:
                 break
 
-    certified = (spans["phihat"].dim + spans["phi"].dim == target
-                 and _annihilate(found["phihat"], found["phi"]))
+    certified = spans[0].dim + spans[1].dim == target and _annihilate(*found)
     status = CERTIFIED if certified else HEURISTIC
-    return tuple(
-        LocalImage(v, name, tuple(t for t, _ in found[name]),
-                   tuple(D for _, D in found[name]), status)
-        for name in ("phihat", "phi"))
+    return tuple(LocalImage(v, side, tuple(t for t, _ in pairs), tuple(D for _, D in pairs),
+                            status) for side, pairs in zip(sides, found))
 
 
 def find_local_point(target, curve: RichelotPair, v: int,
@@ -1018,7 +1017,7 @@ def find_local_point(target, curve: RichelotPair, v: int,
     if t_local.place != v:
         raise ValueError(f"target {t_local} does not live at {place_name(v)}")
     mask = t_local.mask
-    for item in itertools.chain.from_iterable(_walk(curve, DOMAIN, v, cfg)):
+    for item in itertools.chain.from_iterable(_walk(curve, PHIHAT, v, cfg)):
         if item and item[1] == mask:  # None marks a step
             _checked_image(*item, curve, v)
             return item[0]

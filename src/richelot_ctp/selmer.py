@@ -1,5 +1,9 @@
 """Global descent: the two kernel Selmer groups as subgroups of (Q*/(Q*)^2)^3.
 
+A group is named by its side, PHIHAT or PHI: Sel^phihat is read from points
+of the domain J, Sel^phi from points of the codomain Jhat, and any other
+name raises ValueError (`RichelotPair.side_data`).
+
 A class lies in the Selmer group iff its restriction at every bad place lands
 in the local descent image there; away from the bad set both the classes
 (supported on S) and the images (unramified classes) make the condition
@@ -45,14 +49,11 @@ from typing import NamedTuple
 from . import gf2
 from .arith import PlaceSet, class_product, qs2_element, qs2_index, squarefree_reduce
 from .cohomology import KummerTriple, NormConditionError
-from .curve import RichelotPair
+from .curve import PHI, RichelotPair
 from .localfield import local_square_dim, place_name, places_of, square_class_mask
-from .localpoints import CODOMAIN, DOMAIN, SearchConfig, _torsion_masks, local_images
+from .localpoints import SearchConfig, _torsion_masks, local_images
 
 __all__ = ["SelmerGroup", "KernelCheckError", "torsion_images", "selmer_group"]
-
-PHI = "phi"
-PHIHAT = "phihat"
 
 
 class KernelCheckError(RuntimeError):
@@ -162,7 +163,6 @@ def torsion_images(curve: RichelotPair, side: str) -> list[KummerTriple]:
         return tuple(map(class_product, a, b))
 
     span, basis = gf2.Span(), []
-    side = DOMAIN if side == PHIHAT else CODOMAIN
     for _, c in _torsion_masks(curve, side, classes, product, (1, 1, 1))[1]:
         t = _checked(KummerTriple(c), primes)
         if span.add(_pair_index(t, primes)):
@@ -186,10 +186,8 @@ def _local_columns(gen_masks: list[int], d: int, image: gf2.Span) -> list[int]:
 
 
 def selmer_group(curve: RichelotPair, side: str, cfg: SearchConfig = SearchConfig()) -> SelmerGroup:
-    """Compute the kernel Selmer group of `side` ("phihat" or "phi")."""
-    if side not in (PHI, PHIHAT):
-        raise ValueError("side must be 'phi' or 'phihat'")
-    curve.require_five_roots()
+    """Compute the kernel Selmer group of `side`, PHIHAT or PHI."""
+    known = torsion_images(curve, side)  # an unknown side raises ValueError here
     S = curve.bad_places
     primes = S.finite_primes
     places = places_of(S)
@@ -220,7 +218,6 @@ def selmer_group(curve: RichelotPair, side: str, cfg: SearchConfig = SearchConfi
                 raise KernelCheckError(
                     f"kernel vector {t} is not in the local image at {place_name(v)}")
 
-    known = torsion_images(curve, side)
     span = gf2.Span(_pair_index(t, primes) for t in known)
     basis = known + [_pair_triple(y, primes) for y in reversed(gf2.echelon(kernel))
                      if span.add(y)]

@@ -21,7 +21,7 @@ from .cohomology import (
     psi_two_to_phihat,
 )
 from .ctp import ctp_global, ctp_matrix, local_row, rank_report
-from .curve import RichelotPair, build_pair, poly, weil_ephi
+from .curve import PHI, PHIHAT, RichelotPair, build_pair, poly, weil_ephi
 from .localfield import local_square_class, place_name, places_of
 from .localpoints import SearchConfig
 from .selmer import selmer_group, torsion_images
@@ -125,14 +125,14 @@ def run_verification(cfg: SearchConfig = SearchConfig(),
                ((1, 7, 7), (1, 1, 7, 1, 7)))))
 
     # known rational point images
-    tors = {t.values for t in torsion_images(curve, "phihat")}
+    tors = {t.values for t in torsion_images(curve, PHIHAT)}
     check("known-point images",
           (2 * K, -14 * K, -7) in tors and (K, 7, 7 * K) in tors,
           f"got {sorted(tors)}")
 
     # Selmer groups
-    sel_hat = selmer_group(curve, "phihat", cfg)
-    sel_phi = selmer_group(curve, "phi", cfg)
+    sel_hat = selmer_group(curve, PHIHAT, cfg)
+    sel_phi = selmer_group(curve, PHI, cfg)
     check("dual-kernel Selmer group",
           sel_hat.dim == 5 and sel_hat.status == "certified"
           and sel_hat.same_group([KummerTriple.of(*t) for t in _SEL_PHIHAT]),

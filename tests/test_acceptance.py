@@ -21,7 +21,7 @@ from richelot_ctp.cohomology import (
     quintuple_quotient,
 )
 from richelot_ctp.ctp import ctp_global, ctp_matrix, local_row, rank_report
-from richelot_ctp.curve import poly
+from richelot_ctp.curve import PHIHAT, poly
 from curve_fixtures import in_radical
 from hilbert_oracle import OracleInconclusive, hilbert_oracle
 from richelot_ctp.localfield import (
@@ -31,7 +31,6 @@ from richelot_ctp.localfield import (
     places_of,
 )
 from richelot_ctp.localpoints import (
-    DOMAIN,
     SearchConfig,
     _point_tiers,
     find_local_point,
@@ -220,7 +219,7 @@ def test_criterion_8_structural_invariants(curve, sel_phihat, matrix):
     checked = 0
     for v in places:
         for D, _ in filter(None, itertools.chain.from_iterable(
-                _point_tiers(curve, DOMAIN, v, SearchConfig(val_bound=2)))):
+                _point_tiers(curve, PHIHAT, v, SearchConfig(val_bound=2)))):
             q = mu_two(D, curve, v)          # constructor enforces norm condition
             t = mu_phihat(D, curve, v)
             assert psi_two_to_phihat(q) == t

@@ -16,6 +16,7 @@ from richelot_ctp.arith import (
     squarefree_reduce,
 )
 from richelot_ctp import gf2
+from richelot_ctp.localfield import places_of
 
 
 def test_squarefree_reduce_examples():
@@ -134,8 +135,20 @@ def test_factorize_names_the_cofactor_it_cannot_split(monkeypatch):
 
 @pytest.mark.parametrize("primes", [(3, 2), (2, 2), (2, 5, 3)])
 def test_place_set_rejects_primes_out_of_increasing_order(primes):
-    with pytest.raises(ValueError, match="strictly increasing"):
-        PlaceSet(primes)
+    # `_make`, and `_replace` through it, check as the constructor does
+    for build in (PlaceSet, lambda ps: PlaceSet((2,))._replace(finite_primes=ps),
+                  lambda ps: PlaceSet._make([ps])):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            build(primes)
+    S = PlaceSet((2,))._replace(finite_primes=(2, 3))
+    assert type(S) is PlaceSet and S == PlaceSet((2, 3))
+
+
+def test_every_place_set_holds_oo():
+    for S in (PlaceSet(()), PlaceSet((2, 3))):
+        assert all(v in S for v in places_of(S))  # 0 is oo
+        assert 5 not in S
+    assert str(PlaceSet((2, 3))) == "{2, 3, oo}"
 
 
 def test_enumerate_Q_S2_sizes_and_closure():

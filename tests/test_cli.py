@@ -78,6 +78,27 @@ def test_invalid_curve_exits_2(curve_file, tmp_path, capsys):
     assert main(["isogeny", curve_file(dict(CURVE113, G1=[226, 1]), "int.json")]) == 0
 
 
+@pytest.mark.parametrize("command", ["isogeny", "ctp"])
+@pytest.mark.parametrize("key", ["label", "lambda", "G1", "G2", "G3"])
+def test_every_json_type_at_every_key_exits_0_or_2(curve_file, capsys, command, key):
+    # a float label ended in a TypeError traceback from the JSON writer, and
+    # a null, list or object label was echoed into the report as it was
+    for value in (None, True, 1, 1.5, "1", ["1"], {"1": "1"}):
+        rc = main([command, curve_file(dict(TOY, **{key: value})), "--json"])
+        captured = capsys.readouterr()
+        assert rc in (0, 2), (key, value)
+        if rc == 2:
+            assert not captured.out and captured.err.startswith("error: "), (key, value)
+        else:
+            assert json.loads(captured.out)["curve"]["label"] == (value if key == "label" else "toy")
+        if key == "label":
+            assert rc == (0 if isinstance(value, str) else 2), value
+            assert rc == 0 or "malformed curve file" in captured.err
+    # a missing label stays empty
+    assert main([command, curve_file({k: v for k, v in TOY.items() if k != "label"}), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["curve"]["label"] == ""
+
+
 # lambda is the product of two 20-digit primes, which the rho stage of the
 # factorization cannot split within its budget
 SEMIPRIME = (10 ** 19 + 51) * (10 ** 19 + 87)
@@ -366,9 +387,12 @@ def test_a_ctp_run_derives_each_factor_form_and_the_bad_places_once(
     places = count_calls(arith, "bad_places", lambda args: "S")
     assert main(["ctp", curve_file(K2431), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "certified"
-    # the earlier run derived each G_i's form 134 times and each L_i's 96
+    # the earlier run derived each G_i's form 134 times and each L_i's 96;
+    # each SideData derives its factors' forms once, and G1 = x + 4862 is
+    # also the quintuple map's factor x - w_1, so its form is derived twice
     assert set(curve.G).isdisjoint(curve.L)
-    assert [forms[g] for g in curve.G + curve.L] == [1] * 6
+    assert curve.G[0] == (-curve.roots[0], 1)
+    assert [forms[g] for g in curve.G + curve.L] == [2, 1, 1, 1, 1, 1]
     # and computed the bad places five times
     assert places == {"S": 1}
 

@@ -7,6 +7,8 @@ import pytest
 from richelot_ctp.arith import bad_places
 from richelot_ctp.curve import (
     INF,
+    PHI,
+    PHIHAT,
     NonSplitError,
     ProductOfEllipticError,
     SingularModelError,
@@ -16,7 +18,7 @@ from richelot_ctp.curve import (
     weil_ephi,
 )
 from richelot_ctp.localfield import place_name, places_of
-from richelot_ctp.localpoints import CODOMAIN, DOMAIN, _torsion_divisors
+from richelot_ctp.localpoints import _torsion_divisors
 
 
 def weil_e2(P: frozenset, Q: frozenset) -> int:
@@ -36,8 +38,8 @@ def weierstrass_points(factors, groups) -> dict:
     return points
 
 
-SIDES = {DOMAIN: lambda c: (c.G, c.roots_by_factor),
-         CODOMAIN: lambda c: (c.L, c.codomain_roots_by_factor)}
+SIDES = {PHIHAT: lambda c: (c.G, c.roots_by_factor),
+         PHI: lambda c: (c.L, c.codomain_roots_by_factor)}
 
 
 def test_example_curve_isogeny_data(curve113):
@@ -84,7 +86,7 @@ def test_six_root_model_builds():
     c = build_pair(1, [-9, 0, 1], [-1, 0, 1], [-20, 1, 1])
     assert c.degree == 6
     assert len(c.roots) == 6
-    assert len(_torsion_divisors(c, DOMAIN)) == 16
+    assert len(_torsion_divisors(c, PHIHAT)) == 16
 
 
 @pytest.mark.parametrize("side", sorted(SIDES))
@@ -106,7 +108,7 @@ def test_torsion_divisors_are_the_identity_the_weierstrass_pairs_and_the_kernel_
         assert [D.quad for D in tors if D.tag == "quadratic"] == quadratics
         assert len(tors) == 1 + len(points) * (len(points) - 1) // 2 + len(quadratics)
         assert {D.side for D in tors} == {side}
-        if side == DOMAIN:
+        if side == PHIHAT:
             assert len(tors) == 16
 
 
@@ -147,7 +149,7 @@ def test_weil_e2_spec_values():
 
 
 def test_weil_e2_bilinear_alternating(curve113):
-    pts = [frozenset(D.torsion) for D in _torsion_divisors(curve113, DOMAIN)]
+    pts = [frozenset(D.torsion) for D in _torsion_divisors(curve113, PHIHAT)]
     assert len(pts) == 16
     markers = frozenset(range(5)) | {INF}
 
@@ -176,7 +178,7 @@ def test_kernel_isotropic(curve113):
     ker = [frozenset((0, INF)), frozenset((1, 2)), frozenset((3, 4))]
     for P, g, grp in zip(ker, curve113.G, curve113.roots_by_factor):
         assert {points[m] for m in P} == set(grp) | ({None} if len(g) == 2 else set())
-    assert set(ker) <= {frozenset(D.torsion) for D in _torsion_divisors(curve113, DOMAIN)}
+    assert set(ker) <= {frozenset(D.torsion) for D in _torsion_divisors(curve113, PHIHAT)}
     for P in ker:
         for Q in ker:
             assert weil_e2(P, Q) == 1
@@ -197,7 +199,7 @@ def test_equal_curves_built_separately_hold_distinct_cached_data():
     for name in ("f", "fhat", "roots", "bad_places", "domain_data", "codomain_data"):
         assert getattr(a, name) is getattr(a, name), name
         assert getattr(a, name) is not getattr(b, name), name
-    for side in ("domain", "codomain"):
+    for side in (PHIHAT, PHI):
         da, db = a.side_data(side), b.side_data(side)
         assert da.forms == db.forms and da.forms is not db.forms
         assert da.real_samples == db.real_samples and da.real_samples is not db.real_samples

@@ -31,6 +31,8 @@ import richelot_ctp.localpoints as lp
 from richelot_ctp.cohomology import LocalKummerQuintuple
 from richelot_ctp.curve import (
     INF,
+    PHI,
+    PHIHAT,
     _common_denominator,
     build_pair,
     homogenized_eval,
@@ -52,8 +54,6 @@ from richelot_ctp.localfield import (
 )
 from richelot_ctp.arith import bad_places
 from richelot_ctp.localpoints import (
-    CODOMAIN,
-    DOMAIN,
     SearchConfig,
     _block_step,
     _generic,
@@ -416,10 +416,10 @@ def test_sqrt_mod_pk_is_a_truncated_root(p):
 
 @pytest.mark.parametrize("curve, p", [(A257, 257), (IRRATIONAL, 7), (IRRATIONAL, 3)],
                          ids=["A257@257", "irrational@7", "irrational@3"])
-@pytest.mark.parametrize("side", [DOMAIN, CODOMAIN])
+@pytest.mark.parametrize("side", [PHIHAT, PHI])
 def test_singles_factor_xor_decides_like_evaluating_f(curve, p, side):
-    f = curve.f if side == DOMAIN else curve.fhat
-    polys = curve.G if side == DOMAIN else curve.L
+    f = curve.f if side == PHIHAT else curve.fhat
+    polys = curve.G if side == PHIHAT else curve.L
     xs = flat_feed(curve, side, p, SearchConfig())
     expected = []
     for n, d in xs:
@@ -438,7 +438,7 @@ def test_singles_factor_xor_decides_like_evaluating_f(curve, p, side):
     assert len(got) < len(xs)
     # fhat(x) is a square in Q_7 at none of the irrational codomain's
     # candidates (its image at 7 comes from torsion and quadratic divisors)
-    assert got or (curve is IRRATIONAL and side == CODOMAIN and p == 7)
+    assert got or (curve is IRRATIONAL and side == PHI and p == 7)
 
 
 def check_x_blocks(curve, cfg):
@@ -449,8 +449,8 @@ def check_x_blocks(curve, cfg):
     counts = collections.Counter()
     for p in bad_places(curve).finite_primes:
         units = _unit_residues(p, cfg.residue_exponent)
-        for side in (DOMAIN, CODOMAIN):
-            polys = curve.G if side == DOMAIN else curve.L
+        for side in (PHIHAT, PHI):
+            polys = curve.G if side == PHIHAT else curve.L
             for c, j, dominated in _x_blocks(curve, side, p, cfg):
                 counts["all" if all(dominated) else "some" if any(dominated) else "none"] += 1
                 by_class = {}
@@ -499,10 +499,10 @@ def test_the_x_block_check_catches_a_wrong_rule(monkeypatch):
                          ids=["k113", "fractional", "irrational", "A257", "B31", "B97"])
 def test_each_block_comes_once_and_the_domain_centres_are_its_roots(curve):
     for p in bad_places(curve).finite_primes:
-        for side in (DOMAIN, CODOMAIN):
+        for side in (PHIHAT, PHI):
             blocks = [(c, j) for c, j, _ in _x_blocks(curve, side, p, SearchConfig())]
             assert len(blocks) == len(set(blocks)), (p, side)
-            if side == DOMAIN:
+            if side == PHIHAT:
                 # the grid is the blocks at c = 0
                 assert {c for c, _ in blocks} == set(curve.roots) | {0}, p
 
@@ -512,7 +512,7 @@ def test_each_block_comes_once_and_the_domain_centres_are_its_roots(curve):
 # above checks every block this marks generic); a margin of 3 at 2 makes only
 # 12 of these 37 blocks generic
 def test_most_domain_blocks_at_2_are_generic():
-    blocks = list(_x_blocks(K113, DOMAIN, 2, SearchConfig()))
+    blocks = list(_x_blocks(K113, PHIHAT, 2, SearchConfig()))
     assert len(blocks) == 37
     assert sum(all(dominated) for _, _, dominated in blocks) >= 29
 
@@ -526,10 +526,10 @@ def test_taylor_valuations_are_computed_once_per_centre_and_prime(count_calls):
     calls = count_calls(curve_module, "valuation", lambda args: (args[1], type(args[0])))
     for p in bad_places(curve).finite_primes:
         # the domain's centres are its roots and 0 in every round
-        list(_x_blocks(curve, DOMAIN, p, ROUNDS[0]))
+        list(_x_blocks(curve, PHIHAT, p, ROUNDS[0]))
         first = calls[p, int]
         for cfg in ROUNDS[1:]:
-            list(_x_blocks(curve, DOMAIN, p, cfg))
+            list(_x_blocks(curve, PHIHAT, p, cfg))
         assert 0 < first == calls[p, int], p
     assert {kind for _, kind in calls} == {int}, calls
 
@@ -554,7 +554,7 @@ def test_the_dominated_flags_are_computed_once_per_side_prime_and_terms(monkeypa
     def fresh_b97():
         return build_pair(1, [0, 1], [2, -3, 1], [5 * 97, -(5 + 97), 1])
 
-    for side, distinct in ((DOMAIN, 157), (CODOMAIN, 121)):
+    for side, distinct in ((PHIHAT, 157), (PHI, 121)):
         calls.clear()
         curve = fresh_b97()
         first = list(itertools.chain.from_iterable(_walk(curve, side, v, SearchConfig())))
@@ -605,7 +605,7 @@ def test_taylor_valuations_match_the_fraction_taylor_oracle(label):
     curve = BENCHMARK_CURVES.get(label) or fixture_curve(label)
     kinds = collections.Counter()
     for p in bad_places(curve).finite_primes:
-        for side in (DOMAIN, CODOMAIN):
+        for side in (PHIHAT, PHI):
             data = curve.side_data(side)
             centres = set()
             for cfg in ROUNDS:
@@ -648,7 +648,7 @@ def test_the_root_centres_are_found_once_per_curve_and_prime(monkeypatch, P, p, 
     monkeypatch.setattr(lp, "homogenized_eval", counted)
     for cfg in [SearchConfig(), SearchConfig().escalate(), SearchConfig().escalate().escalate()]:
         counted_calls.append(0)
-        list(_x_blocks(curve, CODOMAIN, p, cfg))
+        list(_x_blocks(curve, PHI, p, cfg))
     assert counted_calls == calls
 
 
@@ -687,7 +687,7 @@ def test_the_root_centres_are_the_scanned_simple_roots(label):
     for p in bad_places(curve).finite_primes:
         if p > 1000:
             continue
-        for side in (DOMAIN, CODOMAIN):
+        for side in (PHIHAT, PHI):
             data = curve.side_data(side)
             assert lp._root_centers(data, p, 0) == scanned_simple_roots(data, p), (p, side)
             checked += 1
@@ -729,7 +729,7 @@ def check_quadratic_blocks(curve, configs, rule=_generic):
     for p in bad_places(curve).finite_primes:
         if p == 2:
             continue
-        for side in (DOMAIN, CODOMAIN):
+        for side in (PHIHAT, PHI):
             data = curve.side_data(side)
             checked = set()
             for cfg in configs:
@@ -796,7 +796,7 @@ def test_the_norm_is_a_square_exactly_when_the_slot_classes_multiply_to_1(label)
     outcomes = collections.Counter()
     for p in bad_places(curve).finite_primes:
         d = 3 if p == 2 else 2
-        for side in (DOMAIN, CODOMAIN):
+        for side in (PHIHAT, PHI):
             data = curve.side_data(side)
             for *_, candidates in quadratic_candidates_by_block(curve, side, p, SearchConfig()):
                 for a, b, _ in candidates:
@@ -826,9 +826,9 @@ def test_quintuple_slot_values_match_the_fraction_evaluator(label):
     curve = BENCHMARK_CURVES[label]
     tags = set()
     for v in places_of(curve.bad_places):
-        walk = _walk(curve, DOMAIN, v, SearchConfig())
+        walk = _walk(curve, PHIHAT, v, SearchConfig())
         walked = [item[0] for item in itertools.chain.from_iterable(walk) if item]
-        for D in walked + _torsion_divisors(curve, DOMAIN):
+        for D in walked + _torsion_divisors(curve, PHIHAT):
             want = reference_quintuple_values(D, curve)
             got = tuple(Fraction(n, d) for n, d in _slot_values(D, curve, curve.two_data))
             assert got == tuple(want), (str(D), place_name(v))

@@ -7,11 +7,9 @@ import pytest
 from curve_fixtures import class_bits, quadratic_mumford_certificate
 from richelot_ctp.cohomology import KummerTriple, psi_two_to_phihat
 from richelot_ctp.ctp import ctp_matrix
-from richelot_ctp.curve import INF, build_pair, poly_eval, poly_integer_form
+from richelot_ctp.curve import INF, PHI, PHIHAT, build_pair, poly_eval, poly_integer_form
 from richelot_ctp.localfield import is_local_square, local_square_class, place_name, places_of
 from richelot_ctp.localpoints import (
-    CODOMAIN,
-    DOMAIN,
     LocalImage,
     MumfordDivisor,
     SearchConfig,
@@ -46,8 +44,8 @@ def same_local(t, values, v):
 
 
 def test_a_weierstrass_pair_is_two_distinct_markers_in_order():
-    D = MumfordDivisor.weierstrass_pair(3, INF, CODOMAIN)
-    assert (D.tag, D.side, D.torsion, str(D)) == ("weierstrass_pair", CODOMAIN, (3, INF), "{3,inf}")
+    D = MumfordDivisor.weierstrass_pair(3, INF, PHI)
+    assert (D.tag, D.side, D.torsion, str(D)) == ("weierstrass_pair", PHI, (3, INF), "{3,inf}")
     with pytest.raises(ValueError):
         MumfordDivisor.weierstrass_pair(2, 2)
 
@@ -73,19 +71,19 @@ def test_mu_phi_kernel_divisors_trivial(curve113):
     # infinite-point convention
     roots = {x for grp in curve113.codomain_roots_by_factor for x in grp}
     assert roots == {339, -565, 113, -678, 226}
-    P2 = MumfordDivisor.rational_pair(-565, 113, CODOMAIN)
-    P3 = MumfordDivisor.rational_pair(-678, 226, CODOMAIN)
+    P2 = MumfordDivisor.rational_pair(-565, 113, PHI)
+    P3 = MumfordDivisor.rational_pair(-678, 226, PHI)
     assert mu_phi(P2, curve113).values == (1, 1, 1)
     assert mu_phi(P3, curve113).values == (1, 1, 1)
     # the linear factor's kernel divisor contains the infinite point
     slots = sorted(curve113.codomain_data.slots)
-    P1 = MumfordDivisor.weierstrass_pair(slots[0], INF, CODOMAIN)
+    P1 = MumfordDivisor.weierstrass_pair(slots[0], INF, PHI)
     assert mu_phi(P1, curve113).values == (1, 1, 1)
 
 
 def test_mu_phi_weierstrass_totality(curve113):
     # every slot nonzero after special-casing, and the norm condition holds
-    for D in _torsion_divisors(curve113, CODOMAIN):
+    for D in _torsion_divisors(curve113, PHI):
         t = mu_phi(D, curve113)
         assert all(v != 0 for v in t.values)
 
@@ -96,7 +94,7 @@ def test_mu_maps_norm_condition_random_divisors(curve113):
     count = 0
     for v in (V2, V3, V7, V113, OO):
         for D, _ in filter(None, itertools.chain.from_iterable(
-                _point_tiers(curve113, DOMAIN, v, SearchConfig(val_bound=2)))):
+                _point_tiers(curve113, PHIHAT, v, SearchConfig(val_bound=2)))):
             mu_two(D, curve113, v)
             mu_phihat(D, curve113, v)
             count += 1
@@ -114,7 +112,7 @@ def test_commutativity_psi_of_mu_two_is_mu_phihat(curve113):
     checked = 0
     for v in places:
         for D, _ in filter(None, itertools.chain.from_iterable(
-                _point_tiers(curve113, DOMAIN, v, SearchConfig(val_bound=3)))):
+                _point_tiers(curve113, PHIHAT, v, SearchConfig(val_bound=3)))):
             got = psi_two_to_phihat(mu_two(D, curve113, v))
             want = mu_phihat(D, curve113, v)
             assert got == want, (str(D), place_name(v))
@@ -128,7 +126,7 @@ def test_commutativity_on_quadratic_divisors(curve113):
     from richelot_ctp.localpoints import _quadratic_candidates, SearchConfig
     checked = 0
     for v in (V2, V3, V7):
-        for D, _ in filter(None, _quadratic_candidates(curve113, DOMAIN, v, SearchConfig())):
+        for D, _ in filter(None, _quadratic_candidates(curve113, PHIHAT, v, SearchConfig())):
             got = psi_two_to_phihat(mu_two(D, curve113, v))
             assert got == mu_phihat(D, curve113, v), (str(D), place_name(v))
             checked += 1
@@ -155,8 +153,8 @@ def test_quadratic_divisor_images_match_split_pairs(curve113):
         if not places:
             continue
         A = (-(x1 + x2), x1 * x2)
-        Dq = MumfordDivisor.quadratic(A[0], A[1], DOMAIN)
-        Dr = MumfordDivisor.rational_pair(x1, x2, DOMAIN)
+        Dq = MumfordDivisor.quadratic(A[0], A[1], PHIHAT)
+        Dr = MumfordDivisor.rational_pair(x1, x2, PHIHAT)
         for v in places:
             assert mu_two(Dq, curve113, v) == mu_two(Dr, curve113, v)
             assert mu_phihat(Dq, curve113, v) == mu_phihat(Dr, curve113, v)
@@ -278,15 +276,15 @@ def test_quadratic_masks_read_from_resultants_match_images(curve113):
     for curve, places in ((irrational, (V2, V3, V7)), (curve113, (V2, V3, V7, V113))):
         for v in places:
             tried = itertools.islice(
-                filter(None, _quadratic_candidates(curve, DOMAIN, v, SearchConfig())), 10)
+                filter(None, _quadratic_candidates(curve, PHIHAT, v, SearchConfig())), 10)
             cases = [(D, D) for D, _ in tried]
-            cases += [(D, D) for D in _torsion_divisors(curve, CODOMAIN) if D.tag == "quadratic"]
+            cases += [(D, D) for D in _torsion_divisors(curve, PHI) if D.tag == "quadratic"]
             for g, roots in zip(curve.G, curve.roots_by_factor):
                 if len(g) == 3:
                     cases.append((MumfordDivisor.quadratic(g[1] / g[2], g[0] / g[2]),
                                   MumfordDivisor.rational_pair(*roots)))
             for D, same in cases:
-                forms = [poly_integer_form(g) for g in (curve.G if D.side == DOMAIN else curve.L)]
+                forms = [poly_integer_form(g) for g in (curve.G if D.side == PHIHAT else curve.L)]
                 mask = _quadratic_mask(*_common_denominator(
                     *(x.as_integer_ratio() for x in D.quad)), forms, v)
                 assert mask == divisor_image(same, curve, v).mask, (str(D), place_name(v))
@@ -297,7 +295,7 @@ def test_quadratic_masks_read_from_resultants_match_images(curve113):
 def test_toy_curve_codomain_torsion_includes_conjugate_pairs(toy_curve):
     # x^2+4 and x^2+1 are irreducible: their kernel divisors appear as
     # quadratic tags and map to the trivial class
-    tors = _torsion_divisors(toy_curve, CODOMAIN)
+    tors = _torsion_divisors(toy_curve, PHI)
     quads = [D for D in tors if D.tag == "quadratic"]
     assert len(quads) == 2
     for D in quads:
@@ -325,7 +323,7 @@ def test_torsion_masks_read_from_the_curve_data_match_the_images(monkeypatch, la
     from richelot_ctp.localfield import places_of
     curve = CORPUS[label]
     for v in places_of(curve.bad_places):
-        for side in (DOMAIN, CODOMAIN):
+        for side in (PHIHAT, PHI):
             with monkeypatch.context() as m:
                 # the tier reads the curve's values; it builds no slot value
                 m.setattr(localpoints, "_slot_values", None)
@@ -346,7 +344,7 @@ def test_uncached_walks_at_the_real_place_isolate_roots_once_per_side(count_call
         find_local_point(t, curve, OO)
     # the images are full before the codomain's singles tier starts, so
     # each side's walk is also run to its end, twice
-    for side in (DOMAIN, CODOMAIN):
+    for side in (PHIHAT, PHI):
         for _ in range(2):
             list(itertools.chain.from_iterable(_walk(curve, side, OO, SearchConfig())))
     assert samples == {curve.G: 1, curve.L: 1}
@@ -364,23 +362,28 @@ def test_a_curve_walks_each_side_and_place_once_per_search_config(count_calls):
     ctp_matrix(sel, curve)
     places = places_of(curve.bad_places)
     assert walks == {(side, place_name(v), SearchConfig()): 1
-                     for side in (DOMAIN, CODOMAIN) for v in places}
+                     for side in (PHIHAT, PHI) for v in places}
     v = places[-1]
     images = local_images(curve, v)
     assert local_images(curve, v) is images
     assert sum(walks.values()) == 2 * len(places)
     other = SearchConfig(val_bound=2)
     assert local_images(curve, v, other) is not images
-    assert walks[DOMAIN, place_name(v), other] == walks[CODOMAIN, place_name(v), other] == 1
+    assert walks[PHIHAT, place_name(v), other] == walks[PHI, place_name(v), other] == 1
     assert sum(walks.values()) == 2 * len(places) + 2
 
 
 @pytest.mark.parametrize("field, low", [("residue_exponent", 1), ("val_bound", 0),
                                         ("escalations", 0)])
 def test_search_config_rejects_a_bound_below_its_minimum(field, low):
-    with pytest.raises(ValueError, match=f"{field} must be at least {low}"):
-        SearchConfig(**{field: low - 1})
+    # `_make`, and `_replace` through it, check as the constructor does
+    for build in (SearchConfig, SearchConfig()._replace,
+                  lambda **kw: SearchConfig._make((SearchConfig()._asdict() | kw).values())):
+        with pytest.raises(ValueError, match=f"{field} must be at least {low}"):
+            build(**{field: low - 1})
     assert getattr(SearchConfig(**{field: low}), field) == low
+    cfg = SearchConfig()._replace(**{field: low})
+    assert type(cfg) is SearchConfig and getattr(cfg, field) == low
 
 
 def test_search_config_escalates_through_its_own_method():
@@ -404,9 +407,9 @@ def test_equal_table_keys_hash_alike():
     # search configs key the local-image tables, divisors the mu_two tables
     pairs = [(SearchConfig(val_bound=2), SearchConfig(4, 2)),
              (MumfordDivisor.rational_pair(1, "1/2"),
-              MumfordDivisor("rational_pair", DOMAIN, xs=(Fraction(1), Fraction(1, 2)))),
-             (MumfordDivisor.weierstrass_pair(0, INF, CODOMAIN),
-              MumfordDivisor.weierstrass_pair(0, INF, CODOMAIN))]
+              MumfordDivisor("rational_pair", PHIHAT, xs=(Fraction(1), Fraction(1, 2)))),
+             (MumfordDivisor.weierstrass_pair(0, INF, PHI),
+              MumfordDivisor.weierstrass_pair(0, INF, PHI))]
     for a, b in pairs:
         assert a == b and a is not b
         assert hash(a) == hash(b)

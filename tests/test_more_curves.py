@@ -63,7 +63,7 @@ def test_sibling_family_member_bound_drops_to_zero():
 def test_six_root_codomain_generic_curve():
     # G2, G3 with different linear coefficients: the codomain has six roots
     c = build_pair(2, [-1, 1], [30, -21, 3], [-11, -10, 1])
-    assert c.codomain_degree == 6
+    assert c.codomain_linear_index is None
     sh, sp, M, rep = run_pipeline(c)
     assert (sh.dim, sp.dim) == (5, 0)
     assert rep.rank_bound_before == rep.rank_bound_after == 1
@@ -75,7 +75,7 @@ def test_fully_irrational_codomain_with_degenerate_reduction():
     # real, and the codomain model reduces to a near-cube at 7 (= Delta), so
     # local generation there leans on quadratic Mumford divisors
     c = build_pair(1, [0, 1], [-1, 0, 1], [6, -5, 1])
-    assert c.codomain_degree == 6
+    assert c.codomain_linear_index is None
     assert c.codomain_roots_by_factor == (None, None, None)
     assert c.fhat[-1] > 0
     sh, sp, M, rep = run_pipeline(c)

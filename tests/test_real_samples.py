@@ -14,8 +14,8 @@ from fractions import Fraction
 import pytest
 
 from richelot_ctp.curve import (
-    CODOMAIN,
-    DOMAIN,
+    PHI,
+    PHIHAT,
     CurveError,
     Poly,
     _trim,
@@ -177,7 +177,7 @@ def test_factor_roots_sample_the_regions_sturm_isolation_samples(corpus):
     curves = BENCHMARK if corpus == "benchmark" else seeded_corpus(240)
     kinds = {True: 0, False: 0}  # quadratics with irrational real roots, with complex ones
     for curve in curves:
-        for side in (DOMAIN, CODOMAIN):
+        for side in (PHIHAT, PHI):
             data = curve.side_data(side)
             new = real_root_samples(data.factors, data.groups)
             assert new == sorted(new)

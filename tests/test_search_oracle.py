@@ -34,12 +34,11 @@ import richelot_ctp.localpoints as lp
 from richelot_ctp import gf2
 from richelot_ctp.arith import bad_places
 from richelot_ctp.ctp import ctp_matrix
-from richelot_ctp.curve import _common_denominator, build_pair, homogenized_eval, poly_integer_form
-from richelot_ctp.localfield import local_square_dim, place_name, places_of
+from richelot_ctp.curve import (PHI, PHIHAT, _common_denominator, build_pair, homogenized_eval,
+                                poly_integer_form)
+from richelot_ctp.localfield import is_local_square, local_square_dim, place_name, places_of
 from richelot_ctp.localpoints import (
     CERTIFIED,
-    CODOMAIN,
-    DOMAIN,
     HEURISTIC,
     ClassBitsMismatch,
     LocalImage,
@@ -47,7 +46,6 @@ from richelot_ctp.localpoints import (
     SearchConfig,
     SearchExhausted,
     _annihilate,
-    _codomain_infinity_rational,
     _point_tiers,
     _quadratic_bounds,
     _torsion_divisors,
@@ -103,7 +101,7 @@ CONFIGS = {
 
 def weierstrass_xs(curve, side):
     """The side's rational Weierstrass x-coordinates, in factor order."""
-    if side == DOMAIN:
+    if side == PHIHAT:
         return curve.roots
     return tuple(r for roots in curve.codomain_roots_by_factor if roots for r in roots)
 
@@ -115,7 +113,7 @@ def oracle_quadratic_candidates(curve, side, v, cfg):
     if not v:
         return  # conjugate pairs have trivial image over R
     p = v
-    f = poly_integer_form(curve.f if side == DOMAIN else curve.fhat)
+    f = poly_integer_form(curve.f if side == PHIHAT else curve.fhat)
     exponent, depth = _quadratic_bounds(p, cfg)
     units = _unit_residues(p, exponent)
     if len(units) > 40:
@@ -148,7 +146,7 @@ def oracle_quadratic_candidates(curve, side, v, cfg):
     # perturbations of quadratics vanishing on two-torsion x-pairs: divisors
     # p-adically near a torsion pair live here, and on models whose reduction
     # degenerates they can be the only points there are
-    polys = curve.G if side == DOMAIN else curve.L
+    polys = curve.G if side == PHIHAT else curve.L
     roots = weierstrass_xs(curve, side)
     bases = []
     for g in polys:
@@ -220,6 +218,14 @@ def flat_points_among(curve, side, v, xs):
                 yield Fraction(n, d), tuple(classes)
 
 
+def infinity_rational(curve, side, v):
+    """Are the infinite points of `side` defined over Q_v?  Always on the
+    domain and on a 5-root codomain, where infinity is a Weierstrass point;
+    on a 6-root codomain iff fhat's leading coefficient is a square in Q_v."""
+    return (side == PHIHAT or curve.codomain_linear_index is not None
+            or is_local_square(curve.fhat[-1], v))
+
+
 def oracle_point_tiers(curve, side, v, cfg):
     rng = random.Random(cfg.shuffle_seed) if cfg.shuffle_seed is not None else None
     weier = weierstrass_xs(curve, side)
@@ -233,7 +239,7 @@ def oracle_point_tiers(curve, side, v, cfg):
         yield from torsion
 
     def singles_tier():
-        inf_ok = side == DOMAIN or _codomain_infinity_rational(curve, v)
+        inf_ok = infinity_rational(curve, side, v)
         for x, ckey in flat_points_among(curve, side, v, flat_feed(curve, side, v, cfg, rng)):
             if ckey not in seen_classes or len(good_xs) < lp._POINT_POOL:
                 seen_classes.add(ckey)
@@ -259,11 +265,11 @@ def oracle_point_tiers(curve, side, v, cfg):
 
 def oracle_local_images(curve, v, cfg):
     target = 2 * local_square_dim(v)
-    found = {"phihat": [], "phi": []}
-    spans = {"phihat": gf2.Span(), "phi": gf2.Span()}
+    found = {PHIHAT: [], PHI: []}
+    spans = {PHIHAT: gf2.Span(), PHI: gf2.Span()}
 
     def filled():
-        return spans["phihat"].dim + spans["phi"].dim >= target
+        return spans[PHIHAT].dim + spans[PHI].dim >= target
 
     def drain(name, tier):
         for D in tier:
@@ -276,10 +282,9 @@ def oracle_local_images(curve, v, cfg):
 
     config = cfg
     for _ in range(cfg.escalations + 1):
-        tiers = {"phihat": oracle_point_tiers(curve, DOMAIN, v, config),
-                 "phi": oracle_point_tiers(curve, CODOMAIN, v, config)}
+        tiers = {side: oracle_point_tiers(curve, side, v, config) for side in (PHIHAT, PHI)}
         for level in range(4):
-            for name in ("phihat", "phi"):
+            for name in (PHIHAT, PHI):
                 if drain(name, tiers[name][level]):
                     break
             if filled():
@@ -287,19 +292,19 @@ def oracle_local_images(curve, v, cfg):
         if filled():
             break
         config = config.escalate()
-    certified = (spans["phihat"].dim + spans["phi"].dim == target
-                 and _annihilate(found["phihat"], found["phi"]))
+    certified = (spans[PHIHAT].dim + spans[PHI].dim == target
+                 and _annihilate(found[PHIHAT], found[PHI]))
     status = CERTIFIED if certified else HEURISTIC
     return tuple(LocalImage(v, name, tuple(t for t, _ in found[name]),
                             tuple(D for _, D in found[name]), status)
-                 for name in ("phihat", "phi"))
+                 for name in (PHIHAT, PHI))
 
 
 def oracle_find_local_point(target, curve, v, cfg):
     t_local = target.restrict(v)
     config = cfg
     for _ in range(cfg.escalations + 1):
-        for D in itertools.chain.from_iterable(oracle_point_tiers(curve, DOMAIN, v, config)):
+        for D in itertools.chain.from_iterable(oracle_point_tiers(curve, PHIHAT, v, config)):
             if divisor_image(D, curve, v) == t_local:
                 return D
         config = config.escalate()
@@ -361,10 +366,10 @@ def kept_by_the_flat_feed(curve, side, v, cfg):
 def test_the_singles_feed_keeps_what_the_flat_feed_keeps(label, cfg):
     curve = WITH_A1009[label]
     for v in places_of(bad_places(curve)):
-        for side in (DOMAIN, CODOMAIN):
+        for side in (PHIHAT, PHI):
             tiers, oracle = _point_tiers(curve, side, v, cfg), oracle_point_tiers(curve, side, v, cfg)
             singles = [D.xs[0] for D, _ in unmarked(tiers[1])]
-            inf_ok = side == DOMAIN or _codomain_infinity_rational(curve, v)
+            inf_ok = infinity_rational(curve, side, v)
             assert singles == (kept_by_the_flat_feed(curve, side, v, cfg) if inf_ok else [])
             list(oracle[1])  # the oracle's pool fills as its singles tier runs
             assert [D for D, _ in unmarked(tiers[2])] == list(oracle[2]), (place_name(v), side)
@@ -382,7 +387,7 @@ def count_certificates(monkeypatch, curve):
     f_form = poly_integer_form(curve.f)
 
     def counted(f, an, bn, q, v):
-        calls[(DOMAIN if f == f_form else CODOMAIN, an, bn, q)] += 1
+        calls[(PHIHAT if f == f_form else PHI, an, bn, q)] += 1
         return certificate(f, an, bn, q, v)
 
     monkeypatch.setattr(lp, "_quadratic_certificate", counted)
@@ -397,11 +402,11 @@ def count_quadratic_work(monkeypatch, curve):
     f_form, g_forms = poly_integer_form(curve.f), [poly_integer_form(g) for g in curve.G]
 
     def mask(an, bn, q, forms, p):
-        calls[("mask", DOMAIN if forms == g_forms else CODOMAIN, an, bn, q)] += 1
+        calls[("mask", PHIHAT if forms == g_forms else PHI, an, bn, q)] += 1
         return quadratic_mask(an, bn, q, forms, p)
 
     def certified(f, an, bn, q, v):
-        calls[("certificate", DOMAIN if f == f_form else CODOMAIN, an, bn, q)] += 1
+        calls[("certificate", PHIHAT if f == f_form else PHI, an, bn, q)] += 1
         return certificate(f, an, bn, q, v)
 
     monkeypatch.setattr(lp, "_quadratic_mask", mask)
@@ -419,7 +424,7 @@ def test_local_images_tries_each_quadratic_once(monkeypatch):
     calls = count_quadratic_work(monkeypatch, curve)
     images = local_images(curve, 23)
     assert images[0].status == HEURISTIC  # the search did escalate
-    assert {side for kind, side, *_ in calls if kind == "mask"} == {DOMAIN, CODOMAIN}
+    assert {side for kind, side, *_ in calls if kind == "mask"} == {PHIHAT, PHI}
     assert max(calls.values()) == 1
 
 
@@ -618,7 +623,7 @@ def test_no_image_is_built_for_a_discarded_point_candidate(monkeypatch, label, v
     assert len(points) == len(set(points))
     # find_local_point builds the image of the point it returns, and no other
     for D in kept:
-        if D.side != DOMAIN:
+        if D.side != PHIHAT:
             continue
         target = image(D, curve, v)
         built.clear()
@@ -894,7 +899,7 @@ def test_a_corrupt_entry_in_a_quadratic_class_table_raises(monkeypatch):
     # its image
     p, cfg, curve = 23, SearchConfig(), fresh(B97)
     tabled = set()
-    for side in (DOMAIN, CODOMAIN):
+    for side in (PHIHAT, PHI):
         data = curve.side_data(side)
         for centre, a_blocks, b_blocks in lp._quadratic_blocks(curve, side, p, cfg):
             terms = data.taylor_valuations(centre, p)
@@ -908,7 +913,7 @@ def test_a_corrupt_entry_in_a_quadratic_class_table_raises(monkeypatch):
 
     def mask(an, bn, q, forms, p_):
         m = quadratic_mask(an, bn, q, forms, p_)
-        if (DOMAIN if forms == g_forms else CODOMAIN, an, bn, q) in tabled:
+        if (PHIHAT if forms == g_forms else PHI, an, bn, q) in tabled:
             corrupted.append((an, bn, q))
             m ^= 0b101
         return m

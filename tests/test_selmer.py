@@ -8,7 +8,7 @@ from richelot_ctp.arith import (bad_places, class_product, enumerate_Q_S2, prime
                                 squarefree_reduce)
 from richelot_ctp.cohomology import KummerTriple, NormConditionError
 from richelot_ctp.ctp import ctp_matrix
-from richelot_ctp.localpoints import CODOMAIN, DOMAIN, _torsion_divisors, divisor_image
+from richelot_ctp.localpoints import _torsion_divisors, divisor_image
 from richelot_ctp.selmer import selmer_group, torsion_images
 
 
@@ -150,7 +150,7 @@ def per_divisor_torsion_images(curve, side):
     in divisor order."""
     primes = curve.bad_places.finite_primes
     span, basis = gf2.Span(), []
-    for D in _torsion_divisors(curve, DOMAIN if side == "phihat" else CODOMAIN):
+    for D in _torsion_divisors(curve, side):
         t = divisor_image(D, curve)
         if span.add(encode_triple(t, primes)):
             basis.append(t)

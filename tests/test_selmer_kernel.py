@@ -22,7 +22,7 @@ from richelot_ctp.ctp import (
     greenberg_wiles_terms,
     rank_report,
 )
-from richelot_ctp.curve import UnsupportedModelError, build_pair
+from richelot_ctp.curve import PHI, PHIHAT, UnsupportedModelError, build_pair
 from richelot_ctp.localfield import local_square_class, place_name, places_of
 from richelot_ctp.localpoints import SearchConfig, local_images
 from richelot_ctp.selmer import (
@@ -125,6 +125,19 @@ def test_six_root_domain_rejected_by_both():
     for fn in (selmer_group, enumerate_selmer):
         with pytest.raises(UnsupportedModelError):
             fn(curve, "phihat")
+
+
+@pytest.mark.parametrize("call", [
+    lambda curve: curve.side_data("domain"),
+    lambda curve: torsion_images(curve, "PHIHAT"),
+    lambda curve: selmer_group(curve, "Phi"),
+], ids=["side_data", "torsion_images", "selmer_group"])
+def test_an_unknown_side_raises(curve113, call):
+    # every name but "domain" used to pick the codomain's data
+    assert curve113.side_data(PHIHAT) is curve113.domain_data
+    assert curve113.side_data(PHI) is curve113.codomain_data
+    with pytest.raises(ValueError, match="side must be 'phihat' or 'phi'"):
+        call(curve113)
 
 
 def test_heuristic_images_match_enumeration(curve113):
