@@ -256,9 +256,9 @@ def bad_places(curve) -> PlaceSet:
     enlarging S only adds trivial local terms.
     """
     supp = {2}
-    supp |= prime_support(curve.delta)
-    supp |= prime_support(curve.leading_coefficient)
-    roots = curve.roots
+    supp |= prime_support(curve.codomain_data.delta)
+    supp |= prime_support(curve.domain_data.f[-1])
+    roots = curve.domain_data.roots
     for i in range(len(roots)):
         if roots[i].denominator != 1:
             supp |= prime_support(Fraction(roots[i].denominator))

@@ -12,7 +12,8 @@ Exit codes:
   0 ok;
   1 verification failure;
   2 invalid input: an unreadable or malformed curve file (a non-string
-    label among them), an unsupported model, curve data with a composite
+    label among them), an unsupported model, a model number with more
+    digits than Python turns into a string, curve data with a composite
     factor the factorization budget cannot split, a --places name that is
     missing or not a bad place ("oo" or a prime), an unknown flag, or a
     search flag below its minimum (1 for --precision, 0 for --val-bound and
@@ -86,31 +87,49 @@ def _curve_echo(curve: RichelotPair, label: str) -> dict:
     return {
         "label": label,
         "model": curve.label(),
-        "factors": [[str(c) for c in g] for g in curve.G],
-        "roots": [str(r) for r in curve.roots],
+        "factors": [[str(c) for c in g] for g in curve.domain_data.factors],
+        "roots": [str(r) for r in curve.domain_data.roots],
     }
+
+
+def _check_printable(curve: RichelotPair):
+    """Raise CurveError when a coefficient, Delta or a root of either side
+    has a numerator or denominator with more digits than Python turns into a
+    string (`sys.get_int_max_str_digits`; 0 means no limit), before any
+    search spends time on a curve whose report cannot be printed."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    numbers = [x for data in (curve.domain_data, curve.codomain_data)
+               for x in (data.delta, *data.roots, *(c for g in data.factors for c in g))]
+    # below 2^(3 limit) = 8^limit a number has at most `limit` digits, so
+    # 10^limit is built only for a number that may have more
+    if any(abs(n).bit_length() > 3 * limit and abs(n) >= 10 ** limit
+           for x in numbers for n in x.as_integer_ratio()):
+        raise CurveError(f"a number of the model has more than {limit} digits, "
+                         "the limit of Python's integer string conversion")
 
 
 def _kernel_descriptions(curve: RichelotPair):
     """P_i and P_i', the divisors cut out by G_i and by L_i: a factor's
     rational roots, with infinity beside a linear factor's root."""
     out = []
-    for prime, factors, groups in (("", curve.G, curve.roots_by_factor),
-                                   ("'", curve.L, curve.codomain_roots_by_factor)):
+    for prime, data in (("", curve.domain_data), ("'", curve.codomain_data)):
         out.append({f"P{i}{prime}": "{conjugate roots of %s}" % poly_str(g) if grp is None
                     else "{%s}" % ", ".join([f"({r}, 0)" for r in grp] + ["inf"] * (len(g) == 2))
-                    for i, (g, grp) in enumerate(zip(factors, groups), 1)})
+                    for i, (g, grp) in enumerate(zip(data.factors, data.groups), 1)})
     return out
 
 
 def _isogeny_dict(curve: RichelotPair, label: str) -> dict:
     dom, cod = _kernel_descriptions(curve)
+    delta, factors = curve.codomain_data.delta, curve.codomain_data.factors
     return {
         "curve": _curve_echo(curve, label),
-        "delta": str(curve.delta),
-        "L": [[str(c) for c in L] for L in curve.L],
+        "delta": str(delta),
+        "L": [[str(c) for c in L] for L in factors],
         "codomain_model": "(%s) y^2 = (%s)(%s)(%s)" % (
-            (str(curve.delta),) + tuple(poly_str(L) for L in curve.L)),
+            (str(delta),) + tuple(poly_str(L) for L in factors)),
         "kernel_divisors": dom,
         "dual_kernel_divisors": cod,
     }
@@ -365,6 +384,7 @@ def main(argv=None) -> int:
     try:
         label, lam, gs = _parse_curve_file(args.curve_file)
         curve = build_pair(lam, *gs)
+        _check_printable(curve)
         if args.command == "isogeny":
             _emit(_isogeny_dict(curve, label), args.json, _print_isogeny)
             return 0

@@ -11,14 +11,14 @@ factors through `poly_integer_form` and `homogenized_eval`, on integer
 numerators and denominators; `poly_eval` wraps the two for a `Fraction`.
 
 A `RichelotPair` computes the data that depend on the curve alone once, on
-first use, and holds them: the sextic models f and fhat, the leading
-coefficient, the rational roots, the bad places, and one `SideData` per
-descent map with what it reads at every place (integer forms, Weierstrass
-and infinite factor values, kernel quadratics; for the search also real
-sample points and the Taylor coefficients, at x-centres and at the quadratic
-tier's centres, as integer numerators and denominators, with their
-valuations and the search's tables per prime and per place, the local
-images among them).
+first use, and holds them: the bad places and one `SideData` per descent
+map, which is that side's model delta y^2 = prod factors (its f, factors,
+rational roots and Delta) with what the map reads at every place (integer
+forms, Weierstrass and infinite factor values, kernel quadratics; for the
+search also real sample points and the Taylor coefficients, at x-centres and
+at the quadratic tier's centres, as integer numerators and denominators,
+with their valuations and the search's tables per prime and per place, the
+local images among them).
 Nothing is shared between instances, so two equal curves built separately
 compute it twice.
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -166,7 +166,8 @@ def poly_mul(f: Poly, g: Poly) -> Poly:
 
 
 def poly_scale(f: Poly, c: Fraction) -> Poly:
-    return _trim([a * c for a in f])
+    """c f; f itself for c = 1, such as the domain model's 1 / delta."""
+    return f if c == 1 else _trim([a * c for a in f])
 
 
 def poly_derivative(f: Poly) -> Poly:
@@ -298,39 +299,21 @@ class RichelotPair(_RichelotPairFields):
     factors normalized monic (a constant rescaling; it changes the L_i only
     by nonzero scalars and leaves Delta, the sextic, and every square class
     untouched).  roots_by_factor groups the Weierstrass x-coordinates per
-    factor, each quadratic's pair sorted ascending; `roots` flattens them in
-    the slot order the descent maps use.
+    factor, each quadratic's pair sorted ascending.
 
     Everything derived from these fields is computed on first use and kept
-    on the instance: f, fhat, the leading coefficient, the flat and the
-    codomain roots, `bad_places`, the `SideData` of each side (`side_data`)
-    and of the quintuple map (`two_data`), so each place of a run does only
-    its own work.  (No `__slots__`: the cached properties live in the
-    instance's `__dict__`.)
+    on the instance: `bad_places` and the `SideData` of each side
+    (`side_data`: `domain_data`, the model y^2 = G1 G2 G3, and
+    `codomain_data`, Delta y^2 = L1 L2 L3) and of the quintuple map
+    (`two_data`).  Each side's model, flat roots and search data live only
+    in its `SideData`, so each place of a run does only its own work.  (No
+    `__slots__`: the cached properties live in the instance's `__dict__`.)
     """
 
     @property
     def degree(self) -> int:
         """5 when infinity is a Weierstrass point of the domain, else 6."""
         return 5 if INF in self.domain_data.markers else 6
-
-    @cached_property
-    def roots(self) -> tuple[Fraction, ...]:
-        return tuple(r for grp in self.roots_by_factor for r in grp)
-
-    @cached_property
-    def f(self) -> Poly:
-        return poly_mul(poly_mul(self.G[0], self.G[1]), self.G[2])
-
-    @cached_property
-    def leading_coefficient(self) -> Fraction:
-        return self.f[-1]
-
-    @cached_property
-    def fhat(self) -> Poly:
-        """The codomain model as y^2 = fhat(x) = L1 L2 L3 / Delta."""
-        return poly_scale(poly_mul(poly_mul(self.L[0], self.L[1]), self.L[2]),
-                          1 / self.delta)
 
     @cached_property
     def _bad_places(self):
@@ -352,7 +335,7 @@ class RichelotPair(_RichelotPairFields):
     @cached_property
     def domain_data(self) -> "SideData":
         # a point at infinity counts as 1 on the domain
-        return SideData(self.G, self.roots_by_factor, Fraction(1), [(1, 1)] * 3, self.f)
+        return SideData(self.G, self.roots_by_factor, Fraction(1), [(1, 1)] * 3)
 
     @cached_property
     def codomain_data(self) -> "SideData":
@@ -366,10 +349,10 @@ class RichelotPair(_RichelotPairFields):
         # two infinite points are ordinary and contribute the leading
         # coefficients of the L_i; they are Q_v-rational exactly when fhat's
         # leading coefficient is a local square, which callers must check.
-        lin = self.codomain_linear_index
-        inf = ([(g[-1].numerator, g[-1].denominator) for g in self.L] if lin is None
-               else self.codomain_roots_by_factor[lin][0])
-        return SideData(self.L, self.codomain_roots_by_factor, self.delta, inf, self.fhat)
+        groups = tuple(map(rational_roots, self.L))
+        linear = [grp[0] for g, grp in zip(self.L, groups) if len(g) == 2]
+        inf = linear[0] if linear else [(g[-1].numerator, g[-1].denominator) for g in self.L]
+        return SideData(self.L, groups, self.delta, inf)
 
     @cached_property
     def two_data(self) -> "SideData":
@@ -377,10 +360,9 @@ class RichelotPair(_RichelotPairFields):
         f / lambda, with lambda as the special constant, so a Weierstrass
         point w_i takes lambda prod_{l != i} (w_i - w_l) in its own slot, and
         as the value of infinity in every slot."""
-        lam = self.leading_coefficient
-        return SideData(tuple((-w, Fraction(1)) for w in self.roots),
-                        tuple((w,) for w in self.roots), lam,
-                        [(lam.numerator, lam.denominator)] * len(self.roots))
+        roots, lam = self.domain_data.roots, self.domain_data.f[-1]
+        return SideData(tuple((-w, Fraction(1)) for w in roots), tuple((w,) for w in roots),
+                        lam, [(lam.numerator, lam.denominator)] * len(roots))
 
     def side_data(self, side: str) -> "SideData":
         """The search data of `side`, PHIHAT or PHI; any other name raises."""
@@ -393,35 +375,21 @@ class RichelotPair(_RichelotPairFields):
             raise UnsupportedModelError(
                 "descent machinery needs the 5-root layout (linear G1)")
 
-    # -- codomain root data ---------------------------------------------
-
-    @cached_property
-    def codomain_roots_by_factor(self) -> tuple[Optional[tuple[Fraction, ...]], ...]:
-        """Rational roots of each L_i, or None where irrational (computed once:
-        the local search looks them up for every codomain candidate)."""
-        return tuple(map(rational_roots, self.L))
-
-    @property
-    def codomain_linear_index(self) -> Optional[int]:
-        """Index (0-based) of the linear L_i, or None for a 6-root codomain."""
-        for i, Li in enumerate(self.L):
-            if len(Li) == 2:
-                return i
-        return None
-
     def label(self) -> str:
         return "y^2 = (%s)(%s)(%s)" % tuple(poly_str(g) for g in self.G)
 
 
 class SideData:
-    """What a descent map reads of its slots at every place, computed once
-    per curve: the factors (G_i on the domain, L_i on the codomain, x - w_i
-    for the quintuple map) with their integer forms, the rational Weierstrass
-    points with their factor values, the factor values at infinity, the
-    kernel divisor of each factor without rational roots, and for the search
-    f (f or fhat) with its integer form, the real sample points (taken
-    between the factors' real roots, see `real_root_samples`) and the Taylor
-    coefficients at each centre, x-centres and quadratic ones, as integer
+    """A side's model delta y^2 = prod factors and what a descent map reads
+    of its slots at every place, computed once per curve: the factors (G_i
+    with delta = 1 on the domain, L_i with Delta on the codomain, x - w_i
+    with lambda for the quintuple map) with their integer forms, the rational
+    Weierstrass points with their factor values, the factor values at
+    infinity, the kernel divisor of each factor without rational roots, and
+    for the search f = prod factors / delta, the model as y^2 = f(x), with
+    its integer form, the real sample points (taken between the factors'
+    real roots, see `real_root_samples`) and the Taylor coefficients at
+    each centre, x-centres and quadratic ones, as integer
     numerators and denominators derived from the integer forms
     (`taylor_terms`), so no Fraction is built per centre.  A place adds only
     its class masks and the tables `table` keeps per prime or place, such as
@@ -430,7 +398,9 @@ class SideData:
     conventions of the descent maps.
 
     `groups` holds each factor's rational roots, or None where they are
-    irrational; a Weierstrass point's own slot takes the product of the other
+    irrational, as the caller computed them, so the roots stay the same
+    `Fraction` objects that key `root_values`; `roots` flattens them in
+    slot order.  A Weierstrass point's own slot takes the product of the other
     factors times `delta`.  `markers` names the rational Weierstrass points:
     each root by its slot, the index of its x in `groups` flattened with an
     irrational factor taking two slots (`slots` maps it to x), and the point
@@ -439,8 +409,8 @@ class SideData:
     factors' `poly_integer_form`s.
     """
 
-    def __init__(self, factors, groups, delta: Fraction, inf_values, f: Poly = ()):
-        self.factors, self.groups, self.delta, self.f = factors, groups, delta, f
+    def __init__(self, factors, groups, delta: Fraction, inf_values):
+        self.factors, self.groups, self.delta = factors, groups, delta
         self.forms = [poly_integer_form(g) for g in factors]
         self.roots = tuple(r for grp in groups if grp for r in grp)
         flat = [r for grp in groups for r in (grp or (None, None))]
@@ -459,6 +429,11 @@ class SideData:
                 a, b = g[1] / g[2], g[0] / g[2]
                 self.kernels[a, b] = self.quadratic_values(a, b)
         self._tables: dict = {}
+
+    @cached_property
+    def f(self) -> Poly:
+        """The model delta y^2 = prod factors, as y^2 = f(x)."""
+        return poly_scale(reduce(poly_mul, self.factors), 1 / self.delta)
 
     @cached_property
     def f_form(self) -> tuple[tuple[int, ...], int]:

@@ -939,9 +939,6 @@ def _alternating(walks: list) -> Iterator[tuple]:
 # local images and the duality certificate
 # ---------------------------------------------------------------------------
 
-CERTIFIED = "certified"
-HEURISTIC = "heuristic"
-
 
 class LocalImage(NamedTuple):
     """The image of one kernel's local descent map as an F2 subgroup."""
@@ -950,7 +947,7 @@ class LocalImage(NamedTuple):
     side: str  # PHIHAT (points of the domain J) or PHI (points of the codomain Jhat)
     basis: tuple[LocalKummerTriple, ...]
     witnesses: tuple[MumfordDivisor, ...]
-    status: str
+    status: str  # "certified" or "heuristic"
 
     @property
     def dim(self) -> int:
@@ -997,7 +994,7 @@ def _search_images(curve: RichelotPair, v: int, cfg: SearchConfig) -> tuple:
                 break
 
     certified = spans[0].dim + spans[1].dim == target and _annihilate(*found)
-    status = CERTIFIED if certified else HEURISTIC
+    status = "certified" if certified else "heuristic"
     return tuple(LocalImage(v, side, tuple(t for t, _ in pairs), tuple(D for _, D in pairs),
                             status) for side, pairs in zip(sides, found))
 

@@ -97,11 +97,11 @@ def run_verification(cfg: SearchConfig = SearchConfig(),
     curve = example_curve()
 
     # isogenous model
-    check("codomain delta", curve.delta == -7 * K * K, f"got {curve.delta}")
-    check("codomain L1", curve.L[0] == poly([14 * K * K * 3 * K, -14 * K * K]),
-          f"got {curve.L[0]}")
-    check("codomain L2", curve.L[1] == poly([-5 * K * K, 4 * K, 1]), f"got {curve.L[1]}")
-    check("codomain L3", curve.L[2] == poly([12 * K * K, -4 * K, -1]), f"got {curve.L[2]}")
+    delta, L = curve.codomain_data.delta, curve.codomain_data.factors
+    check("codomain delta", delta == -7 * K * K, f"got {delta}")
+    check("codomain L1", L[0] == poly([14 * K * K * 3 * K, -14 * K * K]), f"got {L[0]}")
+    check("codomain L2", L[1] == poly([-5 * K * K, 4 * K, 1]), f"got {L[1]}")
+    check("codomain L3", L[2] == poly([12 * K * K, -4 * K, -1]), f"got {L[2]}")
     S = bad_places(curve)
     check("bad places", [place_name(v) for v in places_of(S)] == ["oo", "2", "3", "7", "113"],
           f"got {S}")

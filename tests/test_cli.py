@@ -121,6 +121,27 @@ def test_every_command_that_factors_exits_2_on_an_unfactorable_curve(
         assert f"cannot factor the composite {SEMIPRIME} " in capsys.readouterr().err
 
 
+def test_a_model_number_too_long_to_print_exits_2_before_any_search(
+        curve_file, capsys, monkeypatch):
+    # lambda = 10^limit gives G1 a coefficient of limit + 3 digits, more than
+    # `str` converts: every command ended in a ValueError traceback, `selmer`
+    # and `ctp` only after seconds of search
+    import richelot_ctp.cli as cli
+
+    def no_search(*args):
+        raise AssertionError("the search ran on a model it cannot print")
+
+    monkeypatch.setattr(cli, "selmer_group", no_search)
+    limit = sys.get_int_max_str_digits()
+    huge = curve_file(dict(CURVE113, **{"lambda": f"1e{limit}"}))
+    for args in (["isogeny"], ["isogeny", "--json"], ["selmer", "--json"], ["ctp", "--json"]):
+        assert main([args[0], huge] + args[1:]) == 2, args
+        captured = capsys.readouterr()
+        assert not captured.out, args
+        assert captured.err.startswith("error: ") and f"{limit} digits" in captured.err, args
+    assert main(["isogeny", curve_file(dict(CURVE113, **{"lambda": f"1e{limit - 10}"}))]) == 0
+
+
 def test_unreadable_file_exits_2(capsys):
     assert main(["isogeny", "/nonexistent/curve.json"]) == 2
 
@@ -391,7 +412,7 @@ def test_a_ctp_run_derives_each_factor_form_and_the_bad_places_once(
     # each SideData derives its factors' forms once, and G1 = x + 4862 is
     # also the quintuple map's factor x - w_1, so its form is derived twice
     assert set(curve.G).isdisjoint(curve.L)
-    assert curve.G[0] == (-curve.roots[0], 1)
+    assert curve.G[0] == (-curve.domain_data.roots[0], 1)
     assert [forms[g] for g in curve.G + curve.L] == [2, 1, 1, 1, 1, 1]
     # and computed the bad places five times
     assert places == {"S": 1}

@@ -205,7 +205,7 @@ def test_each_local_row_takes_a_local_point_below_its_class(curve113, matrix, pl
         v = row.place
         assert reduce(mul, (mu_phihat(w, curve113, v) for w in row.P_v)) == a.restrict(v)
         assert reduce(mul, (mu_two(w, curve113, v) for w in row.P_v)) == row.delta2
-        assert all(is_local_square(poly_eval(curve113.f, x), v)
+        assert all(is_local_square(poly_eval(curve113.domain_data.f, x), v)
                    for w in row.P_v for x in w.xs)
 
 

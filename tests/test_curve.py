@@ -39,7 +39,7 @@ def weierstrass_points(factors, groups) -> dict:
 
 
 SIDES = {PHIHAT: lambda c: (c.G, c.roots_by_factor),
-         PHI: lambda c: (c.L, c.codomain_roots_by_factor)}
+         PHI: lambda c: (c.L, c.codomain_data.groups)}
 
 
 def test_example_curve_isogeny_data(curve113):
@@ -49,7 +49,7 @@ def test_example_curve_isogeny_data(curve113):
     assert c.L[0] == poly([14 * 113 ** 2 * 339, -14 * 113 ** 2])
     assert c.L[1] == poly([-565 * 113, 452, 1])
     assert c.L[2] == poly([678 * 226, -452, -1])
-    assert c.roots == (-226, 0, 678, -113, 791)
+    assert c.domain_data.roots == (-226, 0, 678, -113, 791)
     assert c.degree == 5
 
 
@@ -77,15 +77,15 @@ def test_quadratic_normalization_preserves_delta_and_sextic():
     b = build_pair(Fraction(1, 6), [226, 1],
                    [0, -2 * 678, 2], [-3 * 7 * 113 ** 2, -3 * 678, 3])
     assert a.delta == b.delta
-    assert a.f == b.f
-    assert a.roots == b.roots
+    assert a.domain_data.f == b.domain_data.f
+    assert a.domain_data.roots == b.domain_data.roots
     assert a.L == b.L
 
 
 def test_six_root_model_builds():
     c = build_pair(1, [-9, 0, 1], [-1, 0, 1], [-20, 1, 1])
     assert c.degree == 6
-    assert len(c.roots) == 6
+    assert len(c.domain_data.roots) == 6
     assert len(_torsion_divisors(c, PHIHAT)) == 16
 
 
@@ -123,12 +123,12 @@ def test_codomain_discriminant_analogue(curve113, toy_curve):
 
 def test_codomain_of_example_rebuilds(curve113):
     c = curve113
-    i = c.codomain_linear_index
+    i = next(i for i, Li in enumerate(c.L) if len(Li) == 2)
     assert i == 0
     quads = [c.L[j] for j in range(3) if j != i]
     hat = build_pair(Fraction(1, c.delta), c.L[i], quads[0], quads[1])
     assert hat.degree == 5
-    assert set(hat.roots) == {339, -565, 113, -678, 226}
+    assert set(hat.domain_data.roots) == {339, -565, 113, -678, 226}
 
 
 def test_bad_places_examples(curve113, toy_curve):
@@ -194,13 +194,16 @@ def test_equal_curves_built_separately_hold_distinct_cached_data():
     coeffs = (1, [226, 1], [0, -678, 1], [-7 * 113 ** 2, -678, 1])
     a, b = build_pair(*coeffs), build_pair(*coeffs)
     assert a == b
-    for name in ("f", "fhat", "roots", "bad_places"):
-        assert getattr(a, name) == getattr(b, name)
-    for name in ("f", "fhat", "roots", "bad_places", "domain_data", "codomain_data"):
+    assert a.bad_places == b.bad_places
+    for name in ("bad_places", "domain_data", "codomain_data"):
         assert getattr(a, name) is getattr(a, name), name
         assert getattr(a, name) is not getattr(b, name), name
     for side in (PHIHAT, PHI):
         da, db = a.side_data(side), b.side_data(side)
+        for name in ("f", "roots"):
+            assert getattr(da, name) == getattr(db, name), (side, name)
+            assert getattr(da, name) is getattr(da, name), (side, name)
+            assert getattr(da, name) is not getattr(db, name), (side, name)
         assert da.forms == db.forms and da.forms is not db.forms
         assert da.real_samples == db.real_samples and da.real_samples is not db.real_samples
         assert da.taylor_terms(Fraction(0)) == db.taylor_terms(Fraction(0))

@@ -7,7 +7,8 @@ report less its `local_tables` is pinned apart: a local row depends on the
 local points it is built from, but the Selmer groups, the matrix, the
 descent and the status do not.  Text-mode `ctp` is pinned too, on a few
 curves: its tables print the class representatives of every local row.
-`isogeny` is pinned in both modes: it prints the kernel divisors.  So are
+`isogeny` is pinned in both modes: it prints the kernel divisors.  So is
+`selmer` for each side, which prints that side's group and status.  So are
 partial `ctp --places` runs and the exit-2 error of a name that is no bad
 place, which name the places they keep and list.
 """
@@ -302,3 +303,105 @@ def test_isogeny_bytes_are_pinned(label, tmp_path, capsys):
     assert sha256(capsys.readouterr().out) == ISOGENY_JSON_SHA256[label]
     assert main(["isogeny", str(path)]) == 0
     assert sha256(capsys.readouterr().out) == ISOGENY_TEXT_SHA256[label]
+
+
+# `selmer --side phihat|phi` output, which prints one side's group: its
+# basis, its known-point basis and its status; (curve, side) -> (--json
+# hash, text hash)
+SELMER_SHA256 = {
+    ("A1009", "phi"): (
+        "69f016ec07660e58a0ad800c8370ba0cb6eafc307c42a9970af940d76940c16d",
+        "cef817ef11fa84cdcd6e1878236df836e4d3eb7f1cd24cda43294a991a5e6356"),
+    ("A1009", "phihat"): (
+        "6b3f5e53786ef601c64934d853bfca5a343e3611830c260263bfc4e00fa32070",
+        "9edcd51663ca640ec9ea84f48d98861d47d6cc48019f266ec8db2b927e980530"),
+    ("A257", "phi"): (
+        "7382a6f47d3601cdc1e5a64076f9a6ddc23793484b0a9f5f46a06a7e07994ab3",
+        "71bd3a8f557c1350b7a7a83a1adb113be6fcf9a96d4c89267fc99ba35b44901e"),
+    ("A257", "phihat"): (
+        "7c6622a0d1384463dcbfe34ef8ee363a19af714d2d29138d00214a6df68989b3",
+        "d1101a8c685e5d9209b4aa63d72f45a0f3702af59a9ea2216aef59afc478c0b9"),
+    ("B31", "phi"): (
+        "4af7a1185a9087091b13891d7c846d53993640a4c8c0099a719720e24544cb75",
+        "2070be31b9d68efcd51d18cc4bf857c19b0a7342b5db6bdcbcefc28f50382928"),
+    ("B31", "phihat"): (
+        "f01ae994b632c50fbdf017565b03db05d904944369d7d9457e264bd033cb40ff",
+        "db37ca6eecceabe9cd251cb4beb382ad68dc7ae591abb3c299aa72203a20a57d"),
+    ("B97", "phi"): (
+        "ca29cad594267585c3a30dee12a8f4f4fdfba351548467ba660c0de49ba18995",
+        "eb74d0f09549ca5793c5b77a7eb33df73cc4ae6fe83c0df7b885c2b6e5d2a338"),
+    ("B97", "phihat"): (
+        "b0728efe3f4eec006e6705b69bc906fd3a7d5df71ce552c9ed807b0fbbd8a0e4",
+        "c704f68078c9f23c695471880aabfcca434e3b8da918b6f1a7314f5e88ec822b"),
+    ("fractional", "phi"): (
+        "5720c2fb5bafba5aefc9d29b9bf5748f25c93fceae0638936d3b6b7ed5daff83",
+        "6a75ba502ae5d7a6b750c736cbf682f7f695f505e355e2057c94a39c12654c6f"),
+    ("fractional", "phihat"): (
+        "6f6073b982377c844cae718bb7fc9d600322b402281b4d75c4db8accfd026861",
+        "23779475f057c52682bafa7b9f7b051f38715ee14073bb4303d3790d51457c71"),
+    ("irrational", "phi"): (
+        "8f833b2180f4cbef529f34cdc8168503968799a413bc78ae67eb6f6a17800226",
+        "fceddc751ca34a5ec28dac4c941f3c8dec926aad0f66fa732b01f40b0f18ee32"),
+    ("irrational", "phihat"): (
+        "dde4cdfbdb32aed0e164d3c6a237bec003c77d3541f1b2f6afcedd2caead9a26",
+        "53afc61259a7d86960d073b9d5ba411fe46fc9a41ed988497ccc04a6f0f0a859"),
+    ("k1062347", "phi"): (
+        "36d868f297df0c050d43d1bd98112cd19427942a8f5094f56e8cfada386198a7",
+        "775df219a56ee56421b7eafbb4fac6a6bcaffdd6dc2824ad36874f987ee31ea0"),
+    ("k1062347", "phihat"): (
+        "04486f5902d889785a1892498b0d0d307a19f4a9da696431b4304d8b9a9fda23",
+        "ae0eb55b78713629acdd213dc9f2660a5c969e4bb71c44963b3ea13d25581e4e"),
+    ("k143", "phi"): (
+        "24ff18d61e47f7bbde6b10d5d34f9a3b89f339940080fb0b3f09c1c556db0464",
+        "584d275526601a7cb215704dbf63c9768dfb59c691af78fc78ea75317482dbd3"),
+    ("k143", "phihat"): (
+        "e1c769d1b0ab7aa34f4148ab284d37dcad1ad3ae63ad2775eb27a09988193a28",
+        "3c7c3bb4a9f7ff129f34aed7a8cb42f647c4aa4286db583ebab983b2365981df"),
+    ("k17", "phi"): (
+        "2a81293d96c9e87800782cfdccd57d31cc8666c6026edead3c2478948409ad1e",
+        "8d5fe58f045b9ef4ef5553df33793eab6a02b2270bae7ba152e2f30f586e1963"),
+    ("k17", "phihat"): (
+        "0ba1d8266390d83a03f9c0f770229a862b72c9012c4061a99b0aeed27ce17bb3",
+        "59bf9ea1f7ee67b5cd00498ad3e72c4a91a0148242b308fd49d612d0f9a02a1e"),
+    ("k2431", "phi"): (
+        "606771c142b9e95e7a99a0d5fa3034f7391a574f415cd53de198897684e10fc8",
+        "4ef802edd4f12acc5718d7a90fa7ee457a9dc36ca0cf17d38a3d43cd83d56d00"),
+    ("k2431", "phihat"): (
+        "80972d105715fb0095ed469c4a07fb535a794d495edb29f8d70a85e0eefa3dc9",
+        "81dc2a53892fb9894faf624e83e4ef3570b98345138376cb98a12cc05a57c5b5"),
+    ("k46189", "phi"): (
+        "cee362a1f0eaf6fb06b6252266efb10bdda1d8e33f9646d69368b76fff4d6d3d",
+        "e077b8598c96e823f6220d7b0880da36e3173b57f9b0d32ca521315e87975aef"),
+    ("k46189", "phihat"): (
+        "d552490de9dade542f35ea2ddde8594fb3ad2f708fbd1adbb87b45704d904c14",
+        "6681a2429de2d4e7358f55dba7ff5a0a8a67e38d4d9962f096a99dd974803c4d"),
+    ("k=113", "phi"): (
+        "dbd9376f13067b3d29123b4b908d6051cad0e4cdf3eef1b87ddeca3a520aa1f4",
+        "d38f7f1aecd21a8fe1e103fdd1a5c812353d3f51d985d8404375719137d01343"),
+    ("k=113", "phihat"): (
+        "31d03c0f049e4c0b0e5c5da558edfa077085de2fd6d7e59feff412616f18f97c",
+        "cf60bb43b30f275bd048e467263f650d00802e3aeebffa18d52cf57097d9546a"),
+    ("negative-lc", "phi"): (
+        "ddcdab4c83607e19ccf89dba9f4b049124fdba4a998bd02009b1689491e1b528",
+        "e1d81d86461e41139c70cc6044bc38ee86ce48a01319b699f0de8fcedb27e95d"),
+    ("negative-lc", "phihat"): (
+        "836c8713a253a38990910f17bac00666cc7a02bacd723289a86de8105c51e0af",
+        "b85522a1e89cb53e90ffed07608d2fcf85414066fe0aa200dcb9cc4b274bec24"),
+    ("six-root", "phi"): (
+        "34382604b4dd305e65260b699c8a0bfdac8ad5602ce3b3ace864005aacb23f70",
+        "60068b8d24dd5ad69593c91954570f51b439338ae17317cce3c8e9f20c16d81e"),
+    ("six-root", "phihat"): (
+        "442e7d57933c4609d655a2555674f6310f4c4406550a2976b2d2d291b98e33a6",
+        "d128aa55b6ffb74acbd748cfb74ca2cc0d2fb3c0e7b99f4e99beddfb432be4d6"),
+}
+
+
+@pytest.mark.parametrize("label, side", sorted(SELMER_SHA256))
+def test_selmer_bytes_are_pinned(label, side, tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(CURVES[label]))
+    json_sha256, text_sha256 = SELMER_SHA256[label, side]
+    assert main(["selmer", "--side", side, str(path), "--json"]) == 0
+    assert sha256(capsys.readouterr().out) == json_sha256
+    assert main(["selmer", "--side", side, str(path)]) == 0
+    assert sha256(capsys.readouterr().out) == text_sha256

@@ -155,7 +155,7 @@ def reference_quintuple_values(D, curve):
     integer slot-value code: slot i is (x1 - w_i)(x2 - w_i), where a
     Weierstrass point w_i contributes lambda prod_{l != i} (w_i - w_l) to
     its own slot and infinity lambda to every slot."""
-    roots, lam = curve.roots, curve.leading_coefficient
+    roots, lam = curve.domain_data.roots, curve.domain_data.f[-1]
     if D.tag == "quadratic":
         return tuple(reference_res2(*D.quad, (-w, 1)) for w in roots)
     if D.tag == "weierstrass_pair":
@@ -215,8 +215,9 @@ def random_poly(rng, p, degree):
     return tuple(f + [random_rational(rng, p)])
 
 
-CURVE_POLYS = (list(FRACTIONAL.G) + list(FRACTIONAL.L) + [FRACTIONAL.f, FRACTIONAL.fhat]
-               + list(IRRATIONAL.L) + [IRRATIONAL.fhat])
+CURVE_POLYS = (list(FRACTIONAL.G) + list(FRACTIONAL.L)
+               + [FRACTIONAL.domain_data.f, FRACTIONAL.codomain_data.f]
+               + list(IRRATIONAL.L) + [IRRATIONAL.codomain_data.f])
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +419,7 @@ def test_sqrt_mod_pk_is_a_truncated_root(p):
                          ids=["A257@257", "irrational@7", "irrational@3"])
 @pytest.mark.parametrize("side", [PHIHAT, PHI])
 def test_singles_factor_xor_decides_like_evaluating_f(curve, p, side):
-    f = curve.f if side == PHIHAT else curve.fhat
+    f = curve.side_data(side).f
     polys = curve.G if side == PHIHAT else curve.L
     xs = flat_feed(curve, side, p, SearchConfig())
     expected = []
@@ -504,7 +505,7 @@ def test_each_block_comes_once_and_the_domain_centres_are_its_roots(curve):
             assert len(blocks) == len(set(blocks)), (p, side)
             if side == PHIHAT:
                 # the grid is the blocks at c = 0
-                assert {c for c, _ in blocks} == set(curve.roots) | {0}, p
+                assert {c for c, _ in blocks} == set(curve.domain_data.roots) | {0}, p
 
 
 # margin 1 at p = 2 as at odd p: candidates at 2 are grouped by r mod 8, so
@@ -563,7 +564,7 @@ def test_the_dominated_flags_are_computed_once_per_side_prime_and_terms(monkeypa
         assert again == first and sum(calls.values()) == distinct, side
     calls.clear()
     images = lp.local_images(fresh_b97(), v)
-    assert [image.status for image in images] == [lp.HEURISTIC] * 2
+    assert [image.status for image in images] == ["heuristic"] * 2
     assert sum(calls.values()) == 157 + 121 and len(calls) == 242
 
 

@@ -69,7 +69,7 @@ def test_mu_phi_kernel_divisors_trivial(curve113):
     # the codomain kernel divisors are images of rational two-torsion under
     # the isogeny, hence map to the trivial class; this pins down the
     # infinite-point convention
-    roots = {x for grp in curve113.codomain_roots_by_factor for x in grp}
+    roots = {x for grp in curve113.codomain_data.groups for x in grp}
     assert roots == {339, -565, 113, -678, 226}
     P2 = MumfordDivisor.rational_pair(-565, 113, PHI)
     P3 = MumfordDivisor.rational_pair(-678, 226, PHI)
@@ -140,7 +140,7 @@ def test_quadratic_divisor_images_match_split_pairs(curve113):
     # rational pair it represents (resultant identity); the pair is a valid
     # divisor at v only when both f(x_i) are local squares there
     rng = random.Random(89)
-    f = curve113.f
+    f = curve113.domain_data.f
     found = 0
     for _ in range(20000):
         x1 = Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3)))
@@ -167,7 +167,7 @@ def test_quadratic_divisor_images_match_split_pairs(curve113):
 def test_quadratic_certificate_split_case_agrees(curve113):
     # for split A over Q_v the certificate must match testing both points
     rng = random.Random(97)
-    f = curve113.f
+    f = curve113.domain_data.f
     checked = 0
     for _ in range(3000):
         x1 = Fraction(rng.randint(-60, 60))
@@ -252,14 +252,14 @@ def test_a_norm_one_pair_that_is_no_local_point_is_never_returned(curve113):
     # f(x1) and f(x2) lie in one nontrivial class at 3, so the pair has an
     # image of norm one, but it is no point over Q_3
     def f_class(x):
-        return local_square_class(poly_eval(curve113.f, Fraction(x)), V3)
+        return local_square_class(poly_eval(curve113.domain_data.f, Fraction(x)), V3)
     x1, x2 = next((x1, x2) for x1, x2 in itertools.combinations(range(1, 60), 2)
                   if f_class(x1) and f_class(x1) == f_class(x2))
     fake = MumfordDivisor.rational_pair(x1, x2)
     t = mu_phihat(fake, curve113, V3)
     D = find_local_point(t, curve113, V3)
     assert D != fake and mu_phihat(D, curve113, V3) == t
-    assert all(is_local_square(poly_eval(curve113.f, x), V3) for x in D.xs)
+    assert all(is_local_square(poly_eval(curve113.domain_data.f, x), V3) for x in D.xs)
 
 
 def test_quadratic_masks_read_from_resultants_match_images(curve113):

@@ -13,7 +13,7 @@ import pytest
 from curve_fixtures import in_radical
 from richelot_ctp.arith import bad_places
 from richelot_ctp.ctp import ctp_global, ctp_matrix, rank_report
-from richelot_ctp.curve import UnsupportedModelError, build_pair
+from richelot_ctp.curve import INF, UnsupportedModelError, build_pair
 from richelot_ctp.localfield import place_name, places_of
 from richelot_ctp.localpoints import MumfordDivisor, local_images, mu_two
 from richelot_ctp.selmer import selmer_group, torsion_images
@@ -63,7 +63,7 @@ def test_sibling_family_member_bound_drops_to_zero():
 def test_six_root_codomain_generic_curve():
     # G2, G3 with different linear coefficients: the codomain has six roots
     c = build_pair(2, [-1, 1], [30, -21, 3], [-11, -10, 1])
-    assert c.codomain_linear_index is None
+    assert INF not in c.codomain_data.markers
     sh, sp, M, rep = run_pipeline(c)
     assert (sh.dim, sp.dim) == (5, 0)
     assert rep.rank_bound_before == rep.rank_bound_after == 1
@@ -75,9 +75,9 @@ def test_fully_irrational_codomain_with_degenerate_reduction():
     # real, and the codomain model reduces to a near-cube at 7 (= Delta), so
     # local generation there leans on quadratic Mumford divisors
     c = build_pair(1, [0, 1], [-1, 0, 1], [6, -5, 1])
-    assert c.codomain_linear_index is None
-    assert c.codomain_roots_by_factor == (None, None, None)
-    assert c.fhat[-1] > 0
+    assert INF not in c.codomain_data.markers
+    assert c.codomain_data.groups == (None, None, None)
+    assert c.codomain_data.f[-1] > 0
     sh, sp, M, rep = run_pipeline(c)
     for v in places_of(bad_places(c)):
         ih, ip = local_images(c, v)
@@ -95,7 +95,7 @@ def test_fully_irrational_codomain_with_degenerate_reduction():
 def test_fractional_root_and_scaled_model():
     # y^2 = 4 (x - 1/2)(x^2 - 1)(x - 3)(x + 4): fractional Weierstrass point
     c = build_pair(4, [Fraction(-1, 2), 1], [-1, 0, 1], [-12, 1, 1])
-    assert Fraction(1, 2) in c.roots
+    assert Fraction(1, 2) in c.domain_data.roots
     assert 2 in bad_places(c).finite_primes
     sh, sp, M, rep = run_pipeline(c)
     assert (sh.dim, sp.dim) == (7, 0)
@@ -107,7 +107,7 @@ def test_fractional_root_and_scaled_model():
 def test_negative_leading_coefficient():
     # y^2 = -x (x^2 - 1)(x^2 - 9): the real locus sits left of the sign flips
     c = build_pair(-1, [0, 1], [-1, 0, 1], [-9, 0, 1])
-    assert c.leading_coefficient == -1
+    assert c.domain_data.f[-1] == -1
     sh, sp, M, rep = run_pipeline(c)
     assert (sh.dim, sp.dim) == (4, 0)
     assert rep.rank_bound_before == rep.rank_bound_after == 0

@@ -35,11 +35,9 @@ from richelot_ctp import gf2
 from richelot_ctp.arith import bad_places
 from richelot_ctp.ctp import ctp_matrix
 from richelot_ctp.curve import (PHI, PHIHAT, _common_denominator, build_pair, homogenized_eval,
-                                poly_integer_form)
+                                poly_integer_form, poly_mul, rational_roots)
 from richelot_ctp.localfield import is_local_square, local_square_dim, place_name, places_of
 from richelot_ctp.localpoints import (
-    CERTIFIED,
-    HEURISTIC,
     ClassBitsMismatch,
     LocalImage,
     MumfordDivisor,
@@ -99,11 +97,17 @@ CONFIGS = {
 # ---------------------------------------------------------------------------
 
 
+def model(curve, side):
+    """f of the side's model, y^2 = G1 G2 G3 or Delta y^2 = L1 L2 L3, as y^2 = f(x)."""
+    if side == PHIHAT:
+        return poly_mul(poly_mul(curve.G[0], curve.G[1]), curve.G[2])
+    return tuple(c / curve.delta for c in poly_mul(poly_mul(curve.L[0], curve.L[1]), curve.L[2]))
+
+
 def weierstrass_xs(curve, side):
     """The side's rational Weierstrass x-coordinates, in factor order."""
-    if side == PHIHAT:
-        return curve.roots
-    return tuple(r for roots in curve.codomain_roots_by_factor if roots for r in roots)
+    factors = curve.G if side == PHIHAT else curve.L
+    return tuple(r for g in factors for r in rational_roots(g) or ())
 
 
 def oracle_quadratic_candidates(curve, side, v, cfg):
@@ -113,7 +117,7 @@ def oracle_quadratic_candidates(curve, side, v, cfg):
     if not v:
         return  # conjugate pairs have trivial image over R
     p = v
-    f = poly_integer_form(curve.f if side == PHIHAT else curve.fhat)
+    f = poly_integer_form(model(curve, side))
     exponent, depth = _quadratic_bounds(p, cfg)
     units = _unit_residues(p, exponent)
     if len(units) > 40:
@@ -222,8 +226,8 @@ def infinity_rational(curve, side, v):
     """Are the infinite points of `side` defined over Q_v?  Always on the
     domain and on a 5-root codomain, where infinity is a Weierstrass point;
     on a 6-root codomain iff fhat's leading coefficient is a square in Q_v."""
-    return (side == PHIHAT or curve.codomain_linear_index is not None
-            or is_local_square(curve.fhat[-1], v))
+    return (side == PHIHAT or any(len(g) == 2 for g in curve.L)
+            or is_local_square(model(curve, PHI)[-1], v))
 
 
 def oracle_point_tiers(curve, side, v, cfg):
@@ -294,7 +298,7 @@ def oracle_local_images(curve, v, cfg):
         config = config.escalate()
     certified = (spans[PHIHAT].dim + spans[PHI].dim == target
                  and _annihilate(found[PHIHAT], found[PHI]))
-    status = CERTIFIED if certified else HEURISTIC
+    status = "certified" if certified else "heuristic"
     return tuple(LocalImage(v, name, tuple(t for t, _ in found[name]),
                             tuple(D for _, D in found[name]), status)
                  for name in (PHIHAT, PHI))
@@ -384,7 +388,7 @@ def count_certificates(monkeypatch, curve):
     """Count `_quadratic_certificate` calls per (side, A) into the returned Counter."""
     calls = collections.Counter()
     certificate = lp._quadratic_certificate
-    f_form = poly_integer_form(curve.f)
+    f_form = poly_integer_form(model(curve, PHIHAT))
 
     def counted(f, an, bn, q, v):
         calls[(PHIHAT if f == f_form else PHI, an, bn, q)] += 1
@@ -399,7 +403,8 @@ def count_quadratic_work(monkeypatch, curve):
     certificates it runs into the returned Counter."""
     calls = collections.Counter()
     quadratic_mask, certificate = lp._quadratic_mask, lp._quadratic_certificate
-    f_form, g_forms = poly_integer_form(curve.f), [poly_integer_form(g) for g in curve.G]
+    f_form = poly_integer_form(model(curve, PHIHAT))
+    g_forms = [poly_integer_form(g) for g in curve.G]
 
     def mask(an, bn, q, forms, p):
         calls[("mask", PHIHAT if forms == g_forms else PHI, an, bn, q)] += 1
@@ -423,7 +428,7 @@ def test_local_images_tries_each_quadratic_once(monkeypatch):
     curve = fresh(B97)
     calls = count_quadratic_work(monkeypatch, curve)
     images = local_images(curve, 23)
-    assert images[0].status == HEURISTIC  # the search did escalate
+    assert images[0].status == "heuristic"  # the search did escalate
     assert {side for kind, side, *_ in calls if kind == "mask"} == {PHIHAT, PHI}
     assert max(calls.values()) == 1
 
@@ -654,7 +659,7 @@ def test_large_p_singles_tier_reads_generic_blocks_once_per_unit_class(monkeypat
     # each dominated factor once per block and unit class 3318, and a block
     # of 128 sampled units in place of all 1008 leaves about 1200
     evaluations, status = count_factor_evaluations(monkeypatch, fresh(A1009), 1009)
-    assert status == CERTIFIED
+    assert status == "certified"
     assert evaluations <= 1250
 
 
@@ -664,7 +669,7 @@ def test_the_singles_tier_reads_dominated_factors_once_per_unit_class(monkeypatc
     # class made 5775 evaluations, reading each dominated factor once per
     # block and unit class about 1600
     evaluations, status = count_factor_evaluations(monkeypatch, fresh(B97), 23)
-    assert status == HEURISTIC
+    assert status == "heuristic"
     assert evaluations < 5775 / 2
 
 
@@ -680,7 +685,7 @@ def test_a_side_stops_its_singles_tier_once_both_images_are_full(monkeypatch):
     # two sides in turn about 60
     evaluations, status = count_factor_evaluations(
         monkeypatch, build_pair(1, [286, 1], [0, -858, 1], [-7 * 143 * 143, -858, 1]), 2)
-    assert status == CERTIFIED
+    assert status == "certified"
     assert evaluations <= 100
 
 
@@ -728,7 +733,7 @@ def test_a_large_prime_walks_at_most_a_few_generic_blocks_whole(monkeypatch):
     # both images are full, left 3189 candidates and 599 points, and blocks
     # of 128 sampled units leave 809 candidates and 143 points
     candidates, points, status = count_walked(monkeypatch, large_prime(1009), 1009)
-    assert status == CERTIFIED
+    assert status == "certified"
     assert 0 < candidates <= 850
     assert 0 < points <= 150
 
@@ -739,7 +744,7 @@ def test_a_large_prime_walks_at_most_a_few_generic_blocks_whole(monkeypatch):
 @pytest.mark.parametrize("P", [100003, 1000003])
 def test_the_search_at_a_large_prime_walks_as_little_as_at_1009(monkeypatch, P):
     candidates, points, status = count_walked(monkeypatch, large_prime(P), P)
-    assert status == CERTIFIED
+    assert status == "certified"
     assert 0 < candidates <= 850
     assert 0 < points <= 150
 
@@ -757,7 +762,7 @@ def test_the_capped_walk_finds_the_images_of_the_full_walk(monkeypatch, P):
     assert len(lp._unit_residues(P, 4)) == P - 1 > len(unit_residues(P, 4))
     full = local_images(large_prime(P), v)
     for a, b in zip(capped, full):
-        assert a.status == b.status == CERTIFIED
+        assert a.status == b.status == "certified"
         assert a.span().basis() == b.span().basis(), (a.side, P)
 
 
@@ -782,7 +787,7 @@ def test_the_quadratic_tier_steps_one_b_block_at_a_time(monkeypatch):
     curve = fresh(CURVES["A257"])
     calls = count_quadratic_work(monkeypatch, curve)
     images = local_images(curve, 257)
-    assert images[0].status == CERTIFIED
+    assert images[0].status == "certified"
     assert 0 < collections.Counter(kind for kind, *_ in calls.elements())["mask"] <= 100
 
 
@@ -806,7 +811,7 @@ def test_only_a_heuristic_place_escalates(monkeypatch):
             place = f"{label}@{place_name(v)}"
             statuses[place] = local_images(curve, v)[0].status
     assert dict(calls) == {"B31@17": 4, "B97@23": 4}
-    assert {place for place, status in statuses.items() if status == HEURISTIC} == set(calls)
+    assert {place for place, status in statuses.items() if status == "heuristic"} == set(calls)
 
 
 # ---------------------------------------------------------------------------
