@@ -3,7 +3,7 @@
 from .arith import PlaceSet, bad_places, squarefree_reduce
 from .cohomology import KummerQuintuple, KummerTriple
 from .ctp import DescentReport, PairingMatrix, ctp_global, ctp_local, ctp_matrix, rank_report
-from .curve import RichelotPair, build_pair, weil_ephi
+from .curve import RichelotPair, build_pair
 from .localfield import local_square_class
 from .localpoints import (
     LocalImage,

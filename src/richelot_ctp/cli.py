@@ -10,7 +10,8 @@ given, is a string:
 
 Exit codes:
   0 ok;
-  1 verification failure;
+  1 verification failure, or a reader that closed the output pipe early
+    (nothing is written to stderr);
   2 invalid input: an unreadable or malformed curve file (a non-string
     label among them), an unsupported model, a model number with more
     digits than Python turns into a string, curve data with a composite
@@ -33,6 +34,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -168,20 +170,22 @@ def _ctp_report(curve, label, cfg, places=None) -> dict:
     sel_hat = selmer_group(curve, PHIHAT, cfg)
     sel_phi = selmer_group(curve, PHI, cfg)
     M = ctp_matrix(sel_hat, curve, cfg, places=places)
+    names = {v: place_name(v) for v in places_of(curve.bad_places)}
 
     report = {
         "curve": _curve_echo(curve, label),
         "isogeny": _isogeny_dict(curve, label),
-        "bad_places": [place_name(v) for v in places_of(curve.bad_places)],
+        "bad_places": list(names.values()),
         "selmer": {PHIHAT: _selmer_dict(sel_hat), PHI: _selmer_dict(sel_phi)},
         "local_tables": {
-            str(a.values): {place_name(r.place): _row_dict(r) for r in rows}
+            str(a.values): {names[r.place]: _row_dict(r) for r in rows}
             for a, rows in zip(M.basis, M.rows)},
         "matrix": {
             "basis": [list(t.values) for t in M.basis],
             "entries": M.entries,
             "entries_qz": M.qz_entries(),
-            "per_place": {f"{i},{j}": bd for (i, j), bd in M.breakdown.items()},
+            "per_place": {f"{i},{j}": {names[v]: bit for v, bit in bd.items()}
+                          for (i, j), bd in M.breakdown.items()},
             "radical_dim": M.radical_dim,
             "symmetric": M.symmetric,
         },
@@ -194,7 +198,7 @@ def _ctp_report(curve, label, cfg, places=None) -> dict:
         report["warnings"] = ["pairing matrix is not symmetric on this basis"]
     if not partial:
         # rank bookkeeping only makes sense for the full place set
-        rep = rank_report(curve, sel_phi, sel_hat, M)
+        rep = rank_report(sel_phi, sel_hat, M)
         report["descent"] = {
             "rank_bound_before": rep.rank_bound_before,
             "rank_bound_after": rep.rank_bound_after,
@@ -322,13 +326,19 @@ def _at_least(low: int):
     return parse
 
 
+# each search flag: the `SearchConfig` field it sets, and its help text
+_SEARCH_FLAGS = {
+    "--precision": ("residue_exponent", "residue modulus exponent for the local point search"),
+    "--val-bound": ("val_bound", "valuation window for the local point search"),
+    "--escalations": ("escalations", "number of times search bounds may escalate"),
+}
+
+
 def _add_search_flags(p: argparse.ArgumentParser):
-    p.add_argument("--precision", type=_at_least(1), default=4,
-                   help="residue modulus exponent for the local point search (>= 1)")
-    p.add_argument("--val-bound", type=_at_least(0), default=6,
-                   help="valuation window for the local point search (>= 0)")
-    p.add_argument("--escalations", type=_at_least(0), default=2,
-                   help="number of times search bounds may escalate (>= 0)")
+    for flag, (field, what) in _SEARCH_FLAGS.items():
+        low = SearchConfig.minima[field]
+        p.add_argument(flag, type=_at_least(low), default=SearchConfig._field_defaults[field],
+                       help=f"{what} (>= {low})")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when any result is heuristic or unproven")
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -368,8 +378,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        code = _run(_parser().parse_args(argv))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: Python's recipe for SIGPIPE, so the
+        # flush at exit writes to nothing and prints no second traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
+
+def _run(args) -> int:
     if args.command == "verify-example":
         from .verify import run_verification  # the other commands need none of it
 

@@ -54,7 +54,7 @@ __all__ = [
 
 
 class InconsistentDimensions(RuntimeError):
-    """The descent bookkeeping violates exactness of the dimension count."""
+    """Two certified Selmer groups fail the Greenberg-Wiles formula."""
 
 
 class LocalRow(NamedTuple):
@@ -147,9 +147,10 @@ class PairingMatrix(NamedTuple):
     """F2 Gram matrix of the pairing on a chosen basis, with per-place data.
 
     entries[i][j] is the pairing of basis[i] against basis[j]; breakdown maps
-    (i, j) to the per-place contributions for the default lift; rows[i] holds
-    the LocalRow of basis[i] at each place summed over.  symmetric is
-    recorded, not assumed; an asymmetric matrix is reported as a warning.
+    (i, j) to the per-place contributions for the default lift, keyed by
+    place; rows[i] holds the LocalRow of basis[i] at each place summed
+    over.  symmetric is recorded, not assumed; an asymmetric matrix is
+    reported as a warning.
     """
 
     basis: tuple[KummerTriple, ...]
@@ -189,14 +190,14 @@ def ctp_matrix(selmer: SelmerGroup, curve: RichelotPair, cfg: SearchConfig = Sea
     rows = tuple(tuple(local_row(a, curve, v, cfg, a_v=local_bas[v][i]) for v in places)
                  for i, a in enumerate(bas))
     # the cup of rho_v with b|v, as in `cup_invariant`, on the packed masks
-    bas_masks = [(place_name(v), v, [t.mask for t in local_bas[v]]) for v in places]
+    bas_masks = [(v, [t.mask for t in local_bas[v]]) for v in places]
     entries = []
     breakdown = {}
     for i in range(n):
         row = []
         for j in range(n):
-            bd = {name: hilbert_bits(r.rho.mask, masks[j], p)
-                  for (name, p, masks), r in zip(bas_masks, rows[i])}
+            bd = {v: hilbert_bits(r.rho.mask, masks[j], v)
+                  for (v, masks), r in zip(bas_masks, rows[i])}
             breakdown[(i, j)] = bd
             row.append(sum(bd.values()) % 2)
         entries.append(tuple(row))
@@ -208,36 +209,35 @@ def ctp_matrix(selmer: SelmerGroup, curve: RichelotPair, cfg: SearchConfig = Sea
 
 
 class DescentReport(NamedTuple):
-    """Dimension bookkeeping for the descent, before and after the pairing.
+    """The three computed dimensions of the descent and what follows from them.
 
-    The rank bound replaces the dual-kernel Selmer dimension by the dimension
-    of the pairing radical; the inferred 2-Selmer dimension closes the
-    six-term dimension count.  Both are derived bookkeeping around the
-    computed groups, flagged as such in reports.
+    Under the standing rationality assumption the kernel on J, the
+    two-torsion of J and the dual kernel have dimensions 2, 4 and 2.  The
+    rank bound replaces dim Sel^phihat by the dimension of the pairing
+    radical, and the inferred 2-Selmer dimension is the one that closes the
+    six-term sequence `sequence_dims`.  Both are derived bookkeeping around
+    the computed groups, flagged as such in reports.
     """
 
-    dim_kernel_domain: int      # rational points of the kernel on J
-    dim_two_torsion: int        # rational two-torsion of J
-    dim_kernel_codomain: int    # rational points of the dual kernel
     dim_selmer_phi: int
     dim_selmer_phihat: int
     dim_radical: int
-    rank_bound_before: int
-    rank_bound_after: int
-    inferred_dim_sel2: int
+
+    @property
+    def rank_bound_before(self) -> int:
+        return self.dim_selmer_phi + self.dim_selmer_phihat - 4
+
+    @property
+    def rank_bound_after(self) -> int:
+        return self.dim_selmer_phi + self.dim_radical - 4
+
+    @property
+    def inferred_dim_sel2(self) -> int:
+        return self.dim_selmer_phi + self.dim_radical
 
     @property
     def sequence_dims(self) -> tuple[int, ...]:
-        return (self.dim_kernel_domain, self.dim_two_torsion,
-                self.dim_kernel_codomain, self.dim_selmer_phi,
-                self.inferred_dim_sel2, self.dim_radical)
-
-    def alternating_sum(self) -> int:
-        """Alternating sum of sequence_dims; 0 by construction of inferred_dim_sel2."""
-        s = 0
-        for i, d in enumerate(self.sequence_dims):
-            s += d if i % 2 == 0 else -d
-        return s
+        return (2, 4, 2, self.dim_selmer_phi, self.inferred_dim_sel2, self.dim_radical)
 
 
 def greenberg_wiles_terms(selmer_phihat: SelmerGroup) -> tuple[int, ...]:
@@ -254,17 +254,14 @@ def greenberg_wiles_terms(selmer_phihat: SelmerGroup) -> tuple[int, ...]:
     return tuple(d - 2 for _, d in selmer_phihat.local_image_dims)
 
 
-def rank_report(curve: RichelotPair, selmer_phi: SelmerGroup,
-                selmer_phihat: SelmerGroup, matrix: PairingMatrix) -> DescentReport:
-    """Assemble the rank bounds and the inferred 2-Selmer dimension.
+def rank_report(selmer_phi: SelmerGroup, selmer_phihat: SelmerGroup,
+                matrix: PairingMatrix) -> DescentReport:
+    """The descent's dimensions, after the Greenberg-Wiles check.
 
-    Under the standing rationality assumption the kernels contribute
-    dimensions 2, 4, 2.  Raises InconsistentDimensions when both Selmer
-    groups are certified and the Greenberg-Wiles formula fails; it ties the
-    local images and kernels of the two sides together, so a wrong image or
-    a wrong kernel on either side shows.  The six-term alternating sum is
-    also checked, but it is bookkeeping: the inferred 2-Selmer dimension is
-    defined to close it, so it is identically 0 by construction.
+    Raises InconsistentDimensions when both Selmer groups are certified and
+    the Greenberg-Wiles formula fails; it ties the local images and kernels
+    of the two sides together, so a wrong image or a wrong kernel on either
+    side shows.  Nothing here checks the radical.
     """
     d_phi = selmer_phi.dim
     d_phihat = selmer_phihat.dim
@@ -274,16 +271,4 @@ def rank_report(curve: RichelotPair, selmer_phi: SelmerGroup,
             raise InconsistentDimensions(
                 f"Greenberg-Wiles: dim Sel^phihat - dim Sel^phi = {d_phihat - d_phi}, "
                 f"but the local terms {list(terms)} sum to {sum(terms)}")
-    k = matrix.radical_dim
-    before = d_phi + d_phihat - 2 - 2
-    after = d_phi + k - 2 - 2
-    inferred = 4 - 2 - 2 + d_phi + k
-    report = DescentReport(
-        dim_kernel_domain=2, dim_two_torsion=4, dim_kernel_codomain=2,
-        dim_selmer_phi=d_phi, dim_selmer_phihat=d_phihat, dim_radical=k,
-        rank_bound_before=before, rank_bound_after=after,
-        inferred_dim_sel2=inferred)
-    if report.alternating_sum() != 0:
-        raise InconsistentDimensions(
-            f"alternating dimension sum is {report.alternating_sum()}, not 0")
-    return report
+    return DescentReport(d_phi, d_phihat, matrix.radical_dim)

@@ -42,7 +42,6 @@ __all__ = [
     "RichelotPair",
     "SideData",
     "build_pair",
-    "weil_ephi",
     "homogenized_eval",
     "poly_eval",
     "poly_integer_form",
@@ -265,19 +264,12 @@ def rational_roots(g: Poly) -> Optional[tuple[Fraction, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# two-torsion combinatorics
+# the marker of infinity and the names of the two sides
 # ---------------------------------------------------------------------------
 
 INF = "inf"  # marker for the Weierstrass point at infinity of a 5-root model
 PHIHAT = "phihat"  # the side, named by its descent map, of points of the domain J
 PHI = "phi"  # the side of points of the codomain Jhat
-
-
-def weil_ephi(i: int, j: int) -> int:
-    """e_phi on kernel generators: +1 iff i = j."""
-    if i not in (1, 2, 3) or j not in (1, 2, 3):
-        raise ValueError("kernel indices run 1..3")
-    return 1 if i == j else -1
 
 
 # ---------------------------------------------------------------------------

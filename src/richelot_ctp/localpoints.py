@@ -148,10 +148,11 @@ class SearchConfig(_SearchConfigFields):
     count, raises ValueError."""
 
     __slots__ = ()
+    minima = {"residue_exponent": 1, "val_bound": 0, "escalations": 0}  # the CLI flags' too
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        for name, low in (("residue_exponent", 1), ("val_bound", 0), ("escalations", 0)):
+        for name, low in cls.minima.items():
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, not {getattr(self, name)}")
         return self

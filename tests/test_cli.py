@@ -221,13 +221,15 @@ def test_ctp_places_filter_marks_partial(curve_file, capsys):
         assert set(bd) <= {"3", "113"}
     # the partial report is a view of the matrix over the chosen places
     from richelot_ctp.ctp import ctp_matrix
+    from richelot_ctp.localfield import place_name
     from richelot_ctp.selmer import selmer_group
     from richelot_ctp.verify import example_curve
     curve = example_curve()
     M = ctp_matrix(selmer_group(curve, "phihat"), curve, places=[3, 113])
     assert report["matrix"]["entries"] == [list(r) for r in M.entries]
     assert report["matrix"]["per_place"] == {
-        f"{i},{j}": bd for (i, j), bd in M.breakdown.items()}
+        f"{i},{j}": {place_name(v): bit for v, bit in bd.items()}
+        for (i, j), bd in M.breakdown.items()}
     assert report["matrix"]["radical_dim"] == M.radical_dim
 
 
@@ -303,6 +305,21 @@ def test_verify_example_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("[PASS]") >= 20
+
+
+def test_verify_example_runs_the_23_named_checks():
+    from richelot_ctp.verify import run_verification
+
+    results = run_verification()
+    assert [r.name for r in results] == [
+        "codomain delta", "codomain L1", "codomain L2", "codomain L3", "bad places",
+        "triple-to-quintuple map", "quintuple-to-triple map", "lift section",
+        "known-point images", "dual-kernel Selmer group", "kernel Selmer group",
+        "Greenberg-Wiles", "local table for (113, 113, 1)", "local table for (2, 2, 1)",
+        "local table for (1, 7, 7)", "pairing matrix", "pairing value 1/2",
+        "matrix radical dimension", "matrix symmetric", "rank bound before",
+        "rank bound after", "inferred 2-Selmer dimension", "six-term dimensions"]
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
 def test_verify_example_catches_symbol_mutation(monkeypatch, capsys):
@@ -458,6 +475,32 @@ def test_the_smallest_search_flags_still_run(curve_file, capsys, command):
                  "--val-bound", "0", "--escalations", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["config"] == {
         "precision": 1, "val_bound": 0, "escalations": 0}
+
+
+@pytest.mark.parametrize("command", ["ctp", "selmer"])
+def test_the_default_search_flags_give_the_default_config(command):
+    import richelot_ctp.cli as cli
+    from richelot_ctp.localpoints import SearchConfig
+
+    assert cli._cfg_of(cli._parser().parse_args([command, "curve.json"])) == SearchConfig()
+
+
+@pytest.mark.parametrize("argv", [["ctp", str(fixture_path("R15")), "--json"],
+                                  ["verify-example"]], ids=["ctp", "verify-example"])
+def test_a_closed_output_pipe_exits_1_with_nothing_on_stderr(argv):
+    # the read end is closed before the command writes, so its first flush
+    # fails with EPIPE: that used to end in a BrokenPipeError traceback
+    import richelot_ctp.cli as cli
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run([sys.executable, "-m", "richelot_ctp.cli", *argv],
+                             stdout=write_end, stderr=subprocess.PIPE, text=True,
+                             env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])))
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (1, "")
 
 
 def test_the_parser_is_built_once_and_carries_nothing_between_calls(curve_file, capsys):

@@ -15,7 +15,6 @@ from richelot_ctp.curve import (
     build_pair,
     poly,
     _coefficient_det,
-    weil_ephi,
 )
 from richelot_ctp.localfield import place_name, places_of
 from richelot_ctp.localpoints import _torsion_divisors
@@ -182,12 +181,6 @@ def test_kernel_isotropic(curve113):
     for P in ker:
         for Q in ker:
             assert weil_e2(P, Q) == 1
-
-
-def test_weil_ephi_table():
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            assert weil_ephi(i, j) == (1 if i == j else -1)
 
 
 def test_equal_curves_built_separately_hold_distinct_cached_data():
