@@ -36,8 +36,11 @@ __all__ = [
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
-# deterministic Miller-Rabin witnesses for n < 3.3 * 10^24
+# deterministic Miller-Rabin witnesses below psi_13, the least strong
+# pseudoprime to all of them (Sorenson and Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 86, 2017): a proof of primality only there
 _MR_BASES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+_PSI_13 = 3317044064679887385961981
 
 # squarings the rho stage may spend on one composite: a 12-digit prime factor
 # takes about 10^6 and rarely over 3.5 * 10^6; spending all of them takes
@@ -253,7 +256,8 @@ def bad_places(curve) -> PlaceSet:
 
     Uses the support of the discriminant data (leading coefficient, Delta, and
     all pairwise root differences), which may overshoot the minimal bad set;
-    enlarging S only adds trivial local terms.
+    enlarging S only adds trivial local terms.  A factor of at least psi_13,
+    which `_is_prime` cannot prove prime, raises FactorizationBudgetExceeded.
     """
     supp = {2}
     supp |= prime_support(curve.codomain_data.delta)
@@ -264,4 +268,7 @@ def bad_places(curve) -> PlaceSet:
             supp |= prime_support(Fraction(roots[i].denominator))
         for j in range(i + 1, len(roots)):
             supp |= prime_support(roots[i] - roots[j])
+    for p in supp:
+        if p >= _PSI_13:
+            raise FactorizationBudgetExceeded(f"cannot prove {p} prime")
     return PlaceSet(tuple(sorted(supp)))

@@ -15,10 +15,11 @@ Exit codes:
   2 invalid input: an unreadable or malformed curve file (a non-string
     label among them), an unsupported model, a model number with more
     digits than Python turns into a string, curve data with a composite
-    factor the factorization budget cannot split, a --places name that is
-    missing or not a bad place ("oo" or a prime), an unknown flag, or a
-    search flag below its minimum (1 for --precision, 0 for --val-bound and
-    --escalations);
+    factor the factorization budget cannot split or with a factor it cannot
+    prove prime (from psi_13 = 3317044064679887385961981 up), a --places
+    name that is missing or not a bad place ("oo" or a prime), an unknown
+    flag, or a search flag below its minimum (1 for --precision, 0 for
+    --val-bound and --escalations);
   3 a `ctp` run stopped by a failed self-check or dimension check (partial
     JSON naming the stage in "failed_at"), or a heuristic or unproven
     result under --strict.
@@ -150,8 +151,7 @@ def _selmer_dict(sel) -> dict:
 
 def _config_dict(cfg: SearchConfig) -> dict:
     """The search bounds as the flags name them."""
-    return {"precision": cfg.residue_exponent, "val_bound": cfg.val_bound,
-            "escalations": cfg.escalations}
+    return {name: getattr(cfg, field) for name, (field, _) in _SEARCH_FLAGS.items()}
 
 
 def _row_dict(row: LocalRow) -> dict:
@@ -326,27 +326,28 @@ def _at_least(low: int):
     return parse
 
 
-# each search flag: the `SearchConfig` field it sets, and its help text
+# each search flag by its argparse dest, also its `--json` config key: the
+# `SearchConfig` field it sets, and its help text
 _SEARCH_FLAGS = {
-    "--precision": ("residue_exponent", "residue modulus exponent for the local point search"),
-    "--val-bound": ("val_bound", "valuation window for the local point search"),
-    "--escalations": ("escalations", "number of times search bounds may escalate"),
+    "precision": ("residue_exponent", "residue modulus exponent for the local point search"),
+    "val_bound": ("val_bound", "valuation window for the local point search"),
+    "escalations": ("escalations", "number of times search bounds may escalate"),
 }
 
 
 def _add_search_flags(p: argparse.ArgumentParser):
-    for flag, (field, what) in _SEARCH_FLAGS.items():
+    for name, (field, what) in _SEARCH_FLAGS.items():
         low = SearchConfig.minima[field]
-        p.add_argument(flag, type=_at_least(low), default=SearchConfig._field_defaults[field],
-                       help=f"{what} (>= {low})")
+        p.add_argument("--" + name.replace("_", "-"), type=_at_least(low),
+                       default=SearchConfig._field_defaults[field], help=f"{what} (>= {low})")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when any result is heuristic or unproven")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
 def _cfg_of(args) -> SearchConfig:
-    return SearchConfig(residue_exponent=args.precision, val_bound=args.val_bound,
-                        escalations=args.escalations)
+    return SearchConfig(**{field: getattr(args, name)
+                           for name, (field, _) in _SEARCH_FLAGS.items()})
 
 
 @functools.cache

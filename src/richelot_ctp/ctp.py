@@ -37,7 +37,7 @@ from .cohomology import (
 from .curve import PHIHAT, RichelotPair
 from .localfield import hilbert_bits, place_name, places_of
 from .localpoints import MumfordDivisor, SearchConfig, local_images, mu_two
-from .selmer import SelmerGroup
+from .selmer import SelmerGroup, _pair_index
 
 __all__ = [
     "LocalRow",
@@ -54,7 +54,8 @@ __all__ = [
 
 
 class InconsistentDimensions(RuntimeError):
-    """Two certified Selmer groups fail the Greenberg-Wiles formula."""
+    """Two certified Selmer groups fail the Greenberg-Wiles formula, or the
+    pairing does not vanish on a two-torsion image."""
 
 
 class LocalRow(NamedTuple):
@@ -256,12 +257,17 @@ def greenberg_wiles_terms(selmer_phihat: SelmerGroup) -> tuple[int, ...]:
 
 def rank_report(selmer_phi: SelmerGroup, selmer_phihat: SelmerGroup,
                 matrix: PairingMatrix) -> DescentReport:
-    """The descent's dimensions, after the Greenberg-Wiles check.
+    """The descent's dimensions, after two checks that raise
+    InconsistentDimensions.
 
-    Raises InconsistentDimensions when both Selmer groups are certified and
-    the Greenberg-Wiles formula fails; it ties the local images and kernels
-    of the two sides together, so a wrong image or a wrong kernel on either
-    side shows.  Nothing here checks the radical.
+    Greenberg-Wiles, when both Selmer groups are certified: it ties the
+    local images and kernels of the two sides together, so a wrong image or
+    a wrong kernel on either side shows.  The radical: the pairing vanishes
+    on images of global points, so each two-torsion image, with
+    coordinates c on `matrix.basis`, must give M c = 0 and c^T M = 0 for
+    the Gram matrix M, summed over every bad place; on the default basis
+    these are its torsion rows and columns.  An image outside the span of
+    `matrix.basis` is not checked.
     """
     d_phi = selmer_phi.dim
     d_phihat = selmer_phihat.dim
@@ -271,4 +277,14 @@ def rank_report(selmer_phi: SelmerGroup, selmer_phihat: SelmerGroup,
             raise InconsistentDimensions(
                 f"Greenberg-Wiles: dim Sel^phihat - dim Sel^phi = {d_phihat - d_phi}, "
                 f"but the local terms {list(terms)} sum to {sum(terms)}")
+    primes = selmer_phihat.places.finite_primes
+    basis = [_pair_index(t, primes) for t in matrix.basis]
+    # the rows, then the columns, of M as masks over the basis
+    lines = [sum(e << j for j, e in enumerate(row)) for row in matrix.entries]
+    lines += [sum(row[j] << i for i, row in enumerate(matrix.entries)) for j in range(len(basis))]
+    for t in selmer_phihat.known_point_basis:
+        c = gf2.coordinates(basis, _pair_index(t, primes))
+        if c is not None and any((line & c).bit_count() & 1 for line in lines):
+            raise InconsistentDimensions(
+                f"the pairing does not vanish on the two-torsion image {t}")
     return DescentReport(d_phi, d_phihat, matrix.radical_dim)

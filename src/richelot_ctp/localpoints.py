@@ -46,8 +46,9 @@ units mod p seeded by p, drawn once per curve, prime and exponent and kept
 with their unit classes, so no block, and no table of unit classes, grows
 with p.  A sample that misses a class can only leave a place heuristic,
 since the duality certificate alone decides certified.  The centres c are
-the rational roots and, on the codomain, the simple roots mod p of the
-factors, from each factor's own roots mod p, lifted by Newton's method.
+the rational roots and, on the codomain, the roots in Z_p of the factors
+without one that are simple mod p, read in closed form from each factor's
+discriminant with a square root mod a power of p (`_root_centers`).
 One reader, `_square_points`, walks a block in one loop: it forms each
 candidate's integer numerator, skips an x an earlier block gave, reads the
 factors' classes from their integer forms straight into the mask, and
@@ -71,8 +72,8 @@ The search reads what depends on the curve alone from the curve's
 quadratics, real samples, the Taylor coefficients at each centre as integer
 numerators and denominators), computed once per curve; a place adds only
 class masks and, kept there too, the valuations at p at each centre, read
-from those integers, whether a term dominates (`_dominance`), the root
-centres and the two-torsion masks.  The unit residues and their classes
+from those integers, whether a term dominates (`_dominance`) and the
+two-torsion masks.  The unit residues and their classes
 are kept in the domain's `SideData`, so the two sides share one draw.
 The real place's single points are one sample per sign region of f, taken
 between the factors' real roots.
@@ -83,6 +84,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import cache, reduce
 from operator import xor
@@ -399,9 +401,16 @@ def _unit_residues(p: int, exponent: int) -> list[int]:
     """The unit residues a block walks, ascending: all units mod p^m for the
     largest m <= exponent with p^m <= `_RESIDUE_CAP` (m = 1 at least), or,
     for p past the cap, `_RESIDUE_CAP` units mod p drawn with p as the seed,
-    so the cost of a block does not grow with p."""
+    so the cost of a block does not grow with p: a sample of `range(1, p)`
+    while it has a length (a C ssize_t), else distinct `randrange` draws."""
     if p > _RESIDUE_CAP:
-        return sorted(random.Random(p).sample(range(1, p), _RESIDUE_CAP))
+        rng = random.Random(p)
+        if p <= sys.maxsize:
+            return sorted(rng.sample(range(1, p), _RESIDUE_CAP))
+        units: set[int] = set()
+        while len(units) < _RESIDUE_CAP:
+            units.add(rng.randrange(1, p))
+        return sorted(units)
     m = 1
     while m < exponent and p ** (m + 1) <= _RESIDUE_CAP:
         m += 1
@@ -424,58 +433,39 @@ def _unit_table(curve: RichelotPair, p: int, exponent: int) -> tuple[list[int], 
     return curve.domain_data.table(("classes", p, exponent), draw)
 
 
-def _roots_mod_p(C, p: int) -> list[int]:
-    """The roots mod p of the integer polynomial C, of degree at most 2,
-    primitive: a linear solve, or the quadratic formula with the square
-    root of the discriminant; at p = 2, the t in {0, 1} with C(t) even."""
-    c0, c1, c2 = [c % p for c in (tuple(C) + (0, 0))[:3]]
-    if p == 2:
-        return [t for t in (0, 1) if (c0 + t * (c1 + c2)) % 2 == 0]
-    if not c2:
-        return [-c0 * pow(c1, -1, p) % p] if c1 else []
-    disc = (c1 * c1 - 4 * c0 * c2) % p
-    if disc and pow(disc, p // 2, p) != 1:
-        return []
-    s = sqrt_mod_pk(disc, p, 1) if disc else 0
-    inv = pow(2 * c2, -1, p)
-    return [(-c1 + s) * inv % p, (-c1 - s) * inv % p]
-
-
 def _root_centers(data, p: int, depth: int) -> list[Fraction]:
-    """Hensel-lifted approximations of the simple roots mod p of the
-    polynomial f of `data`, a `SideData`.
+    """The centres near the irrational Weierstrass points: the roots in Z_p,
+    mod p^(depth+1), of the factors of `data`, a `SideData`, without a
+    rational root that are simple roots mod p of f, the product of the
+    factors' primitive forms (Gauss's lemma), as the integers in
+    [0, p^(depth+1)) ordered by their residues mod p.
 
-    Near-root refinement needs centers p-adically close to every root of f,
-    including irrational ones; simple roots mod p lift uniquely to mod
-    p^depth by Newton iteration.  Works on the primitive integer model, so
-    denominators of f never obstruct the reduction: by Gauss's lemma it is,
-    up to sign, the product of the factors' primitive forms, so its roots mod
-    p are theirs (`_roots_mod_p`), and a simple one has f'(t) nonzero mod p.
+    For a factor's primitive form c2 x^2 + c1 x + c0 its roots mod p are
+    simple on it exactly when D = c1^2 - 4 c0 c2 is a unit, and lie in Z_p
+    when D is a square there too: (-c1 +- s) / (2 c2), with s a square root
+    of D mod p^(depth + 1 + v_p(2 c2)), less a root of negative valuation
+    (p | c2) and one at which another factor's form vanishes mod p.
     """
-    g = math.gcd(*data.f_form[0])
-    fi = [c // g for c in data.f_form[0]]
-    fprime = [i * c for i, c in enumerate(fi)][1:]
-
-    def simple_roots():
-        roots = set()
-        for C, _ in data.forms:
-            content = math.gcd(*C)
-            roots.update(_roots_mod_p([c // content for c in C], p))
-        return sorted(t for t in roots if homogenized_eval(fprime, t, 1)[0] % p)
-
+    forms = [[c // math.gcd(*C) for c in C] for C, _ in data.forms]
+    mod = p ** (depth + 1)
     centers = []
-    # the simple roots mod p, found once per curve, so a later round only
-    # lifts them; a multiple root mod p is left to the grid
-    for t in data.table(("simple roots", p), simple_roots):
-        x, mod = t, p
-        for _ in range(depth):
-            mod *= p
-            dx = homogenized_eval(fprime, x, 1)[0]
-            if dx % p == 0:
-                break
-            x = (x - homogenized_eval(fi, x, 1)[0] * pow(dx, -1, mod)) % mod
-        centers.append(Fraction(x))
-    return centers
+    for i, grp in enumerate(data.groups):
+        if grp is not None:
+            continue
+        c0, c1, c2 = forms[i]
+        disc = c1 * c1 - 4 * c0 * c2
+        if disc % p == 0 or square_class_mask(disc, 1, p):
+            continue
+        w = valuation(2 * c2, p)
+        s = sqrt_mod_pk(disc, p, depth + 1 + w)
+        inv = pow(2 * c2 // p ** w, -1, mod)
+        for num in (-c1 + s, -c1 - s):
+            if num % p ** w:
+                continue  # a root of negative valuation
+            x = num // p ** w * inv % mod
+            if all(homogenized_eval(C, x, 1)[0] % p for j, C in enumerate(forms) if j != i):
+                centers.append(x)
+    return [Fraction(x) for x in sorted(centers, key=lambda x: x % p)]
 
 
 def _x_blocks(curve: RichelotPair, side: str, p: int, cfg: SearchConfig) -> Iterator:
@@ -491,17 +481,14 @@ def _x_blocks(curve: RichelotPair, side: str, p: int, cfg: SearchConfig) -> Iter
     when every factor is dominated; whether f(x) is a square then depends
     on r the same way.
 
-    The domain's roots are all rational (the standing assumption), so they
-    are its centres; the codomain adds the lifted roots of fhat mod p that
-    no rational root stands for.
+    The centres are the rational roots, then the `_root_centers` of the
+    factors without one; on the domain every root is rational (the
+    standing assumption), so only the codomain has the latter.
     """
     vb = cfg.val_bound
     data = curve.side_data(side)
     dominant = _dominance(data, p)
-    centers = list(data.roots)
-    if side == PHI:
-        centers += [c for c in _root_centers(data, p, vb) if not any(
-            c == r or valuation(c - r, p) >= vb for r in data.roots)]
+    centers = list(data.roots) + _root_centers(data, p, vb)
     # a root at 0 has already given the grid's blocks with e >= 1
     for c, js in [(c, range(1, vb + 1)) for c in centers] + [
             (Fraction(0), range(-vb, 1 if 0 in centers else vb + 1))]:

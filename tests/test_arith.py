@@ -9,6 +9,7 @@ from richelot_ctp import arith
 from richelot_ctp.arith import (
     FactorizationBudgetExceeded,
     PlaceSet,
+    bad_places,
     class_product,
     enumerate_Q_S2,
     factorize,
@@ -16,6 +17,7 @@ from richelot_ctp.arith import (
     squarefree_reduce,
 )
 from richelot_ctp import gf2
+from richelot_ctp.curve import build_pair
 from richelot_ctp.localfield import places_of
 
 
@@ -131,6 +133,32 @@ def test_factorize_names_the_cofactor_it_cannot_split(monkeypatch):
         factorize(8 * 1000003 * p * q)
     with pytest.raises(FactorizationBudgetExceeded):
         prime_support(Fraction(3, p * q))
+
+
+# psi_12 and psi_13, the least strong pseudoprimes to the first 12 and 13
+# prime bases (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86, 2017), and their prime factors
+PSI_12 = (318665857834031151167461, 399165290221, 798330580441)
+PSI_13 = (3317044064679887385961981, 1287836182261, 2575672364521)
+
+
+def test_miller_rabin_tells_psi_12_from_its_prime_factors():
+    for n, p, q in (PSI_12, PSI_13):
+        assert n == p * q and arith._is_prime(p) and arith._is_prime(q)
+    assert not arith._is_prime(PSI_12[0])
+
+
+# Miller-Rabin to the 13 bases proves primality only below psi_13, so a
+# factor from psi_13 up is no place: psi_13 itself passes all 13 bases
+def test_bad_places_refuses_a_factor_it_cannot_prove_prime():
+    big = build_pair(10 ** 19 + 51, [0, 1], [-1, 0, 1], [-9, 0, 1])
+    assert bad_places(big).finite_primes == (2, 3, 10 ** 19 + 51)
+    curve = build_pair(PSI_13[0], [0, 1], [-1, 0, 1], [-9, 0, 1])
+    with pytest.raises(FactorizationBudgetExceeded, match=f"^cannot prove {PSI_13[0]} prime$"):
+        bad_places(curve)
+    for _ in range(2):  # the curve keeps the exception
+        with pytest.raises(FactorizationBudgetExceeded, match="cannot prove"):
+            curve.bad_places
 
 
 @pytest.mark.parametrize("primes", [(3, 2), (2, 2), (2, 5, 3)])

@@ -121,6 +121,26 @@ def test_every_command_that_factors_exits_2_on_an_unfactorable_curve(
         assert f"cannot factor the composite {SEMIPRIME} " in capsys.readouterr().err
 
 
+# y^2 = lambda x (x^2 - 1)(x^2 - 9): at lambda = 10^19 + 51, a prime past
+# 2^63, every search ended in an OverflowError from the unit sample; at
+# lambda = psi_13 = 1287836182261 * 2575672364521, which passes Miller-Rabin
+# to all 13 bases, the run would otherwise certify over a composite "place"
+def test_a_twenty_digit_bad_prime_certifies_and_an_unprovable_one_exits_2(capsys):
+    assert main(["ctp", str(fixture_path("L10000000000000000051")), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["bad_places"] == ["oo", "2", "3", "10000000000000000051"]
+    # dim Sel^phihat, dim Sel^phi, radical dim, rank bound before, after
+    assert [report["selmer"]["phihat"]["dim"], report["selmer"]["phi"]["dim"],
+            report["matrix"]["radical_dim"], report["descent"]["rank_bound_before"],
+            report["descent"]["rank_bound_after"], report["status"]] == [6, 0, 4, 2, 0, "certified"]
+    psi_13 = 3317044064679887385961981
+    for args in (["ctp"], ["ctp", "--places", "2"], ["selmer"]):
+        path = str(fixture_path("L3317044064679887385961981"))
+        assert main([args[0], path] + args[1:]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and captured.err == f"error: cannot prove {psi_13} prime\n"
+
+
 def test_a_model_number_too_long_to_print_exits_2_before_any_search(
         curve_file, capsys, monkeypatch):
     # lambda = 10^limit gives G1 a coefficient of limit + 3 digits, more than
@@ -209,6 +229,31 @@ def test_ctp_inconsistent_dimensions_exits_3(curve_file, capsys, monkeypatch):
     assert out["failed_at"] == "descent bookkeeping"
     assert out["error"] == "Greenberg-Wiles: mismatch"
     assert out["curve"]["label"] == "k=113"
+
+
+# the pairing vanishes on images of global points, so on the Selmer basis,
+# which starts with the two-torsion images, their rows and columns of the
+# Gram matrix are zero: one entry flipped in a torsion row, or in a torsion
+# column, stops `ctp` with exit 3
+@pytest.mark.parametrize("where", ["row", "column"])
+def test_a_gram_entry_off_zero_in_a_torsion_row_or_column_exits_3(where, curve_file, capsys,
+                                                                  monkeypatch):
+    import richelot_ctp.cli as cli
+
+    def mutant(selmer, *args, **kwargs):
+        M = ctp_matrix(selmer, *args, **kwargs)
+        last = len(M.basis) - 1
+        assert selmer.known_point_basis and last >= len(selmer.known_point_basis)
+        i, j = (0, last) if where == "row" else (last, 0)
+        entries = [list(row) for row in M.entries]
+        entries[i][j] ^= 1
+        return M._replace(entries=tuple(map(tuple, entries)))
+
+    monkeypatch.setattr(cli, "ctp_matrix", mutant)
+    assert main(["ctp", curve_file(CURVE113), "--json"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["failed_at"] == "descent bookkeeping"
+    assert out["error"].startswith("the pairing does not vanish on the two-torsion image")
 
 
 def test_ctp_places_filter_marks_partial(curve_file, capsys):

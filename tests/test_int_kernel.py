@@ -33,6 +33,7 @@ from richelot_ctp.curve import (
     INF,
     PHI,
     PHIHAT,
+    CurveError,
     _common_denominator,
     build_pair,
     homogenized_eval,
@@ -623,20 +624,21 @@ def test_taylor_valuations_match_the_fraction_taylor_oracle(label):
     assert kinds[Fraction] and kinds[tuple], kinds
 
 
-# the codomain's root centres start from the roots mod p of its factors,
-# one evaluation of f' at each to keep the simple ones; this depends only
-# on the curve and p, and a later round only lifts what the first round
-# found, two evaluations per root and digit, to its own depth (6, 8, 10).
-# The cost does not grow with p: A257 and A1000033 (p = 1 mod 8 both) each
-# have three roots mod p, two of them simple, and A1000003 has one, a
-# multiple root, as fhat of B97 has at 23, where the search escalates
-# twice.  The roots used to come from a scan of the residues mod p, at
-# least p evaluations in the first round
-@pytest.mark.parametrize("P, p, calls", [(97, 23, [2, 0, 0]), (257, 257, [27, 32, 40]),
-                                         (1000003, 1000003, [1, 0, 0]),
-                                         (1000033, 1000033, [27, 32, 40])],
+# the codomain's root centres are read from each irrational factor's
+# discriminant, a square root mod p^(depth+1+v_p(2 c2)) and one evaluation
+# mod p of each other factor at each root kept, with no lift and nothing
+# kept between calls: the same count in every round, whatever p and the
+# depth (6, 8, 10).  A257 and A1000033 (p = 1 mod 8 both) each have two
+# such roots; B97 at 23, where the search escalates twice, has six, two per
+# factor, but all three factors vanish at 5 and 18 mod 23, so the first
+# other factor rejects each; A1000003 has none (one discriminant is
+# divisible by p, the other a non-square).  The Newton lift this replaced
+# read [2, 0, 0], [27, 32, 40], [1, 0, 0] and [27, 32, 40]
+@pytest.mark.parametrize("P, p, calls", [(97, 23, [6, 6, 6]), (257, 257, [4, 4, 4]),
+                                         (1000003, 1000003, [0, 0, 0]),
+                                         (1000033, 1000033, [4, 4, 4])],
                          ids=["B97@23", "A257@257", "A1000003@1000003", "A1000033@1000033"])
-def test_the_root_centres_are_found_once_per_curve_and_prime(monkeypatch, P, p, calls):
+def test_the_root_centres_cost_the_same_in_every_round(monkeypatch, P, p, calls):
     curve = (build_pair(1, [0, 1], [-1, 0, 1], [-P * P, 0, 1]) if P == p else
              build_pair(1, [0, 1], [2, -3, 1], [5 * P, -(5 + P), 1]))  # fresh curves
     curve.codomain_data  # its Weierstrass values are evaluated once, on first use
@@ -647,52 +649,98 @@ def test_the_root_centres_are_found_once_per_curve_and_prime(monkeypatch, P, p, 
         return evaluate(*args)
 
     monkeypatch.setattr(lp, "homogenized_eval", counted)
-    for cfg in [SearchConfig(), SearchConfig().escalate(), SearchConfig().escalate().escalate()]:
+    for cfg in ROUNDS:
         counted_calls.append(0)
         list(_x_blocks(curve, PHI, p, cfg))
     assert counted_calls == calls
 
 
-def scanned_simple_roots(data, p):
-    """The simple roots mod p of f of the `SideData`, by the scan of every
-    residue that `_root_centers` used to make."""
+def scanned_root_centres(data, p, depth):
+    """The routine `_root_centers` replaced, as the reference: the simple
+    roots t mod p of the primitive f of the `SideData`, by a scan of every
+    residue, that lie on a factor without a rational root, each lifted to
+    mod p^(depth+1) by Newton's method on f."""
     g = math.gcd(*data.f_form[0])
     fi = [c // g for c in data.f_form[0]]
     fprime = [i * c for i, c in enumerate(fi)][1:]
-    return [t for t in range(p) if poly_value(fi, t) % p == 0 and poly_value(fprime, t) % p]
+    irrational = [[c // math.gcd(*C) for c in C]
+                  for (C, _), grp in zip(data.forms, data.groups) if grp is None]
+    centres = []
+    for t in range(p):
+        if (poly_value(fi, t) % p or not poly_value(fprime, t) % p
+                or all(poly_value(C, t) % p for C in irrational)):
+            continue
+        x, mod = t, p
+        for _ in range(depth):
+            mod *= p
+            x = (x - poly_value(fi, x) * pow(poly_value(fprime, x), -1, mod)) % mod
+        centres.append(Fraction(x))
+    return centres
 
 
 def poly_value(C, t):
     return sum(c * t ** i for i, c in enumerate(C))
 
 
-# a factor's roots mod p are those of the scan, for seeded primitive
-# polynomials of degree up to 2, at p = 2, p = 3 and a few larger primes
-def test_the_roots_mod_p_of_a_factor_are_the_scanned_roots():
-    rng = random.Random(19)
-    for p in (2, 3, 5, 7, 13, 257):
-        for _ in range(200):
-            C = [rng.randint(-40, 40) for _ in range(rng.choice((2, 3)))]
-            if not any(C[1:]) or math.gcd(*C) != 1:
-                continue
-            assert sorted(set(lp._roots_mod_p(C, p))) == [
-                t for t in range(p) if poly_value(C, t) % p == 0], (C, p)
+def seeded_draw(n, seed):
+    """n seeded curves y^2 = lambda (x - r0)(x - r1)(x - r2)(x - r3)(x - r4),
+    distinct roots in -30..30, that `build_pair` takes."""
+    rng, curves = random.Random(seed), []
+    while len(curves) < n:
+        r = rng.sample(range(-30, 31), 5)
+        try:
+            curves.append(build_pair(rng.choice([1, -1, 2, -2, 3, 5, Fraction(1, 3),
+                                                 Fraction(-2, 5)]),
+                                     [-r[0], 1], [r[1] * r[2], -r[1] - r[2], 1],
+                                     [r[3] * r[4], -r[3] - r[4], 1]))
+        except CurveError:
+            continue
+    return curves
 
 
-# the root centres before lifting are the scan's simple roots, on both
-# sides, at every bad prime up to 1000 of the benchmark curves and R15, R18
+def check_root_centres(curve, primes):
+    """`_root_centers` against the scan at each of `primes`, both sides,
+    depths 0 to 10; the kinds of irrational factor (odd p | c2, p = 2 with
+    c2 even or odd) each centre came from."""
+    kinds = collections.Counter()
+    for p in primes:
+        for side in (PHIHAT, PHI):
+            data = curve.side_data(side)
+            for depth in range(11):
+                got = lp._root_centers(data, p, depth)
+                assert got == scanned_root_centres(data, p, depth), (p, side, depth)
+            centres = lp._root_centers(data, p, 1)
+            for (C, _), grp in zip(data.forms, data.groups):
+                if grp is None and any(poly_value(C, int(c)) % p == 0 for c in centres):
+                    c2 = C[2] // math.gcd(*C)
+                    kinds[f"p = 2, c2 {('odd', 'even')[c2 % 2 == 0]}" if p == 2 else
+                          "odd p | c2" if c2 % p == 0 else "odd p, c2 a unit"] += 1
+    return kinds
+
+
+# the root centres are the scan's simple roots on the irrational factors,
+# lifted, at depths 0 to 10, on both sides (the domain has none), at every
+# bad prime up to 1000 of the benchmark curves and R15, R18
 @pytest.mark.parametrize("label", [*BENCHMARK_CURVES, "R15", "R18"])
 def test_the_root_centres_are_the_scanned_simple_roots(label):
     curve = BENCHMARK_CURVES.get(label) or fixture_curve(label)
-    checked = 0
-    for p in bad_places(curve).finite_primes:
-        if p > 1000:
-            continue
-        for side in (PHIHAT, PHI):
-            data = curve.side_data(side)
-            assert lp._root_centers(data, p, 0) == scanned_simple_roots(data, p), (p, side)
-            checked += 1
-    assert checked
+    primes = [p for p in bad_places(curve).finite_primes if p < 1000]
+    check_root_centres(curve, primes)
+    assert primes and lp._root_centers(curve.domain_data, primes[0], 4) == []
+
+
+# and so they are on a seeded draw: the first 60 curves at their bad primes
+# up to 1000 and at 3 to 13, all of them at 2, where a factor rarely has
+# centres (c1 must be odd).  Each branch of the rule gives centres: odd p
+# dividing c2, so one root has negative valuation, and p = 2 with c2 even
+# or odd
+def test_the_root_centres_of_a_seeded_draw_are_the_scanned_simple_roots():
+    kinds = collections.Counter()
+    for k, curve in enumerate(seeded_draw(2000, 36)):
+        kinds += check_root_centres(curve, sorted(
+            {p for p in bad_places(curve).finite_primes if p < 1000} | {3, 5, 7, 11, 13}
+            if k < 60 else {2}))
+    assert all(kinds[k] for k in ("odd p | c2", "p = 2, c2 even", "p = 2, c2 odd")), kinds
 
 
 # ---------------------------------------------------------------------------
