@@ -114,7 +114,8 @@ def _pollard_brent(n: int, rng: random.Random) -> int:
 
 def factorize(n: int) -> dict[int, int]:
     """Factor a positive integer; a composite cofactor that the rho stage
-    cannot split within its budget raises FactorizationBudgetExceeded."""
+    cannot split within its budget, or a factor of at least psi_13 that
+    `_is_prime` cannot prove prime, raises FactorizationBudgetExceeded."""
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
@@ -138,6 +139,8 @@ def factorize(n: int) -> dict[int, int]:
         if m == 1:
             continue
         if _is_prime(m):
+            if m >= _PSI_13:
+                raise FactorizationBudgetExceeded(f"cannot prove {m} prime")
             out[m] = out.get(m, 0) + 1
             continue
         g = _pollard_brent(m, rng)
@@ -256,8 +259,7 @@ def bad_places(curve) -> PlaceSet:
 
     Uses the support of the discriminant data (leading coefficient, Delta, and
     all pairwise root differences), which may overshoot the minimal bad set;
-    enlarging S only adds trivial local terms.  A factor of at least psi_13,
-    which `_is_prime` cannot prove prime, raises FactorizationBudgetExceeded.
+    enlarging S only adds trivial local terms.
     """
     supp = {2}
     supp |= prime_support(curve.codomain_data.delta)
@@ -268,7 +270,4 @@ def bad_places(curve) -> PlaceSet:
             supp |= prime_support(Fraction(roots[i].denominator))
         for j in range(i + 1, len(roots)):
             supp |= prime_support(roots[i] - roots[j])
-    for p in supp:
-        if p >= _PSI_13:
-            raise FactorizationBudgetExceeded(f"cannot prove {p} prime")
     return PlaceSet(tuple(sorted(supp)))

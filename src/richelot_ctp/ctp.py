@@ -265,9 +265,11 @@ def rank_report(selmer_phi: SelmerGroup, selmer_phihat: SelmerGroup,
     a wrong kernel on either side shows.  The radical: the pairing vanishes
     on images of global points, so each two-torsion image, with
     coordinates c on `matrix.basis`, must give M c = 0 and c^T M = 0 for
-    the Gram matrix M, summed over every bad place; on the default basis
-    these are its torsion rows and columns.  An image outside the span of
-    `matrix.basis` is not checked.
+    the Gram matrix M; on the default basis these are its torsion rows and
+    columns.  An image outside the span of `matrix.basis` is not checked.
+    So `matrix` must be summed over every bad place, `ctp_matrix`'s
+    default: a partial one, from a subset of the places, need not vanish
+    there and may raise.
     """
     d_phi = selmer_phi.dim
     d_phihat = selmer_phihat.dim

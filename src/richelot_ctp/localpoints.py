@@ -401,16 +401,10 @@ def _unit_residues(p: int, exponent: int) -> list[int]:
     """The unit residues a block walks, ascending: all units mod p^m for the
     largest m <= exponent with p^m <= `_RESIDUE_CAP` (m = 1 at least), or,
     for p past the cap, `_RESIDUE_CAP` units mod p drawn with p as the seed,
-    so the cost of a block does not grow with p: a sample of `range(1, p)`
-    while it has a length (a C ssize_t), else distinct `randrange` draws."""
+    so the cost of a block does not grow with p; past `sys.maxsize`, where
+    `range(1, p)` has no length, they are drawn below `sys.maxsize`."""
     if p > _RESIDUE_CAP:
-        rng = random.Random(p)
-        if p <= sys.maxsize:
-            return sorted(rng.sample(range(1, p), _RESIDUE_CAP))
-        units: set[int] = set()
-        while len(units) < _RESIDUE_CAP:
-            units.add(rng.randrange(1, p))
-        return sorted(units)
+        return sorted(random.Random(p).sample(range(1, min(p, sys.maxsize)), _RESIDUE_CAP))
     m = 1
     while m < exponent and p ** (m + 1) <= _RESIDUE_CAP:
         m += 1

@@ -301,6 +301,15 @@ def test_pairing_places_factor_only_what_s_leaves_of_a_slot(count_calls):
     assert calls == {10007: 2}
 
 
+def test_ctp_global_refuses_a_lift_with_a_factor_it_cannot_prove_prime(curve113):
+    # psi_13 = 1287836182261 * 2575672364521 passes Miller-Rabin to all 13
+    # bases, so as a slot of the lift it would be summed over as a "place"
+    psi_13 = 3317044064679887385961981
+    lift = lift_phihat_to_two(T1) * psi_phi_to_two(KummerTriple((psi_13, psi_13, 1)))
+    with pytest.raises(arith.FactorizationBudgetExceeded, match=f"^cannot prove {psi_13} prime$"):
+        ctp_global(T1, T2, curve113, lift=lift)
+
+
 def test_ctp_global_rejects_wrong_lift(curve113):
     wrong = lift_phihat_to_two(T2)
     with pytest.raises(ValueError):

@@ -750,15 +750,17 @@ def test_the_search_at_a_large_prime_walks_as_little_as_at_1009(monkeypatch, P):
 
 
 # past sys.maxsize `range(1, p)` has no length, which `random.sample` needs,
-# so the sample is `_RESIDUE_CAP` distinct `randrange` draws, seeded by p
-# too; up to it, as at the Mersenne prime 2^61 - 1, it is `sample`'s
+# so the sample, seeded by p too, is drawn below sys.maxsize: units mod p
+# all the same; up to it, as at the Mersenne prime 2^61 - 1, it is drawn
+# from range(1, p)
 @pytest.mark.parametrize("p", [10 ** 19 + 51, 2 ** 127 - 1])
-def test_the_unit_sample_past_a_c_ssize_t_is_distinct_units_seeded_by_p(p):
+def test_the_unit_sample_past_a_c_ssize_t_is_drawn_below_it_seeded_by_p(p):
     with pytest.raises(OverflowError):
         len(range(1, p))
     units = lp._unit_residues(p, 4)
     assert len(set(units)) == lp._RESIDUE_CAP and units == sorted(units)
-    assert 0 < units[0] and units[-1] < p and units == lp._unit_residues(p, 6)
+    assert 0 < units[0] and units[-1] < sys.maxsize < p and units == lp._unit_residues(p, 6)
+    assert units == sorted(random.Random(p).sample(range(1, sys.maxsize), lp._RESIDUE_CAP))
     mersenne = 2 ** 61 - 1
     assert lp._unit_residues(mersenne, 4) == sorted(
         random.Random(mersenne).sample(range(1, mersenne), lp._RESIDUE_CAP))
