@@ -2,11 +2,13 @@
 layer: its prime p, or 0 for the real place oo, as in PARI/GP's
 `hilbert(x, y, 0)`; `place_name` prints it.
 
-Square classes of Q_v, the Hilbert symbol in closed form, and square roots
-of p-adic units modulo p^k, of which the Mumford-divisor certificate reads
-a few digits.  Squareness of a rational at a finite place is decided from
-the valuation parity and unit residues (mod p for odd p, mod 8 for p = 2),
-never from truncated expansions.  `square_class_mask` reads both in one
+Square classes of Q_v, the Hilbert symbol in closed form, square roots
+of p-adic units modulo p^k, and the Mumford-divisor certificate, which
+reads a few digits of one: whether f is a square in Q_p[x]/(A) for a monic
+irreducible quadratic A (`_quadratic_certificate`).  Squareness of a
+rational at a finite place is decided from the valuation parity and unit
+residues (mod p for odd p, mod 8 for p = 2), never from truncated
+expansions.  `square_class_mask` reads both in one
 pass from the integer numerator and denominator, without building a
 Fraction, and packs the class into the bits of an int: that int is the
 class, in the local search, the local tuples (`tuple_mask` packs a tuple's
@@ -20,6 +22,7 @@ against an independent brute-force solvability oracle.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -253,3 +256,79 @@ def _sqrt_mod_p(n: int, p: int) -> int:
         t = t * c % p
         m = i
     return r
+
+
+# ---------------------------------------------------------------------------
+# squareness of f modulo a quadratic (the y-data certificate)
+# ---------------------------------------------------------------------------
+
+
+def _mod_quadratic_ints(f_form, an: int, bn: int, q: int) -> tuple[int, int, int]:
+    """f mod (x^2 + (an/q) x + bn/q) as integers (U, W, s): remainder (U x + W)/s,
+    for f given by its `curve.poly_integer_form` (C, den).
+
+    Horner's rule on the remainder u x + w (multiply by x, add c), kept over
+    the scale den q^j after j coefficients.
+    """
+    C, den = f_form
+    U = W = 0
+    qpow = 1
+    for c in reversed(C):
+        qpow *= q
+        U, W = q * W - an * U, c * qpow - bn * U
+    return U, W, den * qpow
+
+
+def _quadratic_certificate(f_form, an: int, bn: int, q: int, p: int) -> bool:
+    """Is f a square in Q_p[x]/(A) for monic irreducible A = x^2 + (an/q) x
+    + bn/q, with f given by its `curve.poly_integer_form`?
+
+    Norm-trace criterion: with xi = f mod A, a square root B = b1 x + b0
+    exists iff N(xi) is a square n^2 in Q_p and Tr(xi) +- 2n is a nonzero
+    square (tau = Tr(B) satisfies tau^2 = Tr(xi) + 2 nu with nu = N(B) = +-n).
+    The answer is exact: square classes are read from integers and a few
+    digits of an integer square root mod p^k, with no digit budget.
+
+    With xi = (U x + W)/s and disc(A) = D/q^2, D = an^2 - 4 bn q, the trace
+    and norm of xi scaled by q s and (q s)^2 are the integers
+    tr = 2 q W - an U and nn = q (q W^2 - an U W + bn U^2).  The candidates
+    t = tr +- 2 sqrt(nn) are q s (Tr xi +- 2n), so one is a square iff its
+    class is that of q s.  Their product tr^2 - 4 nn = U^2 D is nonzero for
+    U, D nonzero, so the candidate of smaller valuation has valuation at
+    most a = min(v(tr), v(2 sqrt(nn))) (a + 1 at p = 2), and its class is
+    read from it mod p^(a+1) (mod 2^(a+4)); the other's class is that times
+    the class of D.  A double root (D = 0) leaves one nonzero candidate, 2 tr.
+    """
+    U, W, s = _mod_quadratic_ints(f_form, an, bn, q)
+    if not p:
+        # irreducible over R means conjugate complex points; C is quadratically
+        # closed, so the certificate always exists (f mod A != 0 here)
+        return not (U == 0 and W == 0)
+    disc = an * an - 4 * bn * q
+    if U == 0:
+        if W == 0:
+            return True  # A divides f: the two-torsion divisor, B = 0
+        return (not square_class_mask(W, s, p)
+                or (disc != 0 and not square_class_mask(W * disc, s, p)))
+    nn = q * (q * W * W - an * U * W + bn * U * U)
+    if nn == 0 or square_class_mask(nn, 1, p):
+        return False
+    tr = 2 * q * W - an * U
+    want = square_class_mask(q, s, p)
+    if disc == 0:
+        return square_class_mask(2 * tr, 1, p) == want
+    h, u = 0, nn  # nn = p^(2h) u with u a unit
+    while u % p == 0:
+        u //= p * p
+        h += 1
+    a, x = 0, tr  # a = min(v(tr), v(2 sqrt(nn)))
+    while a < h + (p == 2) and x % p == 0:
+        x //= p
+        a += 1
+    e = a + (4 if p == 2 else 1)
+    m = p ** e
+    root = 2 * p ** h * sqrt_mod_pk(u, p, max(e - h, 1))
+    # the candidate of smaller valuation, nonzero mod m
+    t = min((tr + root) % m, (tr - root) % m, key=lambda y: math.gcd(y, m))
+    c = square_class_mask(t, 1, p)
+    return want in (c, c ^ square_class_mask(disc, 1, p))

@@ -36,7 +36,12 @@ a walk yields each mask once; an escalation walks only the tiers whose
 bounds it changes.  `local_images` steps the two sides' walks in turn (a
 block of candidates or one candidate a step), stops once they fill dim H^1,
 escalates only once both have used up a round, and keeps the witness of
-each basis vector, from which the pairing builds its rows.  The curve keeps
+each basis vector, from which the pairing builds its rows.  With all of
+J[2] rational, dim J(Q_v)/2J(Q_v) is dim H^1 and the phihat image is the
+image of the 2-descent image under psi_two_to_phihat, so the domain's walk
+ends, before its quadratic tier or a later round, once the `mu_two` images
+of two-torsion and of its divisors span that dimension; the codomain's
+walk runs its rounds on alone.  The curve keeps
 the images under the place and the search config, so the Selmer groups and
 the pairing of one curve walk each place once.
 
@@ -96,6 +101,7 @@ from .cohomology import (
     KummerTriple,
     LocalKummerTriple,
     cup_invariant,
+    psi_two_to_phihat,
 )
 from .curve import (
     INF,
@@ -107,6 +113,7 @@ from .curve import (
     homogenized_eval,
 )
 from .localfield import (
+    _quadratic_certificate,
     is_local_square,
     local_square_dim,
     place_name,
@@ -307,82 +314,6 @@ def _checked_image(D: MumfordDivisor, mask: int, curve: RichelotPair,
             f"class bits give mask {mask:#x} for {D} at {place_name(v)}, "
             f"its image {t} has {t.mask:#x}")
     return t
-
-
-# ---------------------------------------------------------------------------
-# squareness of f modulo a quadratic (the y-data certificate)
-# ---------------------------------------------------------------------------
-
-
-def _mod_quadratic_ints(f_form, an: int, bn: int, q: int) -> tuple[int, int, int]:
-    """f mod (x^2 + (an/q) x + bn/q) as integers (U, W, s): remainder (U x + W)/s,
-    for f given by its `poly_integer_form` (C, den).
-
-    Horner's rule on the remainder u x + w (multiply by x, add c), kept over
-    the scale den q^j after j coefficients.
-    """
-    C, den = f_form
-    U = W = 0
-    qpow = 1
-    for c in reversed(C):
-        qpow *= q
-        U, W = q * W - an * U, c * qpow - bn * U
-    return U, W, den * qpow
-
-
-def _quadratic_certificate(f_form, an: int, bn: int, q: int, p: int) -> bool:
-    """Is f a square in Q_p[x]/(A) for monic irreducible A = x^2 + (an/q) x
-    + bn/q, with f given by its `poly_integer_form`?
-
-    Norm-trace criterion: with xi = f mod A, a square root B = b1 x + b0
-    exists iff N(xi) is a square n^2 in Q_p and Tr(xi) +- 2n is a nonzero
-    square (tau = Tr(B) satisfies tau^2 = Tr(xi) + 2 nu with nu = N(B) = +-n).
-    The answer is exact: square classes are read from integers and a few
-    digits of an integer square root mod p^k, with no digit budget.
-
-    With xi = (U x + W)/s and disc(A) = D/q^2, D = an^2 - 4 bn q, the trace
-    and norm of xi scaled by q s and (q s)^2 are the integers
-    tr = 2 q W - an U and nn = q (q W^2 - an U W + bn U^2).  The candidates
-    t = tr +- 2 sqrt(nn) are q s (Tr xi +- 2n), so one is a square iff its
-    class is that of q s.  Their product tr^2 - 4 nn = U^2 D is nonzero for
-    U, D nonzero, so the candidate of smaller valuation has valuation at
-    most a = min(v(tr), v(2 sqrt(nn))) (a + 1 at p = 2), and its class is
-    read from it mod p^(a+1) (mod 2^(a+4)); the other's class is that times
-    the class of D.  A double root (D = 0) leaves one nonzero candidate, 2 tr.
-    """
-    U, W, s = _mod_quadratic_ints(f_form, an, bn, q)
-    if not p:
-        # irreducible over R means conjugate complex points; C is quadratically
-        # closed, so the certificate always exists (f mod A != 0 here)
-        return not (U == 0 and W == 0)
-    disc = an * an - 4 * bn * q
-    if U == 0:
-        if W == 0:
-            return True  # A divides f: the two-torsion divisor, B = 0
-        return (not square_class_mask(W, s, p)
-                or (disc != 0 and not square_class_mask(W * disc, s, p)))
-    nn = q * (q * W * W - an * U * W + bn * U * U)
-    if nn == 0 or square_class_mask(nn, 1, p):
-        return False
-    tr = 2 * q * W - an * U
-    want = square_class_mask(q, s, p)
-    if disc == 0:
-        return square_class_mask(2 * tr, 1, p) == want
-    h, u = 0, nn  # nn = p^(2h) u with u a unit
-    while u % p == 0:
-        u //= p * p
-        h += 1
-    a, x = 0, tr  # a = min(v(tr), v(2 sqrt(nn)))
-    while a < h + (p == 2) and x % p == 0:
-        x //= p
-        a += 1
-    e = a + (4 if p == 2 else 1)
-    m = p ** e
-    root = 2 * p ** h * sqrt_mod_pk(u, p, max(e - h, 1))
-    # the candidate of smaller valuation, nonzero mod m
-    t = min((tr + root) % m, (tr - root) % m, key=lambda y: math.gcd(y, m))
-    c = square_class_mask(t, 1, p)
-    return want in (c, c ^ square_class_mask(disc, 1, p))
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +582,12 @@ def _torsion_masks(curve: RichelotPair, side: str, cls, product=xor,
     return masks, out
 
 
+def _place_torsion(curve: RichelotPair, side: str, p: int) -> tuple[dict, list]:
+    """`_torsion_masks` at p, kept in the side's `SideData` per place."""
+    return curve.side_data(side).table(("torsion", p), lambda: _torsion_masks(
+        curve, side, lambda values: tuple_mask(values, p)))
+
+
 def _quadratic_bounds(p: int, cfg: SearchConfig) -> tuple[int, int]:
     """(residue exponent, valuation depth) that size the quadratic tier at p.
 
@@ -808,8 +745,7 @@ def _point_tiers(curve: RichelotPair, side: str, p: int, cfg: SearchConfig,
     """
     rng = random.Random(cfg.shuffle_seed) if cfg.shuffle_seed is not None else None
     data = curve.side_data(side)
-    masks, torsion = data.table(("torsion", p), lambda: _torsion_masks(
-        curve, side, lambda values: tuple_mask(values, p)))
+    masks, torsion = _place_torsion(curve, side, p)
 
     def torsion_tier():
         for D, m in torsion:
@@ -872,27 +808,39 @@ def _point_tiers(curve: RichelotPair, side: str, p: int, cfg: SearchConfig,
             _quadratic_candidates(curve, side, p, cfg, known)]
 
 
-def _walk(curve: RichelotPair, side: str, v: int,
-          cfg: SearchConfig) -> Iterator[Iterator[Optional[tuple[MumfordDivisor, int]]]]:
+def _walk(curve: RichelotPair, side: str, v: int, cfg: SearchConfig,
+          done=lambda: False) -> Iterator[Iterator[Optional[tuple[MumfordDivisor, int]]]]:
     """One side's search at one place: per round (cfg, then each of its
     cfg.escalations escalations) the tiers of `_point_tiers` with their step
     marks.  It records the mask of every candidate it yields, and the tiers
     skip the masks it holds, so it yields each mask once.  A round walks only
     the tiers whose bounds changed: the torsion tier has none; the singles
     grid sizes the singles and pairs tiers, `_quadratic_bounds` the
-    quadratic tier.
+    quadratic tier.  `done` is asked only before a round's quadratic tier
+    and before each later round, and the walk ends where it holds: the
+    domain's walk in `local_images` ends once its 2-descent images are
+    full (`_descent_span`).
     """
     known: set = set()
     walked, config = (None,) * 4, None
-    for _ in range(cfg.escalations + 1):
+    for k in range(cfg.escalations + 1):
+        if k and done():
+            return
         config = config.escalate() if config else cfg
         grid = (config.residue_exponent, config.val_bound)
         bounds = ((), grid, grid,
                   _quadratic_bounds(v, config) if v else ())
         tiers = _point_tiers(curve, side, v, config, known)
+        tiers[3] = _unless(done, tiers[3])
         yield _recorded(itertools.chain.from_iterable(
             [tier for tier, b, w in zip(tiers, bounds, walked) if b != w]), known)
         walked = bounds
+
+
+def _unless(done, tier):
+    """`tier`, unless `done()` holds when the walk reaches it."""
+    if not done():
+        yield from tier
 
 
 def _recorded(items, known: set):
@@ -904,9 +852,10 @@ def _recorded(items, known: set):
 
 def _alternating(walks: list) -> Iterator[tuple]:
     """(index, item) for the `_walk`s in `walks`: in each round one step (up
-    to a None) of each in turn; no walk enters a round before all end the last."""
-    for rounds in zip(*walks):
-        steps = dict(enumerate(rounds))
+    to a None) of each in turn; no walk enters a round before all end the
+    last, and the others run their rounds on once a walk has ended."""
+    for rounds in itertools.zip_longest(*walks):
+        steps = {i: items for i, items in enumerate(rounds) if items}
         while steps:
             for i, items in list(steps.items()):
                 for item in items:
@@ -959,17 +908,54 @@ def local_images(curve: RichelotPair, v: int,
     return curve.domain_data.table(("images", v, cfg), lambda: _search_images(curve, v, cfg))
 
 
+def _descent_span(curve: RichelotPair, v: int) -> tuple:
+    """(fed, full) for the F2 span at v of `mu_two` of the domain walk's
+    divisors, which the caller appends to `fed` with their masks.  full()
+    adds what was fed to the span, and while the span is empty, as at its
+    first call, {w, inf} for each Weierstrass root w: every two-torsion
+    divisor is a sum of these.  It tells whether the span has reached
+    dim J(Q_v)/2J(Q_v), which with all of J[2] rational is dim H^1.  The
+    phihat image is the image of J(Q_v)/2J(Q_v) under psi_two_to_phihat
+    (Schaefer 1995, Stoll 2001), so the walk has then found all of it.  A
+    divisor whose quintuple image does not map to its mask, or that takes
+    the span past that dimension, raises ClassBitsMismatch."""
+    fed, span, top = [], gf2.Span(), 2 * local_square_dim(v)
+
+    def full():
+        if not span.dim:
+            masks, _ = _place_torsion(curve, PHIHAT, v)
+            fed.extend((MumfordDivisor.weierstrass_pair(i, INF), masks[i] ^ masks[INF])
+                       for i in curve.domain_data.slots)
+        for D, mask in fed:
+            q = mu_two(D, curve, v)
+            if psi_two_to_phihat(q).mask != mask:
+                raise ClassBitsMismatch(f"{D} has mask {mask:#x} at {place_name(v)}, "
+                                        f"its quintuple image {q} maps elsewhere")
+            if span.add(q.mask) and span.dim > top:
+                raise ClassBitsMismatch(f"{D} takes the 2-descent images at "
+                                        f"{place_name(v)} past dimension {top}")
+        fed.clear()
+        return span.dim == top
+
+    return fed, full
+
+
 def _search_images(curve: RichelotPair, v: int, cfg: SearchConfig) -> tuple:
+    """Step the two sides' walks in turn until their dimensions sum to dim
+    H^1.  Each basis is the prefix of its own walk that raises its span, so
+    the order of the steps changes no answer, and neither does ending the
+    domain's walk once its `_descent_span` is full: its image is then
+    whole, and the codomain's walk runs on alone."""
     curve.require_five_roots()
     target = 2 * local_square_dim(v)  # dim H^1
     sides = (PHIHAT, PHI)
     found = ([], [])  # per side, (triple, witness) pairs
     spans = (gf2.Span(), gf2.Span())
-
-    # step the sides in turn: only the sum of the dimensions is known, so
-    # neither side walks far past its last new vector while the other lacks
-    # some; each basis is the prefix of its own walk that raises its span
-    for i, (D, mask) in _alternating([_walk(curve, side, v, cfg) for side in sides]):
+    fed, full = _descent_span(curve, v)
+    walks = [_walk(curve, PHIHAT, v, cfg, full), _walk(curve, PHI, v, cfg)]
+    for i, (D, mask) in _alternating(walks):
+        if not i:
+            fed.append((D, mask))
         if spans[i].add(mask):
             found[i].append((_checked_image(D, mask, curve, v), D))
             if spans[0].dim + spans[1].dim >= target:

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from richelot_ctp import localpoints
 from richelot_ctp.curve import build_pair
 
 
@@ -39,3 +40,13 @@ def count_calls(monkeypatch):
                     monkeypatch.setattr(mod, attr, counted)
         return calls
     return count
+
+
+@pytest.fixture
+def without_descent_certificate(monkeypatch):
+    """without_descent_certificate() stubs off the domain's 2-descent
+    certificate (`localpoints._descent_span`): the domain's walk then ends
+    only where the two images fill dim H^1 or its rounds run out."""
+    def stub():
+        monkeypatch.setattr(localpoints, "_descent_span", lambda curve, v: ([], lambda: False))
+    return stub

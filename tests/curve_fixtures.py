@@ -1,5 +1,6 @@
-"""Curves the tests share: the benchmark corpus, and curve files under
-fixtures/ in the format `ctp` reads; `fresh`, for a test that counts a
+"""Curves the tests share: the benchmark corpus, a seeded random draw
+(`seeded_corpus`) and curve files under fixtures/ in the format `ctp`
+reads; `fresh`, for a test that counts a
 walk's work on a shared curve, which keeps what earlier tests found; and
 entry points the library does not need, written over its internals:
 `quadratic_mumford_certificate`, `encode_triple`, a triple's F2
@@ -11,6 +12,7 @@ masks do."""
 
 import json
 import math
+import random
 from fractions import Fraction
 from functools import reduce
 from operator import xor
@@ -18,7 +20,8 @@ from pathlib import Path
 
 from richelot_ctp import gf2
 from richelot_ctp.arith import qs2_index
-from richelot_ctp.curve import _common_denominator, build_pair, poly_integer_form
+from richelot_ctp.curve import (ProductOfEllipticError, _common_denominator, build_pair,
+                                poly_integer_form)
 from richelot_ctp.localfield import local_square_dim, square_class_mask
 from richelot_ctp.localpoints import _quadratic_certificate
 
@@ -59,6 +62,25 @@ def fixture_curve(label: str):
     data = json.loads(fixture_path(label).read_text())
     return build_pair(Fraction(data["lambda"]),
                       *([Fraction(c) for c in data[g]] for g in ("G1", "G2", "G3")))
+
+
+def seeded_corpus(count: int) -> dict:
+    """The curves among the first `count` draws of the seeded random
+    corpus, as {"draw<n>": curve}: `random.Random(20261018)` draws each
+    curve's roots r1..r5 with `sample(range(-15, 16), 5)`, then lambda with
+    `choice([1, -1, 2, -2, 3, 5])`, for G1 = x - r1, G2 = (x - r2)(x - r3)
+    and G3 = (x - r4)(x - r5).  Of the first 300 draws one, whose Jacobian
+    is a product of elliptic curves, builds no curve."""
+    rng, curves = random.Random(20261018), {}
+    for n in range(count):
+        r1, r2, r3, r4, r5 = rng.sample(range(-15, 16), 5)
+        lam = rng.choice([1, -1, 2, -2, 3, 5])
+        try:
+            curves[f"draw{n}"] = build_pair(lam, [-r1, 1], [r2 * r3, -r2 - r3, 1],
+                                            [r4 * r5, -r4 - r5, 1])
+        except ProductOfEllipticError:
+            pass
+    return curves
 
 
 def encode_triple(t, primes) -> int:

@@ -43,6 +43,7 @@ from richelot_ctp.curve import (
 )
 from richelot_ctp.localfield import (
     _legendre,
+    _mod_quadratic_ints,
     _smallest_nonresidue,
     hilbert_symbol,
     is_local_square,
@@ -58,7 +59,6 @@ from richelot_ctp.localpoints import (
     SearchConfig,
     _block_step,
     _generic,
-    _mod_quadratic_ints,
     _quadratic_blocks,
     _quadratic_mask,
     _res2,
@@ -539,10 +539,14 @@ def test_taylor_valuations_are_computed_once_per_centre_and_prime(count_calls):
 # the dominated flags depend only on the Taylor valuations and a block's
 # exponents, so a curve keeps them per side and prime (`_dominance`), and the
 # walks ask `_generic` once per distinct (terms, exponents).  One
-# `local_images` at B97@23, where both walks run to their end, asked it 892
+# `local_images` at B97@23, where both walks ran to their end, asked it 892
 # times for 242 distinct pairs: 157 on the domain and 121 on the codomain,
-# 36 of them on both sides; a second walk on the same curve asks none
-def test_the_dominated_flags_are_computed_once_per_side_prime_and_terms(monkeypatch):
+# 36 of them on both sides; a second walk on the same curve asks none.  The
+# domain's walk now ends before its quadratic tier there, once its
+# 2-descent images are full, having asked 44, none of them asked on the
+# codomain; with that certificate stubbed off it runs to its end again
+def test_the_dominated_flags_are_computed_once_per_side_prime_and_terms(
+        monkeypatch, without_descent_certificate):
     calls = collections.Counter()
     generic = lp._generic
 
@@ -563,10 +567,13 @@ def test_the_dominated_flags_are_computed_once_per_side_prime_and_terms(monkeypa
         assert len(calls) == distinct and set(calls.values()) == {1}, (side, calls)
         again = list(itertools.chain.from_iterable(_walk(curve, side, v, SearchConfig())))
         assert again == first and sum(calls.values()) == distinct, side
-    calls.clear()
-    images = lp.local_images(fresh_b97(), v)
-    assert [image.status for image in images] == ["heuristic"] * 2
-    assert sum(calls.values()) == 157 + 121 and len(calls) == 242
+    for domain, distinct in ((44, 165), (157, 242)):
+        if domain == 157:
+            without_descent_certificate()
+        calls.clear()
+        images = lp.local_images(fresh_b97(), v)
+        assert [image.status for image in images] == ["heuristic"] * 2
+        assert sum(calls.values()) == domain + 121 and len(calls) == distinct
 
 
 def fraction_taylor(data, c):

@@ -11,14 +11,17 @@ shares with the library only the other candidate generators (torsion
 divisors, the blocks of `_x_blocks` and the residue grids).  It drains the
 two sides' tiers in lockstep, tier by tier.  The library's search walks
 each place once, steps the two sides' walks in turn and stops as soon as
-both images are full, skips the tiers an escalation does not change, reads
+both images are full, ends the domain's walk once its 2-descent images are
+full, skips the tiers an escalation does not change, reads
 a dominated factor's class once per block and unit class, cuts a generic
 block once the pool is full, compares every tier by class bits, certifies
 a quadratic only for a mask its walk has not yet yielded, and builds
 images only for the candidates it keeps, so it must return the same bases,
 witnesses, statuses and divisors.
-The module also counts the work the new search must not repeat, and
-corrupts class bits to trip the bits-against-witness check.
+The module also counts the work the new search must not repeat, checks
+the domain's 2-descent certificate against its own reading of the span,
+and corrupts class bits to trip the bits-against-witness check and the
+certificate's checks.
 """
 
 import collections
@@ -29,10 +32,12 @@ from fractions import Fraction
 
 import pytest
 
-from curve_fixtures import BENCHMARK_CURVES, fresh, square_class_bits
+from curve_fixtures import (BENCHMARK_CURVES, fixture_curve, fresh, seeded_corpus,
+                            square_class_bits)
 import richelot_ctp.localpoints as lp
 from richelot_ctp import gf2
 from richelot_ctp.arith import bad_places
+from richelot_ctp.cohomology import psi_two_to_phihat
 from richelot_ctp.ctp import ctp_matrix
 from richelot_ctp.curve import (PHI, PHIHAT, _common_denominator, build_pair, homogenized_eval,
                                 poly_integer_form, poly_mul, rational_roots)
@@ -46,6 +51,7 @@ from richelot_ctp.localpoints import (
     _annihilate,
     _point_tiers,
     _quadratic_bounds,
+    _quadratic_mask,
     _torsion_divisors,
     _unit_residues,
     _x_blocks,
@@ -419,18 +425,23 @@ def count_quadratic_work(monkeypatch, curve):
     return calls
 
 
-def test_local_images_tries_each_quadratic_once(monkeypatch):
+def test_local_images_tries_each_quadratic_once(monkeypatch, without_descent_certificate):
     # B97 spends both escalations at 23; with the default bounds an
     # escalation leaves the quadratic tier as it was, so it is walked once:
-    # no quadratic has its mask read, or its certificate run, twice.  Every
-    # test that counts a walk's work walks a fresh curve, since a curve
-    # keeps the local images it has found
-    curve = fresh(B97)
-    calls = count_quadratic_work(monkeypatch, curve)
-    images = local_images(curve, 23)
-    assert images[0].status == "heuristic"  # the search did escalate
-    assert {side for kind, side, *_ in calls if kind == "mask"} == {PHIHAT, PHI}
-    assert max(calls.values()) == 1
+    # no quadratic has its mask read, or its certificate run, twice.  The
+    # domain's 2-descent images are full before its quadratic tier there,
+    # so only the codomain reads a quadratic mask; with that certificate
+    # stubbed off both sides do.  Every test that counts a walk's work walks
+    # a fresh curve, since a curve keeps the local images it has found
+    for sides in ({PHI}, {PHIHAT, PHI}):
+        if PHIHAT in sides:
+            without_descent_certificate()
+        curve = fresh(B97)
+        calls = count_quadratic_work(monkeypatch, curve)
+        images = local_images(curve, 23)
+        assert images[0].status == "heuristic"  # the search did escalate
+        assert {side for kind, side, *_ in calls if kind == "mask"} == sides
+        assert max(calls.values()) == 1
 
 
 def test_the_quadratic_tier_reads_a_class_pair_once(monkeypatch):
@@ -505,28 +516,15 @@ def quadratic_walk_order(curve, side, p, cfg):
     return order
 
 
-# escalations that grow the quadratic tier's depth (val_bound 1 -> 3 -> 5,
-# depth 1 -> 3 -> 4 at 23) or its residue exponent (1 -> 2 -> 3 at 2) must
-# walk it again: at these places the later walks reach 87 and 163 more
-# quadratics than the first.  Every quadratic the oracle certifies is, in
-# each walk of the library that reaches it, either certified or dead at its
-# place: its own mask (read here) fails the norm rule or was held by the
-# walk then.  The library reads that mask, or it reads the same mask for
-# the quadratic's unit-class pair; and it certifies a quadratic exactly when
-# it is not dead.
-@pytest.mark.parametrize("label, p, cfg", [
-    ("B97", 23, SearchConfig(val_bound=1)),
-    ("B31", 2, SearchConfig(residue_exponent=1)),
-], ids=["B97@23-val_bound=1", "B31@2-residue_exponent=1"])
-def test_escalations_try_every_quadratic_the_oracle_tries(monkeypatch, label, p, cfg):
-    curve = fresh(CURVES[label])
-    d = 3 if p == 2 else 2
-    calls = count_certificates(monkeypatch, curve)
-    oracle_local_images(curve, p, cfg)
-    oracle_certified = set(calls)
-    quadratic_mask = lp._quadratic_mask
-    walks = record_quadratic_work(monkeypatch)
-    local_images(curve, p, cfg)
+def tried_quadratics(curve, p, walks):
+    """The quadratics (side, an, bn, q) that the logged `walks` of
+    `record_quadratic_work` reach at p with a discriminant that is no
+    square, and the skips (by a held mask, by the norm rule) and the reads
+    shared by a class pair among them, after checking each walk: it reads
+    a quadratic's own mask, or the same mask for its class pair, and
+    certifies it exactly when the mask passes the norm rule and was not
+    held by the walk then."""
+    d = local_square_dim(p)
     tried, held_skips, norm_skips, from_pairs = set(), 0, 0, 0
     for side, config, events in walks:
         if not events:
@@ -551,7 +549,7 @@ def test_escalations_try_every_quadratic_the_oracle_tries(monkeypatch, label, p,
             if place > end or disc == 0 or not any(square_class_bits(disc, 1, p)):
                 continue  # not reached, or split over Q_v: the oracle skips it too
             tried.add((side, *A))
-            m = quadratic_mask(an, bn, q, data.forms, p)
+            m = _quadratic_mask(an, bn, q, data.forms, p)
             assert reads.get(A, m) == m, (side, A)
             if A not in reads:
                 assert pair_reads[pair] == {m}, (side, A)
@@ -561,6 +559,42 @@ def test_escalations_try_every_quadratic_the_oracle_tries(monkeypatch, label, p,
             assert (A in certified) == (not norm_fails and m not in held), (side, A)
             norm_skips += bool(norm_fails)
             held_skips += not norm_fails and m in held
+    return tried, (held_skips, norm_skips, from_pairs)
+
+
+# escalations that grow the quadratic tier's depth (val_bound 1 -> 3 -> 5,
+# depth 1 -> 3 -> 4 at 23) or its residue exponent (1 -> 2 -> 3 at 2) must
+# walk it again: at these places the later walks reach 87 and 163 more
+# quadratics than the first.  Every quadratic the oracle certifies is, in
+# each walk of the library that reaches it, either certified or dead at its
+# place: its own mask (read here) fails the norm rule or was held by the
+# walk then.  The library reads that mask, or it reads the same mask for
+# the quadratic's unit-class pair; and it certifies a quadratic exactly when
+# it is not dead.  The domain's walk ends once its 2-descent images are
+# full, before its quadratic tier at 23 and after its first round at 2, and
+# counts as ended there: the codomain's walks reach every quadratic the
+# oracle certifies on the codomain, the domain's only some.  With that
+# certificate stubbed off, the library's walks reach all the oracle's.
+@pytest.mark.parametrize("label, p, cfg", [
+    ("B97", 23, SearchConfig(val_bound=1)),
+    ("B31", 2, SearchConfig(residue_exponent=1)),
+], ids=["B97@23-val_bound=1", "B31@2-residue_exponent=1"])
+def test_escalations_try_every_quadratic_the_oracle_tries(monkeypatch, without_descent_certificate,
+                                                          label, p, cfg):
+    curve = fresh(CURVES[label])
+    calls = count_certificates(monkeypatch, curve)
+    oracle_local_images(curve, p, cfg)
+    oracle_certified = set(calls)
+    walks = record_quadratic_work(monkeypatch)
+    local_images(curve, p, cfg)
+    tried, _ = tried_quadratics(curve, p, walks)
+    assert {A for A in tried if A[0] == PHI} == {A for A in oracle_certified if A[0] == PHI}
+    assert tried < oracle_certified
+    without_descent_certificate()
+    walks.clear()
+    curve = fresh(CURVES[label])
+    local_images(curve, p, cfg)
+    tried, (held_skips, norm_skips, from_pairs) = tried_quadratics(curve, p, walks)
     assert tried == oracle_certified
     # the rules do skip certificates here, and B97's class pairs do share reads
     assert held_skips and norm_skips
@@ -808,27 +842,196 @@ def test_the_quadratic_tier_steps_one_b_block_at_a_time(monkeypatch):
     assert 0 < collections.Counter(kind for kind, *_ in calls.elements())["mask"] <= 100
 
 
-def test_only_a_heuristic_place_escalates(monkeypatch):
+def test_only_a_heuristic_place_escalates(monkeypatch, without_descent_certificate):
     # neither side enters a later round before both have used up the
     # current one, so a place escalates only when a whole round fails: of
-    # the benchmark's places only B31@17 and B97@23, which end heuristic,
-    # and there each side escalates twice
-    escalate = SearchConfig.escalate
-    calls = collections.Counter()
+    # the benchmark's places only B31@17 and B97@23, which end heuristic.
+    # There the domain's 2-descent images are full in its first round, so
+    # its walk ends and only the codomain's escalates, twice; with that
+    # certificate stubbed off each side escalates twice
+    escalate, point_tiers = SearchConfig.escalate, lp._point_tiers
+    calls, rounds = collections.Counter(), collections.Counter()
 
     def counted(cfg):
         calls[place] += 1
         return escalate(cfg)
 
+    def tiers(curve_, side, *args):
+        rounds[place, side] += 1
+        return point_tiers(curve_, side, *args)
+
     monkeypatch.setattr(SearchConfig, "escalate", counted)
-    statuses = {}
-    for label, shared in BENCHMARK_CURVES.items():
-        curve = fresh(shared)
-        for v in places_of(curve.bad_places):
-            place = f"{label}@{place_name(v)}"
-            statuses[place] = local_images(curve, v)[0].status
-    assert dict(calls) == {"B31@17": 4, "B97@23": 4}
-    assert {place for place, status in statuses.items() if status == "heuristic"} == set(calls)
+    monkeypatch.setattr(lp, "_point_tiers", tiers)
+    for escalations in ({PHI: 2}, {PHIHAT: 2, PHI: 2}):
+        if PHIHAT in escalations:
+            without_descent_certificate()
+        calls.clear()
+        rounds.clear()
+        statuses = {}
+        for label, shared in BENCHMARK_CURVES.items():
+            curve = fresh(shared)
+            for v in places_of(curve.bad_places):
+                place = f"{label}@{place_name(v)}"
+                statuses[place] = local_images(curve, v)[0].status
+        heuristic = {"B31@17", "B97@23"}
+        assert dict(calls) == dict.fromkeys(heuristic, sum(escalations.values()))
+        assert {place for place, status in statuses.items() if status == "heuristic"} == heuristic
+        assert {key: n - 1 for key, n in rounds.items() if n > 1} == {
+            (place, side): n for place in heuristic for side, n in escalations.items()}
+
+
+# ---------------------------------------------------------------------------
+# the domain's 2-descent certificate, and the order of the steps
+# ---------------------------------------------------------------------------
+
+# the benchmark curves, the R15, R18 and K32 fixtures, and a slice of the
+# seeded random corpus
+DESCENT_CORPUS = {**BENCHMARK_CURVES,
+                  **{label: fixture_curve(label) for label in ("R15", "R18", "K32")},
+                  **seeded_corpus(20)}
+
+
+# the domain's walk ends once the `mu_two` images of two-torsion and of its
+# divisors span J(Q_v)/2J(Q_v): its image, their image under
+# psi_two_to_phihat, is then whole, so ending there changes no image.  Each
+# time the walk asks, the answer is read again here from `mu_two` of the
+# Weierstrass pairs {w, inf} and of the divisors fed so far; the corpus
+# asks both at a full span and one short of it (A257@2, B31@3)
+@pytest.mark.parametrize("label", DESCENT_CORPUS)
+def test_the_descent_certificate_changes_no_local_image(monkeypatch, without_descent_certificate,
+                                                        label):
+    curve, descent_span = DESCENT_CORPUS[label], lp._descent_span
+
+    def checked_span(curve_, v):
+        fed, full = descent_span(curve_, v)
+        divisors = [MumfordDivisor.weierstrass_pair(i, "inf") for i in curve_.domain_data.slots]
+
+        def checked_full():
+            divisors.extend(D for D, _ in fed)
+            answer = full()
+            span = gf2.Span(lp.mu_two(D, curve_, v).mask for D in divisors)
+            assert answer == (span.dim == 2 * local_square_dim(v)), place_name(v)
+            return answer
+        return fed, checked_full
+
+    monkeypatch.setattr(lp, "_descent_span", checked_span)
+    places = places_of(curve.bad_places)
+    certified = fresh(curve)
+    images = [local_images(certified, v) for v in places]
+    without_descent_certificate()
+    walked = fresh(curve)
+    assert [local_images(walked, v) for v in places] == images
+
+
+@pytest.mark.parametrize("label, p", [("B31", 17), ("B97", 23)])
+def test_the_domain_walk_ends_before_its_quadratic_tier_at_a_heuristic_place(
+        monkeypatch, label, p):
+    # the domain's 2-descent images are full in its first round there: its
+    # walk starts no quadratic tier and no later round, while the codomain's
+    # walk escalates twice and walks its quadratic tier.  It ends only once
+    # `mu_two` of the Weierstrass pairs {w, inf} and of the divisors it
+    # yielded, read here, span dim J(Q_v)/2J(Q_v), and its image is their
+    # image under psi_two_to_phihat
+    point_tiers, quadratic_candidates = lp._point_tiers, lp._quadratic_candidates
+    descent_span = lp._descent_span
+    rounds, quadratic, yielded, answers = collections.Counter(), collections.Counter(), [], []
+
+    def tiers(curve_, side, *args):
+        rounds[side] += 1
+        return point_tiers(curve_, side, *args)
+
+    def quadratic_tier(curve_, side, *args):
+        quadratic[side] += 1
+        yield from quadratic_candidates(curve_, side, *args)
+
+    def recorded_span(curve_, v):
+        fed, full = descent_span(curve_, v)
+
+        def recorded_full():
+            yielded.extend(D for D, _ in fed)
+            answers.append(full())
+            return answers[-1]
+        return fed, recorded_full
+
+    monkeypatch.setattr(lp, "_point_tiers", tiers)
+    monkeypatch.setattr(lp, "_quadratic_candidates", quadratic_tier)
+    monkeypatch.setattr(lp, "_descent_span", recorded_span)
+    curve = fresh(CURVES[label])
+    images = local_images(curve, p)
+    assert [image.status for image in images] == ["heuristic"] * 2
+    assert rounds == {PHIHAT: 1, PHI: 3}
+    assert quadratic[PHIHAT] == 0 < quadratic[PHI]
+    assert answers[-1]
+    pairs = [MumfordDivisor.weierstrass_pair(i, "inf") for i in curve.domain_data.slots]
+    quintuples = [lp.mu_two(D, curve, p) for D in pairs + yielded]
+    assert gf2.Span(q.mask for q in quintuples).dim == 2 * local_square_dim(p)
+    assert gf2.same_span([psi_two_to_phihat(q).mask for q in quintuples],
+                         images[0].span().basis())
+
+
+# the checks on the span: each divisor's quintuple image must map to its
+# mask under psi_two_to_phihat, and the images may not span more than
+# J(Q_v)/2J(Q_v).  At B97@23 a bit flipped in one slot of the quintuple
+# image of the Weierstrass pairs, or of the walk's points, breaks the
+# first; the same bit flipped in both slots that psi_two_to_phihat
+# multiplies (a2 a3), in every divisor's image, breaks the second
+POINTS = ("point_plus_infinity", "rational_pair", "quadratic")
+
+
+@pytest.mark.parametrize("tags, flip, check", [
+    (("weierstrass_pair",), 0b1, "maps elsewhere"),
+    (POINTS, 0b1, "maps elsewhere"),
+    (("identity", "weierstrass_pair", *POINTS), 0b1 << 2 | 0b1 << 4, "past dimension 4"),
+], ids=["weierstrass-slot", "point-slot", "psi-kernel"])
+def test_a_corrupt_quintuple_image_raises(monkeypatch, tags, flip, check):
+    mu_two, flipped = lp.mu_two, []
+
+    def corrupted(D, curve_, v=None):
+        q = mu_two(D, curve_, v)
+        if D.tag in tags:
+            flipped.append(D)
+            q = q._replace(mask=q.mask ^ flip)
+        return q
+
+    monkeypatch.setattr(lp, "mu_two", corrupted)
+    with pytest.raises(ClassBitsMismatch, match=check):
+        local_images(fresh(B97), 23)
+    assert flipped
+
+
+def drained(order):
+    """An `_alternating` that walks the walks one after the other, in
+    `order`, each through all its rounds."""
+    def run(walks):
+        for i in order:
+            for items in walks[i]:
+                yield from ((i, item) for item in items if item is not None)
+    return run
+
+
+# each side's basis is the prefix of its own walk that raises its span, so
+# walking one side's walk to its end before the other's starts finds the
+# images that stepping them in turn finds
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["domain-first", "codomain-first"])
+def test_the_order_of_the_steps_changes_no_image(monkeypatch, order):
+    stepped = {label: [local_images(fresh(curve), v) for v in places_of(curve.bad_places)]
+               for label, curve in BENCHMARK_CURVES.items()}
+    monkeypatch.setattr(lp, "_alternating", drained(order))
+    for label, curve in BENCHMARK_CURVES.items():
+        other = fresh(curve)
+        assert [local_images(other, v) for v in places_of(curve.bad_places)] == stepped[label]
+
+
+def test_a_walk_runs_its_rounds_on_after_the_other_has_ended():
+    # one step of each walk in turn; a round starts once both have ended
+    # the last, and once one walk has ended the other runs its rounds alone
+    def walk(name, rounds):
+        for r in range(rounds):
+            yield iter([(name, r, 0), None, (name, r, 1), None])
+
+    assert list(lp._alternating([walk("a", 1), walk("b", 3)])) == [
+        (0, ("a", 0, 0)), (1, ("b", 0, 0)), (0, ("a", 0, 1)), (1, ("b", 0, 1)),
+        (1, ("b", 1, 0)), (1, ("b", 1, 1)), (1, ("b", 2, 0)), (1, ("b", 2, 1))]
 
 
 # ---------------------------------------------------------------------------
