@@ -587,12 +587,5 @@ def build_pair(lam, G1, G2, G3) -> RichelotPair:
         gj, gk = gs[j], gs[k]
         L.append(poly_sub(poly_mul(poly_derivative(gj), gk),
                           poly_mul(gj, poly_derivative(gk))))
-    pair = RichelotPair(tuple(gs), tuple(roots_by_factor), delta, tuple(L))
-    if pair.degree == 5:
-        # the codomain is a 5-root model iff G2 and G3 share their linear
-        # coefficient (then L1 drops to degree 1); otherwise it has 6 roots
-        degs = sorted(len(Li) - 1 for Li in L)
-        if degs not in ([1, 2, 2], [2, 2, 2]):
-            raise CurveError("degenerate codomain: L degrees are not {1,2,2} or {2,2,2}")
-    return pair
+    return RichelotPair(tuple(gs), tuple(roots_by_factor), delta, tuple(L))
 

@@ -52,7 +52,7 @@ def place_name(p: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# valuations and residue symbols
+# valuations
 # ---------------------------------------------------------------------------
 
 
@@ -72,12 +72,6 @@ def valuation(q, p: int) -> int:
         d //= p
         v -= 1
     return v
-
-
-def _legendre(u: int, p: int) -> int:
-    """(u|p) for p odd, u prime to p; returns +1 or -1."""
-    r = pow(u % p, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +94,7 @@ def class_representative(m: int, p: int) -> int:
 @lru_cache(maxsize=None)
 def _smallest_nonresidue(p: int) -> int:
     for n in range(2, p):
-        if _legendre(n, p) == -1:
+        if square_class_mask(n, 1, p):
             return n
     raise ValueError(f"{p} is not an odd prime")
 
@@ -221,7 +215,7 @@ def sqrt_mod_pk(u: int, p: int, k: int) -> int:
             if (r * r - u) % (2 << i):
                 r += 1 << (i - 1)
         return r
-    if u % p == 0 or _legendre(u, p) == -1:
+    if u % p == 0 or square_class_mask(u, 1, p):
         raise ValueError(f"{u} is not a square unit in Z_{p}")
     r = _sqrt_mod_p(u % p, p)
     j = 1

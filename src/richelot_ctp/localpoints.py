@@ -148,7 +148,6 @@ class _SearchConfigFields(NamedTuple):
     residue_exponent: int = 4
     val_bound: int = 6
     escalations: int = 2
-    shuffle_seed: Optional[int] = None
 
 
 class SearchConfig(_SearchConfigFields):
@@ -172,8 +171,7 @@ class SearchConfig(_SearchConfigFields):
         return cls(*fields)
 
     def escalate(self) -> "SearchConfig":
-        return self._make((self.residue_exponent + 1, self.val_bound + 2,
-                           self.escalations, self.shuffle_seed))
+        return self._make((self.residue_exponent + 1, self.val_bound + 2, self.escalations))
 
 
 # ---------------------------------------------------------------------------
@@ -343,18 +341,13 @@ def _unit_residues(p: int, exponent: int) -> list[int]:
     return [r for r in range(1, mod) if r % p]
 
 
-def _unit_class(r: int, p: int) -> int:
-    """The unit class of r: r mod 8 at p = 2, its Legendre symbol at odd p."""
-    return r % 8 if p == 2 else pow(r, p // 2, p)
-
-
 def _unit_table(curve: RichelotPair, p: int, exponent: int) -> tuple[list[int], list[int]]:
-    """The `_unit_residues` of p and exponent and their unit classes, as two
-    lists in that order, drawn once per curve, prime and exponent and kept
-    in the curve's `domain_data`, so both sides read one draw."""
+    """The `_unit_residues` of p and exponent and their `square_class_mask`s,
+    as two lists in that order, drawn once per curve, prime and exponent and
+    kept in the curve's `domain_data`, so both sides read one draw."""
     def draw():
         units = _unit_residues(p, exponent)
-        return units, [_unit_class(r, p) for r in units]
+        return units, [square_class_mask(r, 1, p) for r in units]
     return curve.domain_data.table(("classes", p, exponent), draw)
 
 
@@ -463,14 +456,14 @@ def _block_step(c: Fraction, j: int, p: int) -> tuple[int, int]:
 
 
 def _square_points(curve: RichelotPair, side: str, p: int, cfg: SearchConfig,
-                   full=None, rng=None) -> Iterator[Optional[tuple[int, int, int]]]:
+                   full=None) -> Iterator[Optional[tuple[int, int, int]]]:
     """The singles tier's candidates x = n/d (lowest terms) with f(x) a
     nonzero square in Q_p, in walk order, as (n, d, image mask: factor i's
     `square_class_mask` at shift i dim).  At the real place the candidates
     are the side's real samples; at a prime they are the blocks of
     `_x_blocks`, each ended by a step mark (None), in which x = c + r p^j
-    for (r, unit class k) over `_unit_table`; each x comes once.  With
-    `rng` the blocks come in a shuffled order and each block's residues too.
+    for (r, unit class k) over `_unit_table`, in the orders those give;
+    each x comes once.
 
     f = G1 G2 G3 on the domain (build_pair folds lambda into G1) and
     fhat = L1 L2 L3 / Delta on the codomain, so f(x) is a square iff the
@@ -503,20 +496,13 @@ def _square_points(curve: RichelotPair, side: str, p: int, cfg: SearchConfig,
         return mask, want
 
     if not p:  # f(x) > 0 at a real sample: one step, no factor zero
-        samples = list(data.real_samples)
-        if rng:
-            rng.shuffle(samples)
-        for n, d in samples:
+        for n, d in data.real_samples:
             yield n, d, read(range(3), n, d, 0, f_class)[0]
         return
     units, classes = _unit_table(curve, p, cfg.residue_exponent)
     kinds = set(classes)
     seen: dict = {}  # denominator -> the numerators walked
-    blocks = _x_blocks(curve, side, p, cfg)
-    if rng:
-        blocks = list(blocks)
-        rng.shuffle(blocks)
-    for c, j, dominated in blocks:
+    for c, j, dominated in _x_blocks(curve, side, p, cfg):
         (step, d), cn = _block_step(c, j, p), c.numerator
         walked = seen.setdefault(d, set())
         ruled = [i for i, dom in enumerate(dominated) if dom]
@@ -525,11 +511,7 @@ def _square_points(curve: RichelotPair, side: str, p: int, cfg: SearchConfig,
         # k -> (mask, want) of the dominated factors, False where f(x) is no square
         reads = {} if ruled else dict.fromkeys(kinds, (0, f_class))
         reached = set()
-        order = zip(units, classes)
-        if rng:
-            order = list(order)
-            rng.shuffle(order)
-        for r, k in order:
+        for r, k in zip(units, classes):
             if cut and k in reached and cut():
                 if len(reached) == len(kinds):
                     break  # the rest of the block repeats reached classes
@@ -738,12 +720,10 @@ def _point_tiers(curve: RichelotPair, side: str, p: int, cfg: SearchConfig,
     `_square_points`, and builds x as a Fraction only for a point it pools
     or yields.  A torsion divisor's mask is the XOR of its points', or read
     from its values for a kernel quadratic (`_torsion_masks`), and the
-    side's `SideData` keeps them per place.  Under `cfg.shuffle_seed` each
-    tier walks its candidates in an order drawn from one seeded generator:
-    the torsion divisors, then the singles reader's blocks and each block's
-    residues, then the pairs.
+    side's `SideData` keeps them per place.  The walk order is fixed, and
+    so are a run's witnesses; another order may find others, which changes
+    no pairing value, as each local term depends on a|v alone.
     """
-    rng = random.Random(cfg.shuffle_seed) if cfg.shuffle_seed is not None else None
     data = curve.side_data(side)
     masks, torsion = _place_torsion(curve, side, p)
 
@@ -754,12 +734,6 @@ def _point_tiers(curve: RichelotPair, side: str, p: int, cfg: SearchConfig,
 
     pool: list[tuple[Fraction, int]] = []  # found points with their masks
     seen_classes: set = set()
-    # the torsion shuffle is the first draw from rng in every walk, so it can
-    # run now: a walk that skips the tier still leaves rng where the next
-    # tier expects it
-    if rng:
-        torsion = list(torsion)
-        rng.shuffle(torsion)
 
     def singles_tier():
         # a divisor {P, inf} needs the infinite point rational over Q_p: a
@@ -773,7 +747,7 @@ def _point_tiers(curve: RichelotPair, side: str, p: int, cfg: SearchConfig,
         def full():
             return len(pool) >= _POINT_POOL
 
-        for item in _square_points(curve, side, p, cfg, full, rng):
+        for item in _square_points(curve, side, p, cfg, full):
             if not item:
                 yield item  # a step mark
                 continue
@@ -792,12 +766,8 @@ def _point_tiers(curve: RichelotPair, side: str, p: int, cfg: SearchConfig,
 
     def pairs_tier():
         points = [(x, masks[m]) for m, x in data.slots.items()] + pool
-        pairs = itertools.combinations(range(len(points)), 2)
-        if rng:
-            pairs = list(pairs)
-            rng.shuffle(pairs)
         n_weier = len(data.roots)
-        for i, j in pairs:
+        for i, j in itertools.combinations(range(len(points)), 2):
             if i < n_weier and j < n_weier:
                 continue  # both Weierstrass: already in the torsion tier
             (x1, m1), (x2, m2) = points[i], points[j]
@@ -918,7 +888,8 @@ def _descent_span(curve: RichelotPair, v: int) -> tuple:
     phihat image is the image of J(Q_v)/2J(Q_v) under psi_two_to_phihat
     (Schaefer 1995, Stoll 2001), so the walk has then found all of it.  A
     divisor whose quintuple image does not map to its mask, or that takes
-    the span past that dimension, raises ClassBitsMismatch."""
+    the span past that dimension, raises ClassBitsMismatch.  The images are
+    kept in `two_data`, where the pairing's rows read their witnesses'."""
     fed, span, top = [], gf2.Span(), 2 * local_square_dim(v)
 
     def full():
@@ -926,8 +897,10 @@ def _descent_span(curve: RichelotPair, v: int) -> tuple:
             masks, _ = _place_torsion(curve, PHIHAT, v)
             fed.extend((MumfordDivisor.weierstrass_pair(i, INF), masks[i] ^ masks[INF])
                        for i in curve.domain_data.slots)
+        two = curve.two_data.table(("mu_two", v), dict)  # divisor -> its mu_two at v
+        two.update({D: mu_two(D, curve, v) for D, _ in fed if D not in two})
         for D, mask in fed:
-            q = mu_two(D, curve, v)
+            q = two[D]
             if psi_two_to_phihat(q).mask != mask:
                 raise ClassBitsMismatch(f"{D} has mask {mask:#x} at {place_name(v)}, "
                                         f"its quintuple image {q} maps elsewhere")

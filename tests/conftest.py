@@ -1,4 +1,5 @@
 import collections
+import random
 import sys
 
 import pytest
@@ -50,3 +51,38 @@ def without_descent_certificate(monkeypatch):
     def stub():
         monkeypatch.setattr(localpoints, "_descent_span", lambda curve, v: ([], lambda: False))
     return stub
+
+
+@pytest.fixture
+def shuffled_walk(monkeypatch):
+    """shuffled_walk(seed) makes the local search walk its candidates in
+    another order: from then on `localpoints._torsion_divisors`,
+    `_x_blocks` and `_unit_table` return what they returned before, in an
+    order drawn by `random.Random` from the seed and the call's arguments
+    (the curve's left out) as a string, so no hash enters and a repeated
+    call gives the same order.  This permutes the torsion tier, the singles
+    blocks and each block's residues, the quadratic tier's units, and so
+    the pool the pairs tier draws on.  The search reads the three through
+    its module, as an oracle must too to walk the same order.  Use a fresh
+    curve: a curve keeps its torsion divisors and local images.  A later
+    call replaces the seed."""
+    originals = {name: getattr(localpoints, name)
+                 for name in ("_torsion_divisors", "_x_blocks", "_unit_table")}
+
+    def permuted(seed, name):
+        def call(curve, *args):
+            rng = random.Random(f"{seed} {name} {args}")
+            out = originals[name](curve, *args)
+            if name == "_unit_table":  # units and their classes, permuted alike
+                units = list(zip(*out))
+                rng.shuffle(units)
+                return tuple(map(list, zip(*units)))
+            out = list(out)
+            rng.shuffle(out)
+            return out
+        return call
+
+    def shuffle(seed):
+        for name in originals:
+            monkeypatch.setattr(localpoints, name, permuted(seed, name))
+    return shuffle

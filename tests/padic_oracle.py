@@ -12,7 +12,12 @@ from fractions import Fraction
 from typing import Optional
 
 from hilbert_oracle import _int_valuation, _unit_residue
-from richelot_ctp.localfield import _legendre, _sqrt_mod_p, valuation
+from richelot_ctp.localfield import _sqrt_mod_p, valuation
+
+
+def legendre(u: int, p: int) -> int:
+    """(u|p) for an odd prime p and u prime to p, by Euler's criterion."""
+    return 1 if pow(u, (p - 1) // 2, p) == 1 else -1
 
 
 class InsufficientPrecision(Exception):
@@ -106,7 +111,7 @@ class PadicApprox:
             return False
         if self.p == 2:
             return self.unit % 8 == 1
-        return _legendre(self.unit % self.p, self.p) == 1
+        return legendre(self.unit, self.p) == 1
 
     def sqrt(self) -> "PadicApprox":
         """A square root, by Tonelli-Shanks mod p plus Hensel lifting."""

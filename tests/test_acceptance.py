@@ -22,7 +22,7 @@ from richelot_ctp.cohomology import (
 )
 from richelot_ctp.ctp import ctp_global, ctp_matrix, local_row, rank_report
 from richelot_ctp.curve import PHIHAT, poly
-from curve_fixtures import in_radical
+from curve_fixtures import fresh, in_radical
 from hilbert_oracle import OracleInconclusive, hilbert_oracle
 from richelot_ctp.localfield import (
     hilbert_symbol,
@@ -34,6 +34,7 @@ from richelot_ctp.localpoints import (
     SearchConfig,
     _point_tiers,
     find_local_point,
+    local_images,
     mu_phihat,
     mu_two,
 )
@@ -181,7 +182,9 @@ def test_criterion_6_hilbert_symbol_suite():
                f"{oracle_checked} oracle agreements with zero failures")
 
 
-def test_criterion_7_choice_independence(curve):
+def test_criterion_7_choice_independence(curve, shuffled_walk):
+    # each rerun walks the local search in another order on a fresh curve,
+    # so it may take other witnesses P_v, and perturbs the lift
     rng = random.Random(31337)
     S = bad_places(curve)
     group = enumerate_Q_S2(S)
@@ -191,15 +194,22 @@ def test_criterion_7_choice_independence(curve):
              (KummerTriple.of(2 * K, -14 * K, -7), KummerTriple.of(2, 2, 1)),
              (KummerTriple.of(113, 113, 1), KummerTriple.of(113, 113, 1))]
     expected = [ctp_global(a, b, curve) for a, b in pairs]
+    places = places_of(S)
+    witnesses = [local_images(curve, v)[0].witnesses for v in places]
+    changed = 0
     for run in range(20):
-        cfg = SearchConfig(shuffle_seed=rng.randrange(10 ** 9))
+        shuffled_walk(rng.randrange(10 ** 9))
+        rerun = fresh(curve)
         b1 = group[rng.randrange(len(group))]
         c1 = group[rng.randrange(len(group))]
         t = KummerTriple((class_product(b1, c1), b1, c1))
         for (a, b), want in zip(pairs, expected):
             lift = lift_phihat_to_two(a) * psi_phi_to_two(t)
-            assert ctp_global(a, b, curve, cfg, lift=lift) == want, run
-    _report(7, "20 shuffled reruns with perturbed lifts left every value unchanged")
+            assert ctp_global(a, b, rerun, lift=lift) == want, run
+        changed += [local_images(rerun, v)[0].witnesses for v in places] != witnesses
+    assert changed > 10
+    _report(7, f"20 shuffled reruns with perturbed lifts left every value unchanged; "
+               f"{changed} of them took other witnesses")
 
 
 def test_criterion_8_structural_invariants(curve, sel_phihat, matrix):

@@ -466,6 +466,7 @@ def test_a_ctp_run_derives_each_factor_form_and_the_bad_places_once(
     from richelot_ctp import curve as curve_module
     from richelot_ctp.curve import build_pair
     curve = build_pair(1, *(K2431[g] for g in ("G1", "G2", "G3")))
+    roots = curve.domain_data.roots  # derives the G_i's forms, before the count
     forms = count_calls(curve_module, "poly_integer_form", lambda args: args[0])
     places = count_calls(arith, "bad_places", lambda args: "S")
     assert main(["ctp", curve_file(K2431), "--json"]) == 0
@@ -474,7 +475,7 @@ def test_a_ctp_run_derives_each_factor_form_and_the_bad_places_once(
     # each SideData derives its factors' forms once, and G1 = x + 4862 is
     # also the quintuple map's factor x - w_1, so its form is derived twice
     assert set(curve.G).isdisjoint(curve.L)
-    assert curve.G[0] == (-curve.domain_data.roots[0], 1)
+    assert curve.G[0] == (-roots[0], 1)
     assert [forms[g] for g in curve.G + curve.L] == [2, 1, 1, 1, 1, 1]
     # and computed the bad places five times
     assert places == {"S": 1}
@@ -528,6 +529,16 @@ def test_the_default_search_flags_give_the_default_config(command):
     from richelot_ctp.localpoints import SearchConfig
 
     assert cli._cfg_of(cli._parser().parse_args([command, "curve.json"])) == SearchConfig()
+
+
+def test_the_search_config_has_a_field_for_each_search_flag_and_no_other():
+    # so a report's config, one key per flag, describes the whole search
+    # behind the report
+    import richelot_ctp.cli as cli
+    from richelot_ctp.localpoints import SearchConfig
+
+    assert SearchConfig._fields == tuple(field for field, _ in cli._SEARCH_FLAGS.values()) == (
+        "residue_exponent", "val_bound", "escalations")
 
 
 @pytest.mark.parametrize("argv", [["ctp", str(fixture_path("R15")), "--json"],

@@ -29,6 +29,7 @@ from richelot_ctp.localpoints import (
     SearchExhausted,
     _slot_values,
     find_local_point,
+    local_images,
 )
 from richelot_ctp.selmer import selmer_group, torsion_images
 from richelot_ctp.verify import example_curve
@@ -191,6 +192,22 @@ def test_a_matrix_computes_each_witness_quintuple_image_once_per_place(monkeypat
     assert sum(calls.values()) == 23
 
 
+def test_a_witness_the_descent_certificate_mapped_is_not_mapped_again(count_calls):
+    # the domain's 2-descent certificate keeps the quintuple image of each
+    # divisor it spans where the rows read their witnesses', so a search and
+    # a matrix map each divisor once a place; at B97 the certificate has
+    # mapped some of the rows' witnesses before the matrix is built
+    from richelot_ctp import localpoints
+    curve = fresh(BENCHMARK_CURVES["B97"])
+    calls = count_calls(localpoints, "mu_two", lambda args: (args[0], args[2]))
+    selmer = selmer_group(curve, "phihat")
+    spanned = set(calls)
+    M = ctp_matrix(selmer, curve)
+    witnesses = {(w, row.place) for rows in M.rows for row in rows for w in row.P_v}
+    assert witnesses & spanned and witnesses <= set(calls)
+    assert set(calls.values()) == {1}
+
+
 @pytest.mark.parametrize("place", ["2", "3", "7", "113", "oo"])
 def test_each_local_row_takes_a_local_point_below_its_class(curve113, matrix, place):
     # a row's point is the sum of its witnesses: their images multiply to
@@ -258,24 +275,34 @@ def test_bilinearity_on_full_group(curve113, sel_phihat):
                         == table[(c.values, a.values)] ^ table[(c.values, b.values)])
 
 
-def test_choice_independence_under_shuffle_and_lift(curve113):
-    # re-running with shuffled search order and a perturbed global lift
-    # (multiplied by the quintuple image of a norm-one triple) never changes
-    # the global value
+def phihat_witnesses(curve):
+    """The witnesses of the phihat local image at every bad place."""
+    return [local_images(curve, v)[0].witnesses for v in places_of(curve.bad_places)]
+
+
+def test_choice_independence_under_shuffle_and_lift(curve113, shuffled_walk):
+    # re-running with shuffled search order, on a fresh curve, and a
+    # perturbed global lift (multiplied by the quintuple image of a
+    # norm-one triple) never changes the global value; most orders find
+    # other witnesses
     rng = random.Random(101)
     S = bad_places(curve113)
     group = enumerate_Q_S2(S)
     base_pairs = [(T1, T2), (T1, T3), (T2, T3), (T1, T1), (G1, T2)]
     expected = {i: ctp_global(a, b, curve113) for i, (a, b) in enumerate(base_pairs)}
+    witnesses, changed = phihat_witnesses(curve113), 0
     for run in range(20):
-        cfg = SearchConfig(shuffle_seed=rng.randrange(10 ** 9))
+        shuffled_walk(rng.randrange(10 ** 9))
+        curve = fresh(curve113)
         b1 = group[rng.randrange(len(group))]
         c1 = group[rng.randrange(len(group))]
         t = KummerTriple((class_product(b1, c1), b1, c1))
         for i, (a, b) in enumerate(base_pairs):
             lift = lift_phihat_to_two(a) * psi_phi_to_two(t)
-            got = ctp_global(a, b, curve113, cfg, lift=lift)
+            got = ctp_global(a, b, curve, lift=lift)
             assert got == expected[i], (run, i)
+        changed += phihat_witnesses(curve) != witnesses
+    assert changed > 10
 
 
 def test_lift_support_outside_bad_set(curve113):

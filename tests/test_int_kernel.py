@@ -25,7 +25,7 @@ import pytest
 from curve_fixtures import (BENCHMARK_CURVES, class_bits, class_mask, fixture_curve, k_family,
                             quadratic_mumford_certificate, square_class_bits)
 from hilbert_oracle import _unit_residue
-from padic_oracle import InsufficientPrecision, PadicApprox
+from padic_oracle import InsufficientPrecision, PadicApprox, legendre
 import richelot_ctp.curve as curve_module
 import richelot_ctp.localpoints as lp
 from richelot_ctp.cohomology import LocalKummerQuintuple
@@ -42,7 +42,6 @@ from richelot_ctp.curve import (
     rational_sqrt,
 )
 from richelot_ctp.localfield import (
-    _legendre,
     _mod_quadratic_ints,
     _smallest_nonresidue,
     hilbert_symbol,
@@ -107,7 +106,7 @@ def reference_class(x, v):
         u8 = _unit_residue(x, 2, 8)
         return (val & 1, 1 if u8 in (3, 7) else 0, 1 if u8 in (5, 7) else 0)
     u = _unit_residue(x, p, p)
-    return (val & 1, 0 if _legendre(u, p) == 1 else 1)
+    return (val & 1, 0 if legendre(u, p) == 1 else 1)
 
 
 def reference_hilbert(a, b, v):
@@ -126,9 +125,9 @@ def reference_hilbert(a, b, v):
     s = 1
     if alpha % 2 and beta % 2 and p % 4 == 3:
         s = -s
-    if beta % 2 and _legendre(u, p) == -1:
+    if beta % 2 and legendre(u, p) == -1:
         s = -s
-    if alpha % 2 and _legendre(w, p) == -1:
+    if alpha % 2 and legendre(w, p) == -1:
         s = -s
     return s
 
@@ -403,7 +402,7 @@ def test_sqrt_mod_pk_is_a_truncated_root(p):
         u = rng.randint(1, 10 ** 20) ** 2 * (1 + 8 * rng.randint(0, 10 ** 6))
         while u % p == 0:
             u //= p
-        if p != 2 and _legendre(u % p, p) == -1:
+        if p != 2 and legendre(u % p, p) == -1:
             continue
         k = rng.randint(1, 12)
         m = p ** k
@@ -412,7 +411,7 @@ def test_sqrt_mod_pk_is_a_truncated_root(p):
         ref = PadicApprox.from_rational(u, p).sqrt().unit
         assert r in (ref % m, -ref % m)
     for u in ((3, 5, 7) if p == 2 else (p, _smallest_nonresidue(p))):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="is not a square unit"):
             sqrt_mod_pk(u, p, 4)
 
 
@@ -460,7 +459,7 @@ def check_x_blocks(curve, cfg):
                 for r in units:
                     n = c.numerator + r * step
                     assert Fraction(n, d) == c + r * Fraction(p) ** j and math.gcd(n, d) == 1
-                    unit_class = r % 8 if p == 2 else _legendre(r % p, p)
+                    unit_class = r % 8 if p == 2 else legendre(r % p, p)
                     for i, g in enumerate(polys):
                         if dominated[i]:
                             y = fraction_horner(g, Fraction(n, d))
@@ -778,7 +777,8 @@ def check_quadratic_blocks(curve, configs, rule=_generic):
     mask and no zero resultant.  The classes are read from Fractions, the
     mask from `SideData.quadratic_values` and `local_square_class` slot by
     slot.  The class pair is checked against the perturbations themselves:
-    c + r p^e carries the unit class of r, and c itself class 0.  Returns
+    c + r p^e carries the unit class of r, its square class mask (2 for a
+    non-residue, 0 else), and c itself class 0.  Returns
     the number of blocks with the rule for all four, for the discriminant
     alone, and for neither."""
     counts = collections.Counter()
@@ -798,8 +798,9 @@ def check_quadratic_blocks(curve, configs, rule=_generic):
                     for c, (e, xs) in zip(centre, blocks):
                         for x, k in xs:
                             r = (x - c) / Fraction(p) ** (e or 0)
+                            nonresidue = e is not None and legendre(r.numerator, p) == -1
                             assert (x == c and k == 0 if e is None else r.denominator == 1
-                                    and k == _legendre(r.numerator, p) % p), (p, side, str(x))
+                                    and k == 2 * nonresidue), (p, side, str(x))
                     terms = data.taylor_valuations(centre, p)
                     disc_rule, all_rule = rule(terms[:1], (ea, eb)), rule(terms, (ea, eb))
                     counts[all_rule, disc_rule] += 1

@@ -387,7 +387,7 @@ def test_search_config_rejects_a_bound_below_its_minimum(field, low):
 
 
 def test_search_config_escalates_through_its_own_method():
-    assert SearchConfig().escalate() == SearchConfig(5, 8, 2, None)
+    assert SearchConfig().escalate() == SearchConfig(5, 8, 2)
     assert type(SearchConfig().escalate()) is SearchConfig
     # the traced benchmark wraps the method in the class's own namespace
     assert "escalate" in vars(SearchConfig)
